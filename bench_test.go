@@ -1,13 +1,12 @@
 // Benchmarks regenerating every table and figure of the paper, plus the
-// ablation studies called out in DESIGN.md §4.3. Each benchmark runs the
+// ablation studies (`idesbench -exp ablations`). Each benchmark runs the
 // corresponding experiment end to end per iteration and reports the
 // headline quality metric alongside timing, so `go test -bench . -benchmem`
 // doubles as the reproduction harness. Set IDES_BENCH_FULL=1 to run the
 // paper-sized datasets (P2PSim at 1143 hosts, full dimension sweeps)
 // instead of the quick configurations.
 //
-// The numbers these benches print are recorded and compared against the
-// paper in EXPERIMENTS.md.
+// README.md, "Reproducing the paper", lists the equivalent idesbench runs.
 package ides_test
 
 import (
@@ -332,7 +331,7 @@ func metricName(lm int, frac float64) string {
 func BenchmarkFig7a_NLANR_LandmarkFailure(b *testing.B)  { benchFig7(b, "NLANR") }
 func BenchmarkFig7b_P2PSim_LandmarkFailure(b *testing.B) { benchFig7(b, "P2PSim") }
 
-// ---- Ablations (DESIGN.md §4.3) ----
+// ---- Ablations ----
 
 func BenchmarkAblation_SVDAlgorithms(b *testing.B) {
 	var last []experiments.SVDAlgoResult

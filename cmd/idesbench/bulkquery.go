@@ -90,25 +90,17 @@ func runBulkQuery(scale experiments.Scale, seed int64) error {
 	fmt.Fprintf(w, "batch estimate (%d targets/call)\t%.0f\t%.0fµs\t%.0fµs\n",
 		batchSize, float64(rounds*batchSize)/batchElapsed.Seconds(), sum.P50Us, sum.P99Us)
 
-	// k-NN over the whole directory, exact and with the coarse prefilter.
-	for _, mode := range []struct {
-		label string
-		opts  query.KNNOptions
-	}{
-		{"k-NN exact (k=16)", query.KNNOptions{}},
-		{"k-NN prefilter d=4 (k=16)", query.KNNOptions{PrefilterDims: 4}},
-	} {
-		start = time.Now()
-		for r := 0; r < rounds; r++ {
-			t0 := time.Now()
-			nbs := eng.KNearest(src, knnK, mode.opts)
-			lat[r] = time.Since(t0)
-			sink += nbs[0].Millis
-		}
-		elapsed := time.Since(start)
-		sum = stats.SummarizeDurations(lat, elapsed)
-		fmt.Fprintf(w, "%s\t%.1f\t%.0fµs\t%.0fµs\n", mode.label, sum.OpsPerSec, sum.P50Us, sum.P99Us)
+	// k-NN over the whole directory.
+	start = time.Now()
+	for r := 0; r < rounds; r++ {
+		t0 := time.Now()
+		nbs := eng.KNearest(src, knnK, query.KNNOptions{})
+		lat[r] = time.Since(t0)
+		sink += nbs[0].Millis
 	}
+	elapsed := time.Since(start)
+	sum = stats.SummarizeDurations(lat, elapsed)
+	fmt.Fprintf(w, "k-NN exact (k=16)\t%.1f\t%.0fµs\t%.0fµs\n", sum.OpsPerSec, sum.P50Us, sum.P99Us)
 	if err := w.Flush(); err != nil {
 		return err
 	}

@@ -228,7 +228,7 @@ func runFig7(ds, figure string, scale experiments.Scale, seed int64) error {
 }
 
 func runAblations(scale experiments.Scale, seed int64) error {
-	fmt.Println("\n== Ablations (DESIGN.md §4.3) ==")
+	fmt.Println("\n== Ablations ==")
 
 	svd, err := experiments.AblationSVDAlgorithms([]int{60, 120, 240}, 10, seed)
 	if err != nil {

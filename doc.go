@@ -55,8 +55,10 @@
 //     budgets (Config.IdleTimeout vs Config.RequestTimeout);
 //   - multiplexed v2 framing negotiated per connection (Hello/HelloAck):
 //     many streams in flight over one connection, client-side write
-//     coalescing, concurrent server dispatch behind a negotiated stream
-//     window with per-stream Overloaded backpressure, per-call
+//     coalescing, concurrent dispatch behind a negotiated stream window
+//     with per-stream Overloaded backpressure — served by one frame
+//     server (internal/transport.Serve) under the information server,
+//     the gossip peer and the landmark echo alike — per-call
 //     cancellation that kills a stream rather than the connection, and
 //     transparent lockstep fallback against pre-mux peers — ~3.5x the
 //     64-client point-query throughput of one-inflight-per-conn framing
@@ -108,8 +110,8 @@
 //     deterministically through the simnet harness for what-if analysis
 //     (swap solver, dim or drift threshold against recorded traffic).
 //
-// See README.md for a tour, DESIGN.md for the architecture and the
-// dataset-substitution rationale, and EXPERIMENTS.md for reproduction
-// results. The quickstart example (examples/quickstart) walks the paper's
+// See README.md for a tour ("Layout" maps the packages, "Reproducing the
+// paper" lists the experiment runs) and the internal/dataset package
+// comment for the dataset-substitution rationale. The quickstart example (examples/quickstart) walks the paper's
 // own worked example end to end.
 package ides

@@ -88,8 +88,8 @@ type Placement = core.Placement
 // Dataset is a named distance matrix with optional observation mask.
 type Dataset = dataset.Dataset
 
-// Synthetic equivalents of the paper's five datasets (see DESIGN.md §2 for
-// the substitution rationale).
+// Synthetic equivalents of the paper's five datasets (the internal/dataset
+// package comment gives the substitution rationale).
 var (
 	GenNLANR  = dataset.GenNLANR
 	GenGNP    = dataset.GenGNP

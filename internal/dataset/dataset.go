@@ -4,8 +4,8 @@
 // The real datasets (NLANR AMP 2003, GNP/AGNP 2001, P2PSim King
 // measurements, PlanetLab all-pairs pings 2004) are unobtainable offline;
 // each generator reproduces the corresponding dataset's shape, geography
-// and noise process on a synthetic transit-stub topology. DESIGN.md §2
-// documents the substitution in detail.
+// and noise process on a synthetic transit-stub topology; each generator's
+// comment states what it stands in for.
 package dataset
 
 import (

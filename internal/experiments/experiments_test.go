@@ -8,7 +8,8 @@ import (
 
 // These tests run the Quick-scale experiments and assert the *qualitative*
 // results the paper reports — who wins, by roughly what factor, and where
-// curves bend. Absolute numbers live in EXPERIMENTS.md.
+// curves bend. `idesbench -exp all -full` prints the absolute numbers
+// (README.md, "Reproducing the paper").
 
 func TestFig2Shapes(t *testing.T) {
 	series, err := Fig2(Quick, 42)

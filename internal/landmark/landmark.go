@@ -10,10 +10,8 @@ package landmark
 import (
 	"context"
 	"fmt"
-	"io"
 	"log"
 	"net"
-	"sync"
 	"time"
 
 	"github.com/ides-go/ides/internal/transport"
@@ -174,68 +172,29 @@ func (a *Agent) Run(ctx context.Context) error {
 
 // ServeEcho answers Ping frames on ln until ctx is cancelled, so that
 // hosts without raw-socket access can measure RTT to this landmark over
-// the service's own transport.
+// the service's own transport. It runs on the shared frame server: idle
+// waits get EchoIdleTimeout, an arrived frame and its answer get Timeout,
+// anything but a well-formed Ping is answered with an error frame on a
+// connection that stays open, and Hello upgrades to multiplexed framing
+// so a pooled client can probe it.
 func (a *Agent) ServeEcho(ctx context.Context, ln net.Listener) error {
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	go func() {
-		<-ctx.Done()
-		ln.Close()
-	}()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			return fmt.Errorf("landmark %s: accept: %w", a.cfg.Self, err)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			a.echoConn(ctx, conn)
-		}()
-	}
+	return transport.Serve(ctx, ln, transport.ServeConfig{
+		Handler:        echo,
+		RequestTimeout: a.cfg.Timeout,
+		IdleTimeout:    a.cfg.EchoIdleTimeout,
+		Logf:           a.logf,
+	})
 }
 
-func (a *Agent) echoConn(ctx context.Context, conn net.Conn) {
-	defer conn.Close()
-	stop := context.AfterFunc(ctx, func() { conn.Close() })
-	defer stop()
-	buf := make([]byte, 0, 16)
-	// Like Server.handleConn, only the wait for a frame's first bytes
-	// runs on the long EchoIdleTimeout budget; reading the rest of an
-	// arrived frame (via RequestConn) and answering it run on Timeout.
-	rc := &transport.RequestConn{Conn: conn, Budget: a.cfg.Timeout}
-	for {
-		if err := conn.SetDeadline(time.Now().Add(a.cfg.EchoIdleTimeout)); err != nil {
-			return
-		}
-		rc.Rearm()
-		t, payload, err := wire.ReadFrame(rc)
-		if err != nil {
-			if err != io.EOF && ctx.Err() == nil {
-				a.logf("echo read: %v", err)
-			}
-			return
-		}
-		if err := conn.SetDeadline(time.Now().Add(a.cfg.Timeout)); err != nil {
-			return
-		}
-		if t != wire.TypePing {
-			e := &wire.Error{Code: wire.CodeUnknownType, Text: "echo service only answers Ping"}
-			_ = wire.WriteFrame(conn, wire.TypeError, e.Encode(nil))
-			return
-		}
-		p, err := wire.DecodePing(payload)
-		if err != nil {
-			return
-		}
-		buf = (&wire.Pong{Token: p.Token}).Encode(buf[:0])
-		if err := wire.WriteFrame(conn, wire.TypePong, buf); err != nil {
-			return
-		}
+func echo(t wire.MsgType, payload, dst []byte) (wire.MsgType, []byte) {
+	if t != wire.TypePing {
+		return wire.AppendError(dst, wire.CodeUnknownType, "echo service only answers Ping")
 	}
+	tok, err := wire.PingToken(payload)
+	if err != nil {
+		return wire.AppendError(dst, wire.CodeBadRequest, err.Error())
+	}
+	return wire.TypePong, (&wire.Pong{Token: tok}).Encode(dst)
 }
 
 func (a *Agent) logf(format string, args ...interface{}) {

@@ -130,7 +130,10 @@ func TestServeEchoAnswersPings(t *testing.T) {
 	}
 }
 
-func TestServeEchoRejectsNonPing(t *testing.T) {
+// startEcho serves an agent's echo on simnet host names[0] and returns a
+// second host to dial it from.
+func startEcho(t *testing.T) (context.Context, *simnet.Host, string) {
+	t.Helper()
 	nw, names := simHosts(t, 3)
 	lmHost, err := nw.Host(names[0])
 	if err != nil {
@@ -151,30 +154,81 @@ func TestServeEchoRejectsNonPing(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go agent.ServeEcho(ctx, ln) //nolint:errcheck
-
+	done := make(chan struct{})
+	go func() { defer close(done); agent.ServeEcho(ctx, ln) }() //nolint:errcheck
+	t.Cleanup(func() { cancel(); <-done })
 	other, err := nw.Host(names[1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn, err := other.DialContext(ctx, "simnet", names[0])
+	return ctx, other, names[0]
+}
+
+// TestServeEchoRejectsNonPing checks anything but a well-formed Ping is
+// answered with an error frame on a connection that stays open: the old
+// loop hung up after a non-Ping and silently dropped a malformed Ping.
+func TestServeEchoRejectsNonPing(t *testing.T) {
+	ctx, other, addr := startEcho(t)
+	conn, err := other.DialContext(ctx, "simnet", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := wire.WriteFrame(conn, wire.TypeGetModel, nil); err != nil {
+	for _, tc := range []struct {
+		typ     wire.MsgType
+		payload []byte
+		code    uint16
+	}{
+		{wire.TypeGetModel, nil, wire.CodeUnknownType},
+		{wire.TypePing, []byte{1, 2, 3}, wire.CodeBadRequest},
+	} {
+		if err := wire.WriteFrame(conn, tc.typ, tc.payload); err != nil {
+			t.Fatal(err)
+		}
+		typ, payload, err := wire.ReadFrame(conn)
+		if err != nil {
+			t.Fatalf("%v: %v", tc.typ, err)
+		}
+		if typ != wire.TypeError {
+			t.Fatalf("%v answered %v, want Error", tc.typ, typ)
+		}
+		if werr, err := wire.DecodeError(payload); err != nil || werr.Code != tc.code {
+			t.Fatalf("%v error %+v %v, want code %d", tc.typ, werr, err, tc.code)
+		}
+	}
+	if err := wire.WriteFrame(conn, wire.TypePing, (&wire.Ping{Token: 4}).Encode(nil)); err != nil {
 		t.Fatal(err)
 	}
-	typ, payload, err := wire.ReadFrame(conn)
+	if typ, _, err := wire.ReadFrame(conn); err != nil || typ != wire.TypePong {
+		t.Fatalf("ping after rejected frames: %v %v", typ, err)
+	}
+}
+
+// TestServeEchoAnswersPooledCalls checks a default transport.Pool — which
+// opens every connection with a Hello — reaches the echo over multiplexed
+// framing without a retry. The old loop answered Hello with an error and
+// hung up, so the pool's downgraded connection was dead on first use.
+func TestServeEchoAnswersPooledCalls(t *testing.T) {
+	ctx, other, addr := startEcho(t)
+	pool, err := transport.NewPool(transport.PoolConfig{Dialer: other})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if typ != wire.TypeError {
-		t.Fatalf("type %v want Error", typ)
+	defer pool.Close()
+	for token := uint64(1); token <= 2; token++ {
+		typ, payload, err := pool.Call(ctx, addr, wire.TypePing, (&wire.Ping{Token: token}).Encode(nil))
+		if err != nil || typ != wire.TypePong {
+			t.Fatalf("pooled ping %d: %v %v", token, typ, err)
+		}
+		if got, err := wire.PingToken(payload); err != nil || got != token {
+			t.Fatalf("pooled ping %d echoed %d %v", token, got, err)
+		}
 	}
-	if werr, err := wire.DecodeError(payload); err != nil || werr.Code != wire.CodeUnknownType {
-		t.Fatalf("error %+v %v", werr, err)
+	if st := pool.Stats(); st.Retries != 0 {
+		t.Fatalf("pooled pings needed %d retries", st.Retries)
+	}
+	if ms := pool.MuxStats(); ms.Frames < 2 {
+		t.Fatalf("pooled pings did not ride a mux connection: %+v", ms)
 	}
 }
 

@@ -30,13 +30,6 @@ func dot4(x, y []float64) float64 {
 	return (s0 + s1) + (s2 + s3) + s
 }
 
-// DotPrefix returns the dot product of the first p elements of x and y —
-// the coarse scoring pass of the k-NN prefilter. p must not exceed either
-// length.
-func DotPrefix(x, y []float64, p int) float64 {
-	return dot4(x[:p], y[:p])
-}
-
 // MulVecInto computes dst = a*x without allocating. len(dst) must equal
 // a.rows.
 func MulVecInto(dst []float64, a *Dense, x []float64) {

@@ -48,16 +48,6 @@ func TestDotDeterministic(t *testing.T) {
 	}
 }
 
-func TestDotPrefix(t *testing.T) {
-	x := []float64{1, 2, 3, 4, 5, 6}
-	y := []float64{6, 5, 4, 3, 2, 1}
-	for p := 0; p <= len(x); p++ {
-		if got, want := DotPrefix(x, y, p), naiveDot(x[:p], y[:p]); math.Abs(got-want) > 1e-12 {
-			t.Fatalf("p=%d: got %g want %g", p, got, want)
-		}
-	}
-}
-
 func TestMulVecInto(t *testing.T) {
 	a := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	dst := make([]float64, 2)

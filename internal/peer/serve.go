@@ -2,124 +2,55 @@ package peer
 
 import (
 	"context"
-	"errors"
-	"io"
 	"math"
 	"net"
-	"time"
 
 	"github.com/ides-go/ides/internal/solve"
+	"github.com/ides-go/ides/internal/transport"
 	"github.com/ides-go/ides/internal/wire"
 )
 
 // muxWindow caps concurrent streams a gossip peer advertises. Gossip
-// exchanges are tiny and the peer dispatches them sequentially (the
-// coordinate rows are one shared resource anyway), so the window only
-// needs to cover pipelining depth, not parallelism.
+// exchanges are tiny and the peer dispatches them sequentially, so the
+// window only needs to cover pipelining depth, not parallelism.
 const muxWindow = 64
 
 // Serve answers gossip traffic on ln until ctx is cancelled or the
-// listener fails. It speaks the same protocol surface transport.Pool
-// expects: Ping/Pong for RTT measurement, GossipExchange for
-// coordinate exchange, and the Hello/HelloAck handshake upgrading a
-// connection to multiplexed framing. Unknown types get CodeUnknownType
-// errors, which downgrades mux-probing dialers cleanly on old peers.
+// listener fails, through the shared frame server: Ping/Pong for RTT
+// measurement, GossipExchange for coordinate exchange, and the
+// Hello/HelloAck upgrade to multiplexed framing that transport.Pool
+// probes for. Cancellation closes every connection, and Serve returns
+// once they have finished. One worker per connection keeps exchanges
+// sequential — a peer's rows are one shared resource, so there is
+// nothing to parallelize.
 func (p *Peer) Serve(ctx context.Context, ln net.Listener) error {
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		select {
-		case <-ctx.Done():
-			ln.Close()
-		case <-done:
-		}
-	}()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			return err
-		}
-		go p.serveConn(ctx, conn)
-	}
+	return transport.Serve(ctx, ln, transport.ServeConfig{
+		Handler:        p.dispatch,
+		RequestTimeout: p.cfg.RequestTimeout,
+		IdleTimeout:    p.cfg.IdleTimeout,
+		Window:         muxWindow,
+		Workers:        1,
+		Logf:           p.logf,
+	})
 }
 
-// serveConn handles one connection: a lockstep request/response loop
-// that upgrades in place to multiplexed framing when the client sends
-// Hello. Dispatch stays sequential either way — a peer's rows are one
-// shared resource, so there is nothing to parallelize per connection —
-// but after the upgrade many requests can be in flight and responses
-// carry their stream IDs back.
-func (p *Peer) serveConn(ctx context.Context, conn net.Conn) {
-	defer conn.Close()
-	var scratch, out []byte
-	mux := false
-	for {
-		if err := conn.SetReadDeadline(time.Now().Add(p.cfg.IdleTimeout)); err != nil {
-			return
-		}
-		t, stream, payload, s, err := wire.ReadMuxFrameInto(conn, scratch)
-		scratch = s
-		if err != nil {
-			var ne net.Error
-			idle := errors.As(err, &ne) && ne.Timeout()
-			if err != io.EOF && !idle && ctx.Err() == nil && !errors.Is(err, net.ErrClosed) {
-				p.logf("serve: %v", err)
-			}
-			return
-		}
-		var respT wire.MsgType
-		var resp []byte
-		if t == wire.TypeHello {
-			hello, err := wire.DecodeHello(payload)
-			if err != nil || hello.MaxVersion < wire.VersionMux {
-				respT, resp = errPayload(wire.CodeBadRequest, "malformed or downlevel Hello")
-			} else {
-				window := uint32(muxWindow)
-				if hello.MaxInflight != 0 && hello.MaxInflight < window {
-					window = hello.MaxInflight
-				}
-				ack := wire.HelloAck{Version: wire.VersionMux, MaxInflight: window}
-				respT, resp = wire.TypeHelloAck, ack.Encode(nil)
-				mux = true
-			}
-		} else {
-			respT, resp = p.dispatch(t, payload)
-		}
-		if mux {
-			out = wire.AppendMuxFrame(out[:0], respT, stream, resp)
-		} else {
-			out = wire.AppendFrame(out[:0], respT, resp)
-		}
-		if err := conn.SetWriteDeadline(time.Now().Add(p.cfg.RequestTimeout)); err != nil {
-			return
-		}
-		if _, err := conn.Write(out); err != nil {
-			return
-		}
-	}
-}
-
-// dispatch answers one request frame.
-func (p *Peer) dispatch(t wire.MsgType, payload []byte) (wire.MsgType, []byte) {
+// dispatch answers one request frame, appending the response to dst.
+func (p *Peer) dispatch(t wire.MsgType, payload, dst []byte) (wire.MsgType, []byte) {
 	switch t {
 	case wire.TypePing:
-		ping, err := wire.DecodePing(payload)
+		tok, err := wire.PingToken(payload)
 		if err != nil {
-			return errPayload(wire.CodeBadRequest, err.Error())
+			return wire.AppendError(dst, wire.CodeBadRequest, err.Error())
 		}
-		return wire.TypePong, (&wire.Pong{Token: ping.Token}).Encode(nil)
+		return wire.TypePong, (&wire.Pong{Token: tok}).Encode(dst)
 	case wire.TypeGossipExchange:
 		ex, err := wire.DecodeGossipExchange(payload)
 		if err != nil {
-			return errPayload(wire.CodeBadRequest, err.Error())
+			return wire.AppendError(dst, wire.CodeBadRequest, err.Error())
 		}
-		rep := p.handleExchange(ex)
-		return wire.TypeGossipReply, rep.Encode(nil)
+		return wire.TypeGossipReply, p.handleExchange(ex).Encode(dst)
 	default:
-		return errPayload(wire.CodeUnknownType, "peer: unsupported message type "+t.String())
+		return wire.AppendError(dst, wire.CodeUnknownType, "peer: unsupported message type "+t.String())
 	}
 }
 
@@ -155,9 +86,4 @@ func (p *Peer) handleExchange(ex *wire.GossipExchange) *wire.GossipReply {
 	rep.Peers = p.sampleLocked(p.cfg.SampleSize, ex.From)
 	p.metrics.exchange("in")
 	return rep
-}
-
-// errPayload builds an Error frame payload.
-func errPayload(code uint16, text string) (wire.MsgType, []byte) {
-	return wire.TypeError, (&wire.Error{Code: code, Text: text}).Encode(nil)
 }

@@ -199,15 +199,6 @@ type KNNOptions struct {
 	// Exclude names an address to omit from the results (typically the
 	// querying host itself, which is trivially at distance ~0).
 	Exclude string
-	// PrefilterDims, when in (0, d), enables the approximate prefilter: a
-	// first pass scores every host using only the leading PrefilterDims
-	// vector components (under SVD ordering these carry the dominant
-	// landmark-space energy), keeps the best Oversample*k candidates, and
-	// only they are scored exactly. Zero disables the prefilter; results
-	// are then exact.
-	PrefilterDims int
-	// Oversample is the prefilter's candidate multiple (default 4).
-	Oversample int
 }
 
 // KNearest returns the k registered hosts with the smallest estimated
@@ -225,9 +216,6 @@ func (e *Engine) KNearest(src core.Vectors, k int, opts KNNOptions) []Neighbor {
 		start := time.Now()
 		defer func() { m.KNNSeconds.ObserveDuration(time.Since(start)) }()
 	}
-	if opts.PrefilterDims > 0 && opts.PrefilterDims < len(src.Out) {
-		return e.knnPrefiltered(src, k, opts)
-	}
 	// Large directories answer from the epoch's spatial index when one is
 	// current; the branch-and-bound search is exact, so either path
 	// returns the identical slice. Tiny directories — and queries that
@@ -235,7 +223,7 @@ func (e *Engine) KNearest(src core.Vectors, k int, opts KNNOptions) []Neighbor {
 	if res, ok := e.knnIndexed(src.Out, k, opts.Exclude); ok {
 		return res
 	}
-	return e.knnScan(src.Out, len(src.Out), k, opts.Exclude)
+	return e.knnScan(src.Out, k, opts.Exclude)
 }
 
 // KNearestExact answers KNearest by exhaustive scan, never consulting
@@ -247,19 +235,15 @@ func (e *Engine) KNearestExact(src core.Vectors, k int, opts KNNOptions) []Neigh
 	if k <= 0 {
 		return nil
 	}
-	if opts.PrefilterDims > 0 && opts.PrefilterDims < len(src.Out) {
-		return e.knnPrefiltered(src, k, opts)
-	}
-	return e.knnScan(src.Out, len(src.Out), k, opts.Exclude)
+	return e.knnScan(src.Out, k, opts.Exclude)
 }
 
-// knnScan is the parallel top-k scan. Scoring uses the first p components
-// of out against each host's incoming vector (p == len(out) for the exact
-// pass; p < len(out) for the prefilter's coarse pass). Hosts whose vector
-// dimension differs from the source's are skipped entirely — a truncated
-// dot product against a differently-dimensioned vector is not an
-// estimate, mirroring EstimateBatch's not-found handling.
-func (e *Engine) knnScan(out []float64, p, k int, exclude string) []Neighbor {
+// knnScan is the parallel top-k scan, scoring out against each host's
+// incoming vector through the same unrolled kernel as every other
+// estimate site, so scan, index, and point paths agree bitwise. Hosts
+// whose vector dimension differs from the source's are skipped entirely,
+// mirroring EstimateBatch's not-found handling.
+func (e *Engine) knnScan(out []float64, k int, exclude string) []Neighbor {
 	dim := len(out)
 	numShards := len(e.dir.shards)
 	workers := runtime.GOMAXPROCS(0)
@@ -296,8 +280,7 @@ func (e *Engine) knnScan(out []float64, p, k int, exclude string) []Neighbor {
 					if av.addr == exclude || len(av.vec.In) != dim {
 						continue
 					}
-					est := dotPrefix(out, av.vec.In, p)
-					h.offer(av.addr, est)
+					h.offer(av.addr, mat.Dot(out, av.vec.In))
 				}
 			}
 		}()
@@ -312,35 +295,6 @@ func (e *Engine) knnScan(out []float64, p, k int, exclude string) []Neighbor {
 		merged = merged[:k]
 	}
 	return merged
-}
-
-// knnPrefiltered runs the coarse pass over the leading dims, then scores
-// the surviving candidates exactly.
-func (e *Engine) knnPrefiltered(src core.Vectors, k int, opts KNNOptions) []Neighbor {
-	over := opts.Oversample
-	if over <= 0 {
-		over = 4
-	}
-	cand := e.knnScan(src.Out, opts.PrefilterDims, k*over, opts.Exclude)
-	exact := make([]Neighbor, 0, len(cand))
-	for _, c := range cand {
-		v, ok := e.dir.GetAt(c.Addr, e.epoch)
-		if !ok || len(v.In) != len(src.Out) {
-			continue
-		}
-		exact = append(exact, Neighbor{Addr: c.Addr, Millis: mat.Dot(src.Out, v.In)})
-	}
-	sort.Slice(exact, func(i, j int) bool { return neighborLess(exact[i], exact[j]) })
-	if len(exact) > k {
-		exact = exact[:k]
-	}
-	return exact
-}
-
-// dotPrefix scores through the same unrolled kernel as every other
-// estimate site, so scan, index, and point paths agree bitwise.
-func dotPrefix(x, y []float64, p int) float64 {
-	return mat.DotPrefix(x, y, p)
 }
 
 // neighborLess is the total order used everywhere: distance ascending,

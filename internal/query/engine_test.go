@@ -192,53 +192,6 @@ func TestKNearestMatchesFullSort(t *testing.T) {
 	}
 }
 
-// TestKNearestPrefilter checks the approximate path returns plausible
-// results: every returned distance is exact (re-ranked), sorted, and for
-// vectors whose energy is concentrated in the leading dims it matches
-// the exact top-k.
-func TestKNearestPrefilter(t *testing.T) {
-	d := New(Config{Shards: 4})
-	const n, dim = 2000, 8
-	rng := newRand(7)
-	for i := 0; i < n; i++ {
-		v := randVec(rng, dim)
-		// Concentrate energy in the leading components, like an SVD
-		// ordering: trailing dims contribute little.
-		for j := 4; j < dim; j++ {
-			v[j] *= 1e-3
-		}
-		d.Put(fmt.Sprintf("h%d", i), core.Vectors{Out: v, In: v})
-	}
-	e := NewEngine(d, nil)
-	srcV := randVec(rng, dim)
-	src := core.Vectors{Out: srcV, In: srcV}
-	exact := e.KNearest(src, 10, KNNOptions{})
-	approx := e.KNearest(src, 10, KNNOptions{PrefilterDims: 4, Oversample: 8})
-	if len(approx) != 10 {
-		t.Fatalf("approx returned %d", len(approx))
-	}
-	for i := 1; i < len(approx); i++ {
-		if neighborLess(approx[i], approx[i-1]) {
-			t.Fatal("approx results not sorted")
-		}
-	}
-	// With trailing energy ~1e-3 the coarse ranking is essentially the
-	// true ranking; demand 8/10 agreement to keep the test robust.
-	hits := 0
-	in := map[string]bool{}
-	for _, nb := range exact {
-		in[nb.Addr] = true
-	}
-	for _, nb := range approx {
-		if in[nb.Addr] {
-			hits++
-		}
-	}
-	if hits < 8 {
-		t.Fatalf("prefilter recall %d/10", hits)
-	}
-}
-
 // ---- helpers ----
 
 type xorshift struct{ s uint64 }

@@ -68,7 +68,7 @@ func TestKNearestIndexMatchesExactScan(t *testing.T) {
 		if !ok {
 			t.Fatalf("trial %d: index not used on an indexed directory", trial)
 		}
-		exact := eng.knnScan(src.Out, len(src.Out), k, "")
+		exact := eng.knnScan(src.Out, k, "")
 		neighborsEqual(t, fmt.Sprintf("trial %d k=%d", trial, k), fromIndex, exact)
 	}
 }
@@ -117,7 +117,7 @@ func TestKNearestDimMismatchedEntries(t *testing.T) {
 	if !ok {
 		t.Fatal("10 mutations on 400 hosts should be within the staleness slack")
 	}
-	exact := eng.knnScan(src.Out, len(src.Out), 15, "")
+	exact := eng.knnScan(src.Out, 15, "")
 	neighborsEqual(t, "main dim", fromIndex, exact)
 
 	oddSrc, _ := eng.Lookup("odd-00")
@@ -138,7 +138,7 @@ func TestKNearestIndexChurn(t *testing.T) {
 	_, eng, addrs := indexedDirectory(t, 1000, 6, 16)
 	dir := eng.Directory()
 	src, _ := eng.Lookup(addrs[7])
-	before := eng.knnScan(src.Out, len(src.Out), 10, "")
+	before := eng.knnScan(src.Out, 10, "")
 	// Remove the current best answers; they must vanish from results.
 	dir.Remove(before[0].Addr)
 	dir.Remove(before[1].Addr)
@@ -146,7 +146,7 @@ func TestKNearestIndexChurn(t *testing.T) {
 	if !ok {
 		t.Fatal("2 mutations should be within the staleness slack")
 	}
-	exact := eng.knnScan(src.Out, len(src.Out), 10, "")
+	exact := eng.knnScan(src.Out, 10, "")
 	neighborsEqual(t, "after churn", fromIndex, exact)
 	for _, n := range fromIndex {
 		if n.Addr == before[0].Addr || n.Addr == before[1].Addr {
@@ -177,7 +177,7 @@ func TestKNearestIndexStaleness(t *testing.T) {
 	if !ok {
 		t.Fatal("rebuilt index not used")
 	}
-	exact := eng.knnScan(src.Out, len(src.Out), 5, "")
+	exact := eng.knnScan(src.Out, 5, "")
 	neighborsEqual(t, "after rebuild", fromIndex, exact)
 }
 

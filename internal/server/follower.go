@@ -234,9 +234,9 @@ func (f *follower) forward(t wire.MsgType, payload, dst []byte) (wire.MsgType, [
 	rt, rp, err := f.pool.Call(ctx, f.leader, t, payload)
 	if err != nil {
 		if we, ok := err.(*wire.Error); ok {
-			return errFrame(dst, we.Code, we.Text)
+			return wire.AppendError(dst, we.Code, we.Text)
 		}
-		return errFrame(dst, wire.CodeUnavailable, "leader unreachable: "+err.Error())
+		return wire.AppendError(dst, wire.CodeUnavailable, "leader unreachable: "+err.Error())
 	}
 	return rt, append(dst, rp...)
 }

@@ -1,122 +1,45 @@
 package server
 
 import (
-	"bufio"
 	"context"
 	"fmt"
-	"io"
 	"net"
-	"time"
 
 	"github.com/ides-go/ides/internal/transport"
 	"github.com/ides-go/ides/internal/wire"
 )
 
-// This file is the network front-end: accept loop, per-connection
-// framing and deadline management, and the dispatch table that routes
-// each request to the read side (QueryService), the write side
+// This file is the network front-end: the server's adapter onto the
+// shared frame server (transport.Serve) and the dispatch table that
+// routes each request to the read side (QueryService), the write side
 // (ModelPipeline, or the leader-forwarding path on followers), or the
 // replication tier (Subscribe upgrades the connection to a stream).
 
 // Serve accepts and handles connections on ln until ctx is cancelled or
-// the listener fails. It closes ln on return and waits for in-flight
-// connections to finish.
+// the listener fails. It closes ln and every live connection on
+// cancellation and waits for in-flight connections to finish.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
-	defer s.connWG.Wait()
-	go func() {
-		<-ctx.Done()
-		ln.Close()
-	}()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			return fmt.Errorf("server: accept: %w", err)
-		}
-		s.connWG.Add(1)
-		go func() {
-			defer s.connWG.Done()
-			s.handleConn(ctx, conn)
-		}()
-	}
+	return transport.Serve(ctx, ln, transport.ServeConfig{
+		Handler:        s.dispatchTo,
+		RequestTimeout: s.cfg.RequestTimeout,
+		IdleTimeout:    s.cfg.IdleTimeout,
+		Window:         s.cfg.MuxMaxInflight,
+		Workers:        s.cfg.MuxWorkers,
+		Takeover:       s.takeover,
+		Metrics:        s.frames,
+		Logf:           s.logf,
+	})
 }
 
-func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
-	defer conn.Close()
-	s.metrics.connOpened()
-	defer s.metrics.connClosed()
-	stop := context.AfterFunc(ctx, func() { conn.Close() })
-	defer stop()
-	// Two distinct budgets per iteration: IdleTimeout covers only the
-	// wait for a request's first bytes (pooled clients keep connections
-	// open between calls), and RequestTimeout covers everything after —
-	// the rest of the frame (armed by the wrapper as soon as data
-	// arrives, so a slow-loris trickler cannot stretch one request over
-	// the idle budget), then dispatch and the response write (re-armed
-	// after the read). Conflating them would either kill pooled idle
-	// connections after one request budget or let a stalled reader or
-	// writer hold the connection for the whole idle budget.
-	rc := &transport.RequestConn{Conn: conn, Budget: s.cfg.RequestTimeout}
-	// Conn-local buffers make the steady-state request loop allocation-
-	// free: the read scratch, the response payload and the outgoing frame
-	// all persist across requests and are only ever re-sliced. The
-	// buffered reader coalesces the header and payload of small frames
-	// into one kernel read, and AppendFrame + a single Write sends the
-	// response in one syscall instead of WriteFrame's two.
-	br := bufio.NewReaderSize(rc, 4096)
-	var readBuf, respBuf, frameBuf []byte
-	counted := false
-	for {
-		if err := conn.SetDeadline(time.Now().Add(s.cfg.IdleTimeout)); err != nil {
-			return
-		}
-		rc.Rearm()
-		t, payload, scratch, err := wire.ReadFrameInto(br, readBuf)
-		readBuf = scratch
-		if err != nil {
-			if err != io.EOF && ctx.Err() == nil {
-				s.logf("read from %v: %v", conn.RemoteAddr(), err)
-			}
-			return
-		}
-		if err := conn.SetDeadline(time.Now().Add(s.cfg.RequestTimeout)); err != nil {
-			return
-		}
-		if t == wire.TypeHello {
-			// The connection leaves lockstep for multiplexed dispatch:
-			// many streams in flight, responses in completion order.
-			// serveMux counts it as v2 once the handshake succeeds.
-			s.serveMux(ctx, conn, rc, br, payload, readBuf)
-			return
-		}
-		if !counted {
-			s.metrics.connProtocol("v1")
-			counted = true
-		}
-		if t == wire.TypeSubscribe {
-			// The connection leaves the request/response loop for good:
-			// from here the server pushes replication frames until either
-			// side goes away.
-			s.serveSubscriber(ctx, conn, payload)
-			return
-		}
-		var start time.Time
-		if s.metrics != nil {
-			start = time.Now()
-		}
-		respT, respPayload := s.dispatchTo(t, payload, respBuf[:0])
-		respBuf = respPayload
-		if s.metrics != nil {
-			s.metrics.observeRequest(t, time.Since(start))
-		}
-		frameBuf = wire.AppendFrame(frameBuf[:0], respT, respPayload)
-		if _, err := conn.Write(frameBuf); err != nil {
-			s.logf("write to %v: %v", conn.RemoteAddr(), err)
-			return
-		}
+// takeover hands a lockstep connection that sent Subscribe to the
+// replication tier: from there the server pushes replication frames
+// until either side goes away.
+func (s *Server) takeover(ctx context.Context, conn net.Conn, t wire.MsgType, payload []byte) bool {
+	if t != wire.TypeSubscribe {
+		return false
 	}
+	s.serveSubscriber(ctx, conn, payload)
+	return true
 }
 
 // dispatch handles one request and returns the response frame. It is the
@@ -144,7 +67,7 @@ func (s *Server) dispatchTo(t wire.MsgType, payload, dst []byte) (wire.MsgType, 
 	case wire.TypePing:
 		tok, err := wire.PingToken(payload)
 		if err != nil {
-			return errFrame(dst, wire.CodeBadRequest, err.Error())
+			return wire.AppendError(dst, wire.CodeBadRequest, err.Error())
 		}
 		pong := wire.Pong{Token: tok}
 		return wire.TypePong, pong.Encode(dst)
@@ -168,11 +91,12 @@ func (s *Server) dispatchTo(t wire.MsgType, payload, dst []byte) (wire.MsgType, 
 	case wire.TypeQueryKNN:
 		return s.qs.handleQueryKNN(payload, dst)
 	case wire.TypeSubscribe:
-		// Reached only through in-process dispatch: over the wire,
-		// handleConn upgrades the connection before dispatching.
-		return errFrame(dst, wire.CodeBadRequest, "Subscribe requires a streaming connection")
+		// Reached in-process and on multiplexed streams: a lockstep
+		// connection is taken over before dispatch, and completion-order
+		// mux writes cannot carry the strictly ordered stream.
+		return wire.AppendError(dst, wire.CodeBadRequest, "Subscribe requires a dedicated lockstep connection")
 	default:
-		return errFrame(dst, wire.CodeUnknownType, fmt.Sprintf("unhandled message type %v", t))
+		return wire.AppendError(dst, wire.CodeUnknownType, fmt.Sprintf("unhandled message type %v", t))
 	}
 }
 
@@ -187,13 +111,13 @@ func (s *Server) handleGetModel(dst []byte) (wire.MsgType, []byte) {
 		defer cancel()
 		if s.pipeline != nil {
 			if _, err := s.pipeline.Ready(ctx); err != nil {
-				return errFrame(dst, wire.CodeModelNotFit, err.Error())
+				return wire.AppendError(dst, wire.CodeModelNotFit, err.Error())
 			}
 		} else if err := s.qs.waitReady(ctx); err != nil {
-			return errFrame(dst, wire.CodeModelNotFit, err.Error())
+			return wire.AppendError(dst, wire.CodeModelNotFit, err.Error())
 		}
 		if st = s.qs.served(); st == nil || st.snap.Model == nil {
-			return errFrame(dst, wire.CodeModelNotFit, "no model published")
+			return wire.AppendError(dst, wire.CodeModelNotFit, "no model published")
 		}
 	}
 	model := st.snap.Model
@@ -223,20 +147,15 @@ func (s *Server) handleReport(payload, dst []byte) (wire.MsgType, []byte) {
 	}
 	rep, err := wire.DecodeReportRTT(payload)
 	if err != nil {
-		return errFrame(dst, wire.CodeBadRequest, err.Error())
+		return wire.AppendError(dst, wire.CodeBadRequest, err.Error())
 	}
 	accepted, rejected, err := s.pipeline.Ingest(rep)
 	if err != nil {
-		return errFrame(dst, wire.CodeNotLandmark, err.Error())
+		return wire.AppendError(dst, wire.CodeNotLandmark, err.Error())
 	}
 	s.metrics.observeReport(len(accepted), rejected)
 	if len(accepted) > 0 {
 		s.recordReports(accepted)
 	}
 	return wire.TypeAck, dst
-}
-
-func errFrame(dst []byte, code uint16, text string) (wire.MsgType, []byte) {
-	e := wire.Error{Code: code, Text: text}
-	return wire.TypeError, e.Encode(dst)
 }

@@ -1,32 +1,22 @@
 package server
 
 import (
-	"time"
-
 	"github.com/ides-go/ides/internal/lifecycle"
 	"github.com/ides-go/ides/internal/solve"
 	"github.com/ides-go/ides/internal/stats"
 	"github.com/ides-go/ides/internal/telemetry"
-	"github.com/ides-go/ides/internal/wire"
 )
 
 // serverMetrics bundles the server's telemetry instruments. All methods
 // are no-ops on a nil receiver, so the request path stays branch-light
 // when Config.Metrics is unset (newServerMetrics returns nil then).
 type serverMetrics struct {
-	requests        *telemetry.CounterVec
-	reqSeconds      *telemetry.HistogramVec
 	reportsAccepted *telemetry.Counter
 	reportsRejected *telemetry.Counter
-	activeConns     *telemetry.Gauge
 	fitSeconds      *telemetry.Histogram
 	revSeconds      *telemetry.Histogram
 	fitErrors       *telemetry.Counter
 	drift           *telemetry.Gauge
-	muxStreams      *telemetry.Gauge
-	muxCoalesced    *telemetry.Counter
-	muxOverload     *telemetry.Counter
-	protocols       *telemetry.CounterVec
 }
 
 // newServerMetrics registers the server's metric families on reg and
@@ -41,24 +31,10 @@ func newServerMetrics(reg *telemetry.Registry, s *Server) *serverMetrics {
 		return nil
 	}
 	m := &serverMetrics{
-		requests: reg.CounterVec("ides_server_requests_total",
-			"Requests dispatched, by wire message type.", "type"),
-		reqSeconds: reg.HistogramVec("ides_server_request_seconds",
-			"Request handling latency, by wire message type.", "type", nil),
 		reportsAccepted: reg.Counter("ides_server_reports_accepted_total",
 			"Landmark measurements accepted into the solver."),
 		reportsRejected: reg.Counter("ides_server_reports_rejected_total",
 			"Report entries dropped: unknown landmark, self-pair, or non-finite RTT."),
-		activeConns: reg.Gauge("ides_server_active_conns",
-			"Connections currently being served."),
-		muxStreams: reg.Gauge("ides_mux_streams_inflight",
-			"Streams currently in flight across multiplexed connections."),
-		muxCoalesced: reg.Counter("ides_mux_frames_coalesced_total",
-			"Response frames that shared a socket write with at least one other frame."),
-		muxOverload: reg.Counter("ides_mux_overload_rejects_total",
-			"Streams rejected with CodeOverloaded for exceeding the per-connection in-flight cap."),
-		protocols: reg.CounterVec("ides_transport_protocol",
-			"Connections served, by negotiated framing version (v1 lockstep, v2 multiplexed).", "version"),
 	}
 	reg.GaugeFunc("ides_server_hosts",
 		"Live registered hosts in the directory.",
@@ -131,68 +107,6 @@ func newServerMetrics(reg *telemetry.Registry, s *Server) *serverMetrics {
 			func() float64 { return float64(f.reconnects.Load()) })
 	}
 	return m
-}
-
-func (m *serverMetrics) connOpened() {
-	if m == nil {
-		return
-	}
-	m.activeConns.Add(1)
-}
-
-func (m *serverMetrics) connClosed() {
-	if m == nil {
-		return
-	}
-	m.activeConns.Add(-1)
-}
-
-// muxStreamStarted/muxStreamDone track the in-flight stream gauge.
-func (m *serverMetrics) muxStreamStarted() {
-	if m == nil {
-		return
-	}
-	m.muxStreams.Add(1)
-}
-
-func (m *serverMetrics) muxStreamDone() {
-	if m == nil {
-		return
-	}
-	m.muxStreams.Add(-1)
-}
-
-// observeCoalesced records the frames of one multi-frame flush.
-func (m *serverMetrics) observeCoalesced(frames int) {
-	if m == nil {
-		return
-	}
-	m.muxCoalesced.Add(uint64(frames))
-}
-
-// muxOverloadReject counts one stream refused at the in-flight cap.
-func (m *serverMetrics) muxOverloadReject() {
-	if m == nil {
-		return
-	}
-	m.muxOverload.Inc()
-}
-
-// connProtocol records which framing version a connection negotiated.
-func (m *serverMetrics) connProtocol(version string) {
-	if m == nil {
-		return
-	}
-	m.protocols.With(version).Inc()
-}
-
-func (m *serverMetrics) observeRequest(t wire.MsgType, d time.Duration) {
-	if m == nil {
-		return
-	}
-	name := t.String()
-	m.requests.With(name).Inc()
-	m.reqSeconds.With(name).ObserveDuration(d)
 }
 
 func (m *serverMetrics) observeReport(accepted, rejected int) {

@@ -163,10 +163,10 @@ func (q *QueryService) handleGetInfo(dst []byte) (wire.MsgType, []byte) {
 func (q *QueryService) handleRegister(payload, dst []byte) (wire.MsgType, []byte) {
 	reg, err := wire.DecodeRegisterHost(payload)
 	if err != nil {
-		return errFrame(dst, wire.CodeBadRequest, err.Error())
+		return wire.AppendError(dst, wire.CodeBadRequest, err.Error())
 	}
 	if reg.Addr == "" {
-		return errFrame(dst, wire.CodeBadRequest, "empty host address")
+		return wire.AppendError(dst, wire.CodeBadRequest, "empty host address")
 	}
 	var cur uint64
 	want := q.defDim
@@ -185,11 +185,11 @@ func (q *QueryService) handleRegister(payload, dst []byte) (wire.MsgType, []byte
 	// the directory: estimates would mix two fits. Epoch 0 marks a
 	// pre-epoch client and is accepted as unversioned.
 	if reg.Epoch != 0 && reg.Epoch != cur {
-		return errFrame(dst, wire.CodeStaleEpoch,
+		return wire.AppendError(dst, wire.CodeStaleEpoch,
 			fmt.Sprintf("vectors solved against epoch %d, server at epoch %d: re-fetch the model and re-solve", reg.Epoch, cur))
 	}
 	if len(reg.Out) != want || len(reg.In) != want {
-		return errFrame(dst, wire.CodeBadRequest,
+		return wire.AppendError(dst, wire.CodeBadRequest,
 			fmt.Sprintf("vector dimension %d/%d, want %d", len(reg.Out), len(reg.In), want))
 	}
 	// The directory shard-locks internally; expiry of stale entries is
@@ -215,7 +215,7 @@ func (q *QueryService) applyReplicated(addr string, out, in []float64, epoch uin
 func (q *QueryService) handleGetVectors(payload, dst []byte) (wire.MsgType, []byte) {
 	addr, err := wire.GetVectorsView(payload)
 	if err != nil {
-		return errFrame(dst, wire.CodeBadRequest, err.Error())
+		return wire.AppendError(dst, wire.CodeBadRequest, err.Error())
 	}
 	var resp wire.Vectors
 	if v, ok := q.engine.Load().LookupBytes(addr); ok {
@@ -238,7 +238,7 @@ func (q *QueryService) handleGetVectors(payload, dst []byte) (wire.MsgType, []by
 func (q *QueryService) handleQueryDist(payload, dst []byte) (wire.MsgType, []byte) {
 	from, to, err := wire.QueryDistView(payload)
 	if err != nil {
-		return errFrame(dst, wire.CodeBadRequest, err.Error())
+		return wire.AppendError(dst, wire.CodeBadRequest, err.Error())
 	}
 	var resp wire.Distance
 	resp.Millis, resp.Found = q.engine.Load().EstimatePair(from, to)
@@ -250,10 +250,10 @@ func (q *QueryService) handleQueryDist(payload, dst []byte) (wire.MsgType, []byt
 func (q *QueryService) handleQueryBatch(payload, dst []byte) (wire.MsgType, []byte) {
 	req, err := wire.DecodeQueryBatch(payload)
 	if err != nil {
-		return errFrame(dst, wire.CodeBadRequest, err.Error())
+		return wire.AppendError(dst, wire.CodeBadRequest, err.Error())
 	}
 	if len(req.Targets) > q.maxBatch {
-		return errFrame(dst, wire.CodeBadRequest,
+		return wire.AppendError(dst, wire.CodeBadRequest,
 			fmt.Sprintf("batch names %d targets, limit %d", len(req.Targets), q.maxBatch))
 	}
 	eng := q.engine.Load()
@@ -276,26 +276,26 @@ func (q *QueryService) handleQueryBatch(payload, dst []byte) (wire.MsgType, []by
 // handleQueryKNN answers "the K registered hosts closest to From" with a
 // partial-heap selection over the sharded directory.
 func (q *QueryService) handleQueryKNN(payload, dst []byte) (wire.MsgType, []byte) {
-	req, err := wire.DecodeQueryKNN(payload)
+	from, reqK, err := wire.QueryKNNView(payload)
 	if err != nil {
-		return errFrame(dst, wire.CodeBadRequest, err.Error())
+		return wire.AppendError(dst, wire.CodeBadRequest, err.Error())
 	}
-	if req.K == 0 {
-		return errFrame(dst, wire.CodeBadRequest, "k must be positive")
+	if reqK == 0 {
+		return wire.AppendError(dst, wire.CodeBadRequest, "k must be positive")
 	}
-	k := int(req.K)
+	k := int(reqK)
 	if k > q.maxKNN {
 		k = q.maxKNN
 	}
 	eng := q.engine.Load()
 	resp := &wire.Neighbors{}
-	src, ok := eng.Lookup(req.From)
+	src, ok := eng.LookupBytes(from)
 	if !ok {
 		resp.Epoch = q.Epoch()
 		return wire.TypeNeighbors, resp.Encode(dst)
 	}
 	resp.SrcFound = true
-	neighbors := eng.KNearest(src, k, query.KNNOptions{Exclude: req.From})
+	neighbors := eng.KNearest(src, k, query.KNNOptions{Exclude: string(from)})
 	resp.Entries = make([]wire.NeighborEntry, len(neighbors))
 	for i, n := range neighbors {
 		resp.Entries[i] = wire.NeighborEntry{Addr: n.Addr, Millis: n.Millis}

@@ -71,19 +71,19 @@ func (r *rendezvous) dispatch(t wire.MsgType, payload, dst []byte) (wire.MsgType
 	case wire.TypePing:
 		tok, err := wire.PingToken(payload)
 		if err != nil {
-			return errFrame(dst, wire.CodeBadRequest, err.Error())
+			return wire.AppendError(dst, wire.CodeBadRequest, err.Error())
 		}
 		pong := wire.Pong{Token: tok}
 		return wire.TypePong, pong.Encode(dst)
 	case wire.TypeGossipExchange:
 		ex, err := wire.DecodeGossipExchange(payload)
 		if err != nil {
-			return errFrame(dst, wire.CodeBadRequest, err.Error())
+			return wire.AppendError(dst, wire.CodeBadRequest, err.Error())
 		}
 		rep := r.handleAnnounce(ex)
 		return wire.TypeGossipReply, rep.Encode(dst)
 	default:
-		return errFrame(dst, wire.CodeUnavailable,
+		return wire.AppendError(dst, wire.CodeUnavailable,
 			"rendezvous server: only peer discovery is served here (Ping, GossipExchange)")
 	}
 }

@@ -23,7 +23,8 @@
 // generation.
 //
 // The server is composed from three layers with distinct roles: a
-// network front-end (frontend.go) that owns connections and dispatch, a
+// network front-end (frontend.go) that owns dispatch — connections are
+// served by the shared frame server, transport.Serve — a
 // read-only QueryService (queryservice.go) over the directory and query
 // engine, and a write-side ModelPipeline (pipeline.go) wrapping the
 // lifecycle refitter. The replication tier builds on that seam: a
@@ -41,8 +42,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -248,8 +247,9 @@ type Server struct {
 	// nil-safe throughout (disabled telemetry costs one nil check).
 	metrics *serverMetrics
 	history *telemetry.Store
-
-	connWG sync.WaitGroup
+	// frames is the connection-level half of the metrics (requests,
+	// connections, mux, protocol), owned by the shared frame server.
+	frames *transport.ServeMetrics
 }
 
 // New validates cfg and builds a Server. A follower starts replicating
@@ -290,18 +290,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 100_000
-	}
-	if cfg.MuxMaxInflight <= 0 {
-		cfg.MuxMaxInflight = 256
-	}
-	if cfg.MuxMaxInflight > 65535 {
-		cfg.MuxMaxInflight = 65535
-	}
-	if cfg.MuxWorkers <= 0 {
-		cfg.MuxWorkers = 2 * runtime.GOMAXPROCS(0)
-		if cfg.MuxWorkers < 4 {
-			cfg.MuxWorkers = 4
-		}
 	}
 	idx := make(map[string]int, len(cfg.Landmarks))
 	for i, addr := range cfg.Landmarks {
@@ -348,6 +336,7 @@ func New(cfg Config) (*Server, error) {
 		s.qs.onRegister = s.repl.publishRegister
 	}
 	s.metrics = newServerMetrics(cfg.Metrics, s)
+	s.frames = transport.NewServeMetrics(cfg.Metrics)
 	if s.history != nil && s.pipeline != nil {
 		if err := s.history.Append(&telemetry.ConfigRecord{
 			TimeUnixNanos:  s.history.Now(),

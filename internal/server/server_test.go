@@ -831,35 +831,3 @@ func TestIdleTimeoutDefaultsWellAboveRequestTimeout(t *testing.T) {
 		t.Fatalf("IdleTimeout %v for 1h RequestTimeout, want 10h", s2.cfg.IdleTimeout)
 	}
 }
-
-func TestSlowRequestBoundedByRequestTimeout(t *testing.T) {
-	// A client that starts a frame and then stalls must be dropped after
-	// RequestTimeout, not held for the whole (much longer) IdleTimeout:
-	// the idle budget covers only the wait for a request to start.
-	lm := []string{"L1", "L2"}
-	s, err := New(Config{Landmarks: lm, Dim: 2, Seed: 1,
-		RequestTimeout: 150 * time.Millisecond, IdleTimeout: 30 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	addr := serveTCP(t, s)
-
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write([]byte{0x01}); err != nil { // first byte of a frame, then silence
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
-	start := time.Now()
-	buf := make([]byte, 1)
-	if _, err := conn.Read(buf); err == nil {
-		t.Fatal("server answered a half-sent frame")
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("half-sent frame held the connection for %v; want ~RequestTimeout", elapsed)
-	}
-}

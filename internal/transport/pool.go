@@ -91,9 +91,9 @@ type PoolStats struct {
 // IdleTimeout, and capped both in how many may exist per address
 // (MaxPerHost) and how many may sit idle (MaxIdlePerHost).
 //
-// Server.handleConn serves any number of frames per connection, so a
-// pooled connection stays valid until the server's idle budget expires
-// it. A reused connection can always have died while idle (server
+// The frame server (Serve) answers any number of frames per connection,
+// so a pooled connection stays valid until the server's idle budget
+// expires it. A reused connection can always have died while idle (server
 // restart, idle eviction, middlebox timeout); Call transparently retries
 // exactly once on a fresh connection when that happens. All IDES
 // exchanges are idempotent request/response pairs, so the single replay

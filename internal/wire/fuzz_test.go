@@ -131,13 +131,14 @@ func FuzzDecodeQueryKNN(f *testing.F) {
 	f.Add([]byte{0, 1, 'a'}) // string ok, K truncated
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := DecodeQueryKNN(data)
+		from, k, err := QueryKNNView(data)
 		if err != nil {
 			return
 		}
-		out, err := DecodeQueryKNN(m.Encode(nil))
-		if err != nil || out.From != m.From || out.K != m.K {
-			t.Fatalf("QueryKNN round-trip mismatch: %+v %v", out, err)
+		m := &QueryKNN{From: string(from), K: k}
+		from2, k2, err := QueryKNNView(m.Encode(nil))
+		if err != nil || string(from2) != m.From || k2 != k {
+			t.Fatalf("QueryKNN round-trip mismatch: %q %d %v", from2, k2, err)
 		}
 	})
 }
@@ -222,12 +223,13 @@ func FuzzDecodeGetVectors(f *testing.F) {
 	f.Add([]byte{0, 5, 'a'})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := DecodeGetVectors(data)
+		addr, err := GetVectorsView(data)
 		if err != nil {
 			return
 		}
-		if out, err := DecodeGetVectors(m.Encode(nil)); err != nil || out.Addr != m.Addr {
-			t.Fatalf("GetVectors round-trip mismatch: %+v %v", out, err)
+		m := &GetVectors{Addr: string(addr)}
+		if out, err := GetVectorsView(m.Encode(nil)); err != nil || string(out) != m.Addr {
+			t.Fatalf("GetVectors round-trip mismatch: %q %v", out, err)
 		}
 	})
 }
@@ -255,12 +257,13 @@ func FuzzDecodeQueryDist(f *testing.F) {
 	f.Add([]byte{0, 1, 'a', 0, 9})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := DecodeQueryDist(data)
+		from, to, err := QueryDistView(data)
 		if err != nil {
 			return
 		}
-		if out, err := DecodeQueryDist(m.Encode(nil)); err != nil || out.From != m.From || out.To != m.To {
-			t.Fatalf("QueryDist round-trip mismatch: %+v %v", out, err)
+		m := &QueryDist{From: string(from), To: string(to)}
+		if from2, to2, err := QueryDistView(m.Encode(nil)); err != nil || string(from2) != m.From || string(to2) != m.To {
+			t.Fatalf("QueryDist round-trip mismatch: %q %q %v", from2, to2, err)
 		}
 	})
 }

@@ -38,6 +38,13 @@ func (m *Error) Encode(dst []byte) []byte {
 	return appendString(dst, m.Text)
 }
 
+// AppendError appends an Error payload to dst and returns it with its
+// frame type — the shape every request handler returns.
+func AppendError(dst []byte, code uint16, text string) (MsgType, []byte) {
+	e := Error{Code: code, Text: text}
+	return TypeError, e.Encode(dst)
+}
+
 // DecodeError parses an Error payload.
 func DecodeError(b []byte) (*Error, error) {
 	if len(b) < 2 {
@@ -347,22 +354,14 @@ func DecodeRegisterHost(b []byte) (*RegisterHost, error) {
 	return m, nil
 }
 
-// GetVectors asks the directory for a host's published vectors.
+// GetVectors asks the directory for a host's published vectors. The
+// server parses it with GetVectorsView.
 type GetVectors struct {
 	Addr string
 }
 
 // Encode appends the message payload to dst.
 func (m *GetVectors) Encode(dst []byte) []byte { return appendString(dst, m.Addr) }
-
-// DecodeGetVectors parses a GetVectors payload.
-func DecodeGetVectors(b []byte) (*GetVectors, error) {
-	addr, _, err := consumeString(b)
-	if err != nil {
-		return nil, err
-	}
-	return &GetVectors{Addr: addr}, nil
-}
 
 // Vectors answers GetVectors.
 type Vectors struct {
@@ -401,7 +400,8 @@ func DecodeVectors(b []byte) (*Vectors, error) {
 }
 
 // QueryDist asks the server to estimate the distance between two
-// registered hosts (either may also be a landmark address).
+// registered hosts (either may also be a landmark address). The server
+// parses it with QueryDistView.
 type QueryDist struct {
 	From, To string
 }
@@ -410,20 +410,6 @@ type QueryDist struct {
 func (m *QueryDist) Encode(dst []byte) []byte {
 	dst = appendString(dst, m.From)
 	return appendString(dst, m.To)
-}
-
-// DecodeQueryDist parses a QueryDist payload.
-func DecodeQueryDist(b []byte) (*QueryDist, error) {
-	m := &QueryDist{}
-	var err error
-	rest := b
-	if m.From, rest, err = consumeString(rest); err != nil {
-		return nil, err
-	}
-	if m.To, _, err = consumeString(rest); err != nil {
-		return nil, err
-	}
-	return m, nil
 }
 
 // Distance answers QueryDist.
@@ -564,7 +550,7 @@ func DecodeDistances(b []byte) (*Distances, error) {
 
 // QueryKNN asks for the K registered hosts closest to From, by estimated
 // distance, in one round trip — the directory-wide generalization of
-// mirror selection (§3).
+// mirror selection (§3). The server parses it with QueryKNNView.
 type QueryKNN struct {
 	From string
 	K    uint32
@@ -574,21 +560,6 @@ type QueryKNN struct {
 func (m *QueryKNN) Encode(dst []byte) []byte {
 	dst = appendString(dst, m.From)
 	return binary.BigEndian.AppendUint32(dst, m.K)
-}
-
-// DecodeQueryKNN parses a QueryKNN payload.
-func DecodeQueryKNN(b []byte) (*QueryKNN, error) {
-	m := &QueryKNN{}
-	var err error
-	rest := b
-	if m.From, rest, err = consumeString(rest); err != nil {
-		return nil, err
-	}
-	if len(rest) < 4 {
-		return nil, ErrShortPayload
-	}
-	m.K = binary.BigEndian.Uint32(rest)
-	return m, nil
 }
 
 // Neighbors answers QueryKNN: the closest hosts, ascending by estimated

@@ -2,13 +2,13 @@ package wire
 
 import "encoding/binary"
 
-// Zero-copy request views for the serving hot path. The Decode* functions
-// copy every string they keep, which is the right contract for callers
-// that retain data — but the server's point-query loop looks an address
-// up in the directory and forgets it before the next frame arrives, so
-// the copy is pure garbage. These views return subslices of the payload
-// instead; they are valid only as long as the payload buffer is, and
-// callers must not retain them across frames.
+// Zero-copy request views: the one parser for each small request
+// message. The Decode* functions copy every string they keep, which is
+// the right contract for callers that retain data — but a handler looks
+// an address up in the directory and forgets it before the next frame
+// arrives, so the copy is pure garbage. These views return subslices of
+// the payload instead; they are valid only as long as the payload buffer
+// is, and callers must not retain them across frames.
 
 // consumeBytesView parses a u16 length-prefixed string without copying.
 func consumeBytesView(b []byte) ([]byte, []byte, error) {

@@ -246,18 +246,18 @@ func TestRegisterHostVectorsDistanceRoundTrip(t *testing.T) {
 	if err != nil || rh2.Addr != rh.Addr || rh2.Out[0] != 1.5 || rh2.In[0] != -2.5 {
 		t.Fatalf("RegisterHost round trip: %+v %v", rh2, err)
 	}
-	gv, err := DecodeGetVectors((&GetVectors{Addr: "host-9"}).Encode(nil))
-	if err != nil || gv.Addr != "host-9" {
-		t.Fatalf("GetVectors round trip: %+v %v", gv, err)
+	gv, err := GetVectorsView((&GetVectors{Addr: "host-9"}).Encode(nil))
+	if err != nil || string(gv) != "host-9" {
+		t.Fatalf("GetVectors round trip: %q %v", gv, err)
 	}
 	v := &Vectors{Found: true, Out: []float64{9}, In: []float64{8}}
 	v2, err := DecodeVectors(v.Encode(nil))
 	if err != nil || !v2.Found || v2.Out[0] != 9 || v2.In[0] != 8 {
 		t.Fatalf("Vectors round trip: %+v %v", v2, err)
 	}
-	q, err := DecodeQueryDist((&QueryDist{From: "a", To: "b"}).Encode(nil))
-	if err != nil || q.From != "a" || q.To != "b" {
-		t.Fatalf("QueryDist round trip: %+v %v", q, err)
+	from, to, err := QueryDistView((&QueryDist{From: "a", To: "b"}).Encode(nil))
+	if err != nil || string(from) != "a" || string(to) != "b" {
+		t.Fatalf("QueryDist round trip: %q %q %v", from, to, err)
 	}
 	dd, err := DecodeDistance((&Distance{Found: true, Millis: 31.25}).Encode(nil))
 	if err != nil || !dd.Found || dd.Millis != 31.25 {
@@ -307,9 +307,9 @@ func TestDistancesRoundTrip(t *testing.T) {
 }
 
 func TestQueryKNNNeighborsRoundTrip(t *testing.T) {
-	q, err := DecodeQueryKNN((&QueryKNN{From: "h7", K: 25}).Encode(nil))
-	if err != nil || q.From != "h7" || q.K != 25 {
-		t.Fatalf("QueryKNN round trip: %+v %v", q, err)
+	from, k, err := QueryKNNView((&QueryKNN{From: "h7", K: 25}).Encode(nil))
+	if err != nil || string(from) != "h7" || k != 25 {
+		t.Fatalf("QueryKNN round trip: %q %d %v", from, k, err)
 	}
 	in := &Neighbors{SrcFound: true, Entries: []NeighborEntry{
 		{Addr: "m1", Millis: 3.5},
@@ -370,11 +370,11 @@ func TestDecodersRejectTruncation(t *testing.T) {
 		"ReportRTT":    func(b []byte) error { _, err := DecodeReportRTT(b); return err },
 		"RegisterHost": func(b []byte) error { _, err := DecodeRegisterHost(b); return err },
 		"Vectors":      func(b []byte) error { _, err := DecodeVectors(b); return err },
-		"QueryDist":    func(b []byte) error { _, err := DecodeQueryDist(b); return err },
+		"QueryDist":    func(b []byte) error { _, _, err := QueryDistView(b); return err },
 		"Distance":     func(b []byte) error { _, err := DecodeDistance(b); return err },
 		"QueryBatch":   func(b []byte) error { _, err := DecodeQueryBatch(b); return err },
 		"Distances":    func(b []byte) error { _, err := DecodeDistances(b); return err },
-		"QueryKNN":     func(b []byte) error { _, err := DecodeQueryKNN(b); return err },
+		"QueryKNN":     func(b []byte) error { _, _, err := QueryKNNView(b); return err },
 		"Neighbors":    func(b []byte) error { _, err := DecodeNeighbors(b); return err },
 	}
 	for name, payload := range full {
