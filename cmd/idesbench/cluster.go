@@ -2,17 +2,15 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
-	"net"
-	"os"
 	"time"
 
 	"github.com/ides-go/ides/internal/experiments"
 	"github.com/ides-go/ides/internal/server"
 	"github.com/ides-go/ides/internal/stats"
+	"github.com/ides-go/ides/internal/telemetry"
 	"github.com/ides-go/ides/internal/transport"
 	"github.com/ides-go/ides/internal/wire"
 )
@@ -33,7 +31,7 @@ type clusterResult struct {
 	FollowerEpochs []uint64 `json:"follower_epochs_during_kill"`
 
 	// PointSingle is the baseline: point queries straight at the leader
-	// over one pooled connection (the BENCH_pool point-query shape).
+	// over one pooled connection (bench/'s point-serial shape).
 	// PointFollower is the same stream against a follower replica; the
 	// acceptance gate bounds the p50 ratio at 1.3x.
 	PointSingle      stats.OpSummary `json:"point_query_single"`
@@ -83,7 +81,7 @@ func runCluster(scale experiments.Scale, seed int64) error {
 	// Leader with a real fitted model: synthetic landmark RTTs reported
 	// in-process, one refit, so replication carries a non-zero epoch and
 	// the staleness gate means something.
-	reg := newBenchRegistry()
+	reg := telemetry.NewRegistry()
 	lms := make([]string, numLandmarks)
 	for i := range lms {
 		lms[i] = fmt.Sprintf("lm-%d", i)
@@ -93,23 +91,16 @@ func runCluster(scale experiments.Scale, seed int64) error {
 		return err
 	}
 	defer leader.Close()
-	leaderLn, err := net.Listen("tcp", "127.0.0.1:0")
+	leaderAddr, killLeader, err := serveLoopback(leader)
 	if err != nil {
 		return err
 	}
-	leaderCtx, killLeader := context.WithCancel(ctx)
-	leaderDone := make(chan struct{})
-	go func() { defer close(leaderDone); leader.Serve(leaderCtx, leaderLn) }() //nolint:errcheck
-	defer func() { killLeader(); leaderLn.Close(); <-leaderDone }()
-	leaderAddr := leaderLn.Addr().String()
-
-	dialer := &net.Dialer{Timeout: 5 * time.Second}
-	pool, err := transport.NewPool(poolFlags.Config(dialer))
+	defer killLeader()
+	pool, err := newLoopbackPool(reg)
 	if err != nil {
 		return err
 	}
 	defer pool.Close()
-	pool.RegisterMetrics(reg)
 
 	// Seed the model: every landmark reports a deterministic RTT row,
 	// then one synchronous refit publishes epoch 1.
@@ -149,16 +140,13 @@ func runCluster(scale experiments.Scale, seed int64) error {
 			return err
 		}
 		defer f.Close()
-		fln, err := net.Listen("tcp", "127.0.0.1:0")
+		faddr, stop, err := serveLoopback(f)
 		if err != nil {
 			return err
 		}
-		fctx, fcancel := context.WithCancel(ctx)
-		fdone := make(chan struct{})
-		go func() { defer close(fdone); f.Serve(fctx, fln) }() //nolint:errcheck
-		defer func() { fcancel(); fln.Close(); <-fdone }()
+		defer stop()
 		followers[i] = f
-		followerAddrs[i] = fln.Addr().String()
+		followerAddrs[i] = faddr
 		wctx, wcancel := context.WithTimeout(ctx, 10*time.Second)
 		err = f.WaitForEpoch(wctx, epoch)
 		wcancel()
@@ -195,7 +183,7 @@ func runCluster(scale experiments.Scale, seed int64) error {
 	}
 
 	// runPoint replays the identical query stream against one endpoint
-	// through a caller function, as the pool workload does.
+	// through a caller function.
 	type caller func(t wire.MsgType, payload []byte) (wire.MsgType, []byte, error)
 	runPoint := func(call caller, seed int64) (stats.OpSummary, error) {
 		rng := rand.New(rand.NewSource(seed))
@@ -260,9 +248,7 @@ func runCluster(scale experiments.Scale, seed int64) error {
 		for i := 0; i < pointOps; i++ {
 			if i == killAt {
 				killLeader()
-				leaderLn.Close()
 				leader.Close()
-				<-leaderDone
 			}
 			q := &wire.QueryDist{From: addrs[rng.Intn(numHosts)], To: addrs[rng.Intn(numHosts)]}
 			buf = q.Encode(buf[:0])
@@ -296,20 +282,9 @@ func runCluster(scale experiments.Scale, seed int64) error {
 	fmt.Printf("read errors: %d, failovers: %d, epochs during kill: pre=%d followers=%v\n",
 		result.ReadErrors, result.Failovers, result.PreKillEpoch, result.FollowerEpochs)
 
-	f, err := os.Create("BENCH_cluster.json")
-	if err != nil {
+	if err := writeBenchJSON("BENCH_cluster.json", result); err != nil {
 		return err
 	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(result); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Println("(wrote BENCH_cluster.json)")
 
 	// Gates: non-zero exit keeps CI honest.
 	var gateErrs []error

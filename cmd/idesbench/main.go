@@ -3,97 +3,45 @@
 //
 // Usage:
 //
-//	idesbench -exp all            # every experiment, quick scale
+//	idesbench -exp all            # every paper experiment, quick scale
 //	idesbench -exp fig6b -full    # one experiment at paper scale
 //	idesbench -exp table1 -seed 7
 //
 // Experiments: fig2, fig3a, fig3b, table1, fig6a, fig6b, fig6c, fig7a,
-// fig7b, ablations, bulkquery, churn, pool, knn, solver, scenario,
-// cluster, gossip, all. The churn, pool, knn, solver, scenario, cluster
-// and gossip workloads also write BENCH_churn.json / BENCH_pool.json /
-// BENCH_knn.json / BENCH_solver.json / BENCH_scenarios.json /
-// BENCH_cluster.json / BENCH_gossip.json for the perf trajectory;
-// scenario, cluster and gossip additionally fail (non-zero exit) when
-// their gates are violated — end-to-end accuracy for scenario, zero
-// read errors across a leader kill plus follower staleness and p50
-// bounds for cluster, decentralized peer-to-peer accuracy plus
-// bit-identical determinism and partition recovery for gossip — so CI
-// can use them as regression gates.
+// fig7b, ablations, all. Two serving workloads run only when named:
+// solver (batch vs SGD under measurement churn, writes
+// BENCH_solver.json) and cluster (leader + followers with a leader kill,
+// writes BENCH_cluster.json, non-zero exit when a read errors, a
+// follower drifts off the pre-kill epoch or its p50 exceeds 1.3x the
+// leader's). Every other serving measurement lives in the bench/
+// module: bash bench/run.sh --workload <name> --trace 1.
 package main
 
 import (
+	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
-	"sync/atomic"
 	"text/tabwriter"
 	"time"
 
-	"github.com/ides-go/ides/internal/cli"
 	"github.com/ides-go/ides/internal/experiments"
+	"github.com/ides-go/ides/internal/server"
 	"github.com/ides-go/ides/internal/stats"
 	"github.com/ides-go/ides/internal/telemetry"
+	"github.com/ides-go/ides/internal/transport"
 )
-
-// Pool tuning shared by the network workloads (churn, pool, cluster).
-var (
-	poolFlags   = cli.RegisterPoolFlags(flag.CommandLine, 4, 16, 60*time.Second, "")
-	metricsAddr = flag.String("metrics-addr", "", "serve the running workload's metrics on this address at /metrics (empty = disabled)")
-)
-
-// benchReg holds the registry of the workload currently running;
-// workloads run sequentially, so each installs a fresh registry and the
-// -metrics-addr endpoint always scrapes the live one.
-var benchReg atomic.Pointer[telemetry.Registry]
-
-// newBenchRegistry returns a fresh registry for one workload run and
-// publishes it at the -metrics-addr endpoint. The final Export() of the
-// same registry lands in the workload's BENCH json payload, so a scrape
-// and the payload agree on names.
-func newBenchRegistry() *telemetry.Registry {
-	reg := telemetry.NewRegistry()
-	benchReg.Store(reg)
-	return reg
-}
-
-// serveBenchMetrics starts the shared /metrics endpoint when
-// -metrics-addr is set. It serves whatever registry the current
-// workload installed.
-func serveBenchMetrics() error {
-	if *metricsAddr == "" {
-		return nil
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		reg := benchReg.Load()
-		if reg == nil {
-			http.Error(w, "no workload running yet", http.StatusServiceUnavailable)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		reg.WritePrometheus(w) //nolint:errcheck
-	})
-	ln, err := net.Listen("tcp", *metricsAddr)
-	if err != nil {
-		return err
-	}
-	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
-	go srv.Serve(ln) //nolint:errcheck
-	fmt.Printf("# metrics on http://%s/metrics\n", ln.Addr())
-	return nil
-}
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (fig2, fig3a, fig3b, table1, fig6a, fig6b, fig6c, fig7a, fig7b, ablations, bulkquery, churn, pool, knn, solver, scenario, cluster, gossip, all)")
+	exp := flag.String("exp", "all", "experiment id (fig2, fig3a, fig3b, table1, fig6a, fig6b, fig6c, fig7a, fig7b, ablations, all; solver and cluster run only when named)")
 	full := flag.Bool("full", false, "run at the paper's dataset sizes (minutes of CPU)")
-	quick := flag.Bool("quick", false, "force quick scale (overrides -full)")
 	seed := flag.Int64("seed", 42, "random seed for datasets and algorithms")
 	flag.Parse()
 
 	scale := experiments.Quick
-	if *full && !*quick {
+	if *full {
 		scale = experiments.Full
 	}
 
@@ -108,20 +56,15 @@ func main() {
 		"fig7a":     func(s experiments.Scale, sd int64) error { return runFig7("NLANR", "7(a)", s, sd) },
 		"fig7b":     func(s experiments.Scale, sd int64) error { return runFig7("P2PSim", "7(b)", s, sd) },
 		"ablations": runAblations,
-		"bulkquery": runBulkQuery,
-		"churn":     runChurn,
-		"pool":      runPool,
-		"knn":       runKNN,
 		"solver":    runSolver,
-		"scenario":  runScenario,
 		"cluster":   runCluster,
-		"gossip":    runGossip,
 	}
-	order := []string{"fig2", "fig3a", "fig3b", "table1", "fig6a", "fig6b", "fig6c", "fig7a", "fig7b", "ablations", "bulkquery", "churn", "pool", "knn", "solver", "scenario", "cluster", "gossip"}
+	// all is the paper: the figures, the table and the ablations.
+	all := []string{"fig2", "fig3a", "fig3b", "table1", "fig6a", "fig6b", "fig6c", "fig7a", "fig7b", "ablations"}
 
 	var ids []string
 	if *exp == "all" {
-		ids = order
+		ids = all
 	} else if _, ok := runners[*exp]; ok {
 		ids = []string{*exp}
 	} else {
@@ -130,10 +73,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	if err := serveBenchMetrics(); err != nil {
-		fmt.Fprintf(os.Stderr, "idesbench: metrics: %v\n", err)
-		os.Exit(1)
-	}
 	fmt.Printf("# idesbench scale=%s seed=%d\n", scale, *seed)
 	for _, id := range ids {
 		if err := runners[id](scale, *seed); err != nil {
@@ -141,6 +80,50 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// serveLoopback serves srv on an ephemeral loopback TCP port. stop
+// cancels the serve loop, closes the listener and waits for Serve to
+// return; it is safe to call more than once.
+func serveLoopback(srv *server.Server) (addr string, stop func(), err error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return "", nil, err
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { defer close(done); srv.Serve(ctx, ln) }() //nolint:errcheck
+	return ln.Addr().String(), func() { cancel(); ln.Close(); <-done }, nil
+}
+
+// newLoopbackPool builds the client pool a workload drives its server
+// with (the ides-client defaults) and registers its counters on reg.
+func newLoopbackPool(reg *telemetry.Registry) (*transport.Pool, error) {
+	pool, err := transport.NewPool(transport.PoolConfig{
+		Dialer:         &net.Dialer{Timeout: 5 * time.Second},
+		MaxIdlePerHost: 4,
+		MaxPerHost:     16,
+		IdleTimeout:    60 * time.Second,
+	})
+	if err != nil {
+		return nil, err
+	}
+	pool.RegisterMetrics(reg)
+	return pool, nil
+}
+
+// writeBenchJSON writes v, indented, to the named artifact in the
+// working directory.
+func writeBenchJSON(name string, v any) error {
+	buf, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(name, append(buf, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("(wrote %s)\n", name)
+	return nil
 }
 
 // quantiles prints a fixed set of CDF quantiles for a series.

@@ -2,12 +2,9 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
-	"net"
-	"os"
 	"time"
 
 	"github.com/ides-go/ides/internal/core"
@@ -16,7 +13,7 @@ import (
 	"github.com/ides-go/ides/internal/server"
 	"github.com/ides-go/ides/internal/solve"
 	"github.com/ides-go/ides/internal/stats"
-	"github.com/ides-go/ides/internal/transport"
+	"github.com/ides-go/ides/internal/telemetry"
 	"github.com/ides-go/ides/internal/wire"
 )
 
@@ -124,21 +121,7 @@ func runSolver(scale experiments.Scale, seed int64) error {
 	fmt.Printf("sgd/batch: median err ratio %.3f, refresh rate ratio %.1fx\n",
 		result.MedianErrRatio, result.RefreshRateRatio)
 
-	f, err := os.Create("BENCH_solver.json")
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(result); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Println("(wrote BENCH_solver.json)")
-	return nil
+	return writeBenchJSON("BENCH_solver.json", result)
 }
 
 const (
@@ -164,8 +147,8 @@ func runSolverSide(kind solve.Kind, p solverParams, seed int64) (solverSideResul
 	rng := rand.New(rand.NewSource(seed))
 
 	// Landmarks and hosts are points on a plane, RTT = floor + scaled
-	// Euclidean distance: the same low-rank-friendly geometry as the
-	// churn workload, identical across both sides (same seed).
+	// Euclidean distance: a low-rank-friendly geometry like the paper's
+	// datasets, identical across both sides (same seed).
 	type pt struct{ x, y float64 }
 	lmPts := make([]pt, p.numLM)
 	lmNames := make([]string, p.numLM)
@@ -183,7 +166,7 @@ func runSolverSide(kind solve.Kind, p solverParams, seed int64) (solverSideResul
 		}
 	}
 
-	mreg := newBenchRegistry()
+	mreg := telemetry.NewRegistry()
 	srv, err := server.New(server.Config{
 		Landmarks:        lmNames,
 		Dim:              solverDim,
@@ -197,28 +180,17 @@ func runSolverSide(kind solve.Kind, p solverParams, seed int64) (solverSideResul
 		return res, err
 	}
 	defer srv.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	addr, stop, err := serveLoopback(srv)
 	if err != nil {
 		return res, err
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan struct{})
-	go func() { defer close(done); srv.Serve(ctx, ln) }() //nolint:errcheck
-	defer func() { cancel(); <-done }()
-	addr := ln.Addr().String()
-
-	pool, err := transport.NewPool(transport.PoolConfig{
-		Dialer:         &net.Dialer{Timeout: 5 * time.Second},
-		MaxIdlePerHost: *poolFlags.MaxIdle,
-		MaxPerHost:     *poolFlags.MaxPerHost,
-		IdleTimeout:    *poolFlags.IdleTimeout,
-	})
+	defer stop()
+	pool, err := newLoopbackPool(mreg)
 	if err != nil {
 		return res, err
 	}
 	defer pool.Close()
-	pool.RegisterMetrics(mreg)
+	ctx := context.Background()
 
 	// reportRow reports landmark from's full measurement row, each entry
 	// scaled by rowScale and jittered by ±jitter/2.

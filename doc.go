@@ -60,9 +60,9 @@
 //     server (internal/transport.Serve) under the information server,
 //     the gossip peer and the landmark echo alike — per-call
 //     cancellation that kills a stream rather than the connection, and
-//     transparent lockstep fallback against pre-mux peers — ~3.5x the
-//     64-client point-query throughput of one-inflight-per-conn framing
-//     (idesbench -exp pool, BENCH_pool.json);
+//     transparent lockstep fallback against pre-mux peers (measured by
+//     bash bench/run.sh --workload bulk-pipelined --trace 1, the
+//     transport.* rows of the table in bench/README.md);
 //   - the horizontal serving tier (Config.Role): a leader owns the model
 //     pipeline while followers (RoleFollower, server flags -role follower
 //     -leader addr) mirror its published snapshots and host directory
@@ -86,7 +86,8 @@
 //     bootstrap directory (-role rendezvous), and the harness gates a
 //     10,000-peer fleet against the same Fig-2 accuracy bounds as the
 //     centralized pipeline, bit-identical across same-seed runs
-//     (`idesbench -exp gossip`, BENCH_gossip.json);
+//     (go test ./internal/harness -run TestGossip; measured by bash
+//     bench/run.sh --workload gossip-fleet --trace 1);
 //   - the synthetic datasets and baselines used to reproduce every table
 //     and figure of the paper (GenNLANR..., FitLipschitzPCA, FitGNP,
 //     FitVivaldi);
@@ -97,8 +98,8 @@
 //     and internal/harness boots the full service over it — real server,
 //     landmark and client code, virtual wire — with scenario steps and
 //     accuracy/recovery assertions. The same seed reproduces the same
-//     measurements, fits and error percentiles; `idesbench -exp
-//     scenario` runs partition/flap/loss sweeps as a gated workload;
+//     measurements, fits and error percentiles; the partition/heal,
+//     flap and loss scenarios run gated in go test ./internal/harness;
 //   - observability (internal/telemetry): a dependency-free metrics
 //     registry — atomic counters, gauges, fixed-bucket histograms —
 //     served in Prometheus text format behind the opt-in -metrics-addr

@@ -1,6 +1,6 @@
 // Package cli holds the flag groups and process plumbing shared by the
 // IDES command binaries (ides-server, ides-client, ides-landmark,
-// idesbench): comma-list parsing, connection-pool tuning flags, the
+// ides-peer): comma-list parsing, connection-pool tuning flags, the
 // metrics endpoint, measurement-history recording, serving-role
 // selection, and signal-driven shutdown. Each binary registers the
 // groups it needs on its flag set and gets identical flag names,

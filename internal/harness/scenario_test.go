@@ -217,45 +217,118 @@ func TestScenarioDeterministic(t *testing.T) {
 	}
 }
 
-// TestScenarioLossyBootstrap: with per-packet loss on every link the
-// system must still come up — lost measurement samples are discarded,
-// lost handshakes retransmit — and serve estimates within gates.
-func TestScenarioLossyBootstrap(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+// TestScenarioFlappingPartition: a landmark minority is cut off and
+// healed three times in a row, with a report round on each side of
+// every transition. The incremental solver must absorb the flapping —
+// afterwards every host is still served and accuracy sits inside the
+// documented gates.
+func TestScenarioFlappingPartition(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 	c, err := New(Config{
-		NumLandmarks: 8,
-		NumHosts:     10,
-		Dim:          5,
-		Seed:         7,
-		LossRate:     0.05,
-		RTOMillis:    50,
-		Samples:      3, // min-of-3 so a lost sample doesn't kill a measurement
+		NumLandmarks:        9,
+		NumHosts:            12,
+		Dim:                 6,
+		Solver:              solve.SGD,
+		DriftEpochThreshold: 0.05,
+		Seed:                43,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	ok, err := c.ReportRound(ctx)
-	if err != nil {
+	if err := c.Start(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if ok < 7 {
-		t.Fatalf("only %d/8 landmarks reported under 5%% loss", ok)
+	for cycle := 0; cycle < 3; cycle++ {
+		if _, err := c.PartitionLandmarks(3); err != nil {
+			t.Fatal(err)
+		}
+		ok, err := c.ReportRound(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok != 6 {
+			t.Fatalf("cycle %d: %d landmarks reported during the cut, want the majority 6", cycle, ok)
+		}
+		c.Net.Heal()
+		if ok, err = c.ReportRound(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if ok != 9 {
+			t.Fatalf("cycle %d: %d/9 landmarks reported after heal", cycle, ok)
+		}
 	}
 	if _, err := c.Refresh(ctx); err != nil {
 		t.Fatal(err)
 	}
-	joined, err := c.BootstrapAll(ctx)
-	if joined < 9 {
-		t.Fatalf("only %d/10 hosts joined under 5%% loss (last err %v)", joined, err)
+	if got := c.Survivors(ctx); got != 12 {
+		t.Fatalf("only %d/12 hosts served after 3 partition/heal cycles", got)
 	}
 	acc, err := c.MeasureAccuracy(ctx, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acc.Answered == 0 || acc.Median > gateMedian || acc.P90 > gateP90 {
-		t.Fatalf("lossy-boot accuracy %v (answered %d) exceeds gates", acc.Summary, acc.Answered)
+	if acc.Answered != acc.Queried || acc.Median > gateMedian || acc.P90 > gateP90 {
+		t.Fatalf("post-flap accuracy %v (answered %d/%d) exceeds gates (median %v, p90 %v)",
+			acc.Summary, acc.Answered, acc.Queried, gateMedian, gateP90)
+	}
+	t.Logf("after 3 flaps: accuracy %v", acc.Summary)
+}
+
+// TestScenarioLossyBootstrap: with per-packet loss on every link the
+// system must still come up — lost measurement samples are discarded,
+// lost handshakes retransmit — and serve estimates within gates. Under
+// heavy loss some hosts may legitimately fail to join; the accuracy
+// gate is over the hosts that did, plus a floor on joins.
+func TestScenarioLossyBootstrap(t *testing.T) {
+	for _, tc := range []struct {
+		name                    string
+		loss                    float64
+		minReporting, minJoined int
+	}{
+		{"loss5", 0.05, 7, 9},
+		{"loss20", 0.20, 6, 8}, // >= 80% joined
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			c, err := New(Config{
+				NumLandmarks: 8,
+				NumHosts:     10,
+				Dim:          5,
+				Seed:         7,
+				LossRate:     tc.loss,
+				RTOMillis:    50,
+				Samples:      3, // min-of-3 so a lost sample doesn't kill a measurement
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			ok, err := c.ReportRound(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok < tc.minReporting {
+				t.Fatalf("only %d/8 landmarks reported under %.0f%% loss", ok, 100*tc.loss)
+			}
+			if _, err := c.Refresh(ctx); err != nil {
+				t.Fatal(err)
+			}
+			joined, err := c.BootstrapAll(ctx)
+			if joined < tc.minJoined {
+				t.Fatalf("only %d/10 hosts joined under %.0f%% loss (last err %v)", joined, 100*tc.loss, err)
+			}
+			acc, err := c.MeasureAccuracy(ctx, 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if acc.Answered == 0 || acc.Median > gateMedian || acc.P90 > gateP90 {
+				t.Fatalf("lossy-boot accuracy %v (answered %d) exceeds gates", acc.Summary, acc.Answered)
+			}
+			t.Logf("%.0f%% loss: %d/8 landmarks, %d/10 hosts, accuracy %v", 100*tc.loss, ok, joined, acc.Summary)
+		})
 	}
 }
 

@@ -150,20 +150,3 @@ func (e *Engine) BuildKNNIndex() bool {
 	}
 	return true
 }
-
-// KNNIndexInfo describes the directory's current spatial index (for
-// stats endpoints and benchmarks).
-type KNNIndexInfo struct {
-	Epoch  uint64
-	Points int
-	Nodes  int
-}
-
-// KNNIndex reports the directory's current index, if any.
-func (d *Directory) KNNIndex() (KNNIndexInfo, bool) {
-	st := d.knn.Load()
-	if st == nil {
-		return KNNIndexInfo{}, false
-	}
-	return KNNIndexInfo{Epoch: st.epoch, Points: st.idx.Len(), Nodes: st.idx.Nodes()}, true
-}

@@ -195,7 +195,7 @@ func TestKNearestTinyDirectorySkipsIndex(t *testing.T) {
 	if eng.BuildKNNIndex() {
 		t.Fatal("BuildKNNIndex installed an index below the threshold")
 	}
-	if _, ok := dir.KNNIndex(); ok {
+	if dir.knn.Load() != nil {
 		t.Fatal("tiny directory has an index")
 	}
 	src, _ := eng.Lookup("h-000")

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"log"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -207,27 +209,62 @@ func TestStaleVectorsEvictedOnRefit(t *testing.T) {
 	}
 }
 
-// TestQueriesServeDuringRefit makes the factorization artificially slow
-// (NMF with a huge iteration budget) and proves the serving path never
-// stalls behind it: while the refit is in flight, GetInfo, GetModel,
-// QueryBatch and RegisterHost all keep answering — stamped with the old
-// epoch — and the epoch advances once the fit lands. Run with -race this
-// also hammers the snapshot swap from many goroutines.
+// refitGate is a Config.Logger sink that holds a refit in flight. The
+// leader logs "model refit: epoch N" on the refit worker, after the
+// factorization and before the new snapshot is installed anywhere; once
+// armed, the gate parks that write — and so the worker — until release
+// is closed.
+type refitGate struct {
+	armed   atomic.Bool
+	entered chan struct{} // closed when the armed gate has caught a refit
+	release chan struct{}
+}
+
+func (g *refitGate) Write(p []byte) (int, error) {
+	if bytes.Contains(p, []byte("model refit: epoch")) && g.armed.CompareAndSwap(true, false) {
+		close(g.entered)
+		<-g.release
+	}
+	return len(p), nil
+}
+
+// TestQueriesServeDuringRefit holds a background refit in flight with a
+// gate and proves the serving path never stalls behind it: while the
+// refit worker is parked between its factorization and the snapshot
+// swap, QueryBatch and GetModel keep answering — stamped with the old
+// epoch — and the epoch advances once the gate opens. The gate is only
+// released after a request has been served wholly inside the window, so
+// the test fails if no refit was actually in flight or if queries wait
+// on it. Run with -race this also hammers the snapshot swap from many
+// goroutines.
 func TestQueriesServeDuringRefit(t *testing.T) {
+	gate := &refitGate{entered: make(chan struct{}), release: make(chan struct{})}
 	lm := []string{"L1", "L2", "L3", "L4"}
 	s, err := New(Config{
 		Landmarks:        lm,
 		Dim:              2,
 		Algorithm:        core.NMF,
 		Seed:             1,
-		NMFIters:         60, // quick first fit
+		NMFIters:         60,
 		RefitMinInterval: time.Nanosecond,
 		RefitThreshold:   1,
+		Logger:           log.New(gate, "", 0),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	// finish opens the gate (a parked refit worker would hang Close) and
+	// stops the query workers; deferred so every Fatal path runs it.
+	openGate := sync.OnceFunc(func() { close(gate.release) })
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	finish := sync.OnceFunc(func() {
+		openGate()
+		close(stop)
+		wg.Wait()
+	})
+	defer finish()
 	d := [][]float64{{0, 1, 1, 2}, {1, 0, 2, 1}, {1, 2, 0, 1}, {2, 1, 1, 0}}
 	for i, from := range lm {
 		rep := &wire.ReportRTT{From: from}
@@ -238,10 +275,10 @@ func TestQueriesServeDuringRefit(t *testing.T) {
 		}
 		s.dispatch(wire.TypeReportRTT, rep.Encode(nil))
 	}
-	if _, err := s.Model(); err != nil { // epoch 1
+	model, err := s.Model() // epoch 1
+	if err != nil {
 		t.Fatal(err)
 	}
-	model, _ := s.Model()
 	dh := []float64{0.5, 1.5, 1.5, 2.5}
 	h, err := model.SolveHost(dh, dh)
 	if err != nil {
@@ -253,19 +290,20 @@ func TestQueriesServeDuringRefit(t *testing.T) {
 		t.Fatal("register failed")
 	}
 
-	// Make the next fit slow, then trigger it in the background. The
-	// first fits may have raced the report loop, so anchor on whatever
-	// epoch is current now rather than assuming 1.
+	// The first fits may have raced the report loop: drain them, anchor
+	// on whatever epoch is current, then arm the gate so the next refit
+	// — triggered by the report below — is the one it catches.
+	if err := s.Quiesce(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	baseEpoch := s.Epoch()
-	s.cfg.NMFIters = 200_000 // ~hundreds of ms plain, seconds under -race
+	gate.armed.Store(true)
 	rep := &wire.ReportRTT{From: "L1", Entries: []wire.RTTEntry{{To: "L2", RTTMillis: 1.1}}}
 	if typ, _ := s.dispatch(wire.TypeReportRTT, rep.Encode(nil)); typ != wire.TypeAck {
 		t.Fatal("report rejected")
 	}
 
 	var served, servedDuringFit atomic.Int64
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func() {
@@ -274,6 +312,15 @@ func TestQueriesServeDuringRefit(t *testing.T) {
 				select {
 				case <-stop:
 					return
+				default:
+				}
+				// An iteration that starts with the worker already
+				// parked and is counted before the gate opens ran
+				// entirely while the refit was in flight.
+				inFlight := false
+				select {
+				case <-gate.entered:
+					inFlight = true
 				default:
 				}
 				epochBefore := s.Epoch()
@@ -315,27 +362,36 @@ func TestQueriesServeDuringRefit(t *testing.T) {
 					return
 				}
 				served.Add(1)
-				if epochBefore == baseEpoch {
+				if inFlight && epochBefore == baseEpoch && m.Epoch == baseEpoch {
 					servedDuringFit.Add(1)
 				}
 			}
 		}()
 	}
 
+	select {
+	case <-gate.entered:
+	case <-time.After(60 * time.Second):
+		t.Fatal("the report never put a refit in flight")
+	}
 	deadline := time.Now().Add(60 * time.Second)
+	for servedDuringFit.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("no queries served while the refit was in flight (served %d total)", served.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := s.Epoch(); got != baseEpoch {
+		t.Fatalf("epoch %d served while the refit is still parked, want the old epoch %d", got, baseEpoch)
+	}
+	openGate()
 	for s.Epoch() <= baseEpoch {
 		if time.Now().After(deadline) {
-			close(stop)
-			wg.Wait()
 			t.Fatal("refit never completed")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	close(stop)
-	wg.Wait()
-	if servedDuringFit.Load() == 0 {
-		t.Fatalf("no queries served while the refit was in flight (served %d total)", served.Load())
-	}
+	finish()
 	t.Logf("served %d requests, %d of them during the in-flight refit", served.Load(), servedDuringFit.Load())
 }
 

@@ -469,8 +469,8 @@ func (s *Server) Refit(ctx context.Context) (uint64, error) {
 // of any expiry.
 func (s *Server) NumHosts() int { return s.qs.dir.Len() }
 
-// Engine exposes the server's query engine for in-process callers (the
-// idesbench bulk-query workload, tests); remote callers use the
+// Engine exposes the server's query engine for in-process callers
+// (bench/'s per-layer probes, tests); remote callers use the
 // QueryBatch/QueryKNN wire messages.
 func (s *Server) Engine() *query.Engine { return s.qs.engine.Load() }
 

@@ -159,9 +159,10 @@ func (s Summary) String() string {
 }
 
 // OpSummary summarizes the latency distribution and throughput of one
-// benchmark operation: the shared histogram→p50/p99/ops-per-sec shape
-// every idesbench workload reports. The JSON field names are stable —
-// they are the schema of the BENCH_*.json perf-trajectory files.
+// benchmark operation: the histogram→p50/p99/ops-per-sec shape the
+// idesbench solver and cluster workloads report. The JSON field names
+// are stable — they are the schema of BENCH_solver.json and
+// BENCH_cluster.json.
 type OpSummary struct {
 	Ops       int     `json:"ops"`
 	OpsPerSec float64 `json:"ops_per_sec"`
@@ -198,8 +199,7 @@ func SummarizeDurations(lat []time.Duration, elapsed time.Duration) OpSummary {
 	return sum
 }
 
-// String renders the operation summary in the layout the idesbench
-// workloads print.
+// String renders the operation summary in the layout idesbench prints.
 func (s OpSummary) String() string {
 	return fmt.Sprintf("%d ops, p50=%.0fµs p99=%.0fµs max=%.0fµs (%.0f ops/s)",
 		s.Ops, s.P50Us, s.P99Us, s.MaxUs, s.OpsPerSec)

@@ -476,8 +476,9 @@ func (s *childSort) Swap(i, j int) {
 	s.insts[i], s.insts[j] = s.insts[j], s.insts[i]
 }
 
-// Export flattens the registry into sample name → value, the shape the
-// idesbench workloads embed in BENCH_*.json payloads. Counters and
+// Export flattens the registry into sample name → value, the shape
+// idesbench embeds in BENCH_solver.json and BENCH_cluster.json and
+// bench/ reads its server.* layers from. Counters and
 // gauges export under their name (plus {label="value"} when labelled);
 // histograms export their _count and _sum.
 func (r *Registry) Export() map[string]float64 {

@@ -263,11 +263,6 @@ func (p *Pool) CallInto(ctx context.Context, addr string, t wire.MsgType, payloa
 	return p.call(ctx, addr, t, payload, buf, false)
 }
 
-// call is the shared exchange loop. With copyOut set (Call) the scratch
-// buffer is the checked-out connection's arena-backed one and the reply
-// is copied into a fresh caller-owned slice before the connection — and
-// its scratch — go back to the pool; otherwise (CallInto) buf is the
-// caller's and the reply aliases it.
 // isWireError reports whether err is (or wraps) a wire.Error — an
 // application-level error frame from a healthy connection.
 func isWireError(err error) bool {
@@ -275,6 +270,11 @@ func isWireError(err error) bool {
 	return errors.As(err, &werr)
 }
 
+// call is the shared exchange loop. With copyOut set (Call) the scratch
+// buffer is the checked-out connection's arena-backed one and the reply
+// is copied into a fresh caller-owned slice before the connection — and
+// its scratch — go back to the pool; otherwise (CallInto) buf is the
+// caller's and the reply aliases it.
 func (p *Pool) call(ctx context.Context, addr string, t wire.MsgType, payload, buf []byte, copyOut bool) (wire.MsgType, []byte, []byte, error) {
 	if _, ok := ctx.Deadline(); !ok && p.cfg.CallTimeout > 0 {
 		var cancel context.CancelFunc
@@ -997,7 +997,7 @@ func (p *Pool) reap(addr string) {
 	p.mu.Unlock()
 	for _, c := range expired {
 		c.Close()
-		p.discards.Add(int64(1))
+		p.discards.Add(1)
 	}
 }
 
