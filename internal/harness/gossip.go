@@ -175,10 +175,15 @@ func NewGossip(cfg GossipConfig) (*GossipCluster, error) {
 		return fail(err)
 	}
 
-	// Peers. The pool keeps no idle connections and no mux connections:
-	// at 10k peers, per-exchange dialing (one simulated RTT, microseconds
-	// of wall time) is far cheaper than the hundreds of thousands of
-	// idle server-side connection goroutines pooling would accumulate.
+	// Peers. The pool keeps no idle connections and no mux connections;
+	// every exchange dials. Measured on bench/'s 2,000-peer gossip-fleet
+	// (CHANGES.md, PR 16): a simnet dial is 2.6 µs at the median of a
+	// 22 µs round, where a standing connection per neighbour would be
+	// 2,000 × 16 = 32k of them — each a parked serving goroutine plus a
+	// buffered reader at both ends, against a fleet whose whole resident
+	// set is ~100 MB — with a hit rate that decays as tables churn. It
+	// also keeps transport.Pool's host map empty between calls: an entry
+	// lives only as long as its one connection.
 	for i, name := range peerNames {
 		h, err := nw.Host(name)
 		if err != nil {

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -175,5 +176,52 @@ func TestGossipPartitionHeal(t *testing.T) {
 	}
 	if after.Median > 0.30 || after.P90 > 1.0 {
 		t.Fatalf("post-heal accuracy median=%.4f p90=%.4f exceeds gates", after.Median, after.P90)
+	}
+}
+
+// TestGossipRoundAllocs is the peer path's allocation gate, beside
+// TestPointQueryZeroAlloc for the point query: one Peer.GossipRound on
+// a warmed 64-peer fleet — instant ping, dial, GossipExchange out,
+// handler and PeerStep on the partner, GossipReply back, PeerStep here,
+// both table merges, close — stays within 40 heap allocations, both
+// ends and the fabric included (AllocsPerRun counts every goroutine).
+// What is left is per-connection by construction: the pair's channels,
+// the delivery closures and packet copies, the call's context, the
+// serving goroutine, a table key for each address new to a neighbour
+// table. The parent of the PR that added this gate measured 156–181.
+func TestGossipRoundAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting differs under the race detector")
+	}
+	g, err := NewGossip(GossipConfig{NumPeers: 64, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	for r := 0; r < 20; r++ {
+		if _, err := g.GossipRound(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Whatever else the process is doing — an earlier test's fleet still
+	// shutting down, a GC cycle emptying the sync.Pools — can only add
+	// to the count, never hide an allocation of the path's own, so the
+	// least of a few attempts is the path's figure.
+	i := 0
+	best := math.Inf(1)
+	for attempt := 0; attempt < 5 && best > 40; attempt++ {
+		allocs := testing.AllocsPerRun(64*10, func() {
+			if err := g.Peer(i % g.NumPeers()).GossipRound(ctx); err != nil {
+				t.Error(err)
+			}
+			i++
+		})
+		t.Logf("attempt %d: %.1f allocs per GossipRound", attempt, allocs)
+		best = min(best, allocs)
+	}
+	if best > 40 {
+		t.Fatalf("%.1f allocs per GossipRound, gate is 40", best)
 	}
 }

@@ -130,12 +130,45 @@ func (c Config) withDefaults() Config {
 }
 
 // neighbor is one table entry: the last coordinate rows seen for an
-// address (empty until a first exchange or sample carries them) and the
-// entry's position in the deterministic iteration order.
+// address and the entry's position in the deterministic iteration
+// order. The table owns the row storage — rows arrive as views of a
+// frame buffer and are copied in — and an evicted entry is recycled,
+// storage included, for the next insertion.
 type neighbor struct {
-	out, in []float64
-	idx     int
+	addr string
+	// rows is out then in, Dim elements each, allocated when the first
+	// coordinates arrive; known is false until then (an address learned
+	// from AddNeighbor or a sample entry without coordinates) and again
+	// after the entry is recycled.
+	rows  []float64
+	known bool
+	idx   int
 }
+
+// out and in return the cached rows, nil while none are known.
+func (n *neighbor) out() []float64 {
+	if !n.known {
+		return nil
+	}
+	return n.rows[:len(n.rows)/2]
+}
+
+func (n *neighbor) in() []float64 {
+	if !n.known {
+		return nil
+	}
+	return n.rows[len(n.rows)/2:]
+}
+
+// exchangeScratch is the memory one outgoing exchange runs in: the
+// encoded request, and the frame buffer Pool.CallInto sends it through
+// and reads the reply into (the reply view aliases it). Shared by every
+// peer in the process — a fleet's rounds are mostly sequential.
+type exchangeScratch struct {
+	req, frame []byte
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(exchangeScratch) }}
 
 // Peer is one decentralized host: its own coordinate rows plus a
 // bounded neighbor table. All methods are safe for concurrent use; the
@@ -154,10 +187,16 @@ type Peer struct {
 	initX []float64
 	initY []float64
 	table map[string]*neighbor
-	order []string // table keys in insertion order; rng indexes into it
-	rng   *rand.Rand
-	round uint64
-	churn uint64
+	order []*neighbor // table entries in insertion order; rng indexes into it
+	free  []*neighbor // evicted entries awaiting reuse
+	// sample is sampleLocked's result buffer and px, py hold the
+	// partner's rows for one PeerStep; all three are scratch valid only
+	// while p.mu is held.
+	sample []wire.LandmarkVec
+	px, py []float64
+	rng    *rand.Rand
+	round  uint64
+	churn  uint64
 	// lastStep is the most recent relative step magnitude — the
 	// telemetry drift signal per exchange.
 	lastStep float64
@@ -210,6 +249,8 @@ func New(cfg Config) (*Peer, error) {
 	s := math.Sqrt(cfg.InitRTT / float64(cfg.Dim))
 	p.x = make([]float64, cfg.Dim)
 	p.y = make([]float64, cfg.Dim)
+	p.px = make([]float64, cfg.Dim)
+	p.py = make([]float64, cfg.Dim)
 	for k := 0; k < cfg.Dim; k++ {
 		p.x[k] = s * (0.5 + p.rng.Float64())
 		p.y[k] = s * (0.5 + p.rng.Float64())
@@ -246,7 +287,11 @@ func (p *Peer) AddNeighbor(addr string) {
 func (p *Peer) Neighbors() []string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return append([]string(nil), p.order...)
+	addrs := make([]string, len(p.order))
+	for i, n := range p.order {
+		addrs[i] = n.addr
+	}
+	return addrs
 }
 
 // Stats is a point-in-time snapshot of the gossip loop.
@@ -293,7 +338,7 @@ func (p *Peer) GossipRound(ctx context.Context) error {
 		p.mu.Unlock()
 		return ErrNoNeighbors
 	}
-	target := p.order[p.rng.Intn(len(p.order))]
+	target := p.order[p.rng.Intn(len(p.order))].addr
 	p.mu.Unlock()
 	return p.exchangeWith(ctx, target)
 }
@@ -307,29 +352,44 @@ func (p *Peer) Announce(ctx context.Context) error {
 	}
 	p.mu.Lock()
 	addr := p.cfg.RendezvousAddrs[int(p.round)%len(p.cfg.RendezvousAddrs)]
-	req := wire.GossipExchange{
-		From:      p.cfg.Self,
-		Out:       p.x,
-		In:        p.y,
-		RTTMillis: -1,
-		Peers:     p.sampleLocked(p.cfg.SampleSize, addr),
-	}
-	payload := req.Encode(nil)
 	p.mu.Unlock()
-	respT, resp, err := p.pool.Call(ctx, addr, wire.TypeGossipExchange, payload)
-	if err != nil {
-		return fmt.Errorf("peer: rendezvous %s: %w", addr, err)
-	}
-	rep, err := decodeReply(respT, resp)
+	sc := scratchPool.Get().(*exchangeScratch)
+	defer scratchPool.Put(sc)
+	rep, err := p.call(ctx, sc, addr, -1, p.cfg.SampleSize)
 	if err != nil {
 		return fmt.Errorf("peer: rendezvous %s: %w", addr, err)
 	}
 	p.mu.Lock()
-	for _, s := range rep.Peers {
-		p.observeLocked(s.Addr, s.Out, s.In)
-	}
+	p.observeSampleLocked(rep.Peers)
 	p.mu.Unlock()
 	return nil
+}
+
+// call runs one GossipExchange against addr through sc: the request is
+// encoded straight from live state — our rows, the measured RTT (or -1
+// for none), a sample of up to k neighbors — and the returned view
+// aliases sc, valid until sc goes back to the pool.
+func (p *Peer) call(ctx context.Context, sc *exchangeScratch, addr string, rttMillis float64, k int) (wire.GossipReplyView, error) {
+	p.mu.Lock()
+	req := wire.GossipExchange{
+		From:      p.cfg.Self,
+		Out:       p.x,
+		In:        p.y,
+		RTTMillis: rttMillis,
+		Peers:     p.sampleLocked(k, addr),
+	}
+	sc.req = req.Encode(sc.req[:0])
+	p.mu.Unlock()
+	respT, resp, frame, err := p.pool.CallInto(ctx, addr, wire.TypeGossipExchange, sc.req, sc.frame)
+	sc.frame = frame
+	if err != nil {
+		// Error frames land here too: CallInto returns them as *wire.Error.
+		return wire.GossipReplyView{}, err
+	}
+	if respT != wire.TypeGossipReply {
+		return wire.GossipReplyView{}, fmt.Errorf("unexpected response type %v", respT)
+	}
+	return wire.ParseGossipReply(resp)
 }
 
 // exchangeWith runs the measure + exchange + step half-round against
@@ -342,39 +402,25 @@ func (p *Peer) exchangeWith(ctx context.Context, target string) error {
 		return fmt.Errorf("peer: ping %s: %w", target, err)
 	}
 	ms := float64(rtt) / float64(time.Millisecond)
-	p.mu.Lock()
-	req := wire.GossipExchange{
-		From:      p.cfg.Self,
-		Out:       p.x,
-		In:        p.y,
-		RTTMillis: ms,
-		Peers:     p.sampleLocked(p.cfg.SampleSize, target),
-	}
-	payload := req.Encode(nil)
-	p.mu.Unlock()
-	respT, resp, err := p.pool.Call(ctx, target, wire.TypeGossipExchange, payload)
-	if err != nil {
-		p.dropNeighbor(target)
-		p.metrics.failure()
-		return fmt.Errorf("peer: exchange with %s: %w", target, err)
-	}
-	rep, err := decodeReply(respT, resp)
+	sc := scratchPool.Get().(*exchangeScratch)
+	defer scratchPool.Put(sc)
+	rep, err := p.call(ctx, sc, target, ms, p.cfg.SampleSize)
 	if err != nil {
 		p.dropNeighbor(target)
 		p.metrics.failure()
 		return fmt.Errorf("peer: exchange with %s: %w", target, err)
 	}
 	p.mu.Lock()
-	if len(rep.Out) == p.cfg.Dim && len(rep.In) == p.cfg.Dim {
+	if rep.Out.Len() == p.cfg.Dim && rep.In.Len() == p.cfg.Dim {
 		// rep carries the partner's pre-step rows, so this step and the
 		// partner's own (against our pre-step rows) commute.
-		step := solve.PeerStep(p.x, p.y, rep.Out, rep.In, ms, p.sgd, p.clamp)
+		rep.Out.CopyTo(p.px)
+		rep.In.CopyTo(p.py)
+		step := solve.PeerStep(p.x, p.y, p.px, p.py, ms, p.sgd, p.clamp)
 		p.noteStepLocked(step)
 		p.observeLocked(target, rep.Out, rep.In)
 	}
-	for _, s := range rep.Peers {
-		p.observeLocked(s.Addr, s.Out, s.In)
-	}
+	p.observeSampleLocked(rep.Peers)
 	p.mu.Unlock()
 	p.metrics.exchange("out")
 	return nil
@@ -386,10 +432,10 @@ func (p *Peer) EstimateLocal(addr string) (float64, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	n := p.table[addr]
-	if n == nil || len(n.out) != p.cfg.Dim || len(n.in) != p.cfg.Dim {
+	if n == nil || !n.known {
 		return 0, false
 	}
-	return solve.PeerEstimate(p.x, p.y, n.out, n.in), true
+	return solve.PeerEstimate(p.x, p.y, n.out(), n.in()), true
 }
 
 // Estimate predicts the RTT to addr: from cached coordinates when
@@ -399,77 +445,107 @@ func (p *Peer) Estimate(ctx context.Context, addr string) (float64, error) {
 	if est, ok := p.EstimateLocal(addr); ok {
 		return est, nil
 	}
-	p.mu.Lock()
-	req := wire.GossipExchange{From: p.cfg.Self, Out: p.x, In: p.y, RTTMillis: -1}
-	payload := req.Encode(nil)
-	p.mu.Unlock()
-	respT, resp, err := p.pool.Call(ctx, addr, wire.TypeGossipExchange, payload)
+	sc := scratchPool.Get().(*exchangeScratch)
+	defer scratchPool.Put(sc)
+	rep, err := p.call(ctx, sc, addr, -1, 0)
 	if err != nil {
 		return 0, fmt.Errorf("peer: fetch coordinates from %s: %w", addr, err)
 	}
-	rep, err := decodeReply(respT, resp)
-	if err != nil {
-		return 0, fmt.Errorf("peer: fetch coordinates from %s: %w", addr, err)
-	}
-	if len(rep.Out) != p.cfg.Dim || len(rep.In) != p.cfg.Dim {
-		return 0, fmt.Errorf("peer: %s has no coordinates (dim %d vs %d)", addr, len(rep.Out), p.cfg.Dim)
+	if rep.Out.Len() != p.cfg.Dim || rep.In.Len() != p.cfg.Dim {
+		return 0, fmt.Errorf("peer: %s has no coordinates (dim %d vs %d)", addr, rep.Out.Len(), p.cfg.Dim)
 	}
 	p.mu.Lock()
 	p.observeLocked(addr, rep.Out, rep.In)
-	est := solve.PeerEstimate(p.x, p.y, rep.Out, rep.In)
+	rep.Out.CopyTo(p.px)
+	rep.In.CopyTo(p.py)
+	est := solve.PeerEstimate(p.x, p.y, p.px, p.py)
 	p.mu.Unlock()
 	return est, nil
 }
 
-// decodeReply validates and parses a gossip response frame.
-func decodeReply(t wire.MsgType, payload []byte) (*wire.GossipReply, error) {
-	switch t {
-	case wire.TypeGossipReply:
-		return wire.DecodeGossipReply(payload)
-	case wire.TypeError:
-		if e, err := wire.DecodeError(payload); err == nil {
-			return nil, e
-		}
-		return nil, fmt.Errorf("undecodable error frame")
-	default:
-		return nil, fmt.Errorf("unexpected response type %v", t)
-	}
-}
-
 // observeLocked records an address and (optionally) its coordinate
-// rows, evicting a random entry when the table is full. Empty rows
-// never overwrite cached ones — a sample entry without coordinates
-// must not blind the estimator. Callers hold p.mu.
-func (p *Peer) observeLocked(addr string, out, in []float64) {
+// rows, evicting a random entry when the table is full. Rows are
+// copied into table-owned storage. Empty rows never overwrite cached
+// ones — a sample entry without coordinates must not blind the
+// estimator. Callers hold p.mu.
+func (p *Peer) observeLocked(addr string, out, in wire.Floats) {
 	if addr == "" || addr == p.cfg.Self {
 		return
 	}
-	if n := p.table[addr]; n != nil {
-		if len(out) == p.cfg.Dim && len(in) == p.cfg.Dim {
-			n.out, n.in = out, in
-		}
-		return
+	n := p.table[addr]
+	if n == nil {
+		n = p.insertLocked(addr)
 	}
+	p.storeRows(n, out, in)
+}
+
+// observeViewLocked is observeLocked for an address that is still a
+// view of a frame buffer: only one that is new to the table is copied
+// to the heap, as its key. It returns the table's own copy of the
+// address, "" when the address was ignored. Callers hold p.mu.
+func (p *Peer) observeViewLocked(addr []byte, out, in wire.Floats) string {
+	n := p.table[string(addr)]
+	if n == nil {
+		if len(addr) == 0 || string(addr) == p.cfg.Self {
+			return ""
+		}
+		n = p.insertLocked(string(addr))
+	}
+	p.storeRows(n, out, in)
+	return n.addr
+}
+
+// observeSampleLocked merges a received peer sample into the table.
+// Callers hold p.mu.
+func (p *Peer) observeSampleLocked(s wire.PeerSample) {
+	for addr, out, in, ok := s.Next(); ok; addr, out, in, ok = s.Next() {
+		p.observeViewLocked(addr, out, in)
+	}
+}
+
+// insertLocked adds a table entry for addr, first evicting a random one
+// when the table is full; the entry is a recycled one when any is free.
+func (p *Peer) insertLocked(addr string) *neighbor {
 	if len(p.order) >= p.cfg.MaxNeighbors {
 		p.evictLocked(p.rng.Intn(len(p.order)))
 	}
-	n := &neighbor{idx: len(p.order)}
-	if len(out) == p.cfg.Dim && len(in) == p.cfg.Dim {
-		n.out, n.in = out, in
+	var n *neighbor
+	if last := len(p.free) - 1; last >= 0 {
+		n, p.free = p.free[last], p.free[:last]
+	} else {
+		n = new(neighbor)
 	}
+	n.addr, n.idx = addr, len(p.order)
 	p.table[addr] = n
-	p.order = append(p.order, addr)
+	p.order = append(p.order, n)
+	return n
+}
+
+// storeRows copies a full-dimension row pair into n's storage; anything
+// else leaves n as it was.
+func (p *Peer) storeRows(n *neighbor, out, in wire.Floats) {
+	if out.Len() != p.cfg.Dim || in.Len() != p.cfg.Dim {
+		return
+	}
+	if n.rows == nil {
+		n.rows = make([]float64, 2*p.cfg.Dim)
+	}
+	out.CopyTo(n.rows[:p.cfg.Dim])
+	in.CopyTo(n.rows[p.cfg.Dim:])
+	n.known = true
 }
 
 // evictLocked removes the entry at position i in the order slice by
 // swap-delete, keeping iteration order deterministic.
 func (p *Peer) evictLocked(i int) {
-	addr := p.order[i]
+	n := p.order[i]
 	last := len(p.order) - 1
 	p.order[i] = p.order[last]
-	p.table[p.order[i]].idx = i
+	p.order[i].idx = i
 	p.order = p.order[:last]
-	delete(p.table, addr)
+	delete(p.table, n.addr)
+	n.addr, n.known = "", false
+	p.free = append(p.free, n)
 }
 
 // dropNeighbor removes a failed partner and counts the churn.
@@ -485,22 +561,27 @@ func (p *Peer) dropNeighbor(addr string) {
 
 // sampleLocked draws up to k distinct table entries (excluding one
 // address) with their cached coordinates, for the exchange's peer
-// sample. Callers hold p.mu.
+// sample. The result aliases p.sample and the table's row storage:
+// encode it before releasing p.mu. Callers hold p.mu.
 func (p *Peer) sampleLocked(k int, exclude string) []wire.LandmarkVec {
+	out := p.sample[:0]
 	if len(p.order) == 0 || k <= 0 {
-		return nil
+		return out
 	}
-	seen := make(map[string]bool, k)
-	out := make([]wire.LandmarkVec, 0, k)
+draw:
 	for attempts := 0; len(out) < k && attempts < 2*k; attempts++ {
-		addr := p.order[p.rng.Intn(len(p.order))]
-		if addr == exclude || seen[addr] {
+		n := p.order[p.rng.Intn(len(p.order))]
+		if n.addr == exclude {
 			continue
 		}
-		seen[addr] = true
-		n := p.table[addr]
-		out = append(out, wire.LandmarkVec{Addr: addr, Out: n.out, In: n.in})
+		for i := range out {
+			if out[i].Addr == n.addr {
+				continue draw
+			}
+		}
+		out = append(out, wire.LandmarkVec{Addr: n.addr, Out: n.out(), In: n.in()})
 	}
+	p.sample = out
 	return out
 }
 

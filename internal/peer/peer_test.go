@@ -10,6 +10,7 @@ import (
 	"github.com/ides-go/ides/internal/solve"
 	"github.com/ides-go/ides/internal/topology"
 	"github.com/ides-go/ides/internal/transport"
+	"github.com/ides-go/ides/internal/wire"
 )
 
 // fleet is a small all-peer simnet deployment for tests: every host
@@ -331,5 +332,51 @@ func TestServeRejectsUnknownType(t *testing.T) {
 	_, _, err = pool.Call(context.Background(), f.names[1], 0x42, nil)
 	if err == nil {
 		t.Fatal("unknown type accepted")
+	}
+}
+
+// TestRecycledTableEntryCarriesNoStaleRows: the table copies rows into
+// storage it owns and hands an evicted entry's storage to the next
+// address. The frame a row came from can be overwritten afterwards
+// without moving the cached estimate, and an address that arrives
+// without coordinates into a recycled entry has none — not the previous
+// tenant's.
+func TestRecycledTableEntryCarriesNoStaleRows(t *testing.T) {
+	f := newFleet(t, 2, 19, func(i int, cfg *Config) {
+		cfg.MaxNeighbors = 2
+		cfg.Dim = 2
+	})
+	p := f.peers[0]
+	frame := (&wire.GossipReply{Out: []float64{3, 4}, In: []float64{5, 6}}).Encode(nil)
+	rep, err := wire.ParseGossipReply(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.mu.Lock()
+	p.observeLocked("a", rep.Out, rep.In)
+	p.observeLocked("b", rep.Out, rep.In)
+	p.mu.Unlock()
+	want, ok := p.EstimateLocal("a")
+	if !ok {
+		t.Fatal("no estimate for an address observed with rows")
+	}
+	for i := range frame {
+		frame[i] = 0xFF // the frame buffer moves on to the next exchange
+	}
+	if got, _ := p.EstimateLocal("a"); got != want {
+		t.Fatalf("estimate moved from %v to %v with the frame buffer: rows alias it", want, got)
+	}
+
+	// The table is full: each newcomer evicts an entry at random and
+	// takes over its storage, which by now has held rows.
+	for i := 0; i < 8; i++ {
+		addr := "ghost-" + itoa(i)
+		p.AddNeighbor(addr)
+		if est, ok := p.EstimateLocal(addr); ok {
+			t.Fatalf("%s was never seen with coordinates but estimates %v", addr, est)
+		}
+	}
+	if got := p.Neighbors(); len(got) != 2 {
+		t.Fatalf("table %v, want 2 entries", got)
 	}
 }

@@ -44,11 +44,7 @@ func (p *Peer) dispatch(t wire.MsgType, payload, dst []byte) (wire.MsgType, []by
 		}
 		return wire.TypePong, (&wire.Pong{Token: tok}).Encode(dst)
 	case wire.TypeGossipExchange:
-		ex, err := wire.DecodeGossipExchange(payload)
-		if err != nil {
-			return wire.AppendError(dst, wire.CodeBadRequest, err.Error())
-		}
-		return wire.TypeGossipReply, p.handleExchange(ex).Encode(dst)
+		return p.handleExchange(payload, dst)
 	default:
 		return wire.AppendError(dst, wire.CodeUnknownType, "peer: unsupported message type "+t.String())
 	}
@@ -57,33 +53,33 @@ func (p *Peer) dispatch(t wire.MsgType, payload, dst []byte) (wire.MsgType, []by
 // handleExchange is the serving half of a gossip round: answer with
 // this peer's pre-step rows, fold the partner's measurement into our
 // own rows when one was taken, and merge the partner plus its sample
-// into the neighbor table.
-func (p *Peer) handleExchange(ex *wire.GossipExchange) *wire.GossipReply {
+// into the neighbor table. The request is read in place and the reply
+// encoded into dst piece by piece as the state it describes is reached.
+func (p *Peer) handleExchange(payload, dst []byte) (wire.MsgType, []byte) {
+	ex, err := wire.ParseGossipExchange(payload)
+	if err != nil {
+		return wire.AppendError(dst, wire.CodeBadRequest, err.Error())
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	rep := &wire.GossipReply{
-		// Copies, not aliases: PeerStep mutates p.x/p.y in place below,
-		// and the reply must carry the pre-step rows.
-		Out: append([]float64(nil), p.x...),
-		In:  append([]float64(nil), p.y...),
-	}
 	// NaN fails the >= 0 check; infinities are rejected explicitly — a
 	// hostile frame must not inject a non-finite measurement.
-	if ex.RTTMillis >= 0 && !math.IsInf(ex.RTTMillis, 1) &&
-		len(ex.Out) == p.cfg.Dim && len(ex.In) == p.cfg.Dim {
-		step := solve.PeerStep(p.x, p.y, ex.Out, ex.In, ex.RTTMillis, p.sgd, p.clamp)
+	applied := ex.RTTMillis >= 0 && !math.IsInf(ex.RTTMillis, 1) &&
+		ex.Out.Len() == p.cfg.Dim && ex.In.Len() == p.cfg.Dim
+	// Encoded before the step: PeerStep mutates p.x/p.y in place below,
+	// and the reply must carry the pre-step rows.
+	dst = wire.AppendGossipReplyRows(dst, applied, p.x, p.y)
+	if applied {
+		ex.Out.CopyTo(p.px)
+		ex.In.CopyTo(p.py)
+		step := solve.PeerStep(p.x, p.y, p.px, p.py, ex.RTTMillis, p.sgd, p.clamp)
 		p.noteStepLocked(step)
-		rep.Applied = true
 	}
-	if len(ex.Out) == p.cfg.Dim && len(ex.In) == p.cfg.Dim {
-		p.observeLocked(ex.From, ex.Out, ex.In)
-	} else {
-		p.observeLocked(ex.From, nil, nil)
-	}
-	for _, s := range ex.Peers {
-		p.observeLocked(s.Addr, s.Out, s.In)
-	}
-	rep.Peers = p.sampleLocked(p.cfg.SampleSize, ex.From)
+	// The table's copy of the sender's address, taken now: merging the
+	// sample can evict and recycle the entry it came from.
+	from := p.observeViewLocked(ex.From, ex.Out, ex.In)
+	p.observeSampleLocked(ex.Peers)
+	dst = wire.AppendPeerSample(dst, p.sampleLocked(p.cfg.SampleSize, from))
 	p.metrics.exchange("in")
-	return rep
+	return wire.TypeGossipReply, dst
 }

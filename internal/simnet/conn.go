@@ -31,11 +31,50 @@ type endpoint struct {
 	space    chan struct{} // cap 1: signaled on every state change a blocked writer cares about
 }
 
-func newEndpoint() *endpoint {
-	return &endpoint{
-		readable: make(chan struct{}, 1),
-		space:    make(chan struct{}, 1),
+func (e *endpoint) init() {
+	e.readable = make(chan struct{}, 1)
+	e.space = make(chan struct{}, 1)
+}
+
+// timerPool recycles the timers behind deadline waits and handshake
+// sleeps: connections here live for one exchange, so a timer per wait
+// is a timer per operation. go.mod is past 1.23, where a stopped or
+// reset timer can leave no stale tick in its channel, which is what
+// makes handing one from wait to wait safe.
+var timerPool sync.Pool
+
+// acquireTimer returns a timer that fires after d.
+func acquireTimer(d time.Duration) *time.Timer {
+	if t, _ := timerPool.Get().(*time.Timer); t != nil {
+		t.Reset(d)
+		return t
 	}
+	return time.NewTimer(d)
+}
+
+// releaseTimer stops t and recycles it.
+func releaseTimer(t *time.Timer) {
+	t.Stop()
+	timerPool.Put(t)
+}
+
+// waitUntil blocks until wake or closed is signaled or deadline (none
+// when zero) passes.
+func waitUntil(wake, closed <-chan struct{}, deadline time.Time) {
+	if deadline.IsZero() {
+		select {
+		case <-wake:
+		case <-closed:
+		}
+		return
+	}
+	t := acquireTimer(time.Until(deadline))
+	select {
+	case <-wake:
+	case <-t.C:
+	case <-closed:
+	}
+	releaseTimer(t)
 }
 
 // signal is a non-blocking edge trigger on a capacity-1 channel.
@@ -118,16 +157,23 @@ type conn struct {
 }
 
 // newPair creates a registered connection between hosts aIdx and bIdx.
+// Both handles, both inboxes and the pair record are one allocation:
+// they are born and die together.
 func (n *Network) newPair(aIdx, bIdx int, aAddr, bAddr addr) (*conn, *conn) {
-	inA, inB := newEndpoint(), newEndpoint()
-	p := &pairConn{aIdx: aIdx, bIdx: bIdx}
-	ca := &conn{nw: n, pair: p, local: aAddr, remote: bAddr, localIdx: aIdx, remoteIdx: bIdx,
-		in: inA, out: inB, closed: make(chan struct{})}
-	cb := &conn{nw: n, pair: p, local: bAddr, remote: aAddr, localIdx: bIdx, remoteIdx: aIdx,
-		in: inB, out: inA, closed: make(chan struct{})}
-	p.a, p.b = ca, cb
-	n.addPair(p)
-	return ca, cb
+	m := new(struct {
+		pair     pairConn
+		a, b     conn
+		inA, inB endpoint
+	})
+	m.inA.init()
+	m.inB.init()
+	m.pair = pairConn{a: &m.a, b: &m.b, aIdx: aIdx, bIdx: bIdx}
+	m.a = conn{nw: n, pair: &m.pair, local: aAddr, remote: bAddr, localIdx: aIdx, remoteIdx: bIdx,
+		in: &m.inA, out: &m.inB, closed: make(chan struct{})}
+	m.b = conn{nw: n, pair: &m.pair, local: bAddr, remote: aAddr, localIdx: bIdx, remoteIdx: aIdx,
+		in: &m.inB, out: &m.inA, closed: make(chan struct{})}
+	n.addPair(&m.pair)
+	return &m.a, &m.b
 }
 
 func (c *conn) opError(op string, err error) error {
@@ -172,20 +218,7 @@ func (c *conn) Write(p []byte) (int, error) {
 			break
 		}
 		c.out.mu.Unlock()
-		var timeout <-chan time.Time
-		var timer *time.Timer
-		if !wd.IsZero() {
-			timer = time.NewTimer(time.Until(wd))
-			timeout = timer.C
-		}
-		select {
-		case <-c.out.space:
-		case <-timeout:
-		case <-c.closed:
-		}
-		if timer != nil {
-			timer.Stop()
-		}
+		waitUntil(c.out.space, c.closed, wd)
 	}
 
 	delay, drop, reset := c.nw.sendVerdict(c.localIdx, c.remoteIdx)
@@ -288,23 +321,10 @@ func (c *conn) Read(p []byte) (int, error) {
 		c.dlMu.Lock()
 		rd := c.readDeadline
 		c.dlMu.Unlock()
-		var timeout <-chan time.Time
-		var timer *time.Timer
-		if !rd.IsZero() {
-			if !time.Now().Before(rd) {
-				return 0, c.opError("read", os.ErrDeadlineExceeded)
-			}
-			timer = time.NewTimer(time.Until(rd))
-			timeout = timer.C
+		if !rd.IsZero() && !time.Now().Before(rd) {
+			return 0, c.opError("read", os.ErrDeadlineExceeded)
 		}
-		select {
-		case <-in.readable:
-		case <-timeout:
-		case <-c.closed:
-		}
-		if timer != nil {
-			timer.Stop()
-		}
+		waitUntil(in.readable, c.closed, rd)
 	}
 }
 

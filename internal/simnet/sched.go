@@ -35,13 +35,18 @@ func (h *eventHeap) Pop() interface{} {
 	return e
 }
 
-// scheduler is the network's central delivery engine: every packet,
-// EOF and handshake completion passes through one timer-driven queue
-// instead of per-connection sleeps. There is no standing goroutine —
-// like transport.Pool's idle reaper, a single timer is armed for the
-// earliest due event and dispatch runs in its callback, re-arming for
-// the next. A dedicated dispatching flag keeps at most one dispatcher
-// running so the (at, seq) order is never raced away.
+// scheduler is the network's central delivery engine: every packet
+// and EOF passes through one ordered queue instead of per-connection
+// sleeps. (The dial handshake does not: it delivers nothing, it only
+// waits out a round trip on the dialer's own goroutine — see sleepCtx.)
+// There is no standing goroutine — like transport.Pool's idle reaper, a
+// single timer is armed for the earliest due event and dispatch runs in
+// its callback, re-arming for the next. An event that is already due
+// when it is scheduled, with nothing queued ahead of it, skips the
+// queue and the timer: the scheduling goroutine becomes the dispatcher
+// and fires it on the spot. A dedicated dispatching flag keeps at most
+// one dispatcher running — timer-driven or inline — so the (at, seq)
+// order is never raced away.
 type scheduler struct {
 	mu          sync.Mutex
 	events      eventHeap
@@ -49,11 +54,16 @@ type scheduler struct {
 	timer       *time.Timer
 	dispatching bool
 	closed      bool
+	// due is the dispatcher's batch buffer, touched only by the
+	// goroutine that holds the dispatching flag.
+	due []*event
 }
 
 // schedule queues fn to run at wall-clock time at (immediately when at
 // is already past). fn must be quick and must not call back into the
-// scheduler.
+// scheduler. The caller must hold no lock a scheduled fn takes: when at
+// is already due, fn — and any event that falls due while it runs — may
+// run on the caller's goroutine before schedule returns.
 func (s *scheduler) schedule(at time.Time, fn func()) {
 	s.mu.Lock()
 	if s.closed {
@@ -61,6 +71,16 @@ func (s *scheduler) schedule(at time.Time, fn func()) {
 		return
 	}
 	s.seq++
+	// Queued events all carry a smaller seq, so one with an equal at
+	// still goes first: only a strictly later head lets this one through.
+	if !s.dispatching && (len(s.events) == 0 || s.events[0].at.After(at)) && !at.After(time.Now()) {
+		s.dispatching = true
+		s.mu.Unlock()
+		fn()
+		s.mu.Lock()
+		s.drainLocked()
+		return
+	}
 	heap.Push(&s.events, &event{at: at, seq: s.seq, fn: fn})
 	s.armLocked()
 	s.mu.Unlock()
@@ -82,9 +102,9 @@ func (s *scheduler) armLocked() {
 	}
 }
 
-// dispatch drains all due events in order, then re-arms for the next
-// future one. Only one dispatch loop runs at a time; extra timer
-// firings (possible around Reset races) fold into the running loop.
+// dispatch is the timer callback: it drains all due events unless a
+// dispatcher is already running, into whose loop an extra timer firing
+// (possible around Reset races) folds.
 func (s *scheduler) dispatch() {
 	s.mu.Lock()
 	if s.dispatching || s.closed {
@@ -92,9 +112,16 @@ func (s *scheduler) dispatch() {
 		return
 	}
 	s.dispatching = true
+	s.drainLocked()
+}
+
+// drainLocked fires all due events in order, then gives up the
+// dispatching flag and re-arms the timer for the next future one. The
+// caller holds s.mu and the dispatching flag; both are released.
+func (s *scheduler) drainLocked() {
 	for {
 		now := time.Now()
-		var due []*event
+		due := s.due[:0]
 		for len(s.events) > 0 && !s.events[0].at.After(now) {
 			due = append(due, heap.Pop(&s.events).(*event))
 		}
@@ -105,10 +132,12 @@ func (s *scheduler) dispatch() {
 			return
 		}
 		s.mu.Unlock()
-		for _, e := range due {
+		for i, e := range due {
 			e.fn()
+			due[i] = nil // the buffer outlives the batch; the packet fn holds must not
 		}
 		s.mu.Lock()
+		s.due = due
 	}
 }
 

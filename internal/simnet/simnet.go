@@ -12,9 +12,15 @@
 // to a connection is queued with a due time — the link's current
 // one-way latency plus optional jitter and loss-retransmission delay,
 // scaled by Config.TimeScale — and becomes readable at the peer when
-// the scheduler delivers it. Bandwidth is not modeled; ordering is
-// FIFO per direction. Dial blocks for one round trip, like a TCP
-// handshake.
+// the scheduler delivers it. Events fire strictly in (due time,
+// scheduling order). Same-tick rule: when the scaled delay is so short
+// that a packet is already due by the time it reaches the scheduler,
+// and nothing is queued ahead of it, it is delivered on the writer's
+// own goroutine before Write returns instead of through the timer —
+// same order, no hand-off. Bandwidth is not modeled; ordering is FIFO
+// per direction. Dial blocks for one round trip, like a TCP handshake,
+// on the dialer's own goroutine (a wait under a microsecond of wall
+// clock is spun out rather than slept).
 //
 // # Faults
 //
@@ -799,12 +805,28 @@ func (h *Host) ping(ctx context.Context, address string, samples int, sleep bool
 	return time.Duration(best * float64(time.Millisecond)), nil
 }
 
+// spinBelow is the longest wait sleepCtx spins out instead of arming a
+// timer. A timer cannot honour a wait shorter than the goroutine park
+// and wake behind it — a few microseconds — so below that a timer buys
+// nothing and costs the switch; at the gossip harness's TimeScale of
+// 1e-6 a handshake is 0.1–0.3 µs of wall clock. The spin does not
+// yield: it is over before a yield would come back.
+const spinBelow = time.Microsecond
+
+// sleepCtx waits out d of wall-clock time on the caller's goroutine —
+// the dial handshake and Ping's echo, which deliver nothing and so need
+// no place in the scheduler's queue — or returns early with ctx's error.
 func sleepCtx(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
 		return ctx.Err()
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
+	if d < spinBelow {
+		for end := time.Now().Add(d); time.Now().Before(end); {
+		}
+		return ctx.Err()
+	}
+	t := acquireTimer(d)
+	defer releaseTimer(t)
 	select {
 	case <-t.C:
 		return nil

@@ -128,10 +128,35 @@ type Pool struct {
 // attached only while the connection is checked out by Call. put and
 // discard release the scratch back to the pool arena, so a burst of
 // large replies cannot stay pinned by connections parked idle.
+//
+// The struct and its reader are recycled across connections: a pool that
+// keeps none idle (a gossip peer dials per exchange) would otherwise pay
+// 4 KiB of garbage per call for the reader alone.
 type pooledConn struct {
 	net.Conn
 	br      *bufio.Reader
 	scratch []byte
+}
+
+var pooledConnPool = sync.Pool{New: func() any {
+	return &pooledConn{br: bufio.NewReaderSize(nil, 4096)}
+}}
+
+// newPooledConn wraps a freshly dialed connection.
+func newPooledConn(c net.Conn) *pooledConn {
+	pc := pooledConnPool.Get().(*pooledConn)
+	pc.Conn = c
+	pc.br.Reset(c)
+	return pc
+}
+
+// retire closes the connection and recycles its state. The caller must
+// be the sole owner: nothing may touch pc afterwards.
+func (pc *pooledConn) retire() {
+	pc.Conn.Close()
+	pc.Conn = nil
+	pc.br.Reset(nil)
+	pooledConnPool.Put(pc)
 }
 
 // slotWaiter is one caller parked at the MaxPerHost cap. The waker
@@ -412,12 +437,14 @@ func (p *Pool) callMux(ctx context.Context, addr string, t wire.MsgType, payload
 // path to use.
 func (p *Pool) getMux(ctx context.Context, addr string) (*MuxConn, *pooledConn, *hostPool, error) {
 	p.mu.Lock()
-	hp := p.host(addr)
 	for {
 		if p.closed {
 			p.mu.Unlock()
 			return nil, nil, nil, errors.New("transport: pool is closed")
 		}
+		// Resolved on every pass: while this caller was parked the entry
+		// may have emptied and been dropped.
+		hp := p.host(addr)
 		if hp.muxUnsupported {
 			p.mu.Unlock()
 			return nil, nil, hp, nil
@@ -481,6 +508,7 @@ func (p *Pool) getMux(ctx context.Context, addr string) (*MuxConn, *pooledConn, 
 		p.muxDialDoneLocked(hp)
 		switch {
 		case err != nil:
+			p.pruneLocked(addr, hp)
 			p.mu.Unlock()
 			return nil, nil, nil, err
 		case mc != nil:
@@ -504,7 +532,7 @@ func (p *Pool) getMux(ctx context.Context, addr string) (*MuxConn, *pooledConn, 
 				return nil, dc, hp, nil
 			}
 			p.mu.Unlock()
-			dc.Close()
+			dc.retire()
 			return nil, nil, hp, nil
 		default:
 			// The handshake died before an answer — a server that drops
@@ -512,8 +540,9 @@ func (p *Pool) getMux(ctx context.Context, addr string) (*MuxConn, *pooledConn, 
 			// to lockstep for this call without latching: a real pre-mux
 			// IDES server answers with an error frame, so the next call
 			// probes again rather than losing mux forever to one flake.
+			p.pruneLocked(addr, hp)
 			p.mu.Unlock()
-			return nil, nil, hp, nil
+			return nil, nil, nil, nil
 		}
 	}
 }
@@ -543,7 +572,7 @@ func (p *Pool) dialMux(ctx context.Context, addr string, hp *hostPool) (*MuxConn
 	hp.m().dials.Inc()
 	mc, err := NewMuxConn(ctx, c, p.cfg.MuxMaxInflight)
 	if errors.Is(err, ErrMuxUnsupported) {
-		return nil, &pooledConn{Conn: c, br: bufio.NewReaderSize(c, 4096)}, nil
+		return nil, newPooledConn(c), nil
 	}
 	if err != nil {
 		c.Close()
@@ -571,12 +600,10 @@ func (p *Pool) addMuxConn(addr string) {
 	if hp == nil {
 		return
 	}
-	mc, dc, err := p.dialMux(ctx, addr, hp)
+	mc, dc, _ := p.dialMux(ctx, addr, hp)
 	p.mu.Lock()
 	p.muxDialDoneLocked(hp)
 	switch {
-	case err != nil:
-		p.mu.Unlock()
 	case mc != nil:
 		if p.closed || len(hp.mux) >= p.cfg.MuxConns {
 			p.mu.Unlock()
@@ -591,8 +618,11 @@ func (p *Pool) addMuxConn(addr string) {
 		// die of natural causes.
 		hp.muxUnsupported = true
 		p.mu.Unlock()
-		dc.Close()
+		dc.retire()
 	default:
+		// The dial or the handshake failed, and the connections that
+		// prompted the growth may have died meanwhile.
+		p.pruneLocked(addr, hp)
 		p.mu.Unlock()
 	}
 }
@@ -611,6 +641,7 @@ func (p *Pool) dropMux(addr string, mc *MuxConn) {
 				break
 			}
 		}
+		p.pruneLocked(addr, hp)
 	}
 	p.mu.Unlock()
 }
@@ -650,7 +681,10 @@ func (p *Pool) Stats() PoolStats {
 // address. A multi-server client pools connections to several endpoints
 // at once; the aggregate Stats hides which endpoint is churning
 // (redialing, discarding) while the others hum, which is exactly what
-// failover debugging needs to see.
+// failover debugging needs to see. An endpoint is listed for as long as
+// the pool holds anything for it — a connection, a waiter, a latched
+// downgrade, metric children; one that holds nothing is forgotten, its
+// counters living on only in the aggregate.
 func (p *Pool) EndpointStats() map[string]PoolStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -723,7 +757,7 @@ func (p *Pool) Close() error {
 	p.closed = true
 	for _, hp := range p.hosts {
 		for _, ic := range hp.idle {
-			ic.c.Close()
+			ic.c.retire()
 			hp.active--
 		}
 		hp.idle = nil
@@ -753,6 +787,21 @@ func (p *Pool) host(addr string) *hostPool {
 		p.hosts[addr] = hp
 	}
 	return hp
+}
+
+// pruneLocked forgets addr's entry once it tracks nothing: no connection
+// checked out, idle or multiplexed, no waiter, no dial in flight, no
+// armed reap, no latched downgrade and no metric children. A pool that
+// keeps no connections (MaxIdlePerHost < 0, MuxConns < 0) and calls
+// ever-new addresses — a gossip peer's neighbours churn for as long as
+// it runs — otherwise grows one entry per address it has ever dialed.
+// Every path that can leave an entry empty ends here. Caller holds p.mu.
+func (p *Pool) pruneLocked(addr string, hp *hostPool) {
+	if hp.active == 0 && len(hp.idle) == 0 && len(hp.waiters) == 0 &&
+		len(hp.mux) == 0 && !hp.muxDialing && hp.muxWait == nil && !hp.muxUnsupported &&
+		!hp.reapScheduled && hp.mets.Load() == nil && p.hosts[addr] == hp {
+		delete(p.hosts, addr)
+	}
 }
 
 // wakeIdle wakes the longest-waiting caller, if any, to claim a newly
@@ -812,9 +861,12 @@ func (p *Pool) get(ctx context.Context, addr string, mustDial bool) (conn *poole
 				p.releaseSlotLocked(hp)
 				hp.countDiscard()
 				p.mu.Unlock()
-				ic.c.Close()
+				ic.c.retire()
 				p.discards.Add(1)
 				p.mu.Lock()
+				// The slot just released may have been the entry's last
+				// claim on the map; a concurrent call can have pruned it.
+				hp = p.host(addr)
 				continue
 			}
 			if granted {
@@ -869,13 +921,16 @@ func (p *Pool) get(ctx context.Context, addr string, mustDial bool) (conn *poole
 
 	c, err := p.cfg.Dialer.DialContext(ctx, "tcp", addr)
 	if err != nil {
-		p.connClosed(hp)
+		p.mu.Lock()
+		p.releaseSlotLocked(hp)
+		p.pruneLocked(addr, hp)
+		p.mu.Unlock()
 		return nil, false, fmt.Errorf("transport: dialing %s: %w", addr, err)
 	}
 	p.dials.Add(1)
 	hp.stats.dials.Add(1)
 	hp.m().dials.Inc()
-	return &pooledConn{Conn: c, br: bufio.NewReaderSize(c, 4096)}, false, nil
+	return newPooledConn(c), false, nil
 }
 
 // put returns a healthy connection to addr's idle list, or closes it when
@@ -888,16 +943,18 @@ func (p *Pool) put(addr string, conn *pooledConn) {
 	p.mu.Lock()
 	hp := p.hosts[addr]
 	if hp == nil {
-		// Cannot happen via Call (get creates the entry), but fail safe.
+		// Cannot happen via Call (the checked-out connection's slot
+		// keeps the entry alive), but fail safe.
 		p.mu.Unlock()
-		conn.Close()
+		conn.retire()
 		return
 	}
 	if p.closed || len(hp.idle) >= p.cfg.MaxIdlePerHost {
 		p.releaseSlotLocked(hp)
 		hp.countDiscard()
+		p.pruneLocked(addr, hp)
 		p.mu.Unlock()
-		conn.Close()
+		conn.retire()
 		p.discards.Add(1)
 		return
 	}
@@ -931,23 +988,15 @@ func (p *Pool) releaseScratch(conn *pooledConn) {
 // discard closes a broken connection and releases its slot.
 func (p *Pool) discard(addr string, conn *pooledConn) {
 	p.releaseScratch(conn)
-	conn.Close()
+	conn.retire()
 	p.mu.Lock()
-	hp := p.hosts[addr]
-	p.mu.Unlock()
-	if hp != nil {
-		p.connClosed(hp)
+	if hp := p.hosts[addr]; hp != nil {
+		p.releaseSlotLocked(hp)
 		hp.countDiscard()
+		p.pruneLocked(addr, hp)
 	}
-	p.discards.Add(1)
-}
-
-// connClosed releases one per-host connection slot, handing it to the
-// oldest queued waiter if any.
-func (p *Pool) connClosed(hp *hostPool) {
-	p.mu.Lock()
-	p.releaseSlotLocked(hp)
 	p.mu.Unlock()
+	p.discards.Add(1)
 }
 
 // scheduleReapLocked arms a one-shot reap for addr's idle list. The pool
@@ -981,7 +1030,7 @@ func (p *Pool) reap(addr string) {
 	}
 	cutoff := time.Now().Add(-p.cfg.IdleTimeout)
 	kept := hp.idle[:0]
-	var expired []net.Conn
+	var expired []*pooledConn
 	for _, ic := range hp.idle {
 		if ic.since.Before(cutoff) {
 			expired = append(expired, ic.c)
@@ -994,9 +1043,10 @@ func (p *Pool) reap(addr string) {
 	hp.idle = kept
 	hp.syncIdleGauge()
 	p.scheduleReapLocked(addr, hp)
+	p.pruneLocked(addr, hp)
 	p.mu.Unlock()
 	for _, c := range expired {
-		c.Close()
+		c.retire()
 		p.discards.Add(1)
 	}
 }

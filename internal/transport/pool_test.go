@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -292,5 +293,63 @@ func TestPoolClosedRefusesCalls(t *testing.T) {
 func TestNewPoolRequiresDialer(t *testing.T) {
 	if _, err := NewPool(PoolConfig{}); err == nil {
 		t.Fatal("NewPool without a Dialer must fail")
+	}
+}
+
+// pipeDialer answers a dial to any address with one end of an in-memory
+// pipe whose other end echoes Ping frames until the caller hangs up — ten
+// thousand distinct endpoints without ten thousand listeners.
+type pipeDialer struct{}
+
+func (pipeDialer) DialContext(context.Context, string, string) (net.Conn, error) {
+	cli, srv := net.Pipe()
+	go func() {
+		defer srv.Close()
+		for {
+			typ, payload, err := wire.ReadFrame(srv)
+			if err != nil || typ != wire.TypePing {
+				return
+			}
+			if wire.WriteFrame(srv, wire.TypePong, payload) != nil {
+				return
+			}
+		}
+	}()
+	return cli, nil
+}
+
+// TestPoolForgetsEndpointsItHoldsNothingFor: a pool that keeps no idle
+// and no multiplexed connections — a gossip peer's configuration — and
+// calls ten thousand distinct addresses must not end up with ten
+// thousand host entries: each entry goes when its one connection does.
+// The lifetime totals still account for every call.
+func TestPoolForgetsEndpointsItHoldsNothingFor(t *testing.T) {
+	p := newTestPool(t, PoolConfig{Dialer: pipeDialer{}, MaxIdlePerHost: -1, MuxConns: -1})
+	const addrs = 10_000
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < addrs; i += 4 {
+				poolPing(t, p, "peer-"+strconv.Itoa(i), uint64(i))
+			}
+		}()
+	}
+	wg.Wait()
+	if n := len(p.EndpointStats()); n != 0 {
+		t.Fatalf("%d host entries left after %d one-shot calls, want 0", n, addrs)
+	}
+	if st := p.Stats(); st.Dials != addrs || st.Discards != addrs || st.Reuses != 0 || st.Retries != 0 || st.Idle != 0 {
+		t.Fatalf("totals %+v, want %d dials and discards and nothing else", st, addrs)
+	}
+
+	// An endpoint the pool does hold something for stays listed, with
+	// its own counters: here a parked idle connection.
+	keep := newTestPool(t, PoolConfig{Dialer: pipeDialer{}, MuxConns: -1})
+	poolPing(t, keep, "peer-a", 1)
+	poolPing(t, keep, "peer-a", 2)
+	if eps := keep.EndpointStats(); len(eps) != 1 || eps["peer-a"].Dials != 1 || eps["peer-a"].Reuses != 1 || eps["peer-a"].Idle != 1 {
+		t.Fatalf("endpoint with an idle connection: %+v", eps)
 	}
 }

@@ -75,10 +75,19 @@ func Serve(ctx context.Context, ln net.Listener, cfg ServeConfig) error {
 	if cfg.Workers <= 0 {
 		cfg.Workers = max(4, 2*runtime.GOMAXPROCS(0))
 	}
+	// One cancellation hook for the listener and every connection: a
+	// hook per connection would register each one in ctx, which a fleet
+	// of peers in one process shares between all their serve loops. It
+	// stays armed until the last connection has finished, so a listener
+	// failure leaves the survivors cancellable.
+	live := liveConns{conns: make(map[net.Conn]struct{})}
+	stop := context.AfterFunc(ctx, func() {
+		ln.Close()
+		live.closeAll()
+	})
+	defer stop()
 	var wg sync.WaitGroup
 	defer wg.Wait()
-	stop := context.AfterFunc(ctx, func() { ln.Close() })
-	defer stop()
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -87,12 +96,54 @@ func Serve(ctx context.Context, ln net.Listener, cfg ServeConfig) error {
 			}
 			return fmt.Errorf("transport: accept: %w", err)
 		}
+		if !live.add(conn) {
+			// Accepted while the hook was running.
+			conn.Close()
+			continue
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer live.remove(conn)
 			cfg.serveConn(ctx, conn)
 		}()
 	}
+}
+
+// liveConns is the set of connections one Serve call is serving, so
+// cancellation can close them all.
+type liveConns struct {
+	mu     sync.Mutex
+	conns  map[net.Conn]struct{}
+	closed bool
+}
+
+// add records c, reporting false — c is not recorded — once closeAll
+// has run.
+func (l *liveConns) add(c net.Conn) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return false
+	}
+	l.conns[c] = struct{}{}
+	return true
+}
+
+func (l *liveConns) remove(c net.Conn) {
+	l.mu.Lock()
+	delete(l.conns, c)
+	l.mu.Unlock()
+}
+
+// closeAll closes every recorded connection and refuses later ones.
+func (l *liveConns) closeAll() {
+	l.mu.Lock()
+	l.closed = true
+	for c := range l.conns {
+		c.Close()
+	}
+	l.mu.Unlock()
 }
 
 // connState is the memory one connection works in. The read scratch, the
@@ -128,13 +179,12 @@ func (st *connState) release() {
 }
 
 // serveConn runs one connection in lockstep until it closes, is taken
-// over, or upgrades to a multiplexed session.
+// over, or upgrades to a multiplexed session. Cancelling ctx does not
+// unblock it; closing conn does, which is Serve's job.
 func (cfg *ServeConfig) serveConn(ctx context.Context, conn net.Conn) {
 	defer conn.Close()
 	cfg.Metrics.conns(1)
 	defer cfg.Metrics.conns(-1)
-	stop := context.AfterFunc(ctx, func() { conn.Close() })
-	defer stop()
 	st := connStatePool.Get().(*connState)
 	defer st.release()
 	st.rc = RequestConn{Conn: conn, Budget: cfg.RequestTimeout}

@@ -6,7 +6,9 @@ import (
 	"errors"
 	"io"
 	"net"
+	"os"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -250,5 +252,66 @@ func TestServeAcceptFailure(t *testing.T) {
 	err := Serve(context.Background(), ln, ServeConfig{Handler: echoHandler, Logf: t.Logf})
 	if err == nil || errors.Is(err, context.Canceled) {
 		t.Fatalf("Serve on a closed listener returned %v", err)
+	}
+}
+
+// TestServeCancelClosesConnsAcceptedDuringCancel: Serve closes every
+// live connection from its one cancellation hook and returns, including
+// connections that are being accepted while the hook runs — those must
+// end up either in the set the hook closes or refused at the door, never
+// served with nothing left to cancel them.
+func TestServeCancelClosesConnsAcceptedDuringCancel(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		addr, cancel, done := startServe(t, ServeConfig{
+			Handler: echoHandler, IdleTimeout: time.Hour, RequestTimeout: time.Hour,
+		})
+		// Some connections are established and mid-session before the
+		// cancel, the rest race it.
+		var conns []net.Conn
+		var mu sync.Mutex
+		dial := func() {
+			c, err := net.Dial("tcp", addr)
+			if err != nil {
+				return // the listener is already closed
+			}
+			mu.Lock()
+			conns = append(conns, c)
+			mu.Unlock()
+		}
+		for i := 0; i < 4; i++ {
+			dial()
+			c := conns[i]
+			if err := wire.WriteFrame(c, wire.TypePing, (&wire.Ping{Token: 1}).Encode(nil)); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := wire.ReadFrame(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var wg sync.WaitGroup
+		for i := 0; i < 8; i++ {
+			wg.Add(1)
+			go func() { defer wg.Done(); dial() }()
+		}
+		cancel()
+		wg.Wait()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatal("Serve did not return after cancel: a connection outlived the cancellation hook")
+		}
+		// Every connection that got through the door has been closed by
+		// the server: a request gets the end of the connection, neither
+		// an answer nor the hour-long idle budget. (The request matters
+		// for a dial the kernel completed for a listener that closed
+		// before accepting it: only traffic draws that one's reset.)
+		for _, c := range conns {
+			c.SetDeadline(time.Now().Add(5 * time.Second))                        //nolint:errcheck
+			wire.WriteFrame(c, wire.TypePing, (&wire.Ping{Token: 2}).Encode(nil)) //nolint:errcheck
+			if _, _, err := wire.ReadFrame(c); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Fatalf("connection still served after Serve returned (read: %v)", err)
+			}
+			c.Close()
+		}
 	}
 }

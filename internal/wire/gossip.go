@@ -46,35 +46,23 @@ func (m *GossipExchange) Encode(dst []byte) []byte {
 	dst = appendFloats(dst, m.Out)
 	dst = appendFloats(dst, m.In)
 	dst = appendFloat(dst, m.RTTMillis)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(m.Peers)))
-	for _, p := range m.Peers {
-		dst = appendString(dst, p.Addr)
-		dst = appendFloats(dst, p.Out)
-		dst = appendFloats(dst, p.In)
-	}
-	return dst
+	return AppendPeerSample(dst, m.Peers)
 }
 
-// DecodeGossipExchange parses a GossipExchange payload.
+// DecodeGossipExchange parses a GossipExchange payload into a message
+// that owns its memory: ParseGossipExchange validates, this copies out.
 func DecodeGossipExchange(b []byte) (*GossipExchange, error) {
-	m := &GossipExchange{}
-	var err error
-	if m.From, b, err = consumeString(b); err != nil {
+	v, err := ParseGossipExchange(b)
+	if err != nil {
 		return nil, err
 	}
-	if m.Out, b, err = consumeFloats(b); err != nil {
-		return nil, err
-	}
-	if m.In, b, err = consumeFloats(b); err != nil {
-		return nil, err
-	}
-	if m.RTTMillis, b, err = consumeFloat(b); err != nil {
-		return nil, err
-	}
-	if m.Peers, _, err = consumePeerSample(b); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return &GossipExchange{
+		From:      string(v.From),
+		Out:       v.Out.Slice(),
+		In:        v.In.Slice(),
+		RTTMillis: v.RTTMillis,
+		Peers:     v.Peers.slice(),
+	}, nil
 }
 
 // GossipReply answers a GossipExchange.
@@ -95,11 +83,24 @@ type GossipReply struct {
 
 // Encode appends the message payload to dst.
 func (m *GossipReply) Encode(dst []byte) []byte {
-	dst = appendBool(dst, m.Applied)
-	dst = appendFloats(dst, m.Out)
-	dst = appendFloats(dst, m.In)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(m.Peers)))
-	for _, p := range m.Peers {
+	return AppendPeerSample(AppendGossipReplyRows(dst, m.Applied, m.Out, m.In), m.Peers)
+}
+
+// AppendGossipReplyRows appends the part of a GossipReply payload that
+// precedes the peer sample. A peer answers with the rows it held before
+// the step the exchange triggers, so it encodes them from live state
+// first, steps in place, and appends the sample (AppendPeerSample) last.
+func AppendGossipReplyRows(dst []byte, applied bool, out, in []float64) []byte {
+	dst = appendBool(dst, applied)
+	dst = appendFloats(dst, out)
+	return appendFloats(dst, in)
+}
+
+// AppendPeerSample appends the u32-counted peer list both gossip
+// messages end with.
+func AppendPeerSample(dst []byte, peers []LandmarkVec) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(peers)))
+	for _, p := range peers {
 		dst = appendString(dst, p.Addr)
 		dst = appendFloats(dst, p.Out)
 		dst = appendFloats(dst, p.In)
@@ -107,53 +108,17 @@ func (m *GossipReply) Encode(dst []byte) []byte {
 	return dst
 }
 
-// DecodeGossipReply parses a GossipReply payload.
+// DecodeGossipReply parses a GossipReply payload into a message that
+// owns its memory: ParseGossipReply validates, this copies out.
 func DecodeGossipReply(b []byte) (*GossipReply, error) {
-	m := &GossipReply{}
-	var err error
-	if m.Applied, b, err = consumeBool(b); err != nil {
+	v, err := ParseGossipReply(b)
+	if err != nil {
 		return nil, err
 	}
-	if m.Out, b, err = consumeFloats(b); err != nil {
-		return nil, err
-	}
-	if m.In, b, err = consumeFloats(b); err != nil {
-		return nil, err
-	}
-	if m.Peers, _, err = consumePeerSample(b); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// consumePeerSample parses the u32-counted peer list both gossip
-// messages end with.
-func consumePeerSample(b []byte) ([]LandmarkVec, []byte, error) {
-	if len(b) < 4 {
-		return nil, nil, ErrShortPayload
-	}
-	n := int(binary.BigEndian.Uint32(b))
-	b = b[4:]
-	// Each entry costs at least a 2-byte address prefix and two 4-byte
-	// vector counts; grow incrementally past 4096 so a hostile count
-	// cannot force a huge allocation up front.
-	if n > MaxPayload/10 || 10*n > len(b) {
-		return nil, nil, ErrShortPayload
-	}
-	peers := make([]LandmarkVec, 0, min(n, 4096))
-	var err error
-	for i := 0; i < n; i++ {
-		var p LandmarkVec
-		if p.Addr, b, err = consumeString(b); err != nil {
-			return nil, nil, err
-		}
-		if p.Out, b, err = consumeFloats(b); err != nil {
-			return nil, nil, err
-		}
-		if p.In, b, err = consumeFloats(b); err != nil {
-			return nil, nil, err
-		}
-		peers = append(peers, p)
-	}
-	return peers, b, nil
+	return &GossipReply{
+		Applied: v.Applied,
+		Out:     v.Out.Slice(),
+		In:      v.In.Slice(),
+		Peers:   v.Peers.slice(),
+	}, nil
 }

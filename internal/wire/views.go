@@ -1,6 +1,9 @@
 package wire
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math"
+)
 
 // Zero-copy request views: the one parser for each small request
 // message. The Decode* functions copy every string they keep, which is
@@ -75,4 +78,178 @@ func ParseDistance(b []byte) (Distance, error) {
 		return Distance{}, err
 	}
 	return m, nil
+}
+
+// Gossip views. A peer's round is one GossipExchange out and one
+// GossipReply back, and everything it wants from either — the partner's
+// rows for one PeerStep, a few (address, rows) pairs to copy into its
+// neighbor table — is consumed before the frame buffer is reused. The
+// views validate the whole payload once, peer sample included, and then
+// hand out subslices of it; DecodeGossipExchange and DecodeGossipReply
+// materialize owning messages from the same parse, so there is one
+// validation path.
+
+// Floats is a zero-copy view of a float64 vector: the big-endian bytes
+// of its elements, 8 per element. It aliases the payload it was parsed
+// from.
+type Floats []byte
+
+// Len returns the number of elements.
+func (f Floats) Len() int { return len(f) / 8 }
+
+// CopyTo decodes the vector into dst, which must hold Len elements.
+func (f Floats) CopyTo(dst []float64) {
+	for i := range dst[:f.Len()] {
+		dst[i] = math.Float64frombits(binary.BigEndian.Uint64(f[8*i:]))
+	}
+}
+
+// Slice decodes the vector into a fresh slice (non-nil even when empty).
+func (f Floats) Slice() []float64 {
+	out := make([]float64, f.Len())
+	f.CopyTo(out)
+	return out
+}
+
+// consumeFloatsView parses a u32-counted float64 vector without copying.
+func consumeFloatsView(b []byte) (Floats, []byte, error) {
+	if len(b) < 4 {
+		return nil, nil, ErrShortPayload
+	}
+	n := int(binary.BigEndian.Uint32(b))
+	b = b[4:]
+	if n > MaxPayload/8 || len(b) < 8*n {
+		return nil, nil, ErrShortPayload
+	}
+	return Floats(b[:8*n]), b[8*n:], nil
+}
+
+// PeerSample is a zero-copy view of the peer list both gossip messages
+// end with. The entries were validated when the message was parsed;
+// iterate with Next.
+type PeerSample struct {
+	n int
+	b []byte
+}
+
+// Len returns the number of entries not yet consumed by Next.
+func (s *PeerSample) Len() int { return s.n }
+
+// Next returns the next entry — its address and rows alias the payload —
+// and false once the sample is exhausted.
+func (s *PeerSample) Next() (addr []byte, out, in Floats, ok bool) {
+	if s.n == 0 {
+		return nil, nil, nil, false
+	}
+	// Cannot fail: the Parse function that built s walked every entry.
+	addr, out, in, s.b, _ = consumePeerEntryView(s.b)
+	s.n--
+	return addr, out, in, true
+}
+
+// slice materializes the remaining entries into owning LandmarkVecs.
+func (s PeerSample) slice() []LandmarkVec {
+	// Grow incrementally past 4096 so a count that is merely large
+	// cannot force a huge allocation up front.
+	peers := make([]LandmarkVec, 0, min(s.n, 4096))
+	for addr, out, in, ok := s.Next(); ok; addr, out, in, ok = s.Next() {
+		peers = append(peers, LandmarkVec{Addr: string(addr), Out: out.Slice(), In: in.Slice()})
+	}
+	return peers
+}
+
+func consumePeerEntryView(b []byte) (addr []byte, out, in Floats, rest []byte, err error) {
+	if addr, b, err = consumeBytesView(b); err != nil {
+		return nil, nil, nil, nil, err
+	}
+	if out, b, err = consumeFloatsView(b); err != nil {
+		return nil, nil, nil, nil, err
+	}
+	if in, b, err = consumeFloatsView(b); err != nil {
+		return nil, nil, nil, nil, err
+	}
+	return addr, out, in, b, nil
+}
+
+// consumePeerSampleView validates a whole peer sample and returns the
+// view over it.
+func consumePeerSampleView(b []byte) (PeerSample, error) {
+	if len(b) < 4 {
+		return PeerSample{}, ErrShortPayload
+	}
+	n := int(binary.BigEndian.Uint32(b))
+	b = b[4:]
+	// Each entry costs at least a 2-byte address prefix and two 4-byte
+	// vector counts, so a hostile count fails here rather than after a
+	// walk of everything the payload does hold.
+	if n > MaxPayload/10 || 10*n > len(b) {
+		return PeerSample{}, ErrShortPayload
+	}
+	s := PeerSample{n: n, b: b}
+	var err error
+	for i := 0; i < n; i++ {
+		if _, _, _, b, err = consumePeerEntryView(b); err != nil {
+			return PeerSample{}, err
+		}
+	}
+	return s, nil
+}
+
+// GossipExchangeView is a parsed GossipExchange whose From, rows and
+// peer sample alias the payload; see GossipExchange for the fields.
+type GossipExchangeView struct {
+	From      []byte
+	Out, In   Floats
+	RTTMillis float64
+	Peers     PeerSample
+}
+
+// ParseGossipExchange validates a GossipExchange payload without
+// allocating.
+func ParseGossipExchange(b []byte) (GossipExchangeView, error) {
+	var v GossipExchangeView
+	var err error
+	if v.From, b, err = consumeBytesView(b); err != nil {
+		return GossipExchangeView{}, err
+	}
+	if v.Out, b, err = consumeFloatsView(b); err != nil {
+		return GossipExchangeView{}, err
+	}
+	if v.In, b, err = consumeFloatsView(b); err != nil {
+		return GossipExchangeView{}, err
+	}
+	if v.RTTMillis, b, err = consumeFloat(b); err != nil {
+		return GossipExchangeView{}, err
+	}
+	if v.Peers, err = consumePeerSampleView(b); err != nil {
+		return GossipExchangeView{}, err
+	}
+	return v, nil
+}
+
+// GossipReplyView is a parsed GossipReply whose rows and peer sample
+// alias the payload; see GossipReply for the fields.
+type GossipReplyView struct {
+	Applied bool
+	Out, In Floats
+	Peers   PeerSample
+}
+
+// ParseGossipReply validates a GossipReply payload without allocating.
+func ParseGossipReply(b []byte) (GossipReplyView, error) {
+	var v GossipReplyView
+	var err error
+	if v.Applied, b, err = consumeBool(b); err != nil {
+		return GossipReplyView{}, err
+	}
+	if v.Out, b, err = consumeFloatsView(b); err != nil {
+		return GossipReplyView{}, err
+	}
+	if v.In, b, err = consumeFloatsView(b); err != nil {
+		return GossipReplyView{}, err
+	}
+	if v.Peers, err = consumePeerSampleView(b); err != nil {
+		return GossipReplyView{}, err
+	}
+	return v, nil
 }
