@@ -99,12 +99,7 @@ func serveLoopback(srv *server.Server) (addr string, stop func(), err error) {
 // newLoopbackPool builds the client pool a workload drives its server
 // with (the ides-client defaults) and registers its counters on reg.
 func newLoopbackPool(reg *telemetry.Registry) (*transport.Pool, error) {
-	pool, err := transport.NewPool(transport.PoolConfig{
-		Dialer:         &net.Dialer{Timeout: 5 * time.Second},
-		MaxIdlePerHost: 4,
-		MaxPerHost:     16,
-		IdleTimeout:    60 * time.Second,
-	})
+	pool, err := transport.NewPool(transport.PoolConfig{Dialer: &net.Dialer{Timeout: 5 * time.Second}})
 	if err != nil {
 		return nil, err
 	}

@@ -386,12 +386,6 @@ func (c *Cluster) Close() {
 // LandmarkNames returns the landmark addresses in index order.
 func (c *Cluster) LandmarkNames() []string { return append([]string(nil), c.landmarkNames...) }
 
-// HostNames returns the ordinary-host addresses in index order.
-func (c *Cluster) HostNames() []string { return append([]string(nil), c.hostNames...) }
-
-// Client returns host i's client.
-func (c *Cluster) Client(i int) *client.Client { return c.clients[i] }
-
 // ServedEpoch returns the model epoch the server currently serves.
 func (c *Cluster) ServedEpoch() uint64 { return c.Srv.Epoch() }
 

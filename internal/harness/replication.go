@@ -15,9 +15,6 @@ import (
 // refused) and ReviveLeader boots a fresh server process on it, the
 // same shape as a production failover.
 
-// FollowerNames returns the follower server addresses in index order.
-func (c *Cluster) FollowerNames() []string { return append([]string(nil), c.followerNames...) }
-
 // Follower returns follower i's server.
 func (c *Cluster) Follower(i int) *server.Server { return c.followers[i] }
 

@@ -1,7 +1,7 @@
 // Package mat implements the dense linear algebra needed by the IDES
-// distance-estimation system: matrix arithmetic, Householder QR, Cholesky,
-// symmetric eigendecomposition, full and truncated singular value
-// decompositions, linear and nonnegative least squares.
+// distance-estimation system: matrix arithmetic, Householder QR, full and
+// truncated singular value decompositions, linear and nonnegative least
+// squares.
 //
 // The package is self-contained (standard library only) and deterministic:
 // every randomized routine takes an explicit seed. Matrices are dense,

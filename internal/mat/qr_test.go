@@ -84,31 +84,6 @@ func TestQRWideInputPanics(t *testing.T) {
 	QRFactor(NewDense(2, 5))
 }
 
-func TestCholeskySolve(t *testing.T) {
-	// A = LLᵀ with known L.
-	l := FromRows([][]float64{{2, 0}, {1, 3}})
-	a := MulABT(l, l)
-	f, err := CholeskyFactor(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !f.L().Equal(l, 1e-12) {
-		t.Fatalf("L = %v want %v", f.L(), l)
-	}
-	b := FromRows([][]float64{{1}, {2}})
-	x := f.Solve(b)
-	if !Mul(a, x).Equal(b, 1e-12) {
-		t.Fatal("Cholesky solve failed")
-	}
-}
-
-func TestCholeskyNotPD(t *testing.T) {
-	a := FromRows([][]float64{{1, 0}, {0, -1}})
-	if _, err := CholeskyFactor(a); !errors.Is(err, ErrSingular) {
-		t.Fatalf("expected ErrSingular, got %v", err)
-	}
-}
-
 func TestLeastSquaresMatchesNormalEquations(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	a := randomMatrix(rng, 15, 5)
@@ -160,44 +135,6 @@ func TestSolveVec(t *testing.T) {
 	}
 	if math.Abs(x[0]-3) > 1e-12 || math.Abs(x[1]-2) > 1e-12 {
 		t.Fatalf("x = %v want [3 2]", x)
-	}
-}
-
-func TestSymEigReconstruct(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	raw := randomMatrix(rng, 9, 9)
-	a := Add(raw, raw.T()) // symmetric
-	e, err := SymEig(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkOrthonormalCols(t, e.Vectors, 1e-10, "eigvecs")
-	// Rebuild A = V diag(vals) Vᵀ.
-	n := a.Rows()
-	vd := NewDense(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			vd.Set(i, j, e.Vectors.At(i, j)*e.Values[j])
-		}
-	}
-	if !MulABT(vd, e.Vectors).Equal(a, 1e-9) {
-		t.Fatal("eigendecomposition does not reconstruct A")
-	}
-	for i := 1; i < n; i++ {
-		if e.Values[i] > e.Values[i-1]+1e-12 {
-			t.Fatalf("eigenvalues not sorted: %v", e.Values)
-		}
-	}
-}
-
-func TestSymEigKnown(t *testing.T) {
-	a := FromRows([][]float64{{2, 1}, {1, 2}})
-	e, err := SymEig(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(e.Values[0]-3) > 1e-12 || math.Abs(e.Values[1]-1) > 1e-12 {
-		t.Fatalf("eigenvalues = %v want [3 1]", e.Values)
 	}
 }
 

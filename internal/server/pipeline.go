@@ -89,9 +89,6 @@ func (p *ModelPipeline) Ingest(rep *wire.ReportRTT) (accepted []solve.Delta, rej
 	return accepted, len(rep.Entries) - len(accepted), nil
 }
 
-// Snapshot returns the published snapshot, nil before the first fit.
-func (p *ModelPipeline) Snapshot() *lifecycle.Snapshot { return p.refit.Snapshot() }
-
 // Epoch returns the published epoch, 0 before the first fit.
 func (p *ModelPipeline) Epoch() uint64 { return p.refit.Epoch() }
 

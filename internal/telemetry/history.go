@@ -45,9 +45,6 @@ const (
 	segMagic      = "IDESHIS"
 	segVersion    = byte(1)
 	segHeaderSize = 8
-	// recordOverhead is the framing around a payload: u32 length,
-	// u8 type, u32 crc.
-	recordOverhead = 9
 	// maxRecordSize bounds length-prefixed reads so a corrupt length
 	// cannot demand gigabytes; a ConfigRecord for 10k landmarks is
 	// ~200 KB, so 16 MB is ample.
@@ -619,14 +616,6 @@ func (s *Store) Close() error {
 	err := s.f.Close()
 	s.f = nil
 	return err
-}
-
-// Dir returns the store's directory ("" on a nil store).
-func (s *Store) Dir() string {
-	if s == nil {
-		return ""
-	}
-	return s.cfg.Dir
 }
 
 // Iterate streams every decodable record in dir's segments in write

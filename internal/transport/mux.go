@@ -77,15 +77,9 @@ type MuxConn struct {
 	// payload copy into a caller's scratch.
 	tmu sync.Mutex
 
-	// Write side: callers append encoded frames to pending under wmu;
-	// the writer goroutine swaps in spare and flushes the whole batch
-	// with one Write. pendingFrames counts frames in the batch for the
-	// coalescing stats.
-	wmu           sync.Mutex
-	wcond         *sync.Cond
-	pending       []byte
-	spare         []byte
-	pendingFrames int64
+	// out queues encoded request frames for the writer goroutine, which
+	// flushes each batch with one Write.
+	out *frameBatch
 
 	inflight atomic.Int64
 	flushes  atomic.Int64
@@ -153,8 +147,8 @@ func NewMuxConn(ctx context.Context, conn net.Conn, maxInflight int) (*MuxConn, 
 		slots:     make([]muxSlot, maxInflight),
 		freeSlots: make(chan uint32, maxInflight),
 		dead:      make(chan struct{}),
+		out:       newFrameBatch(),
 	}
-	c.wcond = sync.NewCond(&c.wmu)
 	for i := range c.slots {
 		c.slots[i].ch = make(chan muxResult, 1)
 		c.freeSlots <- uint32(i)
@@ -212,16 +206,14 @@ func (c *MuxConn) Close() error {
 }
 
 // teardown marks the connection dead exactly once: records err, closes
-// the socket (unblocking the reader), wakes the writer, and fails every
-// armed stream.
+// the socket (unblocking the reader), ends the writer — unsent frames
+// are dropped — and fails every armed stream.
 func (c *MuxConn) teardown(err error) {
 	c.once.Do(func() {
 		c.deadErr = err
 		close(c.dead)
 		c.conn.Close()
-		c.wmu.Lock()
-		c.wcond.Signal()
-		c.wmu.Unlock()
+		c.out.close(true)
 		c.tmu.Lock()
 		for i := range c.slots {
 			e := &c.slots[i]
@@ -255,21 +247,6 @@ func (c *MuxConn) release(e *muxSlot, idx uint32) {
 	c.freeSlots <- idx
 }
 
-// enqueue appends one encoded frame to the write batch and wakes the
-// writer. Fails once the connection is dead.
-func (c *MuxConn) enqueue(t wire.MsgType, stream uint32, payload []byte) error {
-	c.wmu.Lock()
-	if c.Dead() {
-		c.wmu.Unlock()
-		return c.connErr()
-	}
-	c.pending = wire.AppendMuxFrame(c.pending, t, stream, payload)
-	c.pendingFrames++
-	c.wcond.Signal()
-	c.wmu.Unlock()
-	return nil
-}
-
 // CallInto performs one request/response exchange over an open stream,
 // with Pool.CallInto's memory contract: the request is framed into the
 // shared write batch, the reply is copied into buf (grown as needed),
@@ -296,7 +273,7 @@ func (c *MuxConn) CallInto(ctx context.Context, t wire.MsgType, payload, buf []b
 	stream := e.gen<<16 | idx
 	c.tmu.Unlock()
 	c.inflight.Add(1)
-	if err := c.enqueue(t, stream, payload); err != nil {
+	if !c.out.add(t, stream, payload) {
 		// The writer is dead; the teardown sweep may or may not have
 		// seen this arming, so disarm defensively before releasing.
 		c.tmu.Lock()
@@ -304,7 +281,7 @@ func (c *MuxConn) CallInto(ctx context.Context, t wire.MsgType, payload, buf []b
 		buf = e.scratch
 		c.tmu.Unlock()
 		c.release(e, idx)
-		return 0, nil, buf[:0], fmt.Errorf("transport: mux call %v: %w", t, err)
+		return 0, nil, buf[:0], fmt.Errorf("transport: mux call %v: %w", t, c.connErr())
 	}
 	var res muxResult
 	select {
@@ -376,67 +353,122 @@ func (c *MuxConn) readLoop() {
 	}
 }
 
-// writeLoop flushes the shared frame batch: whatever callers enqueued
-// since the last flush goes out in one Write. Under concurrent load the
-// batch holds many frames — the coalescing that collapses N small
-// request writes into one syscall.
+// writeLoop flushes the request batch: whatever callers enqueued since
+// the last flush goes out in one Write.
 func (c *MuxConn) writeLoop() {
-	c.wmu.Lock()
+	var buf []byte
 	for {
-		for len(c.pending) == 0 && !c.Dead() {
-			c.wcond.Wait()
-		}
-		if c.Dead() {
-			c.wmu.Unlock()
+		var frames int
+		var ok bool
+		if buf, frames, ok = c.out.take(buf); !ok {
 			return
 		}
-		// Yield before sealing the batch until a scheduler pass adds no
-		// new frames: callers that are already runnable get to append
-		// theirs first, so a burst of concurrent requests leaves in one
-		// Write instead of N. The batch is capped at muxFlushBatch — the
-		// syscall amortization has flattened out by then, and an earlier
-		// flush keeps the first frame of a large wave from waiting on the
-		// last. Costs one scheduler pass when the connection is idle,
-		// saves N-1 syscalls when it is busy.
-		for prev := c.pendingFrames; c.pendingFrames < muxFlushBatch; prev = c.pendingFrames {
-			c.wmu.Unlock()
-			runtime.Gosched()
-			c.wmu.Lock()
-			if c.pendingFrames == prev {
-				break
-			}
-		}
-		buf, frames := c.pending, c.pendingFrames
-		c.pending = c.spare[:0]
-		c.pendingFrames = 0
-		c.wmu.Unlock()
-
-		_, err := c.conn.Write(buf)
+		// Counted before the Write: a caller whose reply is already back
+		// must find its request in Stats.
 		c.flushes.Add(1)
-		c.frames.Add(frames)
+		c.frames.Add(int64(frames))
 		if frames > 1 {
-			c.coalesced.Add(frames)
+			c.coalesced.Add(int64(frames))
 		}
-		if err != nil {
+		if _, err := c.conn.Write(buf); err != nil {
 			c.teardown(fmt.Errorf("transport: mux write: %w", err))
 			return
 		}
-		c.wmu.Lock()
-		// A burst of large frames must not pin its high-water mark in
-		// the double buffer forever.
-		if cap(buf) > arenaMaxRetainBytes {
-			buf = nil
-		}
-		c.spare = buf[:0]
 	}
 }
 
-// arenaMaxRetainBytes mirrors the wire arena's retention cap for the
-// writer's double buffer.
+// frameBatch is the coalescing write queue under both ends of a
+// multiplexed connection: any number of goroutines add encoded frames,
+// one writer takes everything queued since its last flush and sends it
+// with a single Write. Under concurrent load a batch holds many frames —
+// N small writes collapse into one syscall.
+type frameBatch struct {
+	mu   sync.Mutex
+	cond sync.Cond
+	// pending is the batch being filled, frames its frame count; spare
+	// is the previous batch's buffer, swapped in at the next take.
+	pending, spare []byte
+	frames         int
+	closed         bool
+}
+
+func newFrameBatch() *frameBatch {
+	b := new(frameBatch)
+	b.cond.L = &b.mu
+	return b
+}
+
+// add queues one frame and wakes the writer. It reports false, queueing
+// nothing, once the batch is closed.
+func (b *frameBatch) add(t wire.MsgType, stream uint32, payload []byte) bool {
+	b.mu.Lock()
+	open := !b.closed
+	if open {
+		b.pending = wire.AppendMuxFrame(b.pending, t, stream, payload)
+		b.frames++
+		b.cond.Signal()
+	}
+	b.mu.Unlock()
+	return open
+}
+
+// take blocks until frames are queued and returns them — whole frames, in
+// the order they were added — with their count. flushed is the buffer the
+// previous take returned, handed back for reuse. ok is false once the
+// batch is closed and nothing is left to hand out.
+func (b *frameBatch) take(flushed []byte) (batch []byte, frames int, ok bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	// A burst of large frames must not pin its high-water mark in the
+	// double buffer forever.
+	if cap(flushed) > arenaMaxRetainBytes {
+		flushed = nil
+	}
+	b.spare = flushed[:0]
+	for b.frames == 0 {
+		if b.closed {
+			return nil, 0, false
+		}
+		b.cond.Wait()
+	}
+	// Yield before sealing the batch until a scheduler pass adds no new
+	// frames: goroutines that are already runnable get to add theirs
+	// first, so a burst leaves in one Write instead of N. The batch is
+	// capped at muxFlushBatch — the syscall amortization has flattened out
+	// by then, and an earlier flush keeps the first frame of a large wave
+	// from waiting on the last. Costs one scheduler pass when the
+	// connection is idle, saves N-1 syscalls when it is busy.
+	for prev := 0; b.frames > prev && b.frames < muxFlushBatch; {
+		prev = b.frames
+		b.mu.Unlock()
+		runtime.Gosched()
+		b.mu.Lock()
+	}
+	batch, frames = b.pending, b.frames
+	b.pending, b.frames = b.spare[:0], 0
+	// No frames here means a close with drop landed during the yield.
+	return batch, frames, frames > 0
+}
+
+// close ends the batch: add refuses from now on and the writer's take
+// returns false — after handing out the frames still queued, or at once,
+// dropping them, when drop is set (the connection is dead). Safe to call
+// more than once.
+func (b *frameBatch) close(drop bool) {
+	b.mu.Lock()
+	b.closed = true
+	if drop {
+		b.pending, b.frames = b.pending[:0], 0
+	}
+	b.cond.Signal()
+	b.mu.Unlock()
+}
+
+// arenaMaxRetainBytes mirrors the wire arena's retention cap for buffers
+// that outlive one exchange.
 const arenaMaxRetainBytes = 1 << 20
 
 // muxFlushBatch is the frame count at which a writer stops collecting
 // and flushes: past this the per-frame syscall saving is negligible,
-// while the wait for stragglers only adds head-of-line latency. Shared
-// by the client and server write loops.
+// while the wait for stragglers only adds head-of-line latency.
 const muxFlushBatch = 8

@@ -351,9 +351,11 @@ func TestPoolMuxRouting(t *testing.T) {
 	if got := ln.Accepts(); got > 2 {
 		t.Fatalf("%d concurrent callers opened %d connections, want at most 2 mux conns", callers, got)
 	}
+	// One caller dials the first connection inline while the rest wait
+	// for it; growth dials happen off the call path.
 	st := p.Stats()
-	if st.Reuses != callers*calls {
-		t.Fatalf("stats %+v: want all %d calls counted as reuses of the mux conns", st, callers*calls)
+	if st.Reuses != callers*calls-1 {
+		t.Fatalf("stats %+v: want all %d calls but the one that dialed counted as reuses of the mux conns", st, callers*calls)
 	}
 }
 

@@ -111,41 +111,82 @@ type Pool struct {
 	// families new hostPools resolve their cached children from.
 	vecs *poolVecs
 
-	// arena recycles the frame/decode scratch buffers Call hands to each
-	// checked-out connection. Buffers live here — not on parked idle
-	// connections — so an idle pool never pins payload-sized memory.
+	// arena recycles the exchange buffers of Call. A buffer belongs to
+	// one call from its first attempt to its return — never to a
+	// connection — so nothing the pool keeps can pin payload-sized memory.
 	arena wire.Arena
 
-	dials    atomic.Int64
-	reuses   atomic.Int64
-	retries  atomic.Int64
-	discards atomic.Int64
+	// totals aggregates every endpoint's events for Stats().
+	totals poolCounters
 }
 
-// pooledConn is one pool-owned connection: the raw conn, a small
-// fixed-size buffered reader that lives with it (so header+payload
-// replies cost one read syscall), and a decode/frame scratch buffer
-// attached only while the connection is checked out by Call. put and
-// discard release the scratch back to the pool arena, so a burst of
-// large replies cannot stay pinned by connections parked idle.
+// poolEvent names one of the four lifetime counters the pool keeps at
+// three levels: the aggregate (Stats), the endpoint's own
+// (EndpointStats) and, once RegisterMetrics ran, the endpoint's child of
+// the matching ides_pool_* family.
+type poolEvent int
+
+const (
+	evDial poolEvent = iota
+	evReuse
+	evRetry
+	evDiscard
+	numPoolEvents
+)
+
+// poolEventFamilies are the metric family name and help text per event.
+var poolEventFamilies = [numPoolEvents][2]string{
+	evDial:    {"ides_pool_dials_total", "Connections dialed by the client pool, by server endpoint."},
+	evReuse:   {"ides_pool_reuses_total", "Calls served over a pooled connection, by server endpoint."},
+	evRetry:   {"ides_pool_retries_total", "Calls replayed on a fresh connection after a pooled one died, by server endpoint."},
+	evDiscard: {"ides_pool_discards_total", "Connections dropped (broken, idled out, or surplus), by server endpoint."},
+}
+
+type poolCounters [numPoolEvents]atomic.Int64
+
+func (c *poolCounters) snapshot(idle int) PoolStats {
+	return PoolStats{
+		Dials:    c[evDial].Load(),
+		Reuses:   c[evReuse].Load(),
+		Retries:  c[evRetry].Load(),
+		Discards: c[evDiscard].Load(),
+		Idle:     idle,
+	}
+}
+
+// count records one event at all three levels. hp may already have been
+// forgotten by the pool (see pruneLocked); the event then lives on only
+// in the aggregate, which is what EndpointStats documents.
+func (p *Pool) count(hp *hostPool, ev poolEvent) {
+	p.totals[ev].Add(1)
+	hp.stats[ev].Add(1)
+	hp.m().events[ev].Inc()
+}
+
+// pooledConn is one pool-owned lockstep connection: the raw conn, a
+// small fixed-size buffered reader that lives with it (so header+payload
+// replies cost one read syscall), and the endpoint entry whose slot it
+// occupies — a connection in existence keeps that entry alive, so hp is
+// always the live one. It carries no payload memory: the exchange buffer
+// is the call's.
 //
 // The struct and its reader are recycled across connections: a pool that
 // keeps none idle (a gossip peer dials per exchange) would otherwise pay
 // 4 KiB of garbage per call for the reader alone.
 type pooledConn struct {
 	net.Conn
-	br      *bufio.Reader
-	scratch []byte
+	br *bufio.Reader
+	hp *hostPool
 }
 
 var pooledConnPool = sync.Pool{New: func() any {
 	return &pooledConn{br: bufio.NewReaderSize(nil, 4096)}
 }}
 
-// newPooledConn wraps a freshly dialed connection.
-func newPooledConn(c net.Conn) *pooledConn {
+// newPooledConn wraps a freshly dialed connection to hp's endpoint.
+func newPooledConn(c net.Conn, hp *hostPool) *pooledConn {
 	pc := pooledConnPool.Get().(*pooledConn)
-	pc.Conn = c
+	pc.Conn, pc.hp = c, hp
 	pc.br.Reset(c)
 	return pc
 }
@@ -154,7 +195,7 @@ func newPooledConn(c net.Conn) *pooledConn {
 // be the sole owner: nothing may touch pc afterwards.
 func (pc *pooledConn) retire() {
 	pc.Conn.Close()
-	pc.Conn = nil
+	pc.Conn, pc.hp = nil, nil
 	pc.br.Reset(nil)
 	pooledConnPool.Put(pc)
 }
@@ -194,9 +235,8 @@ type hostPool struct {
 	muxUnsupported bool
 
 	// stats are this endpoint's own counters, feeding EndpointStats and
-	// the labelled metric children. The pool-global atomics stay the
-	// aggregate answer for Stats().
-	stats hostStats
+	// backfilling the labelled metric children.
+	stats poolCounters
 	// mets caches this endpoint's labelled instrument children so the
 	// hot path increments an atomic instead of taking the vec's child
 	// lookup lock per call. Swapped atomically because counting happens
@@ -220,40 +260,27 @@ func (hp *hostPool) m() *endpointMetrics {
 // Callers hold p.mu (the idle list is only mutated under it).
 func (hp *hostPool) syncIdleGauge() { hp.m().idle.Set(float64(len(hp.idle))) }
 
-// countDiscard records one dropped connection against the endpoint.
-func (hp *hostPool) countDiscard() {
-	hp.stats.discards.Add(1)
-	hp.m().discards.Inc()
-}
-
-// hostStats are one endpoint's lifetime counters.
-type hostStats struct {
-	dials, reuses, retries, discards atomic.Int64
-}
-
 // endpointMetrics holds one endpoint's labelled children of the
 // ides_pool_* families.
 type endpointMetrics struct {
-	dials, reuses, retries, discards *telemetry.Counter
-	idle                             *telemetry.Gauge
+	events [numPoolEvents]*telemetry.Counter
+	idle   *telemetry.Gauge
 }
 
 // poolVecs are the per-endpoint metric families, labelled by server
 // address.
 type poolVecs struct {
-	dials, reuses, retries, discards *telemetry.CounterVec
-	idle                             *telemetry.GaugeVec
+	events [numPoolEvents]*telemetry.CounterVec
+	idle   *telemetry.GaugeVec
 }
 
 // resolve materializes hp's cached children for addr.
 func (v *poolVecs) resolve(addr string, hp *hostPool) {
-	hp.mets.Store(&endpointMetrics{
-		dials:    v.dials.With(addr),
-		reuses:   v.reuses.With(addr),
-		retries:  v.retries.With(addr),
-		discards: v.discards.With(addr),
-		idle:     v.idle.With(addr),
-	})
+	m := &endpointMetrics{idle: v.idle.With(addr)}
+	for ev, vec := range v.events {
+		m.events[ev] = vec.With(addr)
+	}
+	hp.mets.Store(m)
 }
 
 type idleConn struct {
@@ -295,165 +322,140 @@ func isWireError(err error) bool {
 	return errors.As(err, &werr)
 }
 
-// call is the shared exchange loop. With copyOut set (Call) the scratch
-// buffer is the checked-out connection's arena-backed one and the reply
-// is copied into a fresh caller-owned slice before the connection — and
-// its scratch — go back to the pool; otherwise (CallInto) buf is the
-// caller's and the reply aliases it.
+// lease is what one attempt of an exchange runs over: a stream on a
+// multiplexed connection (mc), or a lockstep connection held exclusively
+// (pc) — popped from the idle list, freshly dialed, or the probe
+// connection a v1-only peer just downgraded. hp is the endpoint entry it
+// was taken from. reused marks a connection that existed before this
+// call: the call counts as a pool hit rather than as the dial, and a
+// lockstep one may have died while it sat idle.
+type lease struct {
+	hp     *hostPool
+	mc     *MuxConn
+	pc     *pooledConn
+	reused bool
+}
+
+// call is the one exchange loop: acquire a lease, run the exchange over
+// it, release it, and replay once when the pooled connection turned out
+// to be dead — all IDES exchanges are idempotent. The exchange buffer
+// belongs to the call on both connection kinds: the caller's for
+// CallInto, with the reply aliasing it; for Call (copyOut) one from the
+// arena, the reply copied into a fresh caller-owned slice before the
+// buffer goes back.
 func (p *Pool) call(ctx context.Context, addr string, t wire.MsgType, payload, buf []byte, copyOut bool) (wire.MsgType, []byte, []byte, error) {
 	if _, ok := ctx.Deadline(); !ok && p.cfg.CallTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, p.cfg.CallTimeout)
 		defer cancel()
 	}
-	// direct is a connection the mux handshake dialed and then downgraded:
-	// the peer answered Hello with an error frame, so the conn is healthy
-	// and already slot-accounted — the lockstep loop below uses it for
-	// this call instead of dialing again.
-	var direct *pooledConn
-	if p.cfg.MuxConns >= 0 {
-		rt, rp, scratch, dc, handled, err := p.callMux(ctx, addr, t, payload, buf, copyOut)
-		if handled {
-			return rt, rp, scratch, err
-		}
-		buf = scratch
-		direct = dc
-		// Not handled: the peer predates mux framing — lockstep below.
+	if copyOut {
+		buf = p.arena.Get(wire.HeaderSize + len(payload))
 	}
+	var rt wire.MsgType
+	var rp []byte
+	var err error
 	for attempt := 0; ; attempt++ {
-		// The retry attempt must not pop another pooled connection: when
-		// one idle connection turns out dead its cohort (same server
-		// restart or idle eviction) almost certainly is too, so the
-		// replay flushes the idle list and dials fresh.
-		var pc *pooledConn
-		var reused bool
-		var err error
-		if direct != nil {
-			pc, direct = direct, nil
-		} else {
-			pc, reused, err = p.get(ctx, addr, attempt > 0)
-			if err != nil {
-				return 0, nil, buf, err
-			}
+		// The replay must not pop another pooled connection: when one idle
+		// connection turns out dead its cohort (same server restart or idle
+		// eviction) almost certainly is too, so it flushes the idle list
+		// and dials fresh.
+		var l lease
+		if l, err = p.acquire(ctx, addr, attempt > 0); err != nil {
+			break
 		}
-		scratch := buf
-		if copyOut {
-			if pc.scratch == nil {
-				pc.scratch = p.arena.Get(wire.HeaderSize + len(payload))
-			}
-			scratch = pc.scratch
+		if l.reused {
+			p.count(l.hp, evReuse)
 		}
-		var rt wire.MsgType
-		var rp []byte
-		rt, rp, scratch, err = roundtripInto(ctx, pc, pc.br, t, payload, scratch)
-		if copyOut {
-			pc.scratch = scratch
+		if l.mc != nil {
+			rt, rp, buf, err = l.mc.CallInto(ctx, t, payload, buf)
 		} else {
-			buf = scratch
+			rt, rp, buf, err = roundtripInto(ctx, l.pc, l.pc.br, t, payload, buf)
 		}
 		// The wire-error test lives in a helper so its errors.As target
 		// only materializes on the error path: taking the target's
 		// address here would heap-allocate it on every successful call.
-		if err == nil || isWireError(err) {
-			// The exchange completed (possibly with an application-level
-			// error frame); the connection stays good. The copy-out must
-			// happen before put releases the scratch for reuse.
-			if copyOut && len(rp) > 0 {
-				rp = append([]byte(nil), rp...)
-			}
-			p.put(addr, pc)
-			return rt, rp, buf, err
+		ok := err == nil || isWireError(err)
+		if replay := p.release(addr, l, ok); !replay || attempt > 0 || ctx.Err() != nil {
+			break
 		}
-		p.discard(addr, pc)
-		if reused && attempt == 0 && ctx.Err() == nil {
-			// The pooled connection most likely died while idle; one
-			// replay on a fresh connection.
-			p.countRetry(addr)
-			continue
-		}
-		return 0, nil, buf, err
+		p.count(l.hp, evRetry)
 	}
+	if copyOut {
+		if len(rp) > 0 {
+			rp = append([]byte(nil), rp...)
+		}
+		p.arena.Put(buf)
+		buf = nil
+	}
+	return rt, rp, buf, err
 }
 
-// callMux performs the exchange over a multiplexed connection when the
-// peer supports them. handled=false (with no error) means the caller
-// must run the lockstep path instead — either the peer is v1-only, or
-// the handshake died before an answer; a downgraded-but-healthy conn
-// rides along as direct for the lockstep path to use. A call that fails
-// because its mux connection died is replayed once on a fresh one,
-// mirroring the lockstep retry: all IDES exchanges are idempotent.
-func (p *Pool) callMux(ctx context.Context, addr string, t wire.MsgType, payload, buf []byte, copyOut bool) (wire.MsgType, []byte, []byte, *pooledConn, bool, error) {
-	for attempt := 0; ; attempt++ {
-		mc, direct, hp, err := p.getMux(ctx, addr)
-		if err != nil {
-			return 0, nil, buf, nil, true, err
+// acquire leases a connection to addr: a stream when the peer speaks mux
+// framing, else a lockstep connection — the kind is decided by what the
+// peer answers to Hello, or by MuxConns < 0 without asking.
+func (p *Pool) acquire(ctx context.Context, addr string, replay bool) (lease, error) {
+	if p.cfg.MuxConns >= 0 {
+		if l, err := p.acquireMux(ctx, addr); err != nil || l.hp != nil {
+			return l, err
 		}
-		if mc == nil {
-			return 0, nil, buf, direct, false, nil
-		}
-		scratch := buf
-		if copyOut {
-			scratch = p.arena.Get(wire.MuxHeaderSize + len(payload))
-		}
-		var rt wire.MsgType
-		var rp []byte
-		rt, rp, scratch, err = mc.CallInto(ctx, t, payload, scratch)
-		if err == nil || isWireError(err) {
-			p.reuses.Add(1)
-			hp.stats.reuses.Add(1)
-			hp.m().reuses.Inc()
-			if copyOut {
-				if len(rp) > 0 {
-					rp = append([]byte(nil), rp...)
-				}
-				p.arena.Put(scratch)
-				return rt, rp, buf, nil, true, err
-			}
-			return rt, rp, scratch, nil, true, err
-		}
-		if copyOut {
-			p.arena.Put(scratch)
-		} else {
-			buf = scratch
-		}
-		if mc.Dead() {
-			p.dropMux(addr, mc)
-			if attempt == 0 && ctx.Err() == nil {
-				p.countRetry(addr)
-				continue
-			}
-		}
-		return 0, nil, buf, nil, true, err
 	}
+	pc, reused, err := p.get(ctx, addr, replay)
+	if err != nil {
+		return lease{}, err
+	}
+	return lease{hp: pc.hp, pc: pc, reused: reused}, nil
 }
 
-// getMux returns a live mux connection to addr — fill-first under half
-// the stream window, least-loaded past it — dialing the first one (or
-// a replacement after a failure) inline and growing the set in the
-// background once every existing connection is past the spill
-// threshold. mc == nil with a nil error means this call must take the
-// lockstep path; when the handshake just downgraded cleanly, the
-// healthy, slot-accounted connection is returned alongside for that
-// path to use.
-func (p *Pool) getMux(ctx context.Context, addr string) (*MuxConn, *pooledConn, *hostPool, error) {
+// release ends a lease after its exchange. ok means the exchange
+// completed — with a reply or an application-level error frame — so the
+// connection is healthy: a lockstep one goes back to the idle list, a
+// stream needs nothing. Otherwise the lockstep connection is discarded,
+// and a mux connection dropped if it died (a stream that merely timed
+// out leaves it serving the others). It reports whether the failure is
+// the kind one replay on a fresh connection cures: a lockstep connection
+// that most likely died while it sat idle, or a mux connection that died
+// under the call — its streams are shared, so whoever dialed it.
+func (p *Pool) release(addr string, l lease, ok bool) (replay bool) {
+	switch {
+	case l.pc != nil && ok:
+		p.put(addr, l.pc)
+	case l.pc != nil:
+		p.discard(addr, l.pc)
+		return l.reused
+	case !ok && l.mc.Dead():
+		p.dropMux(addr, l.hp, l.mc)
+		return true
+	}
+	return false
+}
+
+// acquireMux leases a stream on a live mux connection to addr —
+// fill-first under half the stream window, least-loaded past it —
+// dialing the first one (or a replacement after a failure) inline and
+// growing the set in the background once every existing connection is
+// past the spill threshold. The zero lease with a nil error means this
+// call must take a lockstep connection from the idle list or a dial;
+// when the handshake just downgraded cleanly, the lease is the healthy,
+// slot-accounted probe connection itself.
+func (p *Pool) acquireMux(ctx context.Context, addr string) (lease, error) {
 	p.mu.Lock()
 	for {
 		if p.closed {
 			p.mu.Unlock()
-			return nil, nil, nil, errors.New("transport: pool is closed")
+			return lease{}, errors.New("transport: pool is closed")
 		}
 		// Resolved on every pass: while this caller was parked the entry
 		// may have emptied and been dropped.
 		hp := p.host(addr)
 		if hp.muxUnsupported {
 			p.mu.Unlock()
-			return nil, nil, hp, nil
+			return lease{}, nil
 		}
 		live := hp.mux[:0]
 		for _, mc := range hp.mux {
 			if mc.Dead() {
-				hp.countDiscard()
-				p.discards.Add(1)
+				p.count(hp, evDiscard)
 			} else {
 				live = append(live, mc)
 			}
@@ -483,7 +485,7 @@ func (p *Pool) getMux(ctx context.Context, addr string) (*MuxConn, *pooledConn, 
 				go p.addMuxConn(addr)
 			}
 			p.mu.Unlock()
-			return best, nil, hp, nil
+			return lease{hp: hp, mc: best, reused: true}, nil
 		}
 		if hp.muxDialing {
 			// Someone (inline or background) is already dialing; park
@@ -496,7 +498,7 @@ func (p *Pool) getMux(ctx context.Context, addr string) (*MuxConn, *pooledConn, 
 			select {
 			case <-ch:
 			case <-ctx.Done():
-				return nil, nil, nil, fmt.Errorf("transport: waiting for mux connection to %s: %w", addr, ctx.Err())
+				return lease{}, fmt.Errorf("transport: waiting for mux connection to %s: %w", addr, ctx.Err())
 			}
 			p.mu.Lock()
 			continue
@@ -510,30 +512,29 @@ func (p *Pool) getMux(ctx context.Context, addr string) (*MuxConn, *pooledConn, 
 		case err != nil:
 			p.pruneLocked(addr, hp)
 			p.mu.Unlock()
-			return nil, nil, nil, err
+			return lease{}, err
 		case mc != nil:
 			if p.closed {
 				p.mu.Unlock()
 				mc.Close()
-				return nil, nil, nil, errors.New("transport: pool is closed")
+				return lease{}, errors.New("transport: pool is closed")
 			}
 			hp.mux = append(hp.mux, mc)
 			p.mu.Unlock()
-			return mc, nil, hp, nil
+			return lease{hp: hp, mc: mc}, nil
 		case dc != nil:
-			// Clean downgrade: the peer is v1-only. Hand the healthy
-			// connection straight to this call's lockstep exchange when
-			// the accounting has room for it, so the probe dial is not
-			// wasted.
+			// Clean downgrade: the peer is v1-only. Lease the healthy
+			// connection straight to this call's exchange when the
+			// accounting has room for it, so the probe dial is not wasted.
 			hp.muxUnsupported = true
 			if !p.closed && (p.cfg.MaxPerHost < 0 || hp.active < p.cfg.MaxPerHost) {
 				hp.active++
 				p.mu.Unlock()
-				return nil, dc, hp, nil
+				return lease{hp: hp, pc: dc}, nil
 			}
 			p.mu.Unlock()
 			dc.retire()
-			return nil, nil, hp, nil
+			return lease{}, nil
 		default:
 			// The handshake died before an answer — a server that drops
 			// unknown frames, or a connection lost mid-probe. Fall back
@@ -542,7 +543,7 @@ func (p *Pool) getMux(ctx context.Context, addr string) (*MuxConn, *pooledConn, 
 			// probes again rather than losing mux forever to one flake.
 			p.pruneLocked(addr, hp)
 			p.mu.Unlock()
-			return nil, nil, nil, nil
+			return lease{}, nil
 		}
 	}
 }
@@ -567,12 +568,10 @@ func (p *Pool) dialMux(ctx context.Context, addr string, hp *hostPool) (*MuxConn
 	if err != nil {
 		return nil, nil, fmt.Errorf("transport: dialing %s: %w", addr, err)
 	}
-	p.dials.Add(1)
-	hp.stats.dials.Add(1)
-	hp.m().dials.Inc()
+	p.count(hp, evDial)
 	mc, err := NewMuxConn(ctx, c, p.cfg.MuxMaxInflight)
 	if errors.Is(err, ErrMuxUnsupported) {
-		return nil, newPooledConn(c), nil
+		return nil, newPooledConn(c, hp), nil
 	}
 	if err != nil {
 		c.Close()
@@ -627,22 +626,19 @@ func (p *Pool) addMuxConn(addr string) {
 	}
 }
 
-// dropMux removes a dead mux connection from addr's set.
-func (p *Pool) dropMux(addr string, mc *MuxConn) {
+// dropMux removes a dead mux connection from hp's set — unless the
+// routing pass of another call already has.
+func (p *Pool) dropMux(addr string, hp *hostPool, mc *MuxConn) {
 	mc.Close()
 	p.mu.Lock()
-	hp := p.hosts[addr]
-	if hp != nil {
-		for i, c := range hp.mux {
-			if c == mc {
-				hp.mux = append(hp.mux[:i], hp.mux[i+1:]...)
-				hp.countDiscard()
-				p.discards.Add(1)
-				break
-			}
+	for i, c := range hp.mux {
+		if c == mc {
+			hp.mux = append(hp.mux[:i], hp.mux[i+1:]...)
+			p.count(hp, evDiscard)
+			break
 		}
-		p.pruneLocked(addr, hp)
 	}
+	p.pruneLocked(addr, hp)
 	p.mu.Unlock()
 }
 
@@ -668,13 +664,7 @@ func (p *Pool) MuxStats() MuxStats {
 // across all endpoints. EndpointStats breaks the same counters down per
 // server address.
 func (p *Pool) Stats() PoolStats {
-	return PoolStats{
-		Dials:    p.dials.Load(),
-		Reuses:   p.reuses.Load(),
-		Retries:  p.retries.Load(),
-		Discards: p.discards.Load(),
-		Idle:     p.idleCount(),
-	}
+	return p.totals.snapshot(p.idleCount())
 }
 
 // EndpointStats returns each endpoint's own counters, keyed by server
@@ -690,13 +680,7 @@ func (p *Pool) EndpointStats() map[string]PoolStats {
 	defer p.mu.Unlock()
 	out := make(map[string]PoolStats, len(p.hosts))
 	for addr, hp := range p.hosts {
-		out[addr] = PoolStats{
-			Dials:    hp.stats.dials.Load(),
-			Reuses:   hp.stats.reuses.Load(),
-			Retries:  hp.stats.retries.Load(),
-			Discards: hp.stats.discards.Load(),
-			Idle:     len(hp.idle),
-		}
+		out[addr] = hp.stats.snapshot(len(hp.idle))
 	}
 	return out
 }
@@ -707,27 +691,20 @@ func (p *Pool) EndpointStats() map[string]PoolStats {
 // appear in the exposition as they are first dialed. Safe on a nil
 // registry.
 func (p *Pool) RegisterMetrics(reg *telemetry.Registry) {
-	vecs := &poolVecs{
-		dials: reg.CounterVec("ides_pool_dials_total",
-			"Connections dialed by the client pool, by server endpoint.", "endpoint"),
-		reuses: reg.CounterVec("ides_pool_reuses_total",
-			"Calls served over a pooled connection, by server endpoint.", "endpoint"),
-		retries: reg.CounterVec("ides_pool_retries_total",
-			"Calls replayed on a fresh connection after a pooled one died, by server endpoint.", "endpoint"),
-		discards: reg.CounterVec("ides_pool_discards_total",
-			"Connections dropped (broken, idled out, or surplus), by server endpoint.", "endpoint"),
-		idle: reg.GaugeVec("ides_pool_idle_conns",
-			"Connections currently idle in the pool, by server endpoint.", "endpoint"),
+	vecs := new(poolVecs)
+	for ev, fam := range poolEventFamilies {
+		vecs.events[ev] = reg.CounterVec(fam[0], fam[1], "endpoint")
 	}
+	vecs.idle = reg.GaugeVec("ides_pool_idle_conns",
+		"Connections currently idle in the pool, by server endpoint.", "endpoint")
 	p.mu.Lock()
 	p.vecs = vecs
 	for addr, hp := range p.hosts {
 		vecs.resolve(addr, hp)
 		m := hp.m()
-		m.dials.Add(uint64(hp.stats.dials.Load()))
-		m.reuses.Add(uint64(hp.stats.reuses.Load()))
-		m.retries.Add(uint64(hp.stats.retries.Load()))
-		m.discards.Add(uint64(hp.stats.discards.Load()))
+		for ev := range m.events {
+			m.events[ev].Add(uint64(hp.stats[ev].Load()))
+		}
 		m.idle.Set(float64(len(hp.idle)))
 	}
 	p.mu.Unlock()
@@ -859,10 +836,9 @@ func (p *Pool) get(ctx context.Context, addr string, mustDial bool) (conn *poole
 			hp.syncIdleGauge()
 			if mustDial || ic.since.Before(cutoff) {
 				p.releaseSlotLocked(hp)
-				hp.countDiscard()
+				p.count(hp, evDiscard)
 				p.mu.Unlock()
 				ic.c.retire()
-				p.discards.Add(1)
 				p.mu.Lock()
 				// The slot just released may have been the entry's last
 				// claim on the map; a concurrent call can have pruned it.
@@ -874,9 +850,6 @@ func (p *Pool) get(ctx context.Context, addr string, mustDial bool) (conn *poole
 				p.releaseSlotLocked(hp)
 			}
 			p.mu.Unlock()
-			p.reuses.Add(1)
-			hp.stats.reuses.Add(1)
-			hp.m().reuses.Inc()
 			return ic.c, true, nil
 		}
 		if granted || p.cfg.MaxPerHost < 0 || hp.active < p.cfg.MaxPerHost {
@@ -916,6 +889,10 @@ func (p *Pool) get(ctx context.Context, addr string, mustDial bool) (conn *poole
 			p.mu.Unlock()
 			return nil, false, fmt.Errorf("transport: waiting for a connection to %s: %w", addr, ctx.Err())
 		}
+		// Woken for a connection that went idle, this caller holds no
+		// claim on the entry: if another call took that connection and
+		// closed it meanwhile, the entry is gone from the map.
+		hp = p.host(addr)
 	}
 	p.mu.Unlock()
 
@@ -927,35 +904,19 @@ func (p *Pool) get(ctx context.Context, addr string, mustDial bool) (conn *poole
 		p.mu.Unlock()
 		return nil, false, fmt.Errorf("transport: dialing %s: %w", addr, err)
 	}
-	p.dials.Add(1)
-	hp.stats.dials.Add(1)
-	hp.m().dials.Inc()
-	return newPooledConn(c), false, nil
+	p.count(hp, evDial)
+	return newPooledConn(c, hp), false, nil
 }
 
 // put returns a healthy connection to addr's idle list, or closes it when
-// the pool is closed or the idle list is full. Either way the
-// connection's scratch buffer goes back to the arena first: parked idle
-// connections hold only the conn and its fixed 4 KiB read buffer, never
-// payload-sized decode scratch.
+// the pool is closed or the idle list is full.
 func (p *Pool) put(addr string, conn *pooledConn) {
-	p.releaseScratch(conn)
 	p.mu.Lock()
-	hp := p.hosts[addr]
-	if hp == nil {
-		// Cannot happen via Call (the checked-out connection's slot
-		// keeps the entry alive), but fail safe.
-		p.mu.Unlock()
-		conn.retire()
-		return
-	}
+	hp := conn.hp
 	if p.closed || len(hp.idle) >= p.cfg.MaxIdlePerHost {
-		p.releaseSlotLocked(hp)
-		hp.countDiscard()
-		p.pruneLocked(addr, hp)
+		p.dropLocked(addr, hp)
 		p.mu.Unlock()
 		conn.retire()
-		p.discards.Add(1)
 		return
 	}
 	hp.idle = append(hp.idle, idleConn{c: conn, since: time.Now()})
@@ -965,38 +926,23 @@ func (p *Pool) put(addr string, conn *pooledConn) {
 	p.mu.Unlock()
 }
 
-// countRetry records one replayed call, globally and against addr.
-func (p *Pool) countRetry(addr string) {
-	p.retries.Add(1)
-	p.mu.Lock()
-	hp := p.hosts[addr]
-	p.mu.Unlock()
-	if hp != nil {
-		hp.stats.retries.Add(1)
-		hp.m().retries.Inc()
-	}
-}
-
-// releaseScratch detaches conn's scratch buffer, if any, and recycles it.
-func (p *Pool) releaseScratch(conn *pooledConn) {
-	if conn.scratch != nil {
-		p.arena.Put(conn.scratch)
-		conn.scratch = nil
-	}
-}
-
 // discard closes a broken connection and releases its slot.
 func (p *Pool) discard(addr string, conn *pooledConn) {
-	p.releaseScratch(conn)
+	hp := conn.hp
 	conn.retire()
 	p.mu.Lock()
-	if hp := p.hosts[addr]; hp != nil {
-		p.releaseSlotLocked(hp)
-		hp.countDiscard()
-		p.pruneLocked(addr, hp)
-	}
+	p.dropLocked(addr, hp)
 	p.mu.Unlock()
-	p.discards.Add(1)
+}
+
+// dropLocked accounts for a checked-out connection to addr that is about
+// to be closed rather than parked: its slot is released, the discard
+// counted, and the entry forgotten if that was its last claim. Caller
+// holds p.mu and retires the connection after unlocking.
+func (p *Pool) dropLocked(addr string, hp *hostPool) {
+	p.releaseSlotLocked(hp)
+	p.count(hp, evDiscard)
+	p.pruneLocked(addr, hp)
 }
 
 // scheduleReapLocked arms a one-shot reap for addr's idle list. The pool
@@ -1035,7 +981,7 @@ func (p *Pool) reap(addr string) {
 		if ic.since.Before(cutoff) {
 			expired = append(expired, ic.c)
 			p.releaseSlotLocked(hp)
-			hp.countDiscard()
+			p.count(hp, evDiscard)
 		} else {
 			kept = append(kept, ic)
 		}
@@ -1047,7 +993,6 @@ func (p *Pool) reap(addr string) {
 	p.mu.Unlock()
 	for _, c := range expired {
 		c.retire()
-		p.discards.Add(1)
 	}
 }
 
@@ -1059,21 +1004,6 @@ func (p *Pool) idleCount() int {
 	n := 0
 	for _, hp := range p.hosts {
 		n += len(hp.idle)
-	}
-	return n
-}
-
-// idleScratchBytes sums the scratch capacity pinned by parked idle
-// connections (test hook). put releases scratch before parking, so this
-// must stay zero — the regression guard for idle-list buffer retention.
-func (p *Pool) idleScratchBytes() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for _, hp := range p.hosts {
-		for _, ic := range hp.idle {
-			n += cap(ic.c.scratch)
-		}
 	}
 	return n
 }

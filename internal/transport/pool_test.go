@@ -77,18 +77,38 @@ func TestRoundtripClearsStaleDeadline(t *testing.T) {
 	}
 }
 
+// poolPeers are the two kinds of peer a default-config pool meets, and
+// with them the two kinds of connection the one exchange loop leases: a
+// pre-mux server refuses the Hello probe, so every call rides a lockstep
+// connection (the first one the downgraded probe connection itself); a
+// mux server accepts it, so every call is a stream. The pool's contract
+// — replies, reuse, replay, the Stats arithmetic — is the same on both.
+var poolPeers = []struct {
+	name  string
+	mux   bool
+	serve func(testing.TB, net.Listener)
+}{
+	{"lockstep", false, testutil.EchoServer},
+	{"mux", true, func(t testing.TB, ln net.Listener) { testutil.MuxEchoServer(t, ln, 0) }},
+}
+
 func TestPoolReusesConnections(t *testing.T) {
-	ln, addr := testutil.CountingEcho(t)
-	p := newTestPool(t, PoolConfig{})
-	for i := 0; i < 20; i++ {
-		poolPing(t, p, addr, uint64(i+1))
-	}
-	if got := ln.Accepts(); got != 1 {
-		t.Fatalf("20 sequential pooled calls used %d connections, want 1", got)
-	}
-	st := p.Stats()
-	if st.Dials != 1 || st.Reuses != 19 {
-		t.Fatalf("stats %+v, want 1 dial and 19 reuses", st)
+	for _, peer := range poolPeers {
+		t.Run(peer.name, func(t *testing.T) {
+			ln := &testutil.CountingListener{Listener: testutil.Loopback(t)}
+			peer.serve(t, ln)
+			p := newTestPool(t, PoolConfig{})
+			for i := 0; i < 20; i++ {
+				poolPing(t, p, ln.Addr().String(), uint64(i+1))
+			}
+			if got := ln.Accepts(); got != 1 {
+				t.Fatalf("20 sequential pooled calls used %d connections, want 1", got)
+			}
+			// The call that dialed is the dial; every other is a reuse.
+			if st := p.Stats(); st.Dials != 1 || st.Reuses != 19 || st.Retries != 0 || st.Discards != 0 {
+				t.Fatalf("stats %+v, want 1 dial, 19 reuses and nothing else", st)
+			}
+		})
 	}
 }
 
@@ -121,18 +141,27 @@ func TestPoolConcurrentCalls(t *testing.T) {
 func TestPoolWireErrorKeepsConnection(t *testing.T) {
 	// An application-level error frame is a healthy exchange: the
 	// connection must go back to the pool, not be discarded.
-	ln, addr := testutil.CountingEcho(t)
-	p := newTestPool(t, PoolConfig{})
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	_, _, err := p.Call(ctx, addr, wire.TypeGetModel, nil)
-	var werr *wire.Error
-	if !errors.As(err, &werr) {
-		t.Fatalf("error %v should unwrap to *wire.Error", err)
-	}
-	poolPing(t, p, addr, 7)
-	if got := ln.Accepts(); got != 1 {
-		t.Fatalf("wire error discarded the connection: %d accepts, want 1", got)
+	for _, peer := range poolPeers {
+		t.Run(peer.name, func(t *testing.T) {
+			ln := &testutil.CountingListener{Listener: testutil.Loopback(t)}
+			peer.serve(t, ln)
+			addr := ln.Addr().String()
+			p := newTestPool(t, PoolConfig{})
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			_, _, err := p.Call(ctx, addr, wire.TypeGetModel, nil)
+			var werr *wire.Error
+			if !errors.As(err, &werr) {
+				t.Fatalf("error %v should unwrap to *wire.Error", err)
+			}
+			poolPing(t, p, addr, 7)
+			if got := ln.Accepts(); got != 1 {
+				t.Fatalf("wire error discarded the connection: %d accepts, want 1", got)
+			}
+			if st := p.Stats(); st.Dials != 1 || st.Reuses != 1 || st.Retries != 0 || st.Discards != 0 {
+				t.Fatalf("stats %+v, want 1 dial, 1 reuse and nothing else", st)
+			}
+		})
 	}
 }
 
@@ -192,33 +221,160 @@ func TestPoolReapsIdleConnections(t *testing.T) {
 }
 
 func TestPoolSurvivesServerRestart(t *testing.T) {
-	// Track accepted connections so the "restart" can sever them: closing
-	// a listener alone does not close conns already handed to handlers.
-	ln := testutil.Loopback(t)
-	addr := ln.Addr().String()
-	tracking := &testutil.TrackingListener{Listener: ln}
-	testutil.EchoServer(t, tracking)
-	p := newTestPool(t, PoolConfig{})
-	poolPing(t, p, addr, 1)
+	for _, peer := range poolPeers {
+		t.Run(peer.name, func(t *testing.T) {
+			// Track accepted connections so the "restart" can sever them:
+			// closing a listener alone does not close conns already handed
+			// to handlers.
+			ln := testutil.Loopback(t)
+			addr := ln.Addr().String()
+			tracking := &testutil.TrackingListener{Listener: ln}
+			peer.serve(t, tracking)
+			p := newTestPool(t, PoolConfig{})
+			poolPing(t, p, addr, 1)
 
-	// Restart: close the listener and every accepted connection (killing
-	// the pooled connection's peer), then re-listen on the same address.
-	ln.Close()
-	tracking.CloseConns()
-	time.Sleep(50 * time.Millisecond)
-	ln2, err := net.Listen("tcp", addr)
-	if err != nil {
-		t.Skipf("could not rebind %s: %v", addr, err)
-	}
-	t.Cleanup(func() { ln2.Close() })
-	testutil.EchoServer(t, ln2)
+			// Restart: close the listener and every accepted connection
+			// (killing the pooled connection's peer), then re-listen on
+			// the same address.
+			ln.Close()
+			tracking.CloseConns()
+			time.Sleep(50 * time.Millisecond)
+			ln2, err := net.Listen("tcp", addr)
+			if err != nil {
+				t.Skipf("could not rebind %s: %v", addr, err)
+			}
+			t.Cleanup(func() { ln2.Close() })
+			peer.serve(t, ln2)
 
-	// The pooled connection is dead; the call must recover via the
-	// single transparent retry against the restarted server.
-	poolPing(t, p, addr, 2)
-	if st := p.Stats(); st.Retries == 0 && st.Dials < 2 {
-		t.Fatalf("stats %+v: expected a retry or fresh dial after restart", st)
+			// The pooled connection is dead. An idle lockstep connection
+			// has nobody watching it, so the call finds out by failing
+			// and recovers through the one transparent replay. A mux
+			// connection's reader saw the close as it happened: the
+			// routing drops it and dials without spending the replay.
+			wantRetries := int64(1)
+			if peer.mux {
+				waitMuxConnDead(t, p, addr)
+				wantRetries = 0
+			}
+			poolPing(t, p, addr, 2)
+			if st := p.Stats(); st.Dials != 2 || st.Discards != 1 || st.Retries != wantRetries || st.Reuses != wantRetries {
+				t.Fatalf("stats %+v, want 2 dials, 1 discard and %d retry of a reused connection", st, wantRetries)
+			}
+		})
 	}
+}
+
+// waitMuxConnDead blocks until the reader of p's one mux connection to
+// addr has noticed the peer hang up.
+func waitMuxConnDead(t *testing.T, p *Pool, addr string) {
+	t.Helper()
+	p.mu.Lock()
+	mc := p.hosts[addr].mux[0]
+	p.mu.Unlock()
+	select {
+	case <-mc.dead:
+	case <-time.After(5 * time.Second):
+		t.Fatal("mux connection never noticed its peer closing")
+	}
+}
+
+// scriptedServer serves every connection accepted from ln with answer,
+// which sees the connection's ordinal, the request's ordinal on it and
+// the request, and returns the reply — or false to hang up without one.
+// With mux set a Hello upgrades the connection to v2 framing, streams
+// answered in arrival order; without, it gets a pre-mux server's error
+// frame.
+func scriptedServer(t *testing.T, ln net.Listener, mux bool, answer func(conn, req int, typ wire.MsgType, payload []byte) (wire.MsgType, []byte, bool)) {
+	t.Helper()
+	serve := func(c net.Conn, conn int) {
+		defer c.Close()
+		var buf []byte
+		upgraded := false
+		for req := 0; ; {
+			typ, stream, payload, scratch, err := wire.ReadMuxFrameInto(c, buf)
+			buf = scratch
+			if err != nil {
+				return
+			}
+			var rt wire.MsgType
+			var rp []byte
+			switch {
+			case typ == wire.TypeHello && mux:
+				hello, err := wire.DecodeHello(payload)
+				if err != nil {
+					return
+				}
+				ack := wire.HelloAck{Version: wire.VersionMux, MaxInflight: hello.MaxInflight}
+				if wire.WriteFrame(c, wire.TypeHelloAck, ack.Encode(nil)) != nil {
+					return
+				}
+				upgraded = true
+				continue
+			case typ == wire.TypeHello:
+				rt, rp = wire.TypeError, (&wire.Error{Code: wire.CodeUnknownType, Text: "nope"}).Encode(nil)
+			default:
+				var ok bool
+				if rt, rp, ok = answer(conn, req, typ, payload); !ok {
+					return
+				}
+				req++
+			}
+			frame := wire.AppendFrame(nil, rt, rp)
+			if upgraded {
+				frame = wire.AppendMuxFrame(nil, rt, stream, rp)
+			}
+			if _, err := c.Write(frame); err != nil {
+				return
+			}
+		}
+	}
+	go func() {
+		for conn := 0; ; conn++ {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go serve(c, conn)
+		}
+	}()
+}
+
+// TestPoolReplaysOnceWhenMuxConnDies covers the mux side of the replay:
+// a mux connection that dies under a call — not while idle, where its
+// reader would have noticed first — is dropped and the call replayed on
+// a fresh one, exactly once.
+func TestPoolReplaysOnceWhenMuxConnDies(t *testing.T) {
+	pong := func(payload []byte) (wire.MsgType, []byte, bool) { return wire.TypePong, payload, true }
+	t.Run("next connection is healthy", func(t *testing.T) {
+		ln := testutil.Loopback(t)
+		scriptedServer(t, ln, true, func(conn, _ int, _ wire.MsgType, payload []byte) (wire.MsgType, []byte, bool) {
+			if conn == 0 {
+				return 0, nil, false
+			}
+			return pong(payload)
+		})
+		p := newTestPool(t, PoolConfig{})
+		poolPing(t, p, ln.Addr().String(), 1)
+		poolPing(t, p, ln.Addr().String(), 2)
+		if st := p.Stats(); st.Dials != 2 || st.Discards != 1 || st.Retries != 1 || st.Reuses != 1 {
+			t.Fatalf("stats %+v, want 2 dials, 1 discard, 1 retry and the second call a reuse", st)
+		}
+	})
+	t.Run("every connection dies", func(t *testing.T) {
+		ln := &testutil.CountingListener{Listener: testutil.Loopback(t)}
+		scriptedServer(t, ln, true, func(int, int, wire.MsgType, []byte) (wire.MsgType, []byte, bool) {
+			return 0, nil, false
+		})
+		p := newTestPool(t, PoolConfig{})
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if _, _, err := p.Call(ctx, ln.Addr().String(), wire.TypePing, (&wire.Ping{Token: 1}).Encode(nil)); err == nil {
+			t.Fatal("call succeeded against a server that answers nothing")
+		}
+		if st := p.Stats(); ln.Accepts() != 2 || st.Dials != 2 || st.Discards != 2 || st.Retries != 1 {
+			t.Fatalf("%d accepts, stats %+v: want the call given up after one replay", ln.Accepts(), st)
+		}
+	})
 }
 
 func TestPoolAppliesDefaultCallTimeout(t *testing.T) {
@@ -276,17 +432,26 @@ func TestPoolMaxIdleCapDiscardsSurplus(t *testing.T) {
 }
 
 func TestPoolClosedRefusesCalls(t *testing.T) {
-	_, addr := testutil.CountingEcho(t)
-	p := newTestPool(t, PoolConfig{})
-	poolPing(t, p, addr, 1)
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if n := p.idleCount(); n != 0 {
-		t.Fatalf("%d idle connections survived Close", n)
-	}
-	if _, _, err := p.Call(context.Background(), addr, wire.TypePing, (&wire.Ping{Token: 2}).Encode(nil)); err == nil {
-		t.Fatal("Call on a closed pool must fail")
+	for _, peer := range poolPeers {
+		t.Run(peer.name, func(t *testing.T) {
+			ln := &testutil.CountingListener{Listener: testutil.Loopback(t)}
+			peer.serve(t, ln)
+			addr := ln.Addr().String()
+			p := newTestPool(t, PoolConfig{})
+			poolPing(t, p, addr, 1)
+			if err := p.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if n := p.idleCount(); n != 0 {
+				t.Fatalf("%d idle connections survived Close", n)
+			}
+			if _, _, err := p.Call(context.Background(), addr, wire.TypePing, (&wire.Ping{Token: 2}).Encode(nil)); err == nil {
+				t.Fatal("Call on a closed pool must fail")
+			}
+			if got := ln.Accepts(); got != 1 {
+				t.Fatalf("the refused call dialed: %d accepts, want 1", got)
+			}
+		})
 	}
 }
 

@@ -293,15 +293,10 @@ type muxSession struct {
 	// loop rejects new streams past the negotiated window.
 	inflight atomic.Int32
 
-	// Write side: workers append completed response frames to pending
-	// under wmu; the writer swaps in spare and flushes the batch.
-	wmu           sync.Mutex
-	wcond         *sync.Cond
-	pending       []byte
-	spare         []byte
-	pendingFrames int
-	closed        bool
-	writerDone    chan struct{}
+	// out queues completed response frames for the writer goroutine;
+	// writerDone closes when it has exited.
+	out        *frameBatch
+	writerDone chan struct{}
 
 	// workCh hands requests to workers. It is buffered to the stream
 	// window so the read loop never blocks handing work off — a burst of
@@ -321,8 +316,7 @@ type muxSession struct {
 // through the lockstep loop's state.
 func (cfg *ServeConfig) serveMux(ctx context.Context, conn net.Conn, st *connState, window int32) {
 	rc, br := &st.rc, st.br
-	m := &muxSession{cfg: cfg, conn: conn, writerDone: make(chan struct{})}
-	m.wcond = sync.NewCond(&m.wmu)
+	m := &muxSession{cfg: cfg, conn: conn, out: newFrameBatch(), writerDone: make(chan struct{})}
 	m.workCh = make(chan *muxWork, window)
 	go m.writeLoop()
 	defer m.shutdown()
@@ -360,7 +354,7 @@ func (cfg *ServeConfig) serveMux(ctx context.Context, conn net.Conn, st *connSta
 			// stay cheap when the window is blown.
 			cfg.Metrics.muxOverloadReject()
 			_, p := wire.AppendError(nil, wire.CodeOverloaded, "too many in-flight streams on this connection")
-			m.enqueue(wire.TypeError, stream, p)
+			m.out.add(wire.TypeError, stream, p)
 			continue
 		}
 		w := muxWorkPool.Get().(*muxWork)
@@ -391,9 +385,13 @@ func (m *muxSession) worker() {
 		}
 		respT, resp := m.cfg.handle(w.t, w.req, w.resp[:0])
 		w.resp = resp
-		m.enqueue(respT, w.stream, resp)
+		// The window slot is free before the response can reach the client:
+		// one that sends its next request on seeing this reply must not be
+		// told the window is full.
 		m.inflight.Add(-1)
 		m.cfg.Metrics.streams(-1)
+		// Refused only once the session has closed: the peer is gone.
+		m.out.add(respT, w.stream, resp)
 		if cap(w.req) > arenaMaxRetainBytes {
 			w.req = nil
 		}
@@ -404,49 +402,17 @@ func (m *muxSession) worker() {
 	}
 }
 
-// enqueue appends one response frame to the write batch and wakes the
-// writer. Frames enqueued after the session closed are dropped — the
-// peer is gone.
-func (m *muxSession) enqueue(t wire.MsgType, stream uint32, payload []byte) {
-	m.wmu.Lock()
-	if !m.closed {
-		m.pending = wire.AppendMuxFrame(m.pending, t, stream, payload)
-		m.pendingFrames++
-		m.wcond.Signal()
-	}
-	m.wmu.Unlock()
-}
-
 // writeLoop flushes batched response frames with single Writes until the
 // session closes (flushing any tail first) or a write fails.
 func (m *muxSession) writeLoop() {
 	defer close(m.writerDone)
-	m.wmu.Lock()
+	var buf []byte
 	for {
-		for len(m.pending) == 0 && !m.closed {
-			m.wcond.Wait()
-		}
-		if len(m.pending) == 0 {
-			m.wmu.Unlock()
+		var frames int
+		var ok bool
+		if buf, frames, ok = m.out.take(buf); !ok {
 			return
 		}
-		// Yield before sealing the batch until a scheduler pass adds no
-		// new responses, so a burst of finished streams flushes in one
-		// Write instead of N; capped at muxFlushBatch like the client
-		// side (see MuxConn.writeLoop).
-		for prev := m.pendingFrames; m.pendingFrames < muxFlushBatch; prev = m.pendingFrames {
-			m.wmu.Unlock()
-			runtime.Gosched()
-			m.wmu.Lock()
-			if m.pendingFrames == prev {
-				break
-			}
-		}
-		buf, frames := m.pending, m.pendingFrames
-		m.pending = m.spare[:0]
-		m.pendingFrames = 0
-		m.wmu.Unlock()
-
 		// The read loop only arms the read deadline; each flush bounds
 		// itself so a peer that stops draining cannot park the writer
 		// (and the batch memory behind it) forever.
@@ -455,19 +421,12 @@ func (m *muxSession) writeLoop() {
 		if frames > 1 {
 			m.cfg.Metrics.observeCoalesced(frames)
 		}
-		m.wmu.Lock()
 		if err != nil {
-			m.closed = true
-			m.pending = m.pending[:0]
-			m.wmu.Unlock()
+			m.out.close(true)
 			// Kill the socket so the read loop notices and shuts down.
 			m.conn.Close()
 			return
 		}
-		if cap(buf) > arenaMaxRetainBytes {
-			buf = nil
-		}
-		m.spare = buf[:0]
 	}
 }
 
@@ -477,10 +436,7 @@ func (m *muxSession) writeLoop() {
 func (m *muxSession) shutdown() {
 	close(m.workCh)
 	m.wg.Wait()
-	m.wmu.Lock()
-	m.closed = true
-	m.wcond.Signal()
-	m.wmu.Unlock()
+	m.out.close(false)
 	<-m.writerDone
 }
 

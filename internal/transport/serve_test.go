@@ -165,11 +165,17 @@ func TestServeConnOverloadWhileWindowPinned(t *testing.T) {
 		Handler: g.handle, RequestTimeout: 5 * time.Second, IdleTimeout: 30 * time.Second, Workers: 2,
 	})
 	conn := dialMux(t, addr, 2)
-	if _, err := conn.Write(append(muxPingFrame(1), muxPingFrame(2)...)); err != nil {
-		t.Fatal(err)
+	// One at a time: a frame that arrives while the only worker is parked
+	// in receive with an earlier frame still queued for it does not spawn
+	// a second worker (the rule that keeps a burst on one hot worker), so
+	// two frames in one write could both land on the worker that is about
+	// to block for good.
+	for s := uint32(1); s <= 2; s++ {
+		if _, err := conn.Write(muxPingFrame(s)); err != nil {
+			t.Fatal(err)
+		}
+		<-g.entered
 	}
-	<-g.entered
-	<-g.entered
 	if _, err := conn.Write(muxPingFrame(3)); err != nil {
 		t.Fatal(err)
 	}

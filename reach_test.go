@@ -1,0 +1,367 @@
+package ides_test
+
+import (
+	"bufio"
+	"go/ast"
+	"go/build"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io/fs"
+	"os"
+	"path"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// The reachability gate: every non-test top-level declaration outside
+// bench/ must be reachable from something that ships, or be on the
+// allow-list with the reason it stays. It is the orphan scan PRs 14 and
+// 17 did by hand, with the standard library only.
+//
+// Roots are every main and init, every exported name of the ides.go
+// façade, and the exported package-level names of the three test-support
+// packages. From a reachable declaration everything its source mentions
+// is reachable. A method is reachable when reachable code selects a
+// method of its name on anything (interface dispatch is not resolved,
+// names are), when its type is reachable and a standard-library interface
+// has a method of its name (error, fmt.Stringer, net.Conn, flag.Value:
+// the caller is outside the tree), or — for the test-support packages,
+// whose callers are tests — when any _test.go file selects its name.
+const (
+	reachModule    = "github.com/ides-go/ides"
+	reachAllowFile = "testdata/reachability_allow.txt"
+)
+
+var reachTestSupport = map[string]bool{
+	reachModule + "/internal/harness":  true,
+	reachModule + "/internal/simnet":   true,
+	reachModule + "/internal/testutil": true,
+}
+
+// reachPkg is one directory's non-test files, parsed and — on demand,
+// through reachTree.Import — type-checked.
+type reachPkg struct {
+	path  string
+	files []*ast.File
+	types *types.Package
+	info  *types.Info
+}
+
+// reachTree is the parsed tree. As a types.Importer it resolves the
+// module's own import paths to its packages and everything else through
+// the standard library's source importer.
+type reachTree struct {
+	fset *token.FileSet
+	pkgs map[string]*reachPkg
+	std  types.Importer
+	// stdIfaceMethods are the method names of every interface declared in
+	// a package imported from outside the module, and of error.
+	stdIfaceMethods map[string]bool
+	// testSelected are the names any _test.go file selects, collected
+	// syntactically.
+	testSelected map[string]bool
+	err          error
+}
+
+func (tr *reachTree) Import(p string) (*types.Package, error) {
+	rp := tr.pkgs[p]
+	if rp == nil {
+		pkg, err := tr.std.Import(p)
+		if err == nil {
+			tr.noteInterfaces(pkg)
+		}
+		return pkg, err
+	}
+	if rp.types == nil {
+		rp.info = &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+		conf := types.Config{Importer: tr, Error: func(err error) {
+			if tr.err == nil {
+				tr.err = err
+			}
+		}}
+		rp.types, _ = conf.Check(p, tr.fset, rp.files, rp.info)
+	}
+	return rp.types, nil
+}
+
+func (tr *reachTree) noteInterfaces(pkg *types.Package) {
+	for _, name := range pkg.Scope().Names() {
+		tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+		if !ok {
+			continue
+		}
+		if it, ok := tn.Type().Underlying().(*types.Interface); ok {
+			for i := 0; i < it.NumMethods(); i++ {
+				tr.stdIfaceMethods[it.Method(i).Name()] = true
+			}
+		}
+	}
+}
+
+// loadReachTree parses every Go file under root that the default build
+// would compile, bench/ (a module of its own, nested under the root
+// module's path) included.
+func loadReachTree(t *testing.T, root string) *reachTree {
+	t.Helper()
+	fset := token.NewFileSet()
+	tr := &reachTree{
+		fset:            fset,
+		pkgs:            map[string]*reachPkg{},
+		std:             importer.ForCompiler(fset, "source", nil),
+		stdIfaceMethods: map[string]bool{"Error": true},
+		testSelected:    map[string]bool{},
+	}
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); p != root && (name[0] == '.' || name == "testdata" || name == "out") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") {
+			return nil
+		}
+		dir := filepath.Dir(p)
+		if ok, err := build.Default.MatchFile(dir, d.Name()); err != nil || !ok {
+			return err
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		if strings.HasSuffix(p, "_test.go") {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok {
+					tr.testSelected[sel.Sel.Name] = true
+				}
+				return true
+			})
+			return nil
+		}
+		rel, _ := filepath.Rel(root, dir)
+		ip := path.Join(reachModule, filepath.ToSlash(rel))
+		if tr.pkgs[ip] == nil {
+			tr.pkgs[ip] = &reachPkg{path: ip}
+		}
+		tr.pkgs[ip].files = append(tr.pkgs[ip].files, f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := range tr.pkgs {
+		tr.Import(p) //nolint:errcheck // type errors land in tr.err
+	}
+	if tr.err != nil {
+		t.Fatalf("type-checking the tree: %v", tr.err)
+	}
+	return tr
+}
+
+// reachDecl is one top-level declaration: a function, a method, a type,
+// or one name of a var or const declaration.
+type reachDecl struct {
+	obj  types.Object
+	pkg  *reachPkg
+	node ast.Node // what mentioning obj makes reachable
+	recv *types.TypeName
+	root bool
+}
+
+// name is the allow-list spelling: the package path inside the module,
+// then Name or Type.Method.
+func (d *reachDecl) name() string {
+	if d.obj == nil {
+		return "" // init and main: roots, never reported
+	}
+	n := d.obj.Name()
+	if d.recv != nil {
+		n = d.recv.Name() + "." + n
+	}
+	return strings.TrimPrefix(strings.TrimPrefix(d.pkg.path, reachModule), "/") + "." + n
+}
+
+func (tr *reachTree) decls() map[types.Object]*reachDecl {
+	out := map[types.Object]*reachDecl{}
+	for _, rp := range tr.pkgs {
+		support := reachTestSupport[rp.path]
+		for _, f := range rp.files {
+			facade := rp.path == reachModule && strings.HasSuffix(tr.fset.File(f.Pos()).Name(), "ides.go")
+			add := func(id *ast.Ident, node ast.Node) *reachDecl {
+				obj := rp.info.Defs[id]
+				if obj == nil || id.Name == "_" {
+					return nil
+				}
+				d := &reachDecl{obj: obj, pkg: rp, node: node, root: (facade || support) && id.IsExported()}
+				out[obj] = d
+				return d
+			}
+			for _, decl := range f.Decls {
+				switch decl := decl.(type) {
+				case *ast.FuncDecl:
+					if decl.Recv == nil && (decl.Name.Name == "init" || decl.Name.Name == "main" && rp.types.Name() == "main") {
+						// init has no object to look up; main is one by fiat.
+						out[types.NewFunc(decl.Pos(), rp.types, decl.Name.Name, nil)] = &reachDecl{pkg: rp, node: decl, root: true}
+						continue
+					}
+					d := add(decl.Name, decl)
+					if d != nil && decl.Recv != nil {
+						d.root = false
+						recv := d.obj.Type().(*types.Signature).Recv().Type()
+						if p, ok := recv.(*types.Pointer); ok {
+							recv = p.Elem()
+						}
+						d.recv = recv.(*types.Named).Obj()
+					}
+				case *ast.GenDecl:
+					for _, spec := range decl.Specs {
+						switch spec := spec.(type) {
+						case *ast.TypeSpec:
+							add(spec.Name, spec)
+						case *ast.ValueSpec:
+							for _, id := range spec.Names {
+								add(id, spec)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// unreachable returns the allow-list names of the declarations outside
+// bench/ that nothing reachable mentions, with the declarations named in
+// kept as further roots: what the allow-list keeps, keeps what it uses.
+func (tr *reachTree) unreachable(decls map[types.Object]*reachDecl, kept map[string]bool) []string {
+	byName := map[string][]*reachDecl{}
+	byRecv := map[types.Object][]*reachDecl{}
+	for _, d := range decls {
+		if d.recv != nil {
+			byName[d.obj.Name()] = append(byName[d.obj.Name()], d)
+			byRecv[d.recv] = append(byRecv[d.recv], d)
+		}
+	}
+	reached := map[*reachDecl]bool{}
+	selected := map[string]bool{}
+	var work []*reachDecl
+	reach := func(d *reachDecl) {
+		if d != nil && !reached[d] {
+			reached[d] = true
+			work = append(work, d)
+		}
+	}
+	sel := func(name string) {
+		if !selected[name] {
+			selected[name] = true
+			for _, m := range byName[name] {
+				reach(m)
+			}
+		}
+	}
+	for _, d := range decls {
+		if d.root || kept[d.name()] {
+			reach(d)
+		}
+	}
+	for len(work) > 0 {
+		d := work[len(work)-1]
+		work = work[:len(work)-1]
+		if d.recv != nil {
+			reach(decls[d.recv])
+		}
+		// A reached type's own methods that need no selection in the tree.
+		for _, m := range byRecv[d.obj] {
+			if tr.stdIfaceMethods[m.obj.Name()] || reachTestSupport[m.pkg.path] && tr.testSelected[m.obj.Name()] {
+				reach(m)
+			}
+		}
+		ast.Inspect(d.node, func(n ast.Node) bool {
+			id, ok := n.(*ast.Ident)
+			if !ok {
+				return true
+			}
+			switch obj := d.pkg.info.Uses[id].(type) {
+			case *types.Func:
+				if obj.Type().(*types.Signature).Recv() != nil {
+					sel(obj.Name())
+				} else {
+					reach(decls[obj])
+				}
+			case nil:
+			default:
+				reach(decls[obj])
+			}
+			return true
+		})
+	}
+	var out []string
+	for _, d := range decls {
+		if !reached[d] && !strings.HasPrefix(d.pkg.path, reachModule+"/bench") {
+			out = append(out, d.name())
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// readReachAllow parses the allow-list: one "name — reason" per line,
+// '#' comments and blank lines aside.
+func readReachAllow(t *testing.T) map[string]bool {
+	t.Helper()
+	f, err := os.Open(reachAllowFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	allow := map[string]bool{}
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || line[0] == '#' {
+			continue
+		}
+		name, reason, ok := strings.Cut(line, " — ")
+		if !ok || strings.TrimSpace(reason) == "" {
+			t.Errorf("%s: %q carries no reason (want \"name — reason\")", reachAllowFile, line)
+		}
+		allow[name] = true
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return allow
+}
+
+// TestEveryDeclarationIsReachable fails on a declaration nothing that
+// ships can reach, unless the allow-list says why it stays — and on an
+// allow-list line that no longer excuses anything, so the list stays the
+// tree's true unreachable floor.
+func TestEveryDeclarationIsReachable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the whole tree and the standard library it imports from source")
+	}
+	allow := readReachAllow(t)
+	tr := loadReachTree(t, ".")
+	decls := tr.decls()
+	excused := map[string]bool{}
+	for _, name := range tr.unreachable(decls, nil) {
+		excused[name] = true
+	}
+	for name := range allow {
+		if !excused[name] {
+			t.Errorf("%s: %s is reachable or gone; drop the line", reachAllowFile, name)
+		}
+	}
+	for _, name := range tr.unreachable(decls, allow) {
+		t.Errorf("%s is unreachable from every main, init, façade export and test-support API: delete it, or add it to %s with the reason it stays", name, reachAllowFile)
+	}
+}
