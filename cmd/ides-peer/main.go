@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"github.com/ides-go/ides/internal/cli"
+	"github.com/ides-go/ides/internal/core"
 	"github.com/ides-go/ides/internal/peer"
 	"github.com/ides-go/ides/internal/solve"
 	"github.com/ides-go/ides/internal/transport"
@@ -60,7 +61,7 @@ func main() {
 	if len(rdvList) == 0 && len(nbrList) == 0 {
 		logger.Fatal("ides-peer: at least one of -rendezvous or -neighbors is required")
 	}
-	algorithm, err := cli.ParseAlgorithm(*alg)
+	algorithm, err := core.ParseAlgorithm(*alg)
 	if err != nil {
 		logger.Fatalf("ides-peer: %v", err)
 	}

@@ -49,6 +49,7 @@ import (
 	"time"
 
 	"github.com/ides-go/ides/internal/cli"
+	"github.com/ides-go/ides/internal/core"
 	"github.com/ides-go/ides/internal/server"
 	"github.com/ides-go/ides/internal/solve"
 )
@@ -89,7 +90,7 @@ func main() {
 		logger.Fatal("ides-server: -landmarks must list at least two addresses")
 	}
 
-	algorithm, err := cli.ParseAlgorithm(*alg)
+	algorithm, err := core.ParseAlgorithm(*alg)
 	if err != nil {
 		logger.Fatalf("ides-server: %v", err)
 	}

@@ -20,7 +20,6 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/ides-go/ides/internal/core"
 	"github.com/ides-go/ides/internal/server"
 	"github.com/ides-go/ides/internal/telemetry"
 	"github.com/ides-go/ides/internal/transport"
@@ -36,18 +35,6 @@ func List(s string) []string {
 		}
 	}
 	return out
-}
-
-// ParseAlgorithm maps a -alg flag value to the factorization algorithm.
-func ParseAlgorithm(s string) (core.Algorithm, error) {
-	switch strings.ToLower(s) {
-	case "svd":
-		return core.SVD, nil
-	case "nmf":
-		return core.NMF, nil
-	default:
-		return 0, fmt.Errorf("unknown algorithm %q (want svd or nmf)", s)
-	}
 }
 
 // ParseRole maps a -role flag value to the serving role.

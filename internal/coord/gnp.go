@@ -33,9 +33,6 @@ type GNPOptions struct {
 	// each pass runs one Simplex Downhill per landmark in d dimensions.
 	// Default 40.
 	Rounds int
-	// EvalsPerSolve caps objective evaluations per simplex run. Default
-	// 300·d.
-	EvalsPerSolve int
 }
 
 func (o GNPOptions) withDefaults() GNPOptions {
@@ -44,9 +41,6 @@ func (o GNPOptions) withDefaults() GNPOptions {
 	}
 	if o.Rounds <= 0 {
 		o.Rounds = 40
-	}
-	if o.EvalsPerSolve <= 0 {
-		o.EvalsPerSolve = 300 * o.Dim
 	}
 	return o
 }
@@ -118,7 +112,7 @@ func FitGNP(dl *mat.Dense, opts GNPOptions) (*GNPModel, error) {
 		var moved float64
 		for i := 0; i < m; i++ {
 			res := optim.NelderMead(objFor(i), coords.Row(i), optim.Options{
-				MaxEvals: opts.EvalsPerSolve,
+				MaxEvals: 300 * opts.Dim, // objective evaluations per simplex run
 				InitStep: meanD * 0.05,
 			})
 			moved += euclid(res.X, coords.Row(i))

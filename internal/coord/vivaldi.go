@@ -18,10 +18,6 @@ type VivaldiOptions struct {
 	Rounds int
 	// Seed seeds neighbor sampling and initialization.
 	Seed int64
-	// CC and CE are Vivaldi's tuning constants: adaptive timestep gain and
-	// error-smoothing gain. Defaults 0.25 / 0.25, the values from the
-	// Vivaldi paper.
-	CC, CE float64
 	// Height enables the height-vector variant: each node carries a
 	// nonnegative height h and distances are ||x_i - x_j|| + h_i + h_j.
 	// The Vivaldi paper found this models access-link latency better than
@@ -30,18 +26,17 @@ type VivaldiOptions struct {
 	Height bool
 }
 
+// vivaldiCC and vivaldiCE are Vivaldi's tuning constants, the adaptive
+// timestep gain and the error-smoothing gain, at the Vivaldi paper's
+// values.
+const vivaldiCC, vivaldiCE = 0.25, 0.25
+
 func (o VivaldiOptions) withDefaults() VivaldiOptions {
 	if o.Dim <= 0 {
 		o.Dim = 8
 	}
 	if o.Rounds <= 0 {
 		o.Rounds = 200
-	}
-	if o.CC == 0 {
-		o.CC = 0.25
-	}
-	if o.CE == 0 {
-		o.CE = 0.25
 	}
 	return o
 }
@@ -129,8 +124,8 @@ func FitVivaldi(d *mat.Dense, opts VivaldiOptions) (*VivaldiModel, error) {
 			// Weight by relative confidence (Vivaldi eq. w = e_i/(e_i+e_j)).
 			w := localErr[i] / (localErr[i] + localErr[j])
 			es := math.Abs(dist-rtt) / rtt
-			localErr[i] = es*opts.CE*w + localErr[i]*(1-opts.CE*w)
-			delta := opts.CC * w
+			localErr[i] = es*vivaldiCE*w + localErr[i]*(1-vivaldiCE*w)
+			delta := vivaldiCC * w
 			// Displace along the unit vector by delta * (rtt - dist):
 			// stretched springs pull together, compressed push apart.
 			step := delta * (rtt - dist)

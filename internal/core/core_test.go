@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/ides-go/ides/internal/dataset"
@@ -334,4 +335,18 @@ func TestSolveHostLengthPanics(t *testing.T) {
 		}
 	}()
 	m.SolveHost([]float64{1}, []float64{1}) //nolint:errcheck
+}
+
+func TestAlgorithmParseAndString(t *testing.T) {
+	for _, want := range []Algorithm{SVD, NMF} {
+		// Both spellings: String's own and the lower-case flag value.
+		for _, s := range []string{want.String(), strings.ToLower(want.String())} {
+			if got, err := ParseAlgorithm(s); err != nil || got != want {
+				t.Fatalf("ParseAlgorithm(%q) = %v, %v; want %v", s, got, err, want)
+			}
+		}
+	}
+	if _, err := ParseAlgorithm("pca"); err == nil {
+		t.Fatal("unknown algorithm must error")
+	}
 }

@@ -11,6 +11,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"github.com/ides-go/ides/internal/factor"
 	"github.com/ides-go/ides/internal/mat"
@@ -39,6 +40,19 @@ func (a Algorithm) String() string {
 		return "NMF"
 	default:
 		return fmt.Sprintf("Algorithm(%d)", int(a))
+	}
+}
+
+// ParseAlgorithm parses an algorithm name in either spelling: a -alg
+// flag value ("svd") or what String returns ("SVD").
+func ParseAlgorithm(s string) (Algorithm, error) {
+	switch strings.ToLower(s) {
+	case "svd":
+		return SVD, nil
+	case "nmf":
+		return NMF, nil
+	default:
+		return 0, fmt.Errorf("core: unknown algorithm %q (want svd or nmf)", s)
 	}
 }
 

@@ -65,7 +65,7 @@ func AblationSVDAlgorithms(sizes []int, dim int, seed int64) ([]SVDAlgoResult, e
 		}
 		approxTime, err := timeRun(func() error {
 			var err error
-			approx, err = mat.TruncatedSVD(ds, dim, mat.TruncatedSVDOptions{Seed: seed})
+			approx, err = mat.TruncatedSVD(ds, dim, seed)
 			return err
 		})
 		if err != nil {

@@ -94,7 +94,7 @@ func SVDFactor(d *mat.Dense, dim int, seed int64) (*Factors, error) {
 			dec = dec.Truncate(dim)
 		}
 	} else {
-		dec, err = mat.TruncatedSVD(d, dim, mat.TruncatedSVDOptions{Seed: seed})
+		dec, err = mat.TruncatedSVD(d, dim, seed)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("svd factorization: %w", err)

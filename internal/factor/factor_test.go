@@ -206,17 +206,6 @@ func TestNMFRejectsNaN(t *testing.T) {
 	}
 }
 
-func TestNMFEarlyStop(t *testing.T) {
-	d := mat.FromRows([][]float64{{4, 2}, {2, 1}}) // rank 1
-	res, err := NMF(d, 1, NMFOptions{Iters: 10000, Seed: 3, Tol: 1e-12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Iters >= 10000 {
-		t.Fatalf("early stopping did not trigger, ran %d iters", res.Iters)
-	}
-}
-
 func TestNMFDeterministicForSeed(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	d := mat.NewDense(8, 8)

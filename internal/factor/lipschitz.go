@@ -66,7 +66,7 @@ func FitLipschitzPCA(dl *mat.Dense, dim int) (*LipschitzPCA, *mat.Dense, error) 
 	if m <= svdExactThreshold {
 		dec, err = mat.SVD(centered)
 	} else {
-		dec, err = mat.TruncatedSVD(centered, dim, mat.TruncatedSVDOptions{Seed: 1})
+		dec, err = mat.TruncatedSVD(centered, dim, 1)
 	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("lipschitz pca: %w", err)

@@ -16,10 +16,6 @@ type NMFOptions struct {
 	Iters int
 	// Seed seeds the random nonnegative initialization.
 	Seed int64
-	// Tol stops iteration early when the relative improvement of the
-	// squared error between rounds drops below it. Zero disables early
-	// stopping.
-	Tol float64
 	// Mask, if non-nil, is an m x n 0/1 matrix where Mask[i][j]=1 marks
 	// D[i][j] as observed. Missing entries are excluded from the objective
 	// using the paper's modified update rules (Eqs. 8–9).
@@ -42,8 +38,6 @@ func (o NMFOptions) withDefaults() NMFOptions {
 // NMFResult carries the factors plus convergence diagnostics.
 type NMFResult struct {
 	*Factors
-	// Iters is the number of update rounds actually performed.
-	Iters int
 	// FinalError is the squared-error objective at termination
 	// (masked objective when a mask was supplied).
 	FinalError float64
@@ -89,32 +83,18 @@ func NMF(d *mat.Dense, dim int, opts NMFOptions) (*NMFResult, error) {
 	}
 
 	x, y := nmfInit(d, opts.Mask, dim, opts.Seed)
-	res := &NMFResult{}
-	prev := math.Inf(1)
+	res := &NMFResult{Factors: &Factors{X: x, Y: y}}
 	for it := 0; it < opts.Iters; it++ {
 		if opts.Mask == nil {
 			nmfUpdateDense(d, x, y)
 		} else {
 			nmfUpdateMasked(d, opts.Mask, x, y)
 		}
-		res.Iters = it + 1
-		if opts.TrackError || opts.Tol > 0 {
-			obj := nmfObjective(d, opts.Mask, x, y)
-			if opts.TrackError {
-				res.History = append(res.History, obj)
-			}
-			if opts.Tol > 0 && prev-obj <= opts.Tol*math.Max(prev, 1) {
-				prev = obj
-				break
-			}
-			prev = obj
+		if opts.TrackError {
+			res.History = append(res.History, nmfObjective(d, opts.Mask, x, y))
 		}
 	}
-	res.Factors = &Factors{X: x, Y: y}
-	if math.IsInf(prev, 1) {
-		prev = nmfObjective(d, opts.Mask, x, y)
-	}
-	res.FinalError = prev
+	res.FinalError = nmfObjective(d, opts.Mask, x, y)
 	return res, nil
 }
 

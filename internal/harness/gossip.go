@@ -3,15 +3,12 @@ package harness
 import (
 	"context"
 	"fmt"
-	"log"
 	"net"
 	"time"
 
-	"github.com/ides-go/ides/internal/core"
 	"github.com/ides-go/ides/internal/peer"
 	"github.com/ides-go/ides/internal/server"
 	"github.com/ides-go/ides/internal/simnet"
-	"github.com/ides-go/ides/internal/solve"
 	"github.com/ides-go/ides/internal/stats"
 	"github.com/ides-go/ides/internal/telemetry"
 	"github.com/ides-go/ides/internal/topology"
@@ -25,41 +22,32 @@ const RendezvousName = "ides-rendezvous"
 // GossipConfig parameterizes a GossipCluster — the decentralized,
 // landmark-free counterpart of Config: no information server in the
 // data path, every host a peer running the DMFSGD gossip loop, plus one
-// rendezvous directory for bootstrap.
+// rendezvous directory for bootstrap. The peers run with peer.Config's
+// zero values for everything not listed here: the solver's default step
+// and regulariser, the default re-announce period, and the unclamped
+// variant (Algorithm core.SVD — coordinates may go negative; only
+// ides-peer, whose -alg flag defaults to nmf, clamps).
 type GossipConfig struct {
 	// NumPeers is the number of gossiping hosts (default 64). One extra
 	// topology site carries the rendezvous directory.
 	NumPeers int
 	// Dim is the coordinate dimensionality (default 8).
 	Dim int
-	// Algorithm is core.NMF (default; nonnegative coordinates) or
-	// core.SVD.
-	Algorithm core.Algorithm
-	// Rate and Reg tune the SGD step (zero = solver defaults).
-	Rate, Reg float64
 	// MaxNeighbors bounds each peer's neighbor table (default 16).
 	MaxNeighbors int
 	// SampleSize is the per-exchange neighbor sample (0 = peer default).
 	SampleSize int
-	// RendezvousEvery is the per-peer re-announce period in rounds
-	// (0 = peer default).
-	RendezvousEvery int
 	// Seed drives topology generation, the fabric, the rendezvous
 	// directory and every peer — one knob reproduces a run bit for bit.
 	Seed int64
-	// TimeScale compresses simulated delays onto the wall clock
-	// (default 1e-6; measured RTTs are simulated time and unaffected).
-	TimeScale float64
-	// HostsPerStub passes to the topology generator. Default scales
-	// with fleet size so the stub distance matrix stays tens of MB at
-	// 10k peers instead of gigabytes.
-	HostsPerStub int
 	// Metrics receives the rendezvous server's and first peer's
 	// instrument families. Optional.
 	Metrics *telemetry.Registry
-	// Logger receives component logs. Nil disables logging.
-	Logger *log.Logger
 }
+
+// gossipTimeScale compresses simulated delays onto the wall clock;
+// measured RTTs are simulated time and unaffected.
+const gossipTimeScale = 1e-6
 
 func (c GossipConfig) withDefaults() GossipConfig {
 	if c.NumPeers <= 0 {
@@ -70,14 +58,6 @@ func (c GossipConfig) withDefaults() GossipConfig {
 	}
 	if c.MaxNeighbors <= 0 {
 		c.MaxNeighbors = 16
-	}
-	if c.TimeScale <= 0 {
-		c.TimeScale = 1e-6
-	}
-	if c.HostsPerStub <= 0 {
-		// One stub per ~2k sites keeps the generator's stub-pair distance
-		// matrix quadratic in thousands, not tens of thousands.
-		c.HostsPerStub = (c.NumPeers + 2048) / 2048
 	}
 	return c
 }
@@ -93,8 +73,6 @@ func (c GossipConfig) withDefaults() GossipConfig {
 // loss are off — so a same-seed run is bit-identical, coordinates
 // included.
 type GossipCluster struct {
-	cfg GossipConfig
-
 	// Net is the fabric — script faults directly on it.
 	Net *simnet.Network
 	// Topo is the generated ground-truth topology.
@@ -131,9 +109,12 @@ func NewGossip(cfg GossipConfig) (*GossipCluster, error) {
 	total := cfg.NumPeers + 1
 
 	topo, err := topology.Generate(topology.Config{
-		Seed:         cfg.Seed,
-		NumHosts:     total,
-		HostsPerStub: cfg.HostsPerStub,
+		Seed:     cfg.Seed,
+		NumHosts: total,
+		// One stub per ~2k sites keeps the generator's stub-pair distance
+		// matrix quadratic in thousands, not tens of thousands: tens of MB
+		// at 10k peers instead of gigabytes.
+		HostsPerStub: (cfg.NumPeers + 2048) / 2048,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("harness: %w", err)
@@ -145,12 +126,12 @@ func NewGossip(cfg GossipConfig) (*GossipCluster, error) {
 		peerNames[i] = fmt.Sprintf("peer-%d", i)
 		names[i+1] = peerNames[i]
 	}
-	nw, err := simnet.New(topo, names, simnet.Config{TimeScale: cfg.TimeScale, Seed: cfg.Seed})
+	nw, err := simnet.New(topo, names, simnet.Config{TimeScale: gossipTimeScale, Seed: cfg.Seed})
 	if err != nil {
 		return nil, fmt.Errorf("harness: %w", err)
 	}
 
-	g := &GossipCluster{cfg: cfg, Net: nw, Topo: topo, peerNames: peerNames}
+	g := &GossipCluster{Net: nw, Topo: topo, peerNames: peerNames}
 	g.ctx, g.cancel = context.WithCancel(context.Background())
 	fail := func(err error) (*GossipCluster, error) {
 		g.Close()
@@ -162,7 +143,6 @@ func NewGossip(cfg GossipConfig) (*GossipCluster, error) {
 		Role:    server.RoleRendezvous,
 		Seed:    cfg.Seed,
 		Metrics: cfg.Metrics,
-		Logger:  cfg.Logger,
 	})
 	if err != nil {
 		return fail(fmt.Errorf("harness: rendezvous: %w", err))
@@ -196,18 +176,14 @@ func NewGossip(cfg GossipConfig) (*GossipCluster, error) {
 		p, err := peer.New(peer.Config{
 			Self:            name,
 			Dim:             cfg.Dim,
-			Algorithm:       cfg.Algorithm,
-			SGD:             solve.SGDOptions{Rate: cfg.Rate, Reg: cfg.Reg},
 			Seed:            cfg.Seed + 7919*int64(i+1),
 			MaxNeighbors:    cfg.MaxNeighbors,
 			SampleSize:      cfg.SampleSize,
 			RendezvousAddrs: []string{RendezvousName},
-			RendezvousEvery: cfg.RendezvousEvery,
 			Dialer:          h,
 			Pinger:          instantPinger{h},
 			Pool:            transport.PoolConfig{MaxIdlePerHost: -1, MuxConns: -1},
 			Metrics:         metrics,
-			Logger:          cfg.Logger,
 		})
 		if err != nil {
 			return fail(fmt.Errorf("harness: peer %s: %w", name, err))

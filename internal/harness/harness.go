@@ -30,7 +30,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"log"
 	"net"
 	"time"
 
@@ -71,37 +70,32 @@ type Config struct {
 	// Seed drives topology generation, the fabric's RNG streams and
 	// every component seed — the single knob that reproduces a run.
 	Seed int64
-	// TimeScale compresses simulated delays onto the wall clock
-	// (default 1e-5: a 100 ms RTT costs 1 µs of test time).
-	TimeScale float64
-	// JitterMean, LossRate, RTOMillis pass through to simnet.Config.
-	// All default to zero/off, the fully deterministic setting.
-	JitterMean float64
-	LossRate   float64
-	RTOMillis  float64
+	// LossRate and RTOMillis pass through to simnet.Config. Both default
+	// to zero/off, the fully deterministic setting.
+	LossRate  float64
+	RTOMillis float64
 	// Samples per measurement (default 1) and K landmarks measured per
 	// host (default 0 = all).
 	Samples int
 	K       int
-	// Timeout bounds each wire exchange and measurement (wall clock;
-	// default 2s — partitioned targets fail fast, not after this).
-	Timeout time.Duration
-	// HostTTL passes through to the server (default 0: no expiry).
-	HostTTL time.Duration
 	// DriftEpochThreshold passes through to the server (SGD solver
 	// drift at which a corrective fit bumps the epoch).
 	DriftEpochThreshold float64
-	// Topology, when set, overrides the generated topology's shape;
-	// NumHosts/Seed inside it are filled from this Config.
-	Topology *topology.Config
 	// Metrics and History pass through to the server's observability
 	// sinks: a metrics registry to scrape and an append-only history
 	// store that records the run for later replay. Both optional.
 	Metrics *telemetry.Registry
 	History *telemetry.Store
-	// Logger receives component logs. Nil disables logging.
-	Logger *log.Logger
 }
+
+const (
+	// timeScale compresses simulated delays onto the wall clock: a
+	// 100 ms RTT costs 1 µs of test time.
+	timeScale = 1e-5
+	// exchangeTimeout bounds each wire exchange and measurement (wall
+	// clock; partitioned targets fail fast, not after this).
+	exchangeTimeout = 2 * time.Second
+)
 
 func (c Config) withDefaults() Config {
 	if c.NumLandmarks <= 0 {
@@ -113,14 +107,8 @@ func (c Config) withDefaults() Config {
 	if c.Dim <= 0 {
 		c.Dim = 8
 	}
-	if c.TimeScale <= 0 {
-		c.TimeScale = 1e-5
-	}
 	if c.Samples <= 0 {
 		c.Samples = 1
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = 2 * time.Second
 	}
 	return c
 }
@@ -162,13 +150,7 @@ func New(cfg Config) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 	total := cfg.NumLandmarks + 1 + cfg.NumFollowers + cfg.NumHosts
 
-	tcfg := topology.Config{Seed: cfg.Seed, NumHosts: total, HostsPerStub: 1}
-	if cfg.Topology != nil {
-		tcfg = *cfg.Topology
-		tcfg.Seed = cfg.Seed
-		tcfg.NumHosts = total
-	}
-	topo, err := topology.Generate(tcfg)
+	topo, err := topology.Generate(topology.Config{Seed: cfg.Seed, NumHosts: total, HostsPerStub: 1})
 	if err != nil {
 		return nil, fmt.Errorf("harness: %w", err)
 	}
@@ -195,11 +177,10 @@ func New(cfg Config) (*Cluster, error) {
 	}
 
 	nw, err := simnet.New(topo, names, simnet.Config{
-		TimeScale:  cfg.TimeScale,
-		JitterMean: cfg.JitterMean,
-		Seed:       cfg.Seed,
-		LossRate:   cfg.LossRate,
-		RTOMillis:  cfg.RTOMillis,
+		TimeScale: timeScale,
+		Seed:      cfg.Seed,
+		LossRate:  cfg.LossRate,
+		RTOMillis: cfg.RTOMillis,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("harness: %w", err)
@@ -233,14 +214,12 @@ func New(cfg Config) (*Cluster, error) {
 		Algorithm:           cfg.Algorithm,
 		Seed:                cfg.Seed,
 		Solver:              cfg.Solver,
-		HostTTL:             cfg.HostTTL,
 		RefitMinInterval:    time.Nanosecond,
 		RefitThreshold:      cfg.NumLandmarks * (cfg.NumLandmarks - 1),
 		DriftEpochThreshold: cfg.DriftEpochThreshold,
-		RequestTimeout:      cfg.Timeout,
+		RequestTimeout:      exchangeTimeout,
 		Metrics:             cfg.Metrics,
 		History:             cfg.History,
-		Logger:              cfg.Logger,
 	}
 	srv, err := server.New(c.leaderCfg)
 	if err != nil {
@@ -272,9 +251,7 @@ func New(cfg Config) (*Cluster, error) {
 			FollowerID:     fname,
 			LeaderDialer:   fh,
 			Dim:            cfg.Dim,
-			HostTTL:        cfg.HostTTL,
-			RequestTimeout: cfg.Timeout,
-			Logger:         cfg.Logger,
+			RequestTimeout: exchangeTimeout,
 		})
 		if err != nil {
 			return fail(fmt.Errorf("harness: follower %s: %w", fname, err))
@@ -301,8 +278,7 @@ func New(cfg Config) (*Cluster, error) {
 			Dialer:  h,
 			Pinger:  h,
 			Samples: cfg.Samples,
-			Timeout: cfg.Timeout,
-			Logger:  cfg.Logger,
+			Timeout: exchangeTimeout,
 		})
 		if err != nil {
 			return fail(fmt.Errorf("harness: landmark %s: %w", lm, err))
@@ -341,7 +317,7 @@ func (c *Cluster) newClient(name string, seed int64) (*client.Client, error) {
 		K:       c.cfg.K,
 		Seed:    seed,
 		NNLS:    c.cfg.Algorithm == core.NMF,
-		Timeout: c.cfg.Timeout,
+		Timeout: exchangeTimeout,
 	}
 	if len(c.followerNames) > 0 {
 		// Point the client at the whole serving tier: reads spread over

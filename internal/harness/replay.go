@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"strings"
 	"time"
 
 	"github.com/ides-go/ides/internal/core"
@@ -99,19 +98,6 @@ type replayFrame struct {
 	entries []telemetry.ReportRecord
 }
 
-// parseAlgorithm accepts the spellings both the flags ("svd") and
-// core.Algorithm.String() ("SVD") use.
-func parseAlgorithm(s string) (core.Algorithm, error) {
-	switch strings.ToLower(s) {
-	case "svd":
-		return core.SVD, nil
-	case "nmf":
-		return core.NMF, nil
-	default:
-		return 0, fmt.Errorf("unknown algorithm %q (want svd or nmf)", s)
-	}
-}
-
 // Replay feeds a recorded history window back through a fresh server —
 // real wire protocol over a two-host simnet fabric — and measures the
 // resulting model against the window's last-observed measurement
@@ -166,11 +152,11 @@ func Replay(ctx context.Context, recs []telemetry.Record, window ReplayWindow, o
 
 	// Effective configuration: recorded values, then overrides.
 	var err error
-	if res.Algorithm, err = parseAlgorithm(res.Config.Algorithm); err != nil {
+	if res.Algorithm, err = core.ParseAlgorithm(res.Config.Algorithm); err != nil {
 		return nil, fmt.Errorf("replay: recorded config: %w", err)
 	}
 	if over.Algorithm != "" {
-		if res.Algorithm, err = parseAlgorithm(over.Algorithm); err != nil {
+		if res.Algorithm, err = core.ParseAlgorithm(over.Algorithm); err != nil {
 			return nil, fmt.Errorf("replay: %w", err)
 		}
 	}

@@ -38,7 +38,7 @@ func BenchmarkTruncatedSVD512d10(b *testing.B) {
 	a := benchMatrix(512, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := TruncatedSVD(a, 10, TruncatedSVDOptions{Seed: 5}); err != nil {
+		if _, err := TruncatedSVD(a, 10, 5); err != nil {
 			b.Fatal(err)
 		}
 	}

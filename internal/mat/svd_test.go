@@ -176,7 +176,7 @@ func TestTruncatedSVDMatchesExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx, err := TruncatedSVD(a, 5, TruncatedSVDOptions{Seed: 7})
+	approx, err := TruncatedSVD(a, 5, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,11 +196,11 @@ func TestTruncatedSVDMatchesExact(t *testing.T) {
 func TestTruncatedSVDDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	a := randomMatrix(rng, 30, 30)
-	r1, err := TruncatedSVD(a, 4, TruncatedSVDOptions{Seed: 3})
+	r1, err := TruncatedSVD(a, 4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := TruncatedSVD(a, 4, TruncatedSVDOptions{Seed: 3})
+	r2, err := TruncatedSVD(a, 4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestTruncatedSVDDeterministic(t *testing.T) {
 func TestTruncatedSVDRankClamp(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	a := randomMatrix(rng, 6, 4)
-	r, err := TruncatedSVD(a, 100, TruncatedSVDOptions{Seed: 1})
+	r, err := TruncatedSVD(a, 100, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

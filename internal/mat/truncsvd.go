@@ -5,36 +5,24 @@ import (
 	"math/rand"
 )
 
-// TruncatedSVDOptions configures TruncatedSVD.
-type TruncatedSVDOptions struct {
-	// Oversample is the number of extra subspace dimensions carried during
-	// iteration to improve accuracy of the leading d components. Default 8.
-	Oversample int
-	// PowerIters is the number of (A Aᵀ) power iterations applied to the
-	// random starting block. Default 6, plenty for RTT matrices whose
-	// spectra decay quickly.
-	PowerIters int
-	// Seed seeds the random starting block, making results reproducible.
-	Seed int64
-}
-
-func (o TruncatedSVDOptions) withDefaults() TruncatedSVDOptions {
-	if o.Oversample <= 0 {
-		o.Oversample = 8
-	}
-	if o.PowerIters <= 0 {
-		o.PowerIters = 6
-	}
-	return o
-}
+const (
+	// svdOversample is the number of extra subspace dimensions carried
+	// during iteration to improve accuracy of the leading d components.
+	svdOversample = 8
+	// svdPowerIters is the number of (A Aᵀ) power iterations applied to
+	// the random starting block: plenty for RTT matrices, whose spectra
+	// decay quickly.
+	svdPowerIters = 6
+)
 
 // TruncatedSVD computes the leading d singular triples of a by randomized
 // subspace iteration: a seeded Gaussian block is power-iterated with
 // intermediate QR re-orthonormalization, and the small projected matrix is
 // decomposed exactly by Jacobi SVD. For the matrices in this repository
 // (rapidly decaying RTT spectra) the result matches the exact truncated SVD
-// to several digits at a fraction of the cost.
-func TruncatedSVD(a *Dense, d int, opts TruncatedSVDOptions) (*SVDResult, error) {
+// to several digits at a fraction of the cost. seed seeds the random
+// starting block, making results reproducible.
+func TruncatedSVD(a *Dense, d int, seed int64) (*SVDResult, error) {
 	m, n := a.Dims()
 	if d <= 0 {
 		panic(fmt.Sprintf("mat: TruncatedSVD rank %d must be positive", d))
@@ -42,10 +30,9 @@ func TruncatedSVD(a *Dense, d int, opts TruncatedSVDOptions) (*SVDResult, error)
 	if d > minInt(m, n) {
 		d = minInt(m, n)
 	}
-	opts = opts.withDefaults()
-	k := minInt(d+opts.Oversample, minInt(m, n))
+	k := minInt(d+svdOversample, minInt(m, n))
 
-	rng := rand.New(rand.NewSource(opts.Seed))
+	rng := rand.New(rand.NewSource(seed))
 	omega := NewDense(n, k)
 	for i := range omega.data {
 		omega.data[i] = rng.NormFloat64()
@@ -53,7 +40,7 @@ func TruncatedSVD(a *Dense, d int, opts TruncatedSVDOptions) (*SVDResult, error)
 
 	// Y = A Ω, orthonormalize.
 	q := orthonormalize(Mul(a, omega))
-	for it := 0; it < opts.PowerIters; it++ {
+	for it := 0; it < svdPowerIters; it++ {
 		z := orthonormalize(MulATB(a, q)) // n x k
 		q = orthonormalize(Mul(a, z))     // m x k
 	}

@@ -23,20 +23,17 @@ type Config struct {
 	// JitterMean is the mean of the exponentially distributed queueing
 	// delay added to each ping sample, in ms. Default 2.
 	JitterMean float64
-	// SpikeProb is the per-sample probability of a congestion spike that
-	// adds up to SpikeMax extra ms. Defaults 0.02 and 80.
-	SpikeProb float64
-	SpikeMax  float64
 	// LossProb is the per-sample probability that a ping is lost. Default 0.
 	LossProb float64
 }
 
+// spikeProb is the per-sample probability of a congestion spike, which
+// adds up to spikeMax extra ms.
+const spikeProb, spikeMax = 0.02, 80
+
 func (c Config) withDefaults() Config {
 	if c.JitterMean == 0 {
 		c.JitterMean = 2
-	}
-	if c.SpikeProb == 0 && c.SpikeMax == 0 {
-		c.SpikeProb, c.SpikeMax = 0.02, 80
 	}
 	return c
 }
@@ -75,8 +72,8 @@ func (p *Pinger) sampleLocked(i, j int) (rtt float64, ok bool) {
 	}
 	base := p.topo.RTT(i, j)
 	jitter := p.rng.ExpFloat64() * p.cfg.JitterMean
-	if p.cfg.SpikeProb > 0 && p.rng.Float64() < p.cfg.SpikeProb {
-		jitter += p.rng.Float64() * p.cfg.SpikeMax
+	if p.rng.Float64() < spikeProb {
+		jitter += p.rng.Float64() * spikeMax
 	}
 	return base + jitter, true
 }

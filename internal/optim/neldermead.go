@@ -15,9 +15,6 @@ import (
 type Options struct {
 	// MaxEvals caps objective evaluations. Default 400·dim.
 	MaxEvals int
-	// TolF stops when the simplex's objective spread falls below it.
-	// Default 1e-10.
-	TolF float64
 	// InitStep is the edge length of the initial simplex around x0.
 	// Default 1, or |x0_i|·0.1 when that is larger.
 	InitStep float64
@@ -27,21 +24,22 @@ func (o Options) withDefaults(dim int) Options {
 	if o.MaxEvals <= 0 {
 		o.MaxEvals = 400 * dim
 	}
-	if o.TolF <= 0 {
-		o.TolF = 1e-10
-	}
 	if o.InitStep <= 0 {
 		o.InitStep = 1
 	}
 	return o
 }
 
+// tolF stops the search when the simplex's objective spread falls below
+// it, relative to the best value.
+const tolF = 1e-10
+
 // Result reports the outcome of a minimization.
 type Result struct {
 	X     []float64
 	F     float64
 	Evals int
-	// Converged is true when the simplex collapsed below TolF rather than
+	// Converged is true when the simplex collapsed below tolF rather than
 	// running out of evaluations.
 	Converged bool
 }
@@ -102,7 +100,7 @@ func NelderMead(f func([]float64) float64, x0 []float64, opts Options) Result {
 		sort.SliceStable(order, func(a, b int) bool { return vals[order[a]] < vals[order[b]] })
 		best, worst, second := order[0], order[dim], order[dim-1]
 
-		if math.Abs(vals[worst]-vals[best]) <= opts.TolF*(math.Abs(vals[best])+opts.TolF) {
+		if math.Abs(vals[worst]-vals[best]) <= tolF*(math.Abs(vals[best])+tolF) {
 			return Result{X: pts[best], F: vals[best], Evals: evals, Converged: true}
 		}
 
@@ -179,7 +177,7 @@ func NelderMead(f func([]float64) float64, x0 []float64, opts Options) Result {
 // Validate panics if the options are internally inconsistent; exported for
 // callers that construct Options programmatically.
 func (o Options) Validate() {
-	if o.MaxEvals < 0 || o.TolF < 0 || o.InitStep < 0 {
+	if o.MaxEvals < 0 || o.InitStep < 0 {
 		panic(fmt.Sprintf("optim: negative option in %+v", o))
 	}
 }

@@ -52,9 +52,11 @@ type Config struct {
 	// Dim is the coordinate dimensionality. Default 8; every peer in a
 	// deployment must agree on it.
 	Dim int
-	// Algorithm selects the factorization variant: core.NMF (the
-	// default) keeps coordinates nonnegative so estimates can never go
-	// negative; core.SVD leaves them unconstrained.
+	// Algorithm selects the factorization variant: core.NMF keeps
+	// coordinates nonnegative so estimates can never go negative;
+	// core.SVD — the zero value, so what a Config that does not set the
+	// field runs — leaves them unconstrained. (ides-peer's -alg flag
+	// defaults to nmf; the harness fleets leave the field zero.)
 	Algorithm core.Algorithm
 	// SGD tunes the gradient updates; zero values select the solver
 	// package defaults (Rate 0.3, Reg 1e-4).
@@ -80,10 +82,6 @@ type Config struct {
 	// PingSamples is how many probes each RTT measurement takes (the
 	// minimum wins). Default 1.
 	PingSamples int
-	// InitRTT scales the random initial coordinates so that initial
-	// estimates land near a plausible RTT instead of zero. Default 100
-	// (milliseconds).
-	InitRTT float64
 	// Dialer opens connections for gossip calls. Required.
 	Dialer transport.Dialer
 	// Pinger measures RTT to gossip partners. Required.
@@ -101,6 +99,10 @@ type Config struct {
 	Logger *log.Logger
 }
 
+// initRTT, in milliseconds, scales the random initial coordinates so that
+// initial estimates land near a plausible RTT instead of zero.
+const initRTT = 100
+
 func (c Config) withDefaults() Config {
 	if c.Dim == 0 {
 		c.Dim = 8
@@ -116,9 +118,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PingSamples <= 0 {
 		c.PingSamples = 1
-	}
-	if c.InitRTT <= 0 {
-		c.InitRTT = 100
 	}
 	if c.IdleTimeout <= 0 {
 		c.IdleTimeout = 60 * time.Second
@@ -203,7 +202,7 @@ type Peer struct {
 }
 
 // New builds a Peer. Coordinates initialize to seeded random values
-// scaled so initial estimates land near cfg.InitRTT.
+// scaled so initial estimates land near initRTT.
 func New(cfg Config) (*Peer, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Self == "" {
@@ -244,9 +243,9 @@ func New(cfg Config) (*Peer, error) {
 		p.rdvPhase = uint64(h.Sum32()) % uint64(cfg.RendezvousEvery)
 	}
 	// Random nonnegative init: entries in [0.5s, 1.5s] with s chosen so
-	// x·y ≈ dim·s² ≈ InitRTT. The Kaczmarz-normalized step makes Rate
+	// x·y ≈ dim·s² ≈ initRTT. The Kaczmarz-normalized step makes Rate
 	// unitless, so the scale only needs to be plausible, not precise.
-	s := math.Sqrt(cfg.InitRTT / float64(cfg.Dim))
+	s := math.Sqrt(initRTT / float64(cfg.Dim))
 	p.x = make([]float64, cfg.Dim)
 	p.y = make([]float64, cfg.Dim)
 	p.px = make([]float64, cfg.Dim)

@@ -18,9 +18,8 @@ import (
 // immutable snapshots. Only a leader (or standalone server) has one;
 // followers consume its output over the replication stream instead.
 type ModelPipeline struct {
-	refit     *lifecycle.Refitter
-	landmarks []string
-	lmIndex   map[string]int
+	refit   *lifecycle.Refitter
+	lmIndex map[string]int
 }
 
 // newModelPipeline builds the solver and refitter for cfg. The hooks run
@@ -37,10 +36,7 @@ func newModelPipeline(cfg Config, now func() time.Time, lmIndex map[string]int,
 	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}
-	p := &ModelPipeline{
-		landmarks: cfg.Landmarks,
-		lmIndex:   lmIndex,
-	}
+	p := &ModelPipeline{lmIndex: lmIndex}
 	p.refit = lifecycle.New(solver, lifecycle.Config{
 		BaseEpoch:      cfg.BaseEpoch,
 		MinInterval:    cfg.RefitMinInterval,

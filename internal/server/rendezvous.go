@@ -30,10 +30,9 @@ type rendezvous struct {
 }
 
 // rdvEntry is one announced peer: its last coordinate rows (possibly
-// empty) and its position in order for swap-delete.
+// empty).
 type rdvEntry struct {
 	out, in []float64
-	idx     int
 }
 
 func newRendezvous(cfg Config) *rendezvous {
@@ -122,7 +121,7 @@ func (r *rendezvous) observeLocked(addr string, out, in []float64) {
 		r.evictLocked(r.rng.Intn(len(r.order)))
 		r.evictions.Inc()
 	}
-	e := &rdvEntry{idx: len(r.order)}
+	e := &rdvEntry{}
 	if len(out) > 0 && len(in) > 0 {
 		e.out, e.in = out, in
 	}
@@ -134,7 +133,6 @@ func (r *rendezvous) evictLocked(i int) {
 	addr := r.order[i]
 	last := len(r.order) - 1
 	r.order[i] = r.order[last]
-	r.entries[r.order[i]].idx = i
 	r.order = r.order[:last]
 	delete(r.entries, addr)
 }

@@ -126,10 +126,6 @@ type Config struct {
 	// expired entries stop resolving immediately, and are physically
 	// reclaimed by per-shard sweeps instead of full scans per request.
 	HostTTL time.Duration
-	// DirectoryShards sets the host directory's shard count (rounded up
-	// to a power of two; default 16). More shards reduce lock contention
-	// under registration-heavy load.
-	DirectoryShards int
 	// MaxKNN caps the K a QueryKNN request may ask for (default 4096),
 	// bounding response size and per-request work.
 	MaxKNN int
@@ -305,10 +301,10 @@ func New(cfg Config) (*Server, error) {
 	s.SetNow(time.Now)
 	// The directory and the refitter read the clock through s.clock so
 	// tests that inject a fake clock steer TTL expiry and debounce too.
+	// Shards is left at query's own default, 16.
 	qc := query.Config{
-		Shards: cfg.DirectoryShards,
-		TTL:    cfg.HostTTL,
-		Now:    s.clock,
+		TTL: cfg.HostTTL,
+		Now: s.clock,
 	}
 	if cfg.Metrics != nil {
 		qc.Metrics = query.NewMetrics(cfg.Metrics)

@@ -40,8 +40,8 @@
 // link RNG stream seeded from Config.Seed and the link's endpoint
 // indices. Two networks built with the same topology, names and seed
 // produce identical measurement sequences as long as traffic on each
-// link is issued in the same order; with JitterMean, LossRate and
-// ResetRate all zero no draws happen at all and runs are bit-for-bit
+// link is issued in the same order; with JitterMean and LossRate zero
+// and no SetReset link no draws happen at all and runs are bit-for-bit
 // deterministic regardless of goroutine interleaving. Wall-clock
 // timing (TimeScale) never influences measured values: pings report
 // simulated time.
@@ -79,10 +79,6 @@ type Config struct {
 	// samples are discarded (and cost one RTO of wall time in Ping).
 	// Override per link with SetLoss. Default 0.
 	LossRate float64
-	// ResetRate is the default probability that any single write tears
-	// the connection down with a reset — flaky middleboxes, NAT table
-	// evictions. Override per link with SetReset. Default 0.
-	ResetRate float64
 	// RTOMillis is the simulated retransmission timeout added to a lost
 	// packet's delivery, in milliseconds. Default 200.
 	RTOMillis float64
@@ -108,19 +104,19 @@ type Network struct {
 	cfg   Config
 	sched *scheduler
 
-	mu            sync.Mutex
-	names         map[string]int
-	listeners     map[string]*listener
-	rngs          map[linkKey]*rand.Rand
-	dead          map[int]bool
-	cuts          map[linkKey]bool
-	partitions    []map[int]bool
-	latOverride   map[linkKey]float64
-	lossOverride  map[linkKey]float64
-	resetOverride map[linkKey]float64
-	latScale      float64
-	pairs         map[*pairConn]struct{}
-	closed        bool
+	mu           sync.Mutex
+	names        map[string]int
+	listeners    map[string]*listener
+	rngs         map[linkKey]*rand.Rand
+	dead         map[int]bool
+	cuts         map[linkKey]bool
+	partitions   []map[int]bool
+	latOverride  map[linkKey]float64
+	lossOverride map[linkKey]float64
+	resetRate    map[linkKey]float64
+	latScale     float64
+	pairs        map[*pairConn]struct{}
+	closed       bool
 }
 
 // New builds a Network over topo. names[i] becomes the address of
@@ -137,19 +133,19 @@ func New(topo *topology.Topology, names []string, cfg Config) (*Network, error) 
 		idx[n] = i
 	}
 	return &Network{
-		topo:          topo,
-		cfg:           cfg.withDefaults(),
-		sched:         &scheduler{},
-		names:         idx,
-		listeners:     make(map[string]*listener),
-		rngs:          make(map[linkKey]*rand.Rand),
-		dead:          make(map[int]bool),
-		cuts:          make(map[linkKey]bool),
-		latOverride:   make(map[linkKey]float64),
-		lossOverride:  make(map[linkKey]float64),
-		resetOverride: make(map[linkKey]float64),
-		latScale:      1,
-		pairs:         make(map[*pairConn]struct{}),
+		topo:         topo,
+		cfg:          cfg.withDefaults(),
+		sched:        &scheduler{},
+		names:        idx,
+		listeners:    make(map[string]*listener),
+		rngs:         make(map[linkKey]*rand.Rand),
+		dead:         make(map[int]bool),
+		cuts:         make(map[linkKey]bool),
+		latOverride:  make(map[linkKey]float64),
+		lossOverride: make(map[linkKey]float64),
+		resetRate:    make(map[linkKey]float64),
+		latScale:     1,
+		pairs:        make(map[*pairConn]struct{}),
 	}, nil
 }
 
@@ -303,7 +299,9 @@ func (n *Network) sendVerdict(from, to int) (delay time.Duration, drop, reset bo
 	if p := n.lossRateLocked(from, to); p > 0 && n.rngLocked(from, to).Float64() < p {
 		ms += n.cfg.RTOMillis
 	}
-	if p := n.resetRateLocked(from, to); p > 0 && n.rngLocked(from, to).Float64() < p {
+	// Resets exist only where SetReset put them; everywhere else p is 0
+	// and the stream is not drawn from.
+	if p := n.resetRate[linkKey{from, to}]; p > 0 && n.rngLocked(from, to).Float64() < p {
 		return 0, false, true
 	}
 	return n.wall(ms), false, false
@@ -323,13 +321,6 @@ func (n *Network) lossRateLocked(a, b int) float64 {
 		return p
 	}
 	return n.cfg.LossRate
-}
-
-func (n *Network) resetRateLocked(a, b int) float64 {
-	if p, ok := n.resetOverride[linkKey{a, b}]; ok {
-		return p
-	}
-	return n.cfg.ResetRate
 }
 
 // resolve maps a host name to its index. Callers hold n.mu.
@@ -513,8 +504,9 @@ func (n *Network) SetLossAll(p float64) {
 	n.cfg.LossRate = p
 }
 
-// SetReset overrides the per-write connection-reset probability
-// between two hosts (both directions).
+// SetReset sets the probability that any single write between two hosts
+// (both directions) tears the connection down with a reset — flaky
+// middleboxes, NAT table evictions. It is 0 on every other link.
 func (n *Network) SetReset(a, b string, p float64) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -522,8 +514,8 @@ func (n *Network) SetReset(a, b string, p float64) error {
 	if err != nil {
 		return err
 	}
-	n.resetOverride[linkKey{ai, bi}] = p
-	n.resetOverride[linkKey{bi, ai}] = p
+	n.resetRate[linkKey{ai, bi}] = p
+	n.resetRate[linkKey{bi, ai}] = p
 	return nil
 }
 

@@ -41,23 +41,9 @@ type Config struct {
 	// stub domain) being placed on each continent. Its length fixes the
 	// number of continents. Default: {0.45, 0.25, 0.2, 0.1}.
 	ContinentWeights []float64
-	// TransitPerContinent is the number of backbone routers per continent.
-	// Default 4.
-	TransitPerContinent int
 	// HostsPerStub controls how many hosts share one stub domain.
 	// Default 5.
 	HostsPerStub int
-
-	// InterContinentMin/Max bound one-way latency of intercontinental
-	// backbone links. Defaults 25/90 ms.
-	InterContinentMin, InterContinentMax float64
-	// IntraContinentMin/Max bound one-way latency between backbone routers
-	// of one continent. Defaults 2/18 ms.
-	IntraContinentMin, IntraContinentMax float64
-	// StubMin/Max bound the stub-to-transit access link. Defaults 0.5/5 ms.
-	StubMin, StubMax float64
-	// HostMin/Max bound the host last-mile link. Defaults 0.1/3 ms.
-	HostMin, HostMax float64
 
 	// InflationProb is the probability that an unordered pair of *transit
 	// domains* suffers sub-optimal inter-domain routing; every path between
@@ -90,27 +76,28 @@ type Config struct {
 	MultihomeProb float64
 }
 
+// The shape every dataset and benchmark topology was generated with.
+// Latencies are one-way milliseconds.
+const (
+	// transitPerContinent is the number of backbone routers per continent.
+	transitPerContinent = 4
+	// interContinentMin/Max bound intercontinental backbone links.
+	interContinentMin, interContinentMax = 25, 90
+	// intraContinentMin/Max bound links between backbone routers of one
+	// continent.
+	intraContinentMin, intraContinentMax = 2, 18
+	// stubMin/Max bound the stub-to-transit access link.
+	stubMin, stubMax = 0.5, 5
+	// hostMin/Max bound the host last-mile link.
+	hostMin, hostMax = 0.1, 3
+)
+
 func (c Config) withDefaults() Config {
 	if len(c.ContinentWeights) == 0 {
 		c.ContinentWeights = []float64{0.45, 0.25, 0.2, 0.1}
 	}
-	if c.TransitPerContinent <= 0 {
-		c.TransitPerContinent = 4
-	}
 	if c.HostsPerStub <= 0 {
 		c.HostsPerStub = 5
-	}
-	if c.InterContinentMax <= 0 {
-		c.InterContinentMin, c.InterContinentMax = 25, 90
-	}
-	if c.IntraContinentMax <= 0 {
-		c.IntraContinentMin, c.IntraContinentMax = 2, 18
-	}
-	if c.StubMax <= 0 {
-		c.StubMin, c.StubMax = 0.5, 5
-	}
-	if c.HostMax <= 0 {
-		c.HostMin, c.HostMax = 0.1, 3
 	}
 	// Zero-valued knobs select the defaults; a negative value is the
 	// explicit off switch (matching the Server.IdleTimeout convention)
@@ -174,7 +161,7 @@ func Generate(cfg Config) (*Topology, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	numContinents := len(cfg.ContinentWeights)
-	numTransit := numContinents * cfg.TransitPerContinent
+	numTransit := numContinents * transitPerContinent
 	numStubs := (cfg.NumHosts + cfg.HostsPerStub - 1) / cfg.HostsPerStub
 	if numStubs < 1 {
 		numStubs = 1
@@ -206,21 +193,21 @@ func Generate(cfg Config) (*Topology, error) {
 
 	// Router graph: transit routers first, then one router per stub domain.
 	g := newGraph(numTransit + numStubs)
-	transitID := func(cont, k int) int { return cont*cfg.TransitPerContinent + k }
+	transitID := func(cont, k int) int { return cont*transitPerContinent + k }
 	// Intra-continent backbone: ring plus random chords keeps the graph
 	// sparse but well-connected.
 	for c := 0; c < numContinents; c++ {
-		n := cfg.TransitPerContinent
+		n := transitPerContinent
 		for k := 0; k < n; k++ {
 			next := transitID(c, (k+1)%n)
-			g.addEdge(transitID(c, k), next, uniform(rng, cfg.IntraContinentMin, cfg.IntraContinentMax))
+			g.addEdge(transitID(c, k), next, uniform(rng, intraContinentMin, intraContinentMax))
 		}
 		extra := n / 2
 		for e := 0; e < extra; e++ {
 			a := transitID(c, rng.Intn(n))
 			b := transitID(c, rng.Intn(n))
 			if a != b {
-				g.addEdge(a, b, uniform(rng, cfg.IntraContinentMin, cfg.IntraContinentMax))
+				g.addEdge(a, b, uniform(rng, intraContinentMin, intraContinentMax))
 			}
 		}
 	}
@@ -231,9 +218,9 @@ func Generate(cfg Config) (*Topology, error) {
 			links := 1 + rng.Intn(2)
 			spread := 1 + 0.35*float64(c2-c1-1)
 			for l := 0; l < links; l++ {
-				a := transitID(c1, rng.Intn(cfg.TransitPerContinent))
-				b := transitID(c2, rng.Intn(cfg.TransitPerContinent))
-				lat := uniform(rng, cfg.InterContinentMin, cfg.InterContinentMax) * spread
+				a := transitID(c1, rng.Intn(transitPerContinent))
+				b := transitID(c2, rng.Intn(transitPerContinent))
+				lat := uniform(rng, interContinentMin, interContinentMax) * spread
 				g.addEdge(a, b, lat)
 			}
 		}
@@ -241,13 +228,13 @@ func Generate(cfg Config) (*Topology, error) {
 	// Stub access links.
 	stubHome := make([]int, numStubs)
 	for s := 0; s < numStubs; s++ {
-		home := transitID(stubContinent[s], rng.Intn(cfg.TransitPerContinent))
+		home := transitID(stubContinent[s], rng.Intn(transitPerContinent))
 		stubHome[s] = home
-		g.addEdge(numTransit+s, home, uniform(rng, cfg.StubMin, cfg.StubMax))
+		g.addEdge(numTransit+s, home, uniform(rng, stubMin, stubMax))
 		if rng.Float64() < cfg.MultihomeProb {
-			second := transitID(stubContinent[s], rng.Intn(cfg.TransitPerContinent))
+			second := transitID(stubContinent[s], rng.Intn(transitPerContinent))
 			if second != home {
-				g.addEdge(numTransit+s, second, uniform(rng, cfg.StubMin, cfg.StubMax))
+				g.addEdge(numTransit+s, second, uniform(rng, stubMin, stubMax))
 			}
 		}
 	}
@@ -317,7 +304,7 @@ func Generate(cfg Config) (*Topology, error) {
 	hosts := make([]Host, cfg.NumHosts)
 	for h := range hosts {
 		s := h % numStubs
-		up := uniform(rng, cfg.HostMin, cfg.HostMax)
+		up := uniform(rng, hostMin, hostMax)
 		down := up
 		if cfg.HostAsymmetryMax > 0 {
 			down = up + rng.Float64()*cfg.HostAsymmetryMax

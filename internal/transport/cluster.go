@@ -27,10 +27,9 @@ type ClusterConfig struct {
 	// required then.
 	PoolConfig PoolConfig
 	// ProbeInterval is how often a failed endpoint is re-probed with a
-	// Ping. Default 500ms. Probes stop the moment the endpoint answers.
+	// Ping, and the bound on one such probe. Default 500ms. Probes stop
+	// the moment the endpoint answers.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one health probe. Default ProbeInterval.
-	ProbeTimeout time.Duration
 }
 
 // ClusterPool routes IDES calls across a set of equivalent server
@@ -56,7 +55,6 @@ type ClusterPool struct {
 	eps     []*clusterEndpoint
 
 	probeInterval time.Duration
-	probeTimeout  time.Duration
 
 	failovers atomic.Int64
 	closed    atomic.Bool
@@ -106,10 +104,6 @@ func NewClusterPool(cfg ClusterConfig) (*ClusterPool, error) {
 	cp.probeInterval = cfg.ProbeInterval
 	if cp.probeInterval <= 0 {
 		cp.probeInterval = 500 * time.Millisecond
-	}
-	cp.probeTimeout = cfg.ProbeTimeout
-	if cp.probeTimeout <= 0 {
-		cp.probeTimeout = cp.probeInterval
 	}
 	return cp, nil
 }
@@ -246,7 +240,7 @@ func (cp *ClusterPool) scheduleProbe(ep *clusterEndpoint) {
 
 // probe sends one Ping to ep and reports whether it answered correctly.
 func (cp *ClusterPool) probe(ep *clusterEndpoint) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), cp.probeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), cp.probeInterval)
 	defer cancel()
 	ping := wire.Ping{Token: uint64(time.Now().UnixNano())}
 	rt, rp, err := cp.pool.Call(ctx, ep.addr, wire.TypePing, ping.Encode(nil))

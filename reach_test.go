@@ -43,12 +43,14 @@ var reachTestSupport = map[string]bool{
 }
 
 // reachPkg is one directory's non-test files, parsed and — on demand,
-// through reachTree.Import — type-checked.
+// through reachTree.Import — type-checked. Its _test.go files are parsed
+// beside them and type-checked only by the options gate.
 type reachPkg struct {
-	path  string
-	files []*ast.File
-	types *types.Package
-	info  *types.Info
+	path      string
+	files     []*ast.File
+	testFiles []*ast.File
+	types     *types.Package
+	info      *types.Info
 }
 
 // reachTree is the parsed tree. As a types.Importer it resolves the
@@ -77,15 +79,22 @@ func (tr *reachTree) Import(p string) (*types.Package, error) {
 		return pkg, err
 	}
 	if rp.types == nil {
-		rp.info = &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
-		conf := types.Config{Importer: tr, Error: func(err error) {
-			if tr.err == nil {
-				tr.err = err
-			}
-		}}
-		rp.types, _ = conf.Check(p, tr.fset, rp.files, rp.info)
+		rp.types, rp.info = tr.check(p, rp.files, tr)
 	}
 	return rp.types, nil
+}
+
+// check type-checks files as package p; the first type error lands in
+// tr.err.
+func (tr *reachTree) check(p string, files []*ast.File, imp types.Importer) (*types.Package, *types.Info) {
+	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	conf := types.Config{Importer: imp, Error: func(err error) {
+		if tr.err == nil {
+			tr.err = err
+		}
+	}}
+	pkg, _ := conf.Check(p, tr.fset, files, info)
+	return pkg, info
 }
 
 func (tr *reachTree) noteInterfaces(pkg *types.Package) {
@@ -136,21 +145,24 @@ func loadReachTree(t *testing.T, root string) *reachTree {
 		if err != nil {
 			return err
 		}
-		if strings.HasSuffix(p, "_test.go") {
-			ast.Inspect(f, func(n ast.Node) bool {
-				if sel, ok := n.(*ast.SelectorExpr); ok {
-					tr.testSelected[sel.Sel.Name] = true
-				}
-				return true
-			})
-			return nil
-		}
 		rel, _ := filepath.Rel(root, dir)
 		ip := path.Join(reachModule, filepath.ToSlash(rel))
-		if tr.pkgs[ip] == nil {
-			tr.pkgs[ip] = &reachPkg{path: ip}
+		rp := tr.pkgs[ip]
+		if rp == nil {
+			rp = &reachPkg{path: ip}
+			tr.pkgs[ip] = rp
 		}
-		tr.pkgs[ip].files = append(tr.pkgs[ip].files, f)
+		if !strings.HasSuffix(p, "_test.go") {
+			rp.files = append(rp.files, f)
+			return nil
+		}
+		rp.testFiles = append(rp.testFiles, f)
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				tr.testSelected[sel.Sel.Name] = true
+			}
+			return true
+		})
 		return nil
 	})
 	if err != nil {
@@ -363,5 +375,134 @@ func TestEveryDeclarationIsReachable(t *testing.T) {
 	}
 	for _, name := range tr.unreachable(decls, allow) {
 		t.Errorf("%s is unreachable from every main, init, façade export and test-support API: delete it, or add it to %s with the reason it stays", name, reachAllowFile)
+	}
+}
+
+// The options gate: every option must have a writer somewhere in the
+// tree. An option is a field of a non-test struct type outside bench/
+// whose name ends in Config, Options or Overrides. A writer is a keyed
+// composite-literal element or an assignment through a selector that
+// resolves to the field, in any file — tests, examples and bench/
+// included — except that in the declaring package's own non-test files
+// only a composite literal counts: an assignment there is how defaults
+// are filled. An option nothing sets is a configuration that has never
+// run; there is no allow-list, because it has no reason to give.
+
+// reachOption is one option: its "pkg.Type.Field" name and the package
+// that declares it.
+type reachOption struct {
+	name string
+	pkg  *reachPkg
+}
+
+// options returns every option, keyed by the position of its declaration
+// — the one identity a field keeps when its package is type-checked a
+// second time together with its tests.
+func (tr *reachTree) options() map[token.Pos]reachOption {
+	out := map[token.Pos]reachOption{}
+	for _, rp := range tr.pkgs {
+		if strings.HasPrefix(rp.path, reachModule+"/bench") {
+			continue
+		}
+		dir := strings.TrimPrefix(strings.TrimPrefix(rp.path, reachModule), "/")
+		for _, f := range rp.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				spec, ok := n.(*ast.TypeSpec)
+				if !ok {
+					return true
+				}
+				tn := spec.Name.Name
+				st, ok := spec.Type.(*ast.StructType)
+				if !ok || !(strings.HasSuffix(tn, "Config") || strings.HasSuffix(tn, "Options") || strings.HasSuffix(tn, "Overrides")) {
+					return true
+				}
+				for _, field := range st.Fields.List {
+					for _, id := range field.Names {
+						out[id.Pos()] = reachOption{dir + "." + tn + "." + id.Name, rp}
+					}
+				}
+				return true
+			})
+		}
+	}
+	return out
+}
+
+// unsetOptions returns the names of the options without a writer, and
+// the number of options.
+func (tr *reachTree) unsetOptions() (unset []string, total int) {
+	options := tr.options()
+	written := map[token.Pos]bool{}
+	// note marks what files write; own is the package whose non-test
+	// files they are, nil for tests.
+	note := func(files []*ast.File, info *types.Info, own *reachPkg) {
+		write := func(id *ast.Ident, assigned bool) {
+			v, ok := info.Uses[id].(*types.Var)
+			if !ok || !v.IsField() || assigned && own != nil && options[v.Pos()].pkg == own {
+				return
+			}
+			written[v.Pos()] = true
+		}
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok {
+						write(id, false)
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if sel, ok := lhs.(*ast.SelectorExpr); ok {
+							write(sel.Sel, true)
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	for _, rp := range tr.pkgs {
+		note(rp.files, rp.info, rp)
+		// In-package tests are checked with the package they extend,
+		// external ones (package x_test) as a package importing it.
+		var inPkg, external []*ast.File
+		for _, f := range rp.testFiles {
+			if f.Name.Name == rp.types.Name() {
+				inPkg = append(inPkg, f)
+			} else {
+				external = append(external, f)
+			}
+		}
+		if len(inPkg) > 0 {
+			_, info := tr.check(rp.path, append(rp.files[:len(rp.files):len(rp.files)], inPkg...), tr)
+			note(inPkg, info, nil)
+		}
+		if len(external) > 0 {
+			_, info := tr.check(rp.path+"_test", external, tr)
+			note(external, info, nil)
+		}
+	}
+	for pos, o := range options {
+		if !written[pos] {
+			unset = append(unset, o.name)
+		}
+	}
+	sort.Strings(unset)
+	return unset, len(options)
+}
+
+// TestEveryOptionIsSet fails on an option no file of the tree sets.
+func TestEveryOptionIsSet(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the whole tree, tests included, and the standard library it imports from source")
+	}
+	tr := loadReachTree(t, ".")
+	unset, total := tr.unsetOptions()
+	if tr.err != nil {
+		t.Fatalf("type-checking the tests: %v", tr.err)
+	}
+	t.Logf("option fields: %d", total)
+	for _, name := range unset {
+		t.Errorf("%s is set by nothing — no program, example, benchmark or test: make it a constant and delete the field, or give it a caller", name)
 	}
 }
