@@ -102,7 +102,7 @@ func pointQueryLoop(tb testing.TB, pool *transport.Pool, addr string, addrs []st
 // allocations per op across the whole process, server goroutines
 // included (AllocsPerRun reads the global allocation counter).
 func TestPointQueryZeroAlloc(t *testing.T) {
-	if raceEnabled {
+	if testutil.RaceEnabled {
 		t.Skip("allocation accounting changes under -race")
 	}
 	addr, addrs, pool := startAllocServer(t, 512, 8)
@@ -237,6 +237,40 @@ func BenchmarkAllocs(b *testing.B) {
 			}
 		}
 	})
+	// The two bulk requests end to end over the pooled transport, replies
+	// left undecoded so the count is the transport's and the server's:
+	// internal/server's TestBulkQueryAllocs gates the handler share (0
+	// for the batch, a handful for the k-NN).
+	bulk := func(typ, reply wire.MsgType, encode func(addrs []string, dst []byte) []byte) func(*testing.B) {
+		return func(b *testing.B) {
+			addr, addrs, pool := startAllocServer(b, 8192, 8)
+			ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+			defer cancel()
+			req := encode(addrs, nil)
+			var scratch []byte
+			op := func() {
+				got, _, s, err := pool.CallInto(ctx, addr, typ, req, scratch)
+				scratch = s
+				if err != nil || got != reply {
+					b.Fatalf("type %v err %v", got, err)
+				}
+			}
+			for i := 0; i < 64; i++ {
+				op() // the first k-NN finds no index and starts its build
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op()
+			}
+		}
+	}
+	b.Run("query-batch", bulk(wire.TypeQueryBatch, wire.TypeDistances, func(addrs []string, dst []byte) []byte {
+		return (&wire.QueryBatch{From: addrs[0], Targets: addrs[1:257]}).Encode(dst)
+	}))
+	b.Run("query-knn", bulk(wire.TypeQueryKNN, wire.TypeNeighbors, func(addrs []string, dst []byte) []byte {
+		return (&wire.QueryKNN{From: addrs[0], K: 16}).Encode(dst)
+	}))
 	b.Run("pool-point-query", func(b *testing.B) {
 		addr, addrs, pool := startAllocServer(b, 512, 8)
 		op := pointQueryLoop(b, pool, addr, addrs)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/ides-go/ides/internal/solve"
+	"github.com/ides-go/ides/internal/testutil"
 )
 
 // TestPaperAccuracyAtScale is the end-to-end Fig-2-style regression
@@ -18,7 +19,7 @@ import (
 // scaled to 300 hosts to keep the suite fast; the bounds are the same.
 func TestPaperAccuracyAtScale(t *testing.T) {
 	totalHosts := 1000
-	if raceEnabled {
+	if testutil.RaceEnabled {
 		totalHosts = 300
 	}
 	const numLM = 20

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"github.com/ides-go/ides/internal/testutil"
 )
 
 // TestGossipPaperAccuracyAtScale is the decentralized counterpart of
@@ -19,7 +21,7 @@ import (
 func TestGossipPaperAccuracyAtScale(t *testing.T) {
 	numPeers, rounds := 10000, 120
 	switch {
-	case raceEnabled:
+	case testutil.RaceEnabled:
 		numPeers, rounds = 1000, 100
 	case testing.Short():
 		numPeers, rounds = 256, 120
@@ -190,7 +192,7 @@ func TestGossipPartitionHeal(t *testing.T) {
 // serving goroutine, a table key for each address new to a neighbour
 // table. The parent of the PR that added this gate measured 156–181.
 func TestGossipRoundAllocs(t *testing.T) {
-	if raceEnabled {
+	if testutil.RaceEnabled {
 		t.Skip("allocation accounting differs under the race detector")
 	}
 	g, err := NewGossip(GossipConfig{NumPeers: 64, Seed: 42})

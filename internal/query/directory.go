@@ -136,8 +136,36 @@ func New(cfg Config) *Directory {
 	return d
 }
 
+// addrKey is an address in either form a caller holds it: a string, or
+// the bytes of one still sitting in a request frame. Both hash alike
+// (maphash.Bytes equals maphash.String over equal bytes) and both index
+// the shard maps without allocating (the compiler elides the string
+// conversion in a map lookup), so one body serves both.
+type addrKey interface{ string | []byte }
+
+// shardOf returns the index of the shard addr belongs to.
+func shardOf[K addrKey](d *Directory, addr K) uint32 {
+	var h uint64
+	switch a := any(addr).(type) {
+	case string:
+		h = maphash.String(d.seed, a)
+	case []byte:
+		h = maphash.Bytes(d.seed, a)
+	}
+	return uint32(h & d.mask)
+}
+
 func (d *Directory) shardFor(addr string) *shard {
-	return &d.shards[maphash.String(d.seed, addr)&d.mask]
+	return &d.shards[shardOf(d, addr)]
+}
+
+// ttlNow reads the clock for a TTL comparison, or returns 0 without
+// touching it when entries never expire.
+func (d *Directory) ttlNow() int64 {
+	if d.ttl > 0 {
+		return d.now().UnixNano()
+	}
+	return 0
 }
 
 // NumShards returns the shard count (after power-of-two rounding).
@@ -195,46 +223,21 @@ func (d *Directory) Get(addr string) (core.Vectors, bool) {
 // their memory even on shards that no longer see writes; the rest are
 // reclaimed by the next sweep of their shard.
 func (d *Directory) GetAt(addr string, epoch uint64) (core.Vectors, bool) {
-	sh := d.shardFor(addr)
-	var now int64
-	if d.ttl > 0 {
-		now = d.now().UnixNano()
-	}
-	cur := d.epoch.Load()
-	sh.mu.RLock()
-	e, ok := sh.hosts[addr]
-	sh.mu.RUnlock()
-	if !ok {
-		return core.Vectors{}, false
-	}
-	if d.expired(e, now) || d.stale(e, cur) {
-		sh.mu.Lock()
-		// Re-check: a concurrent Put may have refreshed the entry.
-		if e, ok = sh.hosts[addr]; ok && (d.expired(e, now) || d.stale(e, cur)) {
-			delete(sh.hosts, addr)
-			sh.count.Store(int64(len(sh.hosts)))
-		}
-		sh.mu.Unlock()
-		return core.Vectors{}, false
-	}
-	if e.epoch != 0 && e.epoch != epoch {
-		return core.Vectors{}, false
-	}
-	return e.vec, true
+	return getAt(d, addr, epoch)
 }
 
 // GetAtBytes is GetAt keyed by raw address bytes, for the server's
-// zero-allocation point-query path: maphash.Bytes hashes the same as
-// maphash.String over equal bytes, and the map index converts in place
-// without allocating, so a directory hit costs no heap allocation. The
-// rare reclamation of a dead entry does convert (delete needs a real
-// string key); that path was already write-locked and O(1).
+// zero-allocation point-query path: a directory hit costs no heap
+// allocation. The rare reclamation of a dead entry does convert (delete
+// needs a real string key); that path was already write-locked and O(1).
 func (d *Directory) GetAtBytes(addr []byte, epoch uint64) (core.Vectors, bool) {
-	sh := &d.shards[maphash.Bytes(d.seed, addr)&d.mask]
-	var now int64
-	if d.ttl > 0 {
-		now = d.now().UnixNano()
-	}
+	return getAt(d, addr, epoch)
+}
+
+// getAt is the single-address lookup behind GetAt and GetAtBytes.
+func getAt[K addrKey](d *Directory, addr K, epoch uint64) (core.Vectors, bool) {
+	sh := &d.shards[shardOf(d, addr)]
+	now := d.ttlNow()
 	cur := d.epoch.Load()
 	sh.mu.RLock()
 	e, ok := sh.hosts[string(addr)]
@@ -259,6 +262,75 @@ func (d *Directory) GetAtBytes(addr []byte, epoch uint64) (core.Vectors, bool) {
 	return e.vec, true
 }
 
+// gatherIn is the grouped lookup behind EstimateBatch. It resolves every
+// addrs[i] as seen from one model epoch (GetAt's rules) and leaves the
+// host's incoming vector in rows[i] — nil when the host is absent, or
+// registered with a dimension other than dim. Indices the directory
+// resolved nothing for are returned (aliasing sc) so the caller can try
+// its fallback; a wrong-dimension entry is a hit, not a miss. sc lends
+// the bucketing arrays.
+//
+// Every address is hashed once, the indices are bucketed by shard with a
+// counting sort, and each shard touched is read-locked once — not once
+// per address: on a 256-target batch the per-address lock pairs, not the
+// map lookups, were the larger cost. Dead (expired, stale-epoch) entries
+// read as absent and are NOT reclaimed here — that would be a write lock
+// under a read lock — but left to the shard's sweep. The rows alias
+// directory-owned vectors after the lock is dropped; that is safe
+// because PutEpoch replaces entries and never writes through them.
+func gatherIn[K addrKey](d *Directory, addrs []K, epoch uint64, dim int, rows [][]float64, sc *BatchScratch) []int32 {
+	n, numShards := len(addrs), len(d.shards)
+	if need := 2*n + numShards; cap(sc.ints) < need {
+		sc.ints = make([]int32, need)
+	}
+	shard, order, pos := sc.ints[:n], sc.ints[n:2*n], sc.ints[2*n:2*n+numShards]
+	clear(pos)
+	// Counting sort by shard. Placing an index advances its shard's pos,
+	// so pos[s] ends up one past shard s's bucket in order and walking the
+	// shards in turn walks the buckets in turn.
+	for i, addr := range addrs {
+		s := shardOf(d, addr)
+		shard[i] = int32(s)
+		pos[s]++
+	}
+	sum := int32(0)
+	for s, c := range pos {
+		pos[s] = sum
+		sum += c
+	}
+	for i, s := range shard {
+		order[pos[s]] = int32(i)
+		pos[s]++
+	}
+	now := d.ttlNow()
+	cur := d.epoch.Load()
+	miss := sc.miss[:0]
+	start := int32(0)
+	for s, end := range pos {
+		if end == start {
+			continue
+		}
+		sh := &d.shards[s]
+		sh.mu.RLock()
+		for _, i := range order[start:end] {
+			e, ok := sh.hosts[string(addrs[i])]
+			switch {
+			case !ok || d.expired(e, now) || d.stale(e, cur) || (e.epoch != 0 && e.epoch != epoch):
+				rows[i] = nil
+				miss = append(miss, i)
+			case len(e.vec.In) != dim:
+				rows[i] = nil
+			default:
+				rows[i] = e.vec.In
+			}
+		}
+		sh.mu.RUnlock()
+		start = end
+	}
+	sc.miss = miss
+	return miss
+}
+
 // Remove deletes addr from the directory.
 func (d *Directory) Remove(addr string) {
 	sh := d.shardFor(addr)
@@ -275,10 +347,7 @@ func (d *Directory) Remove(addr string) {
 // converges to exact within one SweepInterval of any expiry and one call
 // of any epoch advance.
 func (d *Directory) Len() int {
-	var now int64
-	if d.ttl > 0 {
-		now = d.now().UnixNano()
-	}
+	now := d.ttlNow()
 	cur := d.epoch.Load()
 	total := 0
 	for i := range d.shards {
@@ -350,22 +419,10 @@ func (d *Directory) Range(fn func(addr string, vec core.Vectors) bool) {
 // unversioned entries) — what a replicating leader needs to stream its
 // directory to a follower without flattening the epoch tags.
 func (d *Directory) RangeEpoch(fn func(addr string, vec core.Vectors, epoch uint64) bool) {
-	var now int64
-	if d.ttl > 0 {
-		now = d.now().UnixNano()
-	}
-	cur := d.epoch.Load()
+	now := d.ttlNow()
 	buf := make([]addrVec, 0, 64)
 	for i := range d.shards {
-		sh := &d.shards[i]
-		buf = buf[:0]
-		sh.mu.RLock()
-		for addr, e := range sh.hosts {
-			if !d.expired(e, now) && !d.stale(e, cur) {
-				buf = append(buf, addrVec{addr, e.vec, e.epoch})
-			}
-		}
-		sh.mu.RUnlock()
+		buf = d.snapshotShard(i, now, anyEpoch, buf[:0])
 		for _, av := range buf {
 			if !fn(av.addr, av.vec, av.epoch) {
 				return
@@ -380,10 +437,14 @@ type addrVec struct {
 	epoch uint64
 }
 
+// anyEpoch makes snapshotShard keep live entries of every generation.
+const anyEpoch = ^uint64(0)
+
 // snapshotShard copies shard i's live entries — as seen from the given
-// model epoch — into buf and returns it. Used by the engine's parallel
-// scans; the caller passes one epoch for the whole scan, so a scan that
-// straddles an AdvanceEpoch cannot mix entries from two generations.
+// model epoch, or all of them for anyEpoch — into buf and returns it.
+// Every scan goes through it; the engine's parallel scans pass one epoch
+// for the whole scan, so a scan that straddles an AdvanceEpoch cannot mix
+// entries from two generations.
 func (d *Directory) snapshotShard(i int, now int64, epoch uint64, buf []addrVec) []addrVec {
 	sh := &d.shards[i]
 	cur := d.epoch.Load()
@@ -392,7 +453,7 @@ func (d *Directory) snapshotShard(i int, now int64, epoch uint64, buf []addrVec)
 		if d.expired(e, now) || d.stale(e, cur) {
 			continue
 		}
-		if e.epoch != 0 && e.epoch != epoch {
+		if epoch != anyEpoch && e.epoch != 0 && e.epoch != epoch {
 			continue
 		}
 		buf = append(buf, addrVec{addr, e.vec, e.epoch})

@@ -95,41 +95,74 @@ type Estimate struct {
 }
 
 // EstimateBatch estimates the distance from a single source to every
-// target in one pass through the fused estimate-row kernel: the targets'
-// incoming vectors are gathered by reference (no k x d copy) and each
-// estimate is one unrolled row·src.Out product (Eq. 4 batched).
-// Unresolvable targets and targets whose vector dimension disagrees with
-// the source are marked not found.
+// target: one grouped directory lookup gathers the targets' incoming
+// vectors by reference (no k x d copy, one read-lock per shard touched),
+// then each estimate is one unrolled row·src.Out product through the
+// fused estimate-row kernel (Eq. 4 batched). Unresolvable targets and
+// targets whose vector dimension disagrees with the source are marked not
+// found.
 func (e *Engine) EstimateBatch(src core.Vectors, targets []string) []Estimate {
+	var sc BatchScratch
+	return estimateBatch(e, src, targets, &sc)
+}
+
+// EstimateBatchBytes is EstimateBatch over targets named by raw address
+// bytes — views of a request frame — with its working memory and its
+// result taken from sc: the server's allocation-free batch path. The
+// result aliases sc and is valid until sc's next use; the targets are
+// not retained.
+func (e *Engine) EstimateBatchBytes(src core.Vectors, targets [][]byte, sc *BatchScratch) []Estimate {
+	return estimateBatch(e, src, targets, sc)
+}
+
+// BatchScratch is the reusable working memory of one batch estimate. The
+// zero value is ready to use; a caller that keeps one across calls (the
+// server pools them) pays no allocation once it has grown to its batch
+// size. Not safe for concurrent use.
+type BatchScratch struct {
+	ints []int32 // the grouped lookup's shard, order and pos arrays
+	miss []int32 // indices the directory resolved nothing for
+	rows [][]float64
+	dist []float64
+	out  []Estimate
+}
+
+// Release drops the references a finished batch left behind — rows alias
+// directory-owned vectors — so a pooled scratch pins nothing.
+func (sc *BatchScratch) Release() { clear(sc.rows) }
+
+// estimateBatch is the one batch core, shared by the string and the
+// byte-view entry. Lookups are one pass and the dot products a second:
+// fusing them under the shard lock measured slower, because the products'
+// cache misses only overlap when nothing dependent sits between them.
+func estimateBatch[K addrKey](e *Engine, src core.Vectors, targets []K, sc *BatchScratch) []Estimate {
 	if m := e.dir.metrics; m != nil {
 		start := time.Now()
 		defer func() { m.BatchSeconds.ObserveDuration(time.Since(start)) }()
 		m.BatchSize.Observe(float64(len(targets)))
 	}
-	out := make([]Estimate, len(targets))
-	if len(targets) == 0 {
-		return out
+	n := len(targets)
+	if cap(sc.rows) < n {
+		sc.rows = make([][]float64, n)
+		sc.dist = make([]float64, n)
+		sc.out = make([]Estimate, n)
 	}
+	rows, dist, out := sc.rows[:n], sc.dist[:n], sc.out[:n]
 	d := len(src.Out)
-	rows := make([][]float64, len(targets))
-	found := 0
-	for i, addr := range targets {
-		v, ok := e.Lookup(addr)
-		if !ok || len(v.In) != d {
-			continue
+	// The fallback (landmarks) is consulted only for addresses the
+	// directory resolved nothing for, after every shard lock is dropped,
+	// and only then is a byte-view address copied into a string.
+	if miss := gatherIn(e.dir, targets, e.epoch, d, rows, sc); e.fallback != nil {
+		for _, i := range miss {
+			if v, ok := e.fallback(string(targets[i])); ok && len(v.In) == d {
+				rows[i] = v.In
+			}
 		}
-		rows[i] = v.In
-		found++
 	}
-	if found == 0 {
-		return out
-	}
-	dist := make([]float64, len(targets))
+	clear(dist) // DotRowsInto leaves a nil row's slot alone
 	mat.DotRowsInto(dist, rows, src.Out)
-	for i := range targets {
-		if rows[i] != nil {
-			out[i] = Estimate{Millis: dist[i], Found: true}
-		}
+	for i, row := range rows {
+		out[i] = Estimate{Millis: dist[i], Found: row != nil}
 	}
 	return out
 }
@@ -256,10 +289,7 @@ func (e *Engine) knnScan(out []float64, k int, exclude string) []Neighbor {
 	if workers <= 1 || e.dir.approxSize() < defaultKNNIndexMinSize {
 		workers = 1
 	}
-	var now int64
-	if e.dir.ttl > 0 {
-		now = e.dir.now().UnixNano()
-	}
+	now := e.dir.ttlNow()
 	heaps := make([]*boundedHeap, workers)
 	var next atomic.Int64
 	var wg sync.WaitGroup

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"slices"
 	"time"
 
 	"github.com/ides-go/ides/internal/query/knnindex"
@@ -47,16 +48,23 @@ func (e *Engine) knnIndexed(out []float64, k int, exclude string) ([]Neighbor, b
 		}
 		return nil, false
 	}
-	res := st.idx.Search(out, k, knnindex.SearchOptions{
-		Exclude: exclude,
-		// Candidates are verified live at the engine's epoch before they
-		// may enter the result — hosts that expired or re-registered
-		// against a newer model since the build can never be returned.
-		Accept: func(addr string) bool {
-			v, ok := e.dir.GetAt(addr, e.epoch)
-			return ok && len(v.In) == len(out)
-		},
-	})
+	// Search first, verify after: the index's own top k are checked live
+	// at the engine's epoch once the search is done — k lookups, not one
+	// per candidate that ever entered the running top k. If all k are
+	// live no live point can beat them, so the answer stands. Only when
+	// one has expired, been removed or re-registered against a newer
+	// model since the build does a second search run with the check
+	// inside, which skips dead candidates as it goes. Exact either way.
+	res := st.idx.Search(out, k, knnindex.SearchOptions{Exclude: exclude})
+	if slices.ContainsFunc(res, func(r knnindex.Neighbor) bool { return !e.live(r.Addr, len(out)) }) {
+		if m != nil {
+			m.KNNIndexRechecks.Inc()
+		}
+		res = st.idx.Search(out, k, knnindex.SearchOptions{
+			Exclude: exclude,
+			Accept:  func(addr string) bool { return e.live(addr, len(out)) },
+		})
+	}
 	if len(res) < k && size > len(res) {
 		// The snapshot came up short; the live directory may hold hosts
 		// the index has never seen. Answer exactly.
@@ -73,6 +81,15 @@ func (e *Engine) knnIndexed(out []float64, k int, exclude string) ([]Neighbor, b
 		m.KNNIndexHits.Inc()
 	}
 	return out2, true
+}
+
+// live reports whether an indexed host still resolves at the engine's
+// epoch with a vector of the indexed dimension — hosts that expired, were
+// removed or re-registered against a newer model since the build must
+// never be returned.
+func (e *Engine) live(addr string, dim int) bool {
+	v, ok := e.dir.GetAt(addr, e.epoch)
+	return ok && len(v.In) == dim
 }
 
 // RebuildKNNIndexAsync kicks off a background index build for the
@@ -105,10 +122,7 @@ func (e *Engine) BuildKNNIndex() bool {
 		return false
 	}
 	builtAt := e.dir.mutations.Load()
-	var now int64
-	if e.dir.ttl > 0 {
-		now = e.dir.now().UnixNano()
-	}
+	now := e.dir.ttlNow()
 	start := time.Now()
 	buf := make([]addrVec, 0, e.dir.approxSize())
 	for i := range e.dir.shards {

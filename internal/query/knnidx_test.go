@@ -3,9 +3,12 @@ package query
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/ides-go/ides/internal/core"
+	"github.com/ides-go/ides/internal/telemetry"
 )
 
 // indexedDirectory builds a directory big enough to index (threshold
@@ -217,5 +220,88 @@ func TestKNNIndexDisabled(t *testing.T) {
 	}
 	if _, ok := eng.knnIndexed([]float64{1, 1}, 5, ""); ok {
 		t.Fatal("disabled index answered")
+	}
+}
+
+// TestKNearestVerifiesAfterSearch drives both passes of the indexed
+// search. The index is searched without a liveness check and its k
+// results verified afterwards; only a dead result sends the search round
+// again with the check inside. Every row must agree with the exact scan,
+// and the recheck counter says which pass answered.
+func TestKNearestVerifiesAfterSearch(t *testing.T) {
+	const n, dim, k = 800, 6, 12
+	rows := []struct {
+		name string
+		// kill makes victim — the nearest host to the query — unservable.
+		kill        func(d *Directory, clock *atomic.Int64, victim string, vec core.Vectors)
+		wantRecheck bool
+	}{
+		{"untouched", func(*Directory, *atomic.Int64, string, core.Vectors) {}, false},
+		{"top-k member removed", func(d *Directory, _ *atomic.Int64, victim string, _ core.Vectors) {
+			d.Remove(victim)
+		}, true},
+		{"top-k member expired", func(_ *Directory, clock *atomic.Int64, _ string, _ core.Vectors) {
+			clock.Add(int64(45 * time.Minute)) // victim is 75 min old, the rest 45
+		}, true},
+		{"top-k member re-registered at a newer epoch", func(d *Directory, _ *atomic.Int64, victim string, vec core.Vectors) {
+			d.PutEpoch(victim, vec, 2)
+		}, true},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(17))
+			var clock atomic.Int64
+			clock.Store(time.Unix(1e6, 0).UnixNano())
+			m := NewMetrics(telemetry.NewRegistry())
+			d := New(Config{
+				KNNIndexMinSize: 64,
+				TTL:             time.Hour,
+				Now:             func() time.Time { return time.Unix(0, clock.Load()) },
+				Metrics:         m,
+			})
+			d.AdvanceEpoch(1)
+			vecs := map[string]core.Vectors{}
+			for i := 0; i < n; i++ {
+				v := core.Vectors{Out: make([]float64, dim), In: make([]float64, dim)}
+				for j := 0; j < dim; j++ {
+					v.Out[j], v.In[j] = rng.Float64()*20, rng.Float64()*20
+				}
+				addr := fmt.Sprintf("host-%04d", i)
+				vecs[addr] = v
+				d.PutEpoch(addr, v, 1)
+			}
+			eng := NewEngine(d, nil)
+			src, opts := vecs["host-0000"], KNNOptions{Exclude: "host-0000"}
+			victim := eng.KNearestExact(src, k, opts)[0].Addr
+			// Half an hour on, everyone but the victim refreshes; the index
+			// is built over that state, victim included.
+			clock.Add(int64(30 * time.Minute))
+			for addr, v := range vecs {
+				if addr != victim {
+					d.PutEpoch(addr, v, 1)
+				}
+			}
+			if !eng.BuildKNNIndex() {
+				t.Fatal("BuildKNNIndex did not install an index")
+			}
+
+			row.kill(d, &clock, victim, vecs[victim])
+			hits := m.KNNIndexHits.Value()
+			got := eng.KNearest(src, k, opts)
+			if m.KNNIndexHits.Value() != hits+1 {
+				t.Fatal("KNearest did not answer from the index")
+			}
+			neighborsEqual(t, row.name, got, eng.KNearestExact(src, k, opts))
+			if row.wantRecheck {
+				for _, nb := range got {
+					if nb.Addr == victim {
+						t.Fatalf("dead host %s served", victim)
+					}
+				}
+			}
+			if rechecks := m.KNNIndexRechecks.Value(); (rechecks > 0) != row.wantRecheck {
+				t.Fatalf("ides_query_knn_index_rechecks_total = %d, want recheck: %v", rechecks, row.wantRecheck)
+			}
+		})
 	}
 }

@@ -29,7 +29,7 @@ package knnindex
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/ides-go/ides/internal/mat"
 )
@@ -39,9 +39,9 @@ import (
 // bookkeeping of deeper recursion costs more than the multiplies saved.
 const leafSize = 32
 
-// Point is one indexed host: its address and the In-vector queries are
-// scored against. The vector is aliased, not copied — directory entries
-// are immutable once registered.
+// Point is one host handed to Build: its address and the In-vector
+// queries are scored against. Build copies both; the caller's points are
+// neither modified nor retained.
 type Point struct {
 	Addr string
 	Vec  []float64
@@ -56,17 +56,22 @@ type Neighbor struct {
 
 // node is one KD-tree node. Every node keeps the bounding box of its
 // points as offsets into the index's shared box arena; internal nodes
-// split on one dimension, leaves hold a contiguous range of pts.
+// split on one dimension, leaves hold a contiguous range of points.
 type node struct {
 	box         int32 // boxes[box : box+2*dim]: lo then hi
 	left, right int32 // children, -1 for leaves
-	start, end  int32 // leaf point range in pts
+	start, end  int32 // leaf point range
 }
 
-// Index is an immutable KD-tree over a set of points.
+// Index is an immutable KD-tree over a set of points. The vectors live
+// in one n × dim arena in tree order, so a leaf is one contiguous run of
+// memory (32 points × 8 dims = 2 KB) that the scoring loop streams
+// through; the addresses sit beside it and are only touched for a point
+// whose score already beats the current k-th best.
 type Index struct {
 	dim   int
-	pts   []Point
+	vecs  []float64 // point i is vecs[i*dim : (i+1)*dim]
+	addrs []string
 	nodes []node
 	boxes []float64
 }
@@ -74,29 +79,42 @@ type Index struct {
 // Build constructs an index over pts for the given dimension. Points
 // whose vectors have a different length or non-finite coordinates are
 // dropped (a non-finite coordinate would poison every bounding box above
-// it; such entries are unrankable by the scan too). Build reorders pts in
-// place and keeps the slice. Returns nil when nothing is indexable.
+// it; such entries are unrankable by the scan too). Returns nil when
+// nothing is indexable.
 func Build(pts []Point, dim int) *Index {
 	if dim <= 0 {
 		return nil
 	}
-	kept := pts[:0]
-	for _, p := range pts {
-		if len(p.Vec) == dim && finite(p.Vec) {
-			kept = append(kept, p)
-		}
-	}
-	if len(kept) == 0 {
-		return nil
-	}
 	ix := &Index{
 		dim:   dim,
-		pts:   kept,
-		nodes: make([]node, 0, 2*(len(kept)/leafSize+1)),
-		boxes: make([]float64, 0, 4*dim*(len(kept)/leafSize+1)),
+		vecs:  make([]float64, 0, len(pts)*dim),
+		addrs: make([]string, 0, len(pts)),
 	}
-	ix.build(0, int32(len(kept)))
+	for _, p := range pts {
+		if len(p.Vec) == dim && finite(p.Vec) {
+			ix.vecs = append(ix.vecs, p.Vec...)
+			ix.addrs = append(ix.addrs, p.Addr)
+		}
+	}
+	n := len(ix.addrs)
+	if n == 0 {
+		return nil
+	}
+	nn := treeSize(n)
+	ix.nodes = make([]node, 0, nn)
+	ix.boxes = make([]float64, 0, nn*2*dim)
+	ix.build(0, int32(n))
 	return ix
+}
+
+// treeSize is the node count of the tree build makes over n points
+// (fewer if a degenerate box ends a branch early), so nodes and boxes are
+// allocated once at their final size.
+func treeSize(n int) int {
+	if n <= leafSize {
+		return 1
+	}
+	return 1 + treeSize(n/2) + treeSize(n-n/2)
 }
 
 // Dim returns the vector dimension the index was built for.
@@ -107,7 +125,7 @@ func (ix *Index) Len() int {
 	if ix == nil {
 		return 0
 	}
-	return len(ix.pts)
+	return len(ix.addrs)
 }
 
 // Nodes returns the tree's node count (telemetry).
@@ -118,7 +136,27 @@ func (ix *Index) Nodes() int {
 	return len(ix.nodes)
 }
 
-// build adds the subtree over pts[start:end) and returns its node id.
+// vec returns point i's vector, capped at exactly dim elements so the
+// scoring kernel sees the same bounds it would on a standalone slice.
+func (ix *Index) vec(i int32) []float64 {
+	lo, hi := int(i)*ix.dim, (int(i)+1)*ix.dim
+	return ix.vecs[lo:hi:hi]
+}
+
+// coord returns coordinate d of point i.
+func (ix *Index) coord(i int32, d int) float64 { return ix.vecs[int(i)*ix.dim+d] }
+
+// swap exchanges points i and j.
+func (ix *Index) swap(i, j int32) {
+	vi, vj := ix.vec(i), ix.vec(j)
+	for d := range vi {
+		vi[d], vj[d] = vj[d], vi[d]
+	}
+	ix.addrs[i], ix.addrs[j] = ix.addrs[j], ix.addrs[i]
+}
+
+// build adds the subtree over points [start, end) and returns its node
+// id, reordering that range of the arena in place.
 func (ix *Index) build(start, end int32) int32 {
 	id := int32(len(ix.nodes))
 	bi := int32(len(ix.boxes))
@@ -129,8 +167,8 @@ func (ix *Index) build(start, end int32) int32 {
 		lo[d] = math.Inf(1)
 		hi[d] = math.Inf(-1)
 	}
-	for _, p := range ix.pts[start:end] {
-		for d, v := range p.Vec {
+	for i := start; i < end; i++ {
+		for d, v := range ix.vec(i) {
 			if v < lo[d] {
 				lo[d] = v
 			}
@@ -163,14 +201,14 @@ func (ix *Index) build(start, end int32) int32 {
 	return id
 }
 
-// selectNth partitions pts[start:end) so the element at position nth is
+// selectNth partitions points [start, end) so the one at position nth is
 // in its sorted-by-dimension place (quickselect with median-of-three
 // pivoting; ties broken by address so the partition is deterministic for
 // a given input ordering).
 func (ix *Index) selectNth(start, end, nth int32, d int) {
 	for end-start > 1 {
-		p := ix.medianOfThree(start, end, int32(d))
-		lt, gt := ix.partition(start, end, p, int32(d))
+		p := ix.medianOfThree(start, end, d)
+		lt, gt := ix.partition(start, end, p, d)
 		switch {
 		case nth < lt:
 			end = lt
@@ -182,16 +220,17 @@ func (ix *Index) selectNth(start, end, nth int32, d int) {
 	}
 }
 
-// medianOfThree picks a pivot index for pts[start:end) on dimension d.
-func (ix *Index) medianOfThree(start, end, d int32) int32 {
+// medianOfThree picks a pivot index for points [start, end) on
+// dimension d.
+func (ix *Index) medianOfThree(start, end int32, d int) int32 {
 	mid := start + (end-start)/2
 	a, b, c := start, mid, end-1
-	if ix.less(b, a, int(d)) {
+	if ix.less(b, a, d) {
 		a, b = b, a
 	}
-	if ix.less(c, b, int(d)) {
+	if ix.less(c, b, d) {
 		b = c
-		if ix.less(b, a, int(d)) {
+		if ix.less(b, a, d) {
 			b = a
 		}
 	}
@@ -200,31 +239,32 @@ func (ix *Index) medianOfThree(start, end, d int32) int32 {
 
 // less orders points i, j by coordinate d, then address.
 func (ix *Index) less(i, j int32, d int) bool {
-	vi, vj := ix.pts[i].Vec[d], ix.pts[j].Vec[d]
+	vi, vj := ix.coord(i, d), ix.coord(j, d)
 	if vi != vj {
 		return vi < vj
 	}
-	return ix.pts[i].Addr < ix.pts[j].Addr
+	return ix.addrs[i] < ix.addrs[j]
 }
 
-// partition three-way partitions pts[start:end) around the value at
-// pivot on dimension d, returning the bounds [lt, gt) of the
-// pivot-equal run.
-func (ix *Index) partition(start, end, pivot, dd int32) (int32, int32) {
-	d := int(dd)
-	ix.pts[pivot], ix.pts[start] = ix.pts[start], ix.pts[pivot]
-	pv, pa := ix.pts[start].Vec[d], ix.pts[start].Addr
+// partition three-way partitions points [start, end) around the value at
+// pivot on dimension d, returning the bounds [lt, gt) of the pivot-equal
+// run.
+func (ix *Index) partition(start, end, pivot int32, d int) (int32, int32) {
+	ix.swap(pivot, start)
+	// The pivot rides along at lt as smaller points are swapped below it,
+	// so its value is read once, up front.
+	pv, pa := ix.coord(start, d), ix.addrs[start]
 	lt, i, gt := start, start+1, end
 	for i < gt {
-		v, a := ix.pts[i].Vec[d], ix.pts[i].Addr
+		v := ix.coord(i, d)
 		switch {
-		case v < pv || (v == pv && a < pa):
-			ix.pts[lt], ix.pts[i] = ix.pts[i], ix.pts[lt]
+		case v < pv || (v == pv && ix.addrs[i] < pa):
+			ix.swap(lt, i)
 			lt++
 			i++
-		case v > pv || a > pa:
+		case v > pv || ix.addrs[i] > pa:
 			gt--
-			ix.pts[gt], ix.pts[i] = ix.pts[i], ix.pts[gt]
+			ix.swap(gt, i)
 		default:
 			i++
 		}
@@ -261,12 +301,20 @@ func (ix *Index) Search(q []float64, k int, opts SearchOptions) []Neighbor {
 	if ix == nil || k <= 0 || len(q) != ix.dim {
 		return nil
 	}
-	if k > len(ix.pts) {
-		k = len(ix.pts)
+	if k > len(ix.addrs) {
+		k = len(ix.addrs)
 	}
 	s := searcher{ix: ix, q: q, k: k, opts: opts, heap: make([]Neighbor, 0, k)}
 	s.visit(0)
-	sort.Slice(s.heap, func(i, j int) bool { return neighborLess(s.heap[i], s.heap[j]) })
+	slices.SortFunc(s.heap, func(a, b Neighbor) int {
+		switch {
+		case neighborLess(a, b):
+			return -1
+		case neighborLess(b, a):
+			return 1
+		}
+		return 0
+	})
 	return s.heap
 }
 
@@ -283,8 +331,8 @@ type searcher struct {
 func (s *searcher) visit(id int32) {
 	n := &s.ix.nodes[id]
 	if n.left < 0 {
-		for _, p := range s.ix.pts[n.start:n.end] {
-			s.offer(p)
+		for i := n.start; i < n.end; i++ {
+			s.offer(i)
 		}
 		return
 	}
@@ -315,47 +363,48 @@ func (s *searcher) visitChild(id int32, lb float64) {
 	s.visit(id)
 }
 
-// lowerBound computes LB(box) = Σ_d min(q_d·lo_d, q_d·hi_d).
+// lowerBound computes LB(box) = Σ_d min(q_d·lo_d, q_d·hi_d), picking the
+// minimizing corner by q_d's sign (lo ≤ hi, so the products order the
+// same way).
 func (s *searcher) lowerBound(bi int32) float64 {
 	d := int32(s.ix.dim)
 	lo := s.ix.boxes[bi : bi+d]
 	hi := s.ix.boxes[bi+d : bi+2*d]
 	var sum float64
 	for i, qv := range s.q {
-		a, b := qv*lo[i], qv*hi[i]
-		if b < a {
-			a = b
+		c := lo[i]
+		if qv < 0 {
+			c = hi[i]
 		}
-		sum += a
+		sum += qv * c
 	}
 	return sum
 }
 
-func (s *searcher) offer(p Point) {
-	if p.Addr == s.opts.Exclude {
-		return
-	}
+// offer scores point i and admits it if it ranks among the k best so
+// far. The address is read only once the score says the point is a
+// contender, so a leaf of losers touches nothing but the vector arena.
+func (s *searcher) offer(i int32) {
 	if s.opts.Stats != nil {
 		s.opts.Stats.Scored++
 	}
 	// The same kernel the exact scan scores through, so both paths agree
 	// bitwise on every estimate.
-	cand := Neighbor{Addr: p.Addr, Score: mat.Dot(s.q, p.Vec)}
-	if math.IsNaN(cand.Score) {
+	score := mat.Dot(s.q, s.ix.vec(i))
+	full := len(s.heap) == s.k
+	if math.IsNaN(score) || (full && score > s.heap[0].Score) {
 		return
 	}
-	if len(s.heap) < s.k {
-		if s.opts.Accept != nil && !s.opts.Accept(p.Addr) {
-			return
-		}
+	cand := Neighbor{Addr: s.ix.addrs[i], Score: score}
+	if cand.Addr == s.opts.Exclude || (full && !neighborLess(cand, s.heap[0])) {
+		return
+	}
+	if s.opts.Accept != nil && !s.opts.Accept(cand.Addr) {
+		return
+	}
+	if !full {
 		s.heap = append(s.heap, cand)
 		s.up(len(s.heap) - 1)
-		return
-	}
-	if !neighborLess(cand, s.heap[0]) {
-		return
-	}
-	if s.opts.Accept != nil && !s.opts.Accept(p.Addr) {
 		return
 	}
 	s.heap[0] = cand

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -225,5 +226,37 @@ func TestSearchAccept(t *testing.T) {
 				t.Fatalf("trial %d result %d: got %+v want %+v", trial, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// TestBuildCopiesItsInput pins the ownership contract: Build neither
+// reorders the caller's points nor writes through their vectors, and the
+// index it returns shares no memory with them — so what the caller does
+// to them afterwards cannot change a search.
+func TestBuildCopiesItsInput(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	const dim = 5
+	pts := clusteredPoints(rng, 3000, dim)
+	before := make([]Point, len(pts))
+	for i, p := range pts {
+		before[i] = Point{Addr: p.Addr, Vec: append([]float64(nil), p.Vec...)}
+	}
+	ix := Build(pts, dim)
+	for i, p := range pts {
+		if p.Addr != before[i].Addr || !slices.Equal(p.Vec, before[i].Vec) {
+			t.Fatalf("Build changed the caller's point %d: %+v, was %+v", i, p, before[i])
+		}
+	}
+	q := before[7].Vec
+	want := ix.Search(q, 20, SearchOptions{})
+	for i := range pts {
+		for d := range pts[i].Vec {
+			pts[i].Vec[d] = -1e9
+		}
+		pts[i] = Point{Addr: "overwritten"}
+	}
+	got := ix.Search(q, 20, SearchOptions{})
+	if !slices.Equal(got, want) || !slices.Equal(want, bruteForce(before, q, 20, "", nil)) {
+		t.Fatalf("Search changed after the caller's points were overwritten:\n got %+v\nwant %+v", got, want)
 	}
 }

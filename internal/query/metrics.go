@@ -23,9 +23,12 @@ type Metrics struct {
 	// KNNIndexHits counts KNearest calls answered from the index;
 	// KNNIndexFallbacks calls that fell back to the exact scan while a
 	// usable index was expected (missing, stale, or under-filled);
-	// KNNIndexBuilds completed builds.
+	// KNNIndexRechecks indexed searches run a second time because one of
+	// the first pass's results was no longer live; KNNIndexBuilds
+	// completed builds.
 	KNNIndexHits      *telemetry.Counter
 	KNNIndexFallbacks *telemetry.Counter
+	KNNIndexRechecks  *telemetry.Counter
 	KNNIndexBuilds    *telemetry.Counter
 }
 
@@ -51,6 +54,8 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 			"KNearest calls answered from the spatial index."),
 		KNNIndexFallbacks: reg.Counter("ides_query_knn_index_fallbacks_total",
 			"KNearest calls that expected an index but scanned exactly."),
+		KNNIndexRechecks: reg.Counter("ides_query_knn_index_rechecks_total",
+			"Indexed KNearest searches repeated with the liveness check inside because a first-pass result was dead."),
 		KNNIndexBuilds: reg.Counter("ides_query_knn_index_builds_total",
 			"Completed spatial index builds."),
 	}

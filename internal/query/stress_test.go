@@ -98,3 +98,77 @@ func TestConcurrentStress(t *testing.T) {
 		t.Fatalf("directory did not drain after TTL: Len = %d", n)
 	}
 }
+
+// TestBatchNeverMixesEpochs runs the grouped lookup — one read-lock per
+// shard, held across many map reads — against a writer that advances the
+// model epoch and re-registers, removes and re-adds every host, and
+// checks the invariant the engine's epoch pin exists for: every estimate
+// in one reply was solved against the generation the engine was built
+// at. Each host's vector carries its registration epoch, so a reply that
+// mixed generations would show it in the values. Run with -race.
+func TestBatchNeverMixesEpochs(t *testing.T) {
+	const (
+		hosts    = 512
+		epochs   = 40
+		queriers = 4
+	)
+	d := New(Config{Shards: 4})
+	addrs := make([]string, hosts)
+	views := make([][]byte, hosts)
+	for i := range addrs {
+		addrs[i] = fmt.Sprintf("h%03d", i)
+		views[i] = []byte(addrs[i])
+	}
+	// est(src → host registered at epoch E) = E exactly.
+	src := core.Vectors{Out: []float64{1, 0}, In: []float64{1, 0}}
+	register := func(epoch uint64) {
+		for i, a := range addrs {
+			d.PutEpoch(a, core.Vectors{Out: []float64{float64(epoch), 1}, In: []float64{float64(epoch), float64(i)}}, epoch)
+		}
+	}
+	d.AdvanceEpoch(1)
+	register(1)
+
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer done.Store(true)
+		for epoch := uint64(2); epoch <= epochs; epoch++ {
+			d.AdvanceEpoch(epoch)
+			register(epoch)
+			for i := 0; i < hosts; i += 7 {
+				d.Remove(addrs[i])
+			}
+		}
+	}()
+	for q := 0; q < queriers; q++ {
+		wg.Add(1)
+		go func(q int) {
+			defer wg.Done()
+			var sc BatchScratch
+			for found := 0; !done.Load() || found == 0; {
+				e := NewEngine(d, nil)
+				var res []Estimate
+				if q%2 == 0 {
+					res = e.EstimateBatch(src, addrs)
+				} else {
+					res = e.EstimateBatchBytes(src, views, &sc)
+				}
+				found = 0
+				for i, r := range res {
+					if !r.Found {
+						continue
+					}
+					found++
+					if r.Millis != float64(e.epoch) {
+						t.Errorf("engine pinned to epoch %d served %s from epoch %v", e.epoch, addrs[i], r.Millis)
+						return
+					}
+				}
+			}
+		}(q)
+	}
+	wg.Wait()
+}

@@ -1,0 +1,80 @@
+package server
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"github.com/ides-go/ides/internal/testutil"
+	"github.com/ides-go/ides/internal/wire"
+)
+
+// TestBulkQueryAllocs is the allocation gate of the bulk read path, the
+// companion of the root package's TestPointQueryZeroAlloc (it lives here
+// because it measures dispatchTo itself, with no client in the count):
+// on a warmed 8,192-host server one QueryBatch of 256 targets costs no
+// heap allocation at all — target views, grouped-lookup buckets, rows
+// and results all come from the pooled scratch — and one indexed
+// QueryKNN of 16 costs a handful (the search heap, the result and its
+// conversions), not one per candidate. Before the pooled path the batch
+// paid a string per target plus four result slices, and the k-NN seven.
+func TestBulkQueryAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation accounting changes under -race")
+	}
+	const hosts, dim = 8192, 8
+	s, err := New(Config{Landmarks: []string{"lm-0", "lm-1"}, Dim: dim})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rng := rand.New(rand.NewSource(1))
+	addrs := make([]string, hosts)
+	var buf []byte
+	for i := range addrs {
+		addrs[i] = fmt.Sprintf("host-%05d", i)
+		reg := &wire.RegisterHost{Addr: addrs[i], Out: make([]float64, dim), In: make([]float64, dim)}
+		for d := 0; d < dim; d++ {
+			reg.Out[d], reg.In[d] = rng.Float64()*10, rng.Float64()*10
+		}
+		buf = reg.Encode(buf[:0])
+		if typ, _ := s.dispatch(wire.TypeRegisterHost, buf); typ != wire.TypeAck {
+			t.Fatalf("register %s answered %v", addrs[i], typ)
+		}
+	}
+	if !s.Engine().BuildKNNIndex() {
+		t.Fatal("8,192 hosts did not get a k-NN index")
+	}
+
+	batch := &wire.QueryBatch{From: addrs[0]}
+	for i := 0; i < 256; i++ {
+		batch.Targets = append(batch.Targets, addrs[rng.Intn(hosts)])
+	}
+	requests := []struct {
+		name    string
+		typ     wire.MsgType
+		payload []byte
+		reply   wire.MsgType
+		max     float64
+	}{
+		{"QueryBatch-256", wire.TypeQueryBatch, batch.Encode(nil), wire.TypeDistances, 0},
+		{"QueryKNN-16", wire.TypeQueryKNN, (&wire.QueryKNN{From: addrs[0], K: 16}).Encode(nil), wire.TypeNeighbors, 8},
+	}
+	var dst []byte
+	for _, r := range requests {
+		op := func() {
+			var typ wire.MsgType
+			if typ, dst = s.dispatchTo(r.typ, r.payload, dst[:0]); typ != r.reply {
+				t.Fatalf("%s answered %v", r.name, typ)
+			}
+		}
+		for i := 0; i < 16; i++ {
+			op() // grow the pooled scratch and dst to their steady size
+		}
+		allocs := testing.AllocsPerRun(200, op)
+		t.Logf("%s: %.0f allocs per dispatchTo", r.name, allocs)
+		if allocs > r.max {
+			t.Errorf("%s allocates %.0f times per request, want at most %.0f", r.name, allocs, r.max)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"math"
 	"net"
@@ -522,4 +523,89 @@ func TestMuxRejectsSubscribe(t *testing.T) {
 		t.Fatalf("Subscribe on mux: stream %d err %v, want CodeBadRequest", stream, werr)
 	}
 	expectMuxPong(t, conn, 2)
+}
+
+// overLimitBatch is a well-formed QueryBatch naming n empty targets.
+func overLimitBatch(n int) []byte {
+	b := (&wire.QueryBatch{From: "h"}).Encode(nil)
+	binary.BigEndian.PutUint32(b[len(b)-4:], uint32(n))
+	return append(b, make([]byte, 2*n)...)
+}
+
+// TestOverLimitBatchRefusedAtHeader sends a QueryBatch naming one target
+// more than the server's MaxBatch, on both framings: the server refuses
+// it with CodeBadRequest and the limit in the message, the services that
+// do not serve the type say so, and every connection keeps serving. The
+// refusal is decided on the count field — the targets behind it are never
+// materialized — so it costs the same few allocations however many the
+// frame names.
+func TestOverLimitBatchRefusedAtHeader(t *testing.T) {
+	const limit = 100_000 // the server's default MaxBatch
+	payload := overLimitBatch(limit + 1)
+	eachService(t, 2*time.Second, 30*time.Second, func(t *testing.T, svc *frameService) {
+		wantCode, wantMsg := wire.CodeUnknownType, ""
+		if svc.name == "server" {
+			wantCode, wantMsg = wire.CodeBadRequest, "batch names 100001 targets, limit 100000"
+		}
+		check := func(framing string, werr *wire.Error) {
+			t.Helper()
+			if werr == nil || werr.Code != wantCode || (wantMsg != "" && werr.Text != wantMsg) {
+				t.Fatalf("%s: over-limit batch answered %+v, want code %d %q", framing, werr, wantCode, wantMsg)
+			}
+		}
+		conn := dialTCP(t, svc.addr)
+		if err := wire.WriteFrame(conn, wire.TypeQueryBatch, payload); err != nil {
+			t.Fatal(err)
+		}
+		typ, reply, err := wire.ReadFrame(conn)
+		if err != nil || typ != wire.TypeError {
+			t.Fatalf("lockstep: over-limit batch answered %v %v, want Error", typ, err)
+		}
+		werr, err := wire.DecodeError(reply)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("lockstep", werr)
+		if err := wire.WriteFrame(conn, wire.TypePing, (&wire.Ping{Token: 1}).Encode(nil)); err != nil {
+			t.Fatal(err)
+		}
+		if typ, _, err := wire.ReadFrame(conn); err != nil || typ != wire.TypePong {
+			t.Fatalf("lockstep ping after the refusal: %v %v", typ, err)
+		}
+
+		mconn, _ := muxHandshake(t, svc.addr, 8)
+		if _, err := mconn.Write(wire.AppendMuxFrame(nil, wire.TypeQueryBatch, 1, payload)); err != nil {
+			t.Fatal(err)
+		}
+		_, stream, werr := readMuxReply(t, mconn)
+		if stream != 1 {
+			t.Fatalf("mux: refusal on stream %d, want 1", stream)
+		}
+		check("mux", werr)
+		expectMuxPong(t, mconn, 2)
+	})
+
+	if testutil.RaceEnabled {
+		return // allocation accounting changes under -race
+	}
+	s, err := New(Config{Landmarks: []string{"L1", "L2"}, Dim: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var dst []byte
+	refusal := func(payload []byte) float64 {
+		return testing.AllocsPerRun(20, func() {
+			var typ wire.MsgType
+			if typ, dst = s.dispatchTo(wire.TypeQueryBatch, payload, dst[:0]); typ != wire.TypeError {
+				t.Fatalf("over-limit batch answered %v", typ)
+			}
+		})
+	}
+	small, large := refusal(payload), refusal(overLimitBatch(10*limit))
+	t.Logf("refusing %d targets: %.0f allocs; %d targets: %.0f allocs", limit+1, small, 10*limit, large)
+	if small != large || small > 8 {
+		t.Fatalf("refusal allocates %.0f times for %d targets and %.0f for %d; want the same small constant",
+			small, limit+1, large, 10*limit)
+	}
 }

@@ -245,36 +245,74 @@ func (q *QueryService) handleQueryDist(payload, dst []byte) (wire.MsgType, []byt
 	return wire.TypeDistance, resp.Encode(dst)
 }
 
+// bulkScratch is the working memory of one QueryBatch or QueryKNN
+// request: the request's target views, the engine's batch scratch, and
+// the reply's result slices. Both handlers draw it from one pool, so a
+// steady stream of bulk queries allocates nothing per target.
+type bulkScratch struct {
+	targets [][]byte // views of the request frame
+	batch   query.BatchScratch
+	results []wire.DistResult
+	entries []wire.NeighborEntry
+}
+
+// bulkScratchMaxRetain caps, in elements, the request size whose scratch
+// goes back to the pool — the same idea as the wire arena's retention
+// cap: a 100,000-target batch must not leave megabytes parked behind
+// every P.
+const bulkScratchMaxRetain = 4096
+
+var bulkScratchPool = sync.Pool{New: func() any { return new(bulkScratch) }}
+
+// putBulkScratch recycles sc after a request of n elements, dropping
+// what it still references: target views alias a connection's read
+// buffer, rows and entries alias directory-owned memory.
+func putBulkScratch(sc *bulkScratch, n int) {
+	if n > bulkScratchMaxRetain {
+		return
+	}
+	clear(sc.targets)
+	clear(sc.entries)
+	sc.batch.Release()
+	bulkScratchPool.Put(sc)
+}
+
 // handleQueryBatch answers one-source → many-targets in a single round
-// trip: all estimates fall out of one matrix-vector product.
+// trip: target views straight off the request payload (a batch over the
+// limit is refused at its count field, before any target is walked), one
+// grouped directory lookup, one pass of dot products, and a reply
+// encoded from pooled slices — no heap allocation on the steady path.
 func (q *QueryService) handleQueryBatch(payload, dst []byte) (wire.MsgType, []byte) {
-	req, err := wire.DecodeQueryBatch(payload)
+	sc := bulkScratchPool.Get().(*bulkScratch)
+	from, targets, err := wire.QueryBatchView(payload, q.maxBatch, sc.targets)
 	if err != nil {
+		bulkScratchPool.Put(sc)
 		return wire.AppendError(dst, wire.CodeBadRequest, err.Error())
 	}
-	if len(req.Targets) > q.maxBatch {
-		return wire.AppendError(dst, wire.CodeBadRequest,
-			fmt.Sprintf("batch names %d targets, limit %d", len(req.Targets), q.maxBatch))
+	sc.targets = targets
+	defer putBulkScratch(sc, len(targets))
+	if cap(sc.results) < len(targets) {
+		sc.results = make([]wire.DistResult, len(targets))
 	}
+	resp := wire.Distances{Results: sc.results[:len(targets)]}
 	eng := q.engine.Load()
-	resp := &wire.Distances{Results: make([]wire.DistResult, len(req.Targets))}
+	if src, ok := eng.LookupBytes(from); ok {
+		resp.SrcFound = true
+		for i, est := range eng.EstimateBatchBytes(src, targets, &sc.batch) {
+			resp.Results[i] = wire.DistResult{Found: est.Found, Millis: est.Millis}
+		}
+	} else {
+		clear(resp.Results)
+	}
 	// Epoch stamped after the engine work, for the same recovery-biased
 	// ordering as handleGetVectors.
-	src, ok := eng.Lookup(req.From)
-	if !ok {
-		resp.Epoch = q.Epoch()
-		return wire.TypeDistances, resp.Encode(dst)
-	}
-	resp.SrcFound = true
-	for i, est := range eng.EstimateBatch(src, req.Targets) {
-		resp.Results[i] = wire.DistResult{Found: est.Found, Millis: est.Millis}
-	}
 	resp.Epoch = q.Epoch()
 	return wire.TypeDistances, resp.Encode(dst)
 }
 
-// handleQueryKNN answers "the K registered hosts closest to From" with a
-// partial-heap selection over the sharded directory.
+// handleQueryKNN answers "the K registered hosts closest to From" from
+// the epoch's spatial index, or with a partial-heap selection over the
+// sharded directory when no index is current.
 func (q *QueryService) handleQueryKNN(payload, dst []byte) (wire.MsgType, []byte) {
 	from, reqK, err := wire.QueryKNNView(payload)
 	if err != nil {
@@ -288,17 +326,16 @@ func (q *QueryService) handleQueryKNN(payload, dst []byte) (wire.MsgType, []byte
 		k = q.maxKNN
 	}
 	eng := q.engine.Load()
-	resp := &wire.Neighbors{}
-	src, ok := eng.LookupBytes(from)
-	if !ok {
-		resp.Epoch = q.Epoch()
-		return wire.TypeNeighbors, resp.Encode(dst)
-	}
-	resp.SrcFound = true
-	neighbors := eng.KNearest(src, k, query.KNNOptions{Exclude: string(from)})
-	resp.Entries = make([]wire.NeighborEntry, len(neighbors))
-	for i, n := range neighbors {
-		resp.Entries[i] = wire.NeighborEntry{Addr: n.Addr, Millis: n.Millis}
+	var resp wire.Neighbors
+	if src, ok := eng.LookupBytes(from); ok {
+		resp.SrcFound = true
+		sc := bulkScratchPool.Get().(*bulkScratch)
+		defer putBulkScratch(sc, k)
+		sc.entries = sc.entries[:0]
+		for _, n := range eng.KNearest(src, k, query.KNNOptions{Exclude: string(from)}) {
+			sc.entries = append(sc.entries, wire.NeighborEntry{Addr: n.Addr, Millis: n.Millis})
+		}
+		resp.Entries = sc.entries
 	}
 	// Post-work stamp: see handleGetVectors for the ordering rationale.
 	resp.Epoch = q.Epoch()

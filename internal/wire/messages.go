@@ -458,33 +458,17 @@ func (m *QueryBatch) Encode(dst []byte) []byte {
 	return dst
 }
 
-// DecodeQueryBatch parses a QueryBatch payload.
+// DecodeQueryBatch parses a QueryBatch payload into a message that owns
+// its memory: QueryBatchView validates, this copies out. It applies no
+// limit of its own beyond what a frame can hold.
 func DecodeQueryBatch(b []byte) (*QueryBatch, error) {
-	m := &QueryBatch{}
-	var err error
-	rest := b
-	if m.From, rest, err = consumeString(rest); err != nil {
+	from, views, err := QueryBatchView(b, MaxPayload/2, nil)
+	if err != nil {
 		return nil, err
 	}
-	if len(rest) < 4 {
-		return nil, ErrShortPayload
-	}
-	n := int(binary.BigEndian.Uint32(rest))
-	rest = rest[4:]
-	// Each target costs at least its 2-byte length prefix on the wire.
-	if n > MaxPayload/2 || 2*n > len(rest) {
-		return nil, ErrShortPayload
-	}
-	// Grow incrementally: a string header is 8x a target's minimum wire
-	// cost, so trusting n up front would let a 64 MB frame of empty
-	// targets force a ~0.5 GB allocation before any validation.
-	m.Targets = make([]string, 0, min(n, 4096))
-	for i := 0; i < n; i++ {
-		var t string
-		if t, rest, err = consumeString(rest); err != nil {
-			return nil, err
-		}
-		m.Targets = append(m.Targets, t)
+	m := &QueryBatch{From: string(from), Targets: make([]string, len(views))}
+	for i, t := range views {
+		m.Targets[i] = string(t)
 	}
 	return m, nil
 }

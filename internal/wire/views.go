@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 )
 
@@ -48,6 +49,44 @@ func QueryKNNView(b []byte) (from []byte, k uint32, err error) {
 		return nil, 0, err
 	}
 	return from, k, nil
+}
+
+// QueryBatchView parses a QueryBatch payload without copying: from and
+// every target alias b, and the targets are appended to dst[:0] so a
+// handler can reuse one slice across requests. limit bounds the count
+// field: a frame naming more targets is refused at its header, before
+// any of them is walked.
+func QueryBatchView(b []byte, limit int, dst [][]byte) (from []byte, targets [][]byte, err error) {
+	if from, b, err = consumeBytesView(b); err != nil {
+		return nil, nil, err
+	}
+	if len(b) < 4 {
+		return nil, nil, ErrShortPayload
+	}
+	n := int(binary.BigEndian.Uint32(b))
+	b = b[4:]
+	// Each target costs at least its 2-byte length prefix on the wire, so
+	// a count the payload cannot hold fails here.
+	if 2*n > len(b) {
+		return nil, nil, ErrShortPayload
+	}
+	if n > limit {
+		return nil, nil, fmt.Errorf("batch names %d targets, limit %d", n, limit)
+	}
+	targets = dst[:0]
+	if cap(targets) < n {
+		// A view is 12x a target's minimum wire cost: size for n only up
+		// to a bound and let append grow the rest as targets validate.
+		targets = make([][]byte, 0, min(n, 4096))
+	}
+	for i := 0; i < n; i++ {
+		var t []byte
+		if t, b, err = consumeBytesView(b); err != nil {
+			return nil, nil, err
+		}
+		targets = append(targets, t)
+	}
+	return from, targets, nil
 }
 
 // GetVectorsView parses a GetVectors payload without allocating: the

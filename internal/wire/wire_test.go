@@ -286,6 +286,42 @@ func TestQueryBatchRoundTrip(t *testing.T) {
 	}
 }
 
+// TestQueryBatchView checks the zero-copy parser's contract: the views
+// alias the payload, a recycled slice is reused rather than regrown, and
+// a batch over the limit is refused from its count field alone.
+func TestQueryBatchView(t *testing.T) {
+	payload := (&QueryBatch{From: "h0", Targets: []string{"a", "", "ccc"}}).Encode(nil)
+	from, targets, err := QueryBatchView(payload, 3, nil)
+	if err != nil || string(from) != "h0" || len(targets) != 3 ||
+		string(targets[0]) != "a" || len(targets[1]) != 0 || string(targets[2]) != "ccc" {
+		t.Fatalf("view = %q %q %v", from, targets, err)
+	}
+	payload[len(payload)-1] = 'X'
+	if string(targets[2]) != "ccX" {
+		t.Fatal("target views do not alias the payload")
+	}
+	_, again, err := QueryBatchView(payload, 3, targets)
+	if err != nil || &again[0] != &targets[0] {
+		t.Fatalf("recycled slice not reused (err %v)", err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { QueryBatchView(payload, 3, targets) }); allocs != 0 { //nolint:errcheck
+		t.Fatalf("view into a recycled slice allocates %.0f times", allocs)
+	}
+	_, _, err = QueryBatchView(payload, 2, nil)
+	if err == nil || err.Error() != "batch names 3 targets, limit 2" {
+		t.Fatalf("over-limit batch: err = %v", err)
+	}
+	// The limit is judged on the count field: the targets behind it are
+	// never walked, so a malformed one is not what gets reported.
+	payload[len(payload)-5] = 0xFF // last target's length prefix now overruns
+	if _, _, err = QueryBatchView(payload, 3, nil); !errors.Is(err, ErrShortPayload) {
+		t.Fatalf("malformed target under the limit: err = %v", err)
+	}
+	if _, _, err = QueryBatchView(payload, 2, nil); err == nil || errors.Is(err, ErrShortPayload) {
+		t.Fatalf("malformed target over the limit: err = %v, want the limit refusal", err)
+	}
+}
+
 func TestDistancesRoundTrip(t *testing.T) {
 	in := &Distances{SrcFound: true, Results: []DistResult{
 		{Found: true, Millis: 12.5},
