@@ -142,7 +142,7 @@ func BenchmarkQuery_PointLoop(b *testing.B) {
 			if err != nil || typ != wire.TypeDistance {
 				b.Fatalf("%v %v", typ, err)
 			}
-			if _, err := wire.DecodeDistance(payload); err != nil {
+			if _, err := wire.ParseDistance(payload); err != nil {
 				b.Fatal(err)
 			}
 		}

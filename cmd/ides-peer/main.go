@@ -29,7 +29,6 @@ import (
 	"github.com/ides-go/ides/internal/cli"
 	"github.com/ides-go/ides/internal/core"
 	"github.com/ides-go/ides/internal/peer"
-	"github.com/ides-go/ides/internal/solve"
 	"github.com/ides-go/ides/internal/transport"
 )
 
@@ -42,12 +41,8 @@ func main() {
 	dim := flag.Int("dim", 8, "coordinate dimensionality (must match the rest of the fleet)")
 	alg := flag.String("alg", "nmf", "factorization variant: nmf (nonnegative coordinates) or svd")
 	seed := flag.Int64("seed", 0, "randomness seed (0 derives one from the clock)")
-	rate := flag.Float64("rate", 0, "SGD step size in (0,1] (0 = default 0.3)")
-	reg := flag.Float64("reg", 0, "SGD L2 regularization per update (0 = default 1e-4)")
 	maxNeighbors := flag.Int("max-neighbors", 0, "neighbor table bound (0 = default 32)")
 	sampleSize := flag.Int("sample-size", 0, "neighbor entries gossiped per exchange (0 = default 3)")
-	announceEvery := flag.Int("announce-every", 0, "re-announce to a rendezvous every this many rounds (0 = default 16, negative = only when the table empties)")
-	pingSamples := flag.Int("ping-samples", 0, "echo probes per RTT measurement, minimum wins (0 = default 1)")
 	poolFlags := cli.RegisterPoolFlags(flag.CommandLine, 2, 4, 2*time.Minute, "keep above -interval so warm connections survive between rounds")
 	metricsFlags := cli.RegisterMetricsFlags(flag.CommandLine, "gossip round, churn and drift gauges")
 	flag.Parse()
@@ -75,13 +70,10 @@ func main() {
 		Self:            *self,
 		Dim:             *dim,
 		Algorithm:       algorithm,
-		SGD:             solve.SGDOptions{Rate: *rate, Reg: *reg},
 		Seed:            s,
 		MaxNeighbors:    *maxNeighbors,
 		SampleSize:      *sampleSize,
 		RendezvousAddrs: rdvList,
-		RendezvousEvery: *announceEvery,
-		PingSamples:     *pingSamples,
 		Dialer:          dialer,
 		Pinger:          &transport.TCPPinger{Dialer: dialer},
 		Pool:            poolFlags.Config(dialer),

@@ -21,8 +21,7 @@
 // each measurement folds into the model at O(d) cost and publishes a
 // revision under the SAME epoch — registered hosts keep their vectors —
 // while full corrective refits (and the epoch bumps they carry) happen
-// only when accumulated drift crosses -drift-epoch-threshold. Tune the
-// updates with -sgd-rate and -sgd-reg.
+// only when accumulated drift crosses -drift-epoch-threshold.
 //
 // With -role follower the process runs no model pipeline at all: it
 // subscribes to the leader's replication stream, mirrors every model
@@ -59,22 +58,15 @@ func main() {
 	landmarks := flag.String("landmarks", "", "comma-separated landmark addresses (required for the leader; ignored by followers, which learn them from the replication stream)")
 	dim := flag.Int("dim", 10, "model dimensionality d")
 	alg := flag.String("alg", "svd", "factorization algorithm: svd or nmf")
-	nmfIters := flag.Int("nmf-iters", 200, "NMF iteration budget")
 	seed := flag.Int64("seed", 1, "model fitting seed")
 	hostTTL := flag.Duration("host-ttl", 0, "expire directory entries not re-registered within this window (0 = never)")
 	requestTimeout := flag.Duration("request-timeout", 30*time.Second, "budget for one request/response exchange")
-	idleTimeout := flag.Duration("idle-timeout", 0, "budget for a keep-alive connection idling between requests (0 = 10x request timeout, min 5m; negative applies the request timeout to idle waits)")
+	idleTimeout := flag.Duration("idle-timeout", 0, "budget for a keep-alive connection idling between requests (0 = 10x request timeout, min 5m)")
 	refitInterval := flag.Duration("refit-interval", 10*time.Second, "minimum time between background model refits")
 	refitThreshold := flag.Int("refit-threshold", 1, "accepted measurements required before a background refit is scheduled")
 	solverName := flag.String("solver", "batch", "model-update strategy: batch (full refit per refresh) or sgd (incremental gradient updates between corrective refits)")
-	sgdRate := flag.Float64("sgd-rate", 0, "SGD solver step size in (0,1] (0 = default 0.3)")
-	sgdReg := flag.Float64("sgd-reg", 0, "SGD solver L2 regularization per update (0 = default 1e-4)")
 	driftThreshold := flag.Float64("drift-epoch-threshold", 0, "solver drift at which a corrective refit bumps the epoch (0 = default 0.15, negative disables)")
 	epochBase := flag.Uint64("epoch-base", 0, "model epoch base (first fit publishes base+1); 0 derives it from the start time so epochs never repeat across restarts")
-	muxMaxInflight := flag.Int("mux-max-inflight", 0, "in-flight streams allowed per multiplexed connection; excess streams are rejected with an Overloaded error, not a teardown (0 = default 256)")
-	muxWorkers := flag.Int("mux-workers", 0, "dispatch workers per multiplexed connection (0 = default 2x GOMAXPROCS, min 4)")
-	rdvCapacity := flag.Int("rendezvous-capacity", 0, "peer directory size with -role rendezvous; a random entry is evicted beyond it (0 = default 65536)")
-	rdvSample := flag.Int("rendezvous-sample", 0, "warm peers returned per announce with -role rendezvous (0 = default 8)")
 	roleFlags := cli.RegisterRoleFlags(flag.CommandLine)
 	metricsFlags := cli.RegisterMetricsFlags(flag.CommandLine, "")
 	historyFlags := cli.RegisterHistoryFlags(flag.CommandLine)
@@ -127,7 +119,6 @@ func main() {
 		Dim:                 *dim,
 		Algorithm:           algorithm,
 		Seed:                *seed,
-		NMFIters:            *nmfIters,
 		HostTTL:             *hostTTL,
 		RequestTimeout:      *requestTimeout,
 		IdleTimeout:         *idleTimeout,
@@ -135,13 +126,7 @@ func main() {
 		RefitMinInterval:    *refitInterval,
 		RefitThreshold:      *refitThreshold,
 		Solver:              solver,
-		SGDRate:             *sgdRate,
-		SGDReg:              *sgdReg,
 		DriftEpochThreshold: *driftThreshold,
-		MuxMaxInflight:      *muxMaxInflight,
-		MuxWorkers:          *muxWorkers,
-		RendezvousCapacity:  *rdvCapacity,
-		RendezvousSample:    *rdvSample,
 		Metrics:             metricsFlags.Registry(),
 		History:             hist,
 		Logger:              logger,

@@ -29,8 +29,9 @@
 //     touched landmark rows at O(d) cost and publishes incremental
 //     revisions under the SAME epoch — registered host vectors survive —
 //     until accumulated drift crosses -drift-epoch-threshold and a full
-//     corrective refit starts a new generation (tune with -sgd-rate and
-//     -sgd-reg; idesbench -exp solver compares the two strategies);
+//     corrective refit starts a new generation (step size 0.3 and L2
+//     decay 1e-4 are solve.SGDOptions' defaults, fixed as DMFSGD fixes
+//     them; idesbench -exp solver compares the two strategies);
 //   - the bulk query engine (NewDirectory, NewQueryEngine): a sharded host
 //     directory with amortized TTL expiry, and vectorized one-to-many
 //     (Client.EstimateBatch), all-pairs (QueryEngine.EstimateMatrix), and

@@ -59,28 +59,26 @@ func SignalContext() (context.Context, context.CancelFunc) {
 
 // PoolFlags is the connection-pool tuning flag group.
 type PoolFlags struct {
-	MaxIdle        *int
-	MaxPerHost     *int
-	IdleTimeout    *time.Duration
-	MuxConns       *int
-	MuxMaxInflight *int
+	MaxIdle     *int
+	MaxPerHost  *int
+	IdleTimeout *time.Duration
+	MuxConns    *int
 }
 
 // RegisterPoolFlags installs -pool-max-idle, -pool-max-per-host,
-// -pool-idle-timeout, -mux-conns and -mux-max-inflight on fs with the
-// given defaults. idleHelp extends the idle-timeout help text with
-// binary-specific guidance.
+// -pool-idle-timeout and -mux-conns on fs with the given defaults.
+// idleHelp extends the idle-timeout help text with binary-specific
+// guidance.
 func RegisterPoolFlags(fs *flag.FlagSet, maxIdle, maxPerHost int, idleTimeout time.Duration, idleHelp string) *PoolFlags {
 	help := "close pooled connections idle longer than this"
 	if idleHelp != "" {
 		help += " (" + idleHelp + ")"
 	}
 	return &PoolFlags{
-		MaxIdle:        fs.Int("pool-max-idle", maxIdle, "idle pooled connections kept per address"),
-		MaxPerHost:     fs.Int("pool-max-per-host", maxPerHost, "total pooled connections per address (negative = unlimited)"),
-		IdleTimeout:    fs.Duration("pool-idle-timeout", idleTimeout, help),
-		MuxConns:       fs.Int("mux-conns", 0, "multiplexed connections per address (0 = default 2, negative = disable multiplexing and use lockstep framing only)"),
-		MuxMaxInflight: fs.Int("mux-max-inflight", 0, "in-flight streams this client offers per multiplexed connection; the server may negotiate it down (0 = default 256)"),
+		MaxIdle:     fs.Int("pool-max-idle", maxIdle, "idle pooled connections kept per address"),
+		MaxPerHost:  fs.Int("pool-max-per-host", maxPerHost, "total pooled connections per address (negative = unlimited)"),
+		IdleTimeout: fs.Duration("pool-idle-timeout", idleTimeout, help),
+		MuxConns:    fs.Int("mux-conns", 0, "multiplexed connections per address (0 = default 2, negative = disable multiplexing and use lockstep framing only)"),
 	}
 }
 
@@ -92,7 +90,6 @@ func (pf *PoolFlags) Config(d transport.Dialer) transport.PoolConfig {
 		MaxPerHost:     *pf.MaxPerHost,
 		IdleTimeout:    *pf.IdleTimeout,
 		MuxConns:       *pf.MuxConns,
-		MuxMaxInflight: *pf.MuxMaxInflight,
 	}
 }
 
@@ -148,18 +145,13 @@ func (mf *MetricsFlags) Serve(logger *log.Logger, name string) (func() error, er
 
 // HistoryFlags is the measurement-history recording flag group.
 type HistoryFlags struct {
-	Dir          *string
-	SegmentBytes *int64
-	MaxSegments  *int
+	Dir *string
 }
 
-// RegisterHistoryFlags installs -history-dir, -history-segment-bytes
-// and -history-max-segments on fs.
+// RegisterHistoryFlags installs -history-dir on fs.
 func RegisterHistoryFlags(fs *flag.FlagSet) *HistoryFlags {
 	return &HistoryFlags{
-		Dir:          fs.String("history-dir", "", "record accepted measurements and model lifecycle events to this directory for later replay (empty = disabled)"),
-		SegmentBytes: fs.Int64("history-segment-bytes", 0, "history segment size before rotation (0 = default 8 MiB)"),
-		MaxSegments:  fs.Int("history-max-segments", 0, "history segments kept before the oldest is pruned (0 = keep all)"),
+		Dir: fs.String("history-dir", "", "record accepted measurements and model lifecycle events to this directory for later replay (empty = disabled)"),
 	}
 }
 
@@ -169,11 +161,7 @@ func (hf *HistoryFlags) Open() (*telemetry.Store, error) {
 	if *hf.Dir == "" {
 		return nil, nil
 	}
-	return telemetry.OpenStore(telemetry.StoreConfig{
-		Dir:          *hf.Dir,
-		SegmentBytes: *hf.SegmentBytes,
-		MaxSegments:  *hf.MaxSegments,
-	})
+	return telemetry.OpenStore(telemetry.StoreConfig{Dir: *hf.Dir})
 }
 
 // RoleFlags is the serving-tier role flag group for ides-server.

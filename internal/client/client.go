@@ -205,7 +205,7 @@ func (c *Client) Bootstrap(ctx context.Context) error {
 		return err
 	}
 	err = c.rejoinWith(ctx, measured, err)
-	if errors.Is(err, errTooFewMeasurements) {
+	if errors.Is(err, core.ErrTooFewObservations) {
 		// The landmark set itself changed mid-join: one fresh round.
 		_, err = c.bootstrapOnce(ctx)
 	}
@@ -260,36 +260,21 @@ func (c *Client) bootstrapOnce(ctx context.Context) (map[string]float64, error) 
 // model's epoch, and commits the new state. The measurement map is
 // stored as-is and treated as read-only afterwards.
 func (c *Client) solveAndRegister(ctx context.Context, model *wire.Model, measured map[string]float64) error {
-	dim := int(model.Dim)
-	refOut := mat.NewDense(len(model.Landmarks), dim)
-	refIn := mat.NewDense(len(model.Landmarks), dim)
-	dout := make([]float64, 0, len(measured))
-	din := make([]float64, 0, len(measured))
-	n := 0
-	for _, lm := range model.Landmarks {
-		ms, ok := measured[lm.Addr]
-		if !ok {
-			continue
+	m, dim := len(model.Landmarks), int(model.Dim)
+	landmarks := core.Model{X: mat.NewDense(m, dim), Y: mat.NewDense(m, dim)}
+	idx := make([]int, 0, len(measured))
+	rtt := make([]float64, 0, len(measured))
+	for i, lm := range model.Landmarks {
+		landmarks.X.SetRow(i, lm.Out)
+		landmarks.Y.SetRow(i, lm.In)
+		if ms, ok := measured[lm.Addr]; ok {
+			idx = append(idx, i)
+			rtt = append(rtt, ms)
 		}
-		refOut.SetRow(n, lm.Out)
-		refIn.SetRow(n, lm.In)
-		// Ping measures round-trip time, the metric the landmark matrix is
-		// built from; it serves as both the to- and from- distance.
-		dout = append(dout, ms)
-		din = append(din, ms)
-		n++
 	}
-	if n < dim {
-		return fmt.Errorf("%w: %d measured landmarks overlap the model, need >= %d", errTooFewMeasurements, n, dim)
-	}
-	refOut = refOut.SubMatrix(0, n, 0, dim)
-	refIn = refIn.SubMatrix(0, n, 0, dim)
-
-	solve := core.SolveVectors
-	if c.cfg.NNLS {
-		solve = core.SolveVectorsNNLS
-	}
-	vec, err := solve(refOut, refIn, dout, din)
+	// Ping measures round-trip time, the metric the landmark matrix is
+	// built from; it serves as both the to- and from- distance.
+	vec, err := landmarks.SolveHostSubset(idx, rtt, rtt, c.cfg.NNLS)
 	if err != nil {
 		return fmt.Errorf("client: solving vectors: %w", err)
 	}
@@ -317,11 +302,6 @@ func (c *Client) solveAndRegister(ctx context.Context, model *wire.Model, measur
 	c.mu.Unlock()
 	return nil
 }
-
-// errTooFewMeasurements marks a rejoin attempt whose measurements no
-// longer cover the fresh model (landmark set changed, dimension grew):
-// the caller falls back to a measuring round.
-var errTooFewMeasurements = errors.New("client: cached measurements insufficient")
 
 // isStaleEpoch reports whether err is the server's CodeStaleEpoch
 // rejection.
@@ -372,7 +352,9 @@ func (c *Client) recoverEpoch(ctx context.Context) error {
 	}
 	if len(measured) > 0 {
 		err := c.rejoinWith(ctx, measured, nil)
-		if err == nil || !errors.Is(err, errTooFewMeasurements) {
+		// Measurements that no longer cover the fresh model (landmark set
+		// changed, dimension grew) fall through to a measuring round.
+		if err == nil || !errors.Is(err, core.ErrTooFewObservations) {
 			return err
 		}
 	}
@@ -553,23 +535,16 @@ type BatchEstimate struct {
 // re-solves from its cached landmark measurements, and re-registers.
 // Either way the query retries once.
 func (c *Client) EstimateBatch(ctx context.Context, targets []string) ([]BatchEstimate, error) {
-	if err := c.requireReady(); err != nil {
-		return nil, err
-	}
-	resp, err := c.queryBatch(ctx, targets)
+	var resp *wire.Distances
+	err := c.queryRecovering(ctx, func() (bool, uint64, error) {
+		var err error
+		if resp, err = c.queryBatch(ctx, targets); err != nil {
+			return false, 0, err
+		}
+		return resp.SrcFound, resp.Epoch, nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	if !resp.SrcFound || c.staleEpoch(resp.Epoch) {
-		if err := c.recoverRegistration(ctx, resp.Epoch); err != nil {
-			return nil, err
-		}
-		if resp, err = c.queryBatch(ctx, targets); err != nil {
-			return nil, err
-		}
-		if !resp.SrcFound {
-			return nil, fmt.Errorf("client: host %s is not registered even after re-registering", c.cfg.Self)
-		}
 	}
 	if len(resp.Results) != len(targets) {
 		return nil, fmt.Errorf("client: server answered %d of %d targets", len(resp.Results), len(targets))
@@ -595,6 +570,28 @@ func (c *Client) queryBatch(ctx context.Context, targets []string) (*wire.Distan
 		return nil, fmt.Errorf("client: decoding distances: %w", err)
 	}
 	return resp, nil
+}
+
+// queryRecovering runs a bulk read about this host, which reports whether
+// the server resolved the host and the epoch it answered at. When the
+// server did not resolve it, or answered from another epoch than the one
+// this host's vectors were solved against, the registration is restored
+// (recoverRegistration) and the read runs once more.
+func (c *Client) queryRecovering(ctx context.Context, query func() (srcFound bool, epoch uint64, err error)) error {
+	if err := c.requireReady(); err != nil {
+		return err
+	}
+	found, epoch, err := query()
+	if err != nil || found && !c.staleEpoch(epoch) {
+		return err
+	}
+	if err := c.recoverRegistration(ctx, epoch); err != nil {
+		return err
+	}
+	if found, _, err = query(); err == nil && !found {
+		err = fmt.Errorf("client: host %s is not registered even after re-registering", c.cfg.Self)
+	}
+	return err
 }
 
 // requireReady errors before Bootstrap has succeeded.
@@ -672,23 +669,16 @@ func (c *Client) KNearest(ctx context.Context, k int) ([]NeighborEstimate, error
 	if k <= 0 {
 		return nil, fmt.Errorf("client: k must be positive")
 	}
-	if err := c.requireReady(); err != nil {
-		return nil, err
-	}
-	resp, err := c.queryKNN(ctx, k)
+	var resp *wire.Neighbors
+	err := c.queryRecovering(ctx, func() (bool, uint64, error) {
+		var err error
+		if resp, err = c.queryKNN(ctx, k); err != nil {
+			return false, 0, err
+		}
+		return resp.SrcFound, resp.Epoch, nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	if !resp.SrcFound || c.staleEpoch(resp.Epoch) {
-		if err := c.recoverRegistration(ctx, resp.Epoch); err != nil {
-			return nil, err
-		}
-		if resp, err = c.queryKNN(ctx, k); err != nil {
-			return nil, err
-		}
-		if !resp.SrcFound {
-			return nil, fmt.Errorf("client: host %s is not registered even after re-registering", c.cfg.Self)
-		}
 	}
 	out := make([]NeighborEstimate, len(resp.Entries))
 	for i, e := range resp.Entries {

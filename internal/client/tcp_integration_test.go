@@ -146,7 +146,7 @@ func TestFullSystemOverTCP(t *testing.T) {
 	if err != nil || typ != wire.TypeDistance {
 		t.Fatalf("query: %v %v", typ, err)
 	}
-	dd, err := wire.DecodeDistance(payload)
+	dd, err := wire.ParseDistance(payload)
 	if err != nil || !dd.Found {
 		t.Fatalf("distance: %+v %v", dd, err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"github.com/ides-go/ides/internal/mat"
@@ -21,18 +22,27 @@ func (m *Model) SolveHost(dout, din []float64) (Vectors, error) {
 	return SolveVectors(m.X, m.Y, dout, din)
 }
 
+// ErrTooFewObservations is returned by SolveHostSubset when fewer
+// landmarks were measured than the model has dimensions.
+var ErrTooFewObservations = errors.New("core: too few observations")
+
 // SolveHostSubset computes the host's vectors from measurements to only the
 // listed landmark indices (§5.2's relaxation, Eqs. 15–16). dout and din are
-// parallel to idx. At least Dim() observations are needed for the problem
-// to be well posed; fewer return an error rather than a wild extrapolation.
-func (m *Model) SolveHostSubset(idx []int, dout, din []float64) (Vectors, error) {
+// parallel to idx; nnls selects the nonnegative solve (SolveVectorsNNLS).
+// At least Dim() observations are needed for the problem to be well posed;
+// fewer return ErrTooFewObservations rather than a wild extrapolation.
+func (m *Model) SolveHostSubset(idx []int, dout, din []float64, nnls bool) (Vectors, error) {
 	if len(idx) != len(dout) || len(idx) != len(din) {
 		panic(fmt.Sprintf("core: subset lengths disagree: idx=%d dout=%d din=%d", len(idx), len(dout), len(din)))
 	}
 	if len(idx) < m.Dim() {
-		return Vectors{}, fmt.Errorf("core: %d observations for a %d-dimensional model (need k >= d)", len(idx), m.Dim())
+		return Vectors{}, fmt.Errorf("%w: %d for a %d-dimensional model (need k >= d)", ErrTooFewObservations, len(idx), m.Dim())
 	}
-	return SolveVectors(m.X.SelectRows(idx), m.Y.SelectRows(idx), dout, din)
+	solve := SolveVectors
+	if nnls {
+		solve = SolveVectorsNNLS
+	}
+	return solve(m.X.SelectRows(idx), m.Y.SelectRows(idx), dout, din)
 }
 
 // SolveVectors solves the general placement problem against any k reference
@@ -128,16 +138,4 @@ func (p *Placement) Vectors(i int) Vectors {
 // Estimate returns the modeled distance from placed host i to placed host j.
 func (p *Placement) Estimate(i, j int) float64 {
 	return mat.Dot(p.X.Row(i), p.Y.Row(j))
-}
-
-// EstimateToLandmark returns the modeled distance from placed host i to
-// landmark l of model m.
-func (p *Placement) EstimateToLandmark(m *Model, i, l int) float64 {
-	return mat.Dot(p.X.Row(i), m.Y.Row(l))
-}
-
-// EstimateFromLandmark returns the modeled distance from landmark l to
-// placed host i.
-func (p *Placement) EstimateFromLandmark(m *Model, l, i int) float64 {
-	return mat.Dot(m.X.Row(l), p.Y.Row(i))
 }

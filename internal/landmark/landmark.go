@@ -40,8 +40,7 @@ type Config struct {
 	// EchoIdleTimeout bounds how long an echo connection may sit idle
 	// between Ping frames before ServeEcho closes it. Pingers batch
 	// several probes per connection, so idle waits are normal; the
-	// default is ten times Timeout. Negative restores the old behavior
-	// of applying Timeout to idle waits too.
+	// default is ten times Timeout.
 	EchoIdleTimeout time.Duration
 	// Pool, when set, carries report exchanges over pooled persistent
 	// connections shared with other components. When nil, New builds a
@@ -78,10 +77,7 @@ func New(cfg Config) (*Agent, error) {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 15 * time.Second
 	}
-	switch {
-	case cfg.EchoIdleTimeout < 0:
-		cfg.EchoIdleTimeout = cfg.Timeout
-	case cfg.EchoIdleTimeout == 0:
+	if cfg.EchoIdleTimeout <= 0 {
 		cfg.EchoIdleTimeout = 10 * cfg.Timeout
 	}
 	a := &Agent{cfg: cfg, pool: cfg.Pool}

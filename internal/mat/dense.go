@@ -105,34 +105,12 @@ func (m *Dense) Row(i int) []float64 {
 	return m.data[i*m.cols : (i+1)*m.cols : (i+1)*m.cols]
 }
 
-// Col returns a copy of column j.
-func (m *Dense) Col(j int) []float64 {
-	if j < 0 || j >= m.cols {
-		panic(fmt.Sprintf("mat: col %d out of range %d", j, m.cols))
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = m.data[i*m.cols+j]
-	}
-	return out
-}
-
 // SetRow copies v into row i. len(v) must equal the column count.
 func (m *Dense) SetRow(i int, v []float64) {
 	if len(v) != m.cols {
 		panic(fmt.Sprintf("mat: SetRow length %d != cols %d", len(v), m.cols))
 	}
 	copy(m.Row(i), v)
-}
-
-// SetCol copies v into column j. len(v) must equal the row count.
-func (m *Dense) SetCol(j int, v []float64) {
-	if len(v) != m.rows {
-		panic(fmt.Sprintf("mat: SetCol length %d != rows %d", len(v), m.rows))
-	}
-	for i := 0; i < m.rows; i++ {
-		m.data[i*m.cols+j] = v[i]
-	}
 }
 
 // Data returns the backing slice in row-major order. Mutations are visible
@@ -162,18 +140,6 @@ func (m *Dense) T() *Dense {
 		for j, v := range row {
 			out.data[j*m.rows+i] = v
 		}
-	}
-	return out
-}
-
-// SubMatrix returns a copy of the block with rows [r0,r1) and columns [c0,c1).
-func (m *Dense) SubMatrix(r0, r1, c0, c1 int) *Dense {
-	if r0 < 0 || r1 > m.rows || c0 < 0 || c1 > m.cols || r0 > r1 || c0 > c1 {
-		panic(fmt.Sprintf("mat: SubMatrix [%d:%d,%d:%d] out of range %dx%d", r0, r1, c0, c1, m.rows, m.cols))
-	}
-	out := NewDense(r1-r0, c1-c0)
-	for i := r0; i < r1; i++ {
-		copy(out.Row(i-r0), m.data[i*m.cols+c0:i*m.cols+c1])
 	}
 	return out
 }

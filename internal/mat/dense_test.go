@@ -55,23 +55,10 @@ func TestRowSharesStorage(t *testing.T) {
 	}
 }
 
-func TestColCopies(t *testing.T) {
-	m := FromRows([][]float64{{1, 2}, {3, 4}})
-	col := m.Col(1)
-	if col[0] != 2 || col[1] != 4 {
-		t.Fatalf("Col(1) = %v want [2 4]", col)
-	}
-	col[0] = 99
-	if m.At(0, 1) != 2 {
-		t.Fatal("Col must not alias matrix storage")
-	}
-}
-
-func TestSetRowSetCol(t *testing.T) {
+func TestSetRow(t *testing.T) {
 	m := NewDense(2, 2)
 	m.SetRow(0, []float64{1, 2})
-	m.SetCol(1, []float64{7, 8})
-	want := FromRows([][]float64{{1, 7}, {0, 8}})
+	want := FromRows([][]float64{{1, 2}, {0, 0}})
 	if !m.Equal(want, 0) {
 		t.Fatalf("got %v want %v", m, want)
 	}
@@ -98,19 +85,6 @@ func TestCloneIndependent(t *testing.T) {
 	c.Set(0, 0, -1)
 	if m.At(0, 0) != 1 {
 		t.Fatal("Clone must not share storage")
-	}
-}
-
-func TestSubMatrix(t *testing.T) {
-	m := FromRows([][]float64{
-		{1, 2, 3, 4},
-		{5, 6, 7, 8},
-		{9, 10, 11, 12},
-	})
-	s := m.SubMatrix(1, 3, 1, 3)
-	want := FromRows([][]float64{{6, 7}, {10, 11}})
-	if !s.Equal(want, 0) {
-		t.Fatalf("SubMatrix = %v want %v", s, want)
 	}
 }
 

@@ -72,16 +72,6 @@ type Config struct {
 	// periodic re-announcement. Optional when neighbors are seeded with
 	// AddNeighbor.
 	RendezvousAddrs []string
-	// RendezvousEvery re-announces to a rendezvous every this many
-	// gossip rounds (staggered per peer so a fleet does not synchronize
-	// its announcements). It keeps the directory warm and re-mixes
-	// neighbor sets after partitions heal. Default 16; negative
-	// disables periodic announcement (an empty table still triggers
-	// one).
-	RendezvousEvery int
-	// PingSamples is how many probes each RTT measurement takes (the
-	// minimum wins). Default 1.
-	PingSamples int
 	// Dialer opens connections for gossip calls. Required.
 	Dialer transport.Dialer
 	// Pinger measures RTT to gossip partners. Required.
@@ -99,9 +89,18 @@ type Config struct {
 	Logger *log.Logger
 }
 
-// initRTT, in milliseconds, scales the random initial coordinates so that
-// initial estimates land near a plausible RTT instead of zero.
-const initRTT = 100
+const (
+	// initRTT, in milliseconds, scales the random initial coordinates so
+	// that initial estimates land near a plausible RTT instead of zero.
+	initRTT = 100
+	// rendezvousEvery re-announces to a rendezvous every this many gossip
+	// rounds (staggered per peer so a fleet does not synchronize its
+	// announcements; an empty table announces at once). It keeps the
+	// directory warm and re-mixes neighbor sets after partitions heal.
+	rendezvousEvery = 16
+	// pingSamples is how many probes each RTT measurement takes.
+	pingSamples = 1
+)
 
 func (c Config) withDefaults() Config {
 	if c.Dim == 0 {
@@ -112,12 +111,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SampleSize == 0 {
 		c.SampleSize = 3
-	}
-	if c.RendezvousEvery == 0 {
-		c.RendezvousEvery = 16
-	}
-	if c.PingSamples <= 0 {
-		c.PingSamples = 1
 	}
 	if c.IdleTimeout <= 0 {
 		c.IdleTimeout = 60 * time.Second
@@ -235,13 +228,11 @@ func New(cfg Config) (*Peer, error) {
 	if cfg.Logger != nil {
 		p.logger = cfg.Logger
 	}
-	if cfg.RendezvousEvery > 0 {
-		// A stable per-peer phase staggers periodic announcements across
-		// a fleet instead of stampeding the directory every Nth round.
-		h := fnv.New32a()
-		h.Write([]byte(cfg.Self))
-		p.rdvPhase = uint64(h.Sum32()) % uint64(cfg.RendezvousEvery)
-	}
+	// A stable per-peer phase staggers periodic announcements across a
+	// fleet instead of stampeding the directory every Nth round.
+	h := fnv.New32a()
+	h.Write([]byte(cfg.Self))
+	p.rdvPhase = uint64(h.Sum32()) % rendezvousEvery
 	// Random nonnegative init: entries in [0.5s, 1.5s] with s chosen so
 	// x·y ≈ dim·s² ≈ initRTT. The Kaczmarz-normalized step makes Rate
 	// unitless, so the scale only needs to be plausible, not precise.
@@ -322,8 +313,8 @@ func (p *Peer) GossipRound(ctx context.Context) error {
 	p.mu.Lock()
 	p.round++
 	round := p.round
-	rdvDue := len(p.cfg.RendezvousAddrs) > 0 && (len(p.order) == 0 ||
-		(p.cfg.RendezvousEvery > 0 && round%uint64(p.cfg.RendezvousEvery) == p.rdvPhase))
+	rdvDue := len(p.cfg.RendezvousAddrs) > 0 &&
+		(len(p.order) == 0 || round%rendezvousEvery == p.rdvPhase)
 	p.mu.Unlock()
 	p.metrics.round()
 	if rdvDue {
@@ -394,7 +385,7 @@ func (p *Peer) call(ctx context.Context, sc *exchangeScratch, addr string, rttMi
 // exchangeWith runs the measure + exchange + step half-round against
 // one partner.
 func (p *Peer) exchangeWith(ctx context.Context, target string) error {
-	rtt, err := p.cfg.Pinger.Ping(ctx, target, p.cfg.PingSamples)
+	rtt, err := p.cfg.Pinger.Ping(ctx, target, pingSamples)
 	if err != nil {
 		p.dropNeighbor(target)
 		p.metrics.failure()

@@ -168,9 +168,6 @@ func (d *Directory) ttlNow() int64 {
 	return 0
 }
 
-// NumShards returns the shard count (after power-of-two rounding).
-func (d *Directory) NumShards() int { return len(d.shards) }
-
 // Put inserts or refreshes a host's vectors as an unversioned entry
 // (epoch 0, exempt from epoch staleness). The slices are stored as
 // given; callers that reuse buffers must copy first.
@@ -406,18 +403,12 @@ func (d *Directory) maybeSweepLocked(sh *shard, now int64) {
 	sh.count.Store(int64(len(sh.hosts)))
 }
 
-// Range calls fn for every live entry until fn returns false. The
-// callback runs outside the shard lock (entries are copied out one shard
-// at a time), so fn may call back into the Directory.
-func (d *Directory) Range(fn func(addr string, vec core.Vectors) bool) {
-	d.RangeEpoch(func(addr string, vec core.Vectors, _ uint64) bool {
-		return fn(addr, vec)
-	})
-}
-
-// RangeEpoch is Range with each entry's registered model epoch (0 for
-// unversioned entries) — what a replicating leader needs to stream its
-// directory to a follower without flattening the epoch tags.
+// RangeEpoch calls fn for every live entry, with its registered model
+// epoch (0 for unversioned entries), until fn returns false — what a
+// replicating leader needs to stream its directory to a follower without
+// flattening the epoch tags. The callback runs outside the shard lock
+// (entries are copied out one shard at a time), so fn may call back into
+// the Directory.
 func (d *Directory) RangeEpoch(fn func(addr string, vec core.Vectors, epoch uint64) bool) {
 	now := d.ttlNow()
 	buf := make([]addrVec, 0, 64)

@@ -43,7 +43,7 @@ func TestShardRounding(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{
 		{0, 16}, {1, 1}, {3, 4}, {16, 16}, {17, 32},
 	} {
-		if got := New(Config{Shards: tc.in}).NumShards(); got != tc.want {
+		if got := len(New(Config{Shards: tc.in}).shards); got != tc.want {
 			t.Errorf("Shards=%d -> %d shards, want %d", tc.in, got, tc.want)
 		}
 	}
@@ -143,7 +143,7 @@ func TestRangeVisitsLiveEntries(t *testing.T) {
 	d.Put("live1", vec(1))
 	d.Put("live2", vec(2))
 	seen := map[string]bool{}
-	d.Range(func(addr string, _ core.Vectors) bool {
+	d.RangeEpoch(func(addr string, _ core.Vectors, _ uint64) bool {
 		seen[addr] = true
 		return true
 	})
@@ -152,7 +152,7 @@ func TestRangeVisitsLiveEntries(t *testing.T) {
 	}
 	// Early termination.
 	calls := 0
-	d.Range(func(string, core.Vectors) bool { calls++; return false })
+	d.RangeEpoch(func(string, core.Vectors, uint64) bool { calls++; return false })
 	if calls != 1 {
 		t.Fatalf("Range after false: %d calls", calls)
 	}
@@ -185,7 +185,7 @@ func TestEpochEviction(t *testing.T) {
 	// Range and shard snapshots skip stale entries too.
 	d.PutEpoch("v1b", vec(4, 4), 1)
 	seen := map[string]bool{}
-	d.Range(func(addr string, _ core.Vectors) bool {
+	d.RangeEpoch(func(addr string, _ core.Vectors, _ uint64) bool {
 		seen[addr] = true
 		return true
 	})

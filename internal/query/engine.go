@@ -40,9 +40,6 @@ func NewEngine(dir *Directory, fallback Resolver) *Engine {
 	return &Engine{dir: dir, fallback: fallback, epoch: dir.Epoch()}
 }
 
-// Directory returns the engine's underlying directory.
-func (e *Engine) Directory() *Directory { return e.dir }
-
 // Lookup resolves an address: directory first (at the engine's pinned
 // epoch), then the fallback.
 func (e *Engine) Lookup(addr string) (core.Vectors, bool) {

@@ -106,8 +106,7 @@ func TestKNearestIndexEdgeCases(t *testing.T) {
 // way), and queries in the minority dimension must fall back to the
 // exact scan and see exactly the matching entries.
 func TestKNearestDimMismatchedEntries(t *testing.T) {
-	_, eng, addrs := indexedDirectory(t, 400, 6, 16)
-	dir := eng.Directory()
+	dir, eng, addrs := indexedDirectory(t, 400, 6, 16)
 	for i := 0; i < 10; i++ {
 		v := make([]float64, 4)
 		for d := range v {
@@ -138,8 +137,7 @@ func TestKNearestDimMismatchedEntries(t *testing.T) {
 // hosts filtered by the liveness check — results identical to a fresh
 // exact scan.
 func TestKNearestIndexChurn(t *testing.T) {
-	_, eng, addrs := indexedDirectory(t, 1000, 6, 16)
-	dir := eng.Directory()
+	dir, eng, addrs := indexedDirectory(t, 1000, 6, 16)
 	src, _ := eng.Lookup(addrs[7])
 	before := eng.knnScan(src.Out, 10, "")
 	// Remove the current best answers; they must vanish from results.
@@ -161,8 +159,7 @@ func TestKNearestIndexChurn(t *testing.T) {
 // TestKNearestIndexStaleness drives churn past the slack: the index
 // must stop answering (exact scan takes over) until a rebuild lands.
 func TestKNearestIndexStaleness(t *testing.T) {
-	_, eng, addrs := indexedDirectory(t, 300, 4, 16)
-	dir := eng.Directory()
+	dir, eng, addrs := indexedDirectory(t, 300, 4, 16)
 	// 64 flat slack + len/8 = 37 → 150 mutations is well past stale.
 	for i := 0; i < 150; i++ {
 		v := []float64{float64(i), 1, 2, 3}

@@ -23,8 +23,6 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 		Handler:        s.dispatchTo,
 		RequestTimeout: s.cfg.RequestTimeout,
 		IdleTimeout:    s.cfg.IdleTimeout,
-		Window:         s.cfg.MuxMaxInflight,
-		Workers:        s.cfg.MuxWorkers,
 		Takeover:       s.takeover,
 		Metrics:        s.frames,
 		Logf:           s.logf,

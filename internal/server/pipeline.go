@@ -32,7 +32,7 @@ func newModelPipeline(cfg Config, now func() time.Time, lmIndex map[string]int,
 		Algorithm: cfg.Algorithm,
 		Seed:      cfg.Seed,
 		NMFIters:  cfg.NMFIters,
-	}, solve.SGDOptions{Rate: cfg.SGDRate, Reg: cfg.SGDReg})
+	}, solve.SGDOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}

@@ -75,58 +75,70 @@ func (r *rendezvous) dispatch(t wire.MsgType, payload, dst []byte) (wire.MsgType
 		pong := wire.Pong{Token: tok}
 		return wire.TypePong, pong.Encode(dst)
 	case wire.TypeGossipExchange:
-		ex, err := wire.DecodeGossipExchange(payload)
+		ex, err := wire.ParseGossipExchange(payload)
 		if err != nil {
 			return wire.AppendError(dst, wire.CodeBadRequest, err.Error())
 		}
-		rep := r.handleAnnounce(ex)
-		return wire.TypeGossipReply, rep.Encode(dst)
+		return wire.TypeGossipReply, r.handleAnnounce(ex, dst)
 	default:
 		return wire.AppendError(dst, wire.CodeUnavailable,
 			"rendezvous server: only peer discovery is served here (Ping, GossipExchange)")
 	}
 }
 
-// handleAnnounce records the announcing peer and answers with a warm
-// sample. The reply carries no coordinates of its own (a rendezvous has
-// none) and never applies a step, whatever RTTMillis says — the
-// directory is not a gossip partner.
-func (r *rendezvous) handleAnnounce(ex *wire.GossipExchange) *wire.GossipReply {
+// handleAnnounce records the announcing peer and appends the reply, a
+// warm sample, to dst. The announce is read in place: only an address new
+// to the directory and the rows it keeps are copied out of the frame. The
+// reply carries no coordinates of its own (a rendezvous has none) and
+// never applies a step, whatever RTTMillis says — the directory is not a
+// gossip partner. It is encoded under the lock because the sample aliases
+// rows the next announce overwrites in place.
+func (r *rendezvous) handleAnnounce(ex wire.GossipExchangeView, dst []byte) []byte {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if ex.From != "" {
+	if len(ex.From) != 0 {
 		r.observeLocked(ex.From, ex.Out, ex.In)
 		r.announces.Inc()
 	}
 	// Entries riding along in the announce seed the directory too —
 	// a fresh directory warms up from the first few announcing peers'
 	// neighbor tables instead of one at a time.
-	for _, p := range ex.Peers {
-		r.observeLocked(p.Addr, p.Out, p.In)
+	for addr, out, in, ok := ex.Peers.Next(); ok; addr, out, in, ok = ex.Peers.Next() {
+		r.observeLocked(addr, out, in)
 	}
-	return &wire.GossipReply{Peers: r.sampleLocked(ex.From)}
+	rep := wire.GossipReply{Peers: r.sampleLocked(ex.From)}
+	return rep.Encode(dst)
 }
 
-func (r *rendezvous) observeLocked(addr string, out, in []float64) {
-	if addr == "" || !vectorsSane(out) || !vectorsSane(in) {
+func (r *rendezvous) observeLocked(addr []byte, out, in wire.Floats) {
+	if len(addr) == 0 || !vectorsSane(out) || !vectorsSane(in) {
 		return
 	}
-	if e := r.entries[addr]; e != nil {
-		if len(out) > 0 && len(in) > 0 {
-			e.out, e.in = out, in
+	e := r.entries[string(addr)]
+	if e == nil {
+		if len(r.order) >= r.capacity {
+			r.evictLocked(r.rng.Intn(len(r.order)))
+			r.evictions.Inc()
 		}
-		return
+		e = &rdvEntry{}
+		key := string(addr)
+		r.entries[key] = e
+		r.order = append(r.order, key)
 	}
-	if len(r.order) >= r.capacity {
-		r.evictLocked(r.rng.Intn(len(r.order)))
-		r.evictions.Inc()
+	// Empty rows never overwrite known ones.
+	if out.Len() > 0 && in.Len() > 0 {
+		e.out, e.in = storeRow(e.out, out), storeRow(e.in, in)
 	}
-	e := &rdvEntry{}
-	if len(out) > 0 && len(in) > 0 {
-		e.out, e.in = out, in
+}
+
+// storeRow decodes v into dst's storage, growing it when it is short.
+func storeRow(dst []float64, v wire.Floats) []float64 {
+	if cap(dst) < v.Len() {
+		dst = make([]float64, v.Len())
 	}
-	r.entries[addr] = e
-	r.order = append(r.order, addr)
+	dst = dst[:v.Len()]
+	v.CopyTo(dst)
+	return dst
 }
 
 func (r *rendezvous) evictLocked(i int) {
@@ -139,7 +151,7 @@ func (r *rendezvous) evictLocked(i int) {
 
 // sampleLocked draws up to r.sample distinct entries, excluding the
 // asker itself.
-func (r *rendezvous) sampleLocked(exclude string) []wire.LandmarkVec {
+func (r *rendezvous) sampleLocked(exclude []byte) []wire.LandmarkVec {
 	if len(r.order) == 0 {
 		return nil
 	}
@@ -148,7 +160,7 @@ func (r *rendezvous) sampleLocked(exclude string) []wire.LandmarkVec {
 	out := make([]wire.LandmarkVec, 0, k)
 	for attempts := 0; len(out) < k && attempts < 2*k; attempts++ {
 		addr := r.order[r.rng.Intn(len(r.order))]
-		if addr == exclude || seen[addr] {
+		if addr == string(exclude) || seen[addr] {
 			continue
 		}
 		seen[addr] = true
@@ -161,9 +173,9 @@ func (r *rendezvous) sampleLocked(exclude string) []wire.LandmarkVec {
 // vectorsSane rejects rows carrying non-finite values: one hostile
 // announce must not poison every peer the directory later hands the
 // rows to.
-func vectorsSane(v []float64) bool {
-	for _, f := range v {
-		if math.IsNaN(f) || math.IsInf(f, 0) {
+func vectorsSane(v wire.Floats) bool {
+	for i := 0; i < v.Len(); i++ {
+		if f := v.At(i); math.IsNaN(f) || math.IsInf(f, 0) {
 			return false
 		}
 	}

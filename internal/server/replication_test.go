@@ -72,8 +72,8 @@ func TestFollowerValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	if f.Role() != RoleFollower {
-		t.Fatalf("Role() = %v", f.Role())
+	if f.cfg.Role != RoleFollower {
+		t.Fatalf("Role = %v", f.cfg.Role)
 	}
 }
 
@@ -107,7 +107,7 @@ func TestFollowerReplication(t *testing.T) {
 	if typ != wire.TypeDistance {
 		t.Fatalf("follower QueryDist answered %v", typ)
 	}
-	dd, err := wire.DecodeDistance(payload)
+	dd, err := wire.ParseDistance(payload)
 	if err != nil || !dd.Found {
 		t.Fatalf("follower distance %+v %v", dd, err)
 	}
@@ -222,7 +222,7 @@ func TestFollowerServesDuringLeaderLoss(t *testing.T) {
 		if typ != wire.TypeDistance {
 			t.Fatalf("read %d during leader loss answered %v", i, typ)
 		}
-		if dd, err := wire.DecodeDistance(payload); err != nil || !dd.Found {
+		if dd, err := wire.ParseDistance(payload); err != nil || !dd.Found {
 			t.Fatalf("read %d during leader loss: %+v %v", i, dd, err)
 		}
 	}

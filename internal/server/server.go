@@ -116,9 +116,7 @@ type Config struct {
 	// between requests before it is closed. Client-side connection pools
 	// hold connections open across calls, so this budget is distinct
 	// from — and much longer than — RequestTimeout: the default is ten
-	// times RequestTimeout (at least 5 minutes). A negative value
-	// restores the pre-pool behavior of applying RequestTimeout to idle
-	// waits too.
+	// times RequestTimeout (at least 5 minutes).
 	IdleTimeout time.Duration
 	// HostTTL expires directory entries that have not been re-registered
 	// within the window, so vectors from departed or re-routed hosts stop
@@ -133,16 +131,6 @@ type Config struct {
 	// (default 100000), bounding per-request allocation and keeping the
 	// reply under the frame size limit.
 	MaxBatch int
-	// MuxMaxInflight caps concurrently open streams per multiplexed (v2
-	// framing) connection. The cap is advertised in the HelloAck, and a
-	// client that exceeds it anyway gets CodeOverloaded error frames on
-	// the excess streams — backpressure, not connection teardown.
-	// Default 256; capped at 65535 (stream IDs carry a 16-bit slot).
-	MuxMaxInflight int
-	// MuxWorkers bounds concurrent request dispatch per multiplexed
-	// connection: frames past it queue rather than spawning goroutines.
-	// Default 2×GOMAXPROCS, minimum 4.
-	MuxWorkers int
 	// BaseEpoch offsets the model epoch sequence: the first fit
 	// publishes BaseEpoch+1. Epochs live in memory, so a restarted
 	// server starting again from 0 would reuse epochs its previous
@@ -167,11 +155,6 @@ type Config struct {
 	// the epoch — and every registered host vector — alive until drift
 	// crosses DriftEpochThreshold.
 	Solver solve.Kind
-	// SGDRate and SGDReg tune the SGD solver's normalized step size and
-	// L2 regularization (defaults 0.3 and 1e-4); ignored by the batch
-	// solver.
-	SGDRate float64
-	SGDReg  float64
 	// DriftEpochThreshold is the accumulated solver drift — the relative
 	// displacement of the landmark factors since the epoch's full fit —
 	// at which a corrective full refit bumps the epoch and makes every
@@ -272,14 +255,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 30 * time.Second
 	}
-	switch {
-	case cfg.IdleTimeout < 0:
-		cfg.IdleTimeout = cfg.RequestTimeout
-	case cfg.IdleTimeout == 0:
-		cfg.IdleTimeout = 10 * cfg.RequestTimeout
-		if cfg.IdleTimeout < 5*time.Minute {
-			cfg.IdleTimeout = 5 * time.Minute
-		}
+	if cfg.IdleTimeout <= 0 {
+		cfg.IdleTimeout = max(10*cfg.RequestTimeout, 5*time.Minute)
 	}
 	if cfg.MaxKNN <= 0 {
 		cfg.MaxKNN = 4096
@@ -363,9 +340,6 @@ func (s *Server) Close() {
 		s.follower.Close()
 	}
 }
-
-// Role returns the role the server was configured with.
-func (s *Server) Role() Role { return s.cfg.Role }
 
 // clock reads the (possibly injected) server clock.
 func (s *Server) clock() time.Time { return (*s.now.Load())() }

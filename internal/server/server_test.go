@@ -256,7 +256,7 @@ func TestRegisterAndQuery(t *testing.T) {
 	if typ != wire.TypeDistance {
 		t.Fatalf("type %v", typ)
 	}
-	dd, err := wire.DecodeDistance(payload)
+	dd, err := wire.ParseDistance(payload)
 	if err != nil || !dd.Found {
 		t.Fatalf("distance %+v %v", dd, err)
 	}
@@ -320,7 +320,7 @@ func TestQueryBatch(t *testing.T) {
 		if typ != wire.TypeDistance {
 			t.Fatalf("point query type %v", typ)
 		}
-		point, _ := wire.DecodeDistance(p)
+		point, _ := wire.ParseDistance(p)
 		if point.Found != resp.Results[i].Found {
 			t.Fatalf("target %d: batch found=%v point found=%v", i, resp.Results[i].Found, point.Found)
 		}
@@ -471,7 +471,7 @@ func TestQueryUnknownHost(t *testing.T) {
 	if typ != wire.TypeDistance {
 		t.Fatalf("type %v", typ)
 	}
-	dd, _ := wire.DecodeDistance(payload)
+	dd, _ := wire.ParseDistance(payload)
 	if dd.Found {
 		t.Fatal("unknown host must report not found")
 	}
@@ -777,40 +777,6 @@ func TestIdleConnectionOutlivesRequestTimeout(t *testing.T) {
 	ping(1)
 	time.Sleep(500 * time.Millisecond) // > 3x RequestTimeout of idleness
 	ping(2)
-}
-
-func TestNegativeIdleTimeoutRestoresOldBehavior(t *testing.T) {
-	// IdleTimeout < 0 applies RequestTimeout to idle waits, the pre-pool
-	// behavior: an idle keep-alive connection is closed after one request
-	// budget.
-	lm := []string{"L1", "L2"}
-	s, err := New(Config{Landmarks: lm, Dim: 2, Seed: 1,
-		RequestTimeout: 100 * time.Millisecond, IdleTimeout: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	addr := serveTCP(t, s)
-
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := wire.WriteFrame(conn, wire.TypePing, (&wire.Ping{Token: 1}).Encode(nil)); err != nil {
-		t.Fatal(err)
-	}
-	if typ, _, err := wire.ReadFrame(conn); err != nil || typ != wire.TypePong {
-		t.Fatalf("first exchange: %v %v", typ, err)
-	}
-	// Wait out the request budget, then expect the server to have closed
-	// the connection: the next read reports EOF/reset rather than a pong.
-	time.Sleep(400 * time.Millisecond)
-	_ = wire.WriteFrame(conn, wire.TypePing, (&wire.Ping{Token: 2}).Encode(nil))
-	conn.SetReadDeadline(time.Now().Add(2 * time.Second)) //nolint:errcheck
-	if typ, _, err := wire.ReadFrame(conn); err == nil {
-		t.Fatalf("idle connection survived RequestTimeout with IdleTimeout<0 (got %v)", typ)
-	}
 }
 
 func TestIdleTimeoutDefaultsWellAboveRequestTimeout(t *testing.T) {

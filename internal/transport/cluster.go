@@ -122,15 +122,6 @@ func (cp *ClusterPool) Close() error {
 // and stats).
 func (cp *ClusterPool) Pool() *Pool { return cp.pool }
 
-// Servers returns the configured endpoint addresses.
-func (cp *ClusterPool) Servers() []string {
-	out := make([]string, len(cp.eps))
-	for i, ep := range cp.eps {
-		out[i] = ep.addr
-	}
-	return out
-}
-
 // Failovers counts calls replayed on another endpoint after a transport
 // failure.
 func (cp *ClusterPool) Failovers() int64 { return cp.failovers.Load() }

@@ -14,9 +14,10 @@ import (
 	"github.com/ides-go/ides/internal/wire"
 )
 
-// DefaultMuxInflight is the in-flight stream window a MuxConn asks for
-// when the caller does not specify one. The negotiated window is the
-// minimum of this and the server's advertised cap.
+// DefaultMuxInflight is the in-flight stream window a pooled MuxConn
+// asks for, and a bare one when the caller does not specify it. The
+// negotiated window is the minimum of this and the server's advertised
+// cap.
 const DefaultMuxInflight = 256
 
 // muxMaxSlots bounds the stream window: stream IDs pack a 16-bit slot

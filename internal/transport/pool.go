@@ -42,9 +42,6 @@ type PoolConfig struct {
 	// MaxPerHost accounting. Default 2. Negative disables multiplexing —
 	// every call then uses a v1 lockstep connection.
 	MuxConns int
-	// MuxMaxInflight is the in-flight stream window requested per mux
-	// connection; the server may negotiate it down. Default 256.
-	MuxMaxInflight int
 }
 
 func (c PoolConfig) withDefaults() PoolConfig {
@@ -62,9 +59,6 @@ func (c PoolConfig) withDefaults() PoolConfig {
 	}
 	if c.MuxConns == 0 {
 		c.MuxConns = 2
-	}
-	if c.MuxMaxInflight == 0 {
-		c.MuxMaxInflight = DefaultMuxInflight
 	}
 	return c
 }
@@ -569,7 +563,7 @@ func (p *Pool) dialMux(ctx context.Context, addr string, hp *hostPool) (*MuxConn
 		return nil, nil, fmt.Errorf("transport: dialing %s: %w", addr, err)
 	}
 	p.count(hp, evDial)
-	mc, err := NewMuxConn(ctx, c, p.cfg.MuxMaxInflight)
+	mc, err := NewMuxConn(ctx, c, DefaultMuxInflight)
 	if errors.Is(err, ErrMuxUnsupported) {
 		return nil, newPooledConn(c, hp), nil
 	}

@@ -344,11 +344,11 @@ func FuzzDecodeDistance(f *testing.F) {
 	f.Add([]byte{1, 0, 0})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := DecodeDistance(data)
+		m, err := ParseDistance(data)
 		if err != nil {
 			return
 		}
-		out, err := DecodeDistance(m.Encode(nil))
+		out, err := ParseDistance(m.Encode(nil))
 		if err != nil || out.Found != m.Found {
 			t.Fatalf("Distance round-trip mismatch: %+v %v", out, err)
 		}

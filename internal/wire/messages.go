@@ -425,20 +425,6 @@ func (m *Distance) Encode(dst []byte) []byte {
 	return appendFloat(dst, m.Millis)
 }
 
-// DecodeDistance parses a Distance payload.
-func DecodeDistance(b []byte) (*Distance, error) {
-	m := &Distance{}
-	var err error
-	rest := b
-	if m.Found, rest, err = consumeBool(rest); err != nil {
-		return nil, err
-	}
-	if m.Millis, _, err = consumeFloat(rest); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
 // QueryBatch asks the server to estimate the distance from one source to
 // every listed target in a single round trip. Targets may be registered
 // hosts or landmark addresses; unresolvable targets come back flagged,

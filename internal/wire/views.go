@@ -136,10 +136,15 @@ type Floats []byte
 // Len returns the number of elements.
 func (f Floats) Len() int { return len(f) / 8 }
 
+// At decodes element i.
+func (f Floats) At(i int) float64 {
+	return math.Float64frombits(binary.BigEndian.Uint64(f[8*i:]))
+}
+
 // CopyTo decodes the vector into dst, which must hold Len elements.
 func (f Floats) CopyTo(dst []float64) {
 	for i := range dst[:f.Len()] {
-		dst[i] = math.Float64frombits(binary.BigEndian.Uint64(f[8*i:]))
+		dst[i] = f.At(i)
 	}
 }
 

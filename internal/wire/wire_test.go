@@ -259,7 +259,7 @@ func TestRegisterHostVectorsDistanceRoundTrip(t *testing.T) {
 	if err != nil || string(from) != "a" || string(to) != "b" {
 		t.Fatalf("QueryDist round trip: %q %q %v", from, to, err)
 	}
-	dd, err := DecodeDistance((&Distance{Found: true, Millis: 31.25}).Encode(nil))
+	dd, err := ParseDistance((&Distance{Found: true, Millis: 31.25}).Encode(nil))
 	if err != nil || !dd.Found || dd.Millis != 31.25 {
 		t.Fatalf("Distance round trip: %+v %v", dd, err)
 	}
@@ -407,7 +407,7 @@ func TestDecodersRejectTruncation(t *testing.T) {
 		"RegisterHost": func(b []byte) error { _, err := DecodeRegisterHost(b); return err },
 		"Vectors":      func(b []byte) error { _, err := DecodeVectors(b); return err },
 		"QueryDist":    func(b []byte) error { _, _, err := QueryDistView(b); return err },
-		"Distance":     func(b []byte) error { _, err := DecodeDistance(b); return err },
+		"Distance":     func(b []byte) error { _, err := ParseDistance(b); return err },
 		"QueryBatch":   func(b []byte) error { _, err := DecodeQueryBatch(b); return err },
 		"Distances":    func(b []byte) error { _, err := DecodeDistances(b); return err },
 		"QueryKNN":     func(b []byte) error { _, _, err := QueryKNNView(b); return err },

@@ -13,6 +13,7 @@ import (
 	"path"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -504,5 +505,134 @@ func TestEveryOptionIsSet(t *testing.T) {
 	t.Logf("option fields: %d", total)
 	for _, name := range unset {
 		t.Errorf("%s is set by nothing — no program, example, benchmark or test: make it a constant and delete the field, or give it a caller", name)
+	}
+}
+
+// The flags gate: every flag a binary defines must be passed by a test
+// that runs the binary. A flag is a call, in a package under cmd/ or in
+// internal/cli, of a function or method of the standard flag package that
+// takes a name and a usage (flag.Int, fs.Duration, flag.Var…); a cmd
+// package also owns the flags of every internal/cli function it calls.
+// The test that runs the binaries is TestBinaries, and what it passes is
+// its binaryCommands table (binaries_test.go). A flag nothing passes is a
+// setting that has never been in effect; there is no allow-list here
+// either.
+
+// reachFlag is one flag definition.
+type reachFlag struct {
+	name string
+	pos  token.Pos
+}
+
+// flagDefs returns the flags node defines and the functions of cli (nil
+// when rp is cli itself) it calls.
+func (rp *reachPkg) flagDefs(node ast.Node, cli *reachPkg) (defs []reachFlag, calls []types.Object) {
+	ast.Inspect(node, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		fn, ok := rp.info.Uses[sel.Sel].(*types.Func)
+		if !ok || fn.Pkg() == nil {
+			return true
+		}
+		if cli != nil && fn.Pkg() == cli.types {
+			calls = append(calls, fn)
+		}
+		if fn.Pkg().Path() != "flag" {
+			return true
+		}
+		params := fn.Type().(*types.Signature).Params()
+		nameArg, usage := -1, false
+		for i := 0; i < params.Len(); i++ {
+			switch params.At(i).Name() {
+			case "name":
+				nameArg = i
+			case "usage":
+				usage = true
+			}
+		}
+		if nameArg < 0 || !usage {
+			return true // Parse, NArg, Set, NewFlagSet…
+		}
+		name := "(a name that is not a string literal)"
+		if lit, ok := call.Args[nameArg].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+			name, _ = strconv.Unquote(lit.Value)
+		}
+		defs = append(defs, reachFlag{name, call.Pos()})
+		return true
+	})
+	return defs, calls
+}
+
+// flags returns what each binary under cmd/ can be passed — its own
+// definitions and those of the internal/cli groups it registers — and
+// the number of definitions.
+func (tr *reachTree) flags() (byBinary map[string][]reachFlag, total int) {
+	cli := tr.pkgs[reachModule+"/internal/cli"]
+	groups := map[types.Object][]reachFlag{}
+	for _, f := range cli.files {
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok {
+				defs, _ := cli.flagDefs(fd, nil)
+				groups[cli.info.Defs[fd.Name]] = defs
+				total += len(defs)
+			}
+		}
+	}
+	byBinary = map[string][]reachFlag{}
+	for _, rp := range tr.pkgs {
+		if !strings.HasPrefix(rp.path, reachModule+"/cmd/") {
+			continue
+		}
+		bin := path.Base(rp.path)
+		for _, f := range rp.files {
+			defs, calls := rp.flagDefs(f, cli)
+			total += len(defs)
+			byBinary[bin] = append(byBinary[bin], defs...)
+			for _, fn := range calls {
+				byBinary[bin] = append(byBinary[bin], groups[fn]...)
+			}
+		}
+	}
+	return byBinary, total
+}
+
+// TestEveryFlagIsPassed fails on a flag that TestBinaries passes to no
+// process of the binary that defines it.
+func TestEveryFlagIsPassed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the whole tree and the standard library it imports from source")
+	}
+	passed := map[string]map[string]bool{}
+	for _, c := range binaryCommands(func(name string) string { return name }, "") {
+		if passed[c.bin] == nil {
+			passed[c.bin] = map[string]bool{}
+		}
+		for _, arg := range c.args {
+			if name, ok := strings.CutPrefix(arg, "-"); ok {
+				name, _, _ = strings.Cut(name, "=")
+				passed[c.bin][name] = true
+			}
+		}
+	}
+	tr := loadReachTree(t, ".")
+	byBinary, total := tr.flags()
+	t.Logf("flags: %d", total)
+	var unpassed []string
+	for bin, flags := range byBinary {
+		for _, f := range flags {
+			if !passed[bin][f.name] {
+				unpassed = append(unpassed, bin+" -"+f.name+" ("+tr.fset.Position(f.pos).String()+")")
+			}
+		}
+	}
+	sort.Strings(unpassed)
+	for _, f := range unpassed {
+		t.Errorf("%s is passed by no row of binaryCommands, so no test runs the binary with it: pass it in binaries_test.go, or make it the constant it defaults to", f)
 	}
 }
