@@ -69,7 +69,8 @@ func binaryCommands(addr func(string) string, dir string) map[string]binaryCmd {
 		// The landmark-free deployment: a rendezvous directory and four
 		// gossiping peers, the last of them bootstrapped from a static
 		// neighbor instead.
-		"rendezvous": {"ides-server", []string{"-listen", addr("rendezvous"), "-role", "rendezvous"}},
+		"rendezvous": {"ides-server", []string{
+			"-listen", addr("rendezvous"), "-role", "rendezvous", "-metrics-addr", addr("rendezvous-metrics")}},
 
 		"datagen":      {"datagen", []string{"-out", data, "-only", "GNP", "-seed", "3", "-missing", "0.1"}},
 		"datagen-full": {"datagen", []string{"-out", data, "-only", "P2PSim", "-full"}},
@@ -333,6 +334,13 @@ func TestBinaries(t *testing.T) {
 						metric(addr(name), "ides_gossip_neighbors") >= 1
 				}, fleet...)
 			}
+			// peer3 never announces (it was given a neighbor, not the
+			// directory): the directory learns it from the sample riding
+			// on another peer's re-announce.
+			eventually(t, "the directory to hold all four peers", func() bool {
+				return metric(addr("rendezvous-metrics"), "ides_rendezvous_peers") >= 4 &&
+					metric(addr("rendezvous-metrics"), "ides_rendezvous_announces_total") >= 4
+			}, fleet...)
 			for _, p := range fleet {
 				p.shutDown(t)
 			}

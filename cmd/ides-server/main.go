@@ -31,10 +31,12 @@
 // automatically when the leader returns; point clients at the whole
 // tier with ides-client -servers.
 //
-// With -role rendezvous the process is only a bootstrap directory for
-// the decentralized peer mode (see ides-peer): it records announced
-// peers and their coordinates and answers each announce with a warm
-// random sample, serving no model and no queries:
+// With -role rendezvous the process is no information server at all but
+// the bootstrap directory of the decentralized peer mode (see ides-peer,
+// peer.Rendezvous): it records announced peers and their coordinates and
+// answers each announce with a warm random sample, serving no model and
+// no queries. Only -listen, -seed, -request-timeout, -idle-timeout and
+// -metrics-addr apply to it:
 //
 //	ides-server -listen :4100 -role rendezvous
 package main
@@ -43,14 +45,18 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"log"
+	"net"
 	"os"
 	"time"
 
 	"github.com/ides-go/ides/internal/cli"
 	"github.com/ides-go/ides/internal/core"
+	"github.com/ides-go/ides/internal/peer"
 	"github.com/ides-go/ides/internal/server"
 	"github.com/ides-go/ides/internal/solve"
+	"github.com/ides-go/ides/internal/transport"
 )
 
 func main() {
@@ -73,6 +79,17 @@ func main() {
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "", log.LstdFlags)
+	if roleFlags.Rendezvous() {
+		rdv := peer.NewRendezvous(*seed, metricsFlags.Registry())
+		listenAndServe(logger, *listen, metricsFlags, "rendezvous directory", "", func(ctx context.Context, ln net.Listener) error {
+			return rdv.Serve(ctx, ln, transport.ServeConfig{
+				RequestTimeout: *requestTimeout,
+				IdleTimeout:    *idleTimeout,
+				Logf:           func(format string, args ...any) { logger.Printf("ides-server: "+format, args...) },
+			})
+		})
+		return
+	}
 	role, leaderAddr, followerID, err := roleFlags.Resolve(*listen)
 	if err != nil {
 		logger.Fatalf("ides-server: %v", err)
@@ -136,30 +153,33 @@ func main() {
 	}
 	defer srv.Close()
 
+	what, detail := "leader", fmt.Sprintf(" with %d landmarks, d=%d, %s", len(lms), *dim, algorithm)
+	if role == server.RoleFollower {
+		what, detail = "follower "+followerID, ", replicating from "+leaderAddr
+	}
+	listenAndServe(logger, *listen, metricsFlags, what, detail, srv.Serve)
+}
+
+// listenAndServe is the tail both programs behind -role share: the
+// metrics endpoint, the listener, the "<what> listening on <addr><detail>"
+// line, then serve until SIGINT or SIGTERM.
+func listenAndServe(logger *log.Logger, listen string, metricsFlags *cli.MetricsFlags, what, detail string,
+	serve func(context.Context, net.Listener) error) {
 	stopMetrics, err := metricsFlags.Serve(logger, "ides-server")
 	if err != nil {
 		logger.Fatalf("ides-server: %v", err)
 	}
 	defer stopMetrics() //nolint:errcheck
 
-	ln, err := cli.Listen(*listen)
+	ln, err := cli.Listen(listen)
 	if err != nil {
 		logger.Fatalf("ides-server: %v", err)
 	}
-	switch role {
-	case server.RoleFollower:
-		logger.Printf("ides-server: follower %s listening on %s, replicating from %s",
-			followerID, ln.Addr(), leaderAddr)
-	case server.RoleRendezvous:
-		logger.Printf("ides-server: rendezvous directory listening on %s", ln.Addr())
-	default:
-		logger.Printf("ides-server: leader listening on %s with %d landmarks, d=%d, %s",
-			ln.Addr(), len(lms), *dim, algorithm)
-	}
+	logger.Printf("ides-server: %s listening on %s%s", what, ln.Addr(), detail)
 
 	ctx, stop := cli.SignalContext()
 	defer stop()
-	if err := srv.Serve(ctx, ln); err != nil && !errors.Is(err, context.Canceled) {
+	if err := serve(ctx, ln); err != nil && !errors.Is(err, context.Canceled) {
 		logger.Fatalf("ides-server: %v", err)
 	}
 	logger.Print("ides-server: shut down")

@@ -83,8 +83,9 @@
 //     (GossipExchange/GossipReply), and applies the Kaczmarz-normalized
 //     SGD step symmetrically on both sides, O(d) per round with no
 //     central fit and no landmarks; estimates are peer-to-peer from
-//     exchanged coordinates, the server degrades into an optional
-//     bootstrap directory (-role rendezvous), and the harness gates a
+//     exchanged coordinates, the only central piece is an optional
+//     bootstrap directory (peer.Rendezvous, what ides-server -role
+//     rendezvous runs in place of a server), and the harness gates a
 //     10,000-peer fleet against the same Fig-2 accuracy bounds as the
 //     centralized pipeline, bit-identical across same-seed runs
 //     (go test ./internal/harness -run TestGossip; measured by bash

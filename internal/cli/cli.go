@@ -37,15 +37,14 @@ func List(s string) []string {
 	return out
 }
 
-// ParseRole maps a -role flag value to the serving role.
+// ParseRole maps a -role flag value to the serving role. "rendezvous"
+// is not one: see RoleFlags.Rendezvous.
 func ParseRole(s string) (server.Role, error) {
 	switch strings.ToLower(s) {
 	case "", "leader":
 		return server.RoleLeader, nil
 	case "follower":
 		return server.RoleFollower, nil
-	case "rendezvous":
-		return server.RoleRendezvous, nil
 	default:
 		return 0, fmt.Errorf("unknown role %q (want leader, follower or rendezvous)", s)
 	}
@@ -179,6 +178,12 @@ func RegisterRoleFlags(fs *flag.FlagSet) *RoleFlags {
 		FollowerID: fs.String("follower-id", "", "identifier this follower announces to the leader (default: the listen address)"),
 	}
 }
+
+// Rendezvous reports whether -role selects the peer mode's bootstrap
+// directory. That is no server.Role but another program behind the same
+// flag: ides-server runs a peer.Rendezvous in place of a server, and
+// reads no model flag.
+func (rf *RoleFlags) Rendezvous() bool { return strings.EqualFold(*rf.Role, "rendezvous") }
 
 // Resolve validates the parsed role flags against each other.
 func (rf *RoleFlags) Resolve(listen string) (server.Role, string, string, error) {

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/ides-go/ides/internal/peer"
-	"github.com/ides-go/ides/internal/server"
 	"github.com/ides-go/ides/internal/simnet"
 	"github.com/ides-go/ides/internal/stats"
 	"github.com/ides-go/ides/internal/telemetry"
@@ -40,7 +39,7 @@ type GossipConfig struct {
 	// Seed drives topology generation, the fabric, the rendezvous
 	// directory and every peer — one knob reproduces a run bit for bit.
 	Seed int64
-	// Metrics receives the rendezvous server's and first peer's
+	// Metrics receives the rendezvous directory's and first peer's
 	// instrument families. Optional.
 	Metrics *telemetry.Registry
 }
@@ -77,8 +76,8 @@ type GossipCluster struct {
 	Net *simnet.Network
 	// Topo is the generated ground-truth topology.
 	Topo *topology.Topology
-	// Rdv is the rendezvous directory server (already serving).
-	Rdv *server.Server
+	// Rdv is the rendezvous directory (already serving).
+	Rdv *peer.Rendezvous
 
 	peers     []*peer.Peer
 	peerNames []string
@@ -139,17 +138,9 @@ func NewGossip(cfg GossipConfig) (*GossipCluster, error) {
 	}
 
 	// Rendezvous directory on site 0.
-	rdv, err := server.New(server.Config{
-		Role:    server.RoleRendezvous,
-		Seed:    cfg.Seed,
-		Metrics: cfg.Metrics,
-	})
-	if err != nil {
-		return fail(fmt.Errorf("harness: rendezvous: %w", err))
-	}
-	g.Rdv = rdv
+	g.Rdv = peer.NewRendezvous(cfg.Seed, cfg.Metrics)
 	if err := g.serveOn(RendezvousName, func(ln net.Listener) error {
-		go rdv.Serve(g.ctx, ln) //nolint:errcheck
+		go g.Rdv.Serve(g.ctx, ln, transport.ServeConfig{Logf: func(string, ...any) {}}) //nolint:errcheck
 		return nil
 	}); err != nil {
 		return fail(err)
@@ -217,9 +208,6 @@ func (g *GossipCluster) Close() {
 	g.cancel()
 	for _, p := range g.peers {
 		p.Close()
-	}
-	if g.Rdv != nil {
-		g.Rdv.Close()
 	}
 	for _, ln := range g.lns {
 		ln.Close()

@@ -7,13 +7,10 @@ import (
 	"time"
 
 	"github.com/ides-go/ides/internal/core"
-	"github.com/ides-go/ides/internal/server"
-	"github.com/ides-go/ides/internal/simnet"
+	"github.com/ides-go/ides/internal/lifecycle"
 	"github.com/ides-go/ides/internal/solve"
 	"github.com/ides-go/ides/internal/stats"
 	"github.com/ides-go/ides/internal/telemetry"
-	"github.com/ides-go/ides/internal/topology"
-	"github.com/ides-go/ides/internal/wire"
 )
 
 // ReplayWindow bounds which recorded measurements a replay feeds back:
@@ -98,15 +95,15 @@ type replayFrame struct {
 	entries []telemetry.ReportRecord
 }
 
-// Replay feeds a recorded history window back through a fresh server —
-// real wire protocol over a two-host simnet fabric — and measures the
-// resulting model against the window's last-observed measurement
+// Replay feeds a recorded history window back through a fresh solver
+// and refitter — a server's write side, driven directly — and measures
+// the resulting model against the window's last-observed measurement
 // matrix. With zero overrides it reproduces the recorded run's final
 // accuracy; with overrides it answers "what if the run had used the
 // other solver / a different dimension / a different drift threshold".
 //
 // Determinism matches the harness: reports are fed in recorded order
-// with the model pipeline drained after every frame, so the same
+// with the refitter drained after every frame, so the same
 // records, window and overrides always produce the same result.
 func Replay(ctx context.Context, recs []telemetry.Record, window ReplayWindow, over ReplayOverrides) (*ReplayResult, error) {
 	res := &ReplayResult{}
@@ -197,64 +194,26 @@ func Replay(ctx context.Context, recs []telemetry.Record, window ReplayWindow, o
 		}
 	}
 
-	// Two-host fabric: the server and the replayer feeding it frames.
-	// The topology only shapes link delays, which the replay never
-	// measures — the recorded RTTs travel inside the frames.
-	const replayer = "replayer"
-	topo, err := topology.Generate(topology.Config{Seed: res.Seed, NumHosts: 2, HostsPerStub: 1})
-	if err != nil {
-		return nil, fmt.Errorf("replay: %w", err)
-	}
-	nw, err := simnet.New(topo, []string{ServerName, replayer}, simnet.Config{
-		TimeScale: 1e-5,
-		Seed:      res.Seed,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("replay: %w", err)
-	}
-	defer nw.Close()
-
-	srv, err := server.New(server.Config{
-		Landmarks: landmarks,
+	// The write side of a server without the server: the same solver and
+	// refitter server.New builds, fed the deltas handleReport would
+	// accept. As in the harness, every owed fit runs at the next worker
+	// cycle, so the per-frame Quiesce below fully determines when model
+	// updates land.
+	solver, err := solve.New(res.Solver, n, core.FitOptions{
 		Dim:       res.Dim,
 		Algorithm: res.Algorithm,
 		Seed:      res.Seed,
-		Solver:    res.Solver,
-		BaseEpoch: res.Config.BaseEpoch,
-		// As in the harness: every owed fit runs at the next worker
-		// cycle, so the per-frame Quiesce below fully determines when
-		// model updates land.
-		RefitMinInterval:    time.Nanosecond,
-		RefitThreshold:      n * (n - 1),
-		DriftEpochThreshold: res.Drift,
+	}, solve.SGDOptions{})
+	if err != nil {
+		return nil, fmt.Errorf("replay: %w", err)
+	}
+	refit := lifecycle.New(solver, lifecycle.Config{
+		BaseEpoch:      res.Config.BaseEpoch,
+		MinInterval:    time.Nanosecond,
+		Threshold:      n * (n - 1),
+		DriftThreshold: res.Drift,
 	})
-	if err != nil {
-		return nil, fmt.Errorf("replay: %w", err)
-	}
-	defer srv.Close()
-
-	srvHost, err := nw.Host(ServerName)
-	if err != nil {
-		return nil, fmt.Errorf("replay: %w", err)
-	}
-	ln, err := srvHost.Listen()
-	if err != nil {
-		return nil, fmt.Errorf("replay: %w", err)
-	}
-	defer ln.Close()
-	serveCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	go srv.Serve(serveCtx, ln) //nolint:errcheck
-
-	rh, err := nw.Host(replayer)
-	if err != nil {
-		return nil, fmt.Errorf("replay: %w", err)
-	}
-	conn, err := rh.DialContext(ctx, "tcp", ServerName)
-	if err != nil {
-		return nil, fmt.Errorf("replay: dial: %w", err)
-	}
-	defer conn.Close()
+	defer refit.Close()
 
 	// obs accumulates the last-observed measurement per directed pair —
 	// the ground truth the replayed model is scored against.
@@ -267,43 +226,36 @@ func Replay(ctx context.Context, recs []telemetry.Record, window ReplayWindow, o
 	}
 
 	for _, fr := range frames {
-		rep := &wire.ReportRTT{From: landmarks[fr.from]}
+		deltas := make([]solve.Delta, 0, len(fr.entries))
 		for _, e := range fr.entries {
-			rep.Entries = append(rep.Entries, wire.RTTEntry{To: landmarks[e.To], RTTMillis: e.Millis})
 			obs[fr.from][e.To] = e.Millis
-		}
-		if err := wire.WriteFrame(conn, wire.TypeReportRTT, rep.Encode(nil)); err != nil {
-			return nil, fmt.Errorf("replay: report: %w", err)
-		}
-		t, payload, err := wire.ReadFrame(conn)
-		if err != nil {
-			return nil, fmt.Errorf("replay: report reply: %w", err)
-		}
-		if t != wire.TypeAck {
-			if t == wire.TypeError {
-				if werr, derr := wire.DecodeError(payload); derr == nil {
-					return nil, fmt.Errorf("replay: server rejected report: %s", werr.Text)
-				}
+			// What a server drops from a report: a self-pair, an RTT that
+			// is negative or not finite.
+			if e.To != fr.from && e.Millis >= 0 && !math.IsInf(e.Millis, 1) {
+				deltas = append(deltas, solve.Delta{From: fr.from, To: e.To, Millis: e.Millis})
 			}
-			return nil, fmt.Errorf("replay: report answered %v, want Ack", t)
 		}
-		// Drain the model pipeline after every frame, as the recording
-		// harness does, so revision boundaries and drift-triggered fits
-		// land at the same points every replay.
-		if err := srv.Quiesce(ctx); err != nil {
+		if len(deltas) > 0 {
+			refit.Deltas(deltas)
+		}
+		// Drain the refitter after every frame, as the recording harness
+		// does, so revision boundaries and drift-triggered fits land at
+		// the same points every replay.
+		if _, err := refit.Quiesce(ctx); err != nil {
 			return nil, fmt.Errorf("replay: quiesce: %w", err)
 		}
 	}
 
 	// Fold in anything still pending and score the final model against
 	// the window's last-observed matrix.
-	model, err := srv.Model()
+	snap, err := refit.Refresh(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("replay: final model: %w", err)
 	}
-	if err := srv.Quiesce(ctx); err != nil {
+	if _, err := refit.Quiesce(ctx); err != nil {
 		return nil, fmt.Errorf("replay: final quiesce: %w", err)
 	}
+	model := snap.Model
 	var errs []float64
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
@@ -315,7 +267,7 @@ func Replay(ctx context.Context, recs []telemetry.Record, window ReplayWindow, o
 	}
 	res.Final = stats.Summarize(errs)
 
-	lc := srv.LifecycleStats()
+	lc := refit.Stats()
 	res.Epoch, res.Fits, res.Revisions = lc.Epoch, lc.Fits, lc.Revisions
 	return res, nil
 }

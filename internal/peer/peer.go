@@ -11,15 +11,18 @@
 // no server round-trip: est(i,j) = (x_i·y_j + x_j·y_i)/2 from cached or
 // freshly fetched coordinates.
 //
-// The central server is reduced to an optional rendezvous directory
-// (server -role rendezvous): peers announce themselves to it and
-// receive warm peer samples to bootstrap and re-mix their neighbor
-// sets; it fits no model and serves no queries.
+// The only central piece is an optional Rendezvous directory (what
+// ides-server -role rendezvous runs): peers announce themselves to it
+// and receive warm peer samples to bootstrap and re-mix their neighbor
+// sets; it fits no model and serves no queries. Its directory and a
+// Peer's neighbor set are the same bounded table (table.go), which is
+// also where a non-finite coordinate row is turned away.
 //
 // A Peer is deterministic given its Config.Seed and the order of calls
 // into it: all randomness (neighbor choice, sample selection, table
-// eviction) draws from one seeded PRNG under the peer's lock, so a
-// simulated fleet driven in a fixed order is bit-identical across runs.
+// eviction) draws from the table's one seeded PRNG under the peer's
+// lock, so a simulated fleet driven in a fixed order is bit-identical
+// across runs.
 package peer
 
 import (
@@ -29,7 +32,6 @@ import (
 	"hash/fnv"
 	"log"
 	"math"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -121,37 +123,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// neighbor is one table entry: the last coordinate rows seen for an
-// address and the entry's position in the deterministic iteration
-// order. The table owns the row storage — rows arrive as views of a
-// frame buffer and are copied in — and an evicted entry is recycled,
-// storage included, for the next insertion.
-type neighbor struct {
-	addr string
-	// rows is out then in, Dim elements each, allocated when the first
-	// coordinates arrive; known is false until then (an address learned
-	// from AddNeighbor or a sample entry without coordinates) and again
-	// after the entry is recycled.
-	rows  []float64
-	known bool
-	idx   int
-}
-
-// out and in return the cached rows, nil while none are known.
-func (n *neighbor) out() []float64 {
-	if !n.known {
-		return nil
-	}
-	return n.rows[:len(n.rows)/2]
-}
-
-func (n *neighbor) in() []float64 {
-	if !n.known {
-		return nil
-	}
-	return n.rows[len(n.rows)/2:]
-}
-
 // exchangeScratch is the memory one outgoing exchange runs in: the
 // encoded request, and the frame buffer Pool.CallInto sends it through
 // and reads the reply into (the reply view aliases it). Shared by every
@@ -178,17 +149,15 @@ type Peer struct {
 	x, y  []float64
 	initX []float64
 	initY []float64
-	table map[string]*neighbor
-	order []*neighbor // table entries in insertion order; rng indexes into it
-	free  []*neighbor // evicted entries awaiting reuse
-	// sample is sampleLocked's result buffer and px, py hold the
-	// partner's rows for one PeerStep; all three are scratch valid only
-	// while p.mu is held.
-	sample []wire.LandmarkVec
-	px, py []float64
-	rng    *rand.Rand
-	round  uint64
-	churn  uint64
+	// table is the neighbor set, at most MaxNeighbors entries; its PRNG
+	// is the peer's only one.
+	table *table
+	// px, py hold the partner's rows for one PeerStep and undo our own
+	// rows from before it, x then y: scratch valid only while p.mu is
+	// held.
+	px, py, undo []float64
+	round        uint64
+	churn        uint64
 	// lastStep is the most recent relative step magnitude — the
 	// telemetry drift signal per exchange.
 	lastStep float64
@@ -222,8 +191,7 @@ func New(cfg Config) (*Peer, error) {
 		sgd:   sgd,
 		clamp: cfg.Algorithm == core.NMF,
 		pool:  pool,
-		table: make(map[string]*neighbor),
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		table: newTable(cfg.MaxNeighbors, cfg.Seed),
 	}
 	if cfg.Logger != nil {
 		p.logger = cfg.Logger
@@ -241,9 +209,10 @@ func New(cfg Config) (*Peer, error) {
 	p.y = make([]float64, cfg.Dim)
 	p.px = make([]float64, cfg.Dim)
 	p.py = make([]float64, cfg.Dim)
+	p.undo = make([]float64, 2*cfg.Dim)
 	for k := 0; k < cfg.Dim; k++ {
-		p.x[k] = s * (0.5 + p.rng.Float64())
-		p.y[k] = s * (0.5 + p.rng.Float64())
+		p.x[k] = s * (0.5 + p.table.rng.Float64())
+		p.y[k] = s * (0.5 + p.table.rng.Float64())
 	}
 	p.initX = append([]float64(nil), p.x...)
 	p.initY = append([]float64(nil), p.y...)
@@ -270,18 +239,14 @@ func (p *Peer) Coordinates() (out, in []float64) {
 func (p *Peer) AddNeighbor(addr string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.observeLocked(addr, nil, nil)
+	p.observeLocked([]byte(addr), nil, nil)
 }
 
 // Neighbors returns the current neighbor addresses in table order.
 func (p *Peer) Neighbors() []string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	addrs := make([]string, len(p.order))
-	for i, n := range p.order {
-		addrs[i] = n.addr
-	}
-	return addrs
+	return p.table.addrs()
 }
 
 // Stats is a point-in-time snapshot of the gossip loop.
@@ -301,7 +266,7 @@ type Stats struct {
 func (p *Peer) Stats() Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return Stats{Round: p.round, Neighbors: len(p.order), Churn: p.churn, LastStep: p.lastStep}
+	return Stats{Round: p.round, Neighbors: len(p.table.order), Churn: p.churn, LastStep: p.lastStep}
 }
 
 // GossipRound runs one round: refresh the table from a rendezvous when
@@ -314,7 +279,7 @@ func (p *Peer) GossipRound(ctx context.Context) error {
 	p.round++
 	round := p.round
 	rdvDue := len(p.cfg.RendezvousAddrs) > 0 &&
-		(len(p.order) == 0 || round%rendezvousEvery == p.rdvPhase)
+		(len(p.table.order) == 0 || round%rendezvousEvery == p.rdvPhase)
 	p.mu.Unlock()
 	p.metrics.round()
 	if rdvDue {
@@ -324,11 +289,11 @@ func (p *Peer) GossipRound(ctx context.Context) error {
 		}
 	}
 	p.mu.Lock()
-	if len(p.order) == 0 {
+	if len(p.table.order) == 0 {
 		p.mu.Unlock()
 		return ErrNoNeighbors
 	}
-	target := p.order[p.rng.Intn(len(p.order))].addr
+	target := p.table.pick().addr
 	p.mu.Unlock()
 	return p.exchangeWith(ctx, target)
 }
@@ -366,7 +331,7 @@ func (p *Peer) call(ctx context.Context, sc *exchangeScratch, addr string, rttMi
 		Out:       p.x,
 		In:        p.y,
 		RTTMillis: rttMillis,
-		Peers:     p.sampleLocked(k, addr),
+		Peers:     p.table.sample(k, addr),
 	}
 	sc.req = req.Encode(sc.req[:0])
 	p.mu.Unlock()
@@ -401,14 +366,11 @@ func (p *Peer) exchangeWith(ctx context.Context, target string) error {
 		return fmt.Errorf("peer: exchange with %s: %w", target, err)
 	}
 	p.mu.Lock()
-	if rep.Out.Len() == p.cfg.Dim && rep.In.Len() == p.cfg.Dim {
+	if p.usable(rep.Out, rep.In) {
 		// rep carries the partner's pre-step rows, so this step and the
 		// partner's own (against our pre-step rows) commute.
-		rep.Out.CopyTo(p.px)
-		rep.In.CopyTo(p.py)
-		step := solve.PeerStep(p.x, p.y, p.px, p.py, ms, p.sgd, p.clamp)
-		p.noteStepLocked(step)
-		p.observeLocked(target, rep.Out, rep.In)
+		p.stepLocked(rep.Out, rep.In, ms)
+		p.observeLocked([]byte(target), rep.Out, rep.In)
 	}
 	p.observeSampleLocked(rep.Peers)
 	p.mu.Unlock()
@@ -421,11 +383,11 @@ func (p *Peer) exchangeWith(ctx context.Context, target string) error {
 func (p *Peer) EstimateLocal(addr string) (float64, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	n := p.table[addr]
-	if n == nil || !n.known {
+	out, in := p.table.rows(addr)
+	if len(out) == 0 {
 		return 0, false
 	}
-	return solve.PeerEstimate(p.x, p.y, n.out(), n.in()), true
+	return solve.PeerEstimate(p.x, p.y, out, in), true
 }
 
 // Estimate predicts the RTT to addr: from cached coordinates when
@@ -441,11 +403,11 @@ func (p *Peer) Estimate(ctx context.Context, addr string) (float64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("peer: fetch coordinates from %s: %w", addr, err)
 	}
-	if rep.Out.Len() != p.cfg.Dim || rep.In.Len() != p.cfg.Dim {
-		return 0, fmt.Errorf("peer: %s has no coordinates (dim %d vs %d)", addr, rep.Out.Len(), p.cfg.Dim)
+	if !p.usable(rep.Out, rep.In) {
+		return 0, fmt.Errorf("peer: %s has no usable coordinates (dim %d vs %d, or not finite)", addr, rep.Out.Len(), p.cfg.Dim)
 	}
 	p.mu.Lock()
-	p.observeLocked(addr, rep.Out, rep.In)
+	p.observeLocked([]byte(addr), rep.Out, rep.In)
 	rep.Out.CopyTo(p.px)
 	rep.In.CopyTo(p.py)
 	est := solve.PeerEstimate(p.x, p.y, p.px, p.py)
@@ -453,133 +415,64 @@ func (p *Peer) Estimate(ctx context.Context, addr string) (float64, error) {
 	return est, nil
 }
 
-// observeLocked records an address and (optionally) its coordinate
-// rows, evicting a random entry when the table is full. Rows are
-// copied into table-owned storage. Empty rows never overwrite cached
-// ones — a sample entry without coordinates must not blind the
-// estimator. Callers hold p.mu.
-func (p *Peer) observeLocked(addr string, out, in wire.Floats) {
-	if addr == "" || addr == p.cfg.Self {
-		return
-	}
-	n := p.table[addr]
-	if n == nil {
-		n = p.insertLocked(addr)
-	}
-	p.storeRows(n, out, in)
+// usable reports whether a partner's row pair can be stepped
+// against or estimated from: this deployment's dimension, every element
+// finite.
+func (p *Peer) usable(out, in wire.Floats) bool {
+	return out.Len() == p.cfg.Dim && in.Len() == p.cfg.Dim && finite(out) && finite(in)
 }
 
-// observeViewLocked is observeLocked for an address that is still a
-// view of a frame buffer: only one that is new to the table is copied
-// to the heap, as its key. It returns the table's own copy of the
-// address, "" when the address was ignored. Callers hold p.mu.
-func (p *Peer) observeViewLocked(addr []byte, out, in wire.Floats) string {
-	n := p.table[string(addr)]
-	if n == nil {
-		if len(addr) == 0 || string(addr) == p.cfg.Self {
-			return ""
-		}
-		n = p.insertLocked(string(addr))
+// observeLocked is table.observe behind the peer's own two filters: its
+// own address is never its neighbor, and rows of another dimension
+// count as none. Callers hold p.mu.
+func (p *Peer) observeLocked(addr []byte, out, in wire.Floats) string {
+	if string(addr) == p.cfg.Self {
+		return ""
 	}
-	p.storeRows(n, out, in)
-	return n.addr
+	if out.Len() != p.cfg.Dim || in.Len() != p.cfg.Dim {
+		out, in = nil, nil
+	}
+	return p.table.observe(addr, out, in)
 }
 
 // observeSampleLocked merges a received peer sample into the table.
 // Callers hold p.mu.
 func (p *Peer) observeSampleLocked(s wire.PeerSample) {
 	for addr, out, in, ok := s.Next(); ok; addr, out, in, ok = s.Next() {
-		p.observeViewLocked(addr, out, in)
+		p.observeLocked(addr, out, in)
 	}
-}
-
-// insertLocked adds a table entry for addr, first evicting a random one
-// when the table is full; the entry is a recycled one when any is free.
-func (p *Peer) insertLocked(addr string) *neighbor {
-	if len(p.order) >= p.cfg.MaxNeighbors {
-		p.evictLocked(p.rng.Intn(len(p.order)))
-	}
-	var n *neighbor
-	if last := len(p.free) - 1; last >= 0 {
-		n, p.free = p.free[last], p.free[:last]
-	} else {
-		n = new(neighbor)
-	}
-	n.addr, n.idx = addr, len(p.order)
-	p.table[addr] = n
-	p.order = append(p.order, n)
-	return n
-}
-
-// storeRows copies a full-dimension row pair into n's storage; anything
-// else leaves n as it was.
-func (p *Peer) storeRows(n *neighbor, out, in wire.Floats) {
-	if out.Len() != p.cfg.Dim || in.Len() != p.cfg.Dim {
-		return
-	}
-	if n.rows == nil {
-		n.rows = make([]float64, 2*p.cfg.Dim)
-	}
-	out.CopyTo(n.rows[:p.cfg.Dim])
-	in.CopyTo(n.rows[p.cfg.Dim:])
-	n.known = true
-}
-
-// evictLocked removes the entry at position i in the order slice by
-// swap-delete, keeping iteration order deterministic.
-func (p *Peer) evictLocked(i int) {
-	n := p.order[i]
-	last := len(p.order) - 1
-	p.order[i] = p.order[last]
-	p.order[i].idx = i
-	p.order = p.order[:last]
-	delete(p.table, n.addr)
-	n.addr, n.known = "", false
-	p.free = append(p.free, n)
 }
 
 // dropNeighbor removes a failed partner and counts the churn.
 func (p *Peer) dropNeighbor(addr string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if n := p.table[addr]; n != nil {
-		p.evictLocked(n.idx)
+	if p.table.drop(addr) {
 		p.churn++
 		p.metrics.churn()
 	}
 }
 
-// sampleLocked draws up to k distinct table entries (excluding one
-// address) with their cached coordinates, for the exchange's peer
-// sample. The result aliases p.sample and the table's row storage:
-// encode it before releasing p.mu. Callers hold p.mu.
-func (p *Peer) sampleLocked(k int, exclude string) []wire.LandmarkVec {
-	out := p.sample[:0]
-	if len(p.order) == 0 || k <= 0 {
-		return out
+// stepLocked folds one measured RTT to a partner holding rows (out, in)
+// into our own rows and reports whether it did: a step that does not
+// come out finite — finite rows or an RTT absurd enough to overflow the
+// products — is undone. When it reports true, p.undo holds the rows we
+// had before it. Callers hold p.mu and have checked usable(out, in).
+func (p *Peer) stepLocked(out, in wire.Floats, ms float64) bool {
+	out.CopyTo(p.px)
+	in.CopyTo(p.py)
+	copy(p.undo, p.x)
+	copy(p.undo[len(p.x):], p.y)
+	// A finite relative magnitude means every new element is finite.
+	step := solve.PeerStep(p.x, p.y, p.px, p.py, ms, p.sgd, p.clamp)
+	if math.IsNaN(step) || math.IsInf(step, 0) {
+		copy(p.x, p.undo)
+		copy(p.y, p.undo[len(p.x):])
+		return false
 	}
-draw:
-	for attempts := 0; len(out) < k && attempts < 2*k; attempts++ {
-		n := p.order[p.rng.Intn(len(p.order))]
-		if n.addr == exclude {
-			continue
-		}
-		for i := range out {
-			if out[i].Addr == n.addr {
-				continue draw
-			}
-		}
-		out = append(out, wire.LandmarkVec{Addr: n.addr, Out: n.out(), In: n.in()})
-	}
-	p.sample = out
-	return out
-}
-
-// noteStepLocked records an applied update's relative magnitude.
-// Callers hold p.mu.
-func (p *Peer) noteStepLocked(step float64) {
 	p.lastStep = step
 	p.metrics.step(step)
+	return true
 }
 
 // driftLocked reports the relative L2 displacement of the rows from

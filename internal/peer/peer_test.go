@@ -353,8 +353,8 @@ func TestRecycledTableEntryCarriesNoStaleRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.mu.Lock()
-	p.observeLocked("a", rep.Out, rep.In)
-	p.observeLocked("b", rep.Out, rep.In)
+	p.observeLocked([]byte("a"), rep.Out, rep.In)
+	p.observeLocked([]byte("b"), rep.Out, rep.In)
 	p.mu.Unlock()
 	want, ok := p.EstimateLocal("a")
 	if !ok {

@@ -5,7 +5,6 @@ import (
 	"math"
 	"net"
 
-	"github.com/ides-go/ides/internal/solve"
 	"github.com/ides-go/ides/internal/transport"
 	"github.com/ides-go/ides/internal/wire"
 )
@@ -16,8 +15,8 @@ import (
 const muxWindow = 64
 
 // Serve answers gossip traffic on ln until ctx is cancelled or the
-// listener fails, through the shared frame server: Ping/Pong for RTT
-// measurement, GossipExchange for coordinate exchange, and the
+// listener fails, through the shared frame server: its Ping/Pong for
+// RTT measurement, GossipExchange for coordinate exchange, and the
 // Hello/HelloAck upgrade to multiplexed framing that transport.Pool
 // probes for. Cancellation closes every connection, and Serve returns
 // once they have finished. One worker per connection keeps exchanges
@@ -36,18 +35,10 @@ func (p *Peer) Serve(ctx context.Context, ln net.Listener) error {
 
 // dispatch answers one request frame, appending the response to dst.
 func (p *Peer) dispatch(t wire.MsgType, payload, dst []byte) (wire.MsgType, []byte) {
-	switch t {
-	case wire.TypePing:
-		tok, err := wire.PingToken(payload)
-		if err != nil {
-			return wire.AppendError(dst, wire.CodeBadRequest, err.Error())
-		}
-		return wire.TypePong, (&wire.Pong{Token: tok}).Encode(dst)
-	case wire.TypeGossipExchange:
-		return p.handleExchange(payload, dst)
-	default:
+	if t != wire.TypeGossipExchange {
 		return wire.AppendError(dst, wire.CodeUnknownType, "peer: unsupported message type "+t.String())
 	}
+	return p.handleExchange(payload, dst)
 }
 
 // handleExchange is the serving half of a gossip round: answer with
@@ -63,23 +54,21 @@ func (p *Peer) handleExchange(payload, dst []byte) (wire.MsgType, []byte) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	// NaN fails the >= 0 check; infinities are rejected explicitly — a
-	// hostile frame must not inject a non-finite measurement.
-	applied := ex.RTTMillis >= 0 && !math.IsInf(ex.RTTMillis, 1) &&
-		ex.Out.Len() == p.cfg.Dim && ex.In.Len() == p.cfg.Dim
-	// Encoded before the step: PeerStep mutates p.x/p.y in place below,
-	// and the reply must carry the pre-step rows.
-	dst = wire.AppendGossipReplyRows(dst, applied, p.x, p.y)
+	// hostile frame must not inject a non-finite measurement, nor rows
+	// PeerStep would spread through ours.
+	applied := ex.RTTMillis >= 0 && !math.IsInf(ex.RTTMillis, 1) && p.usable(ex.Out, ex.In) &&
+		p.stepLocked(ex.Out, ex.In, ex.RTTMillis)
+	// The reply carries the pre-step rows, which a step moved to p.undo.
+	x, y := p.x, p.y
 	if applied {
-		ex.Out.CopyTo(p.px)
-		ex.In.CopyTo(p.py)
-		step := solve.PeerStep(p.x, p.y, p.px, p.py, ex.RTTMillis, p.sgd, p.clamp)
-		p.noteStepLocked(step)
+		x, y = p.undo[:len(x)], p.undo[len(x):]
 	}
+	dst = wire.AppendGossipReplyRows(dst, applied, x, y)
 	// The table's copy of the sender's address, taken now: merging the
 	// sample can evict and recycle the entry it came from.
-	from := p.observeViewLocked(ex.From, ex.Out, ex.In)
+	from := p.observeLocked(ex.From, ex.Out, ex.In)
 	p.observeSampleLocked(ex.Peers)
-	dst = wire.AppendPeerSample(dst, p.sampleLocked(p.cfg.SampleSize, from))
+	dst = wire.AppendPeerSample(dst, p.table.sample(p.cfg.SampleSize, from))
 	p.metrics.exchange("in")
 	return wire.TypeGossipReply, dst
 }

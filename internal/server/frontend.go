@@ -3,8 +3,10 @@ package server
 import (
 	"context"
 	"fmt"
+	"math"
 	"net"
 
+	"github.com/ides-go/ides/internal/solve"
 	"github.com/ides-go/ides/internal/transport"
 	"github.com/ides-go/ides/internal/wire"
 )
@@ -12,7 +14,7 @@ import (
 // This file is the network front-end: the server's adapter onto the
 // shared frame server (transport.Serve) and the dispatch table that
 // routes each request to the read side (QueryService), the write side
-// (ModelPipeline, or the leader-forwarding path on followers), or the
+// (handleReport, or the leader-forwarding path on followers), or the
 // replication tier (Subscribe upgrades the connection to a stream).
 
 // Serve accepts and handles connections on ln until ctx is cancelled or
@@ -54,21 +56,7 @@ func (s *Server) dispatch(t wire.MsgType, payload []byte) (wire.MsgType, []byte)
 // request payload: the read scratch is reused before the response is
 // framed on some paths.
 func (s *Server) dispatchTo(t wire.MsgType, payload, dst []byte) (wire.MsgType, []byte) {
-	if s.rdv != nil {
-		// A rendezvous server has no model, directory, or query engine —
-		// the peer bootstrap directory handles (or refuses) everything.
-		// Both framing paths (lockstep and mux) land here, so the role
-		// gate covers the whole protocol surface.
-		return s.rdv.dispatch(t, payload, dst)
-	}
 	switch t {
-	case wire.TypePing:
-		tok, err := wire.PingToken(payload)
-		if err != nil {
-			return wire.AppendError(dst, wire.CodeBadRequest, err.Error())
-		}
-		pong := wire.Pong{Token: tok}
-		return wire.TypePong, pong.Encode(dst)
 	case wire.TypeGetInfo:
 		return s.qs.handleGetInfo(dst)
 	case wire.TypeGetModel:
@@ -107,8 +95,8 @@ func (s *Server) handleGetModel(dst []byte) (wire.MsgType, []byte) {
 	if st == nil || st.snap.Model == nil {
 		ctx, cancel := context.WithTimeout(context.Background(), s.cfg.RequestTimeout)
 		defer cancel()
-		if s.pipeline != nil {
-			if _, err := s.pipeline.Ready(ctx); err != nil {
+		if s.refit != nil {
+			if _, err := s.refit.Ready(ctx); err != nil {
 				return wire.AppendError(dst, wire.CodeModelNotFit, err.Error())
 			}
 		} else if err := s.qs.waitReady(ctx); err != nil {
@@ -137,8 +125,13 @@ func (s *Server) handleGetModel(dst []byte) (wire.MsgType, []byte) {
 	return wire.TypeModel, msg.Encode(dst)
 }
 
-// handleReport routes a measurement report: into the pipeline on a
-// leader, relayed to the leader on a follower.
+// handleReport is the write side: relayed to the leader on a follower;
+// on a leader, validated — lmIndex is immutable after New, so that takes
+// no lock — and the accepted measurements queued for the solver. The
+// refitter applies them off the request path: the batch solver just
+// records them ahead of the next full fit, the SGD solver also folds
+// them into the model at O(d) per measurement — either way no caller
+// ever waits on a factorization.
 func (s *Server) handleReport(payload, dst []byte) (wire.MsgType, []byte) {
 	if s.follower != nil {
 		return s.follower.forward(wire.TypeReportRTT, payload, dst)
@@ -147,12 +140,24 @@ func (s *Server) handleReport(payload, dst []byte) (wire.MsgType, []byte) {
 	if err != nil {
 		return wire.AppendError(dst, wire.CodeBadRequest, err.Error())
 	}
-	accepted, rejected, err := s.pipeline.Ingest(rep)
-	if err != nil {
-		return wire.AppendError(dst, wire.CodeNotLandmark, err.Error())
+	from, ok := s.lmIndex[rep.From]
+	if !ok {
+		return wire.AppendError(dst, wire.CodeNotLandmark, fmt.Sprintf("unknown landmark %q", rep.From))
 	}
-	s.metrics.observeReport(len(accepted), rejected)
+	accepted := make([]solve.Delta, 0, len(rep.Entries))
+	for _, e := range rep.Entries {
+		to, ok := s.lmIndex[e.To]
+		if !ok || to == from {
+			continue
+		}
+		if e.RTTMillis < 0 || math.IsNaN(e.RTTMillis) || math.IsInf(e.RTTMillis, 0) {
+			continue
+		}
+		accepted = append(accepted, solve.Delta{From: from, To: to, Millis: e.RTTMillis})
+	}
+	s.metrics.observeReport(len(accepted), len(rep.Entries)-len(accepted))
 	if len(accepted) > 0 {
+		s.refit.Deltas(accepted)
 		s.recordReports(accepted)
 	}
 	return wire.TypeAck, dst

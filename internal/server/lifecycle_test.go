@@ -540,7 +540,7 @@ func TestHostsSurviveIncrementalRevisions(t *testing.T) {
 		}
 	}
 	report(1)
-	snap, err := s.pipeline.Ready(context.Background())
+	snap, err := s.refit.Ready(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,9 +21,9 @@ type serverMetrics struct {
 
 // newServerMetrics registers the server's metric families on reg and
 // bridges the components that already keep their own counters — the
-// model pipeline, the host directory, and the replication tier — as
+// model refitter, the host directory, and the replication tier — as
 // scrape-time functions. Registration is role-aware: model-lifecycle
-// families exist only where the pipeline does (leaders), and each side
+// families exist only where the refitter does (leaders), and each side
 // of the replication tier exports its own counters. Called after the
 // role components exist; returns nil when reg is nil.
 func newServerMetrics(reg *telemetry.Registry, s *Server) *serverMetrics {
@@ -45,7 +45,7 @@ func newServerMetrics(reg *telemetry.Registry, s *Server) *serverMetrics {
 	reg.GaugeFunc("ides_model_rev",
 		"Revision of the served model within its epoch.",
 		func() float64 { return float64(s.qs.Rev()) })
-	if p := s.pipeline; p != nil {
+	if p := s.refit; p != nil {
 		m.fitSeconds = reg.Histogram("ides_model_fit_seconds",
 			"Full batch fit latency.", nil)
 		m.revSeconds = reg.Histogram("ides_model_revision_seconds",

@@ -26,9 +26,9 @@
 // network front-end (frontend.go) that owns dispatch — connections are
 // served by the shared frame server, transport.Serve — a
 // read-only QueryService (queryservice.go) over the directory and query
-// engine, and a write-side ModelPipeline (pipeline.go) wrapping the
-// lifecycle refitter. The replication tier builds on that seam: a
-// leader (any server with a pipeline — the default role) streams
+// engine, and the write side: handleReport validating landmark reports
+// into a lifecycle.Refitter. The replication tier builds on that seam:
+// a leader (any server with a refitter — the default role) streams
 // published snapshots and directory changes to subscribed followers
 // (replication.go), and a follower (Config.Role RoleFollower) runs only
 // the QueryService, applying the stream atomically and forwarding write
@@ -59,7 +59,7 @@ import (
 type Role int
 
 const (
-	// RoleLeader (the default) runs the full stack: the model pipeline,
+	// RoleLeader (the default) runs the full stack: the model refitter,
 	// the query service, and the replication hub that streams state to
 	// subscribed followers. A standalone single-server deployment is
 	// simply a leader with no followers.
@@ -70,14 +70,6 @@ const (
 	// to the leader. A follower keeps serving its last replicated
 	// generation while the leader is unreachable.
 	RoleFollower
-	// RoleRendezvous runs none of the model machinery: the server is a
-	// bootstrap directory for the decentralized peer mode (see
-	// internal/peer). It answers Ping and GossipExchange only — peers
-	// announce their addresses and coordinate rows, and receive a warm
-	// random sample of other announced peers in return. It fits no
-	// model, keeps no landmark set, and serves no queries; the peers
-	// estimate distances among themselves.
-	RoleRendezvous
 )
 
 // String names the role for logs and flags.
@@ -87,8 +79,6 @@ func (r Role) String() string {
 		return "leader"
 	case RoleFollower:
 		return "follower"
-	case RoleRendezvous:
-		return "rendezvous"
 	default:
 		return fmt.Sprintf("Role(%d)", int(r))
 	}
@@ -142,7 +132,7 @@ type Config struct {
 	BaseEpoch uint64
 	// RefitMinInterval is the minimum time between background refits
 	// (default 10s): however fast measurements churn, the factorization
-	// runs at most once per interval. In-process Model/Refit calls
+	// runs at most once per interval. In-process Refit calls
 	// bypass it.
 	RefitMinInterval time.Duration
 	// RefitThreshold is how many accepted measurements must accumulate
@@ -161,16 +151,8 @@ type Config struct {
 	// host re-solve. Default 0.15; negative disables drift-triggered
 	// refits. Only meaningful with an incremental solver.
 	DriftEpochThreshold float64
-	// Role selects leader (default), follower, or rendezvous. See the
-	// Role constants.
+	// Role selects leader (default) or follower. See the Role constants.
 	Role Role
-	// RendezvousCapacity bounds the peer directory in RoleRendezvous
-	// (default 65536 entries; a random entry is evicted beyond it).
-	// Ignored in other roles.
-	RendezvousCapacity int
-	// RendezvousSample is how many warm peers an announce is answered
-	// with in RoleRendezvous (default 8). Ignored in other roles.
-	RendezvousSample int
 	// LeaderAddr is the leader this follower subscribes to and forwards
 	// writes to. Required when Role is RoleFollower; ignored otherwise.
 	LeaderAddr string
@@ -196,8 +178,8 @@ type Config struct {
 
 // Server is the IDES information server. Create with New, run with
 // Serve. It composes a network front-end, a read-side QueryService, and
-// — except on followers — a write-side ModelPipeline plus the
-// replication hub; see the package comment for the role split.
+// — except on followers — the model refitter plus the replication hub;
+// see the package comment for the role split.
 type Server struct {
 	cfg     Config
 	lmIndex map[string]int
@@ -209,18 +191,17 @@ type Server struct {
 	// qs is the read side: directory, per-generation query engine, and
 	// every read-only handler. Present in all roles.
 	qs *QueryService
-	// pipeline is the write side: solver, delta queue, refitter. Nil on
-	// followers.
-	pipeline *ModelPipeline
+	// refit is the write side: it owns the solver, the delta queue and
+	// the background worker that publishes epoch-stamped immutable
+	// snapshots. Nil on followers, which consume its output over the
+	// replication stream instead.
+	refit *lifecycle.Refitter
 	// repl streams snapshots and directory deltas to subscribed
 	// followers. Nil on followers.
 	repl *replicator
 	// follower replicates from LeaderAddr and forwards writes. Nil
 	// except in RoleFollower.
 	follower *follower
-	// rdv is the peer bootstrap directory. Nil except in RoleRendezvous,
-	// where it takes over dispatch entirely.
-	rdv *rendezvous
 
 	// metrics and history are the optional observability sinks; both are
 	// nil-safe throughout (disabled telemetry costs one nil check).
@@ -244,8 +225,6 @@ func New(cfg Config) (*Server, error) {
 		if cfg.LeaderDialer == nil {
 			cfg.LeaderDialer = &net.Dialer{}
 		}
-	} else if cfg.Role == RoleRendezvous {
-		// A rendezvous directory has no model and needs no landmarks.
 	} else if len(cfg.Landmarks) < 2 {
 		return nil, fmt.Errorf("server: need at least 2 landmarks, got %d", len(cfg.Landmarks))
 	}
@@ -294,23 +273,35 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("server: %w", err)
 		}
 		s.follower = f
-	} else if cfg.Role == RoleRendezvous {
-		s.rdv = newRendezvous(cfg)
 	} else {
-		p, err := newModelPipeline(cfg, s.clock, idx,
-			s.installSnapshot,
-			s.onModelEvent,
-			func(err error) { s.logf("background model update failed (will retry): %v", err) })
+		solver, err := solve.New(cfg.Solver, len(cfg.Landmarks), core.FitOptions{
+			Dim:       cfg.Dim,
+			Algorithm: cfg.Algorithm,
+			Seed:      cfg.Seed,
+			NMFIters:  cfg.NMFIters,
+		}, solve.SGDOptions{})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("server: %w", err)
 		}
-		s.pipeline = p
+		// The hooks run on the refitter's worker goroutine: OnSwap just
+		// before each snapshot becomes visible, OnEvent after every
+		// lifecycle transition.
+		s.refit = lifecycle.New(solver, lifecycle.Config{
+			BaseEpoch:      cfg.BaseEpoch,
+			MinInterval:    cfg.RefitMinInterval,
+			Threshold:      cfg.RefitThreshold,
+			DriftThreshold: cfg.DriftEpochThreshold,
+			Now:            s.clock,
+			OnSwap:         s.installSnapshot,
+			OnEvent:        s.onModelEvent,
+			OnError:        func(err error) { s.logf("background model update failed (will retry): %v", err) },
+		})
 		s.repl = newReplicator(s)
 		s.qs.onRegister = s.repl.publishRegister
 	}
 	s.metrics = newServerMetrics(cfg.Metrics, s)
 	s.frames = transport.NewServeMetrics(cfg.Metrics)
-	if s.history != nil && s.pipeline != nil {
+	if s.history != nil && s.refit != nil {
 		if err := s.history.Append(&telemetry.ConfigRecord{
 			TimeUnixNanos:  s.history.Now(),
 			Dim:            cfg.Dim,
@@ -333,8 +324,8 @@ func New(cfg Config) (*Server, error) {
 // keeps serving the last published snapshot; Serve is unaffected. Safe
 // to call twice.
 func (s *Server) Close() {
-	if s.pipeline != nil {
-		s.pipeline.Close()
+	if s.refit != nil {
+		s.refit.Close()
 	}
 	if s.follower != nil {
 		s.follower.Close()
@@ -355,7 +346,7 @@ func (s *Server) SetNow(now func() time.Time) { s.now.Store(&now) }
 // served snapshot → k-NN rebuild; see QueryService.Install for why the
 // order matters) and then streams it to subscribed followers, who apply
 // it with the same ordering. Runs on the refitter's worker goroutine
-// just before the snapshot becomes visible through the pipeline.
+// just before the snapshot becomes visible through the refitter.
 func (s *Server) installSnapshot(snap *lifecycle.Snapshot) {
 	if snap.Rev == 0 {
 		s.logf("model refit: epoch %d, %d landmarks, d=%d, algorithm=%v",
@@ -363,24 +354,6 @@ func (s *Server) installSnapshot(snap *lifecycle.Snapshot) {
 	}
 	s.qs.Install(snap, s.cfg.Landmarks, s.lmIndex)
 	s.repl.publishSnapshot(snap, s.cfg.Landmarks)
-}
-
-// Model returns the current landmark model with read-your-writes
-// semantics for in-process callers and tests: it synchronously folds in
-// every measurement reported before the call — by waiting out the
-// incremental revision that covers them under the SGD solver, or by a
-// full refit otherwise. Wire handlers never take this path: they serve
-// the published snapshot as-is. Errors on a follower, which has no
-// pipeline to flush — read its replicated model via Engine or GetModel.
-func (s *Server) Model() (*core.Model, error) {
-	if s.pipeline == nil {
-		return nil, fmt.Errorf("server: follower has no model pipeline")
-	}
-	snap, err := s.pipeline.Refresh(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	return snap.Model, nil
 }
 
 // Epoch returns the epoch of the model generation currently being
@@ -395,10 +368,10 @@ func (s *Server) Epoch() uint64 { return s.qs.Epoch() }
 // hook deterministic scenario tests step on instead of sleeping. On a
 // follower it returns immediately: there is no pipeline to drain.
 func (s *Server) Quiesce(ctx context.Context) error {
-	if s.pipeline == nil {
+	if s.refit == nil {
 		return nil
 	}
-	_, err := s.pipeline.Quiesce(ctx)
+	_, err := s.refit.Quiesce(ctx)
 	return err
 }
 
@@ -408,10 +381,10 @@ func (s *Server) Quiesce(ctx context.Context) error {
 // benchmark and operators read. On a follower the counters are zero
 // except Epoch/Rev, which report the applied replicated position.
 func (s *Server) LifecycleStats() lifecycle.Stats {
-	if s.pipeline == nil {
+	if s.refit == nil {
 		return lifecycle.Stats{Epoch: s.qs.Epoch(), Rev: s.qs.Rev()}
 	}
-	return s.pipeline.Stats()
+	return s.refit.Stats()
 }
 
 // Refit synchronously folds all pending measurements into the served
@@ -423,10 +396,10 @@ func (s *Server) LifecycleStats() lifecycle.Stats {
 // epoch instead — callers must not assume the epoch moves. Errors on a
 // follower.
 func (s *Server) Refit(ctx context.Context) (uint64, error) {
-	if s.pipeline == nil {
+	if s.refit == nil {
 		return 0, fmt.Errorf("server: follower cannot refit")
 	}
-	snap, err := s.pipeline.Refresh(ctx)
+	snap, err := s.refit.Refresh(ctx)
 	if err != nil {
 		return 0, err
 	}

@@ -15,6 +15,19 @@ import (
 	"github.com/ides-go/ides/internal/wire"
 )
 
+// Model is Refit for the tests that want the model itself: the landmark
+// model with every measurement reported before the call folded in.
+func (s *Server) Model() (*core.Model, error) {
+	if s.refit == nil {
+		return nil, fmt.Errorf("server: follower has no model pipeline")
+	}
+	snap, err := s.refit.Refresh(context.Background())
+	if err != nil {
+		return nil, err
+	}
+	return snap.Model, nil
+}
+
 func testServer(t *testing.T, lm []string, alg core.Algorithm) *Server {
 	t.Helper()
 	s, err := New(Config{Landmarks: lm, Dim: 2, Algorithm: alg, Seed: 1})
@@ -64,11 +77,21 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestPingPong: the frame server answers Ping for the server (its own
+// dispatch has no case for it), so the exchange runs over a connection.
 func TestPingPong(t *testing.T) {
 	s := testServer(t, []string{"a", "b"}, core.SVD)
-	typ, payload := s.dispatch(wire.TypePing, (&wire.Ping{Token: 7}).Encode(nil))
-	if typ != wire.TypePong {
-		t.Fatalf("type %v", typ)
+	conn, err := net.Dial("tcp", serveTCP(t, s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := wire.WriteFrame(conn, wire.TypePing, (&wire.Ping{Token: 7}).Encode(nil)); err != nil {
+		t.Fatal(err)
+	}
+	typ, payload, err := wire.ReadFrame(conn)
+	if err != nil || typ != wire.TypePong {
+		t.Fatalf("type %v, err %v", typ, err)
 	}
 	pong, err := wire.DecodePong(payload)
 	if err != nil || pong.Token != 7 {

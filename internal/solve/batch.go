@@ -52,9 +52,6 @@ func (b *BatchSolver) Apply(deltas []Delta) (*core.Model, error) {
 // Drift is always 0: every published model is a fresh full fit.
 func (b *BatchSolver) Drift() float64 { return 0 }
 
-// Model returns the last seeded model, nil before the first Seed.
-func (b *BatchSolver) Model() *core.Model { return b.model }
-
 // Incremental reports false: Apply never produces a model.
 func (b *BatchSolver) Incremental() bool { return false }
 

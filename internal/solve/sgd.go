@@ -248,9 +248,6 @@ func (s *SGDSolver) Drift() float64 {
 	return (dx + dy) / 2
 }
 
-// Model returns the latest model, nil before the first Seed.
-func (s *SGDSolver) Model() *core.Model { return s.model }
-
 // Incremental reports true: Apply produces models once seeded.
 func (s *SGDSolver) Incremental() bool { return true }
 

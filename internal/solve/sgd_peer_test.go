@@ -116,7 +116,7 @@ func TestMirroredStepOverriddenByDirectMeasurement(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	est := sv.Model().EstimateLandmarks(1, 0)
+	est := retained(sv).EstimateLandmarks(1, 0)
 	if math.Abs(est-rev) >= math.Abs(est-fwd) {
 		t.Fatalf("reverse estimate %v sits closer to the mirrored %v than the measured %v", est, fwd, rev)
 	}

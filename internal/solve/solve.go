@@ -64,8 +64,6 @@ type Solver interface {
 	// since the last Seed, as a fraction of the seeded factors' norm.
 	// Always 0 for batch-only solvers.
 	Drift() float64
-	// Model returns the latest model, nil before the first Seed.
-	Model() *core.Model
 	// Incremental reports whether Apply can produce models.
 	Incremental() bool
 }

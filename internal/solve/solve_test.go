@@ -99,6 +99,15 @@ func conformanceCases(t *testing.T) map[string]Solver {
 	return cases
 }
 
+// retained returns the model a solver retains — the last one Seed or Apply
+// produced, nil before the first Seed.
+func retained(sv Solver) *core.Model {
+	if b, ok := sv.(*BatchSolver); ok {
+		return b.model
+	}
+	return sv.(*SGDSolver).model
+}
+
 // TestSolverConformance runs every implementation through the same
 // lifecycle — record, seed, jittered incremental updates — and holds
 // them all to the documented accuracy bounds.
@@ -110,7 +119,7 @@ func TestSolverConformance(t *testing.T) {
 			if _, err := sv.Seed(); err == nil {
 				t.Fatal("Seed with no measurements must fail")
 			}
-			if sv.Model() != nil {
+			if retained(sv) != nil {
 				t.Fatal("Model before first Seed must be nil")
 			}
 			// Pre-seed Apply records but cannot produce a model.
@@ -122,7 +131,7 @@ func TestSolverConformance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if seeded == nil || sv.Model() != seeded {
+			if seeded == nil || retained(sv) != seeded {
 				t.Fatal("Seed must produce and retain the model")
 			}
 			if got := sv.Drift(); got != 0 {
@@ -162,7 +171,7 @@ func TestSolverConformance(t *testing.T) {
 					}
 				}
 			}
-			checkBounds(t, "after jittered updates", sv.Model(), d)
+			checkBounds(t, "after jittered updates", retained(sv), d)
 
 			// A corrective re-seed folds the recorded measurements and
 			// resets drift for every implementation.

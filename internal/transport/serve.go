@@ -18,10 +18,12 @@ import (
 
 // This file is the one frame server: accept loop, per-connection idle and
 // request budgets, v1 lockstep request/response, and the Hello-negotiated
-// v2 multiplexed session. The information server, the gossip peer and the
-// landmark echo all serve through it and differ only in their Handler.
+// v2 multiplexed session. The information server, the gossip peer, the
+// rendezvous directory and the landmark echo all serve through it and
+// differ only in their Handler.
 
-// Handler answers one request, appending the response payload to dst. It
+// Handler answers one request other than Ping, which Serve answers
+// itself, appending the response payload to dst. It
 // owns dst for the duration of the call and must return a slice based on
 // it (possibly grown), so the connection recycles one buffer across
 // requests. The returned payload must not alias the request payload: on
@@ -41,6 +43,7 @@ type ServeConfig struct {
 	// dispatch and the response write. Conflating them would either kill
 	// pooled idle connections after one request budget or let a stalled
 	// reader or writer hold the connection for the whole idle budget.
+	// Defaults: 30s, and ten times RequestTimeout but at least 5 minutes.
 	RequestTimeout, IdleTimeout time.Duration
 	// Window caps concurrently open streams per multiplexed connection.
 	// It is advertised in the HelloAck, and a client that exceeds it
@@ -68,6 +71,12 @@ type ServeConfig struct {
 // the listener fails. Cancellation closes ln and every live connection;
 // Serve returns only after all of them have finished.
 func Serve(ctx context.Context, ln net.Listener, cfg ServeConfig) error {
+	if cfg.RequestTimeout <= 0 {
+		cfg.RequestTimeout = 30 * time.Second
+	}
+	if cfg.IdleTimeout <= 0 {
+		cfg.IdleTimeout = max(10*cfg.RequestTimeout, 5*time.Minute)
+	}
 	if cfg.Window <= 0 {
 		cfg.Window = 256
 	}
@@ -239,15 +248,30 @@ func (cfg *ServeConfig) serveConn(ctx context.Context, conn net.Conn) {
 	}
 }
 
-// handle runs the handler under the request instruments.
+// handle runs the handler under the request instruments. A Ping never
+// reaches the handler: every server answers it here, so anything that
+// can be dialed can be measured.
 func (cfg *ServeConfig) handle(t wire.MsgType, payload, dst []byte) (wire.MsgType, []byte) {
+	h := cfg.Handler
+	if t == wire.TypePing {
+		h = pong
+	}
 	if cfg.Metrics == nil {
-		return cfg.Handler(t, payload, dst)
+		return h(t, payload, dst)
 	}
 	start := time.Now()
-	respT, resp := cfg.Handler(t, payload, dst)
+	respT, resp := h(t, payload, dst)
 	cfg.Metrics.observeRequest(t, time.Since(start))
 	return respT, resp
+}
+
+// pong is the Handler for Ping: the Pong echoing its token.
+func pong(_ wire.MsgType, payload, dst []byte) (wire.MsgType, []byte) {
+	tok, err := wire.PingToken(payload)
+	if err != nil {
+		return wire.AppendError(dst, wire.CodeBadRequest, err.Error())
+	}
+	return wire.TypePong, (&wire.Pong{Token: tok}).Encode(dst)
 }
 
 // negotiate parses a Hello and returns the effective stream window: the

@@ -21,8 +21,13 @@ import (
 // no shipped service has: a stream held in flight for as long as the
 // test wants.
 
-// gatedHandler echoes Ping; every call announces itself on entered and
-// then parks until release is closed.
+// heldType is the request the test handlers answer, with a Pong echoing
+// its payload: any type but Ping, which Serve answers before a handler
+// could hold it.
+const heldType = wire.TypeGetInfo
+
+// gatedHandler echoes heldType; every call announces itself on entered
+// and then parks until release is closed.
 type gatedHandler struct {
 	entered chan struct{}
 	release chan struct{}
@@ -39,7 +44,7 @@ func (g *gatedHandler) handle(t wire.MsgType, payload, dst []byte) (wire.MsgType
 }
 
 func echoHandler(t wire.MsgType, payload, dst []byte) (wire.MsgType, []byte) {
-	if t != wire.TypePing {
+	if t != heldType {
 		return wire.AppendError(dst, wire.CodeUnknownType, "echo only")
 	}
 	return wire.TypePong, append(dst, payload...)
@@ -79,8 +84,8 @@ func dialMux(t *testing.T, addr string, window uint32) net.Conn {
 	return conn
 }
 
-func muxPingFrame(stream uint32) []byte {
-	return wire.AppendMuxFrame(nil, wire.TypePing, stream, (&wire.Ping{Token: uint64(stream)}).Encode(nil))
+func muxHeldFrame(stream uint32) []byte {
+	return wire.AppendMuxFrame(nil, heldType, stream, (&wire.Ping{Token: uint64(stream)}).Encode(nil))
 }
 
 // readMux reads one v2 frame, returning its type, stream and — for an
@@ -114,7 +119,7 @@ func TestServeWaitsForInflightHandler(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := wire.WriteFrame(conn, wire.TypePing, (&wire.Ping{Token: 1}).Encode(nil)); err != nil {
+	if err := wire.WriteFrame(conn, heldType, (&wire.Ping{Token: 1}).Encode(nil)); err != nil {
 		t.Fatal(err)
 	}
 	<-g.entered
@@ -141,7 +146,7 @@ func TestServeConnIdleExtendedWhileInflight(t *testing.T) {
 		Handler: g.handle, RequestTimeout: 5 * time.Second, IdleTimeout: 30 * time.Millisecond,
 	})
 	conn := dialMux(t, addr, 8)
-	if _, err := conn.Write(muxPingFrame(1)); err != nil {
+	if _, err := conn.Write(muxHeldFrame(1)); err != nil {
 		t.Fatal(err)
 	}
 	<-g.entered
@@ -171,12 +176,12 @@ func TestServeConnOverloadWhileWindowPinned(t *testing.T) {
 	// two frames in one write could both land on the worker that is about
 	// to block for good.
 	for s := uint32(1); s <= 2; s++ {
-		if _, err := conn.Write(muxPingFrame(s)); err != nil {
+		if _, err := conn.Write(muxHeldFrame(s)); err != nil {
 			t.Fatal(err)
 		}
 		<-g.entered
 	}
-	if _, err := conn.Write(muxPingFrame(3)); err != nil {
+	if _, err := conn.Write(muxHeldFrame(3)); err != nil {
 		t.Fatal(err)
 	}
 	if typ, stream, code := readMux(t, conn); typ != wire.TypeError || stream != 3 || code != wire.CodeOverloaded {
@@ -191,11 +196,50 @@ func TestServeConnOverloadWhileWindowPinned(t *testing.T) {
 		}
 		seen[stream] = true
 	}
-	if _, err := conn.Write(muxPingFrame(4)); err != nil {
+	if _, err := conn.Write(muxHeldFrame(4)); err != nil {
 		t.Fatal(err)
 	}
 	if typ, stream, _ := readMux(t, conn); typ != wire.TypePong || stream != 4 {
 		t.Fatalf("ping after overload: %v on stream %d", typ, stream)
+	}
+}
+
+// TestServeAnswersPing: Serve answers Ping itself on both framings — a
+// Pong echoing the token, CodeBadRequest for a malformed one — so that
+// anything that can be dialed can be measured; the handler never sees it.
+func TestServeAnswersPing(t *testing.T) {
+	addr, _, _ := startServe(t, ServeConfig{Handler: func(typ wire.MsgType, _, dst []byte) (wire.MsgType, []byte) {
+		t.Errorf("handler called with %v", typ)
+		return wire.AppendError(dst, wire.CodeUnknownType, "unreachable")
+	}})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := wire.WriteFrame(conn, wire.TypePing, (&wire.Ping{Token: 7}).Encode(nil)); err != nil {
+		t.Fatal(err)
+	}
+	typ, payload, err := wire.ReadFrame(conn)
+	if err != nil || typ != wire.TypePong {
+		t.Fatalf("lockstep ping answered %v %v, want Pong", typ, err)
+	}
+	if pong, err := wire.DecodePong(payload); err != nil || pong.Token != 7 {
+		t.Fatalf("pong %+v %v, want token 7", pong, err)
+	}
+	if err := wire.WriteFrame(conn, wire.TypePing, []byte{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	typ, payload, err = wire.ReadFrame(conn)
+	if werr, derr := wire.DecodeError(payload); err != nil || typ != wire.TypeError || derr != nil || werr.Code != wire.CodeBadRequest {
+		t.Fatalf("malformed ping answered %v %+v (%v, %v), want CodeBadRequest", typ, werr, err, derr)
+	}
+	mux := dialMux(t, addr, 8)
+	if _, err := mux.Write(wire.AppendMuxFrame(nil, wire.TypePing, 3, (&wire.Ping{Token: 9}).Encode(nil))); err != nil {
+		t.Fatal(err)
+	}
+	if typ, stream, _ := readMux(t, mux); typ != wire.TypePong || stream != 3 {
+		t.Fatalf("mux ping answered %v on stream %d, want Pong on 3", typ, stream)
 	}
 }
 
