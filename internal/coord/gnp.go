@@ -188,16 +188,7 @@ func (g *GNPModel) Estimate(a, b []float64) float64 { return euclid(a, b) }
 // landmark pair with the modified relative error (Eq. 10).
 func (g *GNPModel) ReconstructionErrors(dl *mat.Dense) []float64 {
 	m := dl.Rows()
-	errs := make([]float64, 0, m*(m-1))
-	for i := 0; i < m; i++ {
-		for j := 0; j < m; j++ {
-			if i == j {
-				continue
-			}
-			errs = append(errs, stats.RelativeError(dl.At(i, j), euclid(g.Landmarks.Row(i), g.Landmarks.Row(j))))
-		}
-	}
-	return errs
+	return stats.RelativeErrors(m, m, dl.At, func(i, j int) float64 { return euclid(g.Landmarks.Row(i), g.Landmarks.Row(j)) })
 }
 
 func euclid(a, b []float64) float64 {

@@ -163,14 +163,5 @@ func (v *VivaldiModel) Estimate(i, j int) float64 {
 // ReconstructionErrors scores the embedding on every off-diagonal pair.
 func (v *VivaldiModel) ReconstructionErrors(d *mat.Dense) []float64 {
 	n := d.Rows()
-	errs := make([]float64, 0, n*(n-1))
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			errs = append(errs, stats.RelativeError(d.At(i, j), v.Estimate(i, j)))
-		}
-	}
-	return errs
+	return stats.RelativeErrors(n, n, d.At, v.Estimate)
 }

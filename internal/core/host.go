@@ -51,24 +51,7 @@ func (m *Model) SolveHostSubset(idx []int, dout, din []float64, nnls bool) (Vect
 // din[i] are the measured distances to / from reference i. References may
 // be landmarks or previously placed ordinary hosts.
 func SolveVectors(refOut, refIn *mat.Dense, dout, din []float64) (Vectors, error) {
-	k, d := refOut.Dims()
-	if ki, di := refIn.Dims(); ki != k || di != d {
-		panic(fmt.Sprintf("core: reference matrices disagree: %dx%d vs %dx%d", k, d, ki, di))
-	}
-	if len(dout) != k || len(din) != k {
-		panic(fmt.Sprintf("core: distance vectors have %d/%d entries, want %d references", len(dout), len(din), k))
-	}
-	// X_new minimizes Σ_i (dout_i − U·Y_i)²  ⇒  refIn · U = dout.
-	out, err := mat.SolveVec(refIn, dout)
-	if err != nil {
-		return Vectors{}, fmt.Errorf("core: solving outgoing vector: %w", err)
-	}
-	// Y_new minimizes Σ_i (din_i − X_i·U)²  ⇒  refOut · U = din.
-	in, err := mat.SolveVec(refOut, din)
-	if err != nil {
-		return Vectors{}, fmt.Errorf("core: solving incoming vector: %w", err)
-	}
-	return Vectors{Out: out, In: in}, nil
+	return solveVectors(mat.SolveVec, "", refOut, refIn, dout, din)
 }
 
 // SolveVectorsNNLS is SolveVectors with nonnegativity constraints on the
@@ -77,6 +60,12 @@ func SolveVectors(refOut, refIn *mat.Dense, dout, din []float64) (Vectors, error
 // significant accuracy difference versus the unconstrained solve; the
 // ablation bench BenchmarkAblation_HostSolveNNLS checks that claim.
 func SolveVectorsNNLS(refOut, refIn *mat.Dense, dout, din []float64) (Vectors, error) {
+	return solveVectors(mat.NNLS, " (nnls)", refOut, refIn, dout, din)
+}
+
+// solveVectors is both placements: solve is the least-squares routine,
+// how names it in an error.
+func solveVectors(solve func(*mat.Dense, []float64) ([]float64, error), how string, refOut, refIn *mat.Dense, dout, din []float64) (Vectors, error) {
 	k, d := refOut.Dims()
 	if ki, di := refIn.Dims(); ki != k || di != d {
 		panic(fmt.Sprintf("core: reference matrices disagree: %dx%d vs %dx%d", k, d, ki, di))
@@ -84,13 +73,15 @@ func SolveVectorsNNLS(refOut, refIn *mat.Dense, dout, din []float64) (Vectors, e
 	if len(dout) != k || len(din) != k {
 		panic(fmt.Sprintf("core: distance vectors have %d/%d entries, want %d references", len(dout), len(din), k))
 	}
-	out, err := mat.NNLS(refIn, dout)
+	// X_new minimizes Σ_i (dout_i − U·Y_i)²  ⇒  refIn · U = dout.
+	out, err := solve(refIn, dout)
 	if err != nil {
-		return Vectors{}, fmt.Errorf("core: solving outgoing vector (nnls): %w", err)
+		return Vectors{}, fmt.Errorf("core: solving outgoing vector%s: %w", how, err)
 	}
-	in, err := mat.NNLS(refOut, din)
+	// Y_new minimizes Σ_i (din_i − X_i·U)²  ⇒  refOut · U = din.
+	in, err := solve(refOut, din)
 	if err != nil {
-		return Vectors{}, fmt.Errorf("core: solving incoming vector (nnls): %w", err)
+		return Vectors{}, fmt.Errorf("core: solving incoming vector%s: %w", how, err)
 	}
 	return Vectors{Out: out, In: in}, nil
 }

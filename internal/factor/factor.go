@@ -49,20 +49,7 @@ func (f *Factors) Incoming(j int) []float64 { return f.Y.Row(j) }
 // matrices all entries are scored.
 func (f *Factors) ReconstructionErrors(d *mat.Dense) []float64 {
 	m, n := d.Dims()
-	est := f.Reconstruct()
-	errs := make([]float64, 0, m*n)
-	square := m == n
-	for i := 0; i < m; i++ {
-		drow := d.Row(i)
-		erow := est.Row(i)
-		for j := 0; j < n; j++ {
-			if square && i == j {
-				continue
-			}
-			errs = append(errs, stats.RelativeError(drow[j], erow[j]))
-		}
-	}
-	return errs
+	return stats.RelativeErrors(m, n, d.At, f.Reconstruct().At)
 }
 
 // svdExactThreshold is the largest min-dimension for which SVDFactor uses

@@ -141,14 +141,5 @@ func (l *LipschitzPCA) ReconstructionErrors(d *mat.Dense) []float64 {
 	for i := 0; i < m; i++ {
 		coords[i] = l.Project(d.Row(i))
 	}
-	errs := make([]float64, 0, m*(m-1))
-	for i := 0; i < m; i++ {
-		for j := 0; j < m; j++ {
-			if i == j {
-				continue
-			}
-			errs = append(errs, stats.RelativeError(d.At(i, j), l.Estimate(coords[i], coords[j])))
-		}
-	}
-	return errs
+	return stats.RelativeErrors(m, m, d.At, func(i, j int) float64 { return l.Estimate(coords[i], coords[j]) })
 }

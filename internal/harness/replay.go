@@ -255,17 +255,8 @@ func Replay(ctx context.Context, recs []telemetry.Record, window ReplayWindow, o
 	if _, err := refit.Quiesce(ctx); err != nil {
 		return nil, fmt.Errorf("replay: final quiesce: %w", err)
 	}
-	model := snap.Model
-	var errs []float64
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j || math.IsNaN(obs[i][j]) {
-				continue
-			}
-			errs = append(errs, stats.RelativeError(obs[i][j], model.EstimateLandmarks(i, j)))
-		}
-	}
-	res.Final = stats.Summarize(errs)
+	truth := func(i, j int) float64 { return obs[i][j] }
+	res.Final = stats.Summarize(stats.RelativeErrors(n, n, truth, snap.Model.EstimateLandmarks))
 
 	lc := refit.Stats()
 	res.Epoch, res.Fits, res.Revisions = lc.Epoch, lc.Fits, lc.Revisions

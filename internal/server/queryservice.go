@@ -26,7 +26,7 @@ type servedState struct {
 // QueryService is the read side of the server: the host directory, the
 // query engine pinned to the current model generation, and every handler
 // that only reads model state. It has no idea where snapshots come from —
-// a leader installs them from its ModelPipeline, a follower from the
+// a leader installs them from its lifecycle.Refitter, a follower from the
 // replication stream — which is exactly what lets the same code answer
 // queries in both roles at the same zero-alloc/KD-tree speed.
 type QueryService struct {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -450,4 +451,35 @@ func TestFollowerNeverServesMixedEpochRows_Race(t *testing.T) {
 		t.Fatal("readers never observed a served generation")
 	}
 	t.Logf("follower served %d reads across epochs %d..%d", served.Load(), base, leader.Epoch())
+}
+
+// TestReportWithUnpaidCountRefused: a ReportRTT whose entry count the
+// six bytes of its payload cannot hold is a bad request, to a leader
+// directly and to the leader behind a follower that forwards it — and
+// the leader refuses it without allocating what the count asks for
+// (161 MB when DecodeReportRTT bounded the count by MaxPayload alone).
+func TestReportWithUnpaidCountRefused(t *testing.T) {
+	leader := ringLandmarks(t, core.SVD)
+	defer leader.Close()
+	payload := wire.AppendUint32([]byte{0, 0}, wire.MaxPayload/10)
+	refused := func(s *Server) {
+		t.Helper()
+		typ, reply := s.dispatch(wire.TypeReportRTT, payload)
+		if werr, err := wire.DecodeError(reply); typ != wire.TypeError || err != nil || werr.Code != wire.CodeBadRequest {
+			t.Fatalf("answered %v %+v %v, want CodeBadRequest", typ, werr, err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	refused(leader)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+		t.Fatalf("refusing a %d-byte report allocated %d bytes", len(payload), got)
+	}
+
+	addr, stopLeader := serveReplTCP(t, leader)
+	defer stopLeader()
+	f := newTestFollower(t, addr, "f1")
+	defer f.Close()
+	refused(f)
 }

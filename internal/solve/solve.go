@@ -185,20 +185,7 @@ func (ms *measurements) modelErrors(model *core.Model) []float64 {
 	if model == nil {
 		return nil
 	}
-	out := make([]float64, 0, ms.observed)
-	for i := 0; i < ms.m; i++ {
-		for j := 0; j < ms.m; j++ {
-			if i == j {
-				continue
-			}
-			d := ms.d.At(i, j)
-			if math.IsNaN(d) {
-				continue
-			}
-			out = append(out, stats.RelativeError(d, model.EstimateLandmarks(i, j)))
-		}
-	}
-	return out
+	return stats.RelativeErrors(ms.m, ms.m, ms.d.At, model.EstimateLandmarks)
 }
 
 // materialize validates measurement density and produces the (dense,

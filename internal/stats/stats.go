@@ -34,6 +34,26 @@ func RelativeError(d, est float64) float64 {
 	return math.Abs(d-est) / den
 }
 
+// RelativeErrors is Eq. 10 over a matrix: the modified relative error of
+// every observed pair of a rows x cols distance matrix under an
+// estimator, in row-major order. truth(i, j) is the measured distance,
+// NaN where there is none, and est(i, j) the modelled one; the diagonal
+// of a square matrix is not scored.
+func RelativeErrors(rows, cols int, truth, est func(i, j int) float64) []float64 {
+	errs := make([]float64, 0, rows*cols)
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			if rows == cols && i == j {
+				continue
+			}
+			if d := truth(i, j); !math.IsNaN(d) {
+				errs = append(errs, RelativeError(d, est(i, j)))
+			}
+		}
+	}
+	return errs
+}
+
 // CDF is an empirical cumulative distribution over a sample.
 type CDF struct {
 	sorted []float64

@@ -33,9 +33,11 @@ import (
 //	crc     uint32   IEEE CRC-32 of type+payload
 //
 // Fields inside payloads are big-endian fixed layouts built from the
-// internal/wire helpers, and follow wire's append-only evolution
-// policy: new fields go at the end, decoders treat absent trailing
-// fields as zero, and readers skip record types they do not recognize.
+// internal/wire helpers and read back through wire.Reader (which
+// refuses a count the remaining bytes cannot hold before anything is
+// sized by it), and follow wire's append-only evolution policy: new
+// fields go at the end, decoders treat absent trailing fields as zero,
+// and readers skip record types they do not recognize.
 // A record is only as durable as the OS page cache unless Sync is
 // called; a crash can tear the final record, which Open and Iterate
 // tolerate by truncating/stopping at the torn tail.
@@ -64,7 +66,9 @@ var (
 	// ErrUnknownRecord marks a record type this build does not know;
 	// Iterate skips such records (forward compatibility).
 	ErrUnknownRecord = errors.New("telemetry: unknown history record type")
-	errShortRecord   = errors.New("telemetry: history record truncated")
+	// errShortRecord is what DecodeRecord returns for a payload that ends
+	// before its record does; it is also a wire.ErrShortPayload.
+	errShortRecord = fmt.Errorf("telemetry: history record truncated: %w", wire.ErrShortPayload)
 )
 
 // Record is one history log entry. Implementations are the *Record
@@ -114,49 +118,22 @@ func (r *ConfigRecord) AppendPayload(dst []byte) []byte {
 	return dst
 }
 
-func decodeConfig(b []byte) (*ConfigRecord, error) {
-	var r ConfigRecord
-	var t, n32 uint64
-	var err error
-	if t, b, err = consumeU64(b); err != nil {
-		return nil, err
+func decodeConfig(r *wire.Reader) *ConfigRecord {
+	rec := &ConfigRecord{
+		TimeUnixNanos:  int64(r.Uint64()),
+		Dim:            int(r.Uint32()),
+		Algorithm:      r.String(),
+		Solver:         r.String(),
+		Seed:           r.Uint64(),
+		BaseEpoch:      r.Uint64(),
+		DriftThreshold: r.Float64(),
+		// Each landmark name needs at least its u16 length prefix.
+		Landmarks: make([]string, r.Count(2)),
 	}
-	r.TimeUnixNanos = int64(t)
-	if n32, b, err = consumeU32(b); err != nil {
-		return nil, err
+	for i := range rec.Landmarks {
+		rec.Landmarks[i] = r.String()
 	}
-	r.Dim = int(n32)
-	if r.Algorithm, b, err = wire.ConsumeString(b); err != nil {
-		return nil, err
-	}
-	if r.Solver, b, err = wire.ConsumeString(b); err != nil {
-		return nil, err
-	}
-	if r.Seed, b, err = consumeU64(b); err != nil {
-		return nil, err
-	}
-	if r.BaseEpoch, b, err = consumeU64(b); err != nil {
-		return nil, err
-	}
-	if r.DriftThreshold, b, err = wire.ConsumeFloat64(b); err != nil {
-		return nil, err
-	}
-	if n32, b, err = consumeU32(b); err != nil {
-		return nil, err
-	}
-	// Each landmark name needs at least its u16 length prefix, so a
-	// count the remaining bytes cannot hold is corrupt — reject before
-	// allocating.
-	if int(n32) > len(b)/2 {
-		return nil, errShortRecord
-	}
-	r.Landmarks = make([]string, n32)
-	for i := range r.Landmarks {
-		if r.Landmarks[i], b, err = wire.ConsumeString(b); err != nil {
-			return nil, err
-		}
-	}
-	return &r, nil
+	return rec
 }
 
 // ReportRecord is one accepted landmark measurement: the same triple
@@ -178,26 +155,13 @@ func (r *ReportRecord) AppendPayload(dst []byte) []byte {
 	return wire.AppendFloat64(dst, r.Millis)
 }
 
-func decodeReport(b []byte) (*ReportRecord, error) {
-	var r ReportRecord
-	var t, n32 uint64
-	var err error
-	if t, b, err = consumeU64(b); err != nil {
-		return nil, err
+func decodeReport(r *wire.Reader) *ReportRecord {
+	return &ReportRecord{
+		TimeUnixNanos: int64(r.Uint64()),
+		From:          int(r.Uint32()),
+		To:            int(r.Uint32()),
+		Millis:        r.Float64(),
 	}
-	r.TimeUnixNanos = int64(t)
-	if n32, b, err = consumeU32(b); err != nil {
-		return nil, err
-	}
-	r.From = int(n32)
-	if n32, b, err = consumeU32(b); err != nil {
-		return nil, err
-	}
-	r.To = int(n32)
-	if r.Millis, _, err = wire.ConsumeFloat64(b); err != nil {
-		return nil, err
-	}
-	return &r, nil
 }
 
 // EventKind names a model lifecycle transition in an EventRecord.
@@ -254,36 +218,16 @@ func (r *EventRecord) AppendPayload(dst []byte) []byte {
 	return wire.AppendUint32(dst, uint32(r.QueueDepth))
 }
 
-func decodeEvent(b []byte) (*EventRecord, error) {
-	var r EventRecord
-	var t, n32 uint64
-	var err error
-	if t, b, err = consumeU64(b); err != nil {
-		return nil, err
+func decodeEvent(r *wire.Reader) *EventRecord {
+	return &EventRecord{
+		TimeUnixNanos: int64(r.Uint64()),
+		Kind:          EventKind(r.Uint8()),
+		Epoch:         r.Uint64(),
+		Rev:           r.Uint64(),
+		DurationNanos: int64(r.Uint64()),
+		Drift:         r.Float64(),
+		QueueDepth:    int(r.Uint32()),
 	}
-	r.TimeUnixNanos = int64(t)
-	if len(b) < 1 {
-		return nil, errShortRecord
-	}
-	r.Kind, b = EventKind(b[0]), b[1:]
-	if r.Epoch, b, err = consumeU64(b); err != nil {
-		return nil, err
-	}
-	if r.Rev, b, err = consumeU64(b); err != nil {
-		return nil, err
-	}
-	if t, b, err = consumeU64(b); err != nil {
-		return nil, err
-	}
-	r.DurationNanos = int64(t)
-	if r.Drift, b, err = wire.ConsumeFloat64(b); err != nil {
-		return nil, err
-	}
-	if n32, _, err = consumeU32(b); err != nil {
-		return nil, err
-	}
-	r.QueueDepth = int(n32)
-	return &r, nil
 }
 
 // EpochSummaryRecord summarizes the model's fit error over the
@@ -315,54 +259,40 @@ func (r *EpochSummaryRecord) AppendPayload(dst []byte) []byte {
 	return wire.AppendFloat64(dst, r.MaxAbsRel)
 }
 
-func decodeEpochSummary(b []byte) (*EpochSummaryRecord, error) {
-	var r EpochSummaryRecord
-	var t, n32 uint64
-	var err error
-	if t, b, err = consumeU64(b); err != nil {
-		return nil, err
+func decodeEpochSummary(r *wire.Reader) *EpochSummaryRecord {
+	return &EpochSummaryRecord{
+		TimeUnixNanos: int64(r.Uint64()),
+		Epoch:         r.Uint64(),
+		Rev:           r.Uint64(),
+		Samples:       int(r.Uint32()),
+		MeanAbsRel:    r.Float64(),
+		MedianAbsRel:  r.Float64(),
+		P90AbsRel:     r.Float64(),
+		MaxAbsRel:     r.Float64(),
 	}
-	r.TimeUnixNanos = int64(t)
-	if r.Epoch, b, err = consumeU64(b); err != nil {
-		return nil, err
-	}
-	if r.Rev, b, err = consumeU64(b); err != nil {
-		return nil, err
-	}
-	if n32, b, err = consumeU32(b); err != nil {
-		return nil, err
-	}
-	r.Samples = int(n32)
-	if r.MeanAbsRel, b, err = wire.ConsumeFloat64(b); err != nil {
-		return nil, err
-	}
-	if r.MedianAbsRel, b, err = wire.ConsumeFloat64(b); err != nil {
-		return nil, err
-	}
-	if r.P90AbsRel, b, err = wire.ConsumeFloat64(b); err != nil {
-		return nil, err
-	}
-	if r.MaxAbsRel, _, err = wire.ConsumeFloat64(b); err != nil {
-		return nil, err
-	}
-	return &r, nil
 }
 
 // DecodeRecord decodes one record payload by type byte. Unknown types
 // return ErrUnknownRecord so iterators can skip them.
 func DecodeRecord(typ byte, payload []byte) (Record, error) {
+	r := wire.NewReader(payload)
+	var rec Record
 	switch typ {
 	case recConfig:
-		return decodeConfig(payload)
+		rec = decodeConfig(&r)
 	case recReport:
-		return decodeReport(payload)
+		rec = decodeReport(&r)
 	case recEvent:
-		return decodeEvent(payload)
+		rec = decodeEvent(&r)
 	case recEpochSummary:
-		return decodeEpochSummary(payload)
+		rec = decodeEpochSummary(&r)
 	default:
 		return nil, ErrUnknownRecord
 	}
+	if r.Err() != nil {
+		return nil, errShortRecord
+	}
+	return rec, nil
 }
 
 // AppendRecord appends rec's full on-disk framing (length, type,
@@ -708,15 +638,4 @@ func listSegments(dir string) ([]int, error) {
 	}
 	sort.Ints(segs)
 	return segs, nil
-}
-
-// consumeU32/U64 adapt the wire helpers to uint64 locals so decode
-// bodies stay terse.
-func consumeU32(b []byte) (uint64, []byte, error) {
-	v, rest, err := wire.ConsumeUint32(b)
-	return uint64(v), rest, err
-}
-
-func consumeU64(b []byte) (uint64, []byte, error) {
-	return wire.ConsumeUint64(b)
 }

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -62,6 +63,29 @@ func TestStoreAppendIterate(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("ReadAll:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestReplayParentWrittenHistory: testdata/history-d0a0f97 holds
+// testRecords() as the Store of commit d0a0f97 wrote them — the last
+// commit whose record decoders were hand-threaded, before wire.Reader.
+// It replays to the same records, and today's Store still writes the
+// same bytes.
+func TestReplayParentWrittenHistory(t *testing.T) {
+	dir := filepath.Join("testdata", "history-d0a0f97")
+	got, err := ReadAll(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := testRecords(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("ReadAll:\n got %+v\nwant %+v", got, want)
+	}
+	segment := append([]byte(segMagic), segVersion)
+	for _, rec := range got {
+		segment = AppendRecord(segment, rec)
+	}
+	if onDisk, err := os.ReadFile(segmentPath(dir, 1)); err != nil || !bytes.Equal(segment, onDisk) {
+		t.Fatalf("re-encoded segment differs from the committed one (read error %v)", err)
 	}
 }
 

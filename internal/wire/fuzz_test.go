@@ -116,11 +116,41 @@ func refDecodeQueryBatch(b []byte) (*QueryBatch, error) {
 	return m, nil
 }
 
+// queryBatchMatchesReference: on any payload the view, the materializing
+// decoder built on it and the independent reference decoder fail with
+// the same error or yield the same fields; and under a limit the view
+// refuses exactly the well-formed batches that name more targets than it.
+func queryBatchMatchesReference(t *testing.T, data []byte, limit int) {
+	t.Helper()
+	ref, refErr := refDecodeQueryBatch(data)
+	dec, err := DecodeQueryBatch(data)
+	from, views, viewErr := QueryBatchView(data, MaxPayload/2, nil)
+	if !errors.Is(err, refErr) || !errors.Is(viewErr, refErr) {
+		t.Fatalf("reference %v, decoder %v, view %v", refErr, err, viewErr)
+	}
+	if refErr != nil {
+		return
+	}
+	if dec.From != ref.From || string(from) != ref.From || len(dec.Targets) != len(ref.Targets) || len(views) != len(ref.Targets) {
+		t.Fatalf("reference %+v, decoder %+v, view %q %q", ref, dec, from, views)
+	}
+	for i, want := range ref.Targets {
+		if dec.Targets[i] != want || string(views[i]) != want {
+			t.Fatalf("target %d: reference %q, decoder %q, view %q", i, want, dec.Targets[i], views[i])
+		}
+	}
+	// The same frame under a limit, into a recycled slice.
+	_, limited, err := QueryBatchView(data, limit, views)
+	if over := len(ref.Targets) > limit; over != (err != nil) {
+		t.Fatalf("%d targets under limit %d: err %v", len(ref.Targets), limit, err)
+	}
+	if err == nil && len(limited) != len(ref.Targets) {
+		t.Fatalf("limited view holds %d targets, want %d", len(limited), len(ref.Targets))
+	}
+}
+
 // FuzzQueryBatchView is the differential target for the one QueryBatch
-// parser: on any payload the view, the materializing decoder built on it
-// and the independent reference decoder fail with the same error or
-// yield the same fields; and under a limit the view refuses exactly the
-// well-formed batches that name more targets than it.
+// parser: queryBatchMatchesReference on any payload and limit.
 func FuzzQueryBatchView(f *testing.F) {
 	valid := (&QueryBatch{From: "h0", Targets: []string{"a", "", "ccc"}}).Encode(nil)
 	f.Add(valid, 3)
@@ -128,33 +158,7 @@ func FuzzQueryBatchView(f *testing.F) {
 	f.Add(valid[:len(valid)-2], 8)
 	f.Add([]byte{0, 0, 0xFF, 0xFF, 0xFF, 0xFF}, 8)
 	f.Add([]byte{}, 0)
-	f.Fuzz(func(t *testing.T, data []byte, limit int) {
-		ref, refErr := refDecodeQueryBatch(data)
-		dec, err := DecodeQueryBatch(data)
-		from, views, viewErr := QueryBatchView(data, MaxPayload/2, nil)
-		if !errors.Is(err, refErr) || !errors.Is(viewErr, refErr) {
-			t.Fatalf("reference %v, decoder %v, view %v", refErr, err, viewErr)
-		}
-		if refErr != nil {
-			return
-		}
-		if dec.From != ref.From || string(from) != ref.From || len(dec.Targets) != len(ref.Targets) || len(views) != len(ref.Targets) {
-			t.Fatalf("reference %+v, decoder %+v, view %q %q", ref, dec, from, views)
-		}
-		for i, want := range ref.Targets {
-			if dec.Targets[i] != want || string(views[i]) != want {
-				t.Fatalf("target %d: reference %q, decoder %q, view %q", i, want, dec.Targets[i], views[i])
-			}
-		}
-		// The same frame under a limit, into a recycled slice.
-		_, limited, err := QueryBatchView(data, limit, views)
-		if over := len(ref.Targets) > limit; over != (err != nil) {
-			t.Fatalf("%d targets under limit %d: err %v", len(ref.Targets), limit, err)
-		}
-		if err == nil && len(limited) != len(ref.Targets) {
-			t.Fatalf("limited view holds %d targets, want %d", len(limited), len(ref.Targets))
-		}
-	})
+	f.Fuzz(queryBatchMatchesReference)
 }
 
 func FuzzDecodeDistances(f *testing.F) {

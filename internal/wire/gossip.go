@@ -50,19 +50,13 @@ func (m *GossipExchange) Encode(dst []byte) []byte {
 }
 
 // DecodeGossipExchange parses a GossipExchange payload into a message
-// that owns its memory: ParseGossipExchange validates, this copies out.
+// that owns its memory.
 func DecodeGossipExchange(b []byte) (*GossipExchange, error) {
-	v, err := ParseGossipExchange(b)
-	if err != nil {
-		return nil, err
-	}
-	return &GossipExchange{
-		From:      string(v.From),
-		Out:       v.Out.Slice(),
-		In:        v.In.Slice(),
-		RTTMillis: v.RTTMillis,
-		Peers:     v.Peers.slice(),
-	}, nil
+	r := NewReader(b)
+	return decoded(&GossipExchange{
+		From: r.String(), Out: r.Floats(), In: r.Floats(),
+		RTTMillis: r.Float64(), Peers: r.landmarkVecs(),
+	}, &r)
 }
 
 // GossipReply answers a GossipExchange.
@@ -109,16 +103,8 @@ func AppendPeerSample(dst []byte, peers []LandmarkVec) []byte {
 }
 
 // DecodeGossipReply parses a GossipReply payload into a message that
-// owns its memory: ParseGossipReply validates, this copies out.
+// owns its memory.
 func DecodeGossipReply(b []byte) (*GossipReply, error) {
-	v, err := ParseGossipReply(b)
-	if err != nil {
-		return nil, err
-	}
-	return &GossipReply{
-		Applied: v.Applied,
-		Out:     v.Out.Slice(),
-		In:      v.In.Slice(),
-		Peers:   v.Peers.slice(),
-	}, nil
+	r := NewReader(b)
+	return decoded(&GossipReply{Applied: r.Bool(), Out: r.Floats(), In: r.Floats(), Peers: r.landmarkVecs()}, &r)
 }

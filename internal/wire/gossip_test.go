@@ -361,10 +361,46 @@ func samePeers(t *testing.T, want, got []LandmarkVec, view PeerSample) {
 	}
 }
 
-// FuzzGossipViewsMatchDecoders is the differential target for the one
-// gossip parser: on any payload, read as either message, the view, the
-// materializing decoder built on it and the independent reference
-// decoder accept or reject together and yield equal fields.
+// gossipMatchesReference reads data as either gossip message: the view,
+// the materializing decoder and the independent reference decoder must
+// accept or reject together and yield equal fields.
+func gossipMatchesReference(t *testing.T, data []byte) {
+	t.Helper()
+	refEx, refErr := refDecodeGossipExchange(data)
+	ex, err := DecodeGossipExchange(data)
+	exView, viewErr := ParseGossipExchange(data)
+	if (refErr == nil) != (err == nil) || (refErr == nil) != (viewErr == nil) {
+		t.Fatalf("GossipExchange: reference %v, decoder %v, view %v", refErr, err, viewErr)
+	}
+	if refErr == nil {
+		if ex.From != refEx.From || string(exView.From) != refEx.From ||
+			math.Float64bits(ex.RTTMillis) != math.Float64bits(refEx.RTTMillis) ||
+			math.Float64bits(exView.RTTMillis) != math.Float64bits(refEx.RTTMillis) ||
+			!sameFloats(ex.Out, refEx.Out) || !sameFloats(ex.In, refEx.In) ||
+			!sameFloats(exView.Out.Slice(), refEx.Out) || !sameFloats(exView.In.Slice(), refEx.In) {
+			t.Fatalf("GossipExchange: reference %+v, decoder %+v, view %+v", refEx, ex, exView)
+		}
+		samePeers(t, refEx.Peers, ex.Peers, exView.Peers)
+	}
+
+	refRep, refErr := refDecodeGossipReply(data)
+	rep, err := DecodeGossipReply(data)
+	repView, viewErr := ParseGossipReply(data)
+	if (refErr == nil) != (err == nil) || (refErr == nil) != (viewErr == nil) {
+		t.Fatalf("GossipReply: reference %v, decoder %v, view %v", refErr, err, viewErr)
+	}
+	if refErr == nil {
+		if rep.Applied != refRep.Applied || repView.Applied != refRep.Applied ||
+			!sameFloats(rep.Out, refRep.Out) || !sameFloats(rep.In, refRep.In) ||
+			!sameFloats(repView.Out.Slice(), refRep.Out) || !sameFloats(repView.In.Slice(), refRep.In) {
+			t.Fatalf("GossipReply: reference %+v, decoder %+v, view %+v", refRep, rep, repView)
+		}
+		samePeers(t, refRep.Peers, rep.Peers, repView.Peers)
+	}
+}
+
+// FuzzGossipViewsMatchDecoders is the differential target for the
+// gossip parsers: gossipMatchesReference on any payload.
 func FuzzGossipViewsMatchDecoders(f *testing.F) {
 	peers := []LandmarkVec{{Addr: "q:2", Out: []float64{5, math.NaN()}, In: []float64{6, 7}}, {Addr: "r:3"}}
 	f.Add((&GossipExchange{From: "p:1", Out: []float64{1, 2}, In: []float64{3, 4}, RTTMillis: 7, Peers: peers}).Encode(nil))
@@ -372,37 +408,5 @@ func FuzzGossipViewsMatchDecoders(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 'p', 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF})
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		refEx, refErr := refDecodeGossipExchange(data)
-		ex, err := DecodeGossipExchange(data)
-		exView, viewErr := ParseGossipExchange(data)
-		if (refErr == nil) != (err == nil) || (refErr == nil) != (viewErr == nil) {
-			t.Fatalf("GossipExchange: reference %v, decoder %v, view %v", refErr, err, viewErr)
-		}
-		if refErr == nil {
-			if ex.From != refEx.From || string(exView.From) != refEx.From ||
-				math.Float64bits(ex.RTTMillis) != math.Float64bits(refEx.RTTMillis) ||
-				math.Float64bits(exView.RTTMillis) != math.Float64bits(refEx.RTTMillis) ||
-				!sameFloats(ex.Out, refEx.Out) || !sameFloats(ex.In, refEx.In) ||
-				!sameFloats(exView.Out.Slice(), refEx.Out) || !sameFloats(exView.In.Slice(), refEx.In) {
-				t.Fatalf("GossipExchange: reference %+v, decoder %+v, view %+v", refEx, ex, exView)
-			}
-			samePeers(t, refEx.Peers, ex.Peers, exView.Peers)
-		}
-
-		refRep, refErr := refDecodeGossipReply(data)
-		rep, err := DecodeGossipReply(data)
-		repView, viewErr := ParseGossipReply(data)
-		if (refErr == nil) != (err == nil) || (refErr == nil) != (viewErr == nil) {
-			t.Fatalf("GossipReply: reference %v, decoder %v, view %v", refErr, err, viewErr)
-		}
-		if refErr == nil {
-			if rep.Applied != refRep.Applied || repView.Applied != refRep.Applied ||
-				!sameFloats(rep.Out, refRep.Out) || !sameFloats(rep.In, refRep.In) ||
-				!sameFloats(repView.Out.Slice(), refRep.Out) || !sameFloats(repView.In.Slice(), refRep.In) {
-				t.Fatalf("GossipReply: reference %+v, decoder %+v, view %+v", refRep, rep, repView)
-			}
-			samePeers(t, refRep.Peers, rep.Peers, repView.Peers)
-		}
-	})
+	f.Fuzz(gossipMatchesReference)
 }

@@ -47,15 +47,8 @@ func AppendError(dst []byte, code uint16, text string) (MsgType, []byte) {
 
 // DecodeError parses an Error payload.
 func DecodeError(b []byte) (*Error, error) {
-	if len(b) < 2 {
-		return nil, ErrShortPayload
-	}
-	code := binary.BigEndian.Uint16(b)
-	text, _, err := consumeString(b[2:])
-	if err != nil {
-		return nil, err
-	}
-	return &Error{Code: code, Text: text}, nil
+	r := NewReader(b)
+	return decoded(&Error{Code: r.Uint16(), Text: r.String()}, &r)
 }
 
 // Error implements the error interface so a decoded wire error can be
@@ -86,10 +79,8 @@ func (m *Hello) Encode(dst []byte) []byte {
 
 // DecodeHello parses a Hello payload.
 func DecodeHello(b []byte) (*Hello, error) {
-	if len(b) < 5 {
-		return nil, ErrShortPayload
-	}
-	return &Hello{MaxVersion: b[0], MaxInflight: binary.BigEndian.Uint32(b[1:])}, nil
+	r := NewReader(b)
+	return decoded(&Hello{MaxVersion: r.Uint8(), MaxInflight: r.Uint32()}, &r)
 }
 
 // HelloAck answers a Hello: the version both peers will speak from the
@@ -112,10 +103,8 @@ func (m *HelloAck) Encode(dst []byte) []byte {
 
 // DecodeHelloAck parses a HelloAck payload.
 func DecodeHelloAck(b []byte) (*HelloAck, error) {
-	if len(b) < 5 {
-		return nil, ErrShortPayload
-	}
-	return &HelloAck{Version: b[0], MaxInflight: binary.BigEndian.Uint32(b[1:])}, nil
+	r := NewReader(b)
+	return decoded(&HelloAck{Version: r.Uint8(), MaxInflight: r.Uint32()}, &r)
 }
 
 // Ping is an application-level echo request used for RTT measurement over
@@ -131,10 +120,8 @@ func (m *Ping) Encode(dst []byte) []byte {
 
 // DecodePing parses a Ping payload.
 func DecodePing(b []byte) (*Ping, error) {
-	if len(b) < 8 {
-		return nil, ErrShortPayload
-	}
-	return &Ping{Token: binary.BigEndian.Uint64(b)}, nil
+	r := NewReader(b)
+	return decoded(&Ping{Token: r.Uint64()}, &r)
 }
 
 // Pong answers a Ping, echoing its token.
@@ -149,10 +136,8 @@ func (m *Pong) Encode(dst []byte) []byte {
 
 // DecodePong parses a Pong payload.
 func DecodePong(b []byte) (*Pong, error) {
-	if len(b) < 8 {
-		return nil, ErrShortPayload
-	}
-	return &Pong{Token: binary.BigEndian.Uint64(b)}, nil
+	r := NewReader(b)
+	return decoded(&Pong{Token: r.Uint64()}, &r)
 }
 
 // Info describes the server's current model.
@@ -177,23 +162,10 @@ func (m *Info) Encode(dst []byte) []byte {
 
 // DecodeInfo parses an Info payload.
 func DecodeInfo(b []byte) (*Info, error) {
-	if len(b) < 8 {
-		return nil, ErrShortPayload
-	}
-	m := &Info{
-		Dim:          binary.BigEndian.Uint32(b),
-		NumLandmarks: binary.BigEndian.Uint32(b[4:]),
-	}
-	var err error
-	rest := b[8:]
-	if m.Algorithm, rest, err = consumeString(rest); err != nil {
-		return nil, err
-	}
-	if m.ModelReady, rest, err = consumeBool(rest); err != nil {
-		return nil, err
-	}
-	m.Epoch, _ = consumeOptionalUint64(rest)
-	return m, nil
+	r := NewReader(b)
+	m := &Info{Dim: r.Uint32(), NumLandmarks: r.Uint32(), Algorithm: r.String(), ModelReady: r.Bool()}
+	m.Epoch = r.OptUint64()
+	return decoded(m, &r)
 }
 
 // LandmarkVec carries one landmark's identity and fitted vectors.
@@ -230,38 +202,10 @@ func (m *Model) Encode(dst []byte) []byte {
 
 // DecodeModel parses a Model payload.
 func DecodeModel(b []byte) (*Model, error) {
-	if len(b) < 4 {
-		return nil, ErrShortPayload
-	}
-	m := &Model{Dim: binary.BigEndian.Uint32(b)}
-	rest := b[4:]
-	var err error
-	if m.Algorithm, rest, err = consumeString(rest); err != nil {
-		return nil, err
-	}
-	if len(rest) < 4 {
-		return nil, ErrShortPayload
-	}
-	n := int(binary.BigEndian.Uint32(rest))
-	rest = rest[4:]
-	if n > MaxPayload/16 {
-		return nil, ErrShortPayload
-	}
-	m.Landmarks = make([]LandmarkVec, n)
-	for i := 0; i < n; i++ {
-		l := &m.Landmarks[i]
-		if l.Addr, rest, err = consumeString(rest); err != nil {
-			return nil, err
-		}
-		if l.Out, rest, err = consumeFloats(rest); err != nil {
-			return nil, err
-		}
-		if l.In, rest, err = consumeFloats(rest); err != nil {
-			return nil, err
-		}
-	}
-	m.Epoch, _ = consumeOptionalUint64(rest)
-	return m, nil
+	r := NewReader(b)
+	m := &Model{Dim: r.Uint32(), Algorithm: r.String(), Landmarks: r.landmarkVecs()}
+	m.Epoch = r.OptUint64()
+	return decoded(m, &r)
 }
 
 // RTTEntry is one measured round-trip time.
@@ -290,30 +234,13 @@ func (m *ReportRTT) Encode(dst []byte) []byte {
 
 // DecodeReportRTT parses a ReportRTT payload.
 func DecodeReportRTT(b []byte) (*ReportRTT, error) {
-	m := &ReportRTT{}
-	var err error
-	rest := b
-	if m.From, rest, err = consumeString(rest); err != nil {
-		return nil, err
+	r := NewReader(b)
+	// Each entry costs at least its 2-byte address prefix and the float.
+	m := &ReportRTT{From: r.String(), Entries: make([]RTTEntry, r.Count(10))}
+	for i := range m.Entries {
+		m.Entries[i] = RTTEntry{To: r.String(), RTTMillis: r.Float64()}
 	}
-	if len(rest) < 4 {
-		return nil, ErrShortPayload
-	}
-	n := int(binary.BigEndian.Uint32(rest))
-	rest = rest[4:]
-	if n > MaxPayload/10 {
-		return nil, ErrShortPayload
-	}
-	m.Entries = make([]RTTEntry, n)
-	for i := 0; i < n; i++ {
-		if m.Entries[i].To, rest, err = consumeString(rest); err != nil {
-			return nil, err
-		}
-		if m.Entries[i].RTTMillis, rest, err = consumeFloat(rest); err != nil {
-			return nil, err
-		}
-	}
-	return m, nil
+	return decoded(m, &r)
 }
 
 // RegisterHost publishes an ordinary host's solved vectors to the server's
@@ -338,20 +265,10 @@ func (m *RegisterHost) Encode(dst []byte) []byte {
 
 // DecodeRegisterHost parses a RegisterHost payload.
 func DecodeRegisterHost(b []byte) (*RegisterHost, error) {
-	m := &RegisterHost{}
-	var err error
-	rest := b
-	if m.Addr, rest, err = consumeString(rest); err != nil {
-		return nil, err
-	}
-	if m.Out, rest, err = consumeFloats(rest); err != nil {
-		return nil, err
-	}
-	if m.In, rest, err = consumeFloats(rest); err != nil {
-		return nil, err
-	}
-	m.Epoch, _ = consumeOptionalUint64(rest)
-	return m, nil
+	r := NewReader(b)
+	m := &RegisterHost{Addr: r.String(), Out: r.Floats(), In: r.Floats()}
+	m.Epoch = r.OptUint64()
+	return decoded(m, &r)
 }
 
 // GetVectors asks the directory for a host's published vectors. The
@@ -383,20 +300,10 @@ func (m *Vectors) Encode(dst []byte) []byte {
 
 // DecodeVectors parses a Vectors payload.
 func DecodeVectors(b []byte) (*Vectors, error) {
-	m := &Vectors{}
-	var err error
-	rest := b
-	if m.Found, rest, err = consumeBool(rest); err != nil {
-		return nil, err
-	}
-	if m.Out, rest, err = consumeFloats(rest); err != nil {
-		return nil, err
-	}
-	if m.In, rest, err = consumeFloats(rest); err != nil {
-		return nil, err
-	}
-	m.Epoch, _ = consumeOptionalUint64(rest)
-	return m, nil
+	r := NewReader(b)
+	m := &Vectors{Found: r.Bool(), Out: r.Floats(), In: r.Floats()}
+	m.Epoch = r.OptUint64()
+	return decoded(m, &r)
 }
 
 // QueryDist asks the server to estimate the distance between two
@@ -490,32 +397,15 @@ func (m *Distances) Encode(dst []byte) []byte {
 
 // DecodeDistances parses a Distances payload.
 func DecodeDistances(b []byte) (*Distances, error) {
-	m := &Distances{}
-	var err error
-	rest := b
-	if m.SrcFound, rest, err = consumeBool(rest); err != nil {
-		return nil, err
-	}
-	if len(rest) < 4 {
-		return nil, ErrShortPayload
-	}
-	n := int(binary.BigEndian.Uint32(rest))
-	rest = rest[4:]
+	r := NewReader(b)
 	// Each result is exactly 9 bytes.
-	if n > MaxPayload/9 || len(rest) < 9*n {
-		return nil, ErrShortPayload
+	m := &Distances{SrcFound: r.Bool(), Results: make([]DistResult, r.Count(9))}
+	results := m.Results // a local: the loop would reload the header through m
+	for i := range results {
+		results[i] = DistResult{Found: r.Bool(), Millis: r.Float64()}
 	}
-	m.Results = make([]DistResult, n)
-	for i := 0; i < n; i++ {
-		if m.Results[i].Found, rest, err = consumeBool(rest); err != nil {
-			return nil, err
-		}
-		if m.Results[i].Millis, rest, err = consumeFloat(rest); err != nil {
-			return nil, err
-		}
-	}
-	m.Epoch, _ = consumeOptionalUint64(rest)
-	return m, nil
+	m.Epoch = r.OptUint64()
+	return decoded(m, &r)
 }
 
 // QueryKNN asks for the K registered hosts closest to From, by estimated
@@ -563,32 +453,12 @@ func (m *Neighbors) Encode(dst []byte) []byte {
 
 // DecodeNeighbors parses a Neighbors payload.
 func DecodeNeighbors(b []byte) (*Neighbors, error) {
-	m := &Neighbors{}
-	var err error
-	rest := b
-	if m.SrcFound, rest, err = consumeBool(rest); err != nil {
-		return nil, err
-	}
-	if len(rest) < 4 {
-		return nil, ErrShortPayload
-	}
-	n := int(binary.BigEndian.Uint32(rest))
-	rest = rest[4:]
+	r := NewReader(b)
 	// Each entry costs at least 10 bytes (2-byte length + 8-byte float).
-	if n > MaxPayload/10 || 10*n > len(rest) {
-		return nil, ErrShortPayload
+	m := &Neighbors{SrcFound: r.Bool(), Entries: make([]NeighborEntry, r.Count(10))}
+	for i := range m.Entries {
+		m.Entries[i] = NeighborEntry{Addr: r.String(), Millis: r.Float64()}
 	}
-	m.Entries = make([]NeighborEntry, 0, min(n, 4096))
-	for i := 0; i < n; i++ {
-		var e NeighborEntry
-		if e.Addr, rest, err = consumeString(rest); err != nil {
-			return nil, err
-		}
-		if e.Millis, rest, err = consumeFloat(rest); err != nil {
-			return nil, err
-		}
-		m.Entries = append(m.Entries, e)
-	}
-	m.Epoch, _ = consumeOptionalUint64(rest)
-	return m, nil
+	m.Epoch = r.OptUint64()
+	return decoded(m, &r)
 }

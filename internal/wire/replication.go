@@ -36,18 +36,8 @@ func (m *Subscribe) Encode(dst []byte) []byte {
 
 // DecodeSubscribe parses a Subscribe payload.
 func DecodeSubscribe(b []byte) (*Subscribe, error) {
-	m := &Subscribe{}
-	var err error
-	rest := b
-	if m.ID, rest, err = consumeString(rest); err != nil {
-		return nil, err
-	}
-	if len(rest) < 16 {
-		return nil, ErrShortPayload
-	}
-	m.Epoch = binary.BigEndian.Uint64(rest)
-	m.Rev = binary.BigEndian.Uint64(rest[8:])
-	return m, nil
+	r := NewReader(b)
+	return decoded(&Subscribe{ID: r.String(), Epoch: r.Uint64(), Rev: r.Uint64()}, &r)
 }
 
 // SnapshotFrame streams one published model snapshot to a follower: the
@@ -80,43 +70,11 @@ func (m *SnapshotFrame) Encode(dst []byte) []byte {
 
 // DecodeSnapshotFrame parses a SnapshotFrame payload.
 func DecodeSnapshotFrame(b []byte) (*SnapshotFrame, error) {
-	if len(b) < 20 {
-		return nil, ErrShortPayload
-	}
-	m := &SnapshotFrame{
-		Epoch: binary.BigEndian.Uint64(b),
-		Rev:   binary.BigEndian.Uint64(b[8:]),
-		Dim:   binary.BigEndian.Uint32(b[16:]),
-	}
-	rest := b[20:]
-	var err error
-	if m.Algorithm, rest, err = consumeString(rest); err != nil {
-		return nil, err
-	}
-	if len(rest) < 4 {
-		return nil, ErrShortPayload
-	}
-	n := int(binary.BigEndian.Uint32(rest))
-	rest = rest[4:]
-	// Each landmark costs at least a 2-byte address prefix and two 4-byte
-	// vector counts.
-	if n > MaxPayload/10 || 10*n > len(rest) {
-		return nil, ErrShortPayload
-	}
-	m.Landmarks = make([]LandmarkVec, n)
-	for i := 0; i < n; i++ {
-		l := &m.Landmarks[i]
-		if l.Addr, rest, err = consumeString(rest); err != nil {
-			return nil, err
-		}
-		if l.Out, rest, err = consumeFloats(rest); err != nil {
-			return nil, err
-		}
-		if l.In, rest, err = consumeFloats(rest); err != nil {
-			return nil, err
-		}
-	}
-	return m, nil
+	r := NewReader(b)
+	return decoded(&SnapshotFrame{
+		Epoch: r.Uint64(), Rev: r.Uint64(), Dim: r.Uint32(),
+		Algorithm: r.String(), Landmarks: r.landmarkVecs(),
+	}, &r)
 }
 
 // DirUpsert replicates one directory entry: a host's solved vectors and
@@ -155,36 +113,12 @@ func (m *DirDelta) Encode(dst []byte) []byte {
 
 // DecodeDirDelta parses a DirDelta payload.
 func DecodeDirDelta(b []byte) (*DirDelta, error) {
-	if len(b) < 12 {
-		return nil, ErrShortPayload
-	}
-	m := &DirDelta{Epoch: binary.BigEndian.Uint64(b)}
-	n := int(binary.BigEndian.Uint32(b[8:]))
-	rest := b[12:]
+	r := NewReader(b)
 	// Each upsert costs at least 18 bytes: address prefix, two vector
 	// counts, and the entry epoch.
-	if n > MaxPayload/18 || 18*n > len(rest) {
-		return nil, ErrShortPayload
+	m := &DirDelta{Epoch: r.Uint64(), Upserts: make([]DirUpsert, r.Count(18))}
+	for i := range m.Upserts {
+		m.Upserts[i] = DirUpsert{Addr: r.String(), Out: r.Floats(), In: r.Floats(), Epoch: r.Uint64()}
 	}
-	m.Upserts = make([]DirUpsert, 0, min(n, 4096))
-	var err error
-	for i := 0; i < n; i++ {
-		var u DirUpsert
-		if u.Addr, rest, err = consumeString(rest); err != nil {
-			return nil, err
-		}
-		if u.Out, rest, err = consumeFloats(rest); err != nil {
-			return nil, err
-		}
-		if u.In, rest, err = consumeFloats(rest); err != nil {
-			return nil, err
-		}
-		if len(rest) < 8 {
-			return nil, ErrShortPayload
-		}
-		u.Epoch = binary.BigEndian.Uint64(rest)
-		rest = rest[8:]
-		m.Upserts = append(m.Upserts, u)
-	}
-	return m, nil
+	return decoded(m, &r)
 }

@@ -14,7 +14,8 @@
 //
 // Encode* functions append to a caller-provided buffer (gopacket-style
 // zero-copy building); Decode* functions parse from a payload slice and
-// copy what they keep.
+// copy what they keep, *View and Parse* functions return subslices of
+// it, and all of them read through one cursor, Reader.
 //
 // Evolution policy: the frame version is bumped only for incompatible
 // layout changes. Compatible additions are appended to the end of a
@@ -225,7 +226,7 @@ func ReadFrame(r io.Reader) (MsgType, []byte, error) {
 	return t, payload, nil
 }
 
-// ---- primitive append/consume helpers ----
+// ---- primitive append helpers; Reader is their read side ----
 //
 // The exported variants exist for sibling packages that persist binary
 // records in the same big-endian fixed-layout style (internal/telemetry's
@@ -235,36 +236,14 @@ func ReadFrame(r io.Reader) (MsgType, []byte, error) {
 // AppendString appends a u16 length-prefixed string.
 func AppendString(dst []byte, s string) []byte { return appendString(dst, s) }
 
-// ConsumeString parses a u16 length-prefixed string.
-func ConsumeString(b []byte) (string, []byte, error) { return consumeString(b) }
-
 // AppendFloat64 appends one big-endian IEEE-754 float64.
 func AppendFloat64(dst []byte, f float64) []byte { return appendFloat(dst, f) }
-
-// ConsumeFloat64 parses one big-endian IEEE-754 float64.
-func ConsumeFloat64(b []byte) (float64, []byte, error) { return consumeFloat(b) }
 
 // AppendUint32 appends one big-endian uint32.
 func AppendUint32(dst []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(dst, v) }
 
-// ConsumeUint32 parses one big-endian uint32.
-func ConsumeUint32(b []byte) (uint32, []byte, error) {
-	if len(b) < 4 {
-		return 0, nil, ErrShortPayload
-	}
-	return binary.BigEndian.Uint32(b), b[4:], nil
-}
-
 // AppendUint64 appends one big-endian uint64.
 func AppendUint64(dst []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(dst, v) }
-
-// ConsumeUint64 parses one big-endian uint64.
-func ConsumeUint64(b []byte) (uint64, []byte, error) {
-	if len(b) < 8 {
-		return 0, nil, ErrShortPayload
-	}
-	return binary.BigEndian.Uint64(b), b[8:], nil
-}
 
 func appendString(dst []byte, s string) []byte {
 	if len(s) > math.MaxUint16 {
@@ -272,18 +251,6 @@ func appendString(dst []byte, s string) []byte {
 	}
 	dst = binary.BigEndian.AppendUint16(dst, uint16(len(s)))
 	return append(dst, s...)
-}
-
-func consumeString(b []byte) (string, []byte, error) {
-	if len(b) < 2 {
-		return "", nil, ErrShortPayload
-	}
-	n := int(binary.BigEndian.Uint16(b))
-	b = b[2:]
-	if len(b) < n {
-		return "", nil, ErrShortPayload
-	}
-	return string(b[:n]), b[n:], nil
 }
 
 func appendFloats(dst []byte, v []float64) []byte {
@@ -294,31 +261,8 @@ func appendFloats(dst []byte, v []float64) []byte {
 	return dst
 }
 
-func consumeFloats(b []byte) ([]float64, []byte, error) {
-	if len(b) < 4 {
-		return nil, nil, ErrShortPayload
-	}
-	n := int(binary.BigEndian.Uint32(b))
-	b = b[4:]
-	if n > MaxPayload/8 || len(b) < 8*n {
-		return nil, nil, ErrShortPayload
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.BigEndian.Uint64(b[8*i:]))
-	}
-	return out, b[8*n:], nil
-}
-
 func appendFloat(dst []byte, f float64) []byte {
 	return binary.BigEndian.AppendUint64(dst, math.Float64bits(f))
-}
-
-func consumeFloat(b []byte) (float64, []byte, error) {
-	if len(b) < 8 {
-		return 0, nil, ErrShortPayload
-	}
-	return math.Float64frombits(binary.BigEndian.Uint64(b)), b[8:], nil
 }
 
 func appendBool(dst []byte, v bool) []byte {
@@ -326,22 +270,4 @@ func appendBool(dst []byte, v bool) []byte {
 		return append(dst, 1)
 	}
 	return append(dst, 0)
-}
-
-func consumeBool(b []byte) (bool, []byte, error) {
-	if len(b) < 1 {
-		return false, nil, ErrShortPayload
-	}
-	return b[0] != 0, b[1:], nil
-}
-
-// consumeOptionalUint64 reads a trailing uint64 if one is present and
-// returns 0 otherwise — the decoding half of the append-only evolution
-// policy: fields added after the first protocol release are absent in
-// frames from old peers, and absent means zero.
-func consumeOptionalUint64(b []byte) (uint64, []byte) {
-	if len(b) < 8 {
-		return 0, b
-	}
-	return binary.BigEndian.Uint64(b), b[8:]
 }

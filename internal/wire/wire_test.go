@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
@@ -363,20 +364,26 @@ func TestQueryKNNNeighborsRoundTrip(t *testing.T) {
 
 // TestQueryDecodersRejectOversizedCounts feeds payloads whose length
 // prefix claims far more entries than the payload could hold; decoders
-// must error without attempting the implied giant allocation.
+// must error without attempting the implied giant allocation. The
+// counts under MaxPayload/10 are the ones a limit on the count alone
+// lets through (what such an allocation costs is
+// TestDecodersBoundAllocation's business).
 func TestQueryDecodersRejectOversizedCounts(t *testing.T) {
-	huge := []byte{0, 0} // empty From string
-	huge = append(huge, 0xFF, 0xFF, 0xFF, 0xFF)
-	if _, err := DecodeQueryBatch(huge); !errors.Is(err, ErrShortPayload) {
-		t.Fatalf("QueryBatch oversized count: err = %v", err)
-	}
-	hugeDist := []byte{1}
-	hugeDist = append(hugeDist, 0xFF, 0xFF, 0xFF, 0xFF)
-	if _, err := DecodeDistances(hugeDist); !errors.Is(err, ErrShortPayload) {
-		t.Fatalf("Distances oversized count: err = %v", err)
-	}
-	if _, err := DecodeNeighbors(hugeDist); !errors.Is(err, ErrShortPayload) {
-		t.Fatalf("Neighbors oversized count: err = %v", err)
+	for _, n := range []uint32{0xFFFFFFFF, MaxPayload/10 - 1, 4_000_000, 65536} {
+		huge := binary.BigEndian.AppendUint32([]byte{0, 0}, n) // empty From string
+		if _, err := DecodeQueryBatch(huge); !errors.Is(err, ErrShortPayload) {
+			t.Fatalf("QueryBatch count %d: err = %v", n, err)
+		}
+		if _, err := DecodeReportRTT(huge); !errors.Is(err, ErrShortPayload) {
+			t.Fatalf("ReportRTT count %d: err = %v", n, err)
+		}
+		hugeDist := binary.BigEndian.AppendUint32([]byte{1}, n)
+		if _, err := DecodeDistances(hugeDist); !errors.Is(err, ErrShortPayload) {
+			t.Fatalf("Distances count %d: err = %v", n, err)
+		}
+		if _, err := DecodeNeighbors(hugeDist); !errors.Is(err, ErrShortPayload) {
+			t.Fatalf("Neighbors count %d: err = %v", n, err)
+		}
 	}
 }
 
