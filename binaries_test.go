@@ -290,7 +290,7 @@ func TestBinaries(t *testing.T) {
 			// -epoch-base 1000: the first fit is epoch 1001, and with
 			// drift refits off it is the only one.
 			eventually(t, "the first fit to reach the follower", func() bool {
-				return metric(addr("follower-metrics"), "ides_repl_applied_epoch") == 1001
+				return metric(addr("follower-metrics"), "ides_model_epoch") == 1001
 			}, fleet...)
 
 			hostA := b.start(t, "host-a")

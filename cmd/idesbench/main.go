@@ -11,9 +11,9 @@
 // fig7b, ablations, all. Two serving workloads run only when named:
 // solver (batch vs SGD under measurement churn, writes
 // BENCH_solver.json) and cluster (leader + followers with a leader kill,
-// writes BENCH_cluster.json, non-zero exit when a read errors, a
-// follower drifts off the pre-kill epoch or its p50 exceeds 1.3x the
-// leader's). Every other serving measurement lives in the bench/
+// writes BENCH_cluster.json, non-zero exit when a read errors, nothing
+// failed over or a follower drifts off the pre-kill epoch). Every other
+// serving measurement lives in the bench/
 // module: bash bench/run.sh --workload <name> --trace 1.
 package main
 

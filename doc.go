@@ -67,8 +67,9 @@
 //   - the horizontal serving tier (Config.Role): a leader owns the model
 //     pipeline while followers (RoleFollower, server flags -role follower
 //     -leader addr) mirror its published snapshots and host directory
-//     over a streaming replication protocol (Subscribe/SnapshotFrame/
-//     DirDelta), serve every read locally and forward writes to the
+//     over a streaming replication protocol (Subscribe, then the Model
+//     and RegisterHost messages clients already get; Model carries the
+//     revision as Rev), serve every read locally and forward writes to the
 //     leader; clients given the whole tier (Config.Servers, client flag
 //     -servers) route through a failover pool (NewClusterPool) that
 //     picks healthy endpoints least-inflight-first, replays idempotent

@@ -182,11 +182,6 @@ const (
 	RoleFollower = server.RoleFollower
 )
 
-// ReplicationStats reports a server's replication-tier state (leader:
-// subscribers and frames streamed; follower: applied position and
-// connection health).
-type ReplicationStats = server.ReplicationStats
-
 // Snapshot is one immutable model state served by the information
 // server: the fitted landmark model plus the epoch that identifies its
 // generation and the incremental revision count within it. The server

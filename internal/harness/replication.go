@@ -30,16 +30,16 @@ func (c *Cluster) WaitReplicaSync(ctx context.Context) error {
 	defer tick.Stop()
 	for i, f := range c.followers {
 		for {
-			rs := f.ReplicationStats()
-			caughtUp := rs.AppliedEpoch > ls.Epoch ||
-				(rs.AppliedEpoch == ls.Epoch && rs.AppliedRev >= ls.Rev)
+			fs := f.LifecycleStats()
+			caughtUp := fs.Epoch > ls.Epoch ||
+				(fs.Epoch == ls.Epoch && fs.Rev >= ls.Rev)
 			if caughtUp && f.NumHosts() >= wantHosts {
 				break
 			}
 			select {
 			case <-ctx.Done():
 				return fmt.Errorf("harness: follower %s stuck at epoch %d rev %d (%d hosts), leader at %d/%d (%d hosts): %w",
-					c.followerNames[i], rs.AppliedEpoch, rs.AppliedRev, f.NumHosts(),
+					c.followerNames[i], fs.Epoch, fs.Rev, f.NumHosts(),
 					ls.Epoch, ls.Rev, wantHosts, ctx.Err())
 			case <-tick.C:
 			}

@@ -33,15 +33,6 @@ func NewDense(r, c int) *Dense {
 	return &Dense{rows: r, cols: c, data: make([]float64, r*c)}
 }
 
-// NewDenseData wraps data as an r x c matrix without copying.
-// len(data) must equal r*c.
-func NewDenseData(r, c int, data []float64) *Dense {
-	if len(data) != r*c {
-		panic(fmt.Sprintf("mat: data length %d does not match %dx%d", len(data), r, c))
-	}
-	return &Dense{rows: r, cols: c, data: data}
-}
-
 // FromRows builds a matrix by copying the given rows.
 // All rows must have equal length.
 func FromRows(rows [][]float64) *Dense {

@@ -23,24 +23,7 @@ func MulInto(dst, a, b *Dense) {
 	if dst.rows != a.rows || dst.cols != b.cols {
 		panic(fmt.Sprintf("mat: MulInto dst %dx%d want %dx%d", dst.rows, dst.cols, a.rows, b.cols))
 	}
-	n := b.cols
-	for i := 0; i < a.rows; i++ {
-		arow := a.data[i*a.cols : (i+1)*a.cols]
-		drow := dst.data[i*n : (i+1)*n]
-		for j := range drow {
-			drow[j] = 0
-		}
-		// ikj ordering: stream through b rows for cache friendliness.
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.data[k*n : (k+1)*n]
-			for j, bv := range brow {
-				drow[j] += av * bv
-			}
-		}
-	}
+	mulRows(dst, a, b, 0, a.rows)
 }
 
 // MulABT returns a * bᵀ.

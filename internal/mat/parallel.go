@@ -53,8 +53,8 @@ func MulParallelInto(dst, a, b *Dense) {
 	wg.Wait()
 }
 
-// mulRows computes dst rows [lo,hi) of the product a*b using the same
-// ikj kernel as MulInto.
+// mulRows computes dst rows [lo,hi) of the product a*b: the one ikj
+// kernel under MulInto and every worker of MulParallelInto.
 func mulRows(dst, a, b *Dense, lo, hi int) {
 	if a.cols != b.rows || dst.rows != a.rows || dst.cols != b.cols {
 		panic("mat: mulRows shape mismatch")
@@ -66,6 +66,7 @@ func mulRows(dst, a, b *Dense, lo, hi int) {
 		for j := range drow {
 			drow[j] = 0
 		}
+		// ikj ordering: stream through b rows for cache friendliness.
 		for k, av := range arow {
 			if av == 0 {
 				continue

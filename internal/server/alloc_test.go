@@ -5,9 +5,36 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/ides-go/ides/internal/core"
 	"github.com/ides-go/ides/internal/testutil"
 	"github.com/ides-go/ides/internal/wire"
 )
+
+// TestGetModelAllocs: GetModel on a served model appends the payload
+// Install encoded once for the generation, so a reply costs no heap
+// allocation (it cost one wire.Model per request when every GetModel
+// re-encoded the model).
+func TestGetModelAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation accounting changes under -race")
+	}
+	s := ringLandmarks(t, core.SVD)
+	defer s.Close()
+	if _, err := s.Model(); err != nil {
+		t.Fatal(err)
+	}
+	var dst []byte
+	op := func() {
+		var typ wire.MsgType
+		if typ, dst = s.dispatchTo(wire.TypeGetModel, nil, dst[:0]); typ != wire.TypeModel {
+			t.Fatalf("GetModel answered %v", typ)
+		}
+	}
+	op() // grow dst to the payload's size
+	if allocs := testing.AllocsPerRun(200, op); allocs != 0 {
+		t.Errorf("GetModel allocates %.0f times per request, want 0", allocs)
+	}
+}
 
 // TestBulkQueryAllocs is the allocation gate of the bulk read path, the
 // companion of the root package's TestPointQueryZeroAlloc (it lives here

@@ -16,10 +16,11 @@ import (
 )
 
 // follower is the replica side of the replication tier: a background
-// stream loop that subscribes to the leader, applies SnapshotFrames and
-// DirDeltas into the local QueryService, and a forwarding path that
-// relays write requests (reports, registrations) to the leader. It
-// starts at New and stops at Server.Close, like the leader's refitter.
+// stream loop that subscribes to the leader and applies its Model and
+// RegisterHost frames into the local QueryService — which holds the
+// applied position — and a forwarding path that relays write requests
+// (reports, registrations) to the leader. It starts at New and stops at
+// Server.Close, like the leader's refitter.
 type follower struct {
 	id         string
 	leader     string
@@ -36,8 +37,6 @@ type follower struct {
 	reconnects    atomic.Uint64
 	framesApplied atomic.Uint64
 	bytesApplied  atomic.Uint64
-	appliedEpoch  atomic.Uint64
-	appliedRev    atomic.Uint64
 }
 
 func newFollower(cfg Config, qs *QueryService, logf func(string, ...interface{})) (*follower, error) {
@@ -121,7 +120,7 @@ func (f *follower) stream(ctx context.Context) error {
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
 	defer stop()
 
-	sub := wire.Subscribe{ID: f.id, Epoch: f.appliedEpoch.Load(), Rev: f.appliedRev.Load()}
+	sub := wire.Subscribe{ID: f.id, Epoch: f.qs.Epoch(), Rev: f.qs.Rev()}
 	if err := conn.SetWriteDeadline(time.Now().Add(f.reqTimeout)); err != nil {
 		return err
 	}
@@ -135,91 +134,87 @@ func (f *follower) stream(ctx context.Context) error {
 	}
 	br := bufio.NewReaderSize(conn, 32<<10)
 	var scratch []byte
-	for {
+	for first := true; ; first = false {
 		t, payload, buf, err := wire.ReadFrameInto(br, scratch)
 		scratch = buf
 		if err != nil {
 			return err
 		}
-		f.connected.Store(true)
-		f.framesApplied.Add(1)
-		f.bytesApplied.Add(uint64(wire.HeaderSize + len(payload)))
-		switch t {
-		case wire.TypeSnapshotFrame:
-			sf, err := wire.DecodeSnapshotFrame(payload)
-			if err != nil {
-				return err
-			}
-			if err := f.applySnapshot(sf); err != nil {
-				return err
-			}
-		case wire.TypeDirDelta:
-			delta, err := wire.DecodeDirDelta(payload)
-			if err != nil {
-				return err
-			}
-			for i := range delta.Upserts {
-				u := &delta.Upserts[i]
-				f.qs.applyReplicated(u.Addr, u.Out, u.In, u.Epoch)
-			}
-		case wire.TypeError:
+		if t == wire.TypeError {
 			if e, err := wire.DecodeError(payload); err == nil {
 				return e
 			}
 			return fmt.Errorf("server: leader rejected subscription")
+		}
+		// The stream was never versioned: a leader whose first frame is
+		// not a Model predates the Model/RegisterHost stream.
+		if first && t != wire.TypeModel {
+			return fmt.Errorf("server: leader opened the replication stream with %v, not Model: "+
+				"it predates this follower's stream format; upgrade the leader and its followers together", t)
+		}
+		f.connected.Store(true)
+		f.framesApplied.Add(1)
+		f.bytesApplied.Add(uint64(wire.HeaderSize + len(payload)))
+		switch t {
+		case wire.TypeModel:
+			m, err := wire.DecodeModel(payload)
+			if err != nil {
+				return err
+			}
+			if err := f.applyModel(m); err != nil {
+				return err
+			}
+		case wire.TypeRegisterHost:
+			reg, err := wire.DecodeRegisterHost(payload)
+			if err != nil {
+				return err
+			}
+			f.qs.applyReplicated(reg)
 		default:
 			// Forward compatibility: ignore unknown stream frames.
 		}
 	}
 }
 
-// applySnapshot rebuilds a core.Model from one streamed frame and
-// installs it with the same ordering as a local fit: directory epoch →
-// engine → served snapshot → k-NN index rebuild. Frames at or behind
-// the applied position are skipped (a resubscription replays the
-// leader's current state; applying it twice would churn the engine for
-// nothing), except when nothing is installed yet.
-func (f *follower) applySnapshot(sf *wire.SnapshotFrame) error {
-	if sf.Epoch == 0 {
+// applyModel rebuilds a core.Model from one streamed Model and installs
+// it with the same ordering as a local fit: directory epoch → engine →
+// served snapshot → k-NN index rebuild. Models at or behind the served
+// position are skipped (a resubscription replays the leader's current
+// state; applying it twice would churn the engine for nothing).
+func (f *follower) applyModel(m *wire.Model) error {
+	if m.Epoch == 0 {
 		// Bare subscription ack: the leader has not fit a model yet.
 		return nil
 	}
-	curE, curR := f.appliedEpoch.Load(), f.appliedRev.Load()
-	if f.qs.served() != nil && (sf.Epoch < curE || (sf.Epoch == curE && sf.Rev <= curR)) {
+	if st := f.qs.served(); st != nil && (m.Epoch < st.snap.Epoch || (m.Epoch == st.snap.Epoch && m.Rev <= st.snap.Rev)) {
 		return nil
 	}
-	dim := int(sf.Dim)
-	n := len(sf.Landmarks)
+	dim := int(m.Dim)
+	n := len(m.Landmarks)
 	if dim <= 0 || n == 0 {
-		return fmt.Errorf("server: snapshot frame with %d landmarks, dim %d", n, dim)
+		return fmt.Errorf("server: replicated model with %d landmarks, dim %d", n, dim)
 	}
+	alg, err := core.ParseAlgorithm(m.Algorithm)
+	if err != nil {
+		return fmt.Errorf("server: replicated model: %w", err)
+	}
+	model := &core.Model{X: mat.NewDense(n, dim), Y: mat.NewDense(n, dim), Algorithm: alg}
 	addrs := make([]string, n)
 	index := make(map[string]int, n)
-	xdata := make([]float64, 0, n*dim)
-	ydata := make([]float64, 0, n*dim)
-	for i := range sf.Landmarks {
-		l := &sf.Landmarks[i]
+	for i, l := range m.Landmarks {
 		if len(l.Out) != dim || len(l.In) != dim {
-			return fmt.Errorf("server: snapshot frame landmark %q has vector dims %d/%d, want %d",
+			return fmt.Errorf("server: replicated model landmark %q has vector dims %d/%d, want %d",
 				l.Addr, len(l.Out), len(l.In), dim)
 		}
+		model.X.SetRow(i, l.Out)
+		model.Y.SetRow(i, l.In)
 		addrs[i] = l.Addr
 		index[l.Addr] = i
-		xdata = append(xdata, l.Out...)
-		ydata = append(ydata, l.In...)
 	}
-	model := &core.Model{
-		X:         mat.NewDenseData(n, dim, xdata),
-		Y:         mat.NewDenseData(n, dim, ydata),
-		Algorithm: algorithmFromString(sf.Algorithm),
-	}
-	snap := &lifecycle.Snapshot{Epoch: sf.Epoch, Rev: sf.Rev, Model: model}
-	f.qs.Install(snap, addrs, index)
-	f.appliedEpoch.Store(sf.Epoch)
-	f.appliedRev.Store(sf.Rev)
-	if sf.Rev == 0 {
+	f.qs.Install(&lifecycle.Snapshot{Epoch: m.Epoch, Rev: m.Rev, Model: model}, addrs, index)
+	if m.Rev == 0 {
 		f.logf("replicated model epoch %d: %d landmarks, d=%d, algorithm=%s",
-			sf.Epoch, n, dim, sf.Algorithm)
+			m.Epoch, n, dim, m.Algorithm)
 	}
 	return nil
 }
@@ -244,23 +239,13 @@ func (f *follower) forward(t wire.MsgType, payload, dst []byte) (wire.MsgType, [
 // forwardRegister relays a registration and, on success, applies it
 // locally right away so the registering client's next read on this
 // follower already resolves it — read-your-writes without waiting for
-// the leader's DirDelta to come around (which then applies idempotently).
+// the leader's stream to echo it back (which then applies idempotently).
 func (f *follower) forwardRegister(payload, dst []byte) (wire.MsgType, []byte) {
 	t, out := f.forward(wire.TypeRegisterHost, payload, dst)
 	if t == wire.TypeAck {
 		if reg, err := wire.DecodeRegisterHost(payload); err == nil {
-			f.qs.applyReplicated(reg.Addr, reg.Out, reg.In, reg.Epoch)
+			f.qs.applyReplicated(reg)
 		}
 	}
 	return t, out
-}
-
-// algorithmFromString maps a wire algorithm name back to the enum;
-// unknown names fall back to SVD (the zero value, matching an absent
-// field from an older peer).
-func algorithmFromString(s string) core.Algorithm {
-	if s == core.NMF.String() {
-		return core.NMF
-	}
-	return core.SVD
 }

@@ -89,10 +89,11 @@ func (s *Server) dispatchTo(t wire.MsgType, payload, dst []byte) (wire.MsgType, 
 // handleGetModel serves the current model, waiting for a first one when
 // none exists yet — for a fit run by the refitter goroutine on a leader,
 // or for the replication stream to deliver one on a follower. Never
-// blocks once any generation has been installed.
+// blocks once any generation has been installed. The reply is the bytes
+// Install encoded, so a follower answers with its leader's payload.
 func (s *Server) handleGetModel(dst []byte) (wire.MsgType, []byte) {
 	st := s.qs.served()
-	if st == nil || st.snap.Model == nil {
+	if st == nil {
 		ctx, cancel := context.WithTimeout(context.Background(), s.cfg.RequestTimeout)
 		defer cancel()
 		if s.refit != nil {
@@ -102,27 +103,11 @@ func (s *Server) handleGetModel(dst []byte) (wire.MsgType, []byte) {
 		} else if err := s.qs.waitReady(ctx); err != nil {
 			return wire.AppendError(dst, wire.CodeModelNotFit, err.Error())
 		}
-		if st = s.qs.served(); st == nil || st.snap.Model == nil {
+		if st = s.qs.served(); st == nil {
 			return wire.AppendError(dst, wire.CodeModelNotFit, "no model published")
 		}
 	}
-	model := st.snap.Model
-	msg := &wire.Model{
-		Dim:       uint32(model.Dim()),
-		Algorithm: model.Algorithm.String(),
-		Epoch:     st.snap.Epoch,
-		Landmarks: make([]wire.LandmarkVec, len(st.addrs)),
-	}
-	for i, addr := range st.addrs {
-		// Vector storage is shared with the model, which is immutable;
-		// Encode only reads it.
-		msg.Landmarks[i] = wire.LandmarkVec{
-			Addr: addr,
-			Out:  model.Outgoing(i),
-			In:   model.Incoming(i),
-		}
-	}
-	return wire.TypeModel, msg.Encode(dst)
+	return wire.TypeModel, append(dst, st.model...)
 }
 
 // handleReport is the write side: relayed to the leader on a follower;

@@ -40,7 +40,7 @@ func newServerMetrics(reg *telemetry.Registry, s *Server) *serverMetrics {
 		"Live registered hosts in the directory.",
 		func() float64 { return float64(s.qs.dir.Len()) })
 	reg.GaugeFunc("ides_model_epoch",
-		"Epoch of the served model (0 before the first fit or replicated snapshot).",
+		"Epoch of the served model (0 before the first fit or replicated model).",
 		func() float64 { return float64(s.qs.Epoch()) })
 	reg.GaugeFunc("ides_model_rev",
 		"Revision of the served model within its epoch.",
@@ -72,7 +72,7 @@ func newServerMetrics(reg *telemetry.Registry, s *Server) *serverMetrics {
 			"Followers currently subscribed to the replication stream.",
 			func() float64 { return float64(r.subscribers()) })
 		reg.CounterFunc("ides_repl_frames_sent_total",
-			"Replication frames streamed to followers.",
+			"Replication frames streamed to followers (frames, not writes).",
 			func() float64 { return float64(r.framesSent.Load()) })
 		reg.CounterFunc("ides_repl_bytes_sent_total",
 			"Replication stream bytes written to followers.",
@@ -90,12 +90,6 @@ func newServerMetrics(reg *telemetry.Registry, s *Server) *serverMetrics {
 				}
 				return 0
 			})
-		reg.GaugeFunc("ides_repl_applied_epoch",
-			"Epoch of the last replicated snapshot applied locally.",
-			func() float64 { return float64(f.appliedEpoch.Load()) })
-		reg.GaugeFunc("ides_repl_applied_rev",
-			"Revision of the last replicated snapshot applied locally.",
-			func() float64 { return float64(f.appliedRev.Load()) })
 		reg.CounterFunc("ides_repl_frames_applied_total",
 			"Replication stream frames consumed from the leader.",
 			func() float64 { return float64(f.framesApplied.Load()) })

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -15,12 +16,34 @@ import (
 // servedState is one immutable generation of served model state: the
 // published snapshot plus the landmark addresses its rows belong to. A
 // leader's addresses come from Config.Landmarks; a follower's arrive in
-// each SnapshotFrame. Handlers that grab one state (or the engine built
-// over it) work against a single generation for their whole request.
+// each replicated Model. Handlers that grab one state (or the engine
+// built over it) work against a single generation for their whole
+// request.
 type servedState struct {
 	snap  *lifecycle.Snapshot
 	addrs []string
 	index map[string]int
+	// model is the generation as a Model payload, encoded once at
+	// Install: GetModel appends it and the replication stream frames it.
+	model []byte
+}
+
+// encodeModel encodes a snapshot and its landmark addresses as a Model
+// payload, the package's one conversion of a model to the wire. Vector
+// storage is shared with the model, which is immutable; Encode only
+// reads it.
+func encodeModel(snap *lifecycle.Snapshot, addrs []string) []byte {
+	msg := &wire.Model{
+		Dim:       uint32(snap.Model.Dim()),
+		Algorithm: snap.Model.Algorithm.String(),
+		Epoch:     snap.Epoch,
+		Rev:       snap.Rev,
+		Landmarks: make([]wire.LandmarkVec, len(addrs)),
+	}
+	for i, addr := range addrs {
+		msg.Landmarks[i] = wire.LandmarkVec{Addr: addr, Out: snap.Model.Outgoing(i), In: snap.Model.Incoming(i)}
+	}
+	return msg.Encode(nil)
 }
 
 // QueryService is the read side of the server: the host directory, the
@@ -40,10 +63,12 @@ type QueryService struct {
 	ready     chan struct{}
 	readyOnce sync.Once
 
-	// onRegister, when set, observes every registration accepted through
-	// handleRegister — the leader's hook for streaming directory deltas
-	// to followers. Runs on the request goroutine after the Put.
-	onRegister func(reg *wire.RegisterHost)
+	// onRegister, when set, observes the payload of every registration
+	// accepted through handleRegister — the leader's hook for streaming
+	// it to followers. Runs on the request goroutine after the Put; the
+	// payload aliases the connection's read buffer and is only valid
+	// until it returns.
+	onRegister func(payload []byte)
 
 	maxKNN, maxBatch int
 	// Pre-model GetInfo defaults (a fitted model overrides all three).
@@ -74,7 +99,7 @@ func newQueryService(dir *query.Directory, cfg Config) *QueryService {
 // ever mixing vectors from two fits.
 func (q *QueryService) setEngine(st *servedState) {
 	q.engine.Store(query.NewEngine(q.dir, func(addr string) (core.Vectors, bool) {
-		if st == nil || st.snap.Model == nil {
+		if st == nil {
 			return core.Vectors{}, false
 		}
 		i, ok := st.index[addr]
@@ -88,7 +113,8 @@ func (q *QueryService) setEngine(st *servedState) {
 // Install swaps every per-generation consumer over to a freshly published
 // snapshot. On a leader it runs on the refitter's loop goroutine just
 // before the snapshot becomes visible; on a follower, on the replication
-// stream goroutine as each SnapshotFrame arrives. For a full fit (Rev 0)
+// stream goroutine as each Model arrives. Either way the generation is
+// encoded as a Model payload here, once. For a full fit (Rev 0)
 // ordering matters: the directory epoch advances first — vectors solved
 // against the old model stop resolving — and only then does the engine
 // start serving the new landmark vectors, so no query ever dots vectors
@@ -96,7 +122,7 @@ func (q *QueryService) setEngine(st *servedState) {
 // with it every registered host vector: only the engine's landmark
 // resolver swaps to the refreshed model.
 func (q *QueryService) Install(snap *lifecycle.Snapshot, addrs []string, index map[string]int) {
-	st := &servedState{snap: snap, addrs: addrs, index: index}
+	st := &servedState{snap: snap, addrs: addrs, index: index, model: encodeModel(snap, addrs)}
 	if snap.Rev == 0 {
 		q.dir.AdvanceEpoch(snap.Epoch)
 	}
@@ -150,7 +176,7 @@ func (q *QueryService) handleGetInfo(dst []byte) (wire.MsgType, []byte) {
 		NumLandmarks: uint32(q.defLandmarks),
 		Algorithm:    q.defAlgo.String(),
 	}
-	if st := q.served(); st != nil && st.snap.Model != nil {
+	if st := q.served(); st != nil {
 		info.ModelReady = true
 		info.Epoch = st.snap.Epoch
 		info.Dim = uint32(st.snap.Model.Dim())
@@ -170,7 +196,7 @@ func (q *QueryService) handleRegister(payload, dst []byte) (wire.MsgType, []byte
 	}
 	var cur uint64
 	want := q.defDim
-	if st := q.served(); st != nil && st.snap.Model != nil {
+	if st := q.served(); st != nil {
 		cur = st.snap.Epoch
 		want = st.snap.Model.Dim()
 	}
@@ -192,24 +218,40 @@ func (q *QueryService) handleRegister(payload, dst []byte) (wire.MsgType, []byte
 		return wire.AppendError(dst, wire.CodeBadRequest,
 			fmt.Sprintf("vector dimension %d/%d, want %d", len(reg.Out), len(reg.In), want))
 	}
+	// A NaN or infinite coordinate would make this host every querier's
+	// nearest neighbour (or nobody's) and split the k-NN index from the
+	// exact scan. The leader is the directory's only writer, so refusing
+	// it here keeps it off every follower too.
+	if !finite(reg.Out) || !finite(reg.In) {
+		return wire.AppendError(dst, wire.CodeBadRequest, "non-finite vector coordinate")
+	}
 	// The directory shard-locks internally; expiry of stale entries is
 	// amortized into its per-shard sweeps, so registration is O(1).
 	q.dir.PutEpoch(reg.Addr, core.Vectors{Out: reg.Out, In: reg.In}, reg.Epoch)
 	if q.onRegister != nil {
-		q.onRegister(reg)
+		q.onRegister(payload)
 	}
 	return wire.TypeAck, dst
 }
 
-// applyReplicated installs one directory upsert streamed from the
-// leader. No epoch-staleness validation: the leader already validated
-// the registration, and the directory's own epoch filtering makes an
-// entry from a generation this follower has left behind read as absent.
-func (q *QueryService) applyReplicated(addr string, out, in []float64, epoch uint64) {
-	if addr == "" || len(out) != len(in) {
+func finite(v []float64) bool {
+	for _, x := range v {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// applyReplicated installs one registration the leader accepted. No
+// epoch-staleness validation: the leader already validated it, and the
+// directory's own epoch filtering makes an entry from a generation this
+// follower has left behind read as absent.
+func (q *QueryService) applyReplicated(reg *wire.RegisterHost) {
+	if reg.Addr == "" || len(reg.Out) != len(reg.In) {
 		return
 	}
-	q.dir.PutEpoch(addr, core.Vectors{Out: out, In: in}, epoch)
+	q.dir.PutEpoch(reg.Addr, core.Vectors{Out: reg.Out, In: reg.In}, reg.Epoch)
 }
 
 func (q *QueryService) handleGetVectors(payload, dst []byte) (wire.MsgType, []byte) {

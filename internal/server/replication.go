@@ -8,55 +8,59 @@ import (
 	"time"
 
 	"github.com/ides-go/ides/internal/core"
-	"github.com/ides-go/ides/internal/lifecycle"
 	"github.com/ides-go/ides/internal/telemetry"
 	"github.com/ides-go/ides/internal/wire"
 )
 
 // replicator is the leader side of the replication tier: a hub of
-// subscribed followers, each fed every published snapshot and every
-// accepted registration as pre-encoded wire frames. Publication never
-// blocks on a slow follower — a subscriber whose send queue fills is
-// dropped and resyncs from scratch on reconnect, which is always safe
-// because snapshots are self-contained and directory upserts are
-// idempotent.
+// subscribed followers, each fed every installed model and every
+// accepted registration as the Model and RegisterHost frames a client
+// already speaks. Publication never blocks on a slow follower — a
+// subscriber whose send queue fills is dropped and resyncs from scratch
+// on reconnect, which is always safe because a Model is self-contained
+// and a registration is idempotent.
 type replicator struct {
-	srv *Server
+	qs *QueryService
 
 	mu   sync.Mutex
 	subs map[*subscriber]struct{}
 
+	// framesSent counts frames, not writes: an initial sync batches 256
+	// registrations to a write, and the follower counts each one.
 	framesSent atomic.Uint64
 	bytesSent  atomic.Uint64
-	// curEpoch/curRev track the latest published snapshot for the
-	// per-follower lag gauge.
-	curEpoch atomic.Uint64
-	curRev   atomic.Uint64
 
 	// lag, when metrics are enabled, exports each subscriber's publish
 	// lag in revisions, labelled by the follower's self-reported ID.
 	lag *telemetry.GaugeVec
 }
 
+// streamFrame is one queued frame. st is the generation a Model frame
+// carries, nil for a registration.
+type streamFrame struct {
+	buf []byte
+	st  *servedState
+}
+
 // subscriber is one follower's stream state. The serving goroutine owns
 // the conn; publishers only touch ch and quit.
 type subscriber struct {
 	id   string
-	ch   chan []byte
+	ch   chan streamFrame
 	quit chan struct{}
 	once sync.Once
-	// sentEpoch/sentRev record the last snapshot position written to the
-	// conn, feeding the leader-side lag gauge.
-	sentEpoch atomic.Uint64
-	sentRev   atomic.Uint64
 }
+
+// modelAck is a stream's first frame when nothing has been fit yet: a
+// Model at epoch 0 with no landmarks, which a follower skips.
+var modelAck = wire.AppendFrame(nil, wire.TypeModel, (&wire.Model{}).Encode(nil))
 
 // drop marks the subscriber dead; its serving goroutine tears the
 // connection down and the follower resubscribes.
 func (sb *subscriber) drop() { sb.once.Do(func() { close(sb.quit) }) }
 
-func newReplicator(s *Server) *replicator {
-	return &replicator{srv: s, subs: make(map[*subscriber]struct{})}
+func newReplicator(qs *QueryService) *replicator {
+	return &replicator{qs: qs, subs: make(map[*subscriber]struct{})}
 }
 
 func (r *replicator) add(sb *subscriber) {
@@ -80,87 +84,57 @@ func (r *replicator) subscribers() int {
 	return len(r.subs)
 }
 
-// broadcast enqueues one pre-encoded frame to every subscriber. The
-// frame is shared read-only. A subscriber too slow to drain its queue is
+// broadcast frames one message — st is the generation a Model carries,
+// nil for a registration — and queues it for every subscriber, sharing
+// the frame read-only. A subscriber too slow to drain its queue is
 // dropped rather than letting it stall publication for everyone else.
-func (r *replicator) broadcast(frame []byte) {
+func (r *replicator) broadcast(t wire.MsgType, payload []byte, st *servedState) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.subs) == 0 {
+		return
+	}
+	f := streamFrame{buf: wire.AppendFrame(nil, t, payload), st: st}
 	for sb := range r.subs {
 		select {
-		case sb.ch <- frame:
+		case sb.ch <- f:
 		default:
 			sb.drop()
 		}
 	}
-	r.mu.Unlock()
 }
 
-// publishSnapshot streams a freshly installed snapshot to every
-// follower. Runs on the refitter's loop goroutine right after the local
-// install, so followers observe publications in install order.
-func (r *replicator) publishSnapshot(snap *lifecycle.Snapshot, addrs []string) {
-	r.curEpoch.Store(snap.Epoch)
-	r.curRev.Store(snap.Rev)
-	if r.subscribers() == 0 {
-		return
-	}
-	r.broadcast(wire.AppendFrame(nil, wire.TypeSnapshotFrame, encodeSnapshot(nil, snap, addrs)))
+// publishModel streams a freshly installed generation to every follower.
+// Runs on the refitter's loop goroutine right after the local install,
+// so followers observe publications in install order.
+func (r *replicator) publishModel(st *servedState) { r.broadcast(wire.TypeModel, st.model, st) }
+
+// publishRegister streams one accepted registration's payload. Runs on
+// the request goroutine that handled the RegisterHost, after the
+// directory Put; the payload aliases that connection's read buffer, and
+// broadcast frames — copies — it before this returns.
+func (r *replicator) publishRegister(payload []byte) {
+	r.broadcast(wire.TypeRegisterHost, payload, nil)
 }
 
-// publishRegister streams one accepted registration. Runs on the request
-// goroutine that handled the RegisterHost, after the directory Put.
-func (r *replicator) publishRegister(reg *wire.RegisterHost) {
-	if r.subscribers() == 0 {
-		return
+// lagRevs estimates how many revisions behind a stream whose last
+// written Model was sent is: 0 when that is the served generation, the
+// same-epoch revision distance otherwise, and the full distance-plus-one
+// when the stream is still on an older epoch (a whole generation
+// behind).
+func (r *replicator) lagRevs(sent *servedState) float64 {
+	cur := r.qs.served()
+	switch {
+	case cur == nil || sent == cur:
+		return 0
+	case sent != nil && sent.snap.Epoch == cur.snap.Epoch:
+		return float64(cur.snap.Rev - sent.snap.Rev)
 	}
-	delta := wire.DirDelta{
-		Epoch: r.srv.qs.dir.Epoch(),
-		Upserts: []wire.DirUpsert{
-			{Addr: reg.Addr, Out: reg.Out, In: reg.In, Epoch: reg.Epoch},
-		},
-	}
-	r.broadcast(wire.AppendFrame(nil, wire.TypeDirDelta, delta.Encode(nil)))
-}
-
-// encodeSnapshot encodes a snapshot and its landmark addresses as a
-// SnapshotFrame payload. Vector storage is shared with the model, which
-// is immutable; Encode only reads it.
-func encodeSnapshot(dst []byte, snap *lifecycle.Snapshot, addrs []string) []byte {
-	sf := wire.SnapshotFrame{
-		Epoch:     snap.Epoch,
-		Rev:       snap.Rev,
-		Dim:       uint32(snap.Model.Dim()),
-		Algorithm: snap.Model.Algorithm.String(),
-		Landmarks: make([]wire.LandmarkVec, len(addrs)),
-	}
-	for i, addr := range addrs {
-		sf.Landmarks[i] = wire.LandmarkVec{
-			Addr: addr,
-			Out:  snap.Model.Outgoing(i),
-			In:   snap.Model.Incoming(i),
-		}
-	}
-	return sf.Encode(dst)
-}
-
-// lagRevs estimates how many revisions behind sb's stream is: 0 when its
-// last written frame matches the published position, the same-epoch
-// revision distance otherwise, and the full distance-plus-one when the
-// follower is still on an older epoch (a whole generation behind).
-func (r *replicator) lagRevs(sb *subscriber) float64 {
-	epoch, rev := r.curEpoch.Load(), r.curRev.Load()
-	if sb.sentEpoch.Load() == epoch {
-		sent := sb.sentRev.Load()
-		if sent >= rev {
-			return 0
-		}
-		return float64(rev - sent)
-	}
-	return float64(rev + 1)
+	return float64(cur.snap.Rev + 1)
 }
 
 // serveSubscriber owns a follower connection after its Subscribe frame:
-// initial sync (current snapshot, then the full directory in batches),
+// initial sync (the served model, then the full directory in batches),
 // then the live feed. Called from the frontend's connection goroutine.
 func (s *Server) serveSubscriber(ctx context.Context, conn net.Conn, payload []byte) {
 	sub, err := wire.DecodeSubscribe(payload)
@@ -174,8 +148,10 @@ func (s *Server) serveSubscriber(ctx context.Context, conn net.Conn, payload []b
 	}
 	s.logf("follower %q subscribed from %v (at epoch %d rev %d)", sub.ID, conn.RemoteAddr(), sub.Epoch, sub.Rev)
 	sb := &subscriber{
-		id:   sub.ID,
-		ch:   make(chan []byte, 256),
+		id: sub.ID,
+		// Room for a burst of registrations (or the ones racing the
+		// initial sync) before a follower counts as too slow.
+		ch:   make(chan streamFrame, 256),
 		quit: make(chan struct{}),
 	}
 	s.repl.add(sb)
@@ -199,53 +175,44 @@ func (s *Server) serveSubscriber(ctx context.Context, conn net.Conn, payload []b
 		}
 	}()
 
-	write := func(frame []byte, epoch, rev uint64, isSnap bool) bool {
+	// sent is the last generation whose Model this stream wrote.
+	var sent *servedState
+	write := func(buf []byte, frames int, st *servedState) bool {
 		if err := conn.SetWriteDeadline(time.Now().Add(s.cfg.RequestTimeout)); err != nil {
 			return false
 		}
-		if _, err := conn.Write(frame); err != nil {
+		if _, err := conn.Write(buf); err != nil {
 			s.logf("replication write to follower %q: %v", sub.ID, err)
 			return false
 		}
-		s.repl.framesSent.Add(1)
-		s.repl.bytesSent.Add(uint64(len(frame)))
-		if isSnap {
-			sb.sentEpoch.Store(epoch)
-			sb.sentRev.Store(rev)
+		s.repl.framesSent.Add(uint64(frames))
+		s.repl.bytesSent.Add(uint64(len(buf)))
+		if st != nil {
+			sent = st
 		}
 		if s.repl.lag != nil {
-			s.repl.lag.With(sb.id).Set(s.repl.lagRevs(sb))
+			s.repl.lag.With(sb.id).Set(s.repl.lagRevs(sent))
 		}
 		return true
 	}
 
-	// Initial sync: the current snapshot (or a bare ack when nothing has
+	// Initial sync: the served model (or the bare ack when nothing has
 	// been fit), then every live directory entry. Publications racing the
-	// sync land in sb.ch and apply after it — possibly duplicating an
-	// upsert, never losing one; upserts are idempotent.
-	var first []byte
-	if st := s.qs.served(); st != nil && st.snap.Model != nil {
-		first = wire.AppendFrame(nil, wire.TypeSnapshotFrame, encodeSnapshot(nil, st.snap, st.addrs))
-		if !write(first, st.snap.Epoch, st.snap.Rev, true) {
-			return
-		}
-	} else {
-		first = wire.AppendFrame(nil, wire.TypeSnapshotFrame, (&wire.SnapshotFrame{}).Encode(nil))
-		if !write(first, 0, 0, false) {
-			return
-		}
+	// sync land in sb.ch and apply after it — possibly repeating a model
+	// or a registration, never losing one; the follower skips a model it
+	// already serves, and registrations are idempotent.
+	st, first := s.qs.served(), modelAck
+	if st != nil {
+		first = wire.AppendFrame(nil, wire.TypeModel, st.model)
 	}
-	if !s.syncDirectory(write) {
+	if !write(first, 1, st) || !s.syncDirectory(write) {
 		return
 	}
 
 	for {
 		select {
-		case frame := <-sb.ch:
-			// Snapshot positions for the lag gauge ride in the frame
-			// header's type byte: decode lazily only for snapshot frames.
-			epoch, rev, isSnap := snapshotFramePos(frame)
-			if !write(frame, epoch, rev, isSnap) {
+		case f := <-sb.ch:
+			if !write(f.buf, 1, f.st) {
 				return
 			}
 		case <-sb.quit:
@@ -259,40 +226,25 @@ func (s *Server) serveSubscriber(ctx context.Context, conn net.Conn, payload []b
 	}
 }
 
-// snapshotFramePos extracts the (epoch, rev) stamp from an encoded
-// SnapshotFrame wire frame; ok is false for any other frame type.
-func snapshotFramePos(frame []byte) (epoch, rev uint64, ok bool) {
-	if len(frame) < wire.HeaderSize+16 || wire.MsgType(frame[3]) != wire.TypeSnapshotFrame {
-		return 0, 0, false
-	}
-	sf, err := wire.DecodeSnapshotFrame(frame[wire.HeaderSize:])
-	if err != nil {
-		return 0, 0, false
-	}
-	return sf.Epoch, sf.Rev, true
-}
-
-// syncDirectory streams the whole live directory as DirDelta batches.
-func (s *Server) syncDirectory(write func(frame []byte, epoch, rev uint64, isSnap bool) bool) bool {
+// syncDirectory streams the whole live directory as RegisterHost frames,
+// 256 to a write, so n hosts cost ⌈n/256⌉ writes rather than n.
+func (s *Server) syncDirectory(write func(buf []byte, frames int, st *servedState) bool) bool {
 	const batch = 256
-	delta := wire.DirDelta{
-		Epoch:   s.qs.dir.Epoch(),
-		Upserts: make([]wire.DirUpsert, 0, batch),
-	}
-	ok := true
+	var buf, payload []byte
+	frames := 0
 	flush := func() bool {
-		if len(delta.Upserts) == 0 {
+		if frames == 0 {
 			return true
 		}
-		frame := wire.AppendFrame(nil, wire.TypeDirDelta, delta.Encode(nil))
-		delta.Upserts = delta.Upserts[:0]
-		return write(frame, 0, 0, false)
+		ok := write(buf, frames, nil)
+		buf, frames = buf[:0], 0
+		return ok
 	}
+	ok := true
 	s.qs.dir.RangeEpoch(func(addr string, vec core.Vectors, epoch uint64) bool {
-		delta.Upserts = append(delta.Upserts, wire.DirUpsert{
-			Addr: addr, Out: vec.Out, In: vec.In, Epoch: epoch,
-		})
-		if len(delta.Upserts) == batch {
+		payload = (&wire.RegisterHost{Addr: addr, Out: vec.Out, In: vec.In, Epoch: epoch}).Encode(payload[:0])
+		buf = wire.AppendFrame(buf, wire.TypeRegisterHost, payload)
+		if frames++; frames == batch {
 			ok = flush()
 		}
 		return ok

@@ -1,16 +1,22 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"fmt"
+	"io"
 	"math"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/ides-go/ides/internal/core"
+	"github.com/ides-go/ides/internal/query"
+	"github.com/ides-go/ides/internal/solve"
 	"github.com/ides-go/ides/internal/wire"
 )
 
@@ -141,7 +147,7 @@ func TestFollowerReplication(t *testing.T) {
 	if typ, _ := leader.dispatch(wire.TypeRegisterHost, reg.Encode(nil)); typ != wire.TypeAck {
 		t.Fatal("leader register failed")
 	}
-	waitCond(t, 5*time.Second, "live DirDelta", func() bool {
+	waitCond(t, 5*time.Second, "live registration", func() bool {
 		typ, payload := f.dispatch(wire.TypeGetVectors, (&wire.GetVectors{Addr: "live-host"}).Encode(nil))
 		if typ != wire.TypeVectors {
 			return false
@@ -179,13 +185,190 @@ func TestFollowerReplication(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ls := leader.ReplicationStats()
-	if ls.Role != RoleLeader || ls.Subscribers != 1 || ls.FramesSent == 0 || ls.BytesSent == 0 {
-		t.Fatalf("leader replication stats %+v", ls)
+	r := leader.repl
+	if r.subscribers() != 1 || r.framesSent.Load() == 0 || r.bytesSent.Load() == 0 {
+		t.Fatalf("leader replication: %d subscribers, %d frames, %d bytes sent",
+			r.subscribers(), r.framesSent.Load(), r.bytesSent.Load())
 	}
-	fs := f.ReplicationStats()
-	if fs.Role != RoleFollower || !fs.Connected || fs.AppliedEpoch != epoch || fs.FramesApplied == 0 {
-		t.Fatalf("follower replication stats %+v", fs)
+	fl := f.follower
+	if !fl.connected.Load() || f.LifecycleStats().Epoch != epoch || fl.framesApplied.Load() == 0 {
+		t.Fatalf("follower replication: connected %v, epoch %d (want %d), %d frames applied",
+			fl.connected.Load(), f.LifecycleStats().Epoch, epoch, fl.framesApplied.Load())
+	}
+}
+
+// TestFollowerModelIsLeaders: the stream carries the leader's Model
+// payload and the follower installs it through the same encoder, so at
+// every (epoch, rev) — a fit, then three SGD revisions — the follower's
+// GetModel reply is the leader's, byte for byte, and carries the Rev.
+func TestFollowerModelIsLeaders(t *testing.T) {
+	lm := []string{"L1", "L2", "L3", "L4"}
+	leader, err := New(Config{
+		Landmarks:           lm,
+		Dim:                 3,
+		Seed:                1,
+		Solver:              solve.SGD,
+		RefitMinInterval:    time.Millisecond,
+		DriftEpochThreshold: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	d := [][]float64{{0, 10, 12, 21}, {10, 0, 20, 11}, {12, 20, 0, 13}, {21, 11, 13, 0}}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	report := func(scale float64) {
+		t.Helper()
+		for i, from := range lm {
+			rep := &wire.ReportRTT{From: from}
+			for j, to := range lm {
+				if i != j {
+					rep.Entries = append(rep.Entries, wire.RTTEntry{To: to, RTTMillis: d[i][j] * scale})
+				}
+			}
+			if typ, _ := leader.dispatch(wire.TypeReportRTT, rep.Encode(nil)); typ != wire.TypeAck {
+				t.Fatalf("report %d rejected", i)
+			}
+		}
+		if err := leader.Quiesce(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	report(1)
+	addr, stopLeader := serveReplTCP(t, leader)
+	defer stopLeader()
+	f := newTestFollower(t, addr, "f1")
+	defer f.Close()
+
+	var last uint64
+	for round := 0; round < 4; round++ {
+		if round > 0 {
+			report(1 + 0.02*float64(round))
+		}
+		ls := leader.LifecycleStats()
+		if ls.Epoch != 1 || (round > 0 && ls.Rev <= last) {
+			t.Fatalf("round %d: leader at (%d, %d) after rev %d, want a revision of epoch 1", round, ls.Epoch, ls.Rev, last)
+		}
+		last = ls.Rev
+		waitCond(t, 5*time.Second, fmt.Sprintf("follower at (%d, %d)", ls.Epoch, ls.Rev), func() bool {
+			fs := f.LifecycleStats()
+			return fs.Epoch == ls.Epoch && fs.Rev == ls.Rev
+		})
+		lt, want := leader.dispatch(wire.TypeGetModel, nil)
+		ft, got := f.dispatch(wire.TypeGetModel, nil)
+		if lt != wire.TypeModel || ft != wire.TypeModel || !bytes.Equal(got, want) {
+			t.Fatalf("(%d, %d): follower GetModel %v (%d B) differs from the leader's %v (%d B)",
+				ls.Epoch, ls.Rev, ft, len(got), lt, len(want))
+		}
+		if m, err := wire.DecodeModel(got); err != nil || m.Epoch != ls.Epoch || m.Rev != ls.Rev {
+			t.Fatalf("(%d, %d): follower model decodes to %+v %v", ls.Epoch, ls.Rev, m, err)
+		}
+	}
+}
+
+// countingConn counts Write calls on the conn it wraps.
+type countingConn struct {
+	net.Conn
+	writes atomic.Int64
+}
+
+func (c *countingConn) Write(b []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(b)
+}
+
+// TestSubscribeSyncBatchesRegistrations: the initial sync is the served
+// Model, then one RegisterHost frame per directory entry, 256 frames to
+// a write — n hosts cost ⌈n/256⌉ writes, not n — and the leader counts
+// frames, as the follower does, not writes.
+func TestSubscribeSyncBatchesRegistrations(t *testing.T) {
+	leader := ringLandmarks(t, core.SVD)
+	defer leader.Close()
+	const n = 600
+	registerRingHosts(t, leader, n)
+
+	srvEnd, cliEnd := net.Pipe()
+	conn := &countingConn{Conn: srvEnd}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		leader.serveSubscriber(ctx, conn, (&wire.Subscribe{ID: "f1"}).Encode(nil))
+	}()
+	defer func() {
+		cancel()
+		cliEnd.Close()
+		<-done
+	}()
+
+	typ, payload, err := wire.ReadFrame(cliEnd)
+	if err != nil || typ != wire.TypeModel {
+		t.Fatalf("first frame %v %v, want Model", typ, err)
+	}
+	if m, err := wire.DecodeModel(payload); err != nil || m.Epoch != leader.Epoch() {
+		t.Fatalf("first Model %+v %v, want epoch %d", m, err, leader.Epoch())
+	}
+	seen := make(map[string]bool, n)
+	for i := 0; i < n; i++ {
+		typ, payload, err := wire.ReadFrame(cliEnd)
+		if err != nil || typ != wire.TypeRegisterHost {
+			t.Fatalf("sync frame %d: %v %v, want RegisterHost", i, typ, err)
+		}
+		reg, err := wire.DecodeRegisterHost(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen[reg.Addr] = true
+	}
+	if len(seen) != n {
+		t.Fatalf("sync carried %d distinct hosts, want %d", len(seen), n)
+	}
+	if got, want := conn.writes.Load(), int64(1+(n+255)/256); got != want {
+		t.Fatalf("sync took %d writes, want %d (one Model, then 256 registrations a write)", got, want)
+	}
+	waitCond(t, 5*time.Second, "frames counted", func() bool { return leader.repl.framesSent.Load() == 1+n })
+}
+
+// TestFollowerRefusesPreModelLeader: the stream was never versioned, so
+// a leader whose first frame after Subscribe is not a Model (here the
+// retired 0x13 snapshot frame) predates it. The follower fails the
+// stream with an error that says so instead of serving nothing.
+func TestFollowerRefusesPreModelLeader(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		if _, _, err := wire.ReadFrame(c); err != nil {
+			return
+		}
+		wire.WriteFrame(c, wire.MsgType(0x13), make([]byte, 40)) //nolint:errcheck
+		io.Copy(io.Discard, c)                                   //nolint:errcheck
+	}()
+	f := &follower{
+		id:         "f1",
+		leader:     ln.Addr().String(),
+		dialer:     &net.Dialer{},
+		qs:         newQueryService(query.New(query.Config{}), Config{}),
+		reqTimeout: 5 * time.Second,
+		logf:       t.Logf,
+	}
+	// A follower that ignored the frame would wait on the stream forever.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	err = f.stream(ctx)
+	if err == nil || !strings.Contains(err.Error(), "upgrade the leader and its followers together") {
+		t.Fatalf("stream from a pre-Model leader returned %v", err)
+	}
+	if f.connected.Load() {
+		t.Fatal("a pre-Model leader counted as connected")
 	}
 }
 
@@ -215,7 +398,7 @@ func TestFollowerServesDuringLeaderLoss(t *testing.T) {
 	// Kill the leader: stop its listener and its pipeline.
 	stopLeader()
 	leader.Close()
-	waitCond(t, 5*time.Second, "stream loss detection", func() bool { return !f.ReplicationStats().Connected })
+	waitCond(t, 5*time.Second, "stream loss detection", func() bool { return !f.follower.connected.Load() })
 
 	// Reads still come from the pre-kill generation, locally.
 	for i := 0; i < 50; i++ {
@@ -273,8 +456,8 @@ func TestFollowerServesDuringLeaderLoss(t *testing.T) {
 	if err := f.WaitForEpoch(ctx, leader2.Epoch()); err != nil {
 		t.Fatal(err)
 	}
-	if !f.ReplicationStats().Connected || f.ReplicationStats().Reconnects == 0 {
-		t.Fatalf("follower stats after promotion: %+v", f.ReplicationStats())
+	if fl := f.follower; !fl.connected.Load() || fl.reconnects.Load() == 0 {
+		t.Fatalf("follower after promotion: connected %v, %d reconnects", fl.connected.Load(), fl.reconnects.Load())
 	}
 }
 

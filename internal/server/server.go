@@ -28,8 +28,9 @@
 // read-only QueryService (queryservice.go) over the directory and query
 // engine, and the write side: handleReport validating landmark reports
 // into a lifecycle.Refitter. The replication tier builds on that seam:
-// a leader (any server with a refitter — the default role) streams
-// published snapshots and directory changes to subscribed followers
+// a leader (any server with a refitter — the default role) streams every
+// installed model and accepted registration to subscribed followers as
+// the Model and RegisterHost messages clients already get
 // (replication.go), and a follower (Config.Role RoleFollower) runs only
 // the QueryService, applying the stream atomically and forwarding write
 // requests to the leader (follower.go). Followers answer all read
@@ -196,8 +197,8 @@ type Server struct {
 	// snapshots. Nil on followers, which consume its output over the
 	// replication stream instead.
 	refit *lifecycle.Refitter
-	// repl streams snapshots and directory deltas to subscribed
-	// followers. Nil on followers.
+	// repl streams installed models and accepted registrations to
+	// subscribed followers. Nil on followers.
 	repl *replicator
 	// follower replicates from LeaderAddr and forwards writes. Nil
 	// except in RoleFollower.
@@ -296,7 +297,7 @@ func New(cfg Config) (*Server, error) {
 			OnEvent:        s.onModelEvent,
 			OnError:        func(err error) { s.logf("background model update failed (will retry): %v", err) },
 		})
-		s.repl = newReplicator(s)
+		s.repl = newReplicator(s.qs)
 		s.qs.onRegister = s.repl.publishRegister
 	}
 	s.metrics = newServerMetrics(cfg.Metrics, s)
@@ -353,7 +354,9 @@ func (s *Server) installSnapshot(snap *lifecycle.Snapshot) {
 			snap.Epoch, len(s.cfg.Landmarks), snap.Model.Dim(), snap.Model.Algorithm)
 	}
 	s.qs.Install(snap, s.cfg.Landmarks, s.lmIndex)
-	s.repl.publishSnapshot(snap, s.cfg.Landmarks)
+	// Only this goroutine installs on a leader: served() is what
+	// Install just stored.
+	s.repl.publishModel(s.qs.served())
 }
 
 // Epoch returns the epoch of the model generation currently being
@@ -436,53 +439,6 @@ func (s *Server) WaitForEpoch(ctx context.Context, epoch uint64) error {
 			return fmt.Errorf("server: waiting for epoch %d (at %d): %w", epoch, s.qs.Epoch(), ctx.Err())
 		}
 	}
-}
-
-// ReplicationStats reports the replication tier's counters for whichever
-// side of it this server is on.
-type ReplicationStats struct {
-	// Role is the server's configured role.
-	Role Role
-	// Subscribers is the number of currently connected followers
-	// (leader side).
-	Subscribers int
-	// FramesSent/BytesSent count replication frames streamed to
-	// followers (leader side).
-	FramesSent uint64
-	BytesSent  uint64
-	// Connected reports whether the replication stream to the leader is
-	// live (follower side).
-	Connected bool
-	// AppliedEpoch/AppliedRev are the last replicated snapshot position
-	// applied locally (follower side).
-	AppliedEpoch uint64
-	AppliedRev   uint64
-	// FramesApplied/BytesApplied count stream frames consumed (follower
-	// side).
-	FramesApplied uint64
-	BytesApplied  uint64
-	// Reconnects counts stream re-establishment attempts after the
-	// initial subscription (follower side).
-	Reconnects uint64
-}
-
-// ReplicationStats returns the replication counters for this server.
-func (s *Server) ReplicationStats() ReplicationStats {
-	st := ReplicationStats{Role: s.cfg.Role}
-	if s.repl != nil {
-		st.Subscribers = s.repl.subscribers()
-		st.FramesSent = s.repl.framesSent.Load()
-		st.BytesSent = s.repl.bytesSent.Load()
-	}
-	if s.follower != nil {
-		st.Connected = s.follower.connected.Load()
-		st.AppliedEpoch = s.follower.appliedEpoch.Load()
-		st.AppliedRev = s.follower.appliedRev.Load()
-		st.FramesApplied = s.follower.framesApplied.Load()
-		st.BytesApplied = s.follower.bytesApplied.Load()
-		st.Reconnects = s.follower.reconnects.Load()
-	}
-	return st
 }
 
 func (s *Server) logf(format string, args ...interface{}) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -513,6 +514,49 @@ func TestRegisterWrongDimension(t *testing.T) {
 	werr, _ := wire.DecodeError(payload)
 	if werr.Code != wire.CodeBadRequest {
 		t.Fatalf("code %d", werr.Code)
+	}
+}
+
+// TestRegisterRefusesNonFiniteVectors: a host registering a NaN or
+// infinite coordinate is refused like a wrong dimension. Accepted, a
+// −Inf incoming vector made the attacker every querier's nearest
+// neighbour at −Inf ms on the exact scan, and split the k-NN index from
+// it.
+func TestRegisterRefusesNonFiniteVectors(t *testing.T) {
+	s := ringLandmarks(t, core.SVD)
+	defer s.Close()
+	hosts := registerRingHosts(t, s, 3)
+	model, err := s.Model()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := []float64{0.5, 1.5, 1.5, 2.5}
+	honest, err := model.SolveHost(d, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range []struct {
+		name string
+		x    float64
+	}{{"NaN", math.NaN()}, {"+Inf", math.Inf(1)}, {"-Inf", math.Inf(-1)}} {
+		in := append([]float64(nil), honest.In...)
+		in[0] = row.x
+		reg := &wire.RegisterHost{Addr: "evil" + row.name, Out: honest.Out, In: in}
+		typ, payload := s.dispatch(wire.TypeRegisterHost, reg.Encode(nil))
+		if typ != wire.TypeError {
+			t.Fatalf("%s coordinate: answered %v, want CodeBadRequest", row.name, typ)
+		}
+		if werr, _ := wire.DecodeError(payload); werr.Code != wire.CodeBadRequest {
+			t.Fatalf("%s coordinate: code %d, want CodeBadRequest", row.name, werr.Code)
+		}
+	}
+	typ, payload := s.dispatch(wire.TypeQueryKNN, (&wire.QueryKNN{From: hosts[0], K: 1}).Encode(nil))
+	nb, err := wire.DecodeNeighbors(payload)
+	if typ != wire.TypeNeighbors || err != nil || len(nb.Entries) != 1 {
+		t.Fatalf("QueryKNN answered %v %+v %v", typ, nb, err)
+	}
+	if got := nb.Entries[0].Addr; strings.HasPrefix(got, "evil") {
+		t.Fatalf("%s's nearest neighbour is the attacker %q at %v ms", hosts[0], got, nb.Entries[0].Millis)
 	}
 }
 

@@ -32,7 +32,7 @@ func FuzzReadFrame(f *testing.F) {
 }
 
 func FuzzDecodeModel(f *testing.F) {
-	f.Add((&Model{Dim: 3, Algorithm: "NMF", Epoch: 2, Landmarks: []LandmarkVec{
+	f.Add((&Model{Dim: 3, Algorithm: "NMF", Epoch: 2, Rev: 1, Landmarks: []LandmarkVec{
 		{Addr: "a", Out: []float64{1, 2, 3}, In: []float64{4, 5, 6}},
 	}}).Encode(nil))
 	f.Add([]byte{})
@@ -47,7 +47,7 @@ func FuzzDecodeModel(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		if out.Dim != m.Dim || len(out.Landmarks) != len(m.Landmarks) || out.Epoch != m.Epoch {
+		if out.Dim != m.Dim || len(out.Landmarks) != len(m.Landmarks) || out.Epoch != m.Epoch || out.Rev != m.Rev {
 			t.Fatal("model round-trip mismatch")
 		}
 	})

@@ -175,7 +175,8 @@ type LandmarkVec struct {
 	In   []float64
 }
 
-// Model carries the full landmark model to a client.
+// Model carries the full landmark model to a client, and to a follower
+// over the replication stream.
 type Model struct {
 	Dim       uint32
 	Algorithm string
@@ -184,6 +185,9 @@ type Model struct {
 	// the epoch of the model it solved against, and re-fetches when any
 	// later response is stamped with a different epoch.
 	Epoch uint64
+	// Rev counts the incremental revisions published within Epoch; 0 is
+	// the epoch's full fit.
+	Rev uint64
 }
 
 // Encode appends the message payload to dst.
@@ -197,7 +201,8 @@ func (m *Model) Encode(dst []byte) []byte {
 		dst = appendFloats(dst, l.Out)
 		dst = appendFloats(dst, l.In)
 	}
-	return binary.BigEndian.AppendUint64(dst, m.Epoch)
+	dst = binary.BigEndian.AppendUint64(dst, m.Epoch)
+	return binary.BigEndian.AppendUint64(dst, m.Rev)
 }
 
 // DecodeModel parses a Model payload.
@@ -205,6 +210,7 @@ func DecodeModel(b []byte) (*Model, error) {
 	r := NewReader(b)
 	m := &Model{Dim: r.Uint32(), Algorithm: r.String(), Landmarks: r.landmarkVecs()}
 	m.Epoch = r.OptUint64()
+	m.Rev = r.OptUint64()
 	return decoded(m, &r)
 }
 

@@ -167,9 +167,9 @@ func (r *Reader) FloatsView() Floats {
 // even when empty).
 func (r *Reader) Floats() []float64 { return r.FloatsView().Slice() }
 
-// landmarkVecs reads the u32-counted (address, out, in) list that Model,
-// SnapshotFrame and both gossip messages carry. Each entry costs at
-// least its 2-byte address prefix and two 4-byte vector counts.
+// landmarkVecs reads the u32-counted (address, out, in) list that Model
+// and both gossip messages carry. Each entry costs at least its 2-byte
+// address prefix and two 4-byte vector counts.
 func (r *Reader) landmarkVecs() []LandmarkVec {
 	vecs := make([]LandmarkVec, r.Count(10))
 	for i := range vecs {

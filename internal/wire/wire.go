@@ -24,7 +24,8 @@
 // interoperate. The model-epoch stamps on Info, Model, RegisterHost,
 // Vectors, Distances and Neighbors are such trailing fields: a peer that
 // predates them reads and writes epoch 0, which every component treats
-// as "unversioned".
+// as "unversioned". Model carries a second one after its Epoch, the
+// revision Rev within that epoch, which a pre-Rev peer reads as 0.
 package wire
 
 import (
@@ -129,10 +130,6 @@ func (t MsgType) String() string {
 		return "Neighbors"
 	case TypeSubscribe:
 		return "Subscribe"
-	case TypeSnapshotFrame:
-		return "SnapshotFrame"
-	case TypeDirDelta:
-		return "DirDelta"
 	case TypeHello:
 		return "Hello"
 	case TypeHelloAck:

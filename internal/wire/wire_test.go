@@ -140,9 +140,9 @@ func TestInfoRoundTrip(t *testing.T) {
 // TestEpochRoundTrip checks the epoch stamp survives every message that
 // carries one.
 func TestEpochRoundTrip(t *testing.T) {
-	const e = uint64(42)
-	if m, err := DecodeModel((&Model{Dim: 2, Algorithm: "SVD", Epoch: e}).Encode(nil)); err != nil || m.Epoch != e {
-		t.Fatalf("Model epoch: %+v %v", m, err)
+	const e, rev = uint64(42), uint64(5)
+	if m, err := DecodeModel((&Model{Dim: 2, Algorithm: "SVD", Epoch: e, Rev: rev}).Encode(nil)); err != nil || m.Epoch != e || m.Rev != rev {
+		t.Fatalf("Model epoch/rev: %+v %v", m, err)
 	}
 	if m, err := DecodeRegisterHost((&RegisterHost{Addr: "h", Out: []float64{1}, In: []float64{2}, Epoch: e}).Encode(nil)); err != nil || m.Epoch != e {
 		t.Fatalf("RegisterHost epoch: %+v %v", m, err)
@@ -161,7 +161,9 @@ func TestEpochRoundTrip(t *testing.T) {
 // TestEpochBackwardCompat simulates frames from a pre-epoch peer: the
 // epoch is a trailing field, so stripping the final 8 bytes of a modern
 // encoding yields exactly the old layout. Decoders must accept it and
-// read epoch 0, and every other field must come through intact.
+// read epoch 0, and every other field must come through intact. Model
+// carries Rev after its Epoch: stripping 8 bytes fakes a pre-Rev peer
+// (epoch kept, rev 0), stripping 16 a pre-epoch one.
 func TestEpochBackwardCompat(t *testing.T) {
 	strip := func(b []byte) []byte { return b[:len(b)-8] }
 
@@ -169,11 +171,16 @@ func TestEpochBackwardCompat(t *testing.T) {
 	if err != nil || info.Epoch != 0 || info.Dim != 3 || !info.ModelReady {
 		t.Fatalf("Info compat: %+v %v", info, err)
 	}
-	model, err := DecodeModel(strip((&Model{
-		Dim: 1, Algorithm: "SVD", Epoch: 9,
+	modern := (&Model{
+		Dim: 1, Algorithm: "SVD", Epoch: 9, Rev: 4,
 		Landmarks: []LandmarkVec{{Addr: "a", Out: []float64{1}, In: []float64{2}}},
-	}).Encode(nil)))
-	if err != nil || model.Epoch != 0 || len(model.Landmarks) != 1 || model.Landmarks[0].Out[0] != 1 {
+	}).Encode(nil)
+	model, err := DecodeModel(strip(modern))
+	if err != nil || model.Epoch != 9 || model.Rev != 0 || len(model.Landmarks) != 1 || model.Landmarks[0].Out[0] != 1 {
+		t.Fatalf("pre-Rev Model compat: %+v %v", model, err)
+	}
+	model, err = DecodeModel(strip(strip(modern)))
+	if err != nil || model.Epoch != 0 || model.Rev != 0 || len(model.Landmarks) != 1 || model.Landmarks[0].Out[0] != 1 {
 		t.Fatalf("Model compat: %+v %v", model, err)
 	}
 	reg, err := DecodeRegisterHost(strip((&RegisterHost{Addr: "h", Out: []float64{1}, In: []float64{2}, Epoch: 9}).Encode(nil)))
