@@ -57,8 +57,8 @@ func SolveVectors(refOut, refIn *mat.Dense, dout, din []float64) (Vectors, error
 // SolveVectorsNNLS is SolveVectors with nonnegativity constraints on the
 // host vectors. When the landmark model came from NMF, this guarantees the
 // host's predicted distances are nonnegative (§5.1). The paper found no
-// significant accuracy difference versus the unconstrained solve; the
-// ablation bench BenchmarkAblation_HostSolveNNLS checks that claim.
+// significant accuracy difference versus the unconstrained solve;
+// experiments.AblationHostSolveNNLS checks that claim.
 func SolveVectorsNNLS(refOut, refIn *mat.Dense, dout, din []float64) (Vectors, error) {
 	return solveVectors(mat.NNLS, " (nnls)", refOut, refIn, dout, din)
 }

@@ -2,86 +2,74 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
-	"time"
+	"strconv"
 
 	"github.com/ides-go/ides/internal/core"
+	"github.com/ides-go/ides/internal/dataset"
 	"github.com/ides-go/ides/internal/factor"
 	"github.com/ides-go/ides/internal/mat"
 	"github.com/ides-go/ides/internal/stats"
 )
 
-// SystemRunner packages one system's full model-building run on a fixed
-// prediction problem, for fine-grained benchmarking.
-type SystemRunner struct {
-	Name string
-	Run  func() error
-}
-
-// PredictionRunners builds the Figure 6 prediction problem for dsName once
-// and returns one runner per system, so benchmarks can time each system in
-// isolation (the granular form of Table 1).
-func PredictionRunners(dsName string, scale Scale, seed int64) ([]SystemRunner, error) {
-	const dim = 8
-	p, err := fig6Problem(dsName, scale, seed)
-	if err != nil {
-		return nil, err
+// Ablations runs the studies behind the paper's design claims, one table
+// each. They always run at Quick scale.
+func Ablations(_ Scale, seed int64) ([]Table, error) {
+	var out []Table
+	for _, run := range []func(int64) (Table, error){
+		AblationSVDAlgorithms, AblationNMFIterations, AblationHostSolveNNLS, AblationKNodes,
+		AblationLandmarkSelection, AblationHostChaining, AblationMissingData, ExtVivaldi,
+	} {
+		tab, err := run(seed)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, tab)
 	}
-	return []SystemRunner{
-		{Name: "IDES-SVD", Run: func() error { _, err := runIDES(p, dim, core.SVD, seed, 0); return err }},
-		{Name: "IDES-NMF", Run: func() error { _, err := runIDES(p, dim, core.NMF, seed, fig6NMFIters); return err }},
-		{Name: "ICS", Run: func() error { _, err := runICS(p, dim); return err }},
-		{Name: "GNP", Run: func() error { _, err := runGNP(p, dim, seed); return err }},
-	}, nil
+	return out, nil
 }
 
-// SVDAlgoResult compares the exact Jacobi SVD against randomized subspace
-// iteration at one matrix size.
-type SVDAlgoResult struct {
-	N           int
-	ExactTime   time.Duration
-	ApproxTime  time.Duration
-	ApproxError float64 // relative spectral deviation of the leading d values
+// medianTable starts a one-column table of median prediction or
+// reconstruction errors.
+func medianTable(title, label string) Table {
+	return Table{Title: title, Label: label, Columns: []Column{{"median error", Ratio}}}
 }
 
 // AblationSVDAlgorithms justifies the svdExactThreshold design choice: for
 // RTT matrices the randomized truncated SVD matches the exact leading
-// spectrum to several digits while scaling far better.
-func AblationSVDAlgorithms(sizes []int, dim int, seed int64) ([]SVDAlgoResult, error) {
-	out := make([]SVDAlgoResult, 0, len(sizes))
-	for _, n := range sizes {
+// spectrum to several digits while scaling far better. The deviation is
+// the largest relative one over the leading d singular values.
+func AblationSVDAlgorithms(seed int64) (Table, error) {
+	const dim = 10
+	tab := Table{
+		Title:   fmt.Sprintf("Ablation: exact Jacobi vs randomized truncated SVD, P2PSim, d=%d", dim),
+		Label:   "n",
+		Columns: []Column{{"exact", Seconds}, {"approx", Seconds}, {"max spectral deviation", Ratio}},
+	}
+	for _, n := range []int{60, 120, 240} {
 		ds, err := genP2PSimSized(seed, n)
 		if err != nil {
-			return nil, err
+			return Table{}, err
 		}
 		var exact, approx *mat.SVDResult
-		exactTime, err := timeRun(func() error {
-			var err error
-			exact, err = mat.SVD(ds)
-			return err
-		})
+		exactTime, err := timed(func() (err error) { exact, err = mat.SVD(ds); return err })
 		if err != nil {
-			return nil, fmt.Errorf("ablation svd: exact n=%d: %w", n, err)
+			return Table{}, fmt.Errorf("ablation svd: exact n=%d: %w", n, err)
 		}
-		approxTime, err := timeRun(func() error {
-			var err error
-			approx, err = mat.TruncatedSVD(ds, dim, seed)
-			return err
-		})
+		approxTime, err := timed(func() (err error) { approx, err = mat.TruncatedSVD(ds, dim, seed); return err })
 		if err != nil {
-			return nil, fmt.Errorf("ablation svd: approx n=%d: %w", n, err)
+			return Table{}, fmt.Errorf("ablation svd: approx n=%d: %w", n, err)
 		}
 		var dev float64
 		for i := 0; i < dim; i++ {
 			if exact.S[i] > 0 {
-				if d := abs(exact.S[i]-approx.S[i]) / exact.S[i]; d > dev {
-					dev = d
-				}
+				dev = math.Max(dev, math.Abs(exact.S[i]-approx.S[i])/exact.S[i])
 			}
 		}
-		out = append(out, SVDAlgoResult{N: n, ExactTime: exactTime, ApproxTime: approxTime, ApproxError: dev})
+		tab.Rows = append(tab.Rows, Row{strconv.Itoa(n), []float64{exactTime, approxTime, dev}})
 	}
-	return out, nil
+	return tab, nil
 }
 
 func genP2PSimSized(seed int64, n int) (*mat.Dense, error) {
@@ -96,56 +84,49 @@ func genP2PSimSized(seed int64, n int) (*mat.Dense, error) {
 	return submatrix(ds.D, idx, idx), nil
 }
 
-// NMFItersResult is the reconstruction error reached with one iteration
-// budget.
-type NMFItersResult struct {
-	Iters  int
-	Median float64
-}
-
 // AblationNMFIterations probes the paper's statement that "two hundred
 // iterations suffice to converge": median NLANR reconstruction error as a
 // function of the iteration budget.
-func AblationNMFIterations(seed int64, iters []int) ([]NMFItersResult, error) {
-	ds, err := genByName("NLANR", Quick, seed)
+func AblationNMFIterations(seed int64) (Table, error) {
+	ds, err := dataset.GenNLANR(seed)
 	if err != nil {
-		return nil, err
+		return Table{}, err
 	}
 	const dim = 10
-	out := make([]NMFItersResult, 0, len(iters))
-	for _, it := range iters {
+	tab := medianTable(fmt.Sprintf("Ablation: NMF iteration budget, NLANR, d=%d", dim), "iters")
+	for _, it := range []int{25, 50, 100, 200, 400} {
 		res, err := factor.NMF(ds.D, dim, factor.NMFOptions{Iters: it, Seed: seed})
 		if err != nil {
-			return nil, fmt.Errorf("ablation nmf iters=%d: %w", it, err)
+			return Table{}, fmt.Errorf("ablation nmf iters=%d: %w", it, err)
 		}
-		out = append(out, NMFItersResult{Iters: it, Median: stats.Median(res.ReconstructionErrors(ds.D))})
+		tab.Rows = append(tab.Rows, Row{strconv.Itoa(it), []float64{stats.Median(res.ReconstructionErrors(ds.D))}})
 	}
-	return out, nil
-}
-
-// NNLSResult compares unconstrained and nonnegative host solves.
-type NNLSResult struct {
-	MedianUnconstrained float64
-	MedianNNLS          float64
-	NegativePredictions int // negative estimates from the unconstrained solve
+	return tab, nil
 }
 
 // AblationHostSolveNNLS checks §5.1's claim that nonnegativity-constrained
 // host solves neither help nor hurt accuracy (while removing negative
 // predictions when the model is NMF).
-func AblationHostSolveNNLS(seed int64) (*NNLSResult, error) {
-	ds, err := genByName("NLANR", Quick, seed)
+func AblationHostSolveNNLS(seed int64) (Table, error) {
+	ds, err := dataset.GenNLANR(seed)
 	if err != nil {
-		return nil, err
+		return Table{}, err
 	}
 	const dim, numLM = 8, 20
 	lm, hosts := splitHosts(ds.Rows(), numLM, seed)
-	dl := submatrix(ds.D, lm, lm)
-	model, err := core.FitNMF(dl, dim, seed)
+	model, err := core.FitNMF(submatrix(ds.D, lm, lm), dim, seed)
 	if err != nil {
-		return nil, err
+		return Table{}, err
 	}
-	solveErrs := func(nnls bool) ([]float64, int, error) {
+	tab := Table{
+		Title:   "Ablation: host solve, unconstrained vs NNLS, NMF model, NLANR",
+		Label:   "host solve",
+		Columns: []Column{{"median error", Ratio}, {"negative predictions", Count}},
+	}
+	for _, s := range []struct {
+		name  string
+		solve func(refOut, refIn *mat.Dense, dout, din []float64) (core.Vectors, error)
+	}{{"unconstrained", core.SolveVectors}, {"nnls", core.SolveVectorsNNLS}} {
 		vecs := make([]core.Vectors, len(hosts))
 		for hi, h := range hosts {
 			dout := make([]float64, numLM)
@@ -154,120 +135,68 @@ func AblationHostSolveNNLS(seed int64) (*NNLSResult, error) {
 				dout[k] = ds.D.At(h, l)
 				din[k] = ds.D.At(l, h)
 			}
-			var v core.Vectors
-			var err error
-			if nnls {
-				v, err = core.SolveVectorsNNLS(model.X, model.Y, dout, din)
-			} else {
-				v, err = core.SolveVectors(model.X, model.Y, dout, din)
-			}
-			if err != nil {
-				return nil, 0, err
-			}
-			vecs[hi] = v
-		}
-		var errs []float64
-		var negatives int
-		for i := range hosts {
-			for j := range hosts {
-				if i == j {
-					continue
-				}
-				est := core.Estimate(vecs[i], vecs[j])
-				if est < 0 {
-					negatives++
-				}
-				errs = append(errs, stats.RelativeError(ds.D.At(hosts[i], hosts[j]), est))
+			if vecs[hi], err = s.solve(model.X, model.Y, dout, din); err != nil {
+				return Table{}, fmt.Errorf("ablation nnls: %s: %w", s.name, err)
 			}
 		}
-		return errs, negatives, nil
+		negatives := 0
+		errs := pairErrors(ds.D, hosts, func(i, j int) float64 {
+			est := core.Estimate(vecs[i], vecs[j])
+			if est < 0 {
+				negatives++
+			}
+			return est
+		})
+		if s.name == "nnls" && negatives != 0 {
+			return Table{}, fmt.Errorf("ablation nnls: NNLS produced %d negative estimates", negatives)
+		}
+		tab.Rows = append(tab.Rows, Row{s.name, []float64{stats.Median(errs), float64(negatives)}})
 	}
-	unc, negUnc, err := solveErrs(false)
-	if err != nil {
-		return nil, fmt.Errorf("ablation nnls: unconstrained: %w", err)
-	}
-	nn, negNN, err := solveErrs(true)
-	if err != nil {
-		return nil, fmt.Errorf("ablation nnls: constrained: %w", err)
-	}
-	if negNN != 0 {
-		return nil, fmt.Errorf("ablation nnls: NNLS produced %d negative estimates", negNN)
-	}
-	return &NNLSResult{
-		MedianUnconstrained: stats.Median(unc),
-		MedianNNLS:          stats.Median(nn),
-		NegativePredictions: negUnc,
-	}, nil
-}
-
-// KNodesResult is the prediction error when hosts measure only k nodes.
-type KNodesResult struct {
-	K      int
-	Median float64
+	return tab, nil
 }
 
 // AblationKNodes sweeps k, the number of landmarks each host measures
 // (§5.2): larger k incorporates more measurements and should improve
 // accuracy monotonically (up to noise), with diminishing returns.
-func AblationKNodes(seed int64, ks []int) ([]KNodesResult, error) {
-	ds, err := genByName("NLANR", Quick, seed)
+func AblationKNodes(seed int64) (Table, error) {
+	ds, err := dataset.GenNLANR(seed)
 	if err != nil {
-		return nil, err
+		return Table{}, err
 	}
 	const dim, numLM = 8, 30
-	out := make([]KNodesResult, 0, len(ks))
-	for _, k := range ks {
-		if k > numLM {
-			return nil, fmt.Errorf("ablation k: k=%d > landmarks=%d", k, numLM)
-		}
-		frac := 1 - float64(k)/float64(numLM)
-		med, err := fig7Point(ds.D, numLM, dim, frac, seed)
+	tab := medianTable(fmt.Sprintf("Ablation: k nodes measured per host, %d landmarks, NLANR, d=%d", numLM, dim), "k")
+	for _, k := range []int{8, 12, 20, 30} {
+		med, err := fig7Point(ds.D, numLM, dim, 1-float64(k)/numLM, seed)
 		if err != nil {
-			return nil, fmt.Errorf("ablation k=%d: %w", k, err)
+			return Table{}, fmt.Errorf("ablation k=%d: %w", k, err)
 		}
-		out = append(out, KNodesResult{K: k, Median: med})
+		tab.Rows = append(tab.Rows, Row{strconv.Itoa(k), []float64{med}})
 	}
-	return out, nil
-}
-
-// LandmarkSelResult compares landmark selection policies.
-type LandmarkSelResult struct {
-	Policy string
-	Median float64
+	return tab, nil
 }
 
 // AblationLandmarkSelection compares random landmark choice against a
 // farthest-point ("spread") heuristic, probing the paper's reliance on
 // [21]'s result that random selection is adequate for m >= 20.
-func AblationLandmarkSelection(seed int64) ([]LandmarkSelResult, error) {
-	ds, err := genByName("NLANR", Quick, seed)
+func AblationLandmarkSelection(seed int64) (Table, error) {
+	ds, err := dataset.GenNLANR(seed)
 	if err != nil {
-		return nil, err
+		return Table{}, err
 	}
 	const dim, numLM = 8, 20
-	evalWith := func(lm []int) (float64, error) {
-		hosts := complement(ds.Rows(), lm)
-		p := problemFromSplit(ds.D, lm, hosts)
-		errs, err := runIDES(p, dim, core.SVD, seed, 0)
-		if err != nil {
-			return 0, err
-		}
-		return stats.Median(errs), nil
-	}
-
 	randLM, _ := splitHosts(ds.Rows(), numLM, seed)
-	randMed, err := evalWith(randLM)
-	if err != nil {
-		return nil, fmt.Errorf("ablation landmarks: random: %w", err)
+	tab := medianTable(fmt.Sprintf("Ablation: landmark selection policy, %d landmarks, NLANR", numLM), "policy")
+	for _, policy := range []struct {
+		name string
+		lm   []int
+	}{{"random", randLM}, {"farthest-point", farthestPoint(ds.D, numLM, seed)}} {
+		errs, err := runIDES(squareProblem(ds.D, policy.lm, complement(ds.Rows(), policy.lm)), dim, core.SVD, seed, 0)
+		if err != nil {
+			return Table{}, fmt.Errorf("ablation landmarks: %s: %w", policy.name, err)
+		}
+		tab.Rows = append(tab.Rows, Row{policy.name, []float64{stats.Median(errs)}})
 	}
-	spreadMed, err := evalWith(farthestPoint(ds.D, numLM, seed))
-	if err != nil {
-		return nil, fmt.Errorf("ablation landmarks: spread: %w", err)
-	}
-	return []LandmarkSelResult{
-		{Policy: "random", Median: randMed},
-		{Policy: "farthest-point", Median: spreadMed},
-	}, nil
+	return tab, nil
 }
 
 // farthestPoint greedily picks landmarks maximizing the minimum distance
@@ -303,50 +232,34 @@ func farthestPoint(d *mat.Dense, m int, seed int64) []int {
 	return chosen
 }
 
-// ChainResult is the prediction accuracy at one chaining depth.
-type ChainResult struct {
-	Depth  int // 0 = landmarks only; 1 = hosts placed from depth-0 hosts; ...
-	Median float64
-}
-
 // AblationHostChaining probes §5.2's host-as-reference relaxation: wave 0
 // hosts are placed from landmarks; wave w hosts measure only wave w-1
 // hosts. Accuracy should degrade gracefully with depth as placement error
-// compounds.
-func AblationHostChaining(seed int64, depths int) ([]ChainResult, error) {
-	ds, err := genByName("NLANR", Quick, seed)
+// compounds. Each wave is scored against itself.
+func AblationHostChaining(seed int64) (Table, error) {
+	ds, err := dataset.GenNLANR(seed)
 	if err != nil {
-		return nil, err
+		return Table{}, err
 	}
-	const dim, numLM, refsPerWave = 8, 20, 12
+	const dim, numLM, refsPerWave, depths = 8, 20, 12, 3
 	lm, rest := splitHosts(ds.Rows(), numLM, seed)
-	dl := submatrix(ds.D, lm, lm)
-	model, err := core.FitSVD(dl, dim, seed)
+	model, err := core.FitSVD(submatrix(ds.D, lm, lm), dim, seed)
 	if err != nil {
-		return nil, err
+		return Table{}, err
 	}
-
-	// Divide remaining hosts into waves.
 	waveSize := len(rest) / depths
-	if waveSize < 2 {
-		return nil, fmt.Errorf("ablation chaining: too few hosts (%d) for %d waves", len(rest), depths)
-	}
 	rng := rand.New(rand.NewSource(seed))
+	tab := medianTable("Ablation: host chaining depth (§5.2 relaxation), NLANR", "depth")
 
-	// refsOut/refsIn: vectors of the previous wave (starts with landmarks).
+	// refOut/refIn: vectors of the previous wave (starts with landmarks).
 	refOut, refIn := model.X, model.Y
 	refIdx := lm
-	out := make([]ChainResult, 0, depths)
 	for w := 0; w < depths; w++ {
 		wave := rest[w*waveSize : (w+1)*waveSize]
 		waveX := mat.NewDense(len(wave), dim)
 		waveY := mat.NewDense(len(wave), dim)
 		for hi, h := range wave {
-			// Measure refsPerWave references from the previous wave.
-			k := refsPerWave
-			if k > refOut.Rows() {
-				k = refOut.Rows()
-			}
+			k := min(refsPerWave, refOut.Rows())
 			sel := rng.Perm(refOut.Rows())[:k]
 			dout := make([]float64, k)
 			din := make([]float64, k)
@@ -356,37 +269,16 @@ func AblationHostChaining(seed int64, depths int) ([]ChainResult, error) {
 			}
 			v, err := core.SolveVectors(refOut.SelectRows(sel), refIn.SelectRows(sel), dout, din)
 			if err != nil {
-				return nil, fmt.Errorf("ablation chaining: wave %d: %w", w, err)
+				return Table{}, fmt.Errorf("ablation chaining: wave %d: %w", w, err)
 			}
 			waveX.SetRow(hi, v.Out)
 			waveY.SetRow(hi, v.In)
 		}
-		// Score this wave against itself.
-		var errs []float64
-		for i := range wave {
-			for j := range wave {
-				if i == j {
-					continue
-				}
-				est := mat.Dot(waveX.Row(i), waveY.Row(j))
-				errs = append(errs, stats.RelativeError(ds.D.At(wave[i], wave[j]), est))
-			}
-		}
-		out = append(out, ChainResult{Depth: w, Median: stats.Median(errs)})
+		errs := pairErrors(ds.D, wave, func(i, j int) float64 { return mat.Dot(waveX.Row(i), waveY.Row(j)) })
+		tab.Rows = append(tab.Rows, Row{strconv.Itoa(w), []float64{stats.Median(errs)}})
 		refOut, refIn, refIdx = waveX, waveY, wave
 	}
-	return out, nil
-}
-
-func problemFromSplit(d *mat.Dense, lm, hosts []int) *predictionProblem {
-	dl := submatrix(d, lm, lm)
-	out := submatrix(d, hosts, lm)
-	in := submatrix(d, lm, hosts).T()
-	truth := submatrix(d, hosts, hosts)
-	for i := range hosts {
-		truth.Set(i, i, -1)
-	}
-	return &predictionProblem{dl: dl, srcOut: out, srcIn: in, dstOut: out, dstIn: in, truth: truth}
+	return tab, nil
 }
 
 func complement(n int, chosen []int) []int {
@@ -401,11 +293,4 @@ func complement(n int, chosen []int) []int {
 		}
 	}
 	return out
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

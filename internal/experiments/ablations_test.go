@@ -1,123 +1,101 @@
 package experiments
 
-import (
-	"testing"
-)
-
-func TestPredictionRunners(t *testing.T) {
-	runners, err := PredictionRunners("NLANR", Quick, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(runners) != 4 {
-		t.Fatalf("expected 4 runners, got %d", len(runners))
-	}
-	for _, r := range runners {
-		if r.Name == "GNP" {
-			continue // exercised by Table1 test; too slow to repeat here
-		}
-		if err := r.Run(); err != nil {
-			t.Fatalf("%s: %v", r.Name, err)
-		}
-	}
-}
+import "testing"
 
 func TestAblationSVDAlgorithms(t *testing.T) {
-	res, err := AblationSVDAlgorithms([]int{60, 120}, 10, 42)
+	t.Parallel()
+	tab, err := AblationSVDAlgorithms(42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range res {
+	for _, r := range tab.Rows {
 		// Randomized truncation must track the exact leading spectrum.
-		if r.ApproxError > 1e-3 {
-			t.Errorf("n=%d: approx spectral deviation %v too large", r.N, r.ApproxError)
+		if dev := cell(t, tab, r.Label, "max spectral deviation"); dev > 1e-3 {
+			t.Errorf("n=%s: approx spectral deviation %v too large", r.Label, dev)
 		}
-		if r.ExactTime <= 0 || r.ApproxTime <= 0 {
-			t.Errorf("n=%d: non-positive timings %+v", r.N, r)
+		if cell(t, tab, r.Label, "exact") <= 0 || cell(t, tab, r.Label, "approx") <= 0 {
+			t.Errorf("n=%s: non-positive timings %v", r.Label, r.Values)
 		}
 	}
 }
 
 func TestAblationNMFIterations(t *testing.T) {
-	res, err := AblationNMFIterations(42, []int{10, 50, 200})
+	t.Parallel()
+	tab, err := AblationNMFIterations(42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != 3 {
-		t.Fatalf("got %d results", len(res))
-	}
 	// More iterations must not make reconstruction substantially worse
 	// (Lee-Seung is monotone in the objective; the median tracks it).
-	if res[2].Median > res[0].Median*1.2+0.02 {
-		t.Errorf("200 iters (%v) should beat 10 iters (%v)", res[2].Median, res[0].Median)
+	few, many := cell(t, tab, "25", "median error"), cell(t, tab, "200", "median error")
+	if many > few*1.2+0.02 {
+		t.Errorf("200 iters (%v) should beat 25 iters (%v)", many, few)
 	}
 }
 
 func TestAblationHostSolveNNLS(t *testing.T) {
-	res, err := AblationHostSolveNNLS(42)
+	t.Parallel()
+	tab, err := AblationHostSolveNNLS(42)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// §5.1: no significant accuracy difference between the two solves.
-	ratio := res.MedianNNLS / res.MedianUnconstrained
-	if ratio > 2 || ratio < 0.5 {
-		t.Errorf("NNLS median %v vs unconstrained %v: paper reports no significant difference",
-			res.MedianNNLS, res.MedianUnconstrained)
+	unc, nnls := cell(t, tab, "unconstrained", "median error"), cell(t, tab, "nnls", "median error")
+	if ratio := nnls / unc; ratio > 2 || ratio < 0.5 {
+		t.Errorf("NNLS median %v vs unconstrained %v: paper reports no significant difference", nnls, unc)
+	}
+	if neg := cell(t, tab, "nnls", "negative predictions"); neg != 0 {
+		t.Errorf("NNLS made %v negative predictions", neg)
 	}
 }
 
 func TestAblationKNodes(t *testing.T) {
-	res, err := AblationKNodes(42, []int{8, 15, 30})
+	t.Parallel()
+	tab, err := AblationKNodes(42)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// k = all landmarks should be at least as accurate as k = d (the
 	// paper: larger k leads to better prediction results).
-	if res[2].Median > res[0].Median*1.2+0.02 {
-		t.Errorf("k=30 (%v) should beat k=8 (%v)", res[2].Median, res[0].Median)
+	if all, d := cell(t, tab, "30", "median error"), cell(t, tab, "8", "median error"); all > d*1.2+0.02 {
+		t.Errorf("k=30 (%v) should beat k=8 (%v)", all, d)
 	}
 }
 
 func TestAblationLandmarkSelection(t *testing.T) {
-	res, err := AblationLandmarkSelection(42)
+	t.Parallel()
+	tab, err := AblationLandmarkSelection(42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != 2 {
-		t.Fatalf("got %d policies", len(res))
+	if len(tab.Rows) != 2 {
+		t.Fatalf("got %d policies", len(tab.Rows))
 	}
 	// [21]: random selection is fairly effective for m >= 20 — it must be
 	// within a small factor of the engineered spread policy.
-	var randMed, spreadMed float64
-	for _, r := range res {
-		if r.Policy == "random" {
-			randMed = r.Median
-		} else {
-			spreadMed = r.Median
-		}
-	}
+	randMed, spreadMed := cell(t, tab, "random", "median error"), cell(t, tab, "farthest-point", "median error")
 	if randMed > 4*spreadMed+0.05 {
 		t.Errorf("random (%v) should be competitive with farthest-point (%v)", randMed, spreadMed)
 	}
 }
 
 func TestAblationHostChaining(t *testing.T) {
-	res, err := AblationHostChaining(42, 3)
+	t.Parallel()
+	tab, err := AblationHostChaining(42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != 3 {
-		t.Fatalf("got %d depths", len(res))
+	if len(tab.Rows) != 3 {
+		t.Fatalf("got %d depths", len(tab.Rows))
 	}
 	// Wave 0 (placed from landmarks) should be the most accurate or near
 	// it; deep waves may degrade but must stay finite/sane.
-	for _, r := range res {
-		if r.Median < 0 || r.Median > 10 {
-			t.Errorf("depth %d: implausible median %v", r.Depth, r.Median)
+	for _, r := range tab.Rows {
+		if med := cell(t, tab, r.Label, "median error"); !(med >= 0 && med <= 10) {
+			t.Errorf("depth %s: implausible median %v", r.Label, med)
 		}
 	}
-	if res[2].Median < res[0].Median*0.2 {
-		t.Errorf("depth-2 chaining (%v) should not dramatically beat landmark placement (%v)",
-			res[2].Median, res[0].Median)
+	if d0, d2 := cell(t, tab, "0", "median error"), cell(t, tab, "2", "median error"); d2 < d0*0.2 {
+		t.Errorf("depth-2 chaining (%v) should not dramatically beat landmark placement (%v)", d2, d0)
 	}
 }

@@ -4,38 +4,34 @@ import (
 	"fmt"
 
 	"github.com/ides-go/ides/internal/coord"
+	"github.com/ides-go/ides/internal/dataset"
 	"github.com/ides-go/ides/internal/factor"
 	"github.com/ides-go/ides/internal/stats"
 )
 
-// MissingDataResult is the masked-NMF reconstruction quality at one
-// missing-entry fraction.
-type MissingDataResult struct {
-	MissingFrac float64
-	// MedianObserved is the median relative error on entries the fit saw.
-	MedianObserved float64
-	// MedianHidden is the median relative error on entries hidden from the
-	// fit — the real test of §4.2's missing-data handling.
-	MedianHidden float64
-}
-
 // AblationMissingData hides a growing fraction of the NLANR matrix from a
 // masked NMF fit (Eqs. 8–9) and scores reconstruction on both observed and
 // hidden entries. The paper asserts NMF "can cope with missing values";
-// this quantifies how accuracy decays with missingness.
-func AblationMissingData(seed int64, fracs []float64) ([]MissingDataResult, error) {
-	ds, err := genByName("NLANR", Quick, seed)
+// this quantifies how accuracy decays with missingness. The hidden-entry
+// error — the real test of §4.2's missing-data handling — is NaN where
+// nothing was hidden.
+func AblationMissingData(seed int64) (Table, error) {
+	ds, err := dataset.GenNLANR(seed)
 	if err != nil {
-		return nil, err
+		return Table{}, err
 	}
 	const dim = 10
 	n := ds.Rows()
-	out := make([]MissingDataResult, 0, len(fracs))
-	for _, f := range fracs {
+	tab := Table{
+		Title:   fmt.Sprintf("Ablation: masked NMF under missing measurements (§4.2), NLANR, d=%d", dim),
+		Label:   "missing",
+		Columns: []Column{{"median err (observed)", Ratio}, {"median err (hidden)", Ratio}},
+	}
+	for _, f := range []float64{0, 0.1, 0.2, 0.3, 0.5} {
 		masked := ds.WithMissing(f, seed+int64(1000*f))
 		res, err := factor.NMF(masked.D, dim, factor.NMFOptions{Seed: seed, Mask: masked.Mask})
 		if err != nil {
-			return nil, fmt.Errorf("ablation missing f=%.2f: %w", f, err)
+			return Table{}, fmt.Errorf("ablation missing f=%.2f: %w", f, err)
 		}
 		var obs, hid []float64
 		for i := 0; i < n; i++ {
@@ -51,61 +47,55 @@ func AblationMissingData(seed int64, fracs []float64) ([]MissingDataResult, erro
 				}
 			}
 		}
-		r := MissingDataResult{MissingFrac: f, MedianObserved: stats.Median(obs)}
-		if len(hid) > 0 {
-			r.MedianHidden = stats.Median(hid)
-		}
-		out = append(out, r)
+		tab.Rows = append(tab.Rows, Row{fmt.Sprintf("%.0f%%", 100*f), []float64{
+			stats.NewCDF(obs).Quantile(0.5), stats.NewCDF(hid).Quantile(0.5),
+		}})
 	}
-	return out, nil
-}
-
-// VivaldiResult compares the Vivaldi extension baseline against IDES/SVD
-// and Lipschitz+PCA on full-matrix reconstruction.
-type VivaldiResult struct {
-	System string
-	Median float64
-	P90    float64
+	return tab, nil
 }
 
 // ExtVivaldi runs the extension comparison the paper alludes to in §2.1
 // (Vivaldi is reviewed but not evaluated): plain Vivaldi, Vivaldi with
 // height vectors, Lipschitz+PCA and IDES/SVD reconstructing the NLANR
 // matrix at d=8 (height uses d=7+1 for a fair parameter count).
-func ExtVivaldi(seed int64) ([]VivaldiResult, error) {
-	ds, err := genByName("NLANR", Quick, seed)
+func ExtVivaldi(seed int64) (Table, error) {
+	ds, err := dataset.GenNLANR(seed)
 	if err != nil {
-		return nil, err
+		return Table{}, err
 	}
 	const dim = 8
-	score := func(system string, errs []float64) VivaldiResult {
-		c := stats.NewCDF(errs)
-		return VivaldiResult{System: system, Median: c.Quantile(0.5), P90: c.Quantile(0.9)}
+	tab := Table{
+		Title:   fmt.Sprintf("Extension: Vivaldi baselines vs IDES, NLANR reconstruction, d=%d", dim),
+		Label:   "system",
+		Columns: []Column{{"median", Ratio}, {"p90", Ratio}},
 	}
-	out := make([]VivaldiResult, 0, 4)
+	add := func(system string, errs []float64) {
+		c := stats.NewCDF(errs)
+		tab.Rows = append(tab.Rows, Row{system, []float64{c.Quantile(0.5), c.Quantile(0.9)}})
+	}
 
 	svd, err := factor.SVDFactor(ds.D, dim, seed)
 	if err != nil {
-		return nil, fmt.Errorf("ext vivaldi: svd: %w", err)
+		return Table{}, fmt.Errorf("ext vivaldi: svd: %w", err)
 	}
-	out = append(out, score("IDES/SVD", svd.ReconstructionErrors(ds.D)))
+	add("IDES/SVD", svd.ReconstructionErrors(ds.D))
 
 	lip, _, err := factor.FitLipschitzPCA(ds.D, dim)
 	if err != nil {
-		return nil, fmt.Errorf("ext vivaldi: lipschitz: %w", err)
+		return Table{}, fmt.Errorf("ext vivaldi: lipschitz: %w", err)
 	}
-	out = append(out, score("Lipschitz+PCA", lip.ReconstructionErrors(ds.D)))
+	add("Lipschitz+PCA", lip.ReconstructionErrors(ds.D))
 
 	plain, err := coord.FitVivaldi(ds.D, coord.VivaldiOptions{Dim: dim, Rounds: 3000, Seed: seed})
 	if err != nil {
-		return nil, fmt.Errorf("ext vivaldi: plain: %w", err)
+		return Table{}, fmt.Errorf("ext vivaldi: plain: %w", err)
 	}
-	out = append(out, score("Vivaldi", plain.ReconstructionErrors(ds.D)))
+	add("Vivaldi", plain.ReconstructionErrors(ds.D))
 
 	height, err := coord.FitVivaldi(ds.D, coord.VivaldiOptions{Dim: dim - 1, Rounds: 3000, Seed: seed, Height: true})
 	if err != nil {
-		return nil, fmt.Errorf("ext vivaldi: height: %w", err)
+		return Table{}, fmt.Errorf("ext vivaldi: height: %w", err)
 	}
-	out = append(out, score("Vivaldi+height", height.ReconstructionErrors(ds.D)))
-	return out, nil
+	add("Vivaldi+height", height.ReconstructionErrors(ds.D))
+	return tab, nil
 }

@@ -1,53 +1,58 @@
 package experiments
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestAblationMissingData(t *testing.T) {
-	res, err := AblationMissingData(42, []float64{0, 0.1, 0.3})
+	t.Parallel()
+	tab, err := AblationMissingData(42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != 3 {
-		t.Fatalf("got %d results", len(res))
+	const obs, hid = "median err (observed)", "median err (hidden)"
+	// With no missing entries there is nothing hidden, so nothing to
+	// report; observed error must be the familiar NLANR floor.
+	if h := cell(t, tab, "0%", hid); !math.IsNaN(h) {
+		t.Errorf("f=0 hidden median %v, want NaN: no entry was hidden", h)
 	}
-	// With no missing entries there is nothing hidden; observed error must
-	// be the familiar NLANR floor.
-	if res[0].MedianObserved > 0.15 {
-		t.Errorf("f=0 observed median %v too high", res[0].MedianObserved)
+	if o := cell(t, tab, "0%", obs); o > 0.15 {
+		t.Errorf("f=0 observed median %v too high", o)
 	}
 	// At 30% missing, the fit must still generalize: hidden-entry error in
 	// the same ballpark as observed-entry error (within 3x), far below the
 	// "no model" regime of ~1.0.
-	last := res[2]
-	if last.MedianHidden == 0 {
+	o, h := cell(t, tab, "30%", obs), cell(t, tab, "30%", hid)
+	if math.IsNaN(h) || h == 0 {
 		t.Fatal("f=0.3 must have hidden entries")
 	}
-	if last.MedianHidden > 0.5 {
-		t.Errorf("f=0.3 hidden median %v — masked NMF is not generalizing", last.MedianHidden)
+	if h > 0.5 {
+		t.Errorf("f=0.3 hidden median %v — masked NMF is not generalizing", h)
 	}
-	if last.MedianHidden > 5*last.MedianObserved+0.05 {
-		t.Errorf("hidden (%v) should track observed (%v)", last.MedianHidden, last.MedianObserved)
+	if h > 5*o+0.05 {
+		t.Errorf("hidden (%v) should track observed (%v)", h, o)
 	}
 }
 
 func TestExtVivaldi(t *testing.T) {
-	res, err := ExtVivaldi(42)
+	t.Parallel()
+	tab, err := ExtVivaldi(42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	med := map[string]float64{}
-	for _, r := range res {
-		med[r.System] = r.Median
-		if r.Median <= 0 || r.P90 < r.Median {
-			t.Errorf("%s: implausible quantiles %+v", r.System, r)
+	med := func(sys string) float64 { return cell(t, tab, sys, "median") }
+	for _, r := range tab.Rows {
+		if m, p90 := med(r.Label), cell(t, tab, r.Label, "p90"); m <= 0 || p90 < m {
+			t.Errorf("%s: implausible quantiles median %v p90 %v", r.Label, m, p90)
 		}
 	}
 	// The factorized model must beat every Euclidean variant on data with
 	// triangle-inequality violations (the paper's core claim; Vivaldi is a
 	// Euclidean model and inherits the limitation).
 	for _, sys := range []string{"Vivaldi", "Vivaldi+height", "Lipschitz+PCA"} {
-		if med["IDES/SVD"] > med[sys] {
-			t.Errorf("IDES/SVD (%v) should beat %s (%v)", med["IDES/SVD"], sys, med[sys])
+		if med("IDES/SVD") > med(sys) {
+			t.Errorf("IDES/SVD (%v) should beat %s (%v)", med("IDES/SVD"), sys, med(sys))
 		}
 	}
 }

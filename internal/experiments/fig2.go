@@ -10,20 +10,19 @@ import (
 // at d=10 over all five datasets. The paper's qualitative result: GNP is
 // easiest (90% of pairs within ~9%), NLANR next (90% within ~15%), and
 // P2PSim/PL-RTT hardest (90th percentile around 50%).
-func Fig2(scale Scale, seed int64) ([]CDFSeries, error) {
+func Fig2(scale Scale, seed int64) (Table, error) {
 	const dim = 10
-	names := []string{"NLANR", "GNP", "AGNP", "PL-RTT", "P2PSim"}
-	out := make([]CDFSeries, 0, len(names))
-	for _, name := range names {
+	tab := cdfTable(fmt.Sprintf("Figure 2: CDF of SVD reconstruction relative error, d=%d", dim), "dataset")
+	for _, name := range []string{"NLANR", "GNP", "AGNP", "PL-RTT", "P2PSim"} {
 		ds, err := genByName(name, scale, seed)
 		if err != nil {
-			return nil, fmt.Errorf("fig2: %w", err)
+			return Table{}, fmt.Errorf("fig2: %w", err)
 		}
 		f, err := factor.SVDFactor(ds.D, dim, seed)
 		if err != nil {
-			return nil, fmt.Errorf("fig2: %s: %w", name, err)
+			return Table{}, fmt.Errorf("fig2: %s: %w", name, err)
 		}
-		out = append(out, CDFSeries{Label: name, Errors: f.ReconstructionErrors(ds.D)})
+		tab.Rows = append(tab.Rows, cdfRow(name, f.ReconstructionErrors(ds.D)))
 	}
-	return out, nil
+	return tab, nil
 }

@@ -2,29 +2,25 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 
 	"github.com/ides-go/ides/internal/factor"
 	"github.com/ides-go/ides/internal/stats"
 )
-
-// Fig3Point is one x-position of Figure 3: the median reconstruction
-// relative error of the three algorithms at model dimension Dim.
-type Fig3Point struct {
-	Dim       int
-	Lipschitz float64
-	SVD       float64
-	NMF       float64
-}
 
 // Fig3 reproduces Figure 3(a)/(b): median reconstruction error versus
 // model dimension for Lipschitz+PCA, SVD and NMF on the NLANR or P2PSim
 // dataset. The paper's qualitative result: SVD ≈ NMF for d < 10, both far
 // below Lipschitz+PCA (5x at d=10); SVD edges out NMF at large d because
 // NMF only reaches local minima; returns diminish beyond d ≈ 10.
-func Fig3(dsName string, scale Scale, seed int64) ([]Fig3Point, error) {
+func Fig3(dsName string, scale Scale, seed int64) (Table, error) {
+	fig, err := panel("3", dsName, "NLANR", "P2PSim")
+	if err != nil {
+		return Table{}, err
+	}
 	ds, err := genByName(dsName, scale, seed)
 	if err != nil {
-		return nil, fmt.Errorf("fig3: %w", err)
+		return Table{}, fmt.Errorf("fig3: %w", err)
 	}
 	dims := []int{1, 2, 3, 5, 7, 10, 15, 20, 30, 40, 60, 80}
 	nmfIters := 200
@@ -36,29 +32,29 @@ func Fig3(dsName string, scale Scale, seed int64) ([]Fig3Point, error) {
 		nmfIters = 100
 	}
 
-	out := make([]Fig3Point, 0, len(dims))
+	tab := Table{
+		Title:   fig + ": median reconstruction error vs dimension, " + dsName,
+		Label:   "dim",
+		Columns: []Column{{"Lipschitz+PCA", Ratio}, {"SVD", Ratio}, {"NMF", Ratio}},
+	}
 	for _, d := range dims {
-		pt := Fig3Point{Dim: d}
-
 		svd, err := factor.SVDFactor(ds.D, d, seed)
 		if err != nil {
-			return nil, fmt.Errorf("fig3: svd d=%d: %w", d, err)
+			return Table{}, fmt.Errorf("fig3: svd d=%d: %w", d, err)
 		}
-		pt.SVD = stats.Median(svd.ReconstructionErrors(ds.D))
-
 		nmf, err := factor.NMF(ds.D, d, factor.NMFOptions{Iters: nmfIters, Seed: seed})
 		if err != nil {
-			return nil, fmt.Errorf("fig3: nmf d=%d: %w", d, err)
+			return Table{}, fmt.Errorf("fig3: nmf d=%d: %w", d, err)
 		}
-		pt.NMF = stats.Median(nmf.ReconstructionErrors(ds.D))
-
 		lip, _, err := factor.FitLipschitzPCA(ds.D, d)
 		if err != nil {
-			return nil, fmt.Errorf("fig3: lipschitz d=%d: %w", d, err)
+			return Table{}, fmt.Errorf("fig3: lipschitz d=%d: %w", d, err)
 		}
-		pt.Lipschitz = stats.Median(lip.ReconstructionErrors(ds.D))
-
-		out = append(out, pt)
+		tab.Rows = append(tab.Rows, Row{strconv.Itoa(d), []float64{
+			stats.Median(lip.ReconstructionErrors(ds.D)),
+			stats.Median(svd.ReconstructionErrors(ds.D)),
+			stats.Median(nmf.ReconstructionErrors(ds.D)),
+		}})
 	}
-	return out, nil
+	return tab, nil
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"github.com/ides-go/ides/internal/core"
 	"github.com/ides-go/ides/internal/dataset"
 )
 
@@ -11,9 +10,12 @@ import (
 // default of 200 iterations).
 const fig6NMFIters = 200
 
+// predictionDatasets are the datasets of §6, in the order of Figure 6's
+// panels and Table 1's rows.
+var predictionDatasets = []string{"GNP", "NLANR", "P2PSim"}
+
 // Fig6 reproduces Figure 6: CDFs of *prediction* error (distances between
-// hosts that never measured each other) for IDES/SVD, IDES/NMF, ICS and
-// GNP at d=8.
+// hosts that never measured each other) for the four systems of §6 at d=8.
 //
 //   - dsName "GNP": 15 of the 19 GNP hosts are landmarks; the remaining 4
 //     are ordinary; accuracy is evaluated on the 869 AGNP probes' distances
@@ -23,56 +25,38 @@ const fig6NMFIters = 200
 //
 // Paper's qualitative result: GNP wins narrowly on its own (atypical)
 // dataset; IDES wins on NLANR (median ~0.03 for SVD) and on P2PSim.
-func Fig6(dsName string, scale Scale, seed int64) ([]CDFSeries, error) {
-	const dim = 8
+func Fig6(dsName string, scale Scale, seed int64) (Table, error) {
+	fig, err := panel("6", dsName, predictionDatasets...)
+	if err != nil {
+		return Table{}, err
+	}
 	p, err := fig6Problem(dsName, scale, seed)
 	if err != nil {
-		return nil, err
+		return Table{}, err
 	}
-	return runAllSystems(p, dim, seed)
-}
-
-// runAllSystems evaluates the four systems of §6 on one problem.
-func runAllSystems(p *predictionProblem, dim int, seed int64) ([]CDFSeries, error) {
-	svdErrs, err := runIDES(p, dim, core.SVD, seed, 0)
-	if err != nil {
-		return nil, fmt.Errorf("fig6: %w", err)
-	}
-	nmfErrs, err := runIDES(p, dim, core.NMF, seed, fig6NMFIters)
-	if err != nil {
-		return nil, fmt.Errorf("fig6: %w", err)
-	}
-	icsErrs, err := runICS(p, dim)
-	if err != nil {
-		return nil, fmt.Errorf("fig6: %w", err)
-	}
-	gnpErrs, err := runGNP(p, dim, seed)
-	if err != nil {
-		return nil, fmt.Errorf("fig6: %w", err)
-	}
-	return []CDFSeries{
-		{Label: "IDES/SVD", Errors: svdErrs},
-		{Label: "IDES/NMF", Errors: nmfErrs},
-		{Label: "ICS", Errors: icsErrs},
-		{Label: "GNP", Errors: gnpErrs},
-	}, nil
-}
-
-// fig6Problem builds the prediction problem for one of the three Figure 6
-// datasets.
-func fig6Problem(dsName string, scale Scale, seed int64) (*predictionProblem, error) {
-	switch dsName {
-	case "GNP":
-		return gnpAGNPProblem(seed)
-	case "NLANR", "P2PSim":
-		ds, err := genByName(dsName, scale, seed)
+	tab := cdfTable(fmt.Sprintf("%s: CDF of prediction error, %s, d=%d", fig, dsName, predictionDim), "system")
+	for _, s := range systems(p, seed) {
+		errs, err := s.run()
 		if err != nil {
-			return nil, fmt.Errorf("fig6: %w", err)
+			return Table{}, fmt.Errorf("fig6: %w", err)
 		}
-		return squareProblem(ds.D, 20, seed), nil
-	default:
-		return nil, fmt.Errorf("fig6: unknown dataset %q (want GNP, NLANR or P2PSim)", dsName)
+		tab.Rows = append(tab.Rows, cdfRow(s.name, errs))
 	}
+	return tab, nil
+}
+
+// fig6Problem builds the prediction problem for one of the
+// predictionDatasets.
+func fig6Problem(dsName string, scale Scale, seed int64) (*predictionProblem, error) {
+	if dsName == "GNP" {
+		return gnpAGNPProblem(seed)
+	}
+	ds, err := genByName(dsName, scale, seed)
+	if err != nil {
+		return nil, fmt.Errorf("fig6: %w", err)
+	}
+	lm, hosts := splitHosts(ds.Rows(), 20, seed)
+	return squareProblem(ds.D, lm, hosts), nil
 }
 
 // gnpAGNPProblem builds the paper's GNP prediction setup: the 869 AGNP

@@ -9,57 +9,54 @@ import (
 	"github.com/ides-go/ides/internal/stats"
 )
 
-// Fig7Series is one curve of Figure 7: median prediction error as a
-// function of the fraction of landmarks each ordinary host failed to
-// measure, for a fixed landmark count.
-type Fig7Series struct {
-	NumLandmarks int
-	Fractions    []float64
-	Medians      []float64
-}
-
 // Fig7 reproduces Figure 7 on NLANR (d=8) or P2PSim (d=10) with IDES/SVD:
 // each ordinary host independently loses a random fraction of the
-// landmarks and solves its vectors from the survivors (Eqs. 15–16).
+// landmarks and solves its vectors from the survivors (Eqs. 15–16). A row
+// is one unobserved fraction, a column one landmark count.
 //
 // Paper's qualitative result: with 20 landmarks (close to the model
 // dimension) accuracy degrades quickly as the unobserved fraction grows;
 // with 50 landmarks, losing 40% of them barely moves the median error.
-func Fig7(dsName string, scale Scale, seed int64) ([]Fig7Series, error) {
-	var dim int
-	switch dsName {
-	case "NLANR":
-		dim = 8
-	case "P2PSim":
+func Fig7(dsName string, scale Scale, seed int64) (Table, error) {
+	fig, err := panel("7", dsName, "NLANR", "P2PSim")
+	if err != nil {
+		return Table{}, err
+	}
+	dim := 8
+	if dsName == "P2PSim" {
 		dim = 10
-	default:
-		return nil, fmt.Errorf("fig7: unknown dataset %q (want NLANR or P2PSim)", dsName)
 	}
 	ds, err := genByName(dsName, scale, seed)
 	if err != nil {
-		return nil, fmt.Errorf("fig7: %w", err)
+		return Table{}, fmt.Errorf("fig7: %w", err)
 	}
-	fractions := []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8}
-	out := make([]Fig7Series, 0, 2)
-	for _, numLM := range []int{20, 50} {
-		series := Fig7Series{NumLandmarks: numLM}
-		for _, f := range fractions {
+	landmarks := []int{20, 50}
+	tab := Table{
+		Title: fig + ": median prediction error vs unobserved landmark fraction, " + dsName + ", IDES/SVD",
+		Label: "fraction",
+	}
+	for _, numLM := range landmarks {
+		tab.Columns = append(tab.Columns, Column{fmt.Sprintf("%d landmarks", numLM), Ratio})
+	}
+	for _, f := range []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8} {
+		row := Row{Label: fmt.Sprintf("%.1f", f)}
+		for _, numLM := range landmarks {
 			med, err := fig7Point(ds.D, numLM, dim, f, seed)
 			if err != nil {
-				return nil, fmt.Errorf("fig7: m=%d f=%.1f: %w", numLM, f, err)
+				return Table{}, fmt.Errorf("fig7: m=%d f=%.1f: %w", numLM, f, err)
 			}
-			series.Fractions = append(series.Fractions, f)
-			series.Medians = append(series.Medians, med)
+			row.Values = append(row.Values, med)
 		}
-		out = append(out, series)
+		tab.Rows = append(tab.Rows, row)
 	}
-	return out, nil
+	return tab, nil
 }
 
 // fig7Point runs one (landmark count, unobserved fraction) cell: fit the
 // landmark model, give every ordinary host an independent random subset of
 // observed landmarks, solve, and return the median prediction error over
-// all ordinary pairs.
+// all ordinary pairs. Its random draws depend only on the seed and the
+// cell, so cells may run in any order.
 func fig7Point(d *mat.Dense, numLM, dim int, unobserved float64, seed int64) (float64, error) {
 	lm, hosts := splitHosts(d.Rows(), numLM, seed)
 	dl := submatrix(d, lm, lm)
@@ -92,16 +89,7 @@ func fig7Point(d *mat.Dense, numLM, dim int, unobserved float64, seed int64) (fl
 		placeX.SetRow(hi, vec.Out)
 		placeY.SetRow(hi, vec.In)
 	}
-
-	errs := make([]float64, 0, len(hosts)*(len(hosts)-1))
-	for i := range hosts {
-		for j := range hosts {
-			if i == j {
-				continue
-			}
-			est := mat.Dot(placeX.Row(i), placeY.Row(j))
-			errs = append(errs, stats.RelativeError(d.At(hosts[i], hosts[j]), est))
-		}
-	}
-	return stats.Median(errs), nil
+	return stats.Median(pairErrors(d, hosts, func(i, j int) float64 {
+		return mat.Dot(placeX.Row(i), placeY.Row(j))
+	})), nil
 }

@@ -26,51 +26,50 @@ type predictionProblem struct {
 	// when sources and destinations coincide.
 	dstOut, dstIn *mat.Dense
 
-	// truth[i][j] is the true distance from source i to destination j;
-	// a negative entry means "do not evaluate this pair" (e.g. i==j).
+	// truth[i][j] is the true distance from source i to destination j. It
+	// is square exactly when sources and destinations coincide, and then
+	// its diagonal is not evaluated.
 	truth *mat.Dense
 }
 
-// squareProblem builds a predictionProblem from a square dataset: numLM
-// random landmarks, everything else ordinary, all ordinary pairs evaluated.
-func squareProblem(d *mat.Dense, numLM int, seed int64) *predictionProblem {
-	n := d.Rows()
-	lm, hosts := splitHosts(n, numLM, seed)
-	dl := submatrix(d, lm, lm)
+// squareProblem builds a predictionProblem from a square dataset: the
+// given landmarks, and every pair of the given ordinary hosts evaluated.
+func squareProblem(d *mat.Dense, lm, hosts []int) *predictionProblem {
 	out := submatrix(d, hosts, lm)
 	in := submatrix(d, lm, hosts).T()
-	truth := submatrix(d, hosts, hosts)
-	for i := range hosts {
-		truth.Set(i, i, -1)
-	}
 	return &predictionProblem{
-		dl:     dl,
+		dl:     submatrix(d, lm, lm),
 		srcOut: out, srcIn: in,
 		dstOut: out, dstIn: in,
-		truth: truth,
+		truth: submatrix(d, hosts, hosts),
 	}
 }
 
 // score computes the modified relative error for every evaluated pair
 // given an estimator over (source index, destination index).
 func (p *predictionProblem) score(est func(i, j int) float64) []float64 {
-	srcN := p.srcOut.Rows()
-	dstN := p.dstOut.Rows()
-	same := p.srcOut == p.dstOut
-	errs := make([]float64, 0, srcN*dstN)
-	for i := 0; i < srcN; i++ {
-		for j := 0; j < dstN; j++ {
-			if same && i == j {
-				continue
-			}
-			d := p.truth.At(i, j)
-			if d < 0 {
-				continue
-			}
-			errs = append(errs, stats.RelativeError(d, est(i, j)))
-		}
+	return stats.RelativeErrors(p.truth.Rows(), p.truth.Cols(), p.truth.At, est)
+}
+
+// predictionDim is the model dimension of every §6 prediction experiment.
+const predictionDim = 8
+
+// system is one of the four systems §6 compares: run builds its model on
+// a problem and returns the prediction error sample.
+type system struct {
+	name string
+	run  func() ([]float64, error)
+}
+
+// systems lists the four systems of §6 on one problem, in the paper's
+// order: Figure 6 scores each, Table 1 times each.
+func systems(p *predictionProblem, seed int64) []system {
+	return []system{
+		{"IDES/SVD", func() ([]float64, error) { return runIDES(p, predictionDim, core.SVD, seed, 0) }},
+		{"IDES/NMF", func() ([]float64, error) { return runIDES(p, predictionDim, core.NMF, seed, fig6NMFIters) }},
+		{"ICS", func() ([]float64, error) { return runICS(p, predictionDim) }},
+		{"GNP", func() ([]float64, error) { return runGNP(p, predictionDim, seed) }},
 	}
-	return errs
 }
 
 // runIDES fits the landmark model, batch-places all hosts, and returns the

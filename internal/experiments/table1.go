@@ -1,74 +1,34 @@
 package experiments
 
-import (
-	"fmt"
-	"time"
+import "fmt"
 
-	"github.com/ides-go/ides/internal/core"
-)
-
-// Table1Row is one row of Table 1: the wall time each system needs to
-// build its full model — landmark fit plus the placement of every ordinary
-// host — on one dataset.
-type Table1Row struct {
-	Dataset string
-	IDESSVD time.Duration
-	IDESNMF time.Duration
-	ICS     time.Duration
-	GNP     time.Duration
-}
-
-// Table1 reproduces Table 1 on the GNP, NLANR and P2PSim datasets at d=8.
-// The paper's qualitative result: IDES (either algorithm) and ICS build
-// models in well under a second while GNP's Simplex Downhill needs minutes
-// — a gap of several orders of magnitude that survives any hardware
-// change because it is algorithmic (closed-form solves versus iterative
-// simplex search).
-func Table1(scale Scale, seed int64) ([]Table1Row, error) {
-	const dim = 8
-	rows := make([]Table1Row, 0, 3)
-	for _, dsName := range []string{"GNP", "NLANR", "P2PSim"} {
+// Table1 reproduces Table 1 on the GNP, NLANR and P2PSim datasets at d=8:
+// the wall time each system needs to build its full model — landmark fit
+// plus the placement of every ordinary host — on one dataset. The paper's
+// qualitative result: IDES (either algorithm) and ICS build models in
+// well under a second while GNP's Simplex Downhill needs minutes — a gap
+// of several orders of magnitude that survives any hardware change
+// because it is algorithmic (closed-form solves versus iterative simplex
+// search).
+func Table1(scale Scale, seed int64) (Table, error) {
+	tab := Table{Title: "Table 1: model construction time (landmark fit + all host placements)", Label: "dataset"}
+	for _, dsName := range predictionDatasets {
 		p, err := fig6Problem(dsName, scale, seed)
 		if err != nil {
-			return nil, fmt.Errorf("table1: %w", err)
+			return Table{}, fmt.Errorf("table1: %w", err)
 		}
-		row := Table1Row{Dataset: dsName}
-
-		row.IDESSVD, err = timeRun(func() error {
-			_, err := runIDES(p, dim, core.SVD, seed, 0)
-			return err
-		})
-		if err != nil {
-			return nil, fmt.Errorf("table1: %s ides/svd: %w", dsName, err)
+		row := Row{Label: dsName}
+		for _, s := range systems(p, seed) {
+			secs, err := timed(func() error { _, err := s.run(); return err })
+			if err != nil {
+				return Table{}, fmt.Errorf("table1: %s: %w", dsName, err)
+			}
+			row.Values = append(row.Values, secs)
+			if len(tab.Rows) == 0 {
+				tab.Columns = append(tab.Columns, Column{s.name, Seconds})
+			}
 		}
-		row.IDESNMF, err = timeRun(func() error {
-			_, err := runIDES(p, dim, core.NMF, seed, fig6NMFIters)
-			return err
-		})
-		if err != nil {
-			return nil, fmt.Errorf("table1: %s ides/nmf: %w", dsName, err)
-		}
-		row.ICS, err = timeRun(func() error {
-			_, err := runICS(p, dim)
-			return err
-		})
-		if err != nil {
-			return nil, fmt.Errorf("table1: %s ics: %w", dsName, err)
-		}
-		row.GNP, err = timeRun(func() error {
-			_, err := runGNP(p, dim, seed)
-			return err
-		})
-		if err != nil {
-			return nil, fmt.Errorf("table1: %s gnp: %w", dsName, err)
-		}
-		rows = append(rows, row)
+		tab.Rows = append(tab.Rows, row)
 	}
-	return rows, nil
-}
-
-func timeRun(f func() error) (time.Duration, error) {
-	start := time.Now()
-	err := f()
-	return time.Since(start), err
+	return tab, nil
 }

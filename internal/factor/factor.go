@@ -56,7 +56,7 @@ func (f *Factors) ReconstructionErrors(d *mat.Dense) []float64 {
 // the exact Jacobi decomposition; larger problems use randomized subspace
 // iteration, which matches the exact leading spectrum to several digits on
 // rapidly decaying RTT matrices at a fraction of the cost (see
-// BenchmarkAblation_SVDAlgorithms).
+// experiments.AblationSVDAlgorithms).
 const svdExactThreshold = 256
 
 // SVDFactor computes the rank-d SVD factorization of the distance matrix

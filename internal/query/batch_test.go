@@ -70,7 +70,7 @@ func TestEstimateBatchMatchesPerTargetLookup(t *testing.T) {
 					d.PutEpoch(name, randVec(dim), epoch-2)
 				case 1: // racing in for a generation the engine is not pinned to
 					d.PutEpoch(name, randVec(dim), epoch+1)
-				case 2: // unversioned
+				case 2: // epoch 0: registered before the first fit
 					d.Put(name, randVec(dim))
 				case 3: // wrong dimension: a directory hit that reads not found
 					d.PutEpoch(name, randVec(dim-1), epoch)

@@ -55,7 +55,7 @@ type Config struct {
 type entry struct {
 	vec   core.Vectors
 	at    int64  // registration time, unix nanos
-	epoch uint64 // model epoch the vectors were solved against; 0 = unversioned
+	epoch uint64 // model epoch the vectors were solved against; 0 = before the first fit
 }
 
 // shard is an independently locked slice of the directory.
@@ -75,8 +75,8 @@ type shard struct {
 // entry stops resolving immediately — a vector solved against a dead
 // model generation must never be dotted with vectors from the live one —
 // and its memory is reclaimed lazily: by the Get that touches it, and by
-// the one per-shard sweep each epoch bump schedules. Epoch-0 entries are
-// unversioned (registered by pre-epoch peers) and only expire by TTL.
+// the one per-shard sweep each epoch bump schedules. An epoch-0 entry was
+// registered before the first fit, and the first AdvanceEpoch evicts it.
 type Directory struct {
 	shards  []shard
 	mask    uint64
@@ -168,8 +168,8 @@ func (d *Directory) ttlNow() int64 {
 	return 0
 }
 
-// Put inserts or refreshes a host's vectors as an unversioned entry
-// (epoch 0, exempt from epoch staleness). The slices are stored as
+// Put inserts or refreshes a host's vectors at epoch 0, before the first
+// fit: the first AdvanceEpoch evicts them. The slices are stored as
 // given; callers that reuse buffers must copy first.
 func (d *Directory) Put(addr string, vec core.Vectors) { d.PutEpoch(addr, vec, 0) }
 
@@ -189,7 +189,7 @@ func (d *Directory) PutEpoch(addr string, vec core.Vectors, epoch uint64) {
 }
 
 // AdvanceEpoch moves the directory to a new model epoch: every entry
-// tagged with an older (nonzero) epoch immediately reads as absent.
+// tagged with an older epoch immediately reads as absent.
 // Regressions are ignored, so out-of-order announcements cannot
 // resurrect dead entries.
 func (d *Directory) AdvanceEpoch(epoch uint64) {
@@ -211,7 +211,7 @@ func (d *Directory) Get(addr string) (core.Vectors, bool) {
 }
 
 // GetAt returns the vectors registered for addr as seen from one model
-// epoch: entries tagged with a different nonzero epoch read as absent,
+// epoch: entries tagged with a different epoch read as absent,
 // so a caller pinned to one generation (the query engine) never
 // resolves vectors solved against another — even while registrations
 // for a newer epoch race in. Expired and stale-epoch entries also read
@@ -253,7 +253,7 @@ func getAt[K addrKey](d *Directory, addr K, epoch uint64) (core.Vectors, bool) {
 		sh.mu.Unlock()
 		return core.Vectors{}, false
 	}
-	if e.epoch != 0 && e.epoch != epoch {
+	if e.epoch != epoch {
 		return core.Vectors{}, false
 	}
 	return e.vec, true
@@ -312,7 +312,7 @@ func gatherIn[K addrKey](d *Directory, addrs []K, epoch uint64, dim int, rows []
 		for _, i := range order[start:end] {
 			e, ok := sh.hosts[string(addrs[i])]
 			switch {
-			case !ok || d.expired(e, now) || d.stale(e, cur) || (e.epoch != 0 && e.epoch != epoch):
+			case !ok || d.expired(e, now) || d.stale(e, cur) || e.epoch != epoch:
 				rows[i] = nil
 				miss = append(miss, i)
 			case len(e.vec.In) != dim:
@@ -377,9 +377,9 @@ func (d *Directory) expired(e entry, now int64) bool {
 }
 
 // stale reports whether e was solved against a model epoch older than
-// cur. Epoch-0 entries are unversioned and never stale.
+// cur.
 func (d *Directory) stale(e entry, cur uint64) bool {
-	return e.epoch != 0 && e.epoch < cur
+	return e.epoch < cur
 }
 
 // maybeSweepLocked scans the shard for expired and stale entries if a
@@ -404,11 +404,10 @@ func (d *Directory) maybeSweepLocked(sh *shard, now int64) {
 }
 
 // RangeEpoch calls fn for every live entry, with its registered model
-// epoch (0 for unversioned entries), until fn returns false — what a
-// replicating leader needs to stream its directory to a follower without
-// flattening the epoch tags. The callback runs outside the shard lock
-// (entries are copied out one shard at a time), so fn may call back into
-// the Directory.
+// epoch, until fn returns false — what a replicating leader needs to
+// stream its directory to a follower without flattening the epoch tags.
+// The callback runs outside the shard lock (entries are copied out one
+// shard at a time), so fn may call back into the Directory.
 func (d *Directory) RangeEpoch(fn func(addr string, vec core.Vectors, epoch uint64) bool) {
 	now := d.ttlNow()
 	buf := make([]addrVec, 0, 64)
@@ -444,7 +443,7 @@ func (d *Directory) snapshotShard(i int, now int64, epoch uint64, buf []addrVec)
 		if d.expired(e, now) || d.stale(e, cur) {
 			continue
 		}
-		if epoch != anyEpoch && e.epoch != 0 && e.epoch != epoch {
+		if epoch != anyEpoch && e.epoch != epoch {
 			continue
 		}
 		buf = append(buf, addrVec{addr, e.vec, e.epoch})

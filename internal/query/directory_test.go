@@ -164,7 +164,7 @@ func TestEpochEviction(t *testing.T) {
 	d := New(Config{})
 	d.PutEpoch("v1", vec(1, 1), 1)
 	d.PutEpoch("v2", vec(2, 2), 2)
-	d.Put("legacy", vec(3, 3)) // epoch 0: unversioned
+	d.Put("early", vec(3, 3)) // epoch 0: before the first fit
 	d.AdvanceEpoch(2)
 	if d.Epoch() != 2 {
 		t.Fatalf("Epoch = %d", d.Epoch())
@@ -175,12 +175,12 @@ func TestEpochEviction(t *testing.T) {
 	if _, ok := d.Get("v2"); !ok {
 		t.Fatal("current-epoch entry must resolve")
 	}
-	if _, ok := d.Get("legacy"); !ok {
-		t.Fatal("unversioned entry must survive epoch advances")
+	if _, ok := d.Get("early"); ok {
+		t.Fatal("an epoch-0 entry must not survive the first fit")
 	}
-	// The unlucky Get reclaimed v1; Len sweeps the rest.
-	if n := d.Len(); n != 2 {
-		t.Fatalf("Len = %d, want 2", n)
+	// The unlucky Gets reclaimed v1 and early; Len sweeps the rest.
+	if n := d.Len(); n != 1 {
+		t.Fatalf("Len = %d, want 1", n)
 	}
 	// Range and shard snapshots skip stale entries too.
 	d.PutEpoch("v1b", vec(4, 4), 1)
@@ -189,7 +189,7 @@ func TestEpochEviction(t *testing.T) {
 		seen[addr] = true
 		return true
 	})
-	if seen["v1b"] || !seen["v2"] || !seen["legacy"] {
+	if seen["v1b"] || !seen["v2"] || len(seen) != 1 {
 		t.Fatalf("Range saw %v", seen)
 	}
 }
@@ -225,8 +225,7 @@ func TestEpochAndTTLCompose(t *testing.T) {
 	now := time.Unix(1_000_000, 0)
 	d := New(Config{TTL: time.Minute, Now: func() time.Time { return now }})
 	d.PutEpoch("a", vec(1), 1)
-	d.Put("legacy", vec(2))
-	d.AdvanceEpoch(1) // same epoch: both live
+	d.AdvanceEpoch(1)
 	if _, ok := d.Get("a"); !ok {
 		t.Fatal("current-epoch entry must resolve")
 	}
@@ -234,8 +233,5 @@ func TestEpochAndTTLCompose(t *testing.T) {
 	now = now.Add(2 * time.Minute)
 	if _, ok := d.Get("a"); ok {
 		t.Fatal("TTL must expire versioned entries too")
-	}
-	if _, ok := d.Get("legacy"); ok {
-		t.Fatal("TTL must expire unversioned entries")
 	}
 }

@@ -68,8 +68,8 @@ func (e *Engine) LookupBytes(addr []byte) (core.Vectors, bool) {
 // EstimatePair estimates the distance from→to for hosts named by raw
 // address bytes: the zero-allocation point-query path behind the
 // server's QueryDist handler. Unresolvable addresses — and pairs whose
-// vector dimensions disagree (possible when unversioned entries survive
-// a model change) — report not found.
+// vector dimensions disagree, which the directory does not rule out (it
+// stores whatever dimension PutEpoch is given) — report not found.
 func (e *Engine) EstimatePair(from, to []byte) (float64, bool) {
 	a, okA := e.LookupBytes(from)
 	if !okA {

@@ -216,7 +216,7 @@ func randVec(r *xorshift, n int) []float64 {
 }
 
 // TestEnginePinnedEpoch: an Engine resolves only entries of the epoch
-// current at its construction (plus unversioned ones), so a handler
+// current at its construction, so a handler
 // holding a pre-refit engine can never mix generations even while
 // registrations for the new epoch race in.
 func TestEnginePinnedEpoch(t *testing.T) {
@@ -233,8 +233,8 @@ func TestEnginePinnedEpoch(t *testing.T) {
 	if _, ok := old.Lookup("gen2"); ok {
 		t.Fatal("pre-refit engine must not resolve a newer-epoch entry")
 	}
-	if _, ok := old.Lookup("legacy"); !ok {
-		t.Fatal("unversioned entries resolve through any engine")
+	if _, ok := old.Lookup("legacy"); ok {
+		t.Fatal("an epoch-0 entry must not resolve once a model is fit")
 	}
 	if _, ok := fresh.Lookup("gen1"); ok {
 		t.Fatal("dead-generation entry must not resolve")
@@ -254,7 +254,7 @@ func TestEnginePinnedEpoch(t *testing.T) {
 		}
 	}
 	ests := fresh.EstimateBatch(src, []string{"legacy", "gen1", "gen2"})
-	if !ests[0].Found || ests[1].Found || !ests[2].Found {
+	if ests[0].Found || ests[1].Found || !ests[2].Found {
 		t.Fatalf("batch resolution across epochs wrong: %+v", ests)
 	}
 }

@@ -75,8 +75,8 @@ func TestModelCarriesEpoch(t *testing.T) {
 }
 
 // TestRegisterEpochValidation is the epoch-mismatch registration table:
-// current and unversioned epochs are accepted, anything else is refused
-// with CodeStaleEpoch.
+// the current epoch is accepted, anything else — epoch 0 included — is
+// refused with CodeStaleEpoch.
 func TestRegisterEpochValidation(t *testing.T) {
 	s := ringLandmarks(t, core.SVD)
 	defer s.Close()
@@ -99,7 +99,7 @@ func TestRegisterEpochValidation(t *testing.T) {
 		wantType wire.MsgType
 		wantCode uint16
 	}{
-		{"unversioned accepted", 0, wire.TypeAck, 0},
+		{"unversioned refused", 0, wire.TypeError, wire.CodeStaleEpoch},
 		{"current epoch accepted", 2, wire.TypeAck, 0},
 		{"stale epoch rejected", 1, wire.TypeError, wire.CodeStaleEpoch},
 		{"future epoch rejected", 7, wire.TypeError, wire.CodeStaleEpoch},
@@ -122,8 +122,8 @@ func TestRegisterEpochValidation(t *testing.T) {
 }
 
 // TestStaleVectorsEvictedOnRefit: entries registered against an epoch
-// stop resolving the moment the model moves past it; unversioned
-// entries survive.
+// stop resolving the moment the model moves past it, and an epoch-0
+// registration never enters a directory that has a model.
 func TestStaleVectorsEvictedOnRefit(t *testing.T) {
 	s := ringLandmarks(t, core.SVD)
 	defer s.Close()
@@ -137,17 +137,22 @@ func TestStaleVectorsEvictedOnRefit(t *testing.T) {
 		t.Fatal(err)
 	}
 	regV := &wire.RegisterHost{Addr: "versioned", Out: h.Out, In: h.In, Epoch: 1}
-	regU := &wire.RegisterHost{Addr: "legacy", Out: h.Out, In: h.In} // epoch 0
-	for _, reg := range []*wire.RegisterHost{regV, regU} {
-		if typ, _ := s.dispatch(wire.TypeRegisterHost, reg.Encode(nil)); typ != wire.TypeAck {
-			t.Fatalf("register %s failed", reg.Addr)
-		}
+	if typ, _ := s.dispatch(wire.TypeRegisterHost, regV.Encode(nil)); typ != wire.TypeAck {
+		t.Fatal("register versioned failed")
 	}
-	if n := s.NumHosts(); n != 2 {
+	regU := &wire.RegisterHost{Addr: "legacy", Out: h.Out, In: h.In} // epoch 0
+	if typ, _ := s.dispatch(wire.TypeRegisterHost, regU.Encode(nil)); typ != wire.TypeError {
+		t.Fatal("an epoch-0 registration must be refused once a model is served")
+	}
+	if n := s.NumHosts(); n != 1 {
 		t.Fatalf("NumHosts = %d", n)
 	}
 
 	bumpEpoch(t, s, 1.3) // epoch 2: "versioned" is now a dead generation
+	regC := &wire.RegisterHost{Addr: "current", Out: h.Out, In: h.In, Epoch: 2}
+	if typ, _ := s.dispatch(wire.TypeRegisterHost, regC.Encode(nil)); typ != wire.TypeAck {
+		t.Fatal("register current failed")
+	}
 
 	typ, payload := s.dispatch(wire.TypeGetVectors, (&wire.GetVectors{Addr: "versioned"}).Encode(nil))
 	if typ != wire.TypeVectors {
@@ -164,13 +169,13 @@ func TestStaleVectorsEvictedOnRefit(t *testing.T) {
 	if typ != wire.TypeVectors {
 		t.Fatalf("type %v", typ)
 	}
-	if v, _ := wire.DecodeVectors(payload); !v.Found {
-		t.Fatal("unversioned entry must survive refits")
+	if v, _ := wire.DecodeVectors(payload); v.Found {
+		t.Fatal("a refused epoch-0 registration must read absent")
 	}
 
 	// The stale source reads as unknown in queries, and the response
 	// carries the new epoch so the client knows why.
-	typ, payload = s.dispatch(wire.TypeQueryBatch, (&wire.QueryBatch{From: "versioned", Targets: []string{"legacy"}}).Encode(nil))
+	typ, payload = s.dispatch(wire.TypeQueryBatch, (&wire.QueryBatch{From: "versioned", Targets: []string{"current"}}).Encode(nil))
 	if typ != wire.TypeDistances {
 		t.Fatalf("type %v", typ)
 	}
@@ -178,8 +183,8 @@ func TestStaleVectorsEvictedOnRefit(t *testing.T) {
 	if resp.SrcFound || resp.Epoch != 2 {
 		t.Fatalf("stale source: %+v", resp)
 	}
-	// KNN from the legacy host must not rank the dead entry.
-	typ, payload = s.dispatch(wire.TypeQueryKNN, (&wire.QueryKNN{From: "legacy", K: 5}).Encode(nil))
+	// KNN from a current host must not rank the dead entry.
+	typ, payload = s.dispatch(wire.TypeQueryKNN, (&wire.QueryKNN{From: "current", K: 5}).Encode(nil))
 	if typ != wire.TypeNeighbors {
 		t.Fatalf("type %v", typ)
 	}
@@ -200,7 +205,7 @@ func TestStaleVectorsEvictedOnRefit(t *testing.T) {
 	if typ, _ := s.dispatch(wire.TypeRegisterHost, regV.Encode(nil)); typ != wire.TypeAck {
 		t.Fatal("re-register at current epoch failed")
 	}
-	typ, payload = s.dispatch(wire.TypeQueryBatch, (&wire.QueryBatch{From: "versioned", Targets: []string{"legacy"}}).Encode(nil))
+	typ, payload = s.dispatch(wire.TypeQueryBatch, (&wire.QueryBatch{From: "versioned", Targets: []string{"current"}}).Encode(nil))
 	if typ != wire.TypeDistances {
 		t.Fatalf("type %v", typ)
 	}
@@ -284,11 +289,6 @@ func TestQueriesServeDuringRefit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Unversioned so it keeps resolving across the refit.
-	reg := &wire.RegisterHost{Addr: "H1", Out: h.Out, In: h.In}
-	if typ, _ := s.dispatch(wire.TypeRegisterHost, reg.Encode(nil)); typ != wire.TypeAck {
-		t.Fatal("register failed")
-	}
 
 	// The first fits may have raced the report loop: drain them, anchor
 	// on whatever epoch is current, then arm the gate so the next refit
@@ -297,6 +297,10 @@ func TestQueriesServeDuringRefit(t *testing.T) {
 		t.Fatal(err)
 	}
 	baseEpoch := s.Epoch()
+	reg := &wire.RegisterHost{Addr: "H1", Out: h.Out, In: h.In, Epoch: baseEpoch}
+	if typ, _ := s.dispatch(wire.TypeRegisterHost, reg.Encode(nil)); typ != wire.TypeAck {
+		t.Fatal("register failed")
+	}
 	gate.armed.Store(true)
 	rep := &wire.ReportRTT{From: "L1", Entries: []wire.RTTEntry{{To: "L2", RTTMillis: 1.1}}}
 	if typ, _ := s.dispatch(wire.TypeReportRTT, rep.Encode(nil)); typ != wire.TypeAck {
@@ -316,7 +320,9 @@ func TestQueriesServeDuringRefit(t *testing.T) {
 				}
 				// An iteration that starts with the worker already
 				// parked and is counted before the gate opens ran
-				// entirely while the refit was in flight.
+				// entirely while the refit was in flight. The source is
+				// a landmark, which every generation resolves; H1 stops
+				// resolving once the refit publishes its epoch.
 				inFlight := false
 				select {
 				case <-gate.entered:
@@ -325,7 +331,7 @@ func TestQueriesServeDuringRefit(t *testing.T) {
 				}
 				epochBefore := s.Epoch()
 				typ, payload := s.dispatch(wire.TypeQueryBatch,
-					(&wire.QueryBatch{From: "H1", Targets: []string{"L4", "H1"}}).Encode(nil))
+					(&wire.QueryBatch{From: "L1", Targets: []string{"L4", "H1"}}).Encode(nil))
 				if typ != wire.TypeDistances {
 					t.Errorf("QueryBatch answered %v", typ)
 					return
@@ -433,8 +439,8 @@ func TestConcurrentReportsQueriesRefits(t *testing.T) {
 			rep := &wire.ReportRTT{From: "L1", Entries: []wire.RTTEntry{{To: "L2", RTTMillis: ms}}}
 			s.dispatch(wire.TypeReportRTT, rep.Encode(nil))
 		},
-		func(i int) { // registrar: unversioned, always valid
-			reg := &wire.RegisterHost{Addr: "H", Out: []float64{1, 2}, In: []float64{3, 4}}
+		func(i int) { // registrar: at the served epoch, unless a refit lands first
+			reg := &wire.RegisterHost{Addr: "H", Out: []float64{1, 2}, In: []float64{3, 4}, Epoch: s.Epoch()}
 			s.dispatch(wire.TypeRegisterHost, reg.Encode(nil))
 		},
 		func(i int) { // querier

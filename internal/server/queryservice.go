@@ -207,10 +207,10 @@ func (q *QueryService) handleRegister(payload, dst []byte) (wire.MsgType, []byte
 	if de := q.dir.Epoch(); de > cur {
 		cur = de
 	}
-	// Vectors solved against a replaced model generation must not enter
-	// the directory: estimates would mix two fits. Epoch 0 marks a
-	// pre-epoch client and is accepted as unversioned.
-	if reg.Epoch != 0 && reg.Epoch != cur {
+	// Vectors solved against any other model generation must not enter
+	// the directory: estimates would mix two fits. That includes epoch 0
+	// once a model is served — 0 is "before the first fit", not a pass.
+	if reg.Epoch != cur {
 		return wire.AppendError(dst, wire.CodeStaleEpoch,
 			fmt.Sprintf("vectors solved against epoch %d, server at epoch %d: re-fetch the model and re-solve", reg.Epoch, cur))
 	}

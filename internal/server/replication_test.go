@@ -143,7 +143,7 @@ func TestFollowerReplication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := &wire.RegisterHost{Addr: "live-host", Out: hv.Out, In: hv.In}
+	reg := &wire.RegisterHost{Addr: "live-host", Out: hv.Out, In: hv.In, Epoch: leader.Epoch()}
 	if typ, _ := leader.dispatch(wire.TypeRegisterHost, reg.Encode(nil)); typ != wire.TypeAck {
 		t.Fatal("leader register failed")
 	}
@@ -158,7 +158,7 @@ func TestFollowerReplication(t *testing.T) {
 
 	// Write forwarding with read-your-writes: registering through the
 	// follower lands on the leader AND resolves on the follower at once.
-	reg = &wire.RegisterHost{Addr: "fwd-host", Out: hv.Out, In: hv.In}
+	reg = &wire.RegisterHost{Addr: "fwd-host", Out: hv.Out, In: hv.In, Epoch: leader.Epoch()}
 	if typ, _ := f.dispatch(wire.TypeRegisterHost, reg.Encode(nil)); typ != wire.TypeAck {
 		t.Fatal("forwarded register failed")
 	}

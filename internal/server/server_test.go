@@ -256,7 +256,7 @@ func TestRegisterAndQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := &wire.RegisterHost{Addr: "H1", Out: h1.Out, In: h1.In}
+	reg := &wire.RegisterHost{Addr: "H1", Out: h1.Out, In: h1.In, Epoch: s.Epoch()}
 	typ, _ := s.dispatch(wire.TypeRegisterHost, reg.Encode(nil))
 	if typ != wire.TypeAck {
 		t.Fatalf("register answered %v", typ)
@@ -307,7 +307,7 @@ func registerRingHosts(t *testing.T, s *Server, n int) []string {
 			t.Fatal(err)
 		}
 		addrs[i] = fmt.Sprintf("H%d", i)
-		reg := &wire.RegisterHost{Addr: addrs[i], Out: v.Out, In: v.In}
+		reg := &wire.RegisterHost{Addr: addrs[i], Out: v.Out, In: v.In, Epoch: s.Epoch()}
 		if typ, _ := s.dispatch(wire.TypeRegisterHost, reg.Encode(nil)); typ != wire.TypeAck {
 			t.Fatalf("register %s answered %v", addrs[i], typ)
 		}
@@ -506,7 +506,7 @@ func TestRegisterWrongDimension(t *testing.T) {
 	if _, err := s.Model(); err != nil {
 		t.Fatal(err)
 	}
-	reg := &wire.RegisterHost{Addr: "H1", Out: []float64{1}, In: []float64{1}}
+	reg := &wire.RegisterHost{Addr: "H1", Out: []float64{1}, In: []float64{1}, Epoch: s.Epoch()}
 	typ, payload := s.dispatch(wire.TypeRegisterHost, reg.Encode(nil))
 	if typ != wire.TypeError {
 		t.Fatalf("type %v want Error", typ)
@@ -541,7 +541,7 @@ func TestRegisterRefusesNonFiniteVectors(t *testing.T) {
 	}{{"NaN", math.NaN()}, {"+Inf", math.Inf(1)}, {"-Inf", math.Inf(-1)}} {
 		in := append([]float64(nil), honest.In...)
 		in[0] = row.x
-		reg := &wire.RegisterHost{Addr: "evil" + row.name, Out: honest.Out, In: in}
+		reg := &wire.RegisterHost{Addr: "evil" + row.name, Out: honest.Out, In: in, Epoch: s.Epoch()}
 		typ, payload := s.dispatch(wire.TypeRegisterHost, reg.Encode(nil))
 		if typ != wire.TypeError {
 			t.Fatalf("%s coordinate: answered %v, want CodeBadRequest", row.name, typ)
@@ -667,7 +667,7 @@ func TestHostTTLExpiry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := &wire.RegisterHost{Addr: "H1", Out: h1.Out, In: h1.In}
+	reg := &wire.RegisterHost{Addr: "H1", Out: h1.Out, In: h1.In, Epoch: s.Epoch()}
 	if typ, _ := s.dispatch(wire.TypeRegisterHost, reg.Encode(nil)); typ != wire.TypeAck {
 		t.Fatal("register failed")
 	}
@@ -725,7 +725,7 @@ func TestHostTTLZeroNeverExpires(t *testing.T) {
 	model, _ := s.Model()
 	d1 := []float64{0.5, 1.5, 1.5, 2.5}
 	h1, _ := model.SolveHost(d1, d1)
-	reg := &wire.RegisterHost{Addr: "H1", Out: h1.Out, In: h1.In}
+	reg := &wire.RegisterHost{Addr: "H1", Out: h1.Out, In: h1.In, Epoch: s.Epoch()}
 	s.dispatch(wire.TypeRegisterHost, reg.Encode(nil))
 	now = now.Add(1000 * time.Hour)
 	if s.NumHosts() != 1 {

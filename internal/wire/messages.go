@@ -256,8 +256,8 @@ type RegisterHost struct {
 	Out  []float64
 	In   []float64
 	// Epoch is the model generation the vectors were solved against. The
-	// server rejects a nonzero Epoch that does not match its current one
-	// (CodeStaleEpoch); 0 marks a pre-epoch client and is accepted.
+	// server rejects an Epoch that does not match its current one
+	// (CodeStaleEpoch); 0 matches only before the first fit.
 	Epoch uint64
 }
 

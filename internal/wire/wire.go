@@ -23,9 +23,10 @@
 // absent trailing field as its zero value — so old and new peers
 // interoperate. The model-epoch stamps on Info, Model, RegisterHost,
 // Vectors, Distances and Neighbors are such trailing fields: a peer that
-// predates them reads and writes epoch 0, which every component treats
-// as "unversioned". Model carries a second one after its Epoch, the
-// revision Rev within that epoch, which a pre-Rev peer reads as 0.
+// predates them reads and writes epoch 0, the epoch before the first fit,
+// so a server that has fit refuses its registrations as stale. Model
+// carries a second one after its Epoch, the revision Rev within that
+// epoch, which a pre-Rev peer reads as 0.
 package wire
 
 import (
