@@ -31,7 +31,7 @@
 //     until accumulated drift crosses -drift-epoch-threshold and a full
 //     corrective refit starts a new generation (step size 0.3 and L2
 //     decay 1e-4 are solve.SGDOptions' defaults, fixed as DMFSGD fixes
-//     them; idesbench -exp solver compares the two strategies);
+//     them; TestSolverConformance holds both to the same accuracy);
 //   - the bulk query engine (NewDirectory, NewQueryEngine): a sharded host
 //     directory with amortized TTL expiry, and vectorized one-to-many
 //     (Client.EstimateBatch), all-pairs (QueryEngine.EstimateMatrix), and
@@ -74,9 +74,10 @@
 //     -servers) route through a failover pool (NewClusterPool) that
 //     picks healthy endpoints least-inflight-first, replays idempotent
 //     calls on the next endpoint when one dies, and re-probes downed
-//     endpoints until they rejoin — `idesbench -exp cluster` gates the
-//     tier end to end (leader killed under query load, zero read
-//     errors, bounded follower staleness, BENCH_cluster.json);
+//     endpoints until they rejoin — TestScenarioLeaderKillFailover and
+//     TestFollowerServesDuringLeaderLoss gate the tier end to end (leader
+//     killed under query load, zero read errors, followers held at the
+//     pre-kill epoch);
 //   - the decentralized, landmark-free peer mode (internal/peer, the
 //     ides-peer binary): every host keeps its own coordinate rows and
 //     converges by gossip — each round measures RTT to one random

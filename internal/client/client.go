@@ -438,7 +438,7 @@ func (c *Client) estimate(ctx context.Context, addr string, fromPeer bool) (floa
 			return 0, fmt.Errorf("client: not bootstrapped")
 		}
 		if !cached {
-			v, respEpoch, err := c.fetchVectors(ctx, addr)
+			v, respEpoch, err := c.fetchVectors(ctx, addr, len(self.Out))
 			// An epoch mismatch outranks any fetch error: a not-found
 			// directory miss is often just the refit having evicted the
 			// peer's whole generation, and the recovery below is what
@@ -473,10 +473,11 @@ func (c *Client) estimate(ctx context.Context, addr string, fromPeer bool) (floa
 }
 
 // fetchVectors resolves a peer's vectors: from the locally held model
-// for landmark addresses, otherwise from the server's directory. The
-// returned epoch is the server's stamp (our own epoch for the local
-// landmark path, since the held model is that generation).
-func (c *Client) fetchVectors(ctx context.Context, addr string) (core.Vectors, uint64, error) {
+// for landmark addresses, otherwise from the server's directory, where
+// a reply whose vectors are not dim long is refused. The returned epoch
+// is the server's stamp (our own epoch for the local landmark path,
+// since the held model is that generation).
+func (c *Client) fetchVectors(ctx context.Context, addr string, dim int) (core.Vectors, uint64, error) {
 	// Landmarks are in the model already; skip the directory for them.
 	c.mu.RLock()
 	model := c.model
@@ -508,6 +509,9 @@ func (c *Client) fetchVectors(ctx context.Context, addr string) (core.Vectors, u
 			return core.Vectors{}, v.Epoch, fmt.Errorf("client: host %s is not registered (server moved to epoch %d)", addr, v.Epoch)
 		}
 		return core.Vectors{}, v.Epoch, fmt.Errorf("client: host %s is not registered", addr)
+	}
+	if len(v.Out) != dim || len(v.In) != dim {
+		return core.Vectors{}, v.Epoch, fmt.Errorf("client: host %s has vector dims %d/%d, want %d", addr, len(v.Out), len(v.In), dim)
 	}
 	return core.Vectors{Out: v.Out, In: v.In}, v.Epoch, nil
 }

@@ -202,10 +202,6 @@ func (f *follower) applyModel(m *wire.Model) error {
 	addrs := make([]string, n)
 	index := make(map[string]int, n)
 	for i, l := range m.Landmarks {
-		if len(l.Out) != dim || len(l.In) != dim {
-			return fmt.Errorf("server: replicated model landmark %q has vector dims %d/%d, want %d",
-				l.Addr, len(l.Out), len(l.In), dim)
-		}
 		model.X.SetRow(i, l.Out)
 		model.Y.SetRow(i, l.In)
 		addrs[i] = l.Addr

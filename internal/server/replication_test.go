@@ -17,6 +17,8 @@ import (
 	"github.com/ides-go/ides/internal/core"
 	"github.com/ides-go/ides/internal/query"
 	"github.com/ides-go/ides/internal/solve"
+	"github.com/ides-go/ides/internal/telemetry"
+	"github.com/ides-go/ides/internal/transport"
 	"github.com/ides-go/ides/internal/wire"
 )
 
@@ -69,6 +71,12 @@ func waitCond(t *testing.T, d time.Duration, what string, cond func() bool) {
 	}
 }
 
+// waitEpoch waits until s serves epoch or a later one.
+func waitEpoch(t *testing.T, s *Server, epoch uint64) {
+	t.Helper()
+	waitCond(t, 10*time.Second, fmt.Sprintf("epoch %d", epoch), func() bool { return s.Epoch() >= epoch })
+}
+
 func TestFollowerValidation(t *testing.T) {
 	if _, err := New(Config{Role: RoleFollower}); err == nil {
 		t.Fatal("follower without a leader address must be rejected")
@@ -101,11 +109,7 @@ func TestFollowerReplication(t *testing.T) {
 	defer f.Close()
 
 	// Initial sync: model epoch and the pre-existing directory arrive.
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := f.WaitForEpoch(ctx, leader.Epoch()); err != nil {
-		t.Fatal(err)
-	}
+	waitEpoch(t, f, leader.Epoch())
 	waitCond(t, 5*time.Second, "directory sync", func() bool { return f.NumHosts() >= len(preSync) })
 
 	// Replicated reads: the paper's H0→L4 estimate must come out of the
@@ -181,9 +185,7 @@ func TestFollowerReplication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.WaitForEpoch(ctx, epoch); err != nil {
-		t.Fatal(err)
-	}
+	waitEpoch(t, f, epoch)
 
 	r := leader.repl
 	if r.subscribers() != 1 || r.framesSent.Load() == 0 || r.bytesSent.Load() == 0 {
@@ -374,9 +376,10 @@ func TestFollowerRefusesPreModelLeader(t *testing.T) {
 
 // TestFollowerServesDuringLeaderLoss: killing the leader must not cost a
 // single read on the follower — it keeps serving the last replicated
-// generation — while writes degrade to CodeUnavailable. A restarted
-// leader is picked up by the reconnect loop and the follower converges
-// on its new fit.
+// generation — while writes degrade to CodeUnavailable. Reads through a
+// ClusterPool over [leader, follower], both on TCP, fail over to the
+// follower without one error. A restarted leader is picked up by the
+// reconnect loop and the follower converges on its new fit.
 func TestFollowerServesDuringLeaderLoss(t *testing.T) {
 	leader := ringLandmarks(t, core.SVD)
 	if _, err := leader.Model(); err != nil {
@@ -387,28 +390,58 @@ func TestFollowerServesDuringLeaderLoss(t *testing.T) {
 
 	f := newTestFollower(t, addr, "f1")
 	defer f.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
 	preKill := leader.Epoch()
-	if err := f.WaitForEpoch(ctx, preKill); err != nil {
+	waitEpoch(t, f, preKill)
+	waitCond(t, 5*time.Second, "directory sync", func() bool { return f.NumHosts() >= 1 })
+	faddr, stopFollower := serveReplTCP(t, f)
+	defer stopFollower()
+
+	reg := telemetry.NewRegistry()
+	cp, err := transport.NewClusterPool(transport.ClusterConfig{
+		Servers:       []string{addr, faddr},
+		PoolConfig:    transport.PoolConfig{Dialer: &net.Dialer{Timeout: 5 * time.Second}, CallTimeout: 5 * time.Second},
+		ProbeInterval: 100 * time.Millisecond,
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	waitCond(t, 5*time.Second, "directory sync", func() bool { return f.NumHosts() >= 1 })
+	defer cp.Close()
+	cp.RegisterMetrics(reg)
+	query := (&wire.QueryDist{From: hosts[0], To: "L4"}).Encode(nil)
+	clusterReads := func(phase string) {
+		t.Helper()
+		for i := 0; i < 50; i++ {
+			typ, payload, _, err := cp.Call(context.Background(), wire.TypeQueryDist, query)
+			if err != nil || typ != wire.TypeDistance {
+				t.Fatalf("%s: cluster read %d answered %v %v", phase, i, typ, err)
+			}
+			if dd, err := wire.ParseDistance(payload); err != nil || !dd.Found {
+				t.Fatalf("%s: cluster read %d: %+v %v", phase, i, dd, err)
+			}
+		}
+	}
+	clusterReads("before the kill")
 
 	// Kill the leader: stop its listener and its pipeline.
 	stopLeader()
 	leader.Close()
 	waitCond(t, 5*time.Second, "stream loss detection", func() bool { return !f.follower.connected.Load() })
 
-	// Reads still come from the pre-kill generation, locally.
+	// Reads still come from the pre-kill generation, locally and through
+	// the cluster pool, which must have replayed at least one on the
+	// follower.
 	for i := 0; i < 50; i++ {
-		typ, payload := f.dispatch(wire.TypeQueryDist, (&wire.QueryDist{From: hosts[0], To: "L4"}).Encode(nil))
+		typ, payload := f.dispatch(wire.TypeQueryDist, query)
 		if typ != wire.TypeDistance {
 			t.Fatalf("read %d during leader loss answered %v", i, typ)
 		}
 		if dd, err := wire.ParseDistance(payload); err != nil || !dd.Found {
 			t.Fatalf("read %d during leader loss: %+v %v", i, dd, err)
 		}
+	}
+	clusterReads("during leader loss")
+	if n := reg.Export()["ides_cluster_failovers_total"]; n < 1 {
+		t.Fatalf("ides_cluster_failovers_total = %v across the leader kill, want ≥ 1", n)
 	}
 	if got := f.Epoch(); got != preKill {
 		t.Fatalf("follower epoch moved during leader loss: %d -> %d", preKill, got)
@@ -453,9 +486,7 @@ func TestFollowerServesDuringLeaderLoss(t *testing.T) {
 	defer cancel2()
 	go leader2.Serve(ctx2, ln) //nolint:errcheck
 
-	if err := f.WaitForEpoch(ctx, leader2.Epoch()); err != nil {
-		t.Fatal(err)
-	}
+	waitEpoch(t, f, leader2.Epoch())
 	if fl := f.follower; !fl.connected.Load() || fl.reconnects.Load() == 0 {
 		t.Fatalf("follower after promotion: connected %v, %d reconnects", fl.connected.Load(), fl.reconnects.Load())
 	}
@@ -551,11 +582,7 @@ func TestFollowerNeverServesMixedEpochRows_Race(t *testing.T) {
 
 	f := newTestFollower(t, addr, "f1")
 	defer f.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := f.WaitForEpoch(ctx, 1); err != nil {
-		t.Fatal(err)
-	}
+	waitEpoch(t, f, 1)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -622,9 +649,7 @@ func TestFollowerNeverServesMixedEpochRows_Race(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := f.WaitForEpoch(ctx, leader.Epoch()); err != nil {
-		t.Fatal(err)
-	}
+	waitEpoch(t, f, leader.Epoch())
 	close(stop)
 	wg.Wait()
 	if leader.Epoch() <= base {

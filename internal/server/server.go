@@ -380,8 +380,8 @@ func (s *Server) Quiesce(ctx context.Context) error {
 
 // LifecycleStats returns the model lifecycle counters: the published
 // (epoch, rev) pair plus lifetime full fits, incremental revisions, and
-// measurement deltas applied — the observability hook the solver
-// benchmark and operators read. On a follower the counters are zero
+// measurement deltas applied — the observability hook bench/ and
+// operators read. On a follower the counters are zero
 // except Epoch/Rev, which report the applied replicated position.
 func (s *Server) LifecycleStats() lifecycle.Stats {
 	if s.refit == nil {
@@ -419,27 +419,6 @@ func (s *Server) NumHosts() int { return s.qs.dir.Len() }
 // (bench/'s per-layer probes, tests); remote callers use the
 // QueryBatch/QueryKNN wire messages.
 func (s *Server) Engine() *query.Engine { return s.qs.engine.Load() }
-
-// WaitForEpoch blocks until the served model generation reaches epoch —
-// the deterministic sync hook cluster tests use to wait for a follower
-// to converge on a leader's fit instead of sleeping.
-func (s *Server) WaitForEpoch(ctx context.Context, epoch uint64) error {
-	if s.qs.Epoch() >= epoch {
-		return nil
-	}
-	tick := time.NewTicker(2 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		select {
-		case <-tick.C:
-			if s.qs.Epoch() >= epoch {
-				return nil
-			}
-		case <-ctx.Done():
-			return fmt.Errorf("server: waiting for epoch %d (at %d): %w", epoch, s.qs.Epoch(), ctx.Err())
-		}
-	}
-}
 
 func (s *Server) logf(format string, args ...interface{}) {
 	if s.cfg.Logger != nil {

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 )
 
 // relErrFloor guards the denominator of the modified relative error when
@@ -176,51 +175,4 @@ func Summarize(sample []float64) Summary {
 // String renders the summary in a fixed, human-readable layout.
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.4f median=%.4f p90=%.4f max=%.4f", s.N, s.Mean, s.Median, s.P90, s.Max)
-}
-
-// OpSummary summarizes the latency distribution and throughput of one
-// benchmark operation: the histogram→p50/p99/ops-per-sec shape the
-// idesbench solver and cluster workloads report. The JSON field names
-// are stable — they are the schema of BENCH_solver.json and
-// BENCH_cluster.json.
-type OpSummary struct {
-	Ops       int     `json:"ops"`
-	OpsPerSec float64 `json:"ops_per_sec"`
-	P50Us     float64 `json:"p50_us"`
-	P99Us     float64 `json:"p99_us"`
-	MaxUs     float64 `json:"max_us"`
-}
-
-// SummarizeDurations builds an OpSummary from per-operation latencies
-// and the wall-clock span they ran in. The input is not modified. When
-// elapsed <= 0 the span is taken as the sum of the latencies — the
-// serial-operation case. An empty sample yields a zero OpSummary.
-func SummarizeDurations(lat []time.Duration, elapsed time.Duration) OpSummary {
-	if len(lat) == 0 {
-		return OpSummary{}
-	}
-	s := append([]time.Duration(nil), lat...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	if elapsed <= 0 {
-		for _, d := range s {
-			elapsed += d
-		}
-	}
-	us := func(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
-	sum := OpSummary{
-		Ops:   len(s),
-		P50Us: us(s[len(s)/2]),
-		P99Us: us(s[len(s)*99/100]),
-		MaxUs: us(s[len(s)-1]),
-	}
-	if elapsed > 0 {
-		sum.OpsPerSec = float64(len(s)) / elapsed.Seconds()
-	}
-	return sum
-}
-
-// String renders the operation summary in the layout idesbench prints.
-func (s OpSummary) String() string {
-	return fmt.Sprintf("%d ops, p50=%.0fµs p99=%.0fµs max=%.0fµs (%.0f ops/s)",
-		s.Ops, s.P50Us, s.P99Us, s.MaxUs, s.OpsPerSec)
 }

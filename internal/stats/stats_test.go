@@ -6,7 +6,6 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestRelativeErrorExact(t *testing.T) {
@@ -194,46 +193,6 @@ func TestPropQuantileInverse(t *testing.T) {
 	}
 }
 
-func TestSummarizeDurations(t *testing.T) {
-	lat := make([]time.Duration, 100)
-	for i := range lat {
-		lat[i] = time.Duration(i+1) * time.Millisecond // 1ms..100ms
-	}
-	s := SummarizeDurations(lat, 2*time.Second)
-	if s.Ops != 100 {
-		t.Fatalf("ops = %d", s.Ops)
-	}
-	if s.OpsPerSec != 50 {
-		t.Fatalf("ops/sec = %v, want 50", s.OpsPerSec)
-	}
-	if s.P50Us != 51_000 { // sorted[50] = 51ms
-		t.Fatalf("p50 = %vµs", s.P50Us)
-	}
-	if s.P99Us != 100_000 { // sorted[99]
-		t.Fatalf("p99 = %vµs", s.P99Us)
-	}
-	if s.MaxUs != 100_000 {
-		t.Fatalf("max = %vµs", s.MaxUs)
-	}
-	// The input must not be reordered.
-	if lat[0] != time.Millisecond {
-		t.Fatal("input mutated")
-	}
-}
-
-func TestSummarizeDurationsSerialElapsed(t *testing.T) {
-	// elapsed <= 0 derives throughput from the latency sum: four 250ms
-	// ops back to back are 4 ops/sec.
-	lat := []time.Duration{250 * time.Millisecond, 250 * time.Millisecond,
-		250 * time.Millisecond, 250 * time.Millisecond}
-	if got := SummarizeDurations(lat, 0).OpsPerSec; got != 4 {
-		t.Fatalf("ops/sec = %v, want 4", got)
-	}
-	if s := SummarizeDurations(nil, time.Second); s != (OpSummary{}) {
-		t.Fatalf("empty sample = %+v, want zero", s)
-	}
-}
-
 func TestEmptySampleSummariesAreZero(t *testing.T) {
 	// Empty inputs must yield zeroed results, not NaN percentiles: these
 	// feed JSON payloads and metric gauges where NaN does not round-trip.
@@ -245,9 +204,6 @@ func TestEmptySampleSummariesAreZero(t *testing.T) {
 	}
 	if s := Summarize(nil); s != (Summary{}) {
 		t.Fatalf("Summarize(nil) = %+v, want zero", s)
-	}
-	if s := SummarizeDurations(nil, 0); s != (OpSummary{}) {
-		t.Fatalf("SummarizeDurations(nil, 0) = %+v, want zero", s)
 	}
 	// Mean keeps its documented NaN-on-empty contract: callers that want
 	// the distinction between "no data" and "mean of zero" rely on it.
@@ -266,12 +222,5 @@ func TestSingleSampleSummaries(t *testing.T) {
 	s := Summarize([]float64{7})
 	if s.N != 1 || s.Mean != 7 || s.Median != 7 || s.P90 != 7 || s.Max != 7 {
 		t.Fatalf("Summarize = %+v", s)
-	}
-	d := SummarizeDurations([]time.Duration{500 * time.Millisecond}, 0)
-	if d.Ops != 1 || d.P50Us != 500_000 || d.P99Us != 500_000 || d.MaxUs != 500_000 {
-		t.Fatalf("SummarizeDurations = %+v", d)
-	}
-	if d.OpsPerSec != 2 {
-		t.Fatalf("ops/sec = %v, want 2", d.OpsPerSec)
 	}
 }

@@ -477,10 +477,9 @@ func (s *childSort) Swap(i, j int) {
 }
 
 // Export flattens the registry into sample name → value, the shape
-// idesbench embeds in BENCH_solver.json and BENCH_cluster.json and
-// bench/ reads its server.* layers from. Counters and
-// gauges export under their name (plus {label="value"} when labelled);
-// histograms export their _count and _sum.
+// bench/ reads its server.* layers from. Counters and gauges export
+// under their name (plus {label="value"} when labelled); histograms
+// export their _count and _sum.
 func (r *Registry) Export() map[string]float64 {
 	if r == nil {
 		return nil

@@ -122,10 +122,6 @@ func (cp *ClusterPool) Close() error {
 // and stats).
 func (cp *ClusterPool) Pool() *Pool { return cp.pool }
 
-// Failovers counts calls replayed on another endpoint after a transport
-// failure.
-func (cp *ClusterPool) Failovers() int64 { return cp.failovers.Load() }
-
 // Health reports each endpoint's current state: true = in rotation.
 func (cp *ClusterPool) Health() map[string]bool {
 	out := make(map[string]bool, len(cp.eps))

@@ -69,7 +69,7 @@ func TestClusterPoolCallsAllHealthy(t *testing.T) {
 			t.Fatalf("served by %q, not a configured endpoint", served)
 		}
 	}
-	if n := cp.Failovers(); n != 0 {
+	if n := cp.failovers.Load(); n != 0 {
 		t.Fatalf("%d failovers among healthy endpoints", n)
 	}
 	for addr, up := range cp.Health() {
@@ -113,7 +113,7 @@ func TestClusterPoolFailover(t *testing.T) {
 	if cp.Health()[addr1] {
 		t.Fatal("dead endpoint still in rotation")
 	}
-	if cp.Failovers() == 0 {
+	if cp.failovers.Load() == 0 {
 		t.Fatal("no failovers counted")
 	}
 }
@@ -175,7 +175,7 @@ func TestClusterPoolWireErrorDoesNotFailOver(t *testing.T) {
 	if !errors.As(err, &werr) {
 		t.Fatalf("error %v should unwrap to *wire.Error", err)
 	}
-	if cp.Failovers() != 0 {
+	if cp.failovers.Load() != 0 {
 		t.Fatal("wire error tripped a failover")
 	}
 	for addr, up := range cp.Health() {

@@ -16,6 +16,7 @@ import (
 var untrusted = func() []decoder {
 	vec := []float64{1, 2}
 	peers := []wire.LandmarkVec{{Addr: "q:2", Out: vec, In: vec}, {Addr: "r:3"}}
+	landmarks := []wire.LandmarkVec{{Addr: "q:2", Out: vec, In: vec}, {Addr: "r:3", Out: vec, In: vec}}
 	exchange := (&wire.GossipExchange{From: "p:1", Out: vec, In: vec, RTTMillis: 7, Peers: peers}).Encode(nil)
 	reply := (&wire.GossipReply{Applied: true, Out: vec, In: vec, Peers: peers}).Encode(nil)
 	batch := (&wire.QueryBatch{From: "a", Targets: []string{"b", "", "ccc"}}).Encode(nil)
@@ -27,7 +28,7 @@ var untrusted = func() []decoder {
 		{"DecodePong", (&wire.Pong{Token: 1}).Encode(nil), func(b []byte) { wire.DecodePong(b) }},
 		{"PingToken", (&wire.Ping{Token: 1}).Encode(nil), func(b []byte) { wire.PingToken(b) }},
 		{"DecodeInfo", (&wire.Info{Dim: 1, NumLandmarks: 2, Algorithm: "SVD", ModelReady: true, Epoch: 3}).Encode(nil), func(b []byte) { wire.DecodeInfo(b) }},
-		{"DecodeModel", (&wire.Model{Dim: 2, Algorithm: "SVD", Landmarks: peers, Epoch: 3, Rev: 4}).Encode(nil), func(b []byte) { wire.DecodeModel(b) }},
+		{"DecodeModel", (&wire.Model{Dim: 2, Algorithm: "SVD", Landmarks: landmarks, Epoch: 3, Rev: 4}).Encode(nil), func(b []byte) { wire.DecodeModel(b) }},
 		{"DecodeReportRTT", (&wire.ReportRTT{From: "a", Entries: []wire.RTTEntry{{To: "b", RTTMillis: 3}, {To: "c", RTTMillis: 4}}}).Encode(nil), func(b []byte) { wire.DecodeReportRTT(b) }},
 		{"DecodeRegisterHost", (&wire.RegisterHost{Addr: "a", Out: vec, In: vec, Epoch: 3}).Encode(nil), func(b []byte) { wire.DecodeRegisterHost(b) }},
 		{"GetVectorsView", (&wire.GetVectors{Addr: "a"}).Encode(nil), func(b []byte) { wire.GetVectorsView(b) }},
@@ -136,7 +137,7 @@ func FuzzDecodersBoundAllocation(f *testing.F) {
 	f.Add(binary.BigEndian.AppendUint32([]byte{0, 0}, wire.MaxPayload/10))
 	// Model as a pre-Rev and a pre-epoch peer sends it: the trailing
 	// fields a follower and a client read as absent.
-	model := (&wire.Model{Dim: 2, Algorithm: "SVD", Landmarks: []wire.LandmarkVec{{Addr: "q:2", Out: []float64{1, 2}}}, Epoch: 3, Rev: 4}).Encode(nil)
+	model := (&wire.Model{Dim: 2, Algorithm: "SVD", Landmarks: []wire.LandmarkVec{{Addr: "q:2", Out: []float64{1, 2}, In: []float64{3, 4}}}, Epoch: 3, Rev: 4}).Encode(nil)
 	f.Add(model[:len(model)-8])
 	f.Add(model[:len(model)-16])
 	f.Fuzz(func(t *testing.T, data []byte) {

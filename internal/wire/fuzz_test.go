@@ -35,12 +35,22 @@ func FuzzDecodeModel(f *testing.F) {
 	f.Add((&Model{Dim: 3, Algorithm: "NMF", Epoch: 2, Rev: 1, Landmarks: []LandmarkVec{
 		{Addr: "a", Out: []float64{1, 2, 3}, In: []float64{4, 5, 6}},
 	}}).Encode(nil))
+	// A landmark vector shorter than Dim: refused, not left for a
+	// consumer's SetRow to panic on.
+	f.Add((&Model{Dim: 2, Algorithm: "SVD", Epoch: 1, Landmarks: []LandmarkVec{
+		{Addr: "a", Out: []float64{1}, In: []float64{1, 2}},
+	}}).Encode(nil))
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 255})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := DecodeModel(data)
 		if err != nil {
 			return
+		}
+		for _, l := range m.Landmarks {
+			if len(l.Out) != int(m.Dim) || len(l.In) != int(m.Dim) {
+				t.Fatalf("decoded landmark %q with vector dims %d/%d under Dim %d", l.Addr, len(l.Out), len(l.In), m.Dim)
+			}
 		}
 		// Decoded models re-encode and re-decode to the same value.
 		out, err := DecodeModel(m.Encode(nil))

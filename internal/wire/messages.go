@@ -205,13 +205,23 @@ func (m *Model) Encode(dst []byte) []byte {
 	return binary.BigEndian.AppendUint64(dst, m.Rev)
 }
 
-// DecodeModel parses a Model payload.
+// DecodeModel parses a Model payload. It refuses one unless every
+// landmark's Out and In are exactly Dim long: consumers size their
+// matrices from Dim.
 func DecodeModel(b []byte) (*Model, error) {
 	r := NewReader(b)
 	m := &Model{Dim: r.Uint32(), Algorithm: r.String(), Landmarks: r.landmarkVecs()}
 	m.Epoch = r.OptUint64()
 	m.Rev = r.OptUint64()
-	return decoded(m, &r)
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	for _, l := range m.Landmarks {
+		if len(l.Out) != int(m.Dim) || len(l.In) != int(m.Dim) {
+			return nil, fmt.Errorf("wire: model landmark %q has vector dims %d/%d, want %d", l.Addr, len(l.Out), len(l.In), m.Dim)
+		}
+	}
+	return m, nil
 }
 
 // RTTEntry is one measured round-trip time.

@@ -450,9 +450,9 @@ func TestPropModelRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := rng.Intn(5)
-		in := &Model{Dim: uint32(rng.Intn(100)), Algorithm: "SVD"}
+		d := 1 + rng.Intn(6)
+		in := &Model{Dim: uint32(d), Algorithm: "SVD"}
 		for i := 0; i < n; i++ {
-			d := 1 + rng.Intn(6)
 			lv := LandmarkVec{Addr: randString(rng), Out: make([]float64, d), In: make([]float64, d)}
 			for k := 0; k < d; k++ {
 				lv.Out[k] = rng.NormFloat64()
