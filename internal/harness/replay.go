@@ -229,9 +229,8 @@ func Replay(ctx context.Context, recs []telemetry.Record, window ReplayWindow, o
 		deltas := make([]solve.Delta, 0, len(fr.entries))
 		for _, e := range fr.entries {
 			obs[fr.from][e.To] = e.Millis
-			// What a server drops from a report: a self-pair, an RTT that
-			// is negative or not finite.
-			if e.To != fr.from && e.Millis >= 0 && !math.IsInf(e.Millis, 1) {
+			// What a server drops: a self-pair, an RTT ValidRTT refuses.
+			if e.To != fr.from && solve.ValidRTT(e.Millis) {
 				deltas = append(deltas, solve.Delta{From: fr.from, To: e.To, Millis: e.Millis})
 			}
 		}

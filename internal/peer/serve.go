@@ -2,9 +2,9 @@ package peer
 
 import (
 	"context"
-	"math"
 	"net"
 
+	"github.com/ides-go/ides/internal/solve"
 	"github.com/ides-go/ides/internal/transport"
 	"github.com/ides-go/ides/internal/wire"
 )
@@ -53,10 +53,9 @@ func (p *Peer) handleExchange(payload, dst []byte) (wire.MsgType, []byte) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	// NaN fails the >= 0 check; infinities are rejected explicitly — a
-	// hostile frame must not inject a non-finite measurement, nor rows
-	// PeerStep would spread through ours.
-	applied := ex.RTTMillis >= 0 && !math.IsInf(ex.RTTMillis, 1) && p.usable(ex.Out, ex.In) &&
+	// A negative RTT is an announce or fetch. A hostile frame must inject
+	// neither an RTT ValidRTT refuses nor rows PeerStep would spread.
+	applied := solve.ValidRTT(ex.RTTMillis) && p.usable(ex.Out, ex.In) &&
 		p.stepLocked(ex.Out, ex.In, ex.RTTMillis)
 	// The reply carries the pre-step rows, which a step moved to p.undo.
 	x, y := p.x, p.y

@@ -277,11 +277,15 @@ func TestPeerNeverStepsOnNonFiniteRows(t *testing.T) {
 
 // TestPeerUndoesOverflowingStep: rows or an RTT that are finite but
 // absurd pass every finiteness check and still overflow PeerStep's
-// products; such a step is undone and reported as not applied.
+// products; such a step is undone and reported as not applied. An RTT
+// solve.ValidRTT refuses is not stepped on at all: at 1e100 ms the step
+// stayed finite, so nothing undid it, and it moved the rows from ~5 to
+// 7.5e98 for every later partner to read.
 func TestPeerUndoesOverflowingStep(t *testing.T) {
 	for name, ex := range map[string]*wire.GossipExchange{
-		"huge rows": {From: "evil:1", Out: []float64{1e200, 1, 1, 1}, In: []float64{1, 1, 1e200, 1}, RTTMillis: 25},
-		"huge RTT":  {From: "evil:1", Out: []float64{1, 1, 1, 1}, In: []float64{1, 1, 1, 1}, RTTMillis: math.MaxFloat64},
+		"huge rows":  {From: "evil:1", Out: []float64{1e200, 1, 1, 1}, In: []float64{1, 1, 1e200, 1}, RTTMillis: 25},
+		"huge RTT":   {From: "evil:1", Out: []float64{1, 1, 1, 1}, In: []float64{1, 1, 1, 1}, RTTMillis: math.MaxFloat64},
+		"absurd RTT": {From: "evil:1", Out: []float64{1, 1, 1, 1}, In: []float64{1, 1, 1, 1}, RTTMillis: 1e100},
 	} {
 		p, err := New(Config{Self: "self:1", Dim: 4, Seed: 1, Dialer: &net.Dialer{}, Pinger: testutil.StubPinger{}})
 		if err != nil {

@@ -3,13 +3,13 @@ package query
 import (
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/ides-go/ides/internal/core"
 	"github.com/ides-go/ides/internal/mat"
+	"github.com/ides-go/ides/internal/query/knnindex"
 )
 
 // Resolver resolves addresses the directory does not hold — typically
@@ -218,11 +218,8 @@ func (e *Engine) EstimateMatrix(addrs []string) (*mat.Dense, []bool) {
 	return dm, found
 }
 
-// Neighbor is one k-nearest result.
-type Neighbor struct {
-	Addr   string
-	Millis float64
-}
+// Neighbor is one k-nearest result, the spatial index's own type.
+type Neighbor = knnindex.Neighbor
 
 // KNNOptions tunes KNearest.
 type KNNOptions struct {
@@ -233,11 +230,11 @@ type KNNOptions struct {
 
 // KNearest returns the k registered hosts with the smallest estimated
 // distance from a source with vectors src, ascending, ties broken by
-// address. Selection is a partial sort: each directory shard is scanned
-// in parallel into a bounded max-heap of size k, and the per-shard
-// winners are merged — O(n log k) work and O(shards · k) merge, never a
-// full sort of the directory. If the directory holds fewer than k live
-// hosts, all of them are returned.
+// address (knnindex.Less). Selection is a partial sort: the directory's
+// shards are scanned in parallel, each worker into its own
+// knnindex.TopK of size k, and the workers' winners are offered into one
+// — O(n log k) work, never a full sort of the directory. If the
+// directory holds fewer than k live hosts, all of them are returned.
 func (e *Engine) KNearest(src core.Vectors, k int, opts KNNOptions) []Neighbor {
 	if k <= 0 {
 		return nil
@@ -276,10 +273,7 @@ func (e *Engine) KNearestExact(src core.Vectors, k int, opts KNNOptions) []Neigh
 func (e *Engine) knnScan(out []float64, k int, exclude string) []Neighbor {
 	dim := len(out)
 	numShards := len(e.dir.shards)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > numShards {
-		workers = numShards
-	}
+	workers := min(runtime.GOMAXPROCS(0), numShards)
 	// A serial scan avoids goroutine overhead for small directories.
 	// approxSize never locks or sweeps, so this sizing decision cannot
 	// stall concurrent registration.
@@ -287,19 +281,19 @@ func (e *Engine) knnScan(out []float64, k int, exclude string) []Neighbor {
 		workers = 1
 	}
 	now := e.dir.ttlNow()
-	heaps := make([]*boundedHeap, workers)
+	tops := make([]knnindex.TopK, workers)
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		h := newBoundedHeap(k)
-		heaps[w] = h
+	for w := range tops {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			top := knnindex.NewTopK(k)
 			var buf []addrVec
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= numShards {
+					tops[w] = top
 					return
 				}
 				buf = e.dir.snapshotShard(i, now, e.epoch, buf[:0])
@@ -307,87 +301,18 @@ func (e *Engine) knnScan(out []float64, k int, exclude string) []Neighbor {
 					if av.addr == exclude || len(av.vec.In) != dim {
 						continue
 					}
-					h.offer(av.addr, mat.Dot(out, av.vec.In))
+					top.Offer(Neighbor{Addr: av.addr, Millis: mat.Dot(out, av.vec.In)})
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	merged := heaps[0].items
-	for _, h := range heaps[1:] {
-		merged = append(merged, h.items...)
-	}
-	sort.Slice(merged, func(i, j int) bool { return neighborLess(merged[i], merged[j]) })
-	if len(merged) > k {
-		merged = merged[:k]
-	}
-	return merged
-}
-
-// neighborLess is the total order used everywhere: distance ascending,
-// then address, so ties are deterministic.
-func neighborLess(a, b Neighbor) bool {
-	if a.Millis != b.Millis {
-		return a.Millis < b.Millis
-	}
-	return a.Addr < b.Addr
-}
-
-// boundedHeap keeps the k least neighbors seen so far, as a max-heap
-// rooted at the current worst survivor.
-type boundedHeap struct {
-	k     int
-	items []Neighbor
-}
-
-func newBoundedHeap(k int) *boundedHeap {
-	return &boundedHeap{k: k, items: make([]Neighbor, 0, min(k, 1024))}
-}
-
-// offer inserts the neighbor if it ranks among the k least.
-func (h *boundedHeap) offer(addr string, millis float64) {
-	if math.IsNaN(millis) {
-		return
-	}
-	n := Neighbor{Addr: addr, Millis: millis}
-	if len(h.items) < h.k {
-		h.items = append(h.items, n)
-		h.siftUp(len(h.items) - 1)
-		return
-	}
-	if !neighborLess(n, h.items[0]) {
-		return
-	}
-	h.items[0] = n
-	h.siftDown(0)
-}
-
-func (h *boundedHeap) siftUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !neighborLess(h.items[parent], h.items[i]) {
-			return
+	// A directory holds each address once, so whichever worker held a
+	// host, the k least of the union are the same.
+	for _, t := range tops[1:] {
+		for _, n := range t.Sorted() {
+			tops[0].Offer(n)
 		}
-		h.items[parent], h.items[i] = h.items[i], h.items[parent]
-		i = parent
 	}
-}
-
-func (h *boundedHeap) siftDown(i int) {
-	n := len(h.items)
-	for {
-		l, r := 2*i+1, 2*i+2
-		largest := i
-		if l < n && neighborLess(h.items[largest], h.items[l]) {
-			largest = l
-		}
-		if r < n && neighborLess(h.items[largest], h.items[r]) {
-			largest = r
-		}
-		if largest == i {
-			return
-		}
-		h.items[i], h.items[largest] = h.items[largest], h.items[i]
-		i = largest
-	}
+	return tops[0].Sorted()
 }

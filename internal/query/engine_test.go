@@ -114,15 +114,15 @@ func TestKNearestTable(t *testing.T) {
 		{"k zero", build(5, 1), 0, KNNOptions{}, []Neighbor{}},
 		{"k negative", build(5, 1), -2, KNNOptions{}, []Neighbor{}},
 		{"basic order", build(5, 1, 3), 2, KNNOptions{},
-			[]Neighbor{{"h1", 1}, {"h2", 3}}},
+			[]Neighbor{{Addr: "h1", Millis: 1}, {Addr: "h2", Millis: 3}}},
 		{"k greater than n", build(5, 1), 10, KNNOptions{},
-			[]Neighbor{{"h1", 1}, {"h0", 5}}},
+			[]Neighbor{{Addr: "h1", Millis: 1}, {Addr: "h0", Millis: 5}}},
 		{"ties broken by address", build(2, 2, 2, 1), 3, KNNOptions{},
-			[]Neighbor{{"h3", 1}, {"h0", 2}, {"h1", 2}}},
+			[]Neighbor{{Addr: "h3", Millis: 1}, {Addr: "h0", Millis: 2}, {Addr: "h1", Millis: 2}}},
 		{"exclude source", build(0, 4, 2), 2, KNNOptions{Exclude: "h0"},
-			[]Neighbor{{"h2", 2}, {"h1", 4}}},
+			[]Neighbor{{Addr: "h2", Millis: 2}, {Addr: "h1", Millis: 4}}},
 		{"k equals n", build(9, 8, 7), 3, KNNOptions{},
-			[]Neighbor{{"h2", 7}, {"h1", 8}, {"h0", 9}}},
+			[]Neighbor{{Addr: "h2", Millis: 7}, {Addr: "h1", Millis: 8}, {Addr: "h0", Millis: 9}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -56,7 +56,7 @@ func (e *Engine) knnIndexed(out []float64, k int, exclude string) ([]Neighbor, b
 	// model since the build does a second search run with the check
 	// inside, which skips dead candidates as it goes. Exact either way.
 	res := st.idx.Search(out, k, knnindex.SearchOptions{Exclude: exclude})
-	if slices.ContainsFunc(res, func(r knnindex.Neighbor) bool { return !e.live(r.Addr, len(out)) }) {
+	if slices.ContainsFunc(res, func(r Neighbor) bool { return !e.live(r.Addr, len(out)) }) {
 		if m != nil {
 			m.KNNIndexRechecks.Inc()
 		}
@@ -73,14 +73,10 @@ func (e *Engine) knnIndexed(out []float64, k int, exclude string) ([]Neighbor, b
 		}
 		return nil, false
 	}
-	out2 := make([]Neighbor, len(res))
-	for i, r := range res {
-		out2[i] = Neighbor{Addr: r.Addr, Millis: r.Score}
-	}
 	if m != nil {
 		m.KNNIndexHits.Inc()
 	}
-	return out2, true
+	return res, true
 }
 
 // live reports whether an indexed host still resolves at the engine's

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/ides-go/ides/internal/core"
+	"github.com/ides-go/ides/internal/query/knnindex"
 	"github.com/ides-go/ides/internal/telemetry"
 )
 
@@ -90,7 +91,7 @@ func TestKNearestIndexEdgeCases(t *testing.T) {
 		t.Fatalf("k>n: got %d results, want %d", len(got), dir.Len()-1)
 	}
 	for i := 1; i < len(got); i++ {
-		if neighborLess(got[i], got[i-1]) {
+		if knnindex.Less(got[i], got[i-1]) {
 			t.Fatalf("k>n: results out of order at %d", i)
 		}
 	}

@@ -17,7 +17,8 @@
 // rejects a point that could tie-break its way into the result — subtrees
 // are only skipped when strictly worse — so the search is exact: it
 // returns precisely what a full scan scoring through the same dot-product
-// kernel would, in the same order (score ascending, then address). Recall
+// kernel would, in the same order (Less: score ascending, then address),
+// selected through the same TopK the engine's scan uses. Recall
 // against an exact scan is therefore 1.0 by construction; the tree only
 // changes how much of the directory is touched per query.
 //
@@ -29,7 +30,6 @@ package knnindex
 
 import (
 	"math"
-	"slices"
 
 	"github.com/ides-go/ides/internal/mat"
 )
@@ -47,11 +47,12 @@ type Point struct {
 	Vec  []float64
 }
 
-// Neighbor is one search result.
+// Neighbor is one k-nearest result, of the tree search and of the query
+// engine's exact scan alike.
 type Neighbor struct {
 	Addr string
-	// Score is the estimated distance q·Vec in the model's units.
-	Score float64
+	// Millis is the estimated distance q·Vec in milliseconds.
+	Millis float64
 }
 
 // node is one KD-tree node. Every node keeps the bounding box of its
@@ -301,31 +302,18 @@ func (ix *Index) Search(q []float64, k int, opts SearchOptions) []Neighbor {
 	if ix == nil || k <= 0 || len(q) != ix.dim {
 		return nil
 	}
-	if k > len(ix.addrs) {
-		k = len(ix.addrs)
-	}
-	s := searcher{ix: ix, q: q, k: k, opts: opts, heap: make([]Neighbor, 0, k)}
+	s := searcher{ix: ix, q: q, opts: opts, top: NewTopK(min(k, len(ix.addrs)))}
 	s.visit(0)
-	slices.SortFunc(s.heap, func(a, b Neighbor) int {
-		switch {
-		case neighborLess(a, b):
-			return -1
-		case neighborLess(b, a):
-			return 1
-		}
-		return 0
-	})
-	return s.heap
+	return s.top.Sorted()
 }
 
 type searcher struct {
 	ix   *Index
 	q    []float64
-	k    int
 	opts SearchOptions
-	// heap is a max-heap on (score, addr): the root is the current k-th
-	// best, the bound the tree is pruned against.
-	heap []Neighbor
+	// top holds the k best so far; its worst is the bound the tree is
+	// pruned against.
+	top TopK
 }
 
 func (s *searcher) visit(id int32) {
@@ -354,7 +342,7 @@ func (s *searcher) visit(id int32) {
 // point that wins its tie-break on address, and skipping it would
 // diverge from the exact scan.
 func (s *searcher) visitChild(id int32, lb float64) {
-	if len(s.heap) == s.k && lb > s.heap[0].Score {
+	if s.top.full() && lb > s.top.worst().Millis {
 		if s.opts.Stats != nil {
 			s.opts.Stats.Pruned++
 		}
@@ -391,62 +379,116 @@ func (s *searcher) offer(i int32) {
 	// The same kernel the exact scan scores through, so both paths agree
 	// bitwise on every estimate.
 	score := mat.Dot(s.q, s.ix.vec(i))
-	full := len(s.heap) == s.k
-	if math.IsNaN(score) || (full && score > s.heap[0].Score) {
+	if math.IsNaN(score) || (s.top.full() && score > s.top.worst().Millis) {
 		return
 	}
-	cand := Neighbor{Addr: s.ix.addrs[i], Score: score}
-	if cand.Addr == s.opts.Exclude || (full && !neighborLess(cand, s.heap[0])) {
+	cand := Neighbor{Addr: s.ix.addrs[i], Millis: score}
+	if cand.Addr == s.opts.Exclude || !s.top.admits(cand) {
 		return
 	}
 	if s.opts.Accept != nil && !s.opts.Accept(cand.Addr) {
 		return
 	}
-	if !full {
-		s.heap = append(s.heap, cand)
-		s.up(len(s.heap) - 1)
-		return
-	}
-	s.heap[0] = cand
-	s.down(0)
+	s.top.push(cand)
 }
 
-// neighborLess is the result order: score ascending, then address — the
-// same total order the engine's exact scan uses, so index and scan
-// return identical slices.
-func neighborLess(a, b Neighbor) bool {
-	if a.Score != b.Score {
-		return a.Score < b.Score
+// Less is the one k-nearest result order: distance ascending, then
+// address. On NaN-free distances it is a strict total order, so over
+// hosts offered once each the k least are unique in whatever order they
+// arrive: the tree search and the engine's parallel scan agree exactly.
+func Less(a, b Neighbor) bool {
+	if a.Millis != b.Millis {
+		return a.Millis < b.Millis
 	}
 	return a.Addr < b.Addr
 }
 
-func (s *searcher) up(i int) {
+// TopK selects the k least neighbors under Less from a stream of offers:
+// a max-heap rooted at the current k-th best, so an offer that cannot
+// enter costs one comparison and one that can costs O(log k).
+type TopK struct {
+	k     int
+	items []Neighbor
+}
+
+// NewTopK returns an empty selection of the k least; k ≤ 0 keeps none.
+// It reserves room for at most 1024, so a huge k costs only what arrives.
+func NewTopK(k int) TopK {
+	k = max(k, 0)
+	return TopK{k: k, items: make([]Neighbor, 0, min(k, 1024))}
+}
+
+// Offer admits n if it ranks among the k least offered so far. A NaN
+// distance is unrankable and dropped.
+func (t *TopK) Offer(n Neighbor) {
+	if !math.IsNaN(n.Millis) && t.admits(n) {
+		t.push(n)
+	}
+}
+
+// Sorted ends the selection: it heap-sorts the held neighbors ascending
+// by Less, in place, and returns them.
+func (t *TopK) Sorted() []Neighbor {
+	all := t.items
+	for n := len(all) - 1; n > 0; n-- {
+		all[0], all[n] = all[n], all[0]
+		t.items = all[:n]
+		t.down(0)
+	}
+	t.items = all
+	return all
+}
+
+// full reports whether k neighbors are held, so that worst is the bound
+// a candidate has to beat.
+func (t *TopK) full() bool { return len(t.items) == t.k }
+
+// worst is the k-th best held; only a full selection with k > 0 has one.
+func (t *TopK) worst() Neighbor { return t.items[0] }
+
+// admits reports whether n would enter the selection.
+func (t *TopK) admits(n Neighbor) bool {
+	return !t.full() || (t.k > 0 && Less(n, t.worst()))
+}
+
+// push adds n, which admits has accepted: appended while the selection
+// is short, in place of the worst once it is full.
+func (t *TopK) push(n Neighbor) {
+	if !t.full() {
+		t.items = append(t.items, n)
+		t.up(len(t.items) - 1)
+		return
+	}
+	t.items[0] = n
+	t.down(0)
+}
+
+func (t *TopK) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !neighborLess(s.heap[parent], s.heap[i]) {
-			break
+		if !Less(t.items[parent], t.items[i]) {
+			return
 		}
-		s.heap[parent], s.heap[i] = s.heap[i], s.heap[parent]
+		t.items[parent], t.items[i] = t.items[i], t.items[parent]
 		i = parent
 	}
 }
 
-func (s *searcher) down(i int) {
-	n := len(s.heap)
+func (t *TopK) down(i int) {
+	n := len(t.items)
 	for {
 		l, r := 2*i+1, 2*i+2
 		largest := i
-		if l < n && neighborLess(s.heap[largest], s.heap[l]) {
+		if l < n && Less(t.items[largest], t.items[l]) {
 			largest = l
 		}
-		if r < n && neighborLess(s.heap[largest], s.heap[r]) {
+		if r < n && Less(t.items[largest], t.items[r]) {
 			largest = r
 		}
 		if largest == i {
 			return
 		}
-		s.heap[i], s.heap[largest] = s.heap[largest], s.heap[i]
+		t.items[i], t.items[largest] = t.items[largest], t.items[i]
 		i = largest
 	}
 }

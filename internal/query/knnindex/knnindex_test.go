@@ -1,6 +1,7 @@
 package knnindex
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -50,13 +51,53 @@ func bruteForce(pts []Point, q []float64, k int, exclude string, accept func(str
 		if math.IsNaN(s) {
 			continue
 		}
-		all = append(all, Neighbor{Addr: p.Addr, Score: s})
+		all = append(all, Neighbor{Addr: p.Addr, Millis: s})
 	}
-	sort.Slice(all, func(i, j int) bool { return neighborLess(all[i], all[j]) })
+	sort.Slice(all, func(i, j int) bool { return Less(all[i], all[j]) })
 	if len(all) > k {
 		all = all[:k]
 	}
 	return all
+}
+
+// FuzzTopKMatchesSort: whatever neighbors are offered, in whatever
+// order, a TopK keeps exactly what sorting the NaN-free offers by Less
+// and cutting the list to k keeps. Each 9 bytes of input are one offer:
+// a one-byte address and a float64 distance.
+func FuzzTopKMatchesSort(f *testing.F) {
+	enc := func(ns ...Neighbor) []byte {
+		var b []byte
+		for _, n := range ns {
+			b = append(b, n.Addr[0])
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(n.Millis))
+		}
+		return b
+	}
+	nb := func(addr string, ms float64) Neighbor { return Neighbor{Addr: addr, Millis: ms} }
+	nan, inf := math.NaN(), math.Inf(1)
+	f.Add(3, enc(nb("a", 5), nb("b", 1), nb("c", 3), nb("d", 2)))
+	f.Add(2, enc(nb("a", nan), nb("b", 1), nb("c", nan), nb("d", 0)))
+	f.Add(3, enc(nb("a", inf), nb("b", -inf), nb("c", 0), nb("d", inf), nb("e", -inf)))
+	f.Add(2, enc(nb("c", 2), nb("a", 2), nb("b", 2), nb("d", 1)))               // ties
+	f.Add(3, enc(nb("a", 4), nb("a", 1), nb("a", 4), nb("b", 1), nb("a", nan))) // repeated addresses
+	f.Add(0, enc(nb("a", 1), nb("b", 2)))
+	f.Add(10, enc(nb("a", 1), nb("b", 2), nb("c", math.Copysign(0, -1))))
+	f.Fuzz(func(t *testing.T, k int, data []byte) {
+		top := NewTopK(k)
+		var want []Neighbor
+		for ; len(data) >= 9; data = data[9:] {
+			n := Neighbor{Addr: string(data[:1]), Millis: math.Float64frombits(binary.LittleEndian.Uint64(data[1:9]))}
+			top.Offer(n)
+			if !math.IsNaN(n.Millis) {
+				want = append(want, n)
+			}
+		}
+		sort.Slice(want, func(i, j int) bool { return Less(want[i], want[j]) })
+		want = want[:min(max(k, 0), len(want))]
+		if got := top.Sorted(); !slices.Equal(got, want) {
+			t.Fatalf("k=%d: TopK kept %v, sort-and-truncate %v", k, got, want)
+		}
+	})
 }
 
 func clonePoints(pts []Point) []Point {

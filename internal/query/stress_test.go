@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/ides-go/ides/internal/core"
+	"github.com/ides-go/ides/internal/query/knnindex"
 )
 
 // TestConcurrentStress hammers one directory + engine from many
@@ -77,7 +78,7 @@ func TestConcurrentStress(t *testing.T) {
 				}
 				nb := e.KNearest(src, 5, KNNOptions{})
 				for j := 1; j < len(nb); j++ {
-					if neighborLess(nb[j], nb[j-1]) {
+					if knnindex.Less(nb[j], nb[j-1]) {
 						t.Error("KNearest results out of order")
 						return
 					}

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"fmt"
-	"math"
 	"net"
 
 	"github.com/ides-go/ides/internal/solve"
@@ -132,10 +131,7 @@ func (s *Server) handleReport(payload, dst []byte) (wire.MsgType, []byte) {
 	accepted := make([]solve.Delta, 0, len(rep.Entries))
 	for _, e := range rep.Entries {
 		to, ok := s.lmIndex[e.To]
-		if !ok || to == from {
-			continue
-		}
-		if e.RTTMillis < 0 || math.IsNaN(e.RTTMillis) || math.IsInf(e.RTTMillis, 0) {
+		if !ok || to == from || !solve.ValidRTT(e.RTTMillis) {
 			continue
 		}
 		accepted = append(accepted, solve.Delta{From: from, To: to, Millis: e.RTTMillis})

@@ -34,7 +34,7 @@ func newServerMetrics(reg *telemetry.Registry, s *Server) *serverMetrics {
 		reportsAccepted: reg.Counter("ides_server_reports_accepted_total",
 			"Landmark measurements accepted into the solver."),
 		reportsRejected: reg.Counter("ides_server_reports_rejected_total",
-			"Report entries dropped: unknown landmark, self-pair, or non-finite RTT."),
+			"Report entries dropped: unknown landmark, self-pair, or an RTT outside [0, 1e6] ms."),
 	}
 	reg.GaugeFunc("ides_server_hosts",
 		"Live registered hosts in the directory.",

@@ -6,12 +6,15 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/ides-go/ides/internal/core"
 	"github.com/ides-go/ides/internal/mat"
+	"github.com/ides-go/ides/internal/solve"
+	"github.com/ides-go/ides/internal/telemetry"
 	"github.com/ides-go/ides/internal/testutil"
 	"github.com/ides-go/ides/internal/wire"
 )
@@ -42,8 +45,16 @@ func testServer(t *testing.T, lm []string, alg core.Algorithm) *Server {
 // ReportRTT frames and returns it ready to serve a model.
 func ringLandmarks(t *testing.T, alg core.Algorithm) *Server {
 	t.Helper()
+	return ringServer(t, Config{Dim: 3, Algorithm: alg, Seed: 1, NMFIters: 500})
+}
+
+// ringServer is ringLandmarks over any configuration; it names the
+// landmarks itself.
+func ringServer(t *testing.T, cfg Config) *Server {
+	t.Helper()
 	lm := []string{"L1", "L2", "L3", "L4"}
-	s, err := New(Config{Landmarks: lm, Dim: 3, Algorithm: alg, Seed: 1, NMFIters: 500})
+	cfg.Landmarks = lm
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,6 +190,47 @@ func TestReportIgnoresGarbageEntries(t *testing.T) {
 	// Nothing usable arrived: model must still be unfittable.
 	if _, err := s.Model(); err == nil {
 		t.Fatal("model should not fit from garbage reports")
+	}
+}
+
+// TestReportRefusesAbsurdRTT: a finite RTT no network produces is
+// dropped and counted like a NaN one, under either solver. Folded in,
+// three 1e200 ms entries after the first fit made GetModel serve +Inf
+// (batch) or NaN (SGD) landmark coordinates to every client.
+func TestReportRefusesAbsurdRTT(t *testing.T) {
+	for _, kind := range []solve.Kind{solve.Batch, solve.SGD} {
+		t.Run(kind.String(), func(t *testing.T) {
+			reg := telemetry.NewRegistry()
+			s := ringServer(t, Config{Dim: 3, Seed: 1, Solver: kind, Metrics: reg})
+			defer s.Close()
+			if _, err := s.Model(); err != nil {
+				t.Fatal(err)
+			}
+			for _, to := range []string{"L2", "L3", "L4"} {
+				rep := &wire.ReportRTT{From: "L1", Entries: []wire.RTTEntry{{To: to, RTTMillis: 1e200}}}
+				if typ, _ := s.dispatch(wire.TypeReportRTT, rep.Encode(nil)); typ != wire.TypeAck {
+					t.Fatalf("report answered %v", typ)
+				}
+			}
+			if _, err := s.Model(); err != nil {
+				t.Fatal(err)
+			}
+			typ, payload := s.dispatch(wire.TypeGetModel, nil)
+			model, err := wire.DecodeModel(payload)
+			if typ != wire.TypeModel || err != nil {
+				t.Fatalf("GetModel answered %v (%v)", typ, err)
+			}
+			for _, lm := range model.Landmarks {
+				for _, f := range slices.Concat(lm.Out, lm.In) {
+					if math.IsNaN(f) || math.IsInf(f, 0) {
+						t.Fatalf("landmark %s served with coordinates out=%v in=%v", lm.Addr, lm.Out, lm.In)
+					}
+				}
+			}
+			if got := reg.Export()["ides_server_reports_rejected_total"]; got != 3 {
+				t.Fatalf("ides_server_reports_rejected_total = %v, want 3", got)
+			}
+		})
 	}
 }
 

@@ -21,32 +21,8 @@ func observedServer(t *testing.T) (*Server, *telemetry.Registry, string) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { hist.Close() })
-	lm := []string{"L1", "L2", "L3", "L4"}
-	s, err := New(Config{
-		Landmarks: lm, Dim: 3, Seed: 1,
-		Metrics: reg, History: hist,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := ringServer(t, Config{Dim: 3, Seed: 1, Metrics: reg, History: hist})
 	t.Cleanup(s.Close)
-	d := [][]float64{
-		{0, 1, 1, 2},
-		{1, 0, 2, 1},
-		{1, 2, 0, 1},
-		{2, 1, 1, 0},
-	}
-	for i, from := range lm {
-		rep := &wire.ReportRTT{From: from}
-		for j, to := range lm {
-			if i != j {
-				rep.Entries = append(rep.Entries, wire.RTTEntry{To: to, RTTMillis: d[i][j]})
-			}
-		}
-		if typ, _ := s.dispatch(wire.TypeReportRTT, rep.Encode(nil)); typ != wire.TypeAck {
-			t.Fatalf("report %d answered %v", i, typ)
-		}
-	}
 	return s, reg, dir
 }
 

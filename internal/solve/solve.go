@@ -44,6 +44,14 @@ type Delta struct {
 	Millis   float64
 }
 
+// maxRTTMillis is about 17 minutes: far above any real round trip, far
+// below where a fit's squared norms overflow.
+const maxRTTMillis = 1e6
+
+// ValidRTT reports whether ms is an RTT a model may fold in, from a
+// report, a delta, a replayed record or a gossip exchange. NaN fails.
+func ValidRTT(ms float64) bool { return ms >= 0 && ms <= maxRTTMillis }
+
 // Solver maintains the landmark factorization across measurement churn.
 // Implementations own the observed landmark matrix; they need not be
 // safe for concurrent use (the lifecycle refitter calls them from one
@@ -151,14 +159,14 @@ func newMeasurements(m int) *measurements {
 // record stores one delta, mirroring it onto the reverse direction when
 // that direction has never been measured. It reports whether the delta
 // was accepted and whether the mirror was written; callers must feed
-// rejected deltas to nothing else. Out-of-range, diagonal and
-// non-finite deltas are rejected (the server validates before it
+// rejected deltas to nothing else. Out-of-range and diagonal deltas, and
+// RTTs ValidRTT refuses, are rejected (the server validates before it
 // forwards, this is defense in depth).
 func (ms *measurements) record(dl Delta) (accepted, mirrored bool) {
 	if dl.From < 0 || dl.From >= ms.m || dl.To < 0 || dl.To >= ms.m || dl.From == dl.To {
 		return false, false
 	}
-	if dl.Millis < 0 || math.IsNaN(dl.Millis) || math.IsInf(dl.Millis, 0) {
+	if !ValidRTT(dl.Millis) {
 		return false, false
 	}
 	if math.IsNaN(ms.d.At(dl.From, dl.To)) {

@@ -108,6 +108,14 @@ func retained(sv Solver) *core.Model {
 	return sv.(*SGDSolver).model
 }
 
+// recorded returns the measurement matrix a solver fits.
+func recorded(sv Solver) *measurements {
+	if b, ok := sv.(*BatchSolver); ok {
+		return b.ms
+	}
+	return sv.(*SGDSolver).ms
+}
+
 // TestSolverConformance runs every implementation through the same
 // lifecycle — record, seed, jittered incremental updates — and holds
 // them all to the documented accuracy bounds.
@@ -138,6 +146,17 @@ func TestSolverConformance(t *testing.T) {
 				t.Fatalf("drift %v after Seed, want 0", got)
 			}
 			checkBounds(t, "seeded", seeded, d)
+
+			// An RTT no network produces is refused whole: no model, and
+			// nothing recorded for the next Seed to fit.
+			ms := recorded(sv)
+			was, observed := ms.d.At(0, 1), ms.observed
+			if model, err := sv.Apply([]Delta{{From: 0, To: 1, Millis: 1e200}}); err != nil || model != nil {
+				t.Fatalf("Apply of a 1e200 ms delta = %v, %v; want nil, nil", model, err)
+			}
+			if ms.d.At(0, 1) != was || ms.observed != observed || retained(sv) != seeded {
+				t.Fatalf("a 1e200 ms delta was recorded: (0,1) %v -> %v", was, ms.d.At(0, 1))
+			}
 
 			// A pass of jittered re-measurements: incremental solvers
 			// must publish refreshed models that stay within bounds;
@@ -426,6 +445,7 @@ func TestRecordMirrorsUntilMeasured(t *testing.T) {
 	for _, dl := range []Delta{
 		{From: -1, To: 0, Millis: 1}, {From: 0, To: 3, Millis: 1},
 		{From: 1, To: 1, Millis: 1}, {From: 0, To: 2, Millis: -4},
+		{From: 0, To: 2, Millis: maxRTTMillis * 1.01},
 	} {
 		if accepted, _ := ms.record(dl); accepted {
 			t.Fatalf("accepted invalid delta %+v", dl)
