@@ -1,5 +1,6 @@
-// Command idesbench regenerates the paper's tables and figures as text
-// tables on stdout.
+// Command idesbench regenerates the paper's tables and figures as
+// GitHub Markdown tables on stdout; EXPERIMENTS.md is the output of
+// `idesbench -exp all -seed 42`.
 //
 // Usage:
 //
@@ -20,7 +21,6 @@ import (
 	"math"
 	"os"
 	"strings"
-	"text/tabwriter"
 	"time"
 
 	"github.com/ides-go/ides/internal/experiments"
@@ -70,31 +70,32 @@ func main() {
 	}
 }
 
-// printTable writes one experiment table, aligned: ratios to four
-// significant digits, wall times as durations, and NaN (nothing to
-// report) as "-".
+// printTable writes one experiment table as a GitHub Markdown table
+// under a "## title" heading: ratios to four significant digits, wall
+// times as durations, and NaN (nothing to report) as "-".
 func printTable(w io.Writer, tab experiments.Table) error {
-	fmt.Fprintf(w, "\n== %s ==\n", tab.Title)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprint(tw, tab.Label)
+	var b strings.Builder
+	fmt.Fprintf(&b, "\n## %s\n\n| %s |", tab.Title, tab.Label)
 	for _, c := range tab.Columns {
-		fmt.Fprint(tw, "\t", c.Name)
+		fmt.Fprintf(&b, " %s |", c.Name)
 	}
+	b.WriteString("\n|---|" + strings.Repeat("---|", len(tab.Columns)))
 	for _, r := range tab.Rows {
-		fmt.Fprint(tw, "\n", r.Label)
+		fmt.Fprintf(&b, "\n| %s |", r.Label)
 		for i, v := range r.Values {
+			cell := fmt.Sprintf("%.4g", v)
 			switch {
 			case math.IsNaN(v):
-				fmt.Fprint(tw, "\t-")
+				cell = "-"
 			case tab.Columns[i].Unit == experiments.Seconds:
-				fmt.Fprint(tw, "\t", time.Duration(math.Round(v*1e9)))
+				cell = time.Duration(math.Round(v * 1e9)).String()
 			case tab.Columns[i].Unit == experiments.Count:
-				fmt.Fprintf(tw, "\t%.0f", v)
-			default:
-				fmt.Fprintf(tw, "\t%.4g", v)
+				cell = fmt.Sprintf("%.0f", v)
 			}
+			fmt.Fprintf(&b, " %s |", cell)
 		}
 	}
-	fmt.Fprintln(tw)
-	return tw.Flush()
+	b.WriteString("\n")
+	_, err := io.WriteString(w, b.String())
+	return err
 }

@@ -5,15 +5,14 @@
 // estimates distances to arbitrary hosts with dot products — no further
 // measurement required (§5).
 //
-// The client tracks the model epoch it solved against. Every
-// model-bearing server response is stamped with the server's current
-// epoch; when a response shows the epoch moved (the server refit its
-// landmark model in the background), the client transparently re-fetches
-// the model, re-solves its vectors from the landmark RTTs it already
-// measured (a refit changes the model, not the routes), re-registers,
-// and retries — the same self-healing contract as the HostTTL
-// re-registration path, extended to model churn without turning every
-// refit into a fleet-wide re-measurement storm.
+// Joining is one procedure, join: fetch the model, solve, register, and
+// fetch again on CodeStaleEpoch, at most three rounds. It probes only
+// when its cached landmark RTTs are missing or no longer cover the model
+// (a refit changes the model, not the routes). When a read shows this
+// host missing or solved against another epoch, restore re-registers
+// the vectors unchanged (HostTTL expiry) or joins from the cached RTTs
+// (refit). Concurrent readers share one restore, so one epoch bump costs
+// one recovery round however many readers see it.
 //
 // All exchanges with the information server ride a transport.Pool of
 // persistent connections — model fetches, registrations, vector lookups
@@ -92,19 +91,22 @@ type Client struct {
 	model   *wire.Model
 	vectors core.Vectors
 	epoch   uint64 // model epoch the vectors were solved against
-	ready   bool
+	// regs counts the registrations the server accepted; 0 means not
+	// bootstrapped. A reader that sees it move knows the registration it
+	// read under has been restored by someone else.
+	regs uint64
 	// measured holds the last measurement round's landmark RTTs
 	// (addr → min milliseconds). RTTs are route state, not model state,
-	// so they stay valid across refits: epoch recovery re-solves from
-	// them instead of re-probing every landmark. Read-only once stored.
+	// so they stay valid across refits: join re-solves from them instead
+	// of re-probing every landmark. Read-only once stored.
 	measured map[string]float64
 	// cache of other hosts' vectors fetched from the directory
 	peerCache map[string]core.Vectors
 
-	// recoverMu single-flights epoch recovery: when many in-flight
-	// queries observe the same epoch bump, one rejoin runs and the rest
-	// piggyback on its result instead of issuing duplicate
-	// fetch/solve/register rounds.
+	// recoverMu single-flights restore: when many in-flight reads see
+	// the same TTL expiry or epoch bump, the first re-registers or joins
+	// and the rest find regs moved and retry against its result, so one
+	// bump costs one join round however many readers see it.
 	recoverMu sync.Mutex
 }
 
@@ -192,34 +194,41 @@ func (c *Client) call(ctx context.Context, t wire.MsgType, payload []byte) (wire
 
 // Bootstrap performs the full §5.1 join sequence: fetch model, measure
 // landmarks, solve vectors, register. It is safe to call again later to
-// re-measure (e.g. after a route change), and the epoch-recovery paths
-// fall back to it when their cached measurements no longer fit.
-func (c *Client) Bootstrap(ctx context.Context) error {
-	// A background refit can land between fetching the model and
-	// registering; the server then rejects the now-stale registration
-	// (CodeStaleEpoch). The probes just taken are still valid — a refit
-	// changes the model, not the routes — so retry by re-fetching and
-	// re-solving, never by re-measuring.
-	measured, err := c.bootstrapOnce(ctx)
-	if err == nil || !isStaleEpoch(err) {
-		return err
+// re-measure (e.g. after a route change).
+func (c *Client) Bootstrap(ctx context.Context) error { return c.join(ctx, nil) }
+
+// join fetches the model, solves this host's vectors from measured and
+// registers them, measuring first when measured is nil or no longer
+// covers the model (its landmark set changed or its dimension grew). A
+// refit landing before the registration makes it stale; the RTTs still
+// hold, so join fetches and re-solves again, at most three rounds.
+func (c *Client) join(ctx context.Context, measured map[string]float64) error {
+	var err error
+	for round := 0; round < 3; round++ {
+		var model *wire.Model
+		if model, err = c.fetchModel(ctx); err != nil {
+			return err
+		}
+		err = core.ErrTooFewObservations
+		if measured != nil {
+			err = c.solveAndRegister(ctx, model, measured)
+		}
+		if errors.Is(err, core.ErrTooFewObservations) {
+			if measured, err = c.measure(ctx, model); err != nil {
+				return err
+			}
+			err = c.solveAndRegister(ctx, model, measured)
+		}
+		if !isStaleEpoch(err) {
+			return err
+		}
 	}
-	err = c.rejoinWith(ctx, measured, err)
-	if errors.Is(err, core.ErrTooFewObservations) {
-		// The landmark set itself changed mid-join: one fresh round.
-		_, err = c.bootstrapOnce(ctx)
-	}
-	return err
+	return fmt.Errorf("client: model epoch kept moving while joining: %w", err)
 }
 
-// bootstrapOnce runs one measure-and-join round. The measurement map is
-// returned even when registration fails, so callers can retry the join
-// without repeating the probes.
-func (c *Client) bootstrapOnce(ctx context.Context) (map[string]float64, error) {
-	model, err := c.fetchModel(ctx)
-	if err != nil {
-		return nil, err
-	}
+// measure probes k landmarks of model in the seeded order, skipping
+// ones that fail, and returns their RTTs (addr → min milliseconds).
+func (c *Client) measure(ctx context.Context, model *wire.Model) (map[string]float64, error) {
 	dim := int(model.Dim)
 	k := c.cfg.K
 	if k <= 0 || k > len(model.Landmarks) {
@@ -252,7 +261,7 @@ func (c *Client) bootstrapOnce(ctx context.Context) (map[string]float64, error) 
 		return nil, fmt.Errorf("client: only %d of %d landmark measurements succeeded (need >= %d): %w",
 			len(measured), k, dim, lastErr)
 	}
-	return measured, c.solveAndRegister(ctx, model, measured)
+	return measured, nil
 }
 
 // solveAndRegister places this host against the given model from a set
@@ -278,10 +287,28 @@ func (c *Client) solveAndRegister(ctx context.Context, model *wire.Model, measur
 	if err != nil {
 		return fmt.Errorf("client: solving vectors: %w", err)
 	}
+	if err := c.register(ctx, vec, model.Epoch); err != nil {
+		return err
+	}
 
-	// Publish to the directory, stamped with the epoch we solved against
-	// so the server can refuse it if the model moved meanwhile.
-	reg := &wire.RegisterHost{Addr: c.cfg.Self, Out: vec.Out, In: vec.In, Epoch: model.Epoch}
+	c.mu.Lock()
+	c.model = model
+	c.vectors = vec
+	c.epoch = model.Epoch
+	c.regs++
+	c.measured = measured
+	// Cached peer vectors from an earlier epoch must not be dotted with
+	// the fresh self vectors.
+	c.peerCache = make(map[string]core.Vectors)
+	c.mu.Unlock()
+	return nil
+}
+
+// register publishes vec in the directory, stamped with the epoch it
+// was solved against so the server can refuse it if the model moved
+// meanwhile.
+func (c *Client) register(ctx context.Context, vec core.Vectors, epoch uint64) error {
+	reg := &wire.RegisterHost{Addr: c.cfg.Self, Out: vec.Out, In: vec.In, Epoch: epoch}
 	respT, _, err := c.call(ctx, wire.TypeRegisterHost, reg.Encode(nil))
 	if err != nil {
 		return fmt.Errorf("client: registering: %w", err)
@@ -289,17 +316,6 @@ func (c *Client) solveAndRegister(ctx context.Context, model *wire.Model, measur
 	if respT != wire.TypeAck {
 		return fmt.Errorf("client: register answered with %v, want Ack", respT)
 	}
-
-	c.mu.Lock()
-	c.model = model
-	c.vectors = vec
-	c.epoch = model.Epoch
-	c.ready = true
-	c.measured = measured
-	// Cached peer vectors from an earlier epoch must not be dotted with
-	// the fresh self vectors.
-	c.peerCache = make(map[string]core.Vectors)
-	c.mu.Unlock()
 	return nil
 }
 
@@ -310,55 +326,33 @@ func isStaleEpoch(err error) bool {
 	return errors.As(err, &werr) && werr.Code == wire.CodeStaleEpoch
 }
 
-// rejoinWith joins the service from an existing measurement map: fetch
-// the current model, solve, register — retrying a bounded number of
-// times when refits keep landing in between. No probes are sent.
-func (c *Client) rejoinWith(ctx context.Context, measured map[string]float64, lastErr error) error {
-	for attempt := 0; attempt < 3; attempt++ {
-		model, err := c.fetchModel(ctx)
-		if err != nil {
-			return err
-		}
-		err = c.solveAndRegister(ctx, model, measured)
-		if err == nil || !isStaleEpoch(err) {
-			return err
-		}
-		lastErr = err // the model moved again mid-rejoin: refetch
-	}
-	return fmt.Errorf("client: model epoch kept moving while joining: %w", lastErr)
-}
-
-// recoverEpoch rejoins after the server's model moved: re-fetch the
-// model, re-solve from the cached landmark RTTs (no re-probing — the
-// routes did not change because the factorization did), re-register.
-// Falls back to a full measuring Bootstrap when the cached measurements
-// no longer cover the fresh model. Concurrent callers single-flight:
-// whoever holds the latch rejoins, the rest see the epoch already moved
-// and return immediately.
-func (c *Client) recoverEpoch(ctx context.Context) error {
-	c.mu.RLock()
-	startEpoch := c.epoch
-	c.mu.RUnlock()
+// restore heals this host's registration after a read found it missing
+// or answered at epoch served; seen is the regs the reader captured with
+// its vectors. At this host's epoch (or 0, no stamp) only the HostTTL
+// expired: the vectors are re-registered unchanged, unless another
+// reader already did since seen. Otherwise, or if that comes back
+// stale, the model moved: join from the cached RTTs.
+func (c *Client) restore(ctx context.Context, seen, served uint64) error {
 	c.recoverMu.Lock()
 	defer c.recoverMu.Unlock()
 	c.mu.RLock()
-	cur := c.epoch
-	measured := c.measured
+	regs, vec, epoch, measured := c.regs, c.vectors, c.epoch, c.measured
 	c.mu.RUnlock()
-	if cur != startEpoch {
-		// Another goroutine recovered while we waited for the latch; the
-		// caller re-reads state and retries its query against it.
-		return nil
-	}
-	if len(measured) > 0 {
-		err := c.rejoinWith(ctx, measured, nil)
-		// Measurements that no longer cover the fresh model (landmark set
-		// changed, dimension grew) fall through to a measuring round.
-		if err == nil || !errors.Is(err, core.ErrTooFewObservations) {
+	if served == 0 || served == epoch {
+		if regs != seen {
+			return nil
+		}
+		err := c.register(ctx, vec, epoch)
+		if err == nil {
+			c.mu.Lock()
+			c.regs++
+			c.mu.Unlock()
+		}
+		if !isStaleEpoch(err) {
 			return err
 		}
 	}
-	return c.Bootstrap(ctx)
+	return c.join(ctx, measured)
 }
 
 func (c *Client) fetchModel(ctx context.Context) (*wire.Model, error) {
@@ -384,7 +378,7 @@ func (c *Client) fetchModel(ctx context.Context) (*wire.Model, error) {
 func (c *Client) Vectors() (core.Vectors, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.vectors, c.ready
+	return c.vectors, c.regs > 0
 }
 
 // Epoch returns the model epoch this host's vectors were solved against
@@ -421,7 +415,7 @@ func (c *Client) EstimateFrom(ctx context.Context, addr string) (float64, error)
 
 // estimate resolves the peer's vectors and dots them with our own. If
 // the directory response reveals an epoch bump, the whole local state —
-// self vectors and peer cache — belongs to a dead generation: rejoin
+// self vectors and peer cache — belongs to a dead generation: restore
 // once and retry with everything re-read. The response epoch is compared
 // against the epoch captured with the self vectors (not re-read), so a
 // concurrent recovery on another goroutine cannot slip a cross-epoch
@@ -429,12 +423,10 @@ func (c *Client) EstimateFrom(ctx context.Context, addr string) (float64, error)
 func (c *Client) estimate(ctx context.Context, addr string, fromPeer bool) (float64, error) {
 	for attempt := 0; ; attempt++ {
 		c.mu.RLock()
-		ready := c.ready
-		self := c.vectors
-		epoch := c.epoch
+		regs, self, epoch := c.regs, c.vectors, c.epoch
 		peer, cached := c.peerCache[addr]
 		c.mu.RUnlock()
-		if !ready {
+		if regs == 0 {
 			return 0, fmt.Errorf("client: not bootstrapped")
 		}
 		if !cached {
@@ -447,8 +439,8 @@ func (c *Client) estimate(ctx context.Context, addr string, fromPeer bool) (floa
 				if attempt > 0 {
 					return 0, fmt.Errorf("client: model epoch kept moving while estimating to %s", addr)
 				}
-				if err := c.recoverEpoch(ctx); err != nil {
-					return 0, fmt.Errorf("client: recovering from model epoch change: %w", err)
+				if err := c.restore(ctx, regs, respEpoch); err != nil {
+					return 0, err
 				}
 				continue
 			}
@@ -480,8 +472,7 @@ func (c *Client) estimate(ctx context.Context, addr string, fromPeer bool) (floa
 func (c *Client) fetchVectors(ctx context.Context, addr string, dim int) (core.Vectors, uint64, error) {
 	// Landmarks are in the model already; skip the directory for them.
 	c.mu.RLock()
-	model := c.model
-	epoch := c.epoch
+	model, epoch := c.model, c.epoch
 	c.mu.RUnlock()
 	if model != nil {
 		for i := range model.Landmarks {
@@ -532,12 +523,10 @@ type BatchEstimate struct {
 // matrix-vector product over its directory. Unregistered targets come
 // back with Found=false rather than failing the batch. This is the bulk
 // counterpart of EstimateTo — prefer it whenever there is more than a
-// handful of candidates. Two self-healing paths keep long-lived
-// processes working: if the server's HostTTL expired this host's
-// directory entry, the client re-registers its solved vectors; if the
-// response epoch shows the model was refit, it re-fetches the model,
-// re-solves from its cached landmark measurements, and re-registers.
-// Either way the query retries once.
+// handful of candidates. If the server's HostTTL expired this host's
+// directory entry, or the response epoch shows the model was refit, the
+// registration is restored (re-registered, or re-solved from the cached
+// landmark RTTs) and the query retries once.
 func (c *Client) EstimateBatch(ctx context.Context, targets []string) ([]BatchEstimate, error) {
 	var resp *wire.Distances
 	err := c.queryRecovering(ctx, func() (bool, uint64, error) {
@@ -580,78 +569,25 @@ func (c *Client) queryBatch(ctx context.Context, targets []string) (*wire.Distan
 // the server resolved the host and the epoch it answered at. When the
 // server did not resolve it, or answered from another epoch than the one
 // this host's vectors were solved against, the registration is restored
-// (recoverRegistration) and the read runs once more.
+// and the read runs once more.
 func (c *Client) queryRecovering(ctx context.Context, query func() (srcFound bool, epoch uint64, err error)) error {
-	if err := c.requireReady(); err != nil {
+	c.mu.RLock()
+	regs, epoch := c.regs, c.epoch
+	c.mu.RUnlock()
+	if regs == 0 {
+		return fmt.Errorf("client: not bootstrapped")
+	}
+	found, served, err := query()
+	if err != nil || found && (served == 0 || served == epoch) {
 		return err
 	}
-	found, epoch, err := query()
-	if err != nil || found && !c.staleEpoch(epoch) {
-		return err
-	}
-	if err := c.recoverRegistration(ctx, epoch); err != nil {
+	if err := c.restore(ctx, regs, served); err != nil {
 		return err
 	}
 	if found, _, err = query(); err == nil && !found {
 		err = fmt.Errorf("client: host %s is not registered even after re-registering", c.cfg.Self)
 	}
 	return err
-}
-
-// requireReady errors before Bootstrap has succeeded.
-func (c *Client) requireReady() error {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if !c.ready {
-		return fmt.Errorf("client: not bootstrapped")
-	}
-	return nil
-}
-
-// recoverRegistration restores this host's directory entry after a
-// query reported it unresolvable or stamped a different epoch. A
-// matching (or absent) epoch means the server simply expired the entry
-// by HostTTL: the locally solved vectors are still valid and a cheap
-// re-register suffices. A moved epoch means the model was refit: the
-// vectors are solved against a dead generation, so re-solve against
-// the fresh model (reusing the cached landmark measurements) and
-// re-register.
-func (c *Client) recoverRegistration(ctx context.Context, respEpoch uint64) error {
-	if !c.staleEpoch(respEpoch) {
-		err := c.reRegister(ctx)
-		if err == nil {
-			return nil
-		}
-		var werr *wire.Error
-		if !errors.As(err, &werr) || werr.Code != wire.CodeStaleEpoch {
-			return err
-		}
-		// A refit landed between the query and the re-register; fall
-		// through to the full rejoin.
-	}
-	if err := c.recoverEpoch(ctx); err != nil {
-		return fmt.Errorf("client: recovering from model epoch change: %w", err)
-	}
-	return nil
-}
-
-// reRegister republishes this host's locally solved vectors — no new
-// measurements — used when the server reports the source unknown (its
-// HostTTL expired the entry while this process kept running).
-func (c *Client) reRegister(ctx context.Context) error {
-	c.mu.RLock()
-	vec := c.vectors
-	epoch := c.epoch
-	c.mu.RUnlock()
-	reg := &wire.RegisterHost{Addr: c.cfg.Self, Out: vec.Out, In: vec.In, Epoch: epoch}
-	respT, _, err := c.call(ctx, wire.TypeRegisterHost, reg.Encode(nil))
-	if err != nil {
-		return fmt.Errorf("client: re-registering: %w", err)
-	}
-	if respT != wire.TypeAck {
-		return fmt.Errorf("client: re-register answered with %v, want Ack", respT)
-	}
-	return nil
 }
 
 // NeighborEstimate is one KNearest result.
@@ -666,9 +602,8 @@ type NeighborEstimate struct {
 // the server's query engine partially sorts its whole directory. Fewer
 // than k entries come back when the directory is smaller, or when k
 // exceeds the server's MaxKNN cap (default 4096). This host itself is
-// excluded. Like EstimateBatch, an expired self entry is transparently
-// re-registered — and an epoch bump triggers a re-solve against the
-// fresh model — before the query is retried once.
+// excluded. Like EstimateBatch, an expired or stale self entry is
+// restored before the query is retried once.
 func (c *Client) KNearest(ctx context.Context, k int) ([]NeighborEstimate, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("client: k must be positive")

@@ -11,32 +11,35 @@ import (
 	"github.com/ides-go/ides/internal/wire"
 )
 
-// serveStub answers GetModel with model, RegisterHost with an Ack and
-// GetVectors with vectors, over loopback TCP, until the test ends.
-func serveStub(t *testing.T, model *wire.Model, vectors *wire.Vectors) string {
+// serve runs h over loopback TCP until the test ends and returns its
+// address.
+func serve(t *testing.T, h transport.Handler) string {
 	t.Helper()
 	ln := testutil.Loopback(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		transport.Serve(ctx, ln, transport.ServeConfig{ //nolint:errcheck
-			Handler: func(typ wire.MsgType, _, dst []byte) (wire.MsgType, []byte) {
-				switch typ {
-				case wire.TypeGetModel:
-					return wire.TypeModel, model.Encode(dst)
-				case wire.TypeRegisterHost:
-					return wire.TypeAck, dst
-				case wire.TypeGetVectors:
-					return wire.TypeVectors, vectors.Encode(dst)
-				}
-				return wire.TypeError, (&wire.Error{Code: wire.CodeUnknownType}).Encode(dst)
-			},
-			Logf: t.Logf,
-		})
+		transport.Serve(ctx, ln, transport.ServeConfig{Handler: h, Logf: t.Logf}) //nolint:errcheck
 	}()
 	t.Cleanup(func() { cancel(); <-done })
 	return ln.Addr().String()
+}
+
+// serveStub answers GetModel with model, RegisterHost with an Ack and
+// GetVectors with vectors, until the test ends.
+func serveStub(t *testing.T, model *wire.Model, vectors *wire.Vectors) string {
+	return serve(t, func(typ wire.MsgType, _, dst []byte) (wire.MsgType, []byte) {
+		switch typ {
+		case wire.TypeGetModel:
+			return wire.TypeModel, model.Encode(dst)
+		case wire.TypeRegisterHost:
+			return wire.TypeAck, dst
+		case wire.TypeGetVectors:
+			return wire.TypeVectors, vectors.Encode(dst)
+		}
+		return wire.TypeError, (&wire.Error{Code: wire.CodeUnknownType}).Encode(dst)
+	})
 }
 
 // TestClientRefusesMalformedReplies: a server reply whose vectors do not
