@@ -5,10 +5,10 @@
 //
 // It also replays recorded server history: -replay points at a history
 // directory written by ides-server -history-dir (or the harness), feeds
-// the recorded measurement window back through a fresh in-process
-// deployment, and reports the reproduced accuracy. The -what-if-* flags
-// rerun the window under an alternate solver, algorithm, dimension or
-// drift threshold and print both outcomes side by side.
+// the window's recorded report frames to a leader booted in process from
+// the recorded configuration, and reports the reproduced accuracy. The
+// -what-if-* flags rerun the window under an alternate solver,
+// algorithm, dimension or drift threshold and print both outcomes.
 //
 // Usage:
 //

@@ -109,10 +109,10 @@
 //     served in Prometheus text format behind the opt-in -metrics-addr
 //     flag on every binary, instrumenting the server, refitter,
 //     transport pool and query engine; plus an append-only history store
-//     (server flag -history-dir) journaling accepted measurements,
+//     (server flag -history-dir) journaling accepted report frames,
 //     fit/revision events and per-epoch error summaries into a
-//     CRC-framed segmented log that `ides-inspect -replay` re-runs
-//     deterministically through the simnet harness for what-if analysis
+//     CRC-framed segmented log whose frames `ides-inspect -replay` feeds
+//     to a fresh in-process leader for deterministic what-if analysis
 //     (swap solver, dim or drift threshold against recorded traffic).
 //
 // See README.md for a tour ("Layout" maps the packages, "Reproducing the

@@ -201,26 +201,18 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 
-	// Information server. RefitMinInterval of 1ns makes every owed fit
-	// run at the refitter's next loop cycle, so the harness's per-report
-	// Quiesce sync points fully determine when model updates land. The refit
-	// threshold of one full measurement round keeps the background
-	// schedule from attempting (and hot-retrying) fits on a matrix that
-	// cannot be complete yet; Refresh bypasses it when a scenario wants
-	// a fit from partial data.
-	c.leaderCfg = server.Config{
+	// Information server.
+	c.leaderCfg = leaderConfig(server.Config{
 		Landmarks:           lmNames,
 		Dim:                 cfg.Dim,
 		Algorithm:           cfg.Algorithm,
 		Seed:                cfg.Seed,
 		Solver:              cfg.Solver,
-		RefitMinInterval:    time.Nanosecond,
-		RefitThreshold:      cfg.NumLandmarks * (cfg.NumLandmarks - 1),
 		DriftEpochThreshold: cfg.DriftEpochThreshold,
 		RequestTimeout:      exchangeTimeout,
 		Metrics:             cfg.Metrics,
 		History:             cfg.History,
-	}
+	})
 	srv, err := server.New(c.leaderCfg)
 	if err != nil {
 		return fail(fmt.Errorf("harness: %w", err))
@@ -301,6 +293,20 @@ func New(cfg Config) (*Cluster, error) {
 		c.clients = append(c.clients, cl)
 	}
 	return c, nil
+}
+
+// leaderConfig makes cfg the deterministic leader the harness and
+// Replay both run. RefitMinInterval of 1ns makes every owed fit run at
+// the refitter's next loop cycle, so per-report Quiesce sync points
+// fully determine when model updates land. The refit threshold of one
+// full measurement round keeps the background schedule from attempting
+// (and hot-retrying) fits on a matrix that cannot be complete yet;
+// Refresh bypasses it when a scenario wants a fit from partial data.
+func leaderConfig(cfg server.Config) server.Config {
+	n := len(cfg.Landmarks)
+	cfg.RefitMinInterval = time.Nanosecond
+	cfg.RefitThreshold = n * (n - 1)
+	return cfg
 }
 
 func (c *Cluster) newClient(name string, seed int64) (*client.Client, error) {

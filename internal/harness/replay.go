@@ -4,16 +4,17 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"github.com/ides-go/ides/internal/core"
-	"github.com/ides-go/ides/internal/lifecycle"
+	"github.com/ides-go/ides/internal/mat"
+	"github.com/ides-go/ides/internal/server"
 	"github.com/ides-go/ides/internal/solve"
 	"github.com/ides-go/ides/internal/stats"
 	"github.com/ides-go/ides/internal/telemetry"
+	"github.com/ides-go/ides/internal/wire"
 )
 
-// ReplayWindow bounds which recorded measurements a replay feeds back:
+// ReplayWindow bounds which recorded report frames a replay feeds back:
 // report records with TimeUnixNanos in [FromNanos, ToNanos) are
 // replayed. Zero bounds are open (replay everything). The window also
 // selects which recorded epoch summaries ReplayResult.Recorded carries.
@@ -68,8 +69,8 @@ type ReplayResult struct {
 	Dim       int
 	Drift     float64
 	Seed      int64
-	// Frames and Reports count the report frames reconstructed from the
-	// log and the individual measurements inside them.
+	// Frames and Reports count the recorded report frames fed back and
+	// the measurements inside them.
 	Frames  int
 	Reports int
 	// Epoch, Fits and Revisions are the replayed server's final
@@ -86,30 +87,22 @@ type ReplayResult struct {
 	Final stats.Summary
 }
 
-// replayFrame is one reconstructed ReportRTT frame: the server stamps
-// every measurement of a frame with one arrival time, so consecutive
-// report records sharing (time, source) were one frame in the original
-// run.
-type replayFrame struct {
-	from    int
-	entries []telemetry.ReportRecord
-}
-
-// Replay feeds a recorded history window back through a fresh solver
-// and refitter — a server's write side, driven directly — and measures
-// the resulting model against the window's last-observed measurement
-// matrix. With zero overrides it reproduces the recorded run's final
-// accuracy; with overrides it answers "what if the run had used the
-// other solver / a different dimension / a different drift threshold".
+// Replay boots a leader from the recorded configuration (plus
+// overrides), hands it the window's recorded report frames through the
+// dispatch a connection reaches, and measures the model it serves
+// against the window's last-observed measurement matrix. With zero
+// overrides it reproduces the recorded run's final accuracy; with
+// overrides it answers "what if the run had used the other solver / a
+// different dimension / a different drift threshold".
 //
-// Determinism matches the harness: reports are fed in recorded order
-// with the refitter drained after every frame, so the same
-// records, window and overrides always produce the same result.
+// Determinism matches the harness: frames are fed in recorded order
+// with the leader's model pipeline drained after every frame, so the
+// same records, window and overrides always produce the same result.
 func Replay(ctx context.Context, recs []telemetry.Record, window ReplayWindow, over ReplayOverrides) (*ReplayResult, error) {
 	res := &ReplayResult{}
 
 	// The config record anchors everything; it must precede the reports.
-	var frames []replayFrame
+	var frames []*wire.ReportRTT
 	gotConfig := false
 	for _, r := range recs {
 		switch r := r.(type) {
@@ -122,17 +115,10 @@ func Replay(ctx context.Context, recs []telemetry.Record, window ReplayWindow, o
 			if !gotConfig {
 				return nil, fmt.Errorf("replay: report record before any config record")
 			}
-			if !window.contains(r.TimeUnixNanos) {
-				continue
+			if window.contains(r.TimeUnixNanos) {
+				frames = append(frames, &r.Report)
+				res.Reports += len(r.Report.Entries)
 			}
-			res.Reports++
-			n := len(frames)
-			if n > 0 && frames[n-1].from == r.From &&
-				frames[n-1].entries[0].TimeUnixNanos == r.TimeUnixNanos {
-				frames[n-1].entries = append(frames[n-1].entries, *r)
-				continue
-			}
-			frames = append(frames, replayFrame{from: r.From, entries: []telemetry.ReportRecord{*r}})
 		case *telemetry.EpochSummaryRecord:
 			if window.contains(r.TimeUnixNanos) {
 				res.Recorded = append(res.Recorded, *r)
@@ -178,47 +164,27 @@ func Replay(ctx context.Context, recs []telemetry.Record, window ReplayWindow, o
 		res.Seed = *over.Seed
 	}
 
-	landmarks := res.Config.Landmarks
-	n := len(landmarks)
-	if n < 2 {
-		return nil, fmt.Errorf("replay: recorded config names %d landmarks, need at least 2", n)
-	}
-	for _, fr := range frames {
-		if fr.from < 0 || fr.from >= n {
-			return nil, fmt.Errorf("replay: report source index %d out of range [0,%d)", fr.from, n)
-		}
-		for _, e := range fr.entries {
-			if e.To < 0 || e.To >= n {
-				return nil, fmt.Errorf("replay: report target index %d out of range [0,%d)", e.To, n)
-			}
-		}
-	}
-
-	// The write side of a server without the server: the same solver and
-	// refitter server.New builds, fed the deltas handleReport would
-	// accept. As in the harness, every owed fit runs at the next loop
-	// cycle, so the per-frame Quiesce below fully determines when model
-	// updates land.
-	solver, err := solve.New(res.Solver, n, core.FitOptions{
-		Dim:       res.Dim,
-		Algorithm: res.Algorithm,
-		Seed:      res.Seed,
-	}, solve.SGDOptions{})
+	srv, err := server.New(leaderConfig(server.Config{
+		Landmarks:           res.Config.Landmarks,
+		Dim:                 res.Dim,
+		Algorithm:           res.Algorithm,
+		Seed:                res.Seed,
+		Solver:              res.Solver,
+		DriftEpochThreshold: res.Drift,
+		BaseEpoch:           res.Config.BaseEpoch,
+	}))
 	if err != nil {
 		return nil, fmt.Errorf("replay: %w", err)
 	}
-	refit := lifecycle.New(solver, lifecycle.Config{
-		BaseEpoch:      res.Config.BaseEpoch,
-		MinInterval:    time.Nanosecond,
-		Threshold:      n * (n - 1),
-		DriftThreshold: res.Drift,
-	})
-	defer refit.Close()
+	defer srv.Close()
 
 	// obs accumulates the last-observed measurement per directed pair —
 	// the ground truth the replayed model is scored against.
+	n := len(res.Config.Landmarks)
+	index := make(map[string]int, n)
 	obs := make([][]float64, n)
-	for i := range obs {
+	for i, lm := range res.Config.Landmarks {
+		index[lm] = i
 		obs[i] = make([]float64, n)
 		for j := range obs[i] {
 			obs[i][j] = math.NaN()
@@ -226,38 +192,40 @@ func Replay(ctx context.Context, recs []telemetry.Record, window ReplayWindow, o
 	}
 
 	for _, fr := range frames {
-		deltas := make([]solve.Delta, 0, len(fr.entries))
-		for _, e := range fr.entries {
-			obs[fr.from][e.To] = e.Millis
-			// What a server drops: a self-pair, an RTT ValidRTT refuses.
-			if e.To != fr.from && solve.ValidRTT(e.Millis) {
-				deltas = append(deltas, solve.Delta{From: fr.from, To: e.To, Millis: e.Millis})
+		if typ, reply := srv.Handle(wire.TypeReportRTT, fr.Encode(nil)); typ != wire.TypeAck {
+			e, _ := wire.DecodeError(reply) // a leader's refusals are well-formed
+			return nil, fmt.Errorf("replay: leader refused the report frame from %q: %v", fr.From, e)
+		}
+		for _, e := range fr.Entries {
+			if to, ok := index[e.To]; ok {
+				obs[index[fr.From]][to] = e.RTTMillis
 			}
 		}
-		if len(deltas) > 0 {
-			refit.Deltas(deltas)
-		}
-		// Drain the refitter after every frame, as the recording harness
-		// does, so revision boundaries and drift-triggered fits land at
-		// the same points every replay.
-		if _, err := refit.Quiesce(ctx); err != nil {
+		// Drain the leader after every frame, as the harness does, so
+		// revisions and drift-triggered fits land at the same points.
+		if err := srv.Quiesce(ctx); err != nil {
 			return nil, fmt.Errorf("replay: quiesce: %w", err)
 		}
 	}
 
-	// Fold in anything still pending and score the final model against
+	// Fold in anything still pending and score the served model against
 	// the window's last-observed matrix.
-	snap, err := refit.Refresh(ctx)
-	if err != nil {
+	if _, err := srv.Refit(ctx); err != nil {
 		return nil, fmt.Errorf("replay: final model: %w", err)
 	}
-	if _, err := refit.Quiesce(ctx); err != nil {
+	if err := srv.Quiesce(ctx); err != nil {
 		return nil, fmt.Errorf("replay: final quiesce: %w", err)
 	}
+	typ, reply := srv.Handle(wire.TypeGetModel, nil)
+	model, err := wire.DecodeModel(reply)
+	if typ != wire.TypeModel || err != nil {
+		return nil, fmt.Errorf("replay: final model: %v reply (%v)", typ, err)
+	}
 	truth := func(i, j int) float64 { return obs[i][j] }
-	res.Final = stats.Summarize(stats.RelativeErrors(n, n, truth, snap.Model.EstimateLandmarks))
+	est := func(i, j int) float64 { return mat.Dot(model.Landmarks[i].Out, model.Landmarks[j].In) }
+	res.Final = stats.Summarize(stats.RelativeErrors(n, n, truth, est))
 
-	lc := refit.Stats()
+	lc := srv.LifecycleStats()
 	res.Epoch, res.Fits, res.Revisions = lc.Epoch, lc.Fits, lc.Revisions
 	return res, nil
 }

@@ -4,11 +4,13 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/ides-go/ides/internal/solve"
 	"github.com/ides-go/ides/internal/telemetry"
+	"github.com/ides-go/ides/internal/wire"
 )
 
 // recordRun boots a cluster with a history store attached, runs the
@@ -156,5 +158,66 @@ func TestReplayWindow(t *testing.T) {
 	}
 	if first.Final.N == 0 {
 		t.Fatal("windowed replay scored nothing")
+	}
+}
+
+// TestReplayKeepsFrameBoundaries: with the store's clock frozen every
+// frame carries one timestamp, and two frames in a row from one
+// landmark must still replay as two frames — an SGD leader publishes a
+// revision per frame, and the replay must count what the leader did.
+func TestReplayKeepsFrameBoundaries(t *testing.T) {
+	dir := t.TempDir()
+	frozen := time.Unix(0, 1_700_000_000_000_000_000)
+	hist, err := telemetry.OpenStore(telemetry.StoreConfig{Dir: dir, Now: func() time.Time { return frozen }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(Config{NumLandmarks: 5, NumHosts: 2, Dim: 3, Seed: 3, Solver: solve.SGD, History: hist})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := c.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := c.agents[0].ReportOnce(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Srv.Quiesce(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recorded := c.Srv.LifecycleStats()
+	c.Close()
+	if err := hist.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	res, err := ReplayAll(ctx, dir, ReplayOverrides{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Frames != 7 || res.Fits != recorded.Fits || res.Revisions != recorded.Revisions {
+		t.Fatalf("replayed %d frames, %d fits, %d revisions; recorded 7 frames, %d fits, %d revisions",
+			res.Frames, res.Fits, res.Revisions, recorded.Fits, recorded.Revisions)
+	}
+}
+
+// TestReplayRefusesUnknownSource: a hand-built log whose frame comes
+// from an address outside the recorded landmark set is refused by the
+// leader's own admission, and the error names the address.
+func TestReplayRefusesUnknownSource(t *testing.T) {
+	recs := []telemetry.Record{
+		&telemetry.ConfigRecord{Dim: 2, Algorithm: "svd", Solver: "batch", Landmarks: []string{"a", "b", "c"}},
+		&telemetry.ReportRecord{TimeUnixNanos: 1, Report: wire.ReportRTT{From: "intruder", Entries: []wire.RTTEntry{
+			{To: "a", RTTMillis: 10},
+		}}},
+	}
+	_, err := Replay(context.Background(), recs, ReplayWindow{}, ReplayOverrides{})
+	if err == nil || !strings.Contains(err.Error(), `"intruder"`) {
+		t.Fatalf("Replay = %v, want an error naming \"intruder\"", err)
 	}
 }

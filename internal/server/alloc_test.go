@@ -67,7 +67,7 @@ func TestBulkQueryAllocs(t *testing.T) {
 			reg.Out[d], reg.In[d] = rng.Float64()*10, rng.Float64()*10
 		}
 		buf = reg.Encode(buf[:0])
-		if typ, _ := s.dispatch(wire.TypeRegisterHost, buf); typ != wire.TypeAck {
+		if typ, _ := s.Handle(wire.TypeRegisterHost, buf); typ != wire.TypeAck {
 			t.Fatalf("register %s answered %v", addrs[i], typ)
 		}
 	}

@@ -41,10 +41,11 @@ func (s *Server) takeover(ctx context.Context, conn net.Conn, t wire.MsgType, pa
 	return true
 }
 
-// dispatch handles one request and returns the response frame. It is the
-// allocate-per-call convenience form of dispatchTo, for in-process
-// callers and tests.
-func (s *Server) dispatch(t wire.MsgType, payload []byte) (wire.MsgType, []byte) {
+// Handle handles one request and returns the response frame: the
+// dispatch a connection reaches, in its allocate-per-call form, for
+// in-process callers (harness.Replay feeds a leader recorded report
+// frames through it) and tests.
+func (s *Server) Handle(t wire.MsgType, payload []byte) (wire.MsgType, []byte) {
 	return s.dispatchTo(t, payload, nil)
 }
 
@@ -139,7 +140,7 @@ func (s *Server) handleReport(payload, dst []byte) (wire.MsgType, []byte) {
 	s.metrics.observeReport(len(accepted), len(rep.Entries)-len(accepted))
 	if len(accepted) > 0 {
 		s.refit.Deltas(accepted)
-		s.recordReports(accepted)
+		s.recordReport(rep.From, accepted)
 	}
 	return wire.TypeAck, dst
 }

@@ -34,7 +34,7 @@ func bumpEpoch(t *testing.T, s *Server, ms float64) uint64 {
 	rep := &wire.ReportRTT{From: s.cfg.Landmarks[0], Entries: []wire.RTTEntry{
 		{To: s.cfg.Landmarks[1], RTTMillis: ms},
 	}}
-	if typ, _ := s.dispatch(wire.TypeReportRTT, rep.Encode(nil)); typ != wire.TypeAck {
+	if typ, _ := s.Handle(wire.TypeReportRTT, rep.Encode(nil)); typ != wire.TypeAck {
 		t.Fatal("report rejected")
 	}
 	epoch, err := s.Refit(context.Background())
@@ -47,7 +47,7 @@ func bumpEpoch(t *testing.T, s *Server, ms float64) uint64 {
 func TestModelCarriesEpoch(t *testing.T) {
 	s := ringLandmarks(t, core.SVD)
 	defer s.Close()
-	typ, payload := s.dispatch(wire.TypeGetModel, nil)
+	typ, payload := s.Handle(wire.TypeGetModel, nil)
 	if typ != wire.TypeModel {
 		t.Fatalf("type %v", typ)
 	}
@@ -61,7 +61,7 @@ func TestModelCarriesEpoch(t *testing.T) {
 	if e := bumpEpoch(t, s, 1.5); e != 2 {
 		t.Fatalf("epoch after refit = %d, want 2", e)
 	}
-	typ, payload = s.dispatch(wire.TypeGetInfo, nil)
+	typ, payload = s.Handle(wire.TypeGetInfo, nil)
 	if typ != wire.TypeInfo {
 		t.Fatalf("type %v", typ)
 	}
@@ -107,7 +107,7 @@ func TestRegisterEpochValidation(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := &wire.RegisterHost{Addr: "H-" + tc.name, Out: h.Out, In: h.In, Epoch: tc.epoch}
-			typ, payload := s.dispatch(wire.TypeRegisterHost, reg.Encode(nil))
+			typ, payload := s.Handle(wire.TypeRegisterHost, reg.Encode(nil))
 			if typ != tc.wantType {
 				t.Fatalf("type %v, want %v", typ, tc.wantType)
 			}
@@ -137,11 +137,11 @@ func TestStaleVectorsEvictedOnRefit(t *testing.T) {
 		t.Fatal(err)
 	}
 	regV := &wire.RegisterHost{Addr: "versioned", Out: h.Out, In: h.In, Epoch: 1}
-	if typ, _ := s.dispatch(wire.TypeRegisterHost, regV.Encode(nil)); typ != wire.TypeAck {
+	if typ, _ := s.Handle(wire.TypeRegisterHost, regV.Encode(nil)); typ != wire.TypeAck {
 		t.Fatal("register versioned failed")
 	}
 	regU := &wire.RegisterHost{Addr: "legacy", Out: h.Out, In: h.In} // epoch 0
-	if typ, _ := s.dispatch(wire.TypeRegisterHost, regU.Encode(nil)); typ != wire.TypeError {
+	if typ, _ := s.Handle(wire.TypeRegisterHost, regU.Encode(nil)); typ != wire.TypeError {
 		t.Fatal("an epoch-0 registration must be refused once a model is served")
 	}
 	if n := s.NumHosts(); n != 1 {
@@ -150,11 +150,11 @@ func TestStaleVectorsEvictedOnRefit(t *testing.T) {
 
 	bumpEpoch(t, s, 1.3) // epoch 2: "versioned" is now a dead generation
 	regC := &wire.RegisterHost{Addr: "current", Out: h.Out, In: h.In, Epoch: 2}
-	if typ, _ := s.dispatch(wire.TypeRegisterHost, regC.Encode(nil)); typ != wire.TypeAck {
+	if typ, _ := s.Handle(wire.TypeRegisterHost, regC.Encode(nil)); typ != wire.TypeAck {
 		t.Fatal("register current failed")
 	}
 
-	typ, payload := s.dispatch(wire.TypeGetVectors, (&wire.GetVectors{Addr: "versioned"}).Encode(nil))
+	typ, payload := s.Handle(wire.TypeGetVectors, (&wire.GetVectors{Addr: "versioned"}).Encode(nil))
 	if typ != wire.TypeVectors {
 		t.Fatalf("type %v", typ)
 	}
@@ -165,7 +165,7 @@ func TestStaleVectorsEvictedOnRefit(t *testing.T) {
 	if v.Epoch != 2 {
 		t.Fatalf("Vectors epoch = %d, want 2", v.Epoch)
 	}
-	typ, payload = s.dispatch(wire.TypeGetVectors, (&wire.GetVectors{Addr: "legacy"}).Encode(nil))
+	typ, payload = s.Handle(wire.TypeGetVectors, (&wire.GetVectors{Addr: "legacy"}).Encode(nil))
 	if typ != wire.TypeVectors {
 		t.Fatalf("type %v", typ)
 	}
@@ -175,7 +175,7 @@ func TestStaleVectorsEvictedOnRefit(t *testing.T) {
 
 	// The stale source reads as unknown in queries, and the response
 	// carries the new epoch so the client knows why.
-	typ, payload = s.dispatch(wire.TypeQueryBatch, (&wire.QueryBatch{From: "versioned", Targets: []string{"current"}}).Encode(nil))
+	typ, payload = s.Handle(wire.TypeQueryBatch, (&wire.QueryBatch{From: "versioned", Targets: []string{"current"}}).Encode(nil))
 	if typ != wire.TypeDistances {
 		t.Fatalf("type %v", typ)
 	}
@@ -184,7 +184,7 @@ func TestStaleVectorsEvictedOnRefit(t *testing.T) {
 		t.Fatalf("stale source: %+v", resp)
 	}
 	// KNN from a current host must not rank the dead entry.
-	typ, payload = s.dispatch(wire.TypeQueryKNN, (&wire.QueryKNN{From: "current", K: 5}).Encode(nil))
+	typ, payload = s.Handle(wire.TypeQueryKNN, (&wire.QueryKNN{From: "current", K: 5}).Encode(nil))
 	if typ != wire.TypeNeighbors {
 		t.Fatalf("type %v", typ)
 	}
@@ -202,10 +202,10 @@ func TestStaleVectorsEvictedOnRefit(t *testing.T) {
 	}
 	// Re-registering at the current epoch resurrects the host.
 	regV.Epoch = 2
-	if typ, _ := s.dispatch(wire.TypeRegisterHost, regV.Encode(nil)); typ != wire.TypeAck {
+	if typ, _ := s.Handle(wire.TypeRegisterHost, regV.Encode(nil)); typ != wire.TypeAck {
 		t.Fatal("re-register at current epoch failed")
 	}
-	typ, payload = s.dispatch(wire.TypeQueryBatch, (&wire.QueryBatch{From: "versioned", Targets: []string{"current"}}).Encode(nil))
+	typ, payload = s.Handle(wire.TypeQueryBatch, (&wire.QueryBatch{From: "versioned", Targets: []string{"current"}}).Encode(nil))
 	if typ != wire.TypeDistances {
 		t.Fatalf("type %v", typ)
 	}
@@ -278,7 +278,7 @@ func TestQueriesServeDuringRefit(t *testing.T) {
 				rep.Entries = append(rep.Entries, wire.RTTEntry{To: to, RTTMillis: d[i][j]})
 			}
 		}
-		s.dispatch(wire.TypeReportRTT, rep.Encode(nil))
+		s.Handle(wire.TypeReportRTT, rep.Encode(nil))
 	}
 	model, err := s.Model() // epoch 1
 	if err != nil {
@@ -298,12 +298,12 @@ func TestQueriesServeDuringRefit(t *testing.T) {
 	}
 	baseEpoch := s.Epoch()
 	reg := &wire.RegisterHost{Addr: "H1", Out: h.Out, In: h.In, Epoch: baseEpoch}
-	if typ, _ := s.dispatch(wire.TypeRegisterHost, reg.Encode(nil)); typ != wire.TypeAck {
+	if typ, _ := s.Handle(wire.TypeRegisterHost, reg.Encode(nil)); typ != wire.TypeAck {
 		t.Fatal("register failed")
 	}
 	gate.armed.Store(true)
 	rep := &wire.ReportRTT{From: "L1", Entries: []wire.RTTEntry{{To: "L2", RTTMillis: 1.1}}}
-	if typ, _ := s.dispatch(wire.TypeReportRTT, rep.Encode(nil)); typ != wire.TypeAck {
+	if typ, _ := s.Handle(wire.TypeReportRTT, rep.Encode(nil)); typ != wire.TypeAck {
 		t.Fatal("report rejected")
 	}
 
@@ -330,7 +330,7 @@ func TestQueriesServeDuringRefit(t *testing.T) {
 				default:
 				}
 				epochBefore := s.Epoch()
-				typ, payload := s.dispatch(wire.TypeQueryBatch,
+				typ, payload := s.Handle(wire.TypeQueryBatch,
 					(&wire.QueryBatch{From: "L1", Targets: []string{"L4", "H1"}}).Encode(nil))
 				if typ != wire.TypeDistances {
 					t.Errorf("QueryBatch answered %v", typ)
@@ -347,7 +347,7 @@ func TestQueriesServeDuringRefit(t *testing.T) {
 						return
 					}
 				}
-				typ, payload = s.dispatch(wire.TypeGetModel, nil)
+				typ, payload = s.Handle(wire.TypeGetModel, nil)
 				if typ != wire.TypeModel {
 					t.Errorf("GetModel answered %v", typ)
 					return
@@ -425,7 +425,7 @@ func TestConcurrentReportsQueriesRefits(t *testing.T) {
 				rep.Entries = append(rep.Entries, wire.RTTEntry{To: to, RTTMillis: d[i][j]})
 			}
 		}
-		s.dispatch(wire.TypeReportRTT, rep.Encode(nil))
+		s.Handle(wire.TypeReportRTT, rep.Encode(nil))
 	}
 	if _, err := s.Model(); err != nil {
 		t.Fatal(err)
@@ -437,19 +437,19 @@ func TestConcurrentReportsQueriesRefits(t *testing.T) {
 		func(i int) { // reporter: drives refit churn
 			ms := 1 + float64(i%10)/10
 			rep := &wire.ReportRTT{From: "L1", Entries: []wire.RTTEntry{{To: "L2", RTTMillis: ms}}}
-			s.dispatch(wire.TypeReportRTT, rep.Encode(nil))
+			s.Handle(wire.TypeReportRTT, rep.Encode(nil))
 		},
 		func(i int) { // registrar: at the served epoch, unless a refit lands first
 			reg := &wire.RegisterHost{Addr: "H", Out: []float64{1, 2}, In: []float64{3, 4}, Epoch: s.Epoch()}
-			s.dispatch(wire.TypeRegisterHost, reg.Encode(nil))
+			s.Handle(wire.TypeRegisterHost, reg.Encode(nil))
 		},
 		func(i int) { // querier
-			s.dispatch(wire.TypeQueryBatch, (&wire.QueryBatch{From: "H", Targets: []string{"L1", "L3", "H"}}).Encode(nil))
-			s.dispatch(wire.TypeQueryKNN, (&wire.QueryKNN{From: "L1", K: 3}).Encode(nil))
+			s.Handle(wire.TypeQueryBatch, (&wire.QueryBatch{From: "H", Targets: []string{"L1", "L3", "H"}}).Encode(nil))
+			s.Handle(wire.TypeQueryKNN, (&wire.QueryKNN{From: "L1", K: 3}).Encode(nil))
 		},
 		func(i int) { // info/model readers
-			s.dispatch(wire.TypeGetInfo, nil)
-			s.dispatch(wire.TypeGetModel, nil)
+			s.Handle(wire.TypeGetInfo, nil)
+			s.Handle(wire.TypeGetModel, nil)
 		},
 	}
 	for _, fn := range work {
@@ -494,7 +494,7 @@ func TestRegisterRefusedDuringPublicationWindow(t *testing.T) {
 	// Simulate mid-publication: directory already at 2, snapshot still 1.
 	s.qs.dir.AdvanceEpoch(2)
 	reg := &wire.RegisterHost{Addr: "H", Out: h.Out, In: h.In, Epoch: 1}
-	typ, payload := s.dispatch(wire.TypeRegisterHost, reg.Encode(nil))
+	typ, payload := s.Handle(wire.TypeRegisterHost, reg.Encode(nil))
 	if typ != wire.TypeError {
 		t.Fatalf("window registration answered %v, want Error", typ)
 	}
@@ -540,7 +540,7 @@ func TestHostsSurviveIncrementalRevisions(t *testing.T) {
 				}
 				rep.Entries = append(rep.Entries, wire.RTTEntry{To: to, RTTMillis: d[i][j] * scale})
 			}
-			if typ, _ := s.dispatch(wire.TypeReportRTT, rep.Encode(nil)); typ != wire.TypeAck {
+			if typ, _ := s.Handle(wire.TypeReportRTT, rep.Encode(nil)); typ != wire.TypeAck {
 				t.Fatalf("report %d rejected", i)
 			}
 		}
@@ -553,7 +553,7 @@ func TestHostsSurviveIncrementalRevisions(t *testing.T) {
 	epoch := snap.Epoch
 
 	reg := &wire.RegisterHost{Addr: "survivor", Out: []float64{1, 2, 3}, In: []float64{3, 2, 1}, Epoch: epoch}
-	if typ, _ := s.dispatch(wire.TypeRegisterHost, reg.Encode(nil)); typ != wire.TypeAck {
+	if typ, _ := s.Handle(wire.TypeRegisterHost, reg.Encode(nil)); typ != wire.TypeAck {
 		t.Fatal("register rejected")
 	}
 
@@ -565,7 +565,7 @@ func TestHostsSurviveIncrementalRevisions(t *testing.T) {
 		if got := s.Epoch(); got != epoch {
 			t.Fatalf("revision bumped epoch %d -> %d", epoch, got)
 		}
-		typ, payload := s.dispatch(wire.TypeGetVectors, (&wire.GetVectors{Addr: "survivor"}).Encode(nil))
+		typ, payload := s.Handle(wire.TypeGetVectors, (&wire.GetVectors{Addr: "survivor"}).Encode(nil))
 		if typ != wire.TypeVectors {
 			t.Fatalf("GetVectors answered %v", typ)
 		}
@@ -586,7 +586,7 @@ func TestHostsSurviveIncrementalRevisions(t *testing.T) {
 	report(3)
 	waitFor(t, 5*time.Second, func() bool { return s.Epoch() > epoch })
 	waitFor(t, 5*time.Second, func() bool {
-		typ, payload := s.dispatch(wire.TypeGetVectors, (&wire.GetVectors{Addr: "survivor"}).Encode(nil))
+		typ, payload := s.Handle(wire.TypeGetVectors, (&wire.GetVectors{Addr: "survivor"}).Encode(nil))
 		if typ != wire.TypeVectors {
 			t.Fatalf("GetVectors answered %v", typ)
 		}

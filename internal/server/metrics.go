@@ -5,6 +5,7 @@ import (
 	"github.com/ides-go/ides/internal/solve"
 	"github.com/ides-go/ides/internal/stats"
 	"github.com/ides-go/ides/internal/telemetry"
+	"github.com/ides-go/ides/internal/wire"
 )
 
 // serverMetrics bundles the server's telemetry instruments. All methods
@@ -166,23 +167,20 @@ func (s *Server) onModelEvent(ev lifecycle.Event) {
 	}
 }
 
-// recordReports appends the accepted measurement deltas to the history
-// log, stamped with one arrival time per report frame.
-func (s *Server) recordReports(accepted []solve.Delta) {
+// recordReport appends one accepted report frame to the history log:
+// the landmark's address and the entries handed to the solver, rebuilt
+// from the accepted deltas, stamped with the frame's arrival time.
+func (s *Server) recordReport(from string, accepted []solve.Delta) {
 	h := s.history
-	if h == nil || len(accepted) == 0 {
+	if h == nil {
 		return
 	}
-	now := h.Now()
-	for _, d := range accepted {
-		if err := h.Append(&telemetry.ReportRecord{
-			TimeUnixNanos: now,
-			From:          d.From,
-			To:            d.To,
-			Millis:        d.Millis,
-		}); err != nil {
-			s.logf("history: recording report: %v", err)
-			return
-		}
+	rec := &telemetry.ReportRecord{TimeUnixNanos: h.Now(), Report: wire.ReportRTT{From: from}}
+	rec.Report.Entries = make([]wire.RTTEntry, len(accepted))
+	for i, d := range accepted {
+		rec.Report.Entries[i] = wire.RTTEntry{To: s.cfg.Landmarks[d.To], RTTMillis: d.Millis}
+	}
+	if err := h.Append(rec); err != nil {
+		s.logf("history: recording report: %v", err)
 	}
 }

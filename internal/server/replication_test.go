@@ -114,7 +114,7 @@ func TestFollowerReplication(t *testing.T) {
 
 	// Replicated reads: the paper's H0→L4 estimate must come out of the
 	// follower's local engine exactly as it does from the leader.
-	typ, payload := f.dispatch(wire.TypeQueryDist, (&wire.QueryDist{From: preSync[0], To: "L4"}).Encode(nil))
+	typ, payload := f.Handle(wire.TypeQueryDist, (&wire.QueryDist{From: preSync[0], To: "L4"}).Encode(nil))
 	if typ != wire.TypeDistance {
 		t.Fatalf("follower QueryDist answered %v", typ)
 	}
@@ -127,7 +127,7 @@ func TestFollowerReplication(t *testing.T) {
 	}
 
 	// GetModel serves the replicated generation.
-	typ, payload = f.dispatch(wire.TypeGetModel, nil)
+	typ, payload = f.Handle(wire.TypeGetModel, nil)
 	if typ != wire.TypeModel {
 		t.Fatalf("follower GetModel answered %v", typ)
 	}
@@ -148,11 +148,11 @@ func TestFollowerReplication(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := &wire.RegisterHost{Addr: "live-host", Out: hv.Out, In: hv.In, Epoch: leader.Epoch()}
-	if typ, _ := leader.dispatch(wire.TypeRegisterHost, reg.Encode(nil)); typ != wire.TypeAck {
+	if typ, _ := leader.Handle(wire.TypeRegisterHost, reg.Encode(nil)); typ != wire.TypeAck {
 		t.Fatal("leader register failed")
 	}
 	waitCond(t, 5*time.Second, "live registration", func() bool {
-		typ, payload := f.dispatch(wire.TypeGetVectors, (&wire.GetVectors{Addr: "live-host"}).Encode(nil))
+		typ, payload := f.Handle(wire.TypeGetVectors, (&wire.GetVectors{Addr: "live-host"}).Encode(nil))
 		if typ != wire.TypeVectors {
 			return false
 		}
@@ -163,22 +163,22 @@ func TestFollowerReplication(t *testing.T) {
 	// Write forwarding with read-your-writes: registering through the
 	// follower lands on the leader AND resolves on the follower at once.
 	reg = &wire.RegisterHost{Addr: "fwd-host", Out: hv.Out, In: hv.In, Epoch: leader.Epoch()}
-	if typ, _ := f.dispatch(wire.TypeRegisterHost, reg.Encode(nil)); typ != wire.TypeAck {
+	if typ, _ := f.Handle(wire.TypeRegisterHost, reg.Encode(nil)); typ != wire.TypeAck {
 		t.Fatal("forwarded register failed")
 	}
-	typ, payload = f.dispatch(wire.TypeGetVectors, (&wire.GetVectors{Addr: "fwd-host"}).Encode(nil))
+	typ, payload = f.Handle(wire.TypeGetVectors, (&wire.GetVectors{Addr: "fwd-host"}).Encode(nil))
 	v, err := wire.DecodeVectors(payload)
 	if typ != wire.TypeVectors || err != nil || !v.Found {
 		t.Fatalf("read-your-writes on follower: %v %+v %v", typ, v, err)
 	}
-	typ, _ = leader.dispatch(wire.TypeGetVectors, (&wire.GetVectors{Addr: "fwd-host"}).Encode(nil))
+	typ, _ = leader.Handle(wire.TypeGetVectors, (&wire.GetVectors{Addr: "fwd-host"}).Encode(nil))
 	if typ != wire.TypeVectors {
 		t.Fatalf("leader missing forwarded registration: %v", typ)
 	}
 
 	// Forwarded reports drive a leader refit; the follower converges.
 	rep := &wire.ReportRTT{From: "L1", Entries: []wire.RTTEntry{{To: "L2", RTTMillis: 1.2}}}
-	if typ, _ := f.dispatch(wire.TypeReportRTT, rep.Encode(nil)); typ != wire.TypeAck {
+	if typ, _ := f.Handle(wire.TypeReportRTT, rep.Encode(nil)); typ != wire.TypeAck {
 		t.Fatal("forwarded report failed")
 	}
 	epoch, err := leader.Refit(context.Background())
@@ -229,7 +229,7 @@ func TestFollowerModelIsLeaders(t *testing.T) {
 					rep.Entries = append(rep.Entries, wire.RTTEntry{To: to, RTTMillis: d[i][j] * scale})
 				}
 			}
-			if typ, _ := leader.dispatch(wire.TypeReportRTT, rep.Encode(nil)); typ != wire.TypeAck {
+			if typ, _ := leader.Handle(wire.TypeReportRTT, rep.Encode(nil)); typ != wire.TypeAck {
 				t.Fatalf("report %d rejected", i)
 			}
 		}
@@ -257,8 +257,8 @@ func TestFollowerModelIsLeaders(t *testing.T) {
 			fs := f.LifecycleStats()
 			return fs.Epoch == ls.Epoch && fs.Rev == ls.Rev
 		})
-		lt, want := leader.dispatch(wire.TypeGetModel, nil)
-		ft, got := f.dispatch(wire.TypeGetModel, nil)
+		lt, want := leader.Handle(wire.TypeGetModel, nil)
+		ft, got := f.Handle(wire.TypeGetModel, nil)
 		if lt != wire.TypeModel || ft != wire.TypeModel || !bytes.Equal(got, want) {
 			t.Fatalf("(%d, %d): follower GetModel %v (%d B) differs from the leader's %v (%d B)",
 				ls.Epoch, ls.Rev, ft, len(got), lt, len(want))
@@ -431,7 +431,7 @@ func TestFollowerServesDuringLeaderLoss(t *testing.T) {
 	// the cluster pool, which must have replayed at least one on the
 	// follower.
 	for i := 0; i < 50; i++ {
-		typ, payload := f.dispatch(wire.TypeQueryDist, query)
+		typ, payload := f.Handle(wire.TypeQueryDist, query)
 		if typ != wire.TypeDistance {
 			t.Fatalf("read %d during leader loss answered %v", i, typ)
 		}
@@ -449,7 +449,7 @@ func TestFollowerServesDuringLeaderLoss(t *testing.T) {
 
 	// Writes degrade loudly instead of hanging: CodeUnavailable.
 	rep := &wire.ReportRTT{From: "L1", Entries: []wire.RTTEntry{{To: "L2", RTTMillis: 1.5}}}
-	typ, payload := f.dispatch(wire.TypeReportRTT, rep.Encode(nil))
+	typ, payload := f.Handle(wire.TypeReportRTT, rep.Encode(nil))
 	if typ != wire.TypeError {
 		t.Fatalf("forwarded report with dead leader answered %v", typ)
 	}
@@ -473,7 +473,7 @@ func TestFollowerServesDuringLeaderLoss(t *testing.T) {
 				rep.Entries = append(rep.Entries, wire.RTTEntry{To: to, RTTMillis: d[i][j]})
 			}
 		}
-		leader2.dispatch(wire.TypeReportRTT, rep.Encode(nil))
+		leader2.Handle(wire.TypeReportRTT, rep.Encode(nil))
 	}
 	if _, err := leader2.Model(); err != nil { // epoch preKill+1
 		t.Fatal(err)
@@ -496,7 +496,7 @@ func TestSubscribeRejectedOutsideStream(t *testing.T) {
 	s := testServer(t, []string{"a", "b"}, core.SVD)
 	defer s.Close()
 	// In-process dispatch has no connection to upgrade.
-	typ, payload := s.dispatch(wire.TypeSubscribe, (&wire.Subscribe{ID: "x"}).Encode(nil))
+	typ, payload := s.Handle(wire.TypeSubscribe, (&wire.Subscribe{ID: "x"}).Encode(nil))
 	if typ != wire.TypeError {
 		t.Fatalf("in-process Subscribe answered %v", typ)
 	}
@@ -570,7 +570,7 @@ func TestFollowerNeverServesMixedEpochRows_Race(t *testing.T) {
 					rep.Entries = append(rep.Entries, wire.RTTEntry{To: to, RTTMillis: d[i][j] * scale})
 				}
 			}
-			leader.dispatch(wire.TypeReportRTT, rep.Encode(nil))
+			leader.Handle(wire.TypeReportRTT, rep.Encode(nil))
 		}
 	}
 	feed(1)
@@ -619,7 +619,7 @@ func TestFollowerNeverServesMixedEpochRows_Race(t *testing.T) {
 					}
 				}
 				// And the wire path on top of it.
-				typ, payload := f.dispatch(wire.TypeQueryBatch,
+				typ, payload := f.Handle(wire.TypeQueryBatch,
 					(&wire.QueryBatch{From: "L1", Targets: []string{"L2", "L4"}}).Encode(nil))
 				if typ != wire.TypeDistances {
 					t.Errorf("follower QueryBatch answered %v", typ)
@@ -672,7 +672,7 @@ func TestReportWithUnpaidCountRefused(t *testing.T) {
 	payload := wire.AppendUint32([]byte{0, 0}, wire.MaxPayload/10)
 	refused := func(s *Server) {
 		t.Helper()
-		typ, reply := s.dispatch(wire.TypeReportRTT, payload)
+		typ, reply := s.Handle(wire.TypeReportRTT, payload)
 		if werr, err := wire.DecodeError(reply); typ != wire.TypeError || err != nil || werr.Code != wire.CodeBadRequest {
 			t.Fatalf("answered %v %+v %v, want CodeBadRequest", typ, werr, err)
 		}

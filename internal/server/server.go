@@ -169,7 +169,7 @@ type Config struct {
 	// for scraping. Nil disables instrumentation entirely.
 	Metrics *telemetry.Registry
 	// History, when non-nil, receives the append-only operational log:
-	// the server's configuration at startup, every accepted measurement,
+	// the server's configuration at startup, every accepted report frame,
 	// every model fit/revision, and per-epoch error summaries. The store
 	// stays owned by the caller, who closes it after the server stops.
 	History *telemetry.Store

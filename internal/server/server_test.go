@@ -72,7 +72,7 @@ func ringServer(t *testing.T, cfg Config) *Server {
 			}
 			rep.Entries = append(rep.Entries, wire.RTTEntry{To: to, RTTMillis: d[i][j]})
 		}
-		typ, _ := s.dispatch(wire.TypeReportRTT, rep.Encode(nil))
+		typ, _ := s.Handle(wire.TypeReportRTT, rep.Encode(nil))
 		if typ != wire.TypeAck {
 			t.Fatalf("report %d answered %v", i, typ)
 		}
@@ -113,7 +113,7 @@ func TestPingPong(t *testing.T) {
 
 func TestGetInfoBeforeModel(t *testing.T) {
 	s := testServer(t, []string{"a", "b"}, core.SVD)
-	typ, payload := s.dispatch(wire.TypeGetInfo, nil)
+	typ, payload := s.Handle(wire.TypeGetInfo, nil)
 	if typ != wire.TypeInfo {
 		t.Fatalf("type %v", typ)
 	}
@@ -131,7 +131,7 @@ func TestGetInfoBeforeModel(t *testing.T) {
 
 func TestGetModelBeforeDataFails(t *testing.T) {
 	s := testServer(t, []string{"a", "b", "c"}, core.SVD)
-	typ, payload := s.dispatch(wire.TypeGetModel, nil)
+	typ, payload := s.Handle(wire.TypeGetModel, nil)
 	if typ != wire.TypeError {
 		t.Fatalf("type %v want Error", typ)
 	}
@@ -143,7 +143,7 @@ func TestGetModelBeforeDataFails(t *testing.T) {
 
 func TestReportAndModel(t *testing.T) {
 	s := ringLandmarks(t, core.SVD)
-	typ, payload := s.dispatch(wire.TypeGetModel, nil)
+	typ, payload := s.Handle(wire.TypeGetModel, nil)
 	if typ != wire.TypeModel {
 		t.Fatalf("type %v", typ)
 	}
@@ -164,7 +164,7 @@ func TestReportAndModel(t *testing.T) {
 func TestReportFromUnknownSourceRejected(t *testing.T) {
 	s := testServer(t, []string{"a", "b"}, core.SVD)
 	rep := &wire.ReportRTT{From: "evil", Entries: []wire.RTTEntry{{To: "a", RTTMillis: 1}}}
-	typ, payload := s.dispatch(wire.TypeReportRTT, rep.Encode(nil))
+	typ, payload := s.Handle(wire.TypeReportRTT, rep.Encode(nil))
 	if typ != wire.TypeError {
 		t.Fatalf("type %v want Error", typ)
 	}
@@ -183,7 +183,7 @@ func TestReportIgnoresGarbageEntries(t *testing.T) {
 		{To: "b", RTTMillis: math.NaN()},  // NaN
 		{To: "b", RTTMillis: math.Inf(1)}, // Inf
 	}}
-	typ, _ := s.dispatch(wire.TypeReportRTT, rep.Encode(nil))
+	typ, _ := s.Handle(wire.TypeReportRTT, rep.Encode(nil))
 	if typ != wire.TypeAck {
 		t.Fatalf("type %v", typ)
 	}
@@ -208,14 +208,14 @@ func TestReportRefusesAbsurdRTT(t *testing.T) {
 			}
 			for _, to := range []string{"L2", "L3", "L4"} {
 				rep := &wire.ReportRTT{From: "L1", Entries: []wire.RTTEntry{{To: to, RTTMillis: 1e200}}}
-				if typ, _ := s.dispatch(wire.TypeReportRTT, rep.Encode(nil)); typ != wire.TypeAck {
+				if typ, _ := s.Handle(wire.TypeReportRTT, rep.Encode(nil)); typ != wire.TypeAck {
 					t.Fatalf("report answered %v", typ)
 				}
 			}
 			if _, err := s.Model(); err != nil {
 				t.Fatal(err)
 			}
-			typ, payload := s.dispatch(wire.TypeGetModel, nil)
+			typ, payload := s.Handle(wire.TypeGetModel, nil)
 			model, err := wire.DecodeModel(payload)
 			if typ != wire.TypeModel || err != nil {
 				t.Fatalf("GetModel answered %v (%v)", typ, err)
@@ -244,13 +244,13 @@ func TestIncompleteMatrixRequiresNMF(t *testing.T) {
 	rep := &wire.ReportRTT{From: "a", Entries: []wire.RTTEntry{
 		{To: "b", RTTMillis: 10}, {To: "c", RTTMillis: 20}, {To: "d", RTTMillis: 30},
 	}}
-	s.dispatch(wire.TypeReportRTT, rep.Encode(nil))
+	s.Handle(wire.TypeReportRTT, rep.Encode(nil))
 	rep2 := &wire.ReportRTT{From: "b", Entries: []wire.RTTEntry{
 		{To: "c", RTTMillis: 15}, {To: "d", RTTMillis: 22},
 	}}
-	s.dispatch(wire.TypeReportRTT, rep2.Encode(nil))
+	s.Handle(wire.TypeReportRTT, rep2.Encode(nil))
 	rep3 := &wire.ReportRTT{From: "c", Entries: []wire.RTTEntry{{To: "d", RTTMillis: 9}}}
-	s.dispatch(wire.TypeReportRTT, rep3.Encode(nil))
+	s.Handle(wire.TypeReportRTT, rep3.Encode(nil))
 	// Complete clique: SVD fine.
 	if _, err := s.Model(); err != nil {
 		t.Fatalf("complete matrix should fit: %v", err)
@@ -269,7 +269,7 @@ func TestIncompleteMatrixSVDFailsNMFWorks(t *testing.T) {
 		}
 		for _, p := range pairs {
 			rep := &wire.ReportRTT{From: p.from, Entries: []wire.RTTEntry{{To: p.to, RTTMillis: p.ms}}}
-			if typ, _ := s.dispatch(wire.TypeReportRTT, rep.Encode(nil)); typ != wire.TypeAck {
+			if typ, _ := s.Handle(wire.TypeReportRTT, rep.Encode(nil)); typ != wire.TypeAck {
 				t.Fatalf("report %v rejected", p)
 			}
 		}
@@ -309,7 +309,7 @@ func TestRegisterAndQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := &wire.RegisterHost{Addr: "H1", Out: h1.Out, In: h1.In, Epoch: s.Epoch()}
-	typ, _ := s.dispatch(wire.TypeRegisterHost, reg.Encode(nil))
+	typ, _ := s.Handle(wire.TypeRegisterHost, reg.Encode(nil))
 	if typ != wire.TypeAck {
 		t.Fatalf("register answered %v", typ)
 	}
@@ -318,7 +318,7 @@ func TestRegisterAndQuery(t *testing.T) {
 	}
 
 	// Directory lookup.
-	typ, payload := s.dispatch(wire.TypeGetVectors, (&wire.GetVectors{Addr: "H1"}).Encode(nil))
+	typ, payload := s.Handle(wire.TypeGetVectors, (&wire.GetVectors{Addr: "H1"}).Encode(nil))
 	if typ != wire.TypeVectors {
 		t.Fatalf("type %v", typ)
 	}
@@ -328,7 +328,7 @@ func TestRegisterAndQuery(t *testing.T) {
 	}
 
 	// Distance host→landmark via the server: H1→L4 = 2.5 (paper example).
-	typ, payload = s.dispatch(wire.TypeQueryDist, (&wire.QueryDist{From: "H1", To: "L4"}).Encode(nil))
+	typ, payload = s.Handle(wire.TypeQueryDist, (&wire.QueryDist{From: "H1", To: "L4"}).Encode(nil))
 	if typ != wire.TypeDistance {
 		t.Fatalf("type %v", typ)
 	}
@@ -360,7 +360,7 @@ func registerRingHosts(t *testing.T, s *Server, n int) []string {
 		}
 		addrs[i] = fmt.Sprintf("H%d", i)
 		reg := &wire.RegisterHost{Addr: addrs[i], Out: v.Out, In: v.In, Epoch: s.Epoch()}
-		if typ, _ := s.dispatch(wire.TypeRegisterHost, reg.Encode(nil)); typ != wire.TypeAck {
+		if typ, _ := s.Handle(wire.TypeRegisterHost, reg.Encode(nil)); typ != wire.TypeAck {
 			t.Fatalf("register %s answered %v", addrs[i], typ)
 		}
 	}
@@ -373,7 +373,7 @@ func TestQueryBatch(t *testing.T) {
 
 	// Source H0 → two hosts, one landmark, one ghost: one round trip.
 	req := &wire.QueryBatch{From: addrs[0], Targets: []string{addrs[1], "ghost", "L4", addrs[2]}}
-	typ, payload := s.dispatch(wire.TypeQueryBatch, req.Encode(nil))
+	typ, payload := s.Handle(wire.TypeQueryBatch, req.Encode(nil))
 	if typ != wire.TypeDistances {
 		t.Fatalf("type %v", typ)
 	}
@@ -392,7 +392,7 @@ func TestQueryBatch(t *testing.T) {
 	}
 	// Batch answers must agree with the point query, entry by entry.
 	for i, target := range req.Targets {
-		typ, p := s.dispatch(wire.TypeQueryDist, (&wire.QueryDist{From: addrs[0], To: target}).Encode(nil))
+		typ, p := s.Handle(wire.TypeQueryDist, (&wire.QueryDist{From: addrs[0], To: target}).Encode(nil))
 		if typ != wire.TypeDistance {
 			t.Fatalf("point query type %v", typ)
 		}
@@ -414,7 +414,7 @@ func TestQueryBatchUnknownSource(t *testing.T) {
 	s := ringLandmarks(t, core.SVD)
 	registerRingHosts(t, s, 1)
 	req := &wire.QueryBatch{From: "nobody", Targets: []string{"H0"}}
-	typ, payload := s.dispatch(wire.TypeQueryBatch, req.Encode(nil))
+	typ, payload := s.Handle(wire.TypeQueryBatch, req.Encode(nil))
 	if typ != wire.TypeDistances {
 		t.Fatalf("type %v", typ)
 	}
@@ -431,7 +431,7 @@ func TestQueryKNN(t *testing.T) {
 	s := ringLandmarks(t, core.SVD)
 	addrs := registerRingHosts(t, s, 5)
 
-	typ, payload := s.dispatch(wire.TypeQueryKNN, (&wire.QueryKNN{From: addrs[0], K: 3}).Encode(nil))
+	typ, payload := s.Handle(wire.TypeQueryKNN, (&wire.QueryKNN{From: addrs[0], K: 3}).Encode(nil))
 	if typ != wire.TypeNeighbors {
 		t.Fatalf("type %v", typ)
 	}
@@ -461,7 +461,7 @@ func TestQueryKNN(t *testing.T) {
 	}
 
 	// k > n returns all (other) hosts, not an error.
-	typ, payload = s.dispatch(wire.TypeQueryKNN, (&wire.QueryKNN{From: addrs[0], K: 100}).Encode(nil))
+	typ, payload = s.Handle(wire.TypeQueryKNN, (&wire.QueryKNN{From: addrs[0], K: 100}).Encode(nil))
 	if typ != wire.TypeNeighbors {
 		t.Fatalf("type %v", typ)
 	}
@@ -471,7 +471,7 @@ func TestQueryKNN(t *testing.T) {
 	}
 
 	// k = 0 is a bad request.
-	typ, payload = s.dispatch(wire.TypeQueryKNN, (&wire.QueryKNN{From: addrs[0], K: 0}).Encode(nil))
+	typ, payload = s.Handle(wire.TypeQueryKNN, (&wire.QueryKNN{From: addrs[0], K: 0}).Encode(nil))
 	if typ != wire.TypeError {
 		t.Fatalf("k=0: type %v want Error", typ)
 	}
@@ -480,7 +480,7 @@ func TestQueryKNN(t *testing.T) {
 	}
 
 	// Unknown source: SrcFound=false, no neighbors.
-	typ, payload = s.dispatch(wire.TypeQueryKNN, (&wire.QueryKNN{From: "nobody", K: 2}).Encode(nil))
+	typ, payload = s.Handle(wire.TypeQueryKNN, (&wire.QueryKNN{From: "nobody", K: 2}).Encode(nil))
 	if typ != wire.TypeNeighbors {
 		t.Fatalf("type %v", typ)
 	}
@@ -497,7 +497,7 @@ func TestQueryBatchRespectsMaxBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := &wire.QueryBatch{From: "H0", Targets: []string{"a", "b", "c", "d"}}
-	typ, payload := s.dispatch(wire.TypeQueryBatch, req.Encode(nil))
+	typ, payload := s.Handle(wire.TypeQueryBatch, req.Encode(nil))
 	if typ != wire.TypeError {
 		t.Fatalf("type %v want Error", typ)
 	}
@@ -506,7 +506,7 @@ func TestQueryBatchRespectsMaxBatch(t *testing.T) {
 	}
 	// At the limit it is served normally.
 	req.Targets = req.Targets[:3]
-	if typ, _ := s.dispatch(wire.TypeQueryBatch, req.Encode(nil)); typ != wire.TypeDistances {
+	if typ, _ := s.Handle(wire.TypeQueryBatch, req.Encode(nil)); typ != wire.TypeDistances {
 		t.Fatalf("at-limit batch answered %v", typ)
 	}
 }
@@ -525,10 +525,10 @@ func TestQueryKNNRespectsMaxKNN(t *testing.T) {
 				rep.Entries = append(rep.Entries, wire.RTTEntry{To: to, RTTMillis: d[i][j]})
 			}
 		}
-		s.dispatch(wire.TypeReportRTT, rep.Encode(nil))
+		s.Handle(wire.TypeReportRTT, rep.Encode(nil))
 	}
 	addrs := registerRingHosts(t, s, 5)
-	typ, payload := s.dispatch(wire.TypeQueryKNN, (&wire.QueryKNN{From: addrs[0], K: 100}).Encode(nil))
+	typ, payload := s.Handle(wire.TypeQueryKNN, (&wire.QueryKNN{From: addrs[0], K: 100}).Encode(nil))
 	if typ != wire.TypeNeighbors {
 		t.Fatalf("type %v", typ)
 	}
@@ -543,7 +543,7 @@ func TestQueryUnknownHost(t *testing.T) {
 	if _, err := s.Model(); err != nil {
 		t.Fatal(err)
 	}
-	typ, payload := s.dispatch(wire.TypeQueryDist, (&wire.QueryDist{From: "nobody", To: "L1"}).Encode(nil))
+	typ, payload := s.Handle(wire.TypeQueryDist, (&wire.QueryDist{From: "nobody", To: "L1"}).Encode(nil))
 	if typ != wire.TypeDistance {
 		t.Fatalf("type %v", typ)
 	}
@@ -559,7 +559,7 @@ func TestRegisterWrongDimension(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := &wire.RegisterHost{Addr: "H1", Out: []float64{1}, In: []float64{1}, Epoch: s.Epoch()}
-	typ, payload := s.dispatch(wire.TypeRegisterHost, reg.Encode(nil))
+	typ, payload := s.Handle(wire.TypeRegisterHost, reg.Encode(nil))
 	if typ != wire.TypeError {
 		t.Fatalf("type %v want Error", typ)
 	}
@@ -594,7 +594,7 @@ func TestRegisterRefusesNonFiniteVectors(t *testing.T) {
 		in := append([]float64(nil), honest.In...)
 		in[0] = row.x
 		reg := &wire.RegisterHost{Addr: "evil" + row.name, Out: honest.Out, In: in, Epoch: s.Epoch()}
-		typ, payload := s.dispatch(wire.TypeRegisterHost, reg.Encode(nil))
+		typ, payload := s.Handle(wire.TypeRegisterHost, reg.Encode(nil))
 		if typ != wire.TypeError {
 			t.Fatalf("%s coordinate: answered %v, want CodeBadRequest", row.name, typ)
 		}
@@ -602,7 +602,7 @@ func TestRegisterRefusesNonFiniteVectors(t *testing.T) {
 			t.Fatalf("%s coordinate: code %d, want CodeBadRequest", row.name, werr.Code)
 		}
 	}
-	typ, payload := s.dispatch(wire.TypeQueryKNN, (&wire.QueryKNN{From: hosts[0], K: 1}).Encode(nil))
+	typ, payload := s.Handle(wire.TypeQueryKNN, (&wire.QueryKNN{From: hosts[0], K: 1}).Encode(nil))
 	nb, err := wire.DecodeNeighbors(payload)
 	if typ != wire.TypeNeighbors || err != nil || len(nb.Entries) != 1 {
 		t.Fatalf("QueryKNN answered %v %+v %v", typ, nb, err)
@@ -614,7 +614,7 @@ func TestRegisterRefusesNonFiniteVectors(t *testing.T) {
 
 func TestUnknownTypeError(t *testing.T) {
 	s := testServer(t, []string{"a", "b"}, core.SVD)
-	typ, payload := s.dispatch(wire.MsgType(0xEE), nil)
+	typ, payload := s.Handle(wire.MsgType(0xEE), nil)
 	if typ != wire.TypeError {
 		t.Fatalf("type %v", typ)
 	}
@@ -632,7 +632,7 @@ func TestModelRefitOnNewReports(t *testing.T) {
 	}
 	// New measurements shift L1-L2 from 1ms to 5ms; model must change.
 	rep := &wire.ReportRTT{From: "L1", Entries: []wire.RTTEntry{{To: "L2", RTTMillis: 5}}}
-	s.dispatch(wire.TypeReportRTT, rep.Encode(nil))
+	s.Handle(wire.TypeReportRTT, rep.Encode(nil))
 	m2, err := s.Model()
 	if err != nil {
 		t.Fatal(err)
@@ -708,7 +708,7 @@ func TestHostTTLExpiry(t *testing.T) {
 				rep.Entries = append(rep.Entries, wire.RTTEntry{To: to, RTTMillis: d[i][j]})
 			}
 		}
-		s.dispatch(wire.TypeReportRTT, rep.Encode(nil))
+		s.Handle(wire.TypeReportRTT, rep.Encode(nil))
 	}
 	model, err := s.Model()
 	if err != nil {
@@ -720,7 +720,7 @@ func TestHostTTLExpiry(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := &wire.RegisterHost{Addr: "H1", Out: h1.Out, In: h1.In, Epoch: s.Epoch()}
-	if typ, _ := s.dispatch(wire.TypeRegisterHost, reg.Encode(nil)); typ != wire.TypeAck {
+	if typ, _ := s.Handle(wire.TypeRegisterHost, reg.Encode(nil)); typ != wire.TypeAck {
 		t.Fatal("register failed")
 	}
 	if s.NumHosts() != 1 {
@@ -728,7 +728,7 @@ func TestHostTTLExpiry(t *testing.T) {
 	}
 
 	// Within TTL: found.
-	typ, payload := s.dispatch(wire.TypeGetVectors, (&wire.GetVectors{Addr: "H1"}).Encode(nil))
+	typ, payload := s.Handle(wire.TypeGetVectors, (&wire.GetVectors{Addr: "H1"}).Encode(nil))
 	if typ != wire.TypeVectors {
 		t.Fatalf("type %v", typ)
 	}
@@ -738,7 +738,7 @@ func TestHostTTLExpiry(t *testing.T) {
 
 	// Past TTL: gone from lookups and counts.
 	now = now.Add(2 * time.Minute)
-	typ, payload = s.dispatch(wire.TypeGetVectors, (&wire.GetVectors{Addr: "H1"}).Encode(nil))
+	typ, payload = s.Handle(wire.TypeGetVectors, (&wire.GetVectors{Addr: "H1"}).Encode(nil))
 	if typ != wire.TypeVectors {
 		t.Fatalf("type %v", typ)
 	}
@@ -750,7 +750,7 @@ func TestHostTTLExpiry(t *testing.T) {
 	}
 
 	// Landmarks are unaffected by TTL.
-	typ, payload = s.dispatch(wire.TypeGetVectors, (&wire.GetVectors{Addr: "L1"}).Encode(nil))
+	typ, payload = s.Handle(wire.TypeGetVectors, (&wire.GetVectors{Addr: "L1"}).Encode(nil))
 	if typ != wire.TypeVectors {
 		t.Fatalf("type %v", typ)
 	}
@@ -759,7 +759,7 @@ func TestHostTTLExpiry(t *testing.T) {
 	}
 
 	// Re-registering resurrects the host and sweeps the stale entry.
-	if typ, _ := s.dispatch(wire.TypeRegisterHost, reg.Encode(nil)); typ != wire.TypeAck {
+	if typ, _ := s.Handle(wire.TypeRegisterHost, reg.Encode(nil)); typ != wire.TypeAck {
 		t.Fatal("re-register failed")
 	}
 	if s.NumHosts() != 1 {
@@ -778,7 +778,7 @@ func TestHostTTLZeroNeverExpires(t *testing.T) {
 	d1 := []float64{0.5, 1.5, 1.5, 2.5}
 	h1, _ := model.SolveHost(d1, d1)
 	reg := &wire.RegisterHost{Addr: "H1", Out: h1.Out, In: h1.In, Epoch: s.Epoch()}
-	s.dispatch(wire.TypeRegisterHost, reg.Encode(nil))
+	s.Handle(wire.TypeRegisterHost, reg.Encode(nil))
 	now = now.Add(1000 * time.Hour)
 	if s.NumHosts() != 1 {
 		t.Fatal("TTL=0 must never expire hosts")
@@ -807,7 +807,7 @@ func TestDispatchMalformedPayloads(t *testing.T) {
 						t.Fatalf("%v with payload %x panicked: %v", typ, p, r)
 					}
 				}()
-				respT, respP := s.dispatch(typ, p)
+				respT, respP := s.Handle(typ, p)
 				if respT == wire.TypeError {
 					if _, err := wire.DecodeError(respP); err != nil {
 						t.Fatalf("%v: undecodable error frame", typ)

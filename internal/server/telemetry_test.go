@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -33,7 +34,7 @@ func TestServerMetricsExport(t *testing.T) {
 	}
 	// One query so the query-layer histograms tick too.
 	req := &wire.QueryBatch{From: "L1", Targets: []string{"L2", "L3"}}
-	if typ, _ := s.dispatch(wire.TypeQueryBatch, req.Encode(nil)); typ != wire.TypeDistances {
+	if typ, _ := s.Handle(wire.TypeQueryBatch, req.Encode(nil)); typ != wire.TypeDistances {
 		t.Fatalf("batch answered %v", typ)
 	}
 	// Per-type request counters tick on the connection loop, so drive one
@@ -99,6 +100,16 @@ func TestServerMetricsExport(t *testing.T) {
 
 func TestServerHistoryRecording(t *testing.T) {
 	s, _, dir := observedServer(t)
+	// One more frame: a self-pair, an unknown target and an RTT ValidRTT
+	// refuses beside one valid entry (the ring's own L1→L3 value, so the
+	// fit stays exact). Its record holds only the valid entry.
+	mixed := &wire.ReportRTT{From: "L1", Entries: []wire.RTTEntry{
+		{To: "L1", RTTMillis: 5}, {To: "nowhere", RTTMillis: 5},
+		{To: "L2", RTTMillis: 1e200}, {To: "L3", RTTMillis: 1},
+	}}
+	if typ, _ := s.Handle(wire.TypeReportRTT, mixed.Encode(nil)); typ != wire.TypeAck {
+		t.Fatalf("mixed report answered %v", typ)
+	}
 	if _, err := s.Refit(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +120,8 @@ func TestServerHistoryRecording(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cfgs, reports, fits, sums int
+	var cfgs, fits, sums int
+	var reports []wire.ReportRTT
 	for _, r := range recs {
 		switch r := r.(type) {
 		case *telemetry.ConfigRecord:
@@ -118,10 +130,7 @@ func TestServerHistoryRecording(t *testing.T) {
 				t.Errorf("config record %+v", r)
 			}
 		case *telemetry.ReportRecord:
-			reports++
-			if r.From == r.To || r.Millis < 0 {
-				t.Errorf("bad report record %+v", r)
-			}
+			reports = append(reports, r.Report)
 		case *telemetry.EventRecord:
 			if r.Kind == telemetry.EventFit {
 				fits++
@@ -135,9 +144,19 @@ func TestServerHistoryRecording(t *testing.T) {
 			}
 		}
 	}
-	if cfgs != 1 || reports != 12 || fits != 1 || sums != 1 {
-		t.Fatalf("record counts: %d configs, %d reports, %d fits, %d summaries; want 1/12/1/1",
-			cfgs, reports, fits, sums)
+	if cfgs != 1 || len(reports) != 5 || fits != 1 || sums != 1 {
+		t.Fatalf("record counts: %d configs, %d reports, %d fits, %d summaries; want 1/5/1/1",
+			cfgs, len(reports), fits, sums)
+	}
+	// One record per accepted frame: the ring's four of three entries
+	// each, then the mixed frame's one valid entry.
+	for i, rep := range reports[:4] {
+		if rep.From != s.cfg.Landmarks[i] || len(rep.Entries) != 3 {
+			t.Errorf("report record %d: %+v", i, rep)
+		}
+	}
+	if got := reports[4]; got.From != "L1" || !reflect.DeepEqual(got.Entries, mixed.Entries[3:]) {
+		t.Errorf("mixed frame recorded as %+v, want only its valid entry", got)
 	}
 	// The config record must come first so replays know the topology
 	// before the first measurement.

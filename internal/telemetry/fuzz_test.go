@@ -3,6 +3,8 @@ package telemetry
 import (
 	"bytes"
 	"testing"
+
+	"github.com/ides-go/ides/internal/wire"
 )
 
 // FuzzDecodeRecord hammers the history record decoder with arbitrary
@@ -13,7 +15,9 @@ import (
 func FuzzDecodeRecord(f *testing.F) {
 	for _, rec := range []Record{
 		&ConfigRecord{Dim: 8, Algorithm: "svd", Solver: "batch", Landmarks: []string{"a", "b"}},
-		&ReportRecord{TimeUnixNanos: 1, From: 2, To: 3, Millis: 4.5},
+		&ReportRecord{TimeUnixNanos: 1, Report: wire.ReportRTT{From: "a", Entries: []wire.RTTEntry{
+			{To: "b", RTTMillis: 4.5}, {To: "c", RTTMillis: 0.25},
+		}}},
 		&EventRecord{Kind: EventFit, Epoch: 1, DurationNanos: 5, Drift: 0.1, QueueDepth: 2},
 		&EpochSummaryRecord{Epoch: 1, Rev: 2, Samples: 3, MeanAbsRel: 0.5},
 	} {
@@ -53,11 +57,12 @@ func FuzzDecodeRecord(f *testing.F) {
 }
 
 // FuzzScanSegment feeds arbitrary bytes through the segment scanner:
-// framing recovery must never panic and never report an offset past the
-// data it was given.
+// framing recovery — nextRecord, and tornTail on whatever it refuses —
+// must never panic and never report an offset past the data it was
+// given.
 func FuzzScanSegment(f *testing.F) {
 	good := append([]byte(segMagic), segVersion)
-	good = AppendRecord(good, &ReportRecord{TimeUnixNanos: 1, From: 0, To: 1, Millis: 2})
+	good = AppendRecord(good, report(1, "a", "b", 2))
 	f.Add(good)
 	f.Add(good[:len(good)-3])
 	f.Add([]byte("garbage"))
@@ -68,6 +73,7 @@ func FuzzScanSegment(f *testing.F) {
 		for {
 			n, rest, ok := nextRecord(b)
 			if !ok {
+				tornTail(b)
 				break
 			}
 			if n <= 0 || int(n) > len(b) {

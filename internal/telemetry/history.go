@@ -16,11 +16,11 @@ import (
 )
 
 // The history store is an append-only, segmented binary log of what the
-// server actually did: every accepted measurement, every fit/revision
+// server actually did: every accepted report frame, every fit/revision
 // the lifecycle published, and a per-epoch model error summary. It is
 // the durable half of the telemetry subsystem — metrics answer "how is
 // it doing now", history answers "what happened", and cmd/ides-inspect
-// can replay a recorded window through the simnet harness to ask "what
+// can feed a recorded window's frames to a fresh leader to ask "what
 // would have happened under a different configuration".
 //
 // On-disk layout: a directory of segment files named hist-NNNNNNNN.seg,
@@ -40,7 +40,8 @@ import (
 // and readers skip record types they do not recognize.
 // A record is only as durable as the OS page cache unless Sync is
 // called; a crash can tear the final record, which Open and Iterate
-// tolerate by truncating/stopping at the torn tail.
+// tolerate by truncating/stopping at the torn tail; tornTail says what
+// counts as one, and anything else is an error.
 
 // Segment format constants.
 const (
@@ -53,12 +54,12 @@ const (
 	maxRecordSize = 16 << 20
 )
 
-// Record types.
+// Record types; type 2 (one measurement per record) is retired.
 const (
 	recConfig       = byte(1)
-	recReport       = byte(2)
 	recEvent        = byte(3)
 	recEpochSummary = byte(4)
+	recReport       = byte(5)
 )
 
 // Errors returned by history decoding.
@@ -94,8 +95,7 @@ type ConfigRecord struct {
 	// DriftThreshold is the solver drift at which a corrective full fit
 	// bumps the epoch; 0 means the server default, negative disabled.
 	DriftThreshold float64
-	// Landmarks is the server's landmark ordering; ReportRecord
-	// From/To index into it.
+	// Landmarks is the server's landmark ordering.
 	Landmarks []string
 }
 
@@ -136,12 +136,13 @@ func decodeConfig(r *wire.Reader) *ConfigRecord {
 	return rec
 }
 
-// ReportRecord is one accepted landmark measurement: the same triple
-// the server handed the solver as a solve.Delta, plus when it arrived.
+// ReportRecord is one accepted landmark report frame: the ReportRTT the
+// leader admitted, holding only the entries it handed the solver, plus
+// when it arrived. Its payload is the time followed by the frame's wire
+// encoding, so a replay hands the leader the message a landmark sent.
 type ReportRecord struct {
 	TimeUnixNanos int64
-	From, To      int // indices into ConfigRecord.Landmarks
-	Millis        float64
+	Report        wire.ReportRTT
 }
 
 // Type implements Record.
@@ -149,19 +150,7 @@ func (r *ReportRecord) Type() byte { return recReport }
 
 // AppendPayload implements Record.
 func (r *ReportRecord) AppendPayload(dst []byte) []byte {
-	dst = wire.AppendUint64(dst, uint64(r.TimeUnixNanos))
-	dst = wire.AppendUint32(dst, uint32(r.From))
-	dst = wire.AppendUint32(dst, uint32(r.To))
-	return wire.AppendFloat64(dst, r.Millis)
-}
-
-func decodeReport(r *wire.Reader) *ReportRecord {
-	return &ReportRecord{
-		TimeUnixNanos: int64(r.Uint64()),
-		From:          int(r.Uint32()),
-		To:            int(r.Uint32()),
-		Millis:        r.Float64(),
-	}
+	return r.Report.Encode(wire.AppendUint64(dst, uint64(r.TimeUnixNanos)))
 }
 
 // EventKind names a model lifecycle transition in an EventRecord.
@@ -281,7 +270,11 @@ func DecodeRecord(typ byte, payload []byte) (Record, error) {
 	case recConfig:
 		rec = decodeConfig(&r)
 	case recReport:
-		rec = decodeReport(&r)
+		rep, err := wire.DecodeReportRTT(payload[min(8, len(payload)):])
+		if err != nil {
+			return nil, errShortRecord
+		}
+		rec = &ReportRecord{TimeUnixNanos: int64(r.Uint64()), Report: *rep}
 	case recEvent:
 		rec = decodeEvent(&r)
 	case recEpochSummary:
@@ -353,7 +346,7 @@ type Store struct {
 // OpenStore opens (creating if needed) the history log in cfg.Dir and
 // positions for appending: the newest segment is scanned and any torn
 // final record left by a crash is truncated away before new records go
-// after it.
+// after it; other corruption is an error and leaves the file as it was.
 func OpenStore(cfg StoreConfig) (*Store, error) {
 	if cfg.Dir == "" {
 		return nil, errors.New("telemetry: history store needs a directory")
@@ -373,8 +366,8 @@ func OpenStore(cfg StoreConfig) (*Store, error) {
 		}
 		return s, nil
 	}
-	// Reopen the newest segment: verify its records and truncate at the
-	// first torn/corrupt one so appends resume from a clean tail.
+	// Reopen the newest segment: verify its records and truncate a torn
+	// tail so appends resume from a clean one.
 	seq := segs[len(segs)-1]
 	path := segmentPath(cfg.Dir, seq)
 	end, err := scanTail(path)
@@ -409,7 +402,7 @@ func OpenStore(cfg StoreConfig) (*Store, error) {
 // scanTail walks one segment's records and returns the byte offset just
 // past the last intact record — the truncation point for crash
 // recovery. A missing or mangled header yields offset 0 (rewrite the
-// whole file).
+// whole file); a corrupt record that is not a torn tail is an error.
 func scanTail(path string) (int64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -423,6 +416,9 @@ func scanTail(path string) (int64, error) {
 	for {
 		n, rest, ok := nextRecord(b)
 		if !ok {
+			if !tornTail(b) {
+				return 0, fmt.Errorf("telemetry: %s: corrupt record mid-log", path)
+			}
 			return off, nil
 		}
 		off += n
@@ -432,7 +428,8 @@ func scanTail(path string) (int64, error) {
 
 // nextRecord frames one record off b, returning its full framed length
 // and the remainder. ok is false when b holds no complete, checksummed
-// record — a clean end or a torn tail, indistinguishable by design.
+// record — a clean end, a torn tail or corruption; tornTail tells them
+// apart.
 func nextRecord(b []byte) (n int64, rest []byte, ok bool) {
 	if len(b) < 4 {
 		return 0, nil, false
@@ -447,6 +444,18 @@ func nextRecord(b []byte) (n int64, rest []byte, ok bool) {
 		return 0, nil, false
 	}
 	return int64(4 + ln + 4), b[4+ln+4:], true
+}
+
+// tornTail reports whether b, which nextRecord refused, is what a crash
+// mid-append can leave: nothing, a record the end of the data cuts short
+// or ends, or an unusable length prefix. A bad checksum with bytes after
+// it is not: appends write whole records.
+func tornTail(b []byte) bool {
+	if len(b) < 4 {
+		return true
+	}
+	ln := int(binary.BigEndian.Uint32(b))
+	return ln < 1 || ln > maxRecordSize || len(b) <= 4+ln+4
 }
 
 func (s *Store) openSegment(seq int) error {
@@ -550,9 +559,9 @@ func (s *Store) Close() error {
 
 // Iterate streams every decodable record in dir's segments in write
 // order, calling fn for each. Unknown record types are skipped
-// (forward compatibility). A torn tail on the newest segment ends
-// iteration cleanly; torn data on an older segment is reported as an
-// error, since only the newest can legitimately be mid-write.
+// (forward compatibility). A torn tail (tornTail) on the newest segment
+// ends iteration cleanly; any other damaged record is reported as an
+// error, since only the newest segment's end can be mid-write.
 // fn returning an error stops iteration and returns that error.
 func Iterate(dir string, fn func(Record) error) error {
 	segs, err := listSegments(dir)
@@ -579,7 +588,7 @@ func Iterate(dir string, fn func(Record) error) error {
 		for len(b) > 0 {
 			n, rest, ok := nextRecord(b)
 			if !ok {
-				if last {
+				if last && tornTail(b) {
 					return nil
 				}
 				return fmt.Errorf("telemetry: %s: corrupt record mid-log", path)

@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"github.com/ides-go/ides/internal/wire"
 )
 
 func testRecords() []Record {
@@ -22,12 +24,19 @@ func testRecords() []Record {
 			DriftThreshold: 0.25,
 			Landmarks:      []string{"lm-0", "lm-1", "lm-2"},
 		},
-		&ReportRecord{TimeUnixNanos: 200, From: 0, To: 1, Millis: 33.5},
-		&ReportRecord{TimeUnixNanos: 201, From: 2, To: 0, Millis: 12.25},
+		&ReportRecord{TimeUnixNanos: 200, Report: wire.ReportRTT{From: "lm-0", Entries: []wire.RTTEntry{
+			{To: "lm-1", RTTMillis: 33.5}, {To: "lm-2", RTTMillis: 12.25},
+		}}},
+		report(201, "lm-2", "lm-0", 12.25),
 		&EventRecord{TimeUnixNanos: 300, Kind: EventFit, Epoch: 8, Rev: 0, DurationNanos: 1_500_000, Drift: 0, QueueDepth: 2},
 		&EventRecord{TimeUnixNanos: 310, Kind: EventRevision, Epoch: 8, Rev: 1, DurationNanos: 9_000, Drift: 0.04, QueueDepth: 0},
 		&EpochSummaryRecord{TimeUnixNanos: 320, Epoch: 8, Rev: 1, Samples: 6, MeanAbsRel: 0.1, MedianAbsRel: 0.08, P90AbsRel: 0.2, MaxAbsRel: 0.3},
 	}
+}
+
+// report is a one-entry report frame record.
+func report(t int64, from, to string, ms float64) *ReportRecord {
+	return &ReportRecord{TimeUnixNanos: t, Report: wire.ReportRTT{From: from, Entries: []wire.RTTEntry{{To: to, RTTMillis: ms}}}}
 }
 
 func TestRecordRoundTrip(t *testing.T) {
@@ -66,26 +75,52 @@ func TestStoreAppendIterate(t *testing.T) {
 	}
 }
 
-// TestReplayParentWrittenHistory: testdata/history-d0a0f97 holds
-// testRecords() as the Store of commit d0a0f97 wrote them — the last
-// commit whose record decoders were hand-threaded, before wire.Reader.
-// It replays to the same records, and today's Store still writes the
-// same bytes.
+// TestReplayParentWrittenHistory: testdata/history-d0a0f97 holds the
+// records testRecords() returned at commit d0a0f97, as that commit's
+// Store wrote them — the last commit whose record decoders were
+// hand-threaded, before wire.Reader. Its two report records are of the
+// retired type 2 (one measurement each) and are skipped; every other
+// record reads back equal and re-encodes to the bytes the segment holds.
 func TestReplayParentWrittenHistory(t *testing.T) {
 	dir := filepath.Join("testdata", "history-d0a0f97")
 	got, err := ReadAll(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := testRecords(); !reflect.DeepEqual(got, want) {
+	var want []Record
+	for _, rec := range testRecords() {
+		if _, ok := rec.(*ReportRecord); !ok {
+			want = append(want, rec)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("ReadAll:\n got %+v\nwant %+v", got, want)
 	}
-	segment := append([]byte(segMagic), segVersion)
-	for _, rec := range got {
-		segment = AppendRecord(segment, rec)
+	onDisk, err := os.ReadFile(segmentPath(dir, 1))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if onDisk, err := os.ReadFile(segmentPath(dir, 1)); err != nil || !bytes.Equal(segment, onDisk) {
-		t.Fatalf("re-encoded segment differs from the committed one (read error %v)", err)
+	var kept [][]byte
+	retired := 0
+	for b := onDisk[segHeaderSize:]; len(b) > 0; {
+		n, rest, ok := nextRecord(b)
+		if !ok {
+			t.Fatalf("committed segment does not frame at byte %d", len(onDisk)-len(b))
+		}
+		if b[4] == 2 {
+			retired++
+		} else {
+			kept = append(kept, b[:n])
+		}
+		b = rest
+	}
+	if retired != 2 || len(kept) != len(got) {
+		t.Fatalf("segment holds %d type-2 and %d other records, want 2 and %d", retired, len(kept), len(got))
+	}
+	for i, rec := range got {
+		if !bytes.Equal(AppendRecord(nil, rec), kept[i]) {
+			t.Errorf("%T re-encodes to bytes the segment does not hold", rec)
+		}
 	}
 }
 
@@ -114,7 +149,7 @@ func TestStoreRotationAndPruning(t *testing.T) {
 	}
 	var want []Record
 	for i := 0; i < 10; i++ {
-		rec := &ReportRecord{TimeUnixNanos: int64(i), From: i, To: i + 1, Millis: float64(i)}
+		rec := report(int64(i), "lm-0", "lm-1", float64(i))
 		if err := st.Append(rec); err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +200,7 @@ func TestCrashRecovery(t *testing.T) {
 	// Simulate a crash mid-append: a full extra record written, then
 	// chopped partway through.
 	path := segmentPath(dir, 1)
-	torn := AppendRecord(nil, &ReportRecord{TimeUnixNanos: 999, From: 1, To: 2, Millis: 5})
+	torn := AppendRecord(nil, report(999, "lm-1", "lm-2", 5))
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +230,7 @@ func TestCrashRecovery(t *testing.T) {
 		t.Fatalf("reopen did not truncate: %d -> %d bytes", before.Size(), after.Size())
 	}
 	// ...and appending resumes cleanly after the prior records.
-	extra := &ReportRecord{TimeUnixNanos: 400, From: 1, To: 0, Millis: 9}
+	extra := report(400, "lm-1", "lm-0", 9)
 	if err := st.Append(extra); err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +253,7 @@ func TestCorruptMidLogIsAnError(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
-		if err := st.Append(&ReportRecord{From: i, To: i + 1, Millis: 1}); err != nil {
+		if err := st.Append(report(0, "lm-0", "lm-1", 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -245,13 +280,53 @@ func TestCorruptMidLogIsAnError(t *testing.T) {
 	}
 }
 
+// TestCorruptNewestSegmentIsAnError: a record that fails its checksum
+// with intact records after it is corruption even in the newest
+// segment. Iterate must not stop there as if at a torn tail, and
+// OpenStore must not truncate away every record after it.
+func TestCorruptNewestSegmentIsAnError(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStore(StoreConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := testRecords()
+	for _, rec := range recs {
+		if err := st.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Flip one payload byte of the second record.
+	path := segmentPath(dir, 1)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[segHeaderSize+len(AppendRecord(nil, recs[0]))+4+1+2] ^= 0xff
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ReadAll(dir); err == nil {
+		t.Fatalf("ReadAll returned %d records and no error over a corrupt record", len(got))
+	}
+	if _, err := OpenStore(StoreConfig{Dir: dir}); err == nil {
+		t.Fatal("OpenStore accepted a segment with a corrupt record before intact ones")
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, data) {
+		t.Fatalf("OpenStore rewrote the segment: %d -> %d bytes (read error %v)", len(data), len(after), err)
+	}
+}
+
 func TestUnknownRecordTypeSkipped(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenStore(StoreConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	known := &ReportRecord{TimeUnixNanos: 1, From: 0, To: 1, Millis: 2}
+	known := report(1, "lm-0", "lm-1", 2)
 	if err := st.Append(known); err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +372,7 @@ func TestIterateCallbackError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Append(&ReportRecord{Millis: 1}); err != nil {
+	if err := st.Append(report(0, "lm-0", "lm-1", 1)); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
@@ -330,7 +405,7 @@ func TestScanTailGarbageHeader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Append(&ReportRecord{Millis: 7}); err != nil {
+	if err := st.Append(report(0, "lm-0", "lm-1", 7)); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()

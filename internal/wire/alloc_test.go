@@ -48,7 +48,9 @@ var untrusted = func() []decoder {
 	}
 	for _, rec := range []telemetry.Record{
 		&telemetry.ConfigRecord{Dim: 2, Algorithm: "svd", Solver: "sgd", Landmarks: []string{"a", "b"}},
-		&telemetry.ReportRecord{TimeUnixNanos: 1, From: 2, To: 3, Millis: 4.5},
+		&telemetry.ReportRecord{TimeUnixNanos: 1, Report: wire.ReportRTT{From: "a", Entries: []wire.RTTEntry{
+			{To: "b", RTTMillis: 4.5}, {To: "c", RTTMillis: 0.25},
+		}}},
 		&telemetry.EventRecord{Kind: telemetry.EventFit, Epoch: 1, QueueDepth: 2},
 		&telemetry.EpochSummaryRecord{Epoch: 1, Rev: 2, Samples: 3, MeanAbsRel: 0.5},
 	} {
