@@ -74,7 +74,7 @@ func TestTTLExpiryAndSweep(t *testing.T) {
 	// The sweep physically removed entries.
 	total := 0
 	for i := range d.shards {
-		total += len(d.shards[i].hosts)
+		total += d.shards[i].live
 	}
 	if total != 0 {
 		t.Fatalf("%d stale entries survived the sweep", total)
@@ -96,7 +96,7 @@ func TestGetReclaimsExpiredEntry(t *testing.T) {
 	if _, ok := d.Get("gone"); ok {
 		t.Fatal("expired entry must not resolve")
 	}
-	if got := len(d.shards[0].hosts); got != 0 {
+	if got := d.shards[0].live; got != 0 {
 		t.Fatalf("Get must reclaim the expired entry it hit; %d entries remain", got)
 	}
 }
@@ -124,13 +124,13 @@ func TestSweepAmortized(t *testing.T) {
 	// (Get would reclaim it), so it lingers until the next due sweep.
 	now = now.Add(2 * time.Minute)
 	d.Put("new", vec(2))
-	if got := len(d.shards[0].hosts); got != 2 {
+	if got := d.shards[0].live; got != 2 {
 		t.Fatalf("expected the expired entry to linger until the sweep, map has %d entries", got)
 	}
 	// Once the interval elapses, the next write reclaims it.
 	now = now.Add(2 * time.Hour)
 	d.Put("new", vec(2))
-	if got := len(d.shards[0].hosts); got != 1 {
+	if got := d.shards[0].live; got != 1 {
 		t.Fatalf("sweep did not reclaim: map has %d entries", got)
 	}
 }

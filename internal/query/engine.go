@@ -117,15 +117,16 @@ func (e *Engine) EstimateBatchBytes(src core.Vectors, targets [][]byte, sc *Batc
 // server pools them) pays no allocation once it has grown to its batch
 // size. Not safe for concurrent use.
 type BatchScratch struct {
-	ints []int32 // the grouped lookup's shard, order and pos arrays
-	miss []int32 // indices the directory resolved nothing for
+	ints []int32  // the grouped lookup's table position, order and pos arrays
+	hash []uint64 // each target's address hash
+	miss []int32  // indices the directory resolved nothing for
 	rows [][]float64
 	dist []float64
 	out  []Estimate
 }
 
 // Release drops the references a finished batch left behind — rows alias
-// directory-owned vectors — so a pooled scratch pins nothing.
+// directory slabs — so a pooled scratch pins nothing.
 func (sc *BatchScratch) Release() { clear(sc.rows) }
 
 // estimateBatch is the one batch core, shared by the string and the
@@ -243,8 +244,8 @@ func (e *Engine) KNearest(src core.Vectors, k int, opts KNNOptions) []Neighbor {
 		start := time.Now()
 		defer func() { m.KNNSeconds.ObserveDuration(time.Since(start)) }()
 	}
-	// Large directories answer from the epoch's spatial index when one is
-	// current; the branch-and-bound search is exact, so either path
+	// Large directories answer from the epoch's spatial index, plus a scan
+	// of the hosts registered since its build: exact, so either path
 	// returns the identical slice. Tiny directories — and queries that
 	// catch the index missing or stale — take the scan.
 	if res, ok := e.knnIndexed(src.Out, k, opts.Exclude); ok {
@@ -271,7 +272,6 @@ func (e *Engine) KNearestExact(src core.Vectors, k int, opts KNNOptions) []Neigh
 // whose vector dimension differs from the source's are skipped entirely,
 // mirroring EstimateBatch's not-found handling.
 func (e *Engine) knnScan(out []float64, k int, exclude string) []Neighbor {
-	dim := len(out)
 	numShards := len(e.dir.shards)
 	workers := min(runtime.GOMAXPROCS(0), numShards)
 	// A serial scan avoids goroutine overhead for small directories.
@@ -288,21 +288,9 @@ func (e *Engine) knnScan(out []float64, k int, exclude string) []Neighbor {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			top := knnindex.NewTopK(k)
-			var buf []addrVec
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= numShards {
-					tops[w] = top
-					return
-				}
-				buf = e.dir.snapshotShard(i, now, e.epoch, buf[:0])
-				for _, av := range buf {
-					if av.addr == exclude || len(av.vec.In) != dim {
-						continue
-					}
-					top.Offer(Neighbor{Addr: av.addr, Millis: mat.Dot(out, av.vec.In)})
-				}
+			tops[w] = knnindex.NewTopK(k)
+			for i := int(next.Add(1)) - 1; i < numShards; i = int(next.Add(1)) - 1 {
+				e.offerShard(&tops[w], i, nil, now, out, exclude)
 			}
 		}()
 	}
@@ -315,4 +303,18 @@ func (e *Engine) knnScan(out []float64, k int, exclude string) []Neighbor {
 		}
 	}
 	return tops[0].Sorted()
+}
+
+// offerShard offers into top, through visit, each host of out's dimension
+// in shard i, copying out only the addresses whose distance could enter.
+func (e *Engine) offerShard(top *knnindex.TopK, i int, st *knnState, now int64, out []float64, exclude string) int {
+	return e.dir.visit(i, st, now, e.epoch, func(slab []float64, r record) {
+		if r.nIn() != len(out) {
+			return
+		}
+		ms := mat.Dot(out, r.inRow(slab))
+		if ms <= top.Bound() && !hasAddr(slab, r.s, exclude) {
+			top.Offer(Neighbor{Addr: r.addrOf(slab), Millis: ms})
+		}
+	})
 }

@@ -157,6 +157,45 @@ func TestKNearestIndexChurn(t *testing.T) {
 	}
 }
 
+// TestKNearestIndexSeesHostsRegisteredSinceBuild registers a host after
+// the build that beats every indexed one: the indexed answer must rank
+// it first, as the scan does, while still answering from the index.
+func TestKNearestIndexSeesHostsRegisteredSinceBuild(t *testing.T) {
+	dir, eng, addrs := indexedDirectory(t, 1000, 6, 16)
+	src, _ := eng.Lookup(addrs[0])
+	zero := make([]float64, 6)
+	dir.Put("host-new", core.Vectors{Out: zero, In: zero})
+	got, ok := eng.knnIndexed(src.Out, 5, "")
+	if !ok {
+		t.Fatal("one registration should be within the staleness slack")
+	}
+	neighborsEqual(t, "after a registration", got, eng.knnScan(src.Out, 5, ""))
+	if got[0].Addr != "host-new" {
+		t.Fatalf("rank 0 is %+v, want the host registered since the build", got[0])
+	}
+}
+
+// TestKNearestIndexRanksReRegisteredHostsByLiveVectors re-registers the
+// nearest host far away in the same epoch: the index must not rank it
+// by the vectors it was built from.
+func TestKNearestIndexRanksReRegisteredHostsByLiveVectors(t *testing.T) {
+	dir, eng, addrs := indexedDirectory(t, 1000, 6, 16)
+	src, _ := eng.Lookup(addrs[0])
+	best := eng.knnScan(src.Out, 1, "")[0]
+	far := []float64{1e3, 1e3, 1e3, 1e3, 1e3, 1e3}
+	dir.Put(best.Addr, core.Vectors{Out: far, In: far})
+	got, ok := eng.knnIndexed(src.Out, 5, "")
+	if !ok {
+		t.Fatal("one re-registration should be within the staleness slack")
+	}
+	neighborsEqual(t, "after a re-registration", got, eng.knnScan(src.Out, 5, ""))
+	for _, n := range got {
+		if n.Addr == best.Addr {
+			t.Fatalf("re-registered host %s served as %+v, by its indexed vectors", best.Addr, n)
+		}
+	}
+}
+
 // TestKNearestIndexStaleness drives churn past the slack: the index
 // must stop answering (exact scan takes over) until a rebuild lands.
 func TestKNearestIndexStaleness(t *testing.T) {

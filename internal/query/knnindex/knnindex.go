@@ -24,8 +24,8 @@
 //
 // The tree is built per model epoch, immutable once built, and safe for
 // concurrent searches. Hosts that registered after the build are not in
-// the tree; the query engine bounds that staleness and falls back to the
-// exact scan when the snapshot has drifted too far.
+// the tree; the query engine scans those beside the search and rebuilds
+// once they grow too many.
 package knnindex
 
 import (
@@ -437,6 +437,16 @@ func (t *TopK) Sorted() []Neighbor {
 	}
 	t.items = all
 	return all
+}
+
+// Bound is the largest distance an offer may have and still enter: the
+// k-th best once k are held, +Inf before. A caller that builds its
+// Neighbor lazily (the engine's scan) checks it first.
+func (t *TopK) Bound() float64 {
+	if !t.full() || t.k == 0 {
+		return math.Inf(1)
+	}
+	return t.worst().Millis
 }
 
 // full reports whether k neighbors are held, so that worst is the bound

@@ -173,3 +173,90 @@ func TestBatchNeverMixesEpochs(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestHandedOutRowsNeverRewritten holds the rows GetAt, a batch gather and
+// RangeEpoch hand out, then re-registers, removes, advances the epoch,
+// sweeps and compacts under them while readers keep reading them: every
+// held row must keep its bits, and -race must see no write to one.
+func TestHandedOutRowsNeverRewritten(t *testing.T) {
+	const n = 64
+	d := New(Config{Shards: 2})
+	d.AdvanceEpoch(1)
+	addr := func(i int) string { return fmt.Sprintf("host-%03d", i) }
+	vecFor := func(i, gen int) core.Vectors {
+		f := float64(gen*1000 + i)
+		return core.Vectors{Out: []float64{f, f + 0.25, f + 0.5}, In: []float64{-f, -f - 0.25, -f - 0.5}}
+	}
+	for i := range n {
+		d.PutEpoch(addr(i), vecFor(i, 0), 1)
+	}
+
+	type held struct{ row, want []float64 }
+	var holds []held
+	hold := func(rows ...[]float64) {
+		for _, r := range rows {
+			holds = append(holds, held{r, append([]float64(nil), r...)})
+		}
+	}
+	targets := make([][]byte, n)
+	for i := range n {
+		v, _ := d.GetAt(addr(i), 1)
+		hold(v.In, v.Out)
+		targets[i] = []byte(addr(i))
+	}
+	var sc BatchScratch
+	NewEngine(d, nil).EstimateBatchBytes(vecFor(0, 0), targets, &sc)
+	hold(sc.rows[:n]...)
+	d.RangeEpoch(func(_ string, v core.Vectors, _ uint64) bool {
+		hold(v.In, v.Out)
+		return true
+	})
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, h := range holds {
+					if !sameBits(h.row, h.want) {
+						t.Errorf("held row rewritten: %v, was %v", h.row, h.want)
+						return
+					}
+				}
+				d.GetAt(addr(r), 1)
+			}
+		}()
+	}
+	before := d.compactions.Load()
+	for gen := 1; gen <= 3; gen++ {
+		for i := range n {
+			d.PutEpoch(addr(i), vecFor(i, gen), 1)
+		}
+	}
+	for i := 0; i < n; i += 2 {
+		d.Remove(addr(i))
+	}
+	d.AdvanceEpoch(2)
+	d.Len()
+	for i := range n {
+		d.PutEpoch(addr(i), vecFor(i, 9), 2)
+	}
+	d.Len()
+	close(stop)
+	wg.Wait()
+	if d.compactions.Load() == before {
+		t.Fatal("no compaction ran under the held rows")
+	}
+	for _, h := range holds {
+		if !sameBits(h.row, h.want) {
+			t.Fatalf("held row rewritten: %v, was %v", h.row, h.want)
+		}
+	}
+}
