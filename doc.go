@@ -11,7 +11,9 @@
 //
 //   - fitting landmark models with SVD or NMF (FitSVD, FitNMF, Fit);
 //   - placing ordinary hosts by closed-form least squares against any
-//     subset of measured nodes (Model.SolveHost, SolveVectors);
+//     subset of measured nodes (Model.SolveHost, SolveVectors), one SVD
+//     solve that is exact for well-conditioned references and damps the
+//     directions a near-singular set barely resolves;
 //   - the networked service: information server (NewServer), landmark
 //     agent (NewLandmark), and ordinary-host client (NewClient), which run
 //     identically over real TCP and over the simulated network (NewSimNet);

@@ -66,7 +66,9 @@ func FitNMF(landmarks *Matrix, dim int, seed int64) (*Model, error) {
 }
 
 // SolveVectors places a host against k reference nodes with precomputed
-// vectors from its measured distances to and from them (Eqs. 13-16).
+// vectors from its measured distances to and from them (Eqs. 13-16): the
+// exact least-squares solution for well-conditioned references, damped
+// along the directions a near-singular set barely resolves.
 func SolveVectors(refOut, refIn *Matrix, dout, din []float64) (Vectors, error) {
 	return core.SolveVectors(refOut, refIn, dout, din)
 }

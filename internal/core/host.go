@@ -10,10 +10,13 @@ import (
 // SolveHost computes an ordinary host's vectors from its measured distances
 // to all m landmarks: dout[i] is the distance host→landmark i, din[i] the
 // distance landmark i→host. This is the closed-form least squares of
-// Eqs. 13–14:
+// Eqs. 13–14,
 //
 //	X_new = (D_out · Y)(YᵀY)⁻¹
 //	Y_new = (D_in  · X)(XᵀX)⁻¹
+//
+// solved as SolveVectors does: exactly when the landmark vectors are well
+// conditioned, damped along directions they barely resolve.
 func (m *Model) SolveHost(dout, din []float64) (Vectors, error) {
 	if len(dout) != m.NumLandmarks() || len(din) != m.NumLandmarks() {
 		panic(fmt.Sprintf("core: distance vectors have %d/%d entries, want %d landmarks",
@@ -45,13 +48,36 @@ func (m *Model) SolveHostSubset(idx []int, dout, din []float64, nnls bool) (Vect
 	return solve(m.X.SelectRows(idx), m.Y.SelectRows(idx), dout, din)
 }
 
+// placeRCond is τ, the cutoff on a reference matrix's spectrum below which
+// placement damps instead of inverting: a singular value s < τ·s_max is
+// weighted s/(τ·s_max)² rather than 1/s (mat.LeastSquares). References
+// with condition number below 1/τ are solved exactly. Exactly d references
+// in a d-dimensional model are the usual way to fall below it (Fig 7's
+// spike at k = d); the value is measured on Fig 7 and the k-nodes and
+// chaining ablations.
+const placeRCond = 0.07
+
 // SolveVectors solves the general placement problem against any k reference
 // nodes with precomputed vectors (§5.2): refOut and refIn are k x d
 // matrices of the references' outgoing and incoming vectors, and dout[i] /
 // din[i] are the measured distances to / from reference i. References may
-// be landmarks or previously placed ordinary hosts.
+// be landmarks or previously placed ordinary hosts. Each side is one
+// mat.LeastSquares solve at the cutoff placeRCond: the exact least-squares
+// (minimum-norm if k < d) solution of Eqs. 15–16 when the references are
+// well conditioned, damped along the directions they barely resolve.
 func SolveVectors(refOut, refIn *mat.Dense, dout, din []float64) (Vectors, error) {
-	return solveVectors(mat.SolveVec, "", refOut, refIn, dout, din)
+	return solveVectors(func(a *mat.Dense, b []float64) ([]float64, error) {
+		return mat.SolveVec(a, b, placeRCond)
+	}, "", refOut, refIn, dout, din)
+}
+
+// SolveVectorsExact is SolveVectors without the cutoff: the paper's
+// closed form of Eqs. 15–16, the pseudo-inverse however ill conditioned
+// the references are. Fig 7 plots it beside the placement the service uses.
+func SolveVectorsExact(refOut, refIn *mat.Dense, dout, din []float64) (Vectors, error) {
+	return solveVectors(func(a *mat.Dense, b []float64) ([]float64, error) {
+		return mat.SolveVec(a, b, mat.ExactRCond(a))
+	}, " (exact)", refOut, refIn, dout, din)
 }
 
 // SolveVectorsNNLS is SolveVectors with nonnegativity constraints on the
@@ -95,9 +121,9 @@ type Placement struct {
 // PlaceAll solves vectors for h hosts at once. dout and din are h x m:
 // dout[i][l] is the distance from host i to landmark l, din[i][l] the
 // distance from landmark l to host i. The batch formulation solves the
-// same least-squares problems as SolveHost but amortizes the factorization
-// of Y and X across hosts — this is what makes IDES's model-building time
-// in Table 1 sub-second even with a thousand hosts.
+// same least-squares problems as SolveHost but decomposes Y and X once for
+// all hosts — this is what makes IDES's model-building time in Table 1
+// sub-second even with a thousand hosts.
 func (m *Model) PlaceAll(dout, din *mat.Dense) (*Placement, error) {
 	h, cols := dout.Dims()
 	if cols != m.NumLandmarks() {
@@ -107,11 +133,11 @@ func (m *Model) PlaceAll(dout, din *mat.Dense) (*Placement, error) {
 		panic(fmt.Sprintf("core: din is %dx%d, want %dx%d", hi, ci, h, cols))
 	}
 	// refIn · Xᵀ = doutᵀ, one RHS column per host.
-	xt, err := mat.LeastSquares(m.Y, dout.T())
+	xt, err := mat.LeastSquares(m.Y, dout.T(), placeRCond)
 	if err != nil {
 		return nil, fmt.Errorf("core: batch outgoing solve: %w", err)
 	}
-	yt, err := mat.LeastSquares(m.X, din.T())
+	yt, err := mat.LeastSquares(m.X, din.T(), placeRCond)
 	if err != nil {
 		return nil, fmt.Errorf("core: batch incoming solve: %w", err)
 	}

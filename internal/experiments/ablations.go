@@ -166,7 +166,7 @@ func AblationKNodes(seed int64) (Table, error) {
 	const dim, numLM = 8, 30
 	tab := medianTable(fmt.Sprintf("Ablation: k nodes measured per host, %d landmarks, NLANR, d=%d", numLM, dim), "k")
 	for _, k := range []int{8, 12, 20, 30} {
-		med, err := fig7Point(ds.D, numLM, dim, 1-float64(k)/numLM, seed)
+		med, _, err := fig7Point(ds.D, numLM, dim, 1-float64(k)/numLM, seed)
 		if err != nil {
 			return Table{}, fmt.Errorf("ablation k=%d: %w", k, err)
 		}

@@ -173,11 +173,27 @@ func TestFig7RobustnessShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Columns) != 2 {
-		t.Fatalf("expected 2 curves, got %d", len(tab.Columns))
+	if len(tab.Columns) != 4 {
+		t.Fatalf("expected 4 curves, got %d", len(tab.Columns))
 	}
 	m20 := func(f string) float64 { return cell(t, tab, f, "20 landmarks") }
 	m50 := func(f string) float64 { return cell(t, tab, f, "50 landmarks") }
+	// The service's placement degrades monotonically: losing landmarks
+	// never helps. The slack covers sampling noise in cells where every
+	// host is well conditioned and the column equals the paper's (50
+	// landmarks: 0.0599 at f = 0 and 0.0576 at f = 0.1). It does not cover
+	// the exact solve's spike at k = d (20 landmarks: 1.115 at f = 0.6,
+	// then 0.28).
+	for _, col := range []string{"20 landmarks", "50 landmarks"} {
+		prev := 0.0
+		for _, r := range tab.Rows {
+			v := cell(t, tab, r.Label, col)
+			if v < prev*0.95 {
+				t.Errorf("%s: f=%s error %v is below %v at the previous fraction", col, r.Label, v, prev)
+			}
+			prev = v
+		}
+	}
 	// With 50 landmarks, losing 40% barely hurts (paper's claim).
 	if m50("0.4") > 2.5*m50("0.0")+0.05 {
 		t.Errorf("50 landmarks: f=0.4 error %v vs f=0 %v — should be nearly flat", m50("0.4"), m50("0.0"))

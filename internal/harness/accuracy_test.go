@@ -86,3 +86,41 @@ func TestPaperAccuracyAtScale(t *testing.T) {
 		})
 	}
 }
+
+// TestExactlyDimLandmarksClient gates the client's placement at k = d: a
+// cluster whose clients measure exactly Dim of the 20 landmarks must
+// serve host-to-host estimates whose median relative error stays within
+// kEqualsDFactor of a cluster whose clients measure all of them. With d
+// references the host's least-squares system is square and often nearly
+// singular; the unfiltered solve registered vectors from the top of Fig 7's
+// k = d spike (a median 14.5× the full cluster's on this topology), the
+// filtered one lands at 1.6×.
+func TestExactlyDimLandmarksClient(t *testing.T) {
+	const numLM, dim, kEqualsDFactor = 20, 10, 2.0
+	median := func(k int) float64 {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+		defer cancel()
+		c, err := New(Config{NumLandmarks: numLM, NumHosts: 300, Dim: dim, Seed: 42, K: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if err := c.Start(ctx); err != nil {
+			t.Fatal(err)
+		}
+		acc, err := c.MeasureAccuracy(ctx, 60, 60)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if acc.Answered != acc.Queried {
+			t.Fatalf("k=%d: answered %d of %d estimate queries", k, acc.Answered, acc.Queried)
+		}
+		t.Logf("k=%d: %s", k, acc.Summary)
+		return acc.Median
+	}
+	exact, all := median(dim), median(numLM)
+	if exact > kEqualsDFactor*all {
+		t.Fatalf("k = d median %.4f is %.2f× the all-landmark median %.4f, want ≤ %.1f×",
+			exact, exact/all, all, kEqualsDFactor)
+	}
+}

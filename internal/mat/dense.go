@@ -1,13 +1,13 @@
 // Package mat implements the dense linear algebra needed by the IDES
 // distance-estimation system: matrix arithmetic, Householder QR, full and
-// truncated singular value decompositions, linear and nonnegative least
-// squares.
+// truncated singular value decompositions, linear (SVD-filtered) and
+// nonnegative least squares.
 //
 // The package is self-contained (standard library only) and deterministic:
 // every randomized routine takes an explicit seed. Matrices are dense,
 // row-major float64. Following the convention of established Go numeric
 // libraries, shape mismatches are programmer errors and panic; numerical
-// failures (non-convergence, singularity) are reported as errors.
+// failures (non-convergence) are reported as errors.
 package mat
 
 import (

@@ -1,85 +1,65 @@
 package mat
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
-// LeastSquares returns the X minimizing ||A*X - B||_F.
+// LeastSquares returns the X minimizing ||A*X - B||_F over the well-resolved
+// part of A's spectrum, for A of any shape. With A = U·diag(S)·Vᵀ it is
 //
-// A must have at least as many rows as columns. Well-conditioned systems are
-// solved by Householder QR; if A is rank deficient (or numerically close to
-// it) the minimum-norm solution is computed through the SVD pseudoinverse
-// instead, so callers never need to special-case degenerate geometry such as
-// co-located landmarks.
-func LeastSquares(a, b *Dense) (*Dense, error) {
-	m, n := a.Dims()
-	if b.Rows() != m {
-		panic(fmt.Sprintf("mat: LeastSquares B rows %d != A rows %d", b.Rows(), m))
+//	X = V · φ(S) · Uᵀ · B,  φ(s) = 1/s for s ≥ c,  φ(s) = s/c² below,
+//
+// where c = rcond·max(S). Above the cutoff this is the pseudo-inverse, so a
+// system whose condition number is below 1/rcond is solved exactly (the
+// minimum-norm solution when it is underdetermined). Below the cutoff φ
+// falls linearly to zero instead of growing as 1/s, so a direction that A
+// barely resolves cannot fling the solution off. At ExactRCond(A) only
+// singular values at rounding level are filtered. All columns of B share
+// one decomposition of A.
+func LeastSquares(a, b *Dense, rcond float64) (*Dense, error) {
+	if b.Rows() != a.Rows() {
+		panic(fmt.Sprintf("mat: LeastSquares B rows %d != A rows %d", b.Rows(), a.Rows()))
 	}
-	if m < n {
-		return leastSquaresSVD(a, b)
-	}
-	qr := QRFactor(a)
-	if qr.RCond() < 1e-12 {
-		return leastSquaresSVD(a, b)
-	}
-	x, err := qr.Solve(b)
-	if err != nil {
-		return leastSquaresSVD(a, b)
-	}
-	return x, nil
-}
-
-// leastSquaresSVD computes the minimum-norm least-squares solution through
-// the pseudoinverse: X = V * diag(1/s_i) * Uᵀ * B, dropping components whose
-// singular value is negligible.
-func leastSquaresSVD(a, b *Dense) (*Dense, error) {
 	dec, err := SVD(a)
 	if err != nil {
 		return nil, fmt.Errorf("least squares: %w", err)
 	}
-	m, n := a.Dims()
-	_ = m
-	utb := MulATB(dec.U, b) // k x nrhs
-	tol := 1e-13 * float64(maxInt(a.Rows(), n))
+	utb := MulATB(dec.U, b)
 	var smax float64
 	for _, s := range dec.S {
-		if s > smax {
-			smax = s
-		}
+		smax = max(smax, s)
 	}
-	cut := smax * tol
+	cut := rcond * smax
 	for i, s := range dec.S {
-		row := utb.Row(i)
-		if s <= cut || s == 0 {
-			for j := range row {
-				row[j] = 0
-			}
-			continue
+		var phi float64 // a zero singular value carries no direction
+		if s > 0 {
+			c := math.Max(s, cut)
+			phi = s / (c * c)
 		}
-		inv := 1 / s
+		row := utb.Row(i)
 		for j := range row {
-			row[j] *= inv
+			row[j] *= phi
 		}
 	}
 	return Mul(dec.V, utb), nil
 }
 
-// SolveVec solves the least-squares problem for a single right-hand side
-// vector and returns the solution as a slice.
-func SolveVec(a *Dense, b []float64) ([]float64, error) {
+// ExactRCond is the cutoff at which LeastSquares is the plain pseudo-inverse
+// of a: only singular values below 1e-13·max(rows, cols) of the largest, at
+// the level of rounding error, are filtered.
+func ExactRCond(a *Dense) float64 {
+	return 1e-13 * float64(maxInt(a.Rows(), a.Cols()))
+}
+
+// SolveVec is LeastSquares for a single right-hand side vector.
+func SolveVec(a *Dense, b []float64, rcond float64) ([]float64, error) {
 	if len(b) != a.Rows() {
 		panic(fmt.Sprintf("mat: SolveVec length %d != rows %d", len(b), a.Rows()))
 	}
-	bm := NewDense(len(b), 1)
-	for i, v := range b {
-		bm.data[i] = v
-	}
-	x, err := LeastSquares(a, bm)
+	x, err := LeastSquares(a, &Dense{rows: len(b), cols: 1, data: b}, rcond)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]float64, x.Rows())
-	for i := range out {
-		out[i] = x.data[i]
-	}
-	return out, nil
+	return x.data, nil
 }

@@ -46,11 +46,13 @@ func NNLS(a *Dense, b []float64) ([]float64, error) {
 		passive[j] = true
 
 		// Inner loop: solve the unconstrained problem on the passive set and
-		// step back if any passive coordinate would go negative.
+		// step back if any passive coordinate would go negative. The solve
+		// is exact, because termination rests on the KKT conditions of the
+		// true least-squares optimum.
 		for inner := 0; inner <= 2*n; inner++ {
 			idx := passiveIndices(passive)
 			ap := a.SelectCols(idx)
-			z, err := SolveVec(ap, b)
+			z, err := SolveVec(ap, b, ExactRCond(ap))
 			if err != nil {
 				return nil, fmt.Errorf("nnls: %w", err)
 			}

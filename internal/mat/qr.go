@@ -1,10 +1,6 @@
 package mat
 
-import (
-	"errors"
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // QR holds a Householder QR factorization of an m x n matrix with m >= n:
 // A = Q*R with Q m x n having orthonormal columns (thin Q) and R n x n
@@ -97,97 +93,4 @@ func (f *QR) Q() *Dense {
 		}
 	}
 	return q
-}
-
-// applyQT overwrites b (m x k) with Qᵀ*b.
-func (f *QR) applyQT(b *Dense) {
-	if b.rows != f.m {
-		panic(fmt.Sprintf("mat: applyQT rows %d != %d", b.rows, f.m))
-	}
-	for k := 0; k < f.n; k++ {
-		if f.tau[k] == 0 {
-			continue
-		}
-		for j := 0; j < b.cols; j++ {
-			s := b.data[k*b.cols+j]
-			for i := k + 1; i < f.m; i++ {
-				s += f.qr.data[i*f.n+k] * b.data[i*b.cols+j]
-			}
-			s *= f.tau[k]
-			b.data[k*b.cols+j] -= s
-			for i := k + 1; i < f.m; i++ {
-				b.data[i*b.cols+j] -= s * f.qr.data[i*f.n+k]
-			}
-		}
-	}
-}
-
-// RCond estimates the reciprocal condition number of R from its diagonal.
-func (f *QR) RCond() float64 {
-	if f.n == 0 {
-		return 1
-	}
-	mn, mx := math.Inf(1), 0.0
-	for i := 0; i < f.n; i++ {
-		d := math.Abs(f.qr.data[i*f.n+i])
-		if d < mn {
-			mn = d
-		}
-		if d > mx {
-			mx = d
-		}
-	}
-	if mx == 0 {
-		return 0
-	}
-	return mn / mx
-}
-
-// ErrSingular is returned when a factorization encounters an (numerically)
-// singular matrix.
-var ErrSingular = errors.New("mat: matrix is singular to working precision")
-
-// Solve returns the least-squares solution X minimizing ||A*X - B||_F,
-// where A is the factored matrix. B must have m rows; X has n rows.
-func (f *QR) Solve(b *Dense) (*Dense, error) {
-	if b.rows != f.m {
-		panic(fmt.Sprintf("mat: QR.Solve rows %d != %d", b.rows, f.m))
-	}
-	qtb := b.Clone()
-	f.applyQT(qtb)
-	x := NewDense(f.n, b.cols)
-	for i := 0; i < f.n; i++ {
-		copy(x.Row(i), qtb.Row(i))
-	}
-	// A diagonal entry far below the largest one signals numerical rank
-	// deficiency; refuse rather than amplify noise in back substitution.
-	var dmax float64
-	for i := 0; i < f.n; i++ {
-		if d := math.Abs(f.qr.data[i*f.n+i]); d > dmax {
-			dmax = d
-		}
-	}
-	tol := dmax * 1e-13 * float64(f.m)
-	// Back substitution R x = (Qᵀ b)[:n].
-	for i := f.n - 1; i >= 0; i-- {
-		d := f.qr.data[i*f.n+i]
-		if d == 0 || math.Abs(d) <= tol {
-			return nil, ErrSingular
-		}
-		xrow := x.Row(i)
-		for j := range xrow {
-			xrow[j] /= d
-		}
-		for k := 0; k < i; k++ {
-			r := f.qr.data[k*f.n+i]
-			if r == 0 {
-				continue
-			}
-			krow := x.Row(k)
-			for j := range krow {
-				krow[j] -= r * xrow[j]
-			}
-		}
-	}
-	return x, nil
 }

@@ -1,7 +1,6 @@
 package mat
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -28,57 +27,6 @@ func TestQRReconstruct(t *testing.T) {
 	}
 }
 
-func TestQRSolveExact(t *testing.T) {
-	a := FromRows([][]float64{{2, 0}, {0, 3}, {0, 0}})
-	b := FromRows([][]float64{{4}, {9}, {0}})
-	x, err := QRFactor(a).Solve(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(x.At(0, 0)-2) > 1e-12 || math.Abs(x.At(1, 0)-3) > 1e-12 {
-		t.Fatalf("x = %v want [2;3]", x)
-	}
-}
-
-func TestQRSolveLeastSquaresResidualOrthogonal(t *testing.T) {
-	// The least-squares residual must be orthogonal to the column space.
-	rng := rand.New(rand.NewSource(21))
-	a := randomMatrix(rng, 12, 4)
-	b := randomMatrix(rng, 12, 1)
-	x, err := QRFactor(a).Solve(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resid := Sub(b, Mul(a, x))
-	atr := MulATB(a, resid)
-	if MaxAbs(atr) > 1e-10 {
-		t.Fatalf("Aᵀr = %v, not orthogonal", atr)
-	}
-}
-
-func TestQRSingular(t *testing.T) {
-	// Two identical columns: exactly singular R.
-	a := FromRows([][]float64{{1, 1}, {2, 2}, {3, 3}})
-	_, err := QRFactor(a).Solve(FromRows([][]float64{{1}, {1}, {1}}))
-	if err == nil {
-		t.Fatal("expected error for singular system")
-	}
-	if !errors.Is(err, ErrSingular) {
-		t.Fatalf("err = %v want ErrSingular", err)
-	}
-}
-
-func TestQRRCond(t *testing.T) {
-	good := QRFactor(Identity(4))
-	if rc := good.RCond(); rc < 0.99 {
-		t.Fatalf("identity RCond = %v want ~1", rc)
-	}
-	bad := QRFactor(FromRows([][]float64{{1, 1}, {1, 1 + 1e-15}, {1, 1}}))
-	if rc := bad.RCond(); rc > 1e-10 {
-		t.Fatalf("near-singular RCond = %v want tiny", rc)
-	}
-}
-
 func TestQRWideInputPanics(t *testing.T) {
 	defer expectPanic(t, "rows >= cols")
 	QRFactor(NewDense(2, 5))
@@ -88,7 +36,7 @@ func TestLeastSquaresMatchesNormalEquations(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	a := randomMatrix(rng, 15, 5)
 	b := randomMatrix(rng, 15, 2)
-	x, err := LeastSquares(a, b)
+	x, err := LeastSquares(a, b, ExactRCond(a))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,11 +49,11 @@ func TestLeastSquaresMatchesNormalEquations(t *testing.T) {
 }
 
 func TestLeastSquaresRankDeficientMinNorm(t *testing.T) {
-	// Columns 0 and 1 identical: infinitely many solutions; SVD path must
-	// return the minimum-norm one, which splits the weight evenly.
+	// Columns 0 and 1 identical: infinitely many solutions, and no error;
+	// the minimum-norm one splits the weight evenly.
 	a := FromRows([][]float64{{1, 1}, {2, 2}, {3, 3}})
 	b := FromRows([][]float64{{2}, {4}, {6}})
-	x, err := LeastSquares(a, b)
+	x, err := LeastSquares(a, b, ExactRCond(a))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,10 +63,10 @@ func TestLeastSquaresRankDeficientMinNorm(t *testing.T) {
 }
 
 func TestLeastSquaresUnderdetermined(t *testing.T) {
-	// Fewer rows than columns: must route through the SVD pseudoinverse.
+	// Fewer rows than columns: the minimum-norm solution interpolates.
 	a := FromRows([][]float64{{1, 0, 1}, {0, 1, 1}})
 	b := FromRows([][]float64{{2}, {3}})
-	x, err := LeastSquares(a, b)
+	x, err := LeastSquares(a, b, ExactRCond(a))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,9 +75,27 @@ func TestLeastSquaresUnderdetermined(t *testing.T) {
 	}
 }
 
+func TestLeastSquaresFiltersBelowCutoff(t *testing.T) {
+	// Singular values 4 and 0.1 with the cutoff at 0.25·4 = 1: the first
+	// direction is inverted exactly, the second scaled by φ(s) = s/c², not
+	// amplified by 1/s.
+	a := FromRows([][]float64{{4, 0}, {0, 0.1}, {0, 0}})
+	x, err := SolveVec(a, []float64{8, 1, 5}, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(x[0]-2) > 1e-12 || math.Abs(x[1]-0.1) > 1e-12 {
+		t.Fatalf("x = %v want [2 0.1]", x)
+	}
+	// At the exact cutoff the same system is solved exactly.
+	if x, _ = SolveVec(a, []float64{8, 1, 5}, ExactRCond(a)); math.Abs(x[1]-10) > 1e-9 {
+		t.Fatalf("exact x = %v want [2 10]", x)
+	}
+}
+
 func TestSolveVec(t *testing.T) {
 	a := FromRows([][]float64{{1, 0}, {0, 2}, {0, 0}})
-	x, err := SolveVec(a, []float64{3, 4, 0})
+	x, err := SolveVec(a, []float64{3, 4, 0}, ExactRCond(a))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +112,7 @@ func TestNNLSKnown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := SolveVec(a, b)
+	want, err := SolveVec(a, b, ExactRCond(a))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,10 @@
 package mat
 
 import (
+	"cmp"
 	"errors"
 	"math"
-	"sort"
+	"slices"
 )
 
 // SVDResult holds a (possibly truncated) singular value decomposition
@@ -47,6 +48,15 @@ func svdTall(a *Dense) (*SVDResult, error) {
 	m, n := a.Dims()
 	w := a.Clone() // Columns of w are rotated toward mutual orthogonality.
 	v := Identity(n)
+	// A column whose norm falls to tiny is numerically zero: rank
+	// deficiency leaves one holding rounding noise, which is never
+	// orthogonal to anything, so it is not rotated (or Jacobi would cycle)
+	// and its U column is completed like an exact zero's.
+	var ssq float64
+	for _, x := range a.data {
+		ssq += x * x
+	}
+	tiny := jacobiEps * math.Sqrt(ssq)
 	converged := false
 	for sweep := 0; sweep < jacobiMaxSweeps; sweep++ {
 		rotated := false
@@ -60,7 +70,8 @@ func svdTall(a *Dense) (*SVDResult, error) {
 					beta += wq * wq
 					gamma += wp * wq
 				}
-				if math.Abs(gamma) <= jacobiEps*math.Sqrt(alpha*beta) || gamma == 0 {
+				if math.Abs(gamma) <= jacobiEps*math.Sqrt(alpha*beta) || gamma == 0 ||
+					min(alpha, beta) <= tiny*tiny {
 					continue
 				}
 				rotated = true
@@ -93,6 +104,7 @@ func svdTall(a *Dense) (*SVDResult, error) {
 
 	// Extract singular values as column norms; order descending.
 	sv := make([]float64, n)
+	var smax float64
 	for j := 0; j < n; j++ {
 		var ssq float64
 		for i := 0; i < m; i++ {
@@ -100,40 +112,45 @@ func svdTall(a *Dense) (*SVDResult, error) {
 			ssq += x * x
 		}
 		sv[j] = math.Sqrt(ssq)
+		smax = max(smax, sv[j])
 	}
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(x, y int) bool { return sv[order[x]] > sv[order[y]] })
+	slices.SortStableFunc(order, func(x, y int) int { return cmp.Compare(sv[y], sv[x]) })
 
-	u := NewDense(m, n)
-	vOut := NewDense(n, n)
-	sOut := make([]float64, n)
-	var smax float64
-	for _, j := range order {
-		if sv[j] > smax {
-			smax = sv[j]
+	// U is w with its columns scaled to unit norm, or zeroed where the
+	// singular value is negligible; U and V take their columns in order.
+	tol := max(smax*1e-14*float64(maxInt(m, n)), tiny)
+	for j, s := range sv {
+		var inv float64
+		if s > tol && s > 0 {
+			inv = 1 / s
+		}
+		for i := 0; i < m; i++ {
+			w.data[i*n+j] *= inv
 		}
 	}
-	tol := smax * 1e-14 * float64(maxInt(m, n))
+	sOut := make([]float64, n)
 	for k, j := range order {
 		sOut[k] = sv[j]
-		for i := 0; i < n; i++ {
-			vOut.data[i*n+k] = v.data[i*n+j]
-		}
-		if sv[j] > tol && sv[j] > 0 {
-			inv := 1 / sv[j]
-			for i := 0; i < m; i++ {
-				u.data[i*n+k] = w.data[i*n+j] * inv
+	}
+	tmp := make([]float64, n)
+	for _, f := range []*Dense{w, v} {
+		for i := 0; i < f.rows; i++ {
+			row := f.Row(i)
+			copy(tmp, row)
+			for k, j := range order {
+				row[k] = tmp[j]
 			}
 		}
 	}
 	// Columns with (numerically) zero singular value have no direction from
 	// the data; complete U to an orthonormal set so downstream algebra stays
 	// valid (e.g. the paper's 4x4 example has S[3] = 0).
-	completeOrthonormal(u, sOut, tol)
-	return &SVDResult{U: u, S: sOut, V: vOut}, nil
+	completeOrthonormal(w, sOut, tol)
+	return &SVDResult{U: w, S: sOut, V: v}, nil
 }
 
 // completeOrthonormal fills the columns of u whose singular values are at or

@@ -121,6 +121,30 @@ func TestSVDRankDeficient(t *testing.T) {
 	}
 }
 
+func TestSVDDuplicatedRowConverges(t *testing.T) {
+	// Two equal rows of a square matrix (a host that measured one landmark
+	// twice): rotation leaves one column of rounding noise, which Jacobi
+	// used to rotate against the others until it ran out of sweeps.
+	a := FromRows([][]float64{
+		{4.533760567842227, 5.315215483135968, 0.9501059565475442, 1.4027726909838414},
+		{5.186255403211128, -1.4227039009683302, -1.2806543227347096, 1.1940807881993705},
+		{2.7813225331173723, -0.7872178135293845, -0.5356727176646614, -1.3910909597350165},
+		{2.7813225331173723, -0.7872178135293845, -0.5356727176646614, -1.3910909597350165},
+	})
+	dec, err := SVD(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dec.S[3] > 1e-12*dec.S[0] {
+		t.Fatalf("expected rank 3, S = %v", dec.S)
+	}
+	checkOrthonormalCols(t, dec.U, 1e-10, "U (duplicated row)")
+	checkOrthonormalCols(t, dec.V, 1e-10, "V (duplicated row)")
+	if !dec.Reconstruct().Equal(a, 1e-9) {
+		t.Fatal("duplicated-row reconstruct failed")
+	}
+}
+
 func TestSVDZeroMatrix(t *testing.T) {
 	a := NewDense(4, 3)
 	dec, err := SVD(a)
