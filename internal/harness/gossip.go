@@ -148,11 +148,13 @@ func NewGossip(cfg GossipConfig) (*GossipCluster, error) {
 
 	// Peers. The pool keeps no idle connections and no mux connections;
 	// every exchange dials. Measured on bench/'s 2,000-peer gossip-fleet
-	// (CHANGES.md, PR 16): a simnet dial is 2.6 µs at the median of a
-	// 22 µs round, where a standing connection per neighbour would be
-	// 2,000 × 16 = 32k of them — each a parked serving goroutine plus a
-	// buffered reader at both ends, against a fleet whose whole resident
-	// set is ~100 MB — with a hit rate that decays as tables churn. It
+	// (CHANGES.md; one CPU of a 2-vCPU VM): a simnet dial is 3.3 µs at
+	// the median (simnet.dial_p50_us) of a 28 µs round (p50_us), and
+	// 2.5 µs of the round's 29 µs of CPU. A standing connection per
+	// neighbour would be 2,000 × 16 = 32k of them — each a parked serving
+	// goroutine plus a buffered reader at both ends, against a fleet whose
+	// whole resident set is ~90 MB — with a hit rate that decays as
+	// tables churn. It
 	// also keeps transport.Pool's host map empty between calls: an entry
 	// lives only as long as its one connection.
 	for i, name := range peerNames {

@@ -32,7 +32,7 @@ func newPeerMetrics(reg *telemetry.Registry, p *Peer) *peerMetrics {
 		"Current neighbor-table size.", func() float64 {
 			p.mu.Lock()
 			defer p.mu.Unlock()
-			return float64(len(p.table.order))
+			return float64(len(p.table.entries))
 		})
 	reg.GaugeFunc("ides_gossip_drift",
 		"Relative L2 displacement of the coordinate rows from their random initialization.",

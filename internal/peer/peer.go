@@ -266,7 +266,7 @@ type Stats struct {
 func (p *Peer) Stats() Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return Stats{Round: p.round, Neighbors: len(p.table.order), Churn: p.churn, LastStep: p.lastStep}
+	return Stats{Round: p.round, Neighbors: len(p.table.entries), Churn: p.churn, LastStep: p.lastStep}
 }
 
 // GossipRound runs one round: refresh the table from a rendezvous when
@@ -279,7 +279,7 @@ func (p *Peer) GossipRound(ctx context.Context) error {
 	p.round++
 	round := p.round
 	rdvDue := len(p.cfg.RendezvousAddrs) > 0 &&
-		(len(p.table.order) == 0 || round%rendezvousEvery == p.rdvPhase)
+		(len(p.table.entries) == 0 || round%rendezvousEvery == p.rdvPhase)
 	p.mu.Unlock()
 	p.metrics.round()
 	if rdvDue {
@@ -289,11 +289,11 @@ func (p *Peer) GossipRound(ctx context.Context) error {
 		}
 	}
 	p.mu.Lock()
-	if len(p.table.order) == 0 {
+	if len(p.table.entries) == 0 {
 		p.mu.Unlock()
 		return ErrNoNeighbors
 	}
-	target := p.table.pick().addr
+	target := p.table.entries[p.table.pick()].addr
 	p.mu.Unlock()
 	return p.exchangeWith(ctx, target)
 }

@@ -52,7 +52,7 @@ func NewRendezvous(seed int64, reg *telemetry.Registry) *Rendezvous {
 		"Peers currently in the rendezvous directory.", func() float64 {
 			r.mu.Lock()
 			defer r.mu.Unlock()
-			return float64(len(r.table.order))
+			return float64(len(r.table.entries))
 		})
 	return r
 }

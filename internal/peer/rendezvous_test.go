@@ -32,7 +32,7 @@ func announce(t *testing.T, r *Rendezvous, from string, coords []float64) *wire.
 func directorySize(r *Rendezvous) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.table.order)
+	return len(r.table.entries)
 }
 
 // TestRendezvousNeedsNoLandmarks: a directory is a seed and nothing

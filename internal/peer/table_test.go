@@ -1,12 +1,14 @@
 package peer
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"math"
 	"math/rand"
 	"net"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -25,20 +27,46 @@ func floats(v ...float64) wire.Floats {
 }
 
 // tableInvariants fails t when tb breaks what every caller relies on:
-// at most capacity entries, the map and the order slice naming the same
-// ones at their recorded positions, and no non-finite row anywhere.
+// at most capacity entries; an index a power of two long, at most half
+// full, whose occupied slots name every entry exactly once, under the
+// entry's tag, where a probe from that tag's home reaches them; distinct
+// non-empty addresses, each found where it is; and no non-finite row
+// anywhere.
 func tableInvariants(t *testing.T, tb *table) {
 	t.Helper()
-	if len(tb.order) > tb.capacity || len(tb.order) != len(tb.entries) {
-		t.Fatalf("table holds %d ordered / %d mapped entries at capacity %d", len(tb.order), len(tb.entries), tb.capacity)
+	n, m := len(tb.entries), len(tb.index)-1
+	if n > tb.capacity || 2*n > len(tb.index) || len(tb.index)&m != 0 {
+		t.Fatalf("table holds %d entries at capacity %d behind an index of %d slots", n, tb.capacity, len(tb.index))
 	}
-	for i, n := range tb.order {
-		if n.idx != i || tb.entries[n.addr] != n || n.addr == "" {
-			t.Fatalf("entry %d (%q, idx %d) is not where the table says", i, n.addr, n.idx)
+	indexed := 0
+	for p, s := range tb.index {
+		if s.ref == 0 {
+			continue
 		}
-		for _, f := range n.rows {
+		indexed++
+		if i := int(s.ref) - 1; i >= n || tb.entries[i].tag != s.tag {
+			t.Fatalf("slot %d names position %d of %d under tag %#x", p, i, n, s.tag)
+		}
+		for q := int(s.tag) & m; q != p; q = (q + 1) & m {
+			if tb.index[q].ref == 0 {
+				t.Fatalf("slot %d lies past the empty slot %d of its probe run", p, q)
+			}
+		}
+	}
+	if indexed != n {
+		t.Fatalf("%d slots index %d entries", indexed, n)
+	}
+	for i := range tb.entries {
+		e := &tb.entries[i]
+		if _, p := find(tb, e.addr); e.addr == "" || p < 0 || int(tb.index[p].ref) != i+1 {
+			t.Fatalf("entry %d (%q) is not where the index says", i, e.addr)
+		}
+		if len(e.rows) == 0 && e.nout != 0 || len(e.rows) != 0 && (e.nout <= 0 || e.nout >= len(e.rows)) {
+			t.Fatalf("entry %q splits %d rows at %d", e.addr, len(e.rows), e.nout)
+		}
+		for _, f := range e.rows {
 			if math.IsNaN(f) || math.IsInf(f, 0) {
-				t.Fatalf("entry %q holds the non-finite row %v", n.addr, n.rows)
+				t.Fatalf("entry %q holds the non-finite row %v", e.addr, e.rows)
 			}
 		}
 	}
@@ -73,8 +101,8 @@ func TestTable(t *testing.T) {
 	}{
 		{"capacity bound with random eviction", func(t *testing.T) {
 			tb, _ := fill(1)
-			if len(tb.order) != 4 || tb.evictions != 28 {
-				t.Fatalf("%d entries, %d evictions after 32 observations, want 4 and 28", len(tb.order), tb.evictions)
+			if len(tb.entries) != 4 || tb.evictions != 28 {
+				t.Fatalf("%d entries, %d evictions after 32 observations, want 4 and 28", len(tb.entries), tb.evictions)
 			}
 			// First-in-first-out or last-in-first-out would leave 28..31
 			// or 0..3 (plus the newcomer); a random victim leaves neither.
@@ -106,10 +134,10 @@ func TestTable(t *testing.T) {
 				}
 			}
 			tableInvariants(t, tb)
-			if out, in := tb.rows("good"); len(tb.order) != 1 || !reflect.DeepEqual(out, []float64{1, 2}) || !reflect.DeepEqual(in, []float64{3, 4}) {
+			if out, in := tb.rows("good"); len(tb.entries) != 1 || !reflect.DeepEqual(out, []float64{1, 2}) || !reflect.DeepEqual(in, []float64{3, 4}) {
 				t.Fatalf("table %v with good = (%v, %v), want only good with its first rows", tb.addrs(), out, in)
 			}
-			if tb.observe(nil, floats(1), floats(1)) != "" || len(tb.order) != 1 {
+			if tb.observe(nil, floats(1), floats(1)) != "" || len(tb.entries) != 1 {
 				t.Fatal("the empty address entered the table")
 			}
 		}},
@@ -160,7 +188,7 @@ func TestTable(t *testing.T) {
 			if tb.rng.Int63() != rand.New(rand.NewSource(2)).Int63() {
 				t.Fatal("an empty sample drew from the PRNG")
 			}
-			if tb.drop("stranger") || !tb.drop(tb.addrs()[0]) || len(tb.order) != 3 {
+			if tb.drop("stranger") || !tb.drop(tb.addrs()[0]) || len(tb.entries) != 3 {
 				t.Fatalf("drop: table %v", tb.addrs())
 			}
 			tableInvariants(t, tb)
@@ -371,5 +399,255 @@ func FuzzRendezvousDispatch(f *testing.F) {
 			t.Fatalf("answered %v %+v (%v), want a reply without rows or a step", rt, rep, err)
 		}
 		tableInvariants(t, r.table)
+	})
+}
+
+// mapTable is the neighbor table as it was before its index: a Go map
+// of pointers beside an order slice and a free list. FuzzTableOracle
+// holds table to it: the same seed and calls must give the same
+// answers, picks, evictions and samples.
+type mapTable struct {
+	capacity  int
+	rng       *rand.Rand
+	entries   map[string]*mapNeighbor
+	order     []*mapNeighbor
+	free      []*mapNeighbor
+	picked    []wire.LandmarkVec
+	evictions uint64
+}
+
+type mapNeighbor struct {
+	addr string
+	rows []float64
+	nout int
+	idx  int
+}
+
+func (n *mapNeighbor) out() []float64 { return n.rows[:n.nout] }
+func (n *mapNeighbor) in() []float64  { return n.rows[n.nout:] }
+
+func newMapTable(capacity int, seed int64) *mapTable {
+	return &mapTable{capacity: capacity, rng: rand.New(rand.NewSource(seed)), entries: make(map[string]*mapNeighbor)}
+}
+
+func (t *mapTable) observe(addr []byte, out, in wire.Floats) string {
+	if len(addr) == 0 || !finite(out) || !finite(in) {
+		return ""
+	}
+	n := t.entries[string(addr)]
+	if n == nil {
+		if len(t.order) >= t.capacity {
+			t.evict(t.pick())
+			t.evictions++
+		}
+		if last := len(t.free) - 1; last >= 0 {
+			n, t.free = t.free[last], t.free[:last]
+		} else {
+			n = new(mapNeighbor)
+		}
+		n.addr, n.idx = string(addr), len(t.order)
+		t.entries[n.addr] = n
+		t.order = append(t.order, n)
+	}
+	if out.Len() > 0 && in.Len() > 0 {
+		if size := out.Len() + in.Len(); cap(n.rows) < size {
+			n.rows = make([]float64, size)
+		} else {
+			n.rows = n.rows[:size]
+		}
+		n.nout = out.Len()
+		out.CopyTo(n.out())
+		in.CopyTo(n.in())
+	}
+	return n.addr
+}
+
+func (t *mapTable) pick() *mapNeighbor { return t.order[t.rng.Intn(len(t.order))] }
+
+func (t *mapTable) evict(n *mapNeighbor) {
+	last := len(t.order) - 1
+	t.order[n.idx] = t.order[last]
+	t.order[n.idx].idx = n.idx
+	t.order = t.order[:last]
+	delete(t.entries, n.addr)
+	n.addr, n.rows, n.nout = "", n.rows[:0], 0
+	t.free = append(t.free, n)
+}
+
+func (t *mapTable) addrs() []string {
+	addrs := make([]string, len(t.order))
+	for i, n := range t.order {
+		addrs[i] = n.addr
+	}
+	return addrs
+}
+
+func (t *mapTable) rows(addr string) (out, in []float64) {
+	n := t.entries[addr]
+	if n == nil {
+		return nil, nil
+	}
+	return n.out(), n.in()
+}
+
+func (t *mapTable) drop(addr string) bool {
+	n := t.entries[addr]
+	if n != nil {
+		t.evict(n)
+	}
+	return n != nil
+}
+
+func (t *mapTable) sample(k int, exclude string) []wire.LandmarkVec {
+	out := t.picked[:0]
+	if len(t.order) == 0 || k <= 0 {
+		return out
+	}
+draw:
+	for attempts := 0; len(out) < k && attempts < 2*k; attempts++ {
+		n := t.pick()
+		if n.addr == exclude {
+			continue
+		}
+		for i := range out {
+			if out[i].Addr == n.addr {
+				continue draw
+			}
+		}
+		out = append(out, wire.LandmarkVec{Addr: n.addr, Out: n.out(), In: n.in()})
+	}
+	t.picked = out
+	return out
+}
+
+// fuzzAddrs are the addresses an op names by a byte below 0x80: the
+// empty one, a few that collide often, one that is not UTF-8, one that
+// is a prefix of another, and one 255 bytes long.
+var fuzzAddrs = [][]byte{
+	nil, []byte("a:1"), []byte("b:1"), []byte("c:1"), []byte("d:1"), []byte("a:1\x00"),
+	{0xff, 0xfe, 0x80}, bytes.Repeat([]byte{'x'}, 255),
+}
+
+// tableOps decodes a fuzz input into table calls.
+type tableOps struct{ b []byte }
+
+func (o *tableOps) byte() byte {
+	if len(o.b) == 0 {
+		return 0
+	}
+	c := o.b[0]
+	o.b = o.b[1:]
+	return c
+}
+
+// addr is a fuzzAddrs entry, or up to 127 raw bytes of the input.
+func (o *tableOps) addr() []byte {
+	c := o.byte()
+	if c < 0x80 {
+		return fuzzAddrs[int(c)%len(fuzzAddrs)]
+	}
+	n := min(int(c&0x7f), len(o.b))
+	a := o.b[:n]
+	o.b = o.b[n:]
+	return a
+}
+
+// row is zero to three values; a byte from 0xf0 up is NaN or ±Inf.
+func (o *tableOps) row() wire.Floats {
+	v := make([]float64, o.byte()%4)
+	for i := range v {
+		switch c := o.byte(); {
+		case c >= 0xf0 && c%3 == 0:
+			v[i] = math.NaN()
+		case c >= 0xf0:
+			v[i] = math.Inf(int(c%3) - 1)
+		default:
+			v[i] = float64(int8(c))
+		}
+	}
+	return floats(v...)
+}
+
+// sameVecs reports whether two samples name the same entries, in order,
+// with equal rows.
+func sameVecs(a, b []wire.LandmarkVec) bool {
+	return slices.EqualFunc(a, b, func(x, y wire.LandmarkVec) bool {
+		return x.Addr == y.Addr && slices.Equal(x.Out, y.Out) && slices.Equal(x.In, y.In)
+	})
+}
+
+// FuzzTableOracle drives table and mapTable from one seed through one
+// decoded sequence of observes (with rows of any shape or none, finite
+// or not, under empty, duplicate, non-UTF-8 and 255-byte addresses),
+// drops, samples with an exclusion, row lookups and picks, at a capacity
+// the sequence fills past. Every return value, pick, eviction and sample
+// must match, and the table's invariants must hold after every step. An
+// observed address is scribbled over once the call returns, as a reused
+// frame buffer would be.
+func FuzzTableOracle(f *testing.F) {
+	f.Add(int64(1), uint8(3), []byte{0, 1, 2, 1, 2, 2, 3, 4, 0, 2, 1, 0xff, 1, 5, 0, 3, 1, 2, 3, 1, 6, 1, 3, 2, 0x83, 'e', 'f', 'g', 0, 0, 4, 7, 2, 5, 1, 3, 2, 2, 4, 1})
+	f.Add(int64(7), uint8(1), []byte{0, 7, 1, 9, 1, 8, 0, 6, 2, 1, 1, 2, 3, 0x85, 0xc3, 0x28, 0xa0, 0xa1, 0xe2, 0, 0, 2, 4, 0, 1, 3, 5, 0, 0, 7})
+	rng := rand.New(rand.NewSource(42))
+	for _, n := range []int{64, 512, 4096} {
+		ops := make([]byte, n)
+		rng.Read(ops)
+		f.Add(rng.Int63(), uint8(rng.Intn(256)), ops)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, capacity uint8, input []byte) {
+		c := 1 + int(capacity%16)
+		tb, oracle := newTable(c, seed), newMapTable(c, seed)
+		ops := &tableOps{input}
+		var frame []byte
+		for step := 0; len(ops.b) > 0; step++ {
+			switch op := ops.byte() % 6; op {
+			case 0, 1: // observe, with rows or without
+				frame = append(frame[:0], ops.addr()...)
+				var out, in wire.Floats
+				if op == 0 {
+					out, in = ops.row(), ops.row()
+				}
+				want := oracle.observe(frame, out, in)
+				if got := tb.observe(frame, out, in); got != want {
+					t.Fatalf("step %d: observe(%q, %v, %v) = %q, want %q", step, frame, out, in, got, want)
+				}
+				for i := range frame {
+					frame[i] = '#'
+				}
+			case 2:
+				a := string(ops.addr())
+				if got, want := tb.drop(a), oracle.drop(a); got != want {
+					t.Fatalf("step %d: drop(%q) = %v, want %v", step, a, got, want)
+				}
+			case 3:
+				k, exclude := int(ops.byte()%8)-1, string(ops.addr())
+				if got, want := tb.sample(k, exclude), oracle.sample(k, exclude); !sameVecs(got, want) {
+					t.Fatalf("step %d: sample(%d, %q) = %v, want %v", step, k, exclude, got, want)
+				}
+			case 4:
+				a := string(ops.addr())
+				out, in := tb.rows(a)
+				wout, win := oracle.rows(a)
+				if !slices.Equal(out, wout) || !slices.Equal(in, win) {
+					t.Fatalf("step %d: rows(%q) = (%v, %v), want (%v, %v)", step, a, out, in, wout, win)
+				}
+			case 5:
+				if len(oracle.order) > 0 {
+					if got, want := tb.entries[tb.pick()].addr, oracle.pick().addr; got != want {
+						t.Fatalf("step %d: picked %q, want %q", step, got, want)
+					}
+				}
+			}
+			tableInvariants(t, tb)
+			if !slices.Equal(tb.addrs(), oracle.addrs()) || tb.evictions != oracle.evictions {
+				t.Fatalf("step %d: table %q after %d evictions, want %q after %d", step, tb.addrs(), tb.evictions, oracle.addrs(), oracle.evictions)
+			}
+			for _, a := range oracle.addrs() {
+				out, in := tb.rows(a)
+				wout, win := oracle.rows(a)
+				if !slices.Equal(out, wout) || !slices.Equal(in, win) {
+					t.Fatalf("step %d: %q holds (%v, %v), want (%v, %v)", step, a, out, in, wout, win)
+				}
+			}
+		}
 	})
 }

@@ -17,9 +17,15 @@ const windowPackets = 256
 // endpoint is the receive side of one direction of a connection: the
 // inbox the central scheduler delivers into and Read drains.
 type endpoint struct {
-	mu      sync.Mutex
-	queue   [][]byte // delivered, unread packets
-	pending []byte   // partially consumed head packet
+	mu sync.Mutex
+	// queue[head:] are the delivered, unread packets. Read advances head
+	// and rewinds both to the start once it has drained them, so the
+	// backing array is reused, not re-sliced away; until a second packet
+	// waits unread that array is first, inside the endpoint.
+	queue   [][]byte
+	head    int
+	first   [1][]byte
+	pending []byte // partially consumed head packet
 	// inflight counts packets written but not yet fully consumed by
 	// Read; the sender blocks while it is at windowPackets.
 	inflight   int
@@ -32,6 +38,7 @@ type endpoint struct {
 }
 
 func (e *endpoint) init() {
+	e.queue = e.first[:0]
 	e.readable = make(chan struct{}, 1)
 	e.space = make(chan struct{}, 1)
 }
@@ -58,17 +65,27 @@ func releaseTimer(t *time.Timer) {
 	timerPool.Put(t)
 }
 
-// waitUntil blocks until wake or closed is signaled or deadline (none
-// when zero) passes.
-func waitUntil(wake, closed <-chan struct{}, deadline time.Time) {
+// untilDeadline returns how long is left before deadline: 0 when there
+// is none, and ok false once it has passed.
+func untilDeadline(deadline time.Time) (left time.Duration, ok bool) {
 	if deadline.IsZero() {
+		return 0, true
+	}
+	left = time.Until(deadline)
+	return left, left > 0
+}
+
+// waitUntil blocks until wake or closed is signaled or left (no limit
+// when 0, as untilDeadline returns it) has passed.
+func waitUntil(wake, closed <-chan struct{}, left time.Duration) {
+	if left == 0 {
 		select {
 		case <-wake:
 		case <-closed:
 		}
 		return
 	}
-	t := acquireTimer(time.Until(deadline))
+	t := acquireTimer(left)
 	select {
 	case <-wake:
 	case <-t.C:
@@ -92,11 +109,17 @@ func (e *endpoint) fail(err error) {
 	if e.err == nil {
 		e.err = err
 	}
-	e.queue, e.pending = nil, nil
-	e.inflight = 0
+	e.dropLocked()
 	e.mu.Unlock()
 	signal(e.readable)
 	signal(e.space)
+}
+
+// dropLocked discards every unread packet and frees the whole window.
+// Callers hold e.mu.
+func (e *endpoint) dropLocked() {
+	clear(e.queue)
+	e.queue, e.head, e.pending, e.inflight = e.queue[:0], 0, nil, 0
 }
 
 // consumeLocked accounts a fully read packet and frees a window slot.
@@ -106,6 +129,39 @@ func (e *endpoint) consumeLocked() {
 		e.inflight--
 	}
 	signal(e.space)
+}
+
+// arrival is one delivery the scheduler makes: the next packet written
+// by the handle from, or its FIN when pkt is nil. from names the link
+// (from.localIdx → from.remoteIdx) and the receiving endpoint, from.out.
+type arrival struct {
+	from *conn
+	pkt  []byte
+}
+
+// fire lands a in its endpoint's inbox. A partition that landed while
+// a packet was in flight eats it, and an endpoint that is torn down or
+// whose handle is closed discards it, freeing its window slot either
+// way; the FIN is always delivered.
+func (a arrival) fire() {
+	c, in := a.from, a.from.out
+	if a.pkt == nil {
+		in.mu.Lock()
+		in.eof = true
+		in.mu.Unlock()
+		signal(in.readable)
+		return
+	}
+	cut := c.nw.linkCut(c.localIdx, c.remoteIdx)
+	in.mu.Lock()
+	if cut || in.err != nil || in.recvClosed {
+		in.consumeLocked()
+		in.mu.Unlock()
+		return
+	}
+	in.queue = append(in.queue, a.pkt)
+	in.mu.Unlock()
+	signal(in.readable)
 }
 
 // pairConn ties the two endpoints of a virtual connection together for
@@ -204,7 +260,8 @@ func (c *conn) Write(p []byte) (int, error) {
 		c.dlMu.Lock()
 		wd := c.writeDeadline
 		c.dlMu.Unlock()
-		if !wd.IsZero() && !time.Now().Before(wd) {
+		left, ok := untilDeadline(wd)
+		if !ok {
 			return 0, c.opError("write", os.ErrDeadlineExceeded)
 		}
 		c.out.mu.Lock()
@@ -218,7 +275,7 @@ func (c *conn) Write(p []byte) (int, error) {
 			break
 		}
 		c.out.mu.Unlock()
-		waitUntil(c.out.space, c.closed, wd)
+		waitUntil(c.out.space, c.closed, left)
 	}
 
 	delay, drop, reset := c.nw.sendVerdict(c.localIdx, c.remoteIdx)
@@ -244,27 +301,7 @@ func (c *conn) Write(p []byte) (int, error) {
 	}
 	c.lastDeliver = deliver
 	c.sendMu.Unlock()
-	out := c.out
-	localIdx, remoteIdx := c.localIdx, c.remoteIdx
-	nw := c.nw
-	nw.sched.schedule(deliver, func() {
-		// A partition that landed while the packet was in flight eats it.
-		if nw.linkCut(localIdx, remoteIdx) {
-			out.mu.Lock()
-			out.consumeLocked()
-			out.mu.Unlock()
-			return
-		}
-		out.mu.Lock()
-		if out.err != nil || out.recvClosed {
-			out.consumeLocked()
-			out.mu.Unlock()
-			return
-		}
-		out.queue = append(out.queue, buf)
-		out.mu.Unlock()
-		signal(out.readable)
-	})
+	c.nw.sched.schedule(deliver, arrival{c, buf})
 	return len(p), nil
 }
 
@@ -295,10 +332,13 @@ func (c *conn) Read(p []byte) (int, error) {
 			in.mu.Unlock()
 			return n, nil
 		}
-		if len(in.queue) > 0 {
-			pkt := in.queue[0]
-			in.queue[0] = nil
-			in.queue = in.queue[1:]
+		if in.head < len(in.queue) {
+			pkt := in.queue[in.head]
+			in.queue[in.head] = nil
+			in.head++
+			if in.head == len(in.queue) {
+				in.queue, in.head = in.queue[:0], 0
+			}
 			n := copy(p, pkt)
 			if n < len(pkt) {
 				in.pending = pkt[n:]
@@ -321,10 +361,11 @@ func (c *conn) Read(p []byte) (int, error) {
 		c.dlMu.Lock()
 		rd := c.readDeadline
 		c.dlMu.Unlock()
-		if !rd.IsZero() && !time.Now().Before(rd) {
+		left, ok := untilDeadline(rd)
+		if !ok {
 			return 0, c.opError("read", os.ErrDeadlineExceeded)
 		}
-		waitUntil(in.readable, c.closed, rd)
+		waitUntil(in.readable, c.closed, left)
 	}
 }
 
@@ -336,12 +377,10 @@ func (c *conn) Close() error {
 		close(c.closed)
 		c.in.mu.Lock()
 		c.in.recvClosed = true
-		c.in.queue, c.in.pending = nil, nil
-		c.in.inflight = 0
+		c.in.dropLocked()
 		c.in.mu.Unlock()
 		signal(c.in.space)
 
-		out := c.out
 		c.sendMu.Lock()
 		deliver := time.Now().Add(c.nw.plainDelay(c.localIdx, c.remoteIdx))
 		if deliver.Before(c.lastDeliver) {
@@ -349,12 +388,7 @@ func (c *conn) Close() error {
 		}
 		c.lastDeliver = deliver
 		c.sendMu.Unlock()
-		c.nw.sched.schedule(deliver, func() {
-			out.mu.Lock()
-			out.eof = true
-			out.mu.Unlock()
-			signal(out.readable)
-		})
+		c.nw.sched.schedule(deliver, arrival{from: c})
 		if c.pair.closedEnds.Add(1) == 2 {
 			c.nw.dropPair(c.pair)
 		}

@@ -1,70 +1,62 @@
 package simnet
 
 import (
-	"container/heap"
 	"sync"
 	"time"
 )
 
-// event is one scheduled delivery. Events fire in (at, seq) order, so
-// deliveries due at the same instant keep their scheduling order — the
-// property that makes a run's delivery sequence reproducible.
+// event is one arrival waiting in the scheduler's queue. Events fire in
+// (at, seq) order, so arrivals due at the same instant keep their
+// scheduling order — the property that makes a run's delivery sequence
+// reproducible.
 type event struct {
 	at  time.Time
 	seq uint64
-	fn  func()
+	a   arrival
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if !h[i].at.Equal(h[j].at) {
-		return h[i].at.Before(h[j].at)
+func (e *event) before(f *event) bool {
+	if !e.at.Equal(f.at) {
+		return e.at.Before(f.at)
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+	return e.seq < f.seq
 }
 
 // scheduler is the network's central delivery engine: every packet
 // and EOF passes through one ordered queue instead of per-connection
 // sleeps. (The dial handshake does not: it delivers nothing, it only
 // waits out a round trip on the dialer's own goroutine — see sleepCtx.)
-// There is no standing goroutine — like transport.Pool's idle reaper, a
-// single timer is armed for the earliest due event and dispatch runs in
-// its callback, re-arming for the next. An event that is already due
-// when it is scheduled, with nothing queued ahead of it, skips the
-// queue and the timer: the scheduling goroutine becomes the dispatcher
-// and fires it on the spot. A dedicated dispatching flag keeps at most
-// one dispatcher running — timer-driven or inline — so the (at, seq)
-// order is never raced away.
+// What it delivers is an arrival, a typed value it fires in place; no
+// closure is built per packet. There is no standing goroutine — like
+// transport.Pool's idle reaper, a single timer is armed for the
+// earliest due event and dispatch runs in its callback, re-arming for
+// the next. An arrival that is already due when it is scheduled, with
+// nothing queued ahead of it, skips the queue and the timer: the
+// scheduling goroutine becomes the dispatcher and fires it on the spot.
+// Only one that must wait becomes an event, held by value in a binary
+// heap whose backing array, like the dispatcher's batch buffer, is
+// reused from packet to packet: memory is allocated only when the queue
+// outgrows every earlier length, never per packet. A dedicated
+// dispatching flag keeps at most one dispatcher running — timer-driven
+// or inline — so the (at, seq) order is never raced away.
 type scheduler struct {
 	mu          sync.Mutex
-	events      eventHeap
+	events      []event // a binary min-heap in (at, seq) order
 	seq         uint64
 	timer       *time.Timer
 	dispatching bool
 	closed      bool
 	// due is the dispatcher's batch buffer, touched only by the
 	// goroutine that holds the dispatching flag.
-	due []*event
+	due []arrival
 }
 
-// schedule queues fn to run at wall-clock time at (immediately when at
-// is already past). fn must be quick and must not call back into the
-// scheduler. The caller must hold no lock a scheduled fn takes: when at
-// is already due, fn — and any event that falls due while it runs — may
-// run on the caller's goroutine before schedule returns.
-func (s *scheduler) schedule(at time.Time, fn func()) {
+// schedule delivers a at wall-clock time at (immediately when at is
+// already past). The caller must hold no lock an arrival's fire takes:
+// when at is already due, a — and any event that falls due while it
+// fires — may be delivered on the caller's goroutine before schedule
+// returns.
+func (s *scheduler) schedule(at time.Time, a arrival) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -76,14 +68,53 @@ func (s *scheduler) schedule(at time.Time, fn func()) {
 	if !s.dispatching && (len(s.events) == 0 || s.events[0].at.After(at)) && !at.After(time.Now()) {
 		s.dispatching = true
 		s.mu.Unlock()
-		fn()
+		a.fire()
 		s.mu.Lock()
 		s.drainLocked()
 		return
 	}
-	heap.Push(&s.events, &event{at: at, seq: s.seq, fn: fn})
+	s.push(event{at: at, seq: s.seq, a: a})
 	s.armLocked()
 	s.mu.Unlock()
+}
+
+// push adds e to the heap. Callers hold s.mu.
+func (s *scheduler) push(e event) {
+	s.events = append(s.events, e)
+	for i := len(s.events) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !s.events[i].before(&s.events[parent]) {
+			break
+		}
+		s.events[i], s.events[parent] = s.events[parent], s.events[i]
+		i = parent
+	}
+}
+
+// pop removes the earliest event and returns its arrival. Callers hold
+// s.mu.
+func (s *scheduler) pop() arrival {
+	h := s.events
+	a, last := h[0].a, len(h)-1
+	h[0] = h[last]
+	h[last] = event{} // the backing array outlives the event; its packet must not
+	h = h[:last]
+	for i := 0; ; {
+		least, l, r := i, 2*i+1, 2*i+2
+		if l < len(h) && h[l].before(&h[least]) {
+			least = l
+		}
+		if r < len(h) && h[r].before(&h[least]) {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
+	s.events = h
+	return a
 }
 
 // armLocked points the timer at the earliest event. Callers hold s.mu.
@@ -120,10 +151,12 @@ func (s *scheduler) dispatch() {
 // caller holds s.mu and the dispatching flag; both are released.
 func (s *scheduler) drainLocked() {
 	for {
-		now := time.Now()
 		due := s.due[:0]
-		for len(s.events) > 0 && !s.events[0].at.After(now) {
-			due = append(due, heap.Pop(&s.events).(*event))
+		if len(s.events) > 0 { // an empty queue needs no clock read
+			now := time.Now()
+			for len(s.events) > 0 && !s.events[0].at.After(now) {
+				due = append(due, s.pop())
+			}
 		}
 		if len(due) == 0 {
 			s.dispatching = false
@@ -132,9 +165,9 @@ func (s *scheduler) drainLocked() {
 			return
 		}
 		s.mu.Unlock()
-		for i, e := range due {
-			e.fn()
-			due[i] = nil // the buffer outlives the batch; the packet fn holds must not
+		for i, a := range due {
+			a.fire()
+			due[i] = arrival{} // the buffer outlives the batch; the packet must not
 		}
 		s.mu.Lock()
 		s.due = due

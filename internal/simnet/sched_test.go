@@ -5,9 +5,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math/rand"
 	"net"
 	"os"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -38,76 +40,129 @@ func connPair(t *testing.T, nw *Network, a, b string) (dialed, accepted net.Conn
 	return dialed, accepted
 }
 
-// TestSchedulerKeepsOrderThroughInlinePath: an event already due when
-// scheduled fires on the scheduling goroutine, and whatever mix of due
-// and future, equal and unequal times is scheduled around it still
-// fires in (at, seq) order — the inline dispatcher drains what queued
+// TestSchedulerKeepsOrderThroughInlinePath: an arrival already due
+// when scheduled fires on the scheduling goroutine, and whatever mix of
+// due and future, equal and unequal times is scheduled around it still
+// lands in (at, seq) order — the inline dispatcher drains what queued
 // up behind it exactly as the timer-driven one does.
 func TestSchedulerKeepsOrderThroughInlinePath(t *testing.T) {
+	nw := faultNetwork(t, 3, Config{TimeScale: 1e-6, Seed: 3})
+	w, _ := connPair(t, nw, "host-0", "host-1")
+	src := w.(*conn)
 	s := &scheduler{}
 	defer s.close()
-	var mu sync.Mutex
-	var order []string
-	note := func(name string) func() {
-		return func() {
-			mu.Lock()
-			order = append(order, name)
-			mu.Unlock()
+	pkt := func(name string) arrival { return arrival{src, []byte(name)} }
+	// landed lists the packets in the receiving inbox, in order.
+	landed := func() []string {
+		in := src.out
+		in.mu.Lock()
+		defer in.mu.Unlock()
+		var got []string
+		for _, p := range in.queue[in.head:] {
+			got = append(got, string(p))
 		}
+		return got
 	}
-	fired := func() []string {
-		mu.Lock()
-		defer mu.Unlock()
-		return append([]string(nil), order...)
+	waitLanded := func(n int) {
+		for end := time.Now().Add(5 * time.Second); len(landed()) < n && time.Now().Before(end); {
+			time.Sleep(time.Millisecond)
+		}
 	}
 	base := time.Now()
 
-	// On an idle scheduler a due event runs before schedule returns.
-	s.schedule(base.Add(-time.Second), note("idle"))
-	if got := fired(); !reflect.DeepEqual(got, []string{"idle"}) {
-		t.Fatalf("a due event on an idle scheduler did not fire inline: %v", got)
+	// On an idle scheduler a due arrival lands before schedule returns.
+	s.schedule(base.Add(-time.Second), pkt("idle"))
+	if got := landed(); !reflect.DeepEqual(got, []string{"idle"}) {
+		t.Fatalf("a due arrival on an idle scheduler did not fire inline: %v", got)
 	}
 
-	// Park an inline dispatcher inside its event and schedule behind it.
-	started, release := make(chan struct{}), make(chan struct{})
+	// Park an inline dispatcher inside its arrival and schedule behind
+	// it: a packet asks the network whether its link is cut before it
+	// lands, so holding the network's lock holds the dispatcher there.
+	nw.mu.Lock()
 	gateDone := make(chan struct{})
 	go func() {
 		defer close(gateDone)
-		s.schedule(base.Add(-time.Second), func() {
-			note("gate")()
-			close(started)
-			<-release
-		})
+		s.schedule(base.Add(-time.Second), pkt("gate"))
 	}()
-	<-started
-	wFired, eFired := make(chan struct{}), make(chan struct{})
-	future := time.Now().Add(300 * time.Millisecond)
-	s.schedule(base, note("x"))                               // due
-	s.schedule(base.Add(-10*time.Millisecond), note("y"))     // due, earlier than x
-	s.schedule(base.Add(-10*time.Millisecond), note("z"))     // due, same instant as y, scheduled later
-	s.schedule(future, func() { note("w")(); close(wFired) }) // not due
-	s.schedule(base, note("v"))                               // due, same instant as x, scheduled later
-	if got := fired(); !reflect.DeepEqual(got, []string{"idle", "gate"}) {
-		t.Fatalf("events fired past a running dispatcher: %v", got)
+	for dispatching := false; !dispatching; {
+		time.Sleep(time.Millisecond)
+		s.mu.Lock()
+		dispatching = s.dispatching
+		s.mu.Unlock()
 	}
-	close(release)
+	future := time.Now().Add(300 * time.Millisecond)
+	s.schedule(base, pkt("x"))                           // due
+	s.schedule(base.Add(-10*time.Millisecond), pkt("y")) // due, earlier than x
+	s.schedule(base.Add(-10*time.Millisecond), pkt("z")) // due, same instant as y, scheduled later
+	s.schedule(future, pkt("w"))                         // not due
+	s.schedule(base, pkt("v"))                           // due, same instant as x, scheduled later
+	if got := landed(); !reflect.DeepEqual(got, []string{"idle"}) {
+		t.Fatalf("arrivals landed past a running dispatcher: %v", got)
+	}
+	nw.mu.Unlock()
 	<-gateDone // the gate's goroutine drains everything due before schedule returns
-	if got := fired(); !reflect.DeepEqual(got, []string{"idle", "gate", "y", "z", "x", "v"}) {
+	if got := landed(); !reflect.DeepEqual(got, []string{"idle", "gate", "y", "z", "x", "v"}) {
 		t.Fatalf("drain order %v, want y z x v after the gate", got)
 	}
 
-	// With w queued for later: a due event ahead of it goes inline, one
-	// at w's own instant waits its turn behind w.
-	s.schedule(future, func() { note("e")(); close(eFired) })
-	s.schedule(time.Now(), note("d"))
-	if got := fired(); got[len(got)-1] != "d" {
-		t.Fatalf("a due event behind nothing earlier did not fire inline: %v", got)
+	// With w queued for later: a due arrival ahead of it goes inline,
+	// one at w's own instant waits its turn behind w.
+	s.schedule(future, pkt("e"))
+	s.schedule(time.Now(), pkt("d"))
+	if got := landed(); got[len(got)-1] != "d" {
+		t.Fatalf("a due arrival behind nothing earlier did not fire inline: %v", got)
 	}
-	<-wFired
-	<-eFired
 	want := []string{"idle", "gate", "y", "z", "x", "v", "d", "w", "e"}
-	if got := fired(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("fired %v, want %v", got, want)
+	waitLanded(len(want))
+	if got := landed(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("landed %v, want %v", got, want)
+	}
+}
+
+// TestSchedulerDrainsQueueInOrder: arrivals that queue up behind a
+// parked dispatcher, at a few shared instants in random order, land
+// sorted by instant and, within one instant, in scheduling order.
+func TestSchedulerDrainsQueueInOrder(t *testing.T) {
+	nw := faultNetwork(t, 3, Config{TimeScale: 1e-6, Seed: 3})
+	w, _ := connPair(t, nw, "host-0", "host-1")
+	src := w.(*conn)
+	s := &scheduler{}
+	defer s.close()
+	nw.mu.Lock()
+	gateDone := make(chan struct{})
+	base := time.Now()
+	go func() {
+		defer close(gateDone)
+		s.schedule(base.Add(-time.Hour), arrival{src, []byte{0, 0}})
+	}()
+	for dispatching := false; !dispatching; {
+		time.Sleep(time.Millisecond)
+		s.mu.Lock()
+		dispatching = s.dispatching
+		s.mu.Unlock()
+	}
+	rng := rand.New(rand.NewSource(1))
+	type key struct{ at, seq int }
+	want := []key{{-1, 0}}
+	for seq := 1; seq <= 300; seq++ {
+		at := rng.Intn(7)
+		want = append(want, key{at, seq})
+		s.schedule(base.Add(time.Duration(at-10)*time.Millisecond), arrival{src, []byte{byte(at), byte(seq), byte(seq >> 8)}})
+	}
+	nw.mu.Unlock()
+	<-gateDone
+	slices.SortStableFunc(want, func(a, b key) int { return a.at - b.at })
+	in := src.out
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if len(in.queue)-in.head != len(want) {
+		t.Fatalf("%d arrivals landed, want %d", len(in.queue)-in.head, len(want))
+	}
+	for i, p := range in.queue[in.head:] {
+		if i > 0 && (int(p[0]) != want[i].at || int(p[1])|int(p[2])<<8 != want[i].seq) {
+			t.Fatalf("arrival %d is (at %d, seq %d), want (%d, %d)", i, p[0], int(p[1])|int(p[2])<<8, want[i].at, want[i].seq)
+		}
 	}
 }
 

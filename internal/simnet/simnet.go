@@ -12,15 +12,21 @@
 // to a connection is queued with a due time — the link's current
 // one-way latency plus optional jitter and loss-retransmission delay,
 // scaled by Config.TimeScale — and becomes readable at the peer when
-// the scheduler delivers it. Events fire strictly in (due time,
-// scheduling order). Same-tick rule: when the scaled delay is so short
-// that a packet is already due by the time it reaches the scheduler,
-// and nothing is queued ahead of it, it is delivered on the writer's
-// own goroutine before Write returns instead of through the timer —
-// same order, no hand-off. Bandwidth is not modeled; ordering is FIFO
-// per direction. Dial blocks for one round trip, like a TCP handshake,
-// on the dialer's own goroutine (a wait under a microsecond of wall
-// clock is spun out rather than slept).
+// the scheduler delivers it. What the scheduler delivers is an arrival:
+// a typed value naming the link, the receiving endpoint and the packet,
+// or the sender's FIN, which it fires in place; no closure is built per
+// packet. Arrivals fire strictly in (due time, scheduling order).
+// Same-tick rule: when the scaled delay is so short that a packet is
+// already due by the time it reaches the scheduler, and nothing is
+// queued ahead of it, it is delivered on the writer's own goroutine
+// before Write returns instead of through the timer — same order, no
+// hand-off, and no event. Only an arrival that must wait becomes an
+// event in the queue, held there by value. A delivered packet joins its
+// endpoint's inbox, whose backing array Read reuses once it has drained
+// it. Bandwidth is not modeled; ordering is FIFO per direction. Dial
+// blocks for one round trip, like a TCP handshake, on the dialer's own
+// goroutine (a wait under a microsecond of wall clock is spun out rather
+// than slept).
 //
 // # Faults
 //
@@ -708,6 +714,19 @@ func (h *Host) DialContext(ctx context.Context, _, address string) (net.Conn, er
 	h.net.mu.Unlock()
 
 	cli, srv := h.net.newPair(h.idx, peerIdx, addr(h.name), addr(address))
+	// An open listener's backlog almost always has room: hand the
+	// connection over without the wait below, which asks ctx for its
+	// Done channel (a context builds one on first ask). A closed
+	// listener is refused there, as is a dial left waiting for room.
+	select {
+	case <-l.done:
+	default:
+		select {
+		case l.backlog <- srv:
+			return cli, nil
+		default:
+		}
+	}
 	select {
 	case l.backlog <- srv:
 		return cli, nil
