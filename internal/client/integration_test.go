@@ -51,7 +51,6 @@ func testSystem(t *testing.T, numHosts, numLM, dim int, alg core.Algorithm) (
 		Dim:       dim,
 		Algorithm: alg,
 		Seed:      1,
-		NMFIters:  2000,
 		Logger:    log.New(testWriter{t}, "", 0),
 	})
 	if err != nil {

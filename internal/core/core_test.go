@@ -153,7 +153,7 @@ func TestFitNMFWithMask(t *testing.T) {
 	mask.Fill(1)
 	mask.Set(0, 3, 0)
 	mask.Set(3, 0, 0)
-	m, err := Fit(d, FitOptions{Dim: 3, Algorithm: NMF, Seed: 3, Mask: mask, NMFIters: 600})
+	m, err := Fit(d, FitOptions{Dim: 3, Algorithm: NMF, Seed: 3, Mask: mask})
 	if err != nil {
 		t.Fatal(err)
 	}

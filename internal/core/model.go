@@ -66,8 +66,6 @@ type FitOptions struct {
 	// Seed steers randomized initialization (NMF) and the randomized
 	// truncated SVD path for large matrices.
 	Seed int64
-	// NMFIters overrides the NMF iteration budget (default 200).
-	NMFIters int
 	// Mask marks observed entries of the landmark matrix; requires NMF
 	// (SVD cannot fit around holes — the very limitation §4.2 discusses).
 	Mask *mat.Dense
@@ -123,9 +121,8 @@ func Fit(landmarks *mat.Dense, opts FitOptions) (*Model, error) {
 		return &Model{X: f.X, Y: f.Y, Algorithm: SVD}, nil
 	case NMF:
 		res, err := factor.NMF(landmarks, opts.Dim, factor.NMFOptions{
-			Iters: opts.NMFIters,
-			Seed:  opts.Seed,
-			Mask:  opts.Mask,
+			Seed: opts.Seed,
+			Mask: opts.Mask,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("core: fitting landmarks: %w", err)

@@ -4,8 +4,9 @@
 // paper order: cmd/idesbench prints each table, the root bench_test.go
 // runs each entry as a sub-benchmark, and the tests here assert on the
 // cells idesbench prints. Experiments take a Scale: Quick shrinks the
-// largest dataset and iteration budgets so the whole suite runs in
-// seconds; Full uses the paper's sizes.
+// largest dataset and Fig 3's dimension sweeps so the whole suite runs in
+// about a minute; Full uses the paper's sizes. Every NMF fit, at either
+// scale, runs until it has converged (factor.NMF's stopping rule).
 package experiments
 
 import (
@@ -23,8 +24,8 @@ import (
 type Scale int
 
 const (
-	// Quick shrinks P2PSim to a few hundred hosts and trims iteration
-	// budgets; every qualitative conclusion is preserved.
+	// Quick shrinks P2PSim to a few hundred hosts and Fig 3's dimension
+	// sweeps to six points; every qualitative conclusion is preserved.
 	Quick Scale = iota
 	// Full uses the paper's dataset sizes (P2PSim at 1143 hosts, the full
 	// dimension sweeps). Minutes of CPU.

@@ -4,6 +4,9 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"github.com/ides-go/ides/internal/core"
+	"github.com/ides-go/ides/internal/stats"
 )
 
 // These tests run the Quick-scale experiments — the same sweeps
@@ -157,6 +160,29 @@ func TestFig6GNPDatasetRuns(t *testing.T) {
 		}
 		if med := cell(t, tab, r.Label, "median"); med > 1.5 {
 			t.Errorf("%s: median %v implausibly bad", r.Label, med)
+		}
+	}
+}
+
+// TestFig6GNPNMFMatchesSVD: on Fig 6(a)'s GNP landmark fit a converged
+// NMF model predicts about as well as SVD at every seed — the paper's
+// "SVD ≈ NMF for d < 10". GNP (the slow simplex system) is not run.
+func TestFig6GNPNMFMatchesSVD(t *testing.T) {
+	t.Parallel()
+	for _, seed := range []int64{1, 7, 42, 1234} {
+		p, err := gnpAGNPProblem(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		median := func(alg core.Algorithm) float64 {
+			errs, err := runIDES(p, predictionDim, alg, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return stats.Median(errs)
+		}
+		if svd, nmf := median(core.SVD), median(core.NMF); nmf > 1.15*svd {
+			t.Errorf("seed %d: IDES/NMF median %.4f is more than 15%% above IDES/SVD's %.4f", seed, nmf, svd)
 		}
 	}
 }

@@ -11,8 +11,10 @@ import (
 // Fig3 reproduces Figure 3(a)/(b): median reconstruction error versus
 // model dimension for Lipschitz+PCA, SVD and NMF on the NLANR or P2PSim
 // dataset. The paper's qualitative result: SVD ≈ NMF for d < 10, both far
-// below Lipschitz+PCA (5x at d=10); SVD edges out NMF at large d because
-// NMF only reaches local minima; returns diminish beyond d ≈ 10.
+// below Lipschitz+PCA (5x at d=10); returns diminish beyond d ≈ 10. The
+// paper also has SVD edge out NMF at large d because NMF only reaches
+// local minima; with NMF run to convergence the two stay close at d=40
+// (within 5 % on NLANR, 13 % on P2PSim at seed 42).
 func Fig3(dsName string, scale Scale, seed int64) (Table, error) {
 	fig, err := panel("3", dsName, "NLANR", "P2PSim")
 	if err != nil {
@@ -23,13 +25,11 @@ func Fig3(dsName string, scale Scale, seed int64) (Table, error) {
 		return Table{}, fmt.Errorf("fig3: %w", err)
 	}
 	dims := []int{1, 2, 3, 5, 7, 10, 15, 20, 30, 40, 60, 80}
-	nmfIters := 200
 	if dsName == "P2PSim" {
 		dims = append(dims, 100) // Fig. 3(b)'s x-axis reaches 100
 	}
 	if scale == Quick {
 		dims = []int{1, 2, 5, 10, 20, 40}
-		nmfIters = 100
 	}
 
 	tab := Table{
@@ -42,7 +42,7 @@ func Fig3(dsName string, scale Scale, seed int64) (Table, error) {
 		if err != nil {
 			return Table{}, fmt.Errorf("fig3: svd d=%d: %w", d, err)
 		}
-		nmf, err := factor.NMF(ds.D, d, factor.NMFOptions{Iters: nmfIters, Seed: seed})
+		nmf, err := factor.NMF(ds.D, d, factor.NMFOptions{Seed: seed})
 		if err != nil {
 			return Table{}, fmt.Errorf("fig3: nmf d=%d: %w", d, err)
 		}

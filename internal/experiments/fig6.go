@@ -6,10 +6,6 @@ import (
 	"github.com/ides-go/ides/internal/dataset"
 )
 
-// fig6NMFIters is the NMF budget for prediction experiments (the paper's
-// default of 200 iterations).
-const fig6NMFIters = 200
-
 // predictionDatasets are the datasets of §6, in the order of Figure 6's
 // panels and Table 1's rows.
 var predictionDatasets = []string{"GNP", "NLANR", "P2PSim"}

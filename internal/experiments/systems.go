@@ -65,8 +65,8 @@ type system struct {
 // order: Figure 6 scores each, Table 1 times each.
 func systems(p *predictionProblem, seed int64) []system {
 	return []system{
-		{"IDES/SVD", func() ([]float64, error) { return runIDES(p, predictionDim, core.SVD, seed, 0) }},
-		{"IDES/NMF", func() ([]float64, error) { return runIDES(p, predictionDim, core.NMF, seed, fig6NMFIters) }},
+		{"IDES/SVD", func() ([]float64, error) { return runIDES(p, predictionDim, core.SVD, seed) }},
+		{"IDES/NMF", func() ([]float64, error) { return runIDES(p, predictionDim, core.NMF, seed) }},
 		{"ICS", func() ([]float64, error) { return runICS(p, predictionDim) }},
 		{"GNP", func() ([]float64, error) { return runGNP(p, predictionDim, seed) }},
 	}
@@ -74,11 +74,18 @@ func systems(p *predictionProblem, seed int64) []system {
 
 // runIDES fits the landmark model, batch-places all hosts, and returns the
 // prediction error sample.
-func runIDES(p *predictionProblem, dim int, alg core.Algorithm, seed int64, nmfIters int) ([]float64, error) {
-	model, err := core.Fit(p.dl, core.FitOptions{Dim: dim, Algorithm: alg, Seed: seed, NMFIters: nmfIters})
+func runIDES(p *predictionProblem, dim int, alg core.Algorithm, seed int64) ([]float64, error) {
+	model, err := core.Fit(p.dl, core.FitOptions{Dim: dim, Algorithm: alg, Seed: seed})
 	if err != nil {
 		return nil, fmt.Errorf("ides/%v: %w", alg, err)
 	}
+	return placeIDES(p, model)
+}
+
+// placeIDES batch-places all hosts of p in a fitted landmark model and
+// returns the prediction error sample.
+func placeIDES(p *predictionProblem, model *core.Model) ([]float64, error) {
+	alg := model.Algorithm
 	src, err := model.PlaceAll(p.srcOut, p.srcIn)
 	if err != nil {
 		return nil, fmt.Errorf("ides/%v: placing sources: %w", alg, err)

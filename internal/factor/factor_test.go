@@ -135,12 +135,15 @@ func TestNMFRankOneExact(t *testing.T) {
 			d.Set(i, j, u[i]*v[j])
 		}
 	}
-	res, err := NMF(d, 1, NMFOptions{Iters: 500, Seed: 42})
+	res, err := NMF(d, 1, NMFOptions{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Reconstruct().Equal(d, 1e-3*mat.MaxAbs(d)) {
 		t.Fatalf("rank-1 NMF should be near exact, got\n%v\nwant\n%v", res.Reconstruct(), d)
+	}
+	if res.Rounds >= nmfMaxRounds {
+		t.Fatalf("rank-1 NMF ran to the %d-round cap instead of stopping at convergence", res.Rounds)
 	}
 }
 
@@ -150,7 +153,7 @@ func TestNMFNonnegativity(t *testing.T) {
 	for i := range d.Data() {
 		d.Data()[i] = rng.Float64() * 100
 	}
-	res, err := NMF(d, 4, NMFOptions{Iters: 100, Seed: 1})
+	res, err := NMF(d, 4, NMFOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,15 +183,148 @@ func TestNMFMonotoneDecrease(t *testing.T) {
 	for i := range d.Data() {
 		d.Data()[i] = rng.Float64() * 50
 	}
-	res, err := NMF(d, 3, NMFOptions{Iters: 60, Seed: 2, TrackError: true})
+	assertMonotone(t, d, nil, 3, 2, 60)
+}
+
+// assertMonotone runs rounds plain update rounds from NMF's initialization
+// and fails if the (masked) objective ever rises.
+func assertMonotone(t *testing.T, d, mask *mat.Dense, dim int, seed int64, rounds int) {
+	t.Helper()
+	p := newNMFData(d, mask)
+	x, y := nmfInit(d, mask, dim, seed)
+	prev := nmfObjective(d, mask, x, y)
+	for i := 1; i <= rounds; i++ {
+		nmfRound(p, x, y)
+		obj := nmfObjective(d, mask, x, y)
+		// Allow a whisper of floating-point slack; Lee-Seung is monotone.
+		if obj > prev*(1+1e-9)+1e-9 {
+			t.Fatalf("objective increased at round %d: %v -> %v", i, prev, obj)
+		}
+		prev = obj
+	}
+}
+
+// TestNMFStopsNoWorseThanFixedBudget: the stopping rule must not quit
+// before the old fixed budget had got to — from the same start, the
+// stopped fit's objective is at most the objective after 200 plain rounds.
+func TestNMFStopsNoWorseThanFixedBudget(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	xw := mat.NewDense(25, 4)
+	yw := mat.NewDense(25, 4)
+	for i := range xw.Data() {
+		xw.Data()[i] = rng.Float64()
+		yw.Data()[i] = rng.Float64()
+	}
+	d := mat.MulABT(xw, yw)
+	for i := range d.Data() {
+		d.Data()[i] *= 1 + 0.2*rng.Float64() // off rank 4, so the fit takes a while
+	}
+	mask := mat.NewDense(25, 25)
+	mask.Fill(1)
+	for i := range mask.Data() {
+		if rng.Float64() < 0.2 {
+			mask.Data()[i] = 0
+		}
+	}
+	const seed = 14
+	for _, m := range []*mat.Dense{nil, mask} {
+		p := newNMFData(d, m)
+		x, y := nmfInit(d, m, 6, seed)
+		for i := 0; i < 200; i++ {
+			nmfRound(p, x, y)
+		}
+		fixed := nmfObjective(d, m, x, y)
+		res, err := NMF(d, 6, NMFOptions{Seed: seed, Mask: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.FinalError > fixed {
+			t.Errorf("masked=%v: stopped after %d rounds at objective %v, above 200 rounds' %v",
+				m != nil, res.Rounds, res.FinalError, fixed)
+		}
+		if res.Rounds >= nmfMaxRounds {
+			t.Errorf("masked=%v: ran to the %d-round cap", m != nil, res.Rounds)
+		}
+	}
+}
+
+// TestNMFMaskedUpdateMatchesEqs89: the masked round, written as products
+// with zeroed entries, must equal Eqs. 8–9 summed over observed entries
+// one by one — bit for bit, since a zeroed entry adds an exact zero.
+func TestNMFMaskedUpdateMatchesEqs89(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	const m, n, k = 13, 9, 3
+	d := mat.NewDense(m, n)
+	mask := mat.NewDense(m, n)
+	for i := range d.Data() {
+		d.Data()[i] = 100 * rng.Float64()
+		if rng.Float64() > 0.3 {
+			mask.Data()[i] = 1
+		}
+	}
+	x, y := nmfInit(d, mask, k, 22)
+	wantX, wantY := x.Clone(), y.Clone()
+	nmfUpdateMasked(newNMFData(d, mask), x, y)
+
+	// X_ia ← X_ia · Σ_j M_ij D_ij Y_ja / Σ_j M_ij (XYᵀ)_ij Y_ja, then Y
+	// likewise against the updated X.
+	est := mat.MulABT(wantX, wantY)
+	for i := 0; i < m; i++ {
+		for a := 0; a < k; a++ {
+			var num, den float64
+			for j := 0; j < n; j++ {
+				if mask.At(i, j) != 0 {
+					num += d.At(i, j) * wantY.At(j, a)
+					den += est.At(i, j) * wantY.At(j, a)
+				}
+			}
+			wantX.Set(i, a, wantX.At(i, a)*(num/(den+nmfEps)))
+		}
+	}
+	est = mat.MulABT(wantX, wantY)
+	for j := 0; j < n; j++ {
+		for a := 0; a < k; a++ {
+			var num, den float64
+			for i := 0; i < m; i++ {
+				if mask.At(i, j) != 0 {
+					num += d.At(i, j) * wantX.At(i, a)
+					den += est.At(i, j) * wantX.At(i, a)
+				}
+			}
+			wantY.Set(j, a, wantY.At(j, a)*(num/(den+nmfEps)))
+		}
+	}
+	if !x.Equal(wantX, 0) || !y.Equal(wantY, 0) {
+		t.Fatal("masked round differs from Eqs. 8–9 over observed entries")
+	}
+}
+
+// TestNMFStopsAtExactFit: on data the model reproduces exactly, the
+// objective falls geometrically toward zero and each window keeps
+// lowering it by far more than nmfTol; the fit must stop once the
+// objective is negligible next to the data, not run to the cap.
+func TestNMFStopsAtExactFit(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	xw := mat.NewDense(20, 2)
+	yw := mat.NewDense(20, 2)
+	for i := range xw.Data() {
+		xw.Data()[i] = 1 + rng.Float64()
+		yw.Data()[i] = 1 + rng.Float64()
+	}
+	d := mat.MulABT(xw, yw)
+	res, err := NMF(d, 2, NMFOptions{Seed: 1}) // 5,000 rounds without the floor
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i < len(res.History); i++ {
-		// Allow a whisper of floating-point slack; Lee-Seung is monotone.
-		if res.History[i] > res.History[i-1]*(1+1e-9)+1e-9 {
-			t.Fatalf("objective increased at iter %d: %v -> %v", i, res.History[i-1], res.History[i])
-		}
+	var norm float64
+	for _, v := range d.Data() {
+		norm += v * v
+	}
+	if res.Rounds >= nmfMaxRounds {
+		t.Fatalf("exact rank-2 fit ran to the %d-round cap (objective %v)", res.Rounds, res.FinalError)
+	}
+	if res.FinalError > nmfTol*nmfTol*norm {
+		t.Errorf("stopped at objective %v, above the floor %v", res.FinalError, nmfTol*nmfTol*norm)
 	}
 }
 
@@ -212,16 +348,19 @@ func TestNMFDeterministicForSeed(t *testing.T) {
 	for i := range d.Data() {
 		d.Data()[i] = rng.Float64() * 10
 	}
-	r1, err := NMF(d, 2, NMFOptions{Iters: 50, Seed: 11})
+	r1, err := NMF(d, 2, NMFOptions{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := NMF(d, 2, NMFOptions{Iters: 50, Seed: 11})
+	r2, err := NMF(d, 2, NMFOptions{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !r1.X.Equal(r2.X, 0) || !r1.Y.Equal(r2.Y, 0) {
 		t.Fatal("same seed must reproduce identical factors")
+	}
+	if r1.Rounds != r2.Rounds {
+		t.Fatalf("same seed stopped after %d and %d rounds", r1.Rounds, r2.Rounds)
 	}
 }
 
@@ -249,7 +388,7 @@ func TestNMFMaskedIgnoresMissing(t *testing.T) {
 			}
 		}
 	}
-	res, err := NMF(d, 2, NMFOptions{Iters: 800, Seed: 4, Mask: mask})
+	res, err := NMF(d, 2, NMFOptions{Seed: 4, Mask: mask})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,11 +407,11 @@ func TestNMFMaskedObjectiveOnlyObserved(t *testing.T) {
 	dCorrupt := d.Clone()
 	dCorrupt.Set(0, 1, 1e6)
 	mask := mat.FromRows([][]float64{{1, 0}, {1, 1}})
-	r1, err := NMF(d, 1, NMFOptions{Iters: 100, Seed: 5, Mask: mask})
+	r1, err := NMF(d, 1, NMFOptions{Seed: 5, Mask: mask})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := NMF(dCorrupt, 1, NMFOptions{Iters: 100, Seed: 5, Mask: mask})
+	r2, err := NMF(dCorrupt, 1, NMFOptions{Seed: 5, Mask: mask})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +437,7 @@ func TestSVDvsNMFOnLowRankRTT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fn, err := NMF(d, 5, NMFOptions{Iters: 400, Seed: 6})
+	fn, err := NMF(d, 5, NMFOptions{Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,16 +467,7 @@ func TestNMFMaskedMonotoneDecrease(t *testing.T) {
 			}
 		}
 	}
-	res, err := NMF(d, 4, NMFOptions{Iters: 80, Seed: 51, Mask: mask, TrackError: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(res.History); i++ {
-		if res.History[i] > res.History[i-1]*(1+1e-9)+1e-9 {
-			t.Fatalf("masked objective increased at iter %d: %v -> %v",
-				i, res.History[i-1], res.History[i])
-		}
-	}
+	assertMonotone(t, d, mask, 4, 51, 80)
 }
 
 // TestFactorsAccessors pins the vector accessor semantics (shared storage).

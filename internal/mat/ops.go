@@ -42,25 +42,15 @@ func MulABT(a, b *Dense) *Dense {
 	return out
 }
 
-// MulATB returns aᵀ * b.
+// MulATB returns aᵀ * b. It runs on Mul's kernel over a transposed copy
+// of a, which sums each entry over the rows of a and b in ascending
+// order, as the direct loop would.
 func MulATB(a, b *Dense) *Dense {
 	if a.rows != b.rows {
 		panic(fmt.Sprintf("mat: MulATB shape mismatch (%dx%d)ᵀ * %dx%d", a.rows, a.cols, b.rows, b.cols))
 	}
 	out := NewDense(a.cols, b.cols)
-	for k := 0; k < a.rows; k++ {
-		arow := a.data[k*a.cols : (k+1)*a.cols]
-		brow := b.data[k*b.cols : (k+1)*b.cols]
-		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			drow := out.data[i*b.cols : (i+1)*b.cols]
-			for j, bv := range brow {
-				drow[j] += av * bv
-			}
-		}
-	}
+	mulRows(out, a.T(), b, 0, a.cols)
 	return out
 }
 

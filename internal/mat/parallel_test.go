@@ -8,9 +8,10 @@ import (
 
 func TestMulParallelMatchesSerialExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
-	// Large enough to trigger the parallel path.
-	a := randomMatrix(rng, 300, 250)
-	b := randomMatrix(rng, 250, 280)
+	// Large enough to trigger the parallel path; 301 rows split into row
+	// blocks that start or end on an odd row of the kernel's 2-row tiles.
+	a := randomMatrix(rng, 301, 250)
+	b := randomMatrix(rng, 250, 283)
 	serial := Mul(a, b)
 	parallel := MulParallel(a, b)
 	// Bitwise identical: same per-row accumulation order.

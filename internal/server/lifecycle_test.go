@@ -250,7 +250,6 @@ func TestQueriesServeDuringRefit(t *testing.T) {
 		Dim:              2,
 		Algorithm:        core.NMF,
 		Seed:             1,
-		NMFIters:         60,
 		RefitMinInterval: time.Nanosecond,
 		RefitThreshold:   1,
 		Logger:           log.New(gate, "", 0),

@@ -98,8 +98,6 @@ type Config struct {
 	Algorithm core.Algorithm
 	// Seed steers model fitting.
 	Seed int64
-	// NMFIters overrides the NMF iteration budget.
-	NMFIters int
 	// RequestTimeout bounds a single request/response exchange on a
 	// connection. Default 30s.
 	RequestTimeout time.Duration
@@ -279,7 +277,6 @@ func New(cfg Config) (*Server, error) {
 			Dim:       cfg.Dim,
 			Algorithm: cfg.Algorithm,
 			Seed:      cfg.Seed,
-			NMFIters:  cfg.NMFIters,
 		}, solve.SGDOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("server: %w", err)

@@ -45,7 +45,7 @@ func testServer(t *testing.T, lm []string, alg core.Algorithm) *Server {
 // ReportRTT frames and returns it ready to serve a model.
 func ringLandmarks(t *testing.T, alg core.Algorithm) *Server {
 	t.Helper()
-	return ringServer(t, Config{Dim: 3, Algorithm: alg, Seed: 1, NMFIters: 500})
+	return ringServer(t, Config{Dim: 3, Algorithm: alg, Seed: 1})
 }
 
 // ringServer is ringLandmarks over any configuration; it names the
@@ -283,7 +283,7 @@ func TestIncompleteMatrixSVDFailsNMFWorks(t *testing.T) {
 	if _, err := svd.Model(); err == nil {
 		t.Fatal("SVD with a hole in the matrix must refuse to fit")
 	}
-	nmf, err := New(Config{Landmarks: lm, Dim: 2, Algorithm: core.NMF, Seed: 1, NMFIters: 300})
+	nmf, err := New(Config{Landmarks: lm, Dim: 2, Algorithm: core.NMF, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,7 @@ func TestNormalizeDefaultsAndRejects(t *testing.T) {
 // reverse side again.
 func TestMirroredStepOverriddenByDirectMeasurement(t *testing.T) {
 	d := topoMatrix(t, 29)
-	sv, err := NewSGD(confLandmarks, core.FitOptions{Dim: confDim, Algorithm: core.NMF, Seed: 7, NMFIters: 50}, SGDOptions{})
+	sv, err := NewSGD(confLandmarks, core.FitOptions{Dim: confDim, Algorithm: core.NMF, Seed: 7}, SGDOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

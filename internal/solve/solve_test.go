@@ -348,7 +348,7 @@ func TestSeedValidation(t *testing.T) {
 		alg    core.Algorithm
 		wantOK bool
 	}{{core.SVD, false}, {core.NMF, true}} {
-		sv, err := NewBatch(confLandmarks, core.FitOptions{Dim: confDim, Algorithm: tc.alg, Seed: 7, NMFIters: 50})
+		sv, err := NewBatch(confLandmarks, core.FitOptions{Dim: confDim, Algorithm: tc.alg, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
