@@ -99,8 +99,8 @@
 //     FitVivaldi);
 //   - the deterministic simulation stack: internal/simnet is an
 //     in-process network fabric (central event scheduler, per-link
-//     seeded jitter/loss/reset streams, runtime-scriptable faults:
-//     Partition/Heal, CutLink, SetLatency, SetLatencyScale, Kill/Revive)
+//     seeded jitter/loss streams, runtime-scriptable faults:
+//     Partition/Heal, SetLatencyScale, Kill/Revive)
 //     and internal/harness boots the full service over it — real server,
 //     landmark and client code, virtual wire — with scenario steps and
 //     accuracy/recovery assertions. The same seed reproduces the same

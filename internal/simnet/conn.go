@@ -152,7 +152,7 @@ func (a arrival) fire() {
 		signal(in.readable)
 		return
 	}
-	cut := c.nw.linkCut(c.localIdx, c.remoteIdx)
+	cut := c.nw.cut(c.localIdx, c.remoteIdx)
 	in.mu.Lock()
 	if cut || in.err != nil || in.recvClosed {
 		in.consumeLocked()
@@ -174,8 +174,9 @@ type pairConn struct {
 	closedEnds atomic.Int32
 }
 
-// reset tears both directions down with err — the conn-reset fault, and
-// what Partition/Kill do to established connections crossing the cut.
+// reset tears both directions down with err — what Partition and Kill
+// do to established connections crossing the cut, and what a write into
+// a dead host or a closed fabric does.
 func (p *pairConn) reset(err error) {
 	p.resetOnce.Do(func() {
 		p.a.in.fail(err)
@@ -238,9 +239,10 @@ func (c *conn) opError(op string, err error) error {
 
 // Write schedules p for delivery after the link's current one-way
 // latency. It blocks only on the in-flight window (a peer that stops
-// reading) — never on the propagation delay itself. Probabilistic
-// faults apply here: a lost packet is delivered late by one
-// retransmission timeout, a drawn conn-reset tears the connection down.
+// reading) — never on the propagation delay itself. Faults apply here:
+// a lost packet is delivered late by one retransmission timeout, a
+// write into a dead host resets the connection, and one across a
+// partition vanishes.
 func (c *conn) Write(p []byte) (int, error) {
 	if len(p) == 0 {
 		select {

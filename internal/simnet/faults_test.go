@@ -90,12 +90,19 @@ func TestPartitionCutsAndHealRestores(t *testing.T) {
 		t.Fatal("read across a partition must fail")
 	}
 
-	// New dials and pings across the cut fail fast with unreachable.
+	// New dials and pings across the cut fail fast with unreachable, in
+	// both directions: a cut is symmetric.
 	if _, err := h0.DialContext(ctx, "simnet", "host-1"); !errors.Is(err, errUnreachable) {
 		t.Fatalf("dial across partition: err = %v, want unreachable", err)
 	}
 	if _, err := h0.Ping(ctx, "host-4", 1); !errors.Is(err, errUnreachable) {
 		t.Fatalf("ping across partition: err = %v, want unreachable", err)
+	}
+	if _, err := h4.DialContext(ctx, "simnet", "host-0"); !errors.Is(err, errUnreachable) {
+		t.Fatalf("dial back across partition: err = %v, want unreachable", err)
+	}
+	if _, err := h4.Ping(ctx, "host-0", 1); !errors.Is(err, errUnreachable) {
+		t.Fatalf("ping back across partition: err = %v, want unreachable", err)
 	}
 
 	// Traffic on the same side of the cut still flows.
@@ -115,129 +122,6 @@ func TestPartitionCutsAndHealRestores(t *testing.T) {
 		t.Fatalf("dial after heal: %v", err)
 	}
 	conn2.Close()
-}
-
-func TestCutLinkIsPairwise(t *testing.T) {
-	nw := faultNetwork(t, 4, Config{TimeScale: 1e-5, Seed: 3})
-	h0 := mustHost(t, nw, "host-0")
-	ctx := context.Background()
-	if err := nw.CutLink("host-0", "host-2"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h0.Ping(ctx, "host-2", 1); !errors.Is(err, errUnreachable) {
-		t.Fatalf("cut link ping err = %v", err)
-	}
-	if _, err := h0.Ping(ctx, "host-1", 1); err != nil {
-		t.Fatalf("uncut link must still work: %v", err)
-	}
-	if err := nw.RestoreLink("host-0", "host-2"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h0.Ping(ctx, "host-2", 1); err != nil {
-		t.Fatalf("restored link: %v", err)
-	}
-}
-
-func TestSetLatencyOverridesGroundTruthAndPing(t *testing.T) {
-	nw := faultNetwork(t, 3, Config{TimeScale: 1e-5, Seed: 3})
-	h0 := mustHost(t, nw, "host-0")
-	base, err := nw.GroundTruthRTT("host-0", "host-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := nw.SetLatency("host-0", "host-1", 123); err != nil {
-		t.Fatal(err)
-	}
-	rtt, err := nw.GroundTruthRTT("host-0", "host-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rtt != 246 {
-		t.Fatalf("overridden RTT = %v, want 246", rtt)
-	}
-	got, err := h0.PingInstant("host-1", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ms := float64(got) / float64(time.Millisecond); ms != 246 {
-		t.Fatalf("ping over override = %vms, want 246", ms)
-	}
-	if err := nw.ClearLatency("host-0", "host-1"); err != nil {
-		t.Fatal(err)
-	}
-	back, err := nw.GroundTruthRTT("host-0", "host-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back != base {
-		t.Fatalf("cleared RTT = %v, want base %v", back, base)
-	}
-}
-
-func TestSetOneWayLatencyIsDirectional(t *testing.T) {
-	nw := faultNetwork(t, 3, Config{TimeScale: 1e-5, Seed: 3})
-	fwdBase, err := nw.GroundTruthOneWay("host-0", "host-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	revBase, err := nw.GroundTruthOneWay("host-1", "host-0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := nw.SetOneWayLatency("host-0", "host-1", fwdBase+40); err != nil {
-		t.Fatal(err)
-	}
-	fwd, err := nw.GroundTruthOneWay("host-0", "host-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rev, err := nw.GroundTruthOneWay("host-1", "host-0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fwd != fwdBase+40 {
-		t.Fatalf("forward one-way = %v, want %v", fwd, fwdBase+40)
-	}
-	if rev != revBase {
-		t.Fatalf("reverse one-way = %v, want untouched base %v", rev, revBase)
-	}
-	// The asymmetric override shows up in the measured RTT (fwd + rev).
-	h0 := mustHost(t, nw, "host-0")
-	got, err := h0.PingInstant("host-1", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Durations quantize to whole nanoseconds; allow that much slack.
-	if ms := float64(got) / float64(time.Millisecond); ms < fwd+rev-1e-6 || ms > fwd+rev+1e-6 {
-		t.Fatalf("ping = %vms, want %v", ms, fwd+rev)
-	}
-	// ClearLatency drops both directions, override or not.
-	if err := nw.ClearLatency("host-0", "host-1"); err != nil {
-		t.Fatal(err)
-	}
-	if back, _ := nw.GroundTruthOneWay("host-0", "host-1"); back != fwdBase {
-		t.Fatalf("cleared one-way = %v, want base %v", back, fwdBase)
-	}
-}
-
-func TestSetLossAllAppliesWithoutOverride(t *testing.T) {
-	nw := faultNetwork(t, 3, Config{TimeScale: 1e-5, Seed: 3})
-	h0 := mustHost(t, nw, "host-0")
-	// A per-link override wins over the global default.
-	if err := nw.SetLoss("host-0", "host-2", 0); err != nil {
-		t.Fatal(err)
-	}
-	nw.SetLossAll(1)
-	if _, err := h0.PingInstant("host-1", 4); err == nil {
-		t.Fatal("ping must fail with 100% default loss")
-	}
-	if _, err := h0.PingInstant("host-2", 1); err != nil {
-		t.Fatalf("per-link loss override must beat the global default: %v", err)
-	}
-	nw.SetLossAll(0)
-	if _, err := h0.PingInstant("host-1", 1); err != nil {
-		t.Fatalf("ping after clearing global loss: %v", err)
-	}
 }
 
 func TestSetLatencyScaleStretchesEveryLink(t *testing.T) {
@@ -289,25 +173,28 @@ func TestKillRefusesAndReviveRestores(t *testing.T) {
 	if err := nw.Kill("host-2"); err != nil {
 		t.Fatal(err)
 	}
-	if nw.Alive("host-2") {
-		t.Fatal("killed host reports alive")
-	}
 	conn.SetReadDeadline(time.Now().Add(2 * time.Second)) //nolint:errcheck
 	if _, err := conn.Read(make([]byte, 8)); err == nil {
 		t.Fatal("connection to a killed host must reset")
 	}
+	if _, err := conn.Write([]byte("x")); !errors.Is(err, errConnReset) {
+		t.Fatalf("write to a killed host: err = %v, want reset", err)
+	}
 	if _, err := h0.DialContext(ctx, "simnet", "host-2"); !errors.Is(err, errConnRefused) {
 		t.Fatalf("dial to killed host: err = %v, want refused", err)
 	}
-	if _, err := h0.Ping(ctx, "host-2", 1); err == nil {
-		t.Fatal("ping to killed host must fail")
+	if _, err := h0.Ping(ctx, "host-2", 1); !errors.Is(err, errConnRefused) {
+		t.Fatalf("ping to killed host: err = %v, want refused", err)
+	}
+	if _, err := h2.Ping(ctx, "host-0", 1); !errors.Is(err, errConnRefused) {
+		t.Fatalf("ping from killed host: err = %v, want refused", err)
 	}
 
 	if err := nw.Revive("host-2"); err != nil {
 		t.Fatal(err)
 	}
-	if !nw.Alive("host-2") {
-		t.Fatal("revived host reports dead")
+	if _, err := h0.Ping(ctx, "host-2", 1); err != nil {
+		t.Fatalf("ping after revive: %v", err)
 	}
 	// The machine is back; the application re-listens.
 	ln2, err := h2.Listen()
@@ -364,35 +251,6 @@ func TestLossDelaysDeliveryByRTO(t *testing.T) {
 	}
 	if _, err := h0.PingInstant("host-1", 3); err == nil {
 		t.Fatal("ping with 100% loss must fail")
-	}
-}
-
-func TestResetRateTearsConnectionDown(t *testing.T) {
-	nw := faultNetwork(t, 3, Config{TimeScale: 1e-5, Seed: 3})
-	if err := nw.SetReset("host-0", "host-1", 1); err != nil {
-		t.Fatal(err)
-	}
-	h0 := mustHost(t, nw, "host-0")
-	h1 := mustHost(t, nw, "host-1")
-	ln, err := h1.Listen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go echoLoop(ln)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	conn, err := h0.DialContext(ctx, "simnet", "host-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write([]byte("x")); !errors.Is(err, errConnReset) {
-		t.Fatalf("write on reset-rate-1 link: err = %v, want reset", err)
-	}
-	// The peer side observes the reset too (not a clean EOF).
-	if _, err := conn.Read(make([]byte, 8)); err == nil {
-		t.Fatal("read after reset must fail")
 	}
 }
 
@@ -487,13 +345,12 @@ func TestFaultsUnderConcurrentTraffic(t *testing.T) {
 	faults := []func(){
 		func() { nw.Partition("host-0", "host-4") }, //nolint:errcheck
 		func() { nw.Heal() },
-		func() { nw.SetLatency("host-1", "host-5", 50) }, //nolint:errcheck
-		func() { nw.ClearLatency("host-1", "host-5") },   //nolint:errcheck
-		func() { nw.SetLatencyScale(1.4) },               //nolint:errcheck
-		func() { nw.SetLatencyScale(1.0) },               //nolint:errcheck
-		func() { nw.Kill("host-6") },                     //nolint:errcheck
-		func() { nw.Revive("host-6") },                   //nolint:errcheck
-		func() { nw.SetLoss("host-3", "host-7", 0.5) },   //nolint:errcheck
+		func() { nw.SetLatencyScale(1.4) },          //nolint:errcheck
+		func() { nw.SetLatencyScale(1.0) },          //nolint:errcheck
+		func() { nw.Kill("host-6") },                //nolint:errcheck
+		func() { nw.Revive("host-6") },              //nolint:errcheck
+		func() { nw.Partition("host-3", "host-7") }, //nolint:errcheck
+		func() { nw.Heal() },
 	}
 	for round := 0; round < 30; round++ {
 		faults[round%len(faults)]()

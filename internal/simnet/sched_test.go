@@ -218,7 +218,7 @@ func TestConcurrentWritersKeepPerConnOrder(t *testing.T) {
 // byte of the data, also after the cut is healed and the delay is over.
 func TestPartitionAfterWriteEatsPacketInFlight(t *testing.T) {
 	nw := faultNetwork(t, 3, Config{TimeScale: 1, Seed: 3})
-	if err := nw.SetLatency("host-0", "host-1", 150); err != nil { // 150 ms of wall clock each way
+	if err := nw.SetLatencyScale(150 / nw.topo.OneWay(0, 1)); err != nil { // 150 ms of wall clock host-0 → host-1
 		t.Fatal(err)
 	}
 	w, r := connPair(t, nw, "host-0", "host-1")

@@ -30,25 +30,24 @@
 //
 // # Faults
 //
-// The fabric is runtime-scriptable: Partition/Heal cut and restore
-// whole host groups (established connections crossing a cut are reset,
-// new dials and pings fail fast with "network is unreachable"),
-// CutLink/RestoreLink do the same per link, SetLatency overrides a
-// link's one-way delay, SetLatencyScale stretches every topology
-// latency (a global route change), SetLoss/SetReset inject per-packet
-// loss (delivered late by one RTO, as TCP retransmission would) and
-// probabilistic connection resets, and Kill/Revive crash and restore a
-// host.
+// The fabric is runtime-scriptable, one mechanism per fault:
+// Partition/Heal cut and restore whole host groups (a cut is symmetric;
+// established connections crossing it are reset, new dials and pings
+// fail fast with "network is unreachable"), SetLatencyScale stretches
+// every topology latency (a global route change), Config.LossRate loses
+// packets (delivered late by one RTO, as TCP retransmission would), and
+// Kill/Revive crash and restore a host (its connections reset, dials and
+// pings to it are refused).
 //
 // # Determinism
 //
-// Every random draw — jitter, loss, reset — comes from a per-directed-
-// link RNG stream seeded from Config.Seed and the link's endpoint
-// indices. Two networks built with the same topology, names and seed
-// produce identical measurement sequences as long as traffic on each
-// link is issued in the same order; with JitterMean and LossRate zero
-// and no SetReset link no draws happen at all and runs are bit-for-bit
-// deterministic regardless of goroutine interleaving. Wall-clock
+// Every random draw — jitter, loss — comes from a per-directed-link RNG
+// stream seeded from Config.Seed and the link's endpoint indices. Two
+// networks built with the same topology, names and seed produce
+// identical measurement sequences as long as traffic on each link is
+// issued in the same order; with JitterMean and LossRate zero no draws
+// happen at all and runs are bit-for-bit deterministic regardless of
+// goroutine interleaving. Wall-clock
 // timing (TimeScale) never influences measured values: pings report
 // simulated time.
 package simnet
@@ -77,13 +76,12 @@ type Config struct {
 	// jitter in milliseconds of simulated time. Default 0 (no jitter,
 	// no RNG draws).
 	JitterMean float64
-	// Seed drives every per-link RNG stream (jitter, loss, reset).
+	// Seed drives every per-link RNG stream (jitter, loss).
 	Seed int64
-	// LossRate is the default per-packet loss probability on every
-	// link. A lost packet is not dropped — the connection retransmits,
-	// delivering it one RTOMillis later, as TCP would. Lost ping
-	// samples are discarded (and cost one RTO of wall time in Ping).
-	// Override per link with SetLoss. Default 0.
+	// LossRate is the per-packet loss probability on every link. A lost
+	// packet is not dropped — the connection retransmits, delivering it
+	// one RTOMillis later, as TCP would. Lost ping samples are discarded
+	// (and cost one RTO of wall time in Ping). Default 0.
 	LossRate float64
 	// RTOMillis is the simulated retransmission timeout added to a lost
 	// packet's delivery, in milliseconds. Default 200.
@@ -110,19 +108,15 @@ type Network struct {
 	cfg   Config
 	sched *scheduler
 
-	mu           sync.Mutex
-	names        map[string]int
-	listeners    map[string]*listener
-	rngs         map[linkKey]*rand.Rand
-	dead         map[int]bool
-	cuts         map[linkKey]bool
-	partitions   []map[int]bool
-	latOverride  map[linkKey]float64
-	lossOverride map[linkKey]float64
-	resetRate    map[linkKey]float64
-	latScale     float64
-	pairs        map[*pairConn]struct{}
-	closed       bool
+	mu         sync.Mutex
+	names      map[string]int
+	listeners  map[string]*listener
+	rngs       map[linkKey]*rand.Rand
+	dead       map[int]bool
+	partitions []map[int]bool
+	latScale   float64
+	pairs      map[*pairConn]struct{}
+	closed     bool
 }
 
 // New builds a Network over topo. names[i] becomes the address of
@@ -139,19 +133,15 @@ func New(topo *topology.Topology, names []string, cfg Config) (*Network, error) 
 		idx[n] = i
 	}
 	return &Network{
-		topo:         topo,
-		cfg:          cfg.withDefaults(),
-		sched:        &scheduler{},
-		names:        idx,
-		listeners:    make(map[string]*listener),
-		rngs:         make(map[linkKey]*rand.Rand),
-		dead:         make(map[int]bool),
-		cuts:         make(map[linkKey]bool),
-		latOverride:  make(map[linkKey]float64),
-		lossOverride: make(map[linkKey]float64),
-		resetRate:    make(map[linkKey]float64),
-		latScale:     1,
-		pairs:        make(map[*pairConn]struct{}),
+		topo:      topo,
+		cfg:       cfg.withDefaults(),
+		sched:     &scheduler{},
+		names:     idx,
+		listeners: make(map[string]*listener),
+		rngs:      make(map[linkKey]*rand.Rand),
+		dead:      make(map[int]bool),
+		latScale:  1,
+		pairs:     make(map[*pairConn]struct{}),
 	}, nil
 }
 
@@ -244,12 +234,9 @@ func linkSeed(seed int64, a, b int) int64 {
 }
 
 // oneWayMSLocked is the current effective one-way latency a→b in
-// simulated milliseconds: a per-link override, or the topology latency
-// times the global latency scale. Callers hold n.mu.
+// simulated milliseconds: the topology latency times the global latency
+// scale. Callers hold n.mu.
 func (n *Network) oneWayMSLocked(a, b int) float64 {
-	if ms, ok := n.latOverride[linkKey{a, b}]; ok {
-		return ms
-	}
 	return n.topo.OneWay(a, b) * n.latScale
 }
 
@@ -262,12 +249,9 @@ func (n *Network) jitterMSLocked(a, b int) float64 {
 	return n.rngLocked(a, b).ExpFloat64() * n.cfg.JitterMean
 }
 
-// linkCutLocked reports whether traffic a→b is currently cut by a
-// pairwise cut or a partition. Callers hold n.mu.
-func (n *Network) linkCutLocked(a, b int) bool {
-	if n.cuts[linkKey{a, b}] {
-		return true
-	}
+// cutLocked reports whether a partition separates hosts a and b. It is
+// symmetric: a cut stops traffic both ways. Callers hold n.mu.
+func (n *Network) cutLocked(a, b int) bool {
 	for _, set := range n.partitions {
 		if set[a] != set[b] {
 			return true
@@ -276,11 +260,39 @@ func (n *Network) linkCutLocked(a, b int) bool {
 	return false
 }
 
-// linkCut is linkCutLocked for callers outside the lock.
-func (n *Network) linkCut(a, b int) bool {
+// cut is cutLocked for callers outside the lock.
+func (n *Network) cut(a, b int) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.linkCutLocked(a, b)
+	return n.cutLocked(a, b)
+}
+
+// reachLocked is the verdict on a new dial or ping between hosts a and
+// b: errConnRefused when the fabric is closed or either host is dead,
+// errUnreachable when a partition separates them, nil otherwise.
+// Callers hold n.mu.
+func (n *Network) reachLocked(a, b int) error {
+	switch {
+	case n.closed || n.dead[a] || n.dead[b]:
+		return errConnRefused
+	case n.cutLocked(a, b):
+		return errUnreachable
+	}
+	return nil
+}
+
+// listenerLocked is what a dial from host a finds at host b, named
+// address: b's listener, or reachLocked's verdict, or errConnRefused
+// when nothing listens there. Callers hold n.mu.
+func (n *Network) listenerLocked(a, b int, address string) (*listener, error) {
+	if err := n.reachLocked(a, b); err != nil {
+		return nil, err
+	}
+	l, ok := n.listeners[address]
+	if !ok {
+		return nil, errConnRefused
+	}
+	return l, nil
 }
 
 // wall maps simulated milliseconds to a wall-clock duration.
@@ -291,24 +303,20 @@ func (n *Network) wall(ms float64) time.Duration {
 // sendVerdict decides one packet's fate on the directed link from→to:
 // its wall-clock propagation delay (including jitter and, for a lost
 // packet, one retransmission timeout), whether it is silently dropped
-// (cut link), or whether the write resets the connection.
+// (a partition separates the hosts), or whether the write resets the
+// connection (the fabric is closed or a host is dead).
 func (n *Network) sendVerdict(from, to int) (delay time.Duration, drop, reset bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.closed || n.dead[from] || n.dead[to] {
 		return 0, false, true
 	}
-	if n.linkCutLocked(from, to) {
+	if n.cutLocked(from, to) {
 		return 0, true, false
 	}
 	ms := n.oneWayMSLocked(from, to) + n.jitterMSLocked(from, to)
-	if p := n.lossRateLocked(from, to); p > 0 && n.rngLocked(from, to).Float64() < p {
+	if n.lostLocked(from, to) {
 		ms += n.cfg.RTOMillis
-	}
-	// Resets exist only where SetReset put them; everywhere else p is 0
-	// and the stream is not drawn from.
-	if p := n.resetRate[linkKey{from, to}]; p > 0 && n.rngLocked(from, to).Float64() < p {
-		return 0, false, true
 	}
 	return n.wall(ms), false, false
 }
@@ -322,11 +330,10 @@ func (n *Network) plainDelay(from, to int) time.Duration {
 	return n.wall(n.oneWayMSLocked(from, to))
 }
 
-func (n *Network) lossRateLocked(a, b int) float64 {
-	if p, ok := n.lossOverride[linkKey{a, b}]; ok {
-		return p
-	}
-	return n.cfg.LossRate
+// lostLocked draws whether one packet on the directed link a→b is lost.
+// No draw happens when LossRate is zero. Callers hold n.mu.
+func (n *Network) lostLocked(a, b int) bool {
+	return n.cfg.LossRate > 0 && n.rngLocked(a, b).Float64() < n.cfg.LossRate
 }
 
 // resolve maps a host name to its index. Callers hold n.mu.
@@ -366,58 +373,12 @@ func (n *Network) Partition(names ...string) error {
 	return nil
 }
 
-// Heal removes every partition and pairwise cut. Latency overrides,
-// loss rates and killed hosts are untouched.
+// Heal removes every partition. The latency scale and killed hosts are
+// untouched.
 func (n *Network) Heal() {
 	n.mu.Lock()
 	n.partitions = nil
-	n.cuts = make(map[linkKey]bool)
 	n.mu.Unlock()
-}
-
-// CutLink severs the link between two hosts in both directions,
-// resetting established connections between them.
-func (n *Network) CutLink(a, b string) error {
-	n.mu.Lock()
-	ai, bi, err := n.resolvePairLocked(a, b)
-	if err != nil {
-		n.mu.Unlock()
-		return err
-	}
-	n.cuts[linkKey{ai, bi}] = true
-	n.cuts[linkKey{bi, ai}] = true
-	victims := n.crossingPairsLocked()
-	n.mu.Unlock()
-	for _, p := range victims {
-		p.reset(errConnReset)
-	}
-	return nil
-}
-
-// RestoreLink undoes CutLink for the pair (it does not undo
-// partitions; use Heal for those).
-func (n *Network) RestoreLink(a, b string) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	ai, bi, err := n.resolvePairLocked(a, b)
-	if err != nil {
-		return err
-	}
-	delete(n.cuts, linkKey{ai, bi})
-	delete(n.cuts, linkKey{bi, ai})
-	return nil
-}
-
-func (n *Network) resolvePairLocked(a, b string) (int, int, error) {
-	ai, err := n.resolveLocked(a)
-	if err != nil {
-		return 0, 0, err
-	}
-	bi, err := n.resolveLocked(b)
-	if err != nil {
-		return 0, 0, err
-	}
-	return ai, bi, nil
 }
 
 // crossingPairsLocked collects live connections whose endpoints are
@@ -426,58 +387,15 @@ func (n *Network) resolvePairLocked(a, b string) (int, int, error) {
 func (n *Network) crossingPairsLocked() []*pairConn {
 	var victims []*pairConn
 	for p := range n.pairs {
-		if n.linkCutLocked(p.aIdx, p.bIdx) || n.linkCutLocked(p.bIdx, p.aIdx) {
+		if n.cutLocked(p.aIdx, p.bIdx) {
 			victims = append(victims, p)
 		}
 	}
 	return victims
 }
 
-// SetLatency overrides the one-way latency between two hosts in both
-// directions, in simulated milliseconds — a route change on that link.
-// Overrides are absolute: SetLatencyScale does not multiply them.
-func (n *Network) SetLatency(a, b string, oneWayMS float64) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	ai, bi, err := n.resolvePairLocked(a, b)
-	if err != nil {
-		return err
-	}
-	n.latOverride[linkKey{ai, bi}] = oneWayMS
-	n.latOverride[linkKey{bi, ai}] = oneWayMS
-	return nil
-}
-
-// SetOneWayLatency overrides the latency of a single direction,
-// modeling asymmetric route changes.
-func (n *Network) SetOneWayLatency(a, b string, oneWayMS float64) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	ai, bi, err := n.resolvePairLocked(a, b)
-	if err != nil {
-		return err
-	}
-	n.latOverride[linkKey{ai, bi}] = oneWayMS
-	return nil
-}
-
-// ClearLatency removes latency overrides between two hosts (both
-// directions), restoring the topology latency.
-func (n *Network) ClearLatency(a, b string) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	ai, bi, err := n.resolvePairLocked(a, b)
-	if err != nil {
-		return err
-	}
-	delete(n.latOverride, linkKey{ai, bi})
-	delete(n.latOverride, linkKey{bi, ai})
-	return nil
-}
-
-// SetLatencyScale multiplies every topology-derived latency by f — a
-// fabric-wide route shift (per-link overrides stay absolute). f must
-// be positive.
+// SetLatencyScale multiplies every topology latency by f — a
+// fabric-wide route shift. f must be positive.
 func (n *Network) SetLatencyScale(f float64) error {
 	if f <= 0 {
 		return fmt.Errorf("simnet: latency scale must be positive, got %v", f)
@@ -485,43 +403,6 @@ func (n *Network) SetLatencyScale(f float64) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.latScale = f
-	return nil
-}
-
-// SetLoss overrides the per-packet loss probability between two hosts
-// (both directions).
-func (n *Network) SetLoss(a, b string, p float64) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	ai, bi, err := n.resolvePairLocked(a, b)
-	if err != nil {
-		return err
-	}
-	n.lossOverride[linkKey{ai, bi}] = p
-	n.lossOverride[linkKey{bi, ai}] = p
-	return nil
-}
-
-// SetLossAll sets the default loss probability for every link without
-// a per-link override.
-func (n *Network) SetLossAll(p float64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.cfg.LossRate = p
-}
-
-// SetReset sets the probability that any single write between two hosts
-// (both directions) tears the connection down with a reset — flaky
-// middleboxes, NAT table evictions. It is 0 on every other link.
-func (n *Network) SetReset(a, b string, p float64) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	ai, bi, err := n.resolvePairLocked(a, b)
-	if err != nil {
-		return err
-	}
-	n.resetRate[linkKey{ai, bi}] = p
-	n.resetRate[linkKey{bi, ai}] = p
 	return nil
 }
 
@@ -571,38 +452,18 @@ func (n *Network) Revive(name string) error {
 	return nil
 }
 
-// Alive reports whether the named host has not been killed. Unknown
-// names report false.
-func (n *Network) Alive(name string) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	idx, err := n.resolveLocked(name)
-	return err == nil && !n.dead[idx]
-}
-
-// GroundTruthOneWay returns the current effective one-way latency a→b
-// in simulated milliseconds — topology routing, latency scale and
-// overrides included, jitter excluded. This is the oracle scenario
-// assertions compare model estimates against.
-func (n *Network) GroundTruthOneWay(a, b string) (float64, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	ai, bi, err := n.resolvePairLocked(a, b)
-	if err != nil {
-		return 0, err
-	}
-	if ai == bi {
-		return 0, nil
-	}
-	return n.oneWayMSLocked(ai, bi), nil
-}
-
 // GroundTruthRTT returns the current effective round-trip time a→b→a
-// in simulated milliseconds, jitter excluded.
+// in simulated milliseconds — topology routing times the latency scale,
+// jitter excluded. This is the oracle scenario assertions compare model
+// estimates against.
 func (n *Network) GroundTruthRTT(a, b string) (float64, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	ai, bi, err := n.resolvePairLocked(a, b)
+	ai, err := n.resolveLocked(a)
+	if err != nil {
+		return 0, err
+	}
+	bi, err := n.resolveLocked(b)
 	if err != nil {
 		return 0, err
 	}
@@ -652,44 +513,32 @@ func (h *Host) Listen() (net.Listener, error) {
 
 // DialContext opens a virtual connection to the named host, blocking
 // for one simulated round trip (the handshake; lost handshake packets
-// add retransmission delay). Dials to killed or non-listening hosts
-// are refused; dials across a partition fail with "network is
-// unreachable". The network argument is accepted for signature
+// add retransmission delay). Dials on a closed fabric, or to killed or
+// non-listening hosts, are refused; dials across a partition fail with
+// "network is unreachable". The network argument is accepted for signature
 // compatibility with net.Dialer and ignored.
 func (h *Host) DialContext(ctx context.Context, _, address string) (net.Conn, error) {
 	dialErr := func(err error) error {
 		return &net.OpError{Op: "dial", Net: "simnet", Addr: addr(address), Err: err}
 	}
 	h.net.mu.Lock()
-	if h.net.closed {
-		h.net.mu.Unlock()
-		return nil, dialErr(net.ErrClosed)
-	}
 	peerIdx, err := h.net.resolveLocked(address)
 	if err != nil {
 		h.net.mu.Unlock()
 		return nil, dialErr(errConnRefused)
 	}
-	if h.net.dead[h.idx] || h.net.dead[peerIdx] {
+	if _, err := h.net.listenerLocked(h.idx, peerIdx, address); err != nil {
 		h.net.mu.Unlock()
-		return nil, dialErr(errConnRefused)
-	}
-	if h.net.linkCutLocked(h.idx, peerIdx) || h.net.linkCutLocked(peerIdx, h.idx) {
-		h.net.mu.Unlock()
-		return nil, dialErr(errUnreachable)
-	}
-	if _, ok := h.net.listeners[address]; !ok {
-		h.net.mu.Unlock()
-		return nil, dialErr(errConnRefused)
+		return nil, dialErr(err)
 	}
 	// Handshake: one full round trip, each direction paying its own
 	// jitter and loss retransmissions.
 	rttMS := h.net.oneWayMSLocked(h.idx, peerIdx) + h.net.jitterMSLocked(h.idx, peerIdx) +
 		h.net.oneWayMSLocked(peerIdx, h.idx) + h.net.jitterMSLocked(peerIdx, h.idx)
-	if p := h.net.lossRateLocked(h.idx, peerIdx); p > 0 && h.net.rngLocked(h.idx, peerIdx).Float64() < p {
+	if h.net.lostLocked(h.idx, peerIdx) {
 		rttMS += h.net.cfg.RTOMillis
 	}
-	if p := h.net.lossRateLocked(peerIdx, h.idx); p > 0 && h.net.rngLocked(peerIdx, h.idx).Float64() < p {
+	if h.net.lostLocked(peerIdx, h.idx) {
 		rttMS += h.net.cfg.RTOMillis
 	}
 	wait := h.net.wall(rttMS)
@@ -702,16 +551,11 @@ func (h *Host) DialContext(ctx context.Context, _, address string) (net.Conn, er
 	// Re-check the world after the handshake delay: the listener may
 	// have closed, the host died, or a partition landed mid-handshake.
 	h.net.mu.Lock()
-	l, ok := h.net.listeners[address]
-	switch {
-	case h.net.closed, !ok, h.net.dead[h.idx], h.net.dead[peerIdx]:
-		h.net.mu.Unlock()
-		return nil, dialErr(errConnRefused)
-	case h.net.linkCutLocked(h.idx, peerIdx) || h.net.linkCutLocked(peerIdx, h.idx):
-		h.net.mu.Unlock()
-		return nil, dialErr(errUnreachable)
-	}
+	l, err := h.net.listenerLocked(h.idx, peerIdx, address)
 	h.net.mu.Unlock()
+	if err != nil {
+		return nil, dialErr(err)
+	}
 
 	cli, srv := h.net.newPair(h.idx, peerIdx, addr(h.name), addr(address))
 	// An open listener's backlog almost always has room: hand the
@@ -771,19 +615,13 @@ func (h *Host) ping(ctx context.Context, address string, samples int, sleep bool
 			h.net.mu.Unlock()
 			return 0, fmt.Errorf("simnet: ping: unknown host %q", address)
 		}
-		if h.net.closed || h.net.dead[h.idx] || h.net.dead[peerIdx] {
+		if err := h.net.reachLocked(h.idx, peerIdx); err != nil {
 			h.net.mu.Unlock()
-			return 0, fmt.Errorf("simnet: ping %s: %w", address, errConnRefused)
+			return 0, fmt.Errorf("simnet: ping %s: %w", address, err)
 		}
-		if h.net.linkCutLocked(h.idx, peerIdx) || h.net.linkCutLocked(peerIdx, h.idx) {
-			h.net.mu.Unlock()
-			return 0, fmt.Errorf("simnet: ping %s: %w", address, errUnreachable)
-		}
-		lost := false
-		if p := h.net.lossRateLocked(h.idx, peerIdx); p > 0 && h.net.rngLocked(h.idx, peerIdx).Float64() < p {
-			lost = true
-		}
-		if p := h.net.lossRateLocked(peerIdx, h.idx); p > 0 && h.net.rngLocked(peerIdx, h.idx).Float64() < p {
+		// Both directions draw, lost or not: no short-circuit.
+		lost := h.net.lostLocked(h.idx, peerIdx)
+		if h.net.lostLocked(peerIdx, h.idx) {
 			lost = true
 		}
 		// One queueing-jitter draw per echo (from the forward link's

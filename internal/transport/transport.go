@@ -135,7 +135,8 @@ func (c *RequestConn) Read(p []byte) (int, error) {
 // connection: it dials addr, exchanges Ping/Pong frames, and reports the
 // minimum observed round trip. This measures transport RTT plus a little
 // processing time — exactly what an IDES deployment without raw-socket
-// privileges would use.
+// privileges would use. Each sample is one RoundtripInto exchange: one
+// write, and the reply read back into the same reused buffer.
 type TCPPinger struct {
 	Dialer Dialer
 }
@@ -150,23 +151,16 @@ func (p *TCPPinger) Ping(ctx context.Context, addr string, samples int) (time.Du
 		return 0, fmt.Errorf("transport: ping dial %s: %w", addr, err)
 	}
 	defer conn.Close()
-	if dl, ok := ctx.Deadline(); ok {
-		if err := conn.SetDeadline(dl); err != nil {
-			return 0, fmt.Errorf("transport: setting deadline: %w", err)
-		}
-	}
 	var best time.Duration = -1
-	buf := make([]byte, 0, 16)
+	var req [8]byte
+	buf := make([]byte, 0, wire.HeaderSize+len(req))
 	for s := 0; s < samples; s++ {
 		token := uint64(s) + 1
-		buf = (&wire.Ping{Token: token}).Encode(buf[:0])
 		start := time.Now()
-		if err := wire.WriteFrame(conn, wire.TypePing, buf); err != nil {
-			return 0, fmt.Errorf("transport: ping send: %w", err)
-		}
-		rt, rp, err := wire.ReadFrame(conn)
+		rt, rp, next, err := RoundtripInto(ctx, conn, wire.TypePing, (&wire.Ping{Token: token}).Encode(req[:0]), buf)
+		buf = next
 		if err != nil {
-			return 0, fmt.Errorf("transport: ping recv: %w", err)
+			return 0, fmt.Errorf("transport: ping %s: %w", addr, err)
 		}
 		elapsed := time.Since(start)
 		if rt != wire.TypePong {

@@ -24,23 +24,32 @@ import (
 // 17 did by hand, with the standard library only.
 //
 // Roots are every main and init, every exported name of the ides.go
-// façade, and the exported package-level names of the three test-support
-// packages. From a reachable declaration everything its source mentions
-// is reachable. A method is reachable when reachable code selects a
-// method of its name on anything (interface dispatch is not resolved,
-// names are), when its type is reachable and a standard-library interface
-// has a method of its name (error, fmt.Stringer, net.Conn, flag.Value:
-// the caller is outside the tree), or — for the test-support packages,
-// whose callers are tests — when any _test.go file selects its name.
+// façade, and the exported package-level names of the test-support
+// packages that tests keep. From a reachable declaration everything its
+// source mentions is reachable. A method is reachable when reachable code
+// selects a method of its name on anything (interface dispatch is not
+// resolved, names are), when its type is reachable and a standard-library
+// interface has a method of its name (error, fmt.Stringer, net.Conn,
+// flag.Value: the caller is outside the tree), or — for the test-support
+// packages, whose callers are tests — when tests keep its name.
+//
+// Tests keep an exported name of simnet or testutil when a _test.go file
+// outside that package selects it: a fabric or helper API only its own
+// tests call serves no one. harness's own tests are the scenario suites
+// it exists for, so every exported harness name is a root and any
+// _test.go file keeps a harness method.
 const (
 	reachModule    = "github.com/ides-go/ides"
 	reachAllowFile = "testdata/reachability_allow.txt"
 )
 
+// reachTestSupport maps each test-support package to whether its own
+// tests keep its API; true also makes every exported package-level name
+// a root.
 var reachTestSupport = map[string]bool{
 	reachModule + "/internal/harness":  true,
-	reachModule + "/internal/simnet":   true,
-	reachModule + "/internal/testutil": true,
+	reachModule + "/internal/simnet":   false,
+	reachModule + "/internal/testutil": false,
 }
 
 // reachPkg is one directory's non-test files, parsed and — on demand,
@@ -64,9 +73,9 @@ type reachTree struct {
 	// stdIfaceMethods are the method names of every interface declared in
 	// a package imported from outside the module, and of error.
 	stdIfaceMethods map[string]bool
-	// testSelected are the names any _test.go file selects, collected
-	// syntactically.
-	testSelected map[string]bool
+	// testSelected maps each name a _test.go file selects, collected
+	// syntactically, to the packages whose tests select it.
+	testSelected map[string]map[string]bool
 	err          error
 }
 
@@ -123,7 +132,7 @@ func loadReachTree(t *testing.T, root string) *reachTree {
 		pkgs:            map[string]*reachPkg{},
 		std:             importer.ForCompiler(fset, "source", nil),
 		stdIfaceMethods: map[string]bool{"Error": true},
-		testSelected:    map[string]bool{},
+		testSelected:    map[string]map[string]bool{},
 	}
 	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -160,7 +169,10 @@ func loadReachTree(t *testing.T, root string) *reachTree {
 		rp.testFiles = append(rp.testFiles, f)
 		ast.Inspect(f, func(n ast.Node) bool {
 			if sel, ok := n.(*ast.SelectorExpr); ok {
-				tr.testSelected[sel.Sel.Name] = true
+				if tr.testSelected[sel.Sel.Name] == nil {
+					tr.testSelected[sel.Sel.Name] = map[string]bool{}
+				}
+				tr.testSelected[sel.Sel.Name][ip] = true
 			}
 			return true
 		})
@@ -176,6 +188,22 @@ func loadReachTree(t *testing.T, root string) *reachTree {
 		t.Fatalf("type-checking the tree: %v", tr.err)
 	}
 	return tr
+}
+
+// testKept reports whether tests keep the name of a declaration in
+// package p: p is a test-support package and a _test.go file selects the
+// name — for simnet and testutil, one outside p.
+func (tr *reachTree) testKept(p, name string) bool {
+	own, support := reachTestSupport[p]
+	if !support {
+		return false
+	}
+	for q := range tr.testSelected[name] {
+		if own || q != p {
+			return true
+		}
+	}
+	return false
 }
 
 // reachDecl is one top-level declaration: a function, a method, a type,
@@ -204,7 +232,7 @@ func (d *reachDecl) name() string {
 func (tr *reachTree) decls() map[types.Object]*reachDecl {
 	out := map[types.Object]*reachDecl{}
 	for _, rp := range tr.pkgs {
-		support := reachTestSupport[rp.path]
+		allExported := reachTestSupport[rp.path]
 		for _, f := range rp.files {
 			facade := rp.path == reachModule && strings.HasSuffix(tr.fset.File(f.Pos()).Name(), "ides.go")
 			add := func(id *ast.Ident, node ast.Node) *reachDecl {
@@ -212,7 +240,8 @@ func (tr *reachTree) decls() map[types.Object]*reachDecl {
 				if obj == nil || id.Name == "_" {
 					return nil
 				}
-				d := &reachDecl{obj: obj, pkg: rp, node: node, root: (facade || support) && id.IsExported()}
+				root := id.IsExported() && (facade || allExported || tr.testKept(rp.path, id.Name))
+				d := &reachDecl{obj: obj, pkg: rp, node: node, root: root}
 				out[obj] = d
 				return d
 			}
@@ -293,7 +322,7 @@ func (tr *reachTree) unreachable(decls map[types.Object]*reachDecl, kept map[str
 		}
 		// A reached type's own methods that need no selection in the tree.
 		for _, m := range byRecv[d.obj] {
-			if tr.stdIfaceMethods[m.obj.Name()] || reachTestSupport[m.pkg.path] && tr.testSelected[m.obj.Name()] {
+			if tr.stdIfaceMethods[m.obj.Name()] || tr.testKept(m.pkg.path, m.obj.Name()) {
 				reach(m)
 			}
 		}
