@@ -103,6 +103,13 @@ func (p instantPinger) Ping(_ context.Context, addr string, samples int) (time.D
 // rendezvous directory and boots every peer's serve loop. Peers start
 // with empty neighbor tables; the first GossipRound announces them to
 // the rendezvous.
+//
+// At 2,000 peers a boot takes ~0.15 s on one core of a 2 vCPU Xeon.
+// topology.Generate is ~0.11 s of it: its shortest-path searches ~0.03 s,
+// and the per-stub-pair inflation draws over two million pairs most of
+// the rest. peer.New is ~0.035 s, nearly all of it seeding the math/rand
+// source of each peer's neighbor table. The seeding stays: another
+// generator would move every seeded run.
 func NewGossip(cfg GossipConfig) (*GossipCluster, error) {
 	cfg = cfg.withDefaults()
 	total := cfg.NumPeers + 1

@@ -1,0 +1,258 @@
+package topology
+
+import (
+	"container/heap"
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// referenceDijkstra is the routing pass's search before pathSearch, kept
+// verbatim as the oracle: one container/heap push per improvement and
+// every node expanded when popped. Its unreachable sentinel is 1e18;
+// sameDistances reads it as +Inf.
+func (g *graph) referenceDijkstra(src int) []float64 {
+	const inf = 1e18
+	dist := make([]float64, len(g.adj))
+	for i := range dist {
+		dist[i] = inf
+	}
+	dist[src] = 0
+	pq := &distHeap{{node: src, d: 0}}
+	for pq.Len() > 0 {
+		item := heap.Pop(pq).(distItem)
+		if item.d > dist[item.node] {
+			continue
+		}
+		for _, e := range g.adj[item.node] {
+			if nd := item.d + e.w; nd < dist[e.to] {
+				dist[e.to] = nd
+				heap.Push(pq, distItem{node: e.to, d: nd})
+			}
+		}
+	}
+	return dist
+}
+
+type distHeap []distItem
+
+func (h distHeap) Len() int            { return len(h) }
+func (h distHeap) Less(i, j int) bool  { return h[i].d < h[j].d }
+func (h distHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *distHeap) Push(x interface{}) { *h = append(*h, x.(distItem)) }
+func (h *distHeap) Pop() interface{} {
+	old := *h
+	n := len(old)
+	item := old[n-1]
+	*h = old[:n-1]
+	return item
+}
+
+// sameDistances reports the first node whose distance from pathSearch
+// differs in any bit from the reference's, or -1.
+func sameDistances(got, want []float64) int {
+	for v := range want {
+		w := want[v]
+		if w == 1e18 {
+			w = math.Inf(1)
+		}
+		if math.Float64bits(got[v]) != math.Float64bits(w) {
+			return v
+		}
+	}
+	return -1
+}
+
+// routingSeeds is how many seeds the routing tests draw each of
+// generatorConfigs' shapes at.
+const routingSeeds = 40
+
+// generatorConfigs lists the generator shapes the routing tests cover:
+// every HostsPerStub the datasets and fleets use, multihoming off, at its
+// default and always on, one continent (whose transit ring can leave
+// degree-2 transit routers), the smallest fleets, an asymmetric config
+// and exact shortest-path routing.
+func generatorConfigs(seed int64) []Config {
+	return []Config{
+		{Seed: seed, NumHosts: 120, HostsPerStub: 1},
+		{Seed: seed, NumHosts: 120, HostsPerStub: 3},
+		{Seed: seed, NumHosts: 120, HostsPerStub: 4},
+		{Seed: seed, NumHosts: 120, HostsPerStub: 5},
+		{Seed: seed, NumHosts: 60, HostsPerStub: 1, MultihomeProb: -1},
+		{Seed: seed, NumHosts: 60, HostsPerStub: 1, MultihomeProb: 0.25},
+		{Seed: seed, NumHosts: 60, HostsPerStub: 1, MultihomeProb: 1},
+		{Seed: seed, NumHosts: 30, HostsPerStub: 1, ContinentWeights: []float64{1}},
+		{Seed: seed, NumHosts: 3, HostsPerStub: 1, ContinentWeights: []float64{1}, MultihomeProb: -1},
+		{Seed: seed, NumHosts: 3},
+		{Seed: seed, NumHosts: 7},
+		{Seed: seed, NumHosts: 3, HostsPerStub: 1},
+		{Seed: seed, NumHosts: 7, HostsPerStub: 1},
+		{Seed: seed, NumHosts: 80, HostsPerStub: 1, AsymmetryProb: 0.8, AsymmetryMax: 0.5, HostAsymmetryMax: 5},
+		{Seed: seed, NumHosts: 60, HostsPerStub: 1, InflationProb: -1, StubInflationProb: -1},
+	}
+}
+
+// TestDijkstraMatchesReference holds pathSearch to referenceDijkstra on
+// the generator's own router graphs, from every router, bit for bit. On
+// the configs with both inflation levels off, Generate's routed stub
+// distances are the searched ones unscaled, which checks the in-place
+// level-2 pass as well.
+func TestDijkstraMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= routingSeeds; seed++ {
+		for _, given := range generatorConfigs(seed) {
+			cfg := given.withDefaults()
+			g, stubContinent, _, err := routers(cfg, rand.New(rand.NewSource(cfg.Seed)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			numStubs := len(stubContinent)
+			first := len(g.adj) - numStubs
+			sp := newPathSearch(g)
+			want := make([][]float64, len(g.adj))
+			for src := range g.adj {
+				want[src] = g.referenceDijkstra(src)
+				if v := sameDistances(sp.from(src), want[src]); v >= 0 {
+					t.Fatalf("%+v: distance %d → %d is %v, reference %v",
+						cfg, src, v, sp.from(src)[v], want[src][v])
+				}
+			}
+			if cfg.InflationProb != 0 || cfg.StubInflationProb != 0 {
+				continue
+			}
+			topo := mustGen(t, given)
+			for a := 0; a < numStubs; a++ {
+				for b := a + 1; b < numStubs; b++ {
+					w := math.Float64bits(want[first+a][first+b])
+					if math.Float64bits(topo.stubDist.At(a, b)) != w || math.Float64bits(topo.stubDist.At(b, a)) != w {
+						t.Fatalf("%+v: routed stubs %d, %d read %v / %v, reference %v",
+							cfg, a, b, topo.stubDist.At(a, b), topo.stubDist.At(b, a), want[first+a][first+b])
+					}
+				}
+			}
+		}
+	}
+}
+
+// fuzzGraph decodes an arbitrary graph: data[0] picks the node count and
+// every following triple is an edge (a, b, weight/10). Zero weights,
+// self-loops, parallel edges, leaves, chains, cycles and disconnected
+// parts all occur.
+func fuzzGraph(data []byte) *graph {
+	if len(data) == 0 {
+		return newGraph(1)
+	}
+	n := 1 + int(data[0])%48
+	g := newGraph(n)
+	for e := data[1:]; len(e) >= 3; e = e[3:] {
+		g.addEdge(int(e[0])%n, int(e[1])%n, float64(e[2])/10)
+	}
+	return g
+}
+
+// FuzzDijkstraOracle holds pathSearch to referenceDijkstra from every
+// node of arbitrary graphs, bit for bit.
+func FuzzDijkstraOracle(f *testing.F) {
+	edges := func(n byte, es ...[3]byte) []byte {
+		b := []byte{n}
+		for _, e := range es {
+			b = append(b, e[:]...)
+		}
+		return b
+	}
+	// A chain hanging off a triangle, with a zero-weight link.
+	f.Add(edges(7, [3]byte{0, 1, 3}, [3]byte{1, 2, 7}, [3]byte{2, 0, 1}, [3]byte{2, 3, 0}, [3]byte{3, 4, 13}, [3]byte{4, 5, 2}, [3]byte{5, 6, 9}))
+	// A degree-2 cycle with one chord and a leaf.
+	f.Add(edges(6, [3]byte{0, 1, 1}, [3]byte{1, 2, 1}, [3]byte{2, 3, 1}, [3]byte{3, 4, 1}, [3]byte{4, 0, 1}, [3]byte{0, 2, 3}, [3]byte{3, 5, 0}))
+	// A star of leaves beside a disconnected pair and an isolated node.
+	f.Add(edges(9, [3]byte{0, 1, 4}, [3]byte{0, 2, 5}, [3]byte{0, 3, 6}, [3]byte{0, 4, 0}, [3]byte{5, 6, 11}))
+	// Self-loops and parallel edges.
+	f.Add(edges(4, [3]byte{0, 0, 2}, [3]byte{0, 1, 3}, [3]byte{0, 1, 1}, [3]byte{1, 2, 0}, [3]byte{2, 3, 7}, [3]byte{3, 3, 0}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g := fuzzGraph(data)
+		sp := newPathSearch(g)
+		for src := range g.adj {
+			got, want := sp.from(src), g.referenceDijkstra(src)
+			if v := sameDistances(got, want); v >= 0 {
+				t.Fatalf("distance %d → %d is %v, reference %v", src, v, got[v], want[v])
+			}
+		}
+	})
+}
+
+// directedHash is FNV-64a over the IEEE-754 bits of Directed(), row-major
+// and little-endian — the hash internal/dataset pins — computed a row at
+// a time, so a 10,001-host topology never holds its 800 MB matrix.
+func directedHash(t *Topology) uint64 {
+	n := t.NumHosts()
+	h := fnv.New64a()
+	buf := make([]byte, 8*n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			var v float64
+			if i != j {
+				v = 2 * t.OneWay(i, j)
+			}
+			binary.LittleEndian.PutUint64(buf[8*j:], math.Float64bits(v))
+		}
+		h.Write(buf)
+	}
+	return h.Sum64()
+}
+
+// TestGenerateGoldenAtFleetScale pins Directed() at the shapes the
+// benchmark and the at-scale gossip gate boot: 2,001 hosts one per stub
+// (gossip-fleet) and 10,001 hosts five per stub (the 10,000-peer fleet's
+// HostsPerStub), both at the benchmark's dataset seed. The hashes were
+// computed with the container/heap Dijkstra that referenceDijkstra keeps,
+// before the routing pass changed; do not update one to make it pass.
+// The 64-host row is internal/dataset's topology golden, which ties
+// directedHash to a hash of the materialised matrix.
+func TestGenerateGoldenAtFleetScale(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want uint64
+	}{
+		{"dataset-64", Config{Seed: 42, NumHosts: 64}, 0x29875f8972725379},
+		{"gossip-fleet-2001", Config{Seed: 20040101, NumHosts: 2001, HostsPerStub: 1}, 0x3e172c67ba4733f5},
+		{"gossip-gate-10001", Config{Seed: 20040101, NumHosts: 10001, HostsPerStub: 5}, 0xf53bb1eb394c8361},
+	} {
+		topo := mustGen(t, tc.cfg)
+		if got := directedHash(topo); got != tc.want {
+			t.Errorf("%s: Directed() hash %#016x, want %#016x", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestGenerateAllocs bounds what one Generate allocates on a 500-stub
+// topology: the router graph's adjacency lists, the two matrices, the
+// host table and the routing pass's reused scratch. The container/heap
+// pass boxed every heap push and allocated a distance slice per source,
+// 549,270 allocations at this size, ~1,100 per stub router.
+func TestGenerateAllocs(t *testing.T) {
+	cfg := Config{Seed: 20040101, NumHosts: 500, HostsPerStub: 1}
+	nodes := 4*transitPerContinent + 500
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := Generate(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("Generate(%d hosts, 1 per stub): %.0f allocations, %d routers", cfg.NumHosts, allocs, nodes)
+	if allocs > float64(2*nodes) {
+		t.Fatalf("Generate allocated %.0f times, want ≤ %d (2 per router)", allocs, 2*nodes)
+	}
+}
+
+// BenchmarkGenerate times one Generate at gossip-fleet's shape: 2,001
+// hosts, one per stub, at the benchmark's dataset seed.
+func BenchmarkGenerate(b *testing.B) {
+	cfg := Config{Seed: 20040101, NumHosts: 2001, HostsPerStub: 1}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Generate(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

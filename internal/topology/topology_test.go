@@ -57,6 +57,20 @@ func TestDistancesPositiveAndFinite(t *testing.T) {
 			}
 		}
 	}
+	// The router graph is connected by construction, so no stub pair of
+	// any generator shape is routed at the search's +Inf sentinel.
+	for seed := int64(1); seed <= routingSeeds; seed++ {
+		for _, cfg := range generatorConfigs(seed) {
+			topo := mustGen(t, cfg)
+			for a := 0; a < topo.numStubs; a++ {
+				for b, d := range topo.stubDist.Row(a) {
+					if a != b && !(d > 0 && d <= math.MaxFloat64) {
+						t.Fatalf("%+v: stubs %d → %d routed at %v", cfg, a, b, d)
+					}
+				}
+			}
+		}
+	}
 }
 
 func TestRTTSymmetricWhenNoAsymmetry(t *testing.T) {
