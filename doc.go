@@ -13,7 +13,9 @@
 //   - placing ordinary hosts by closed-form least squares against any
 //     subset of measured nodes (Model.SolveHost, SolveVectors), one SVD
 //     solve that is exact for well-conditioned references and damps the
-//     directions a near-singular set barely resolves;
+//     directions a near-singular set barely resolves; a Model decomposes
+//     its landmark vectors once, on its first placement, and every later
+//     host only applies the factors;
 //   - the networked service: information server (NewServer), landmark
 //     agent (NewLandmark), and ordinary-host client (NewClient), which run
 //     identically over real TCP and over the simulated network (NewSimNet);

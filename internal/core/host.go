@@ -15,14 +15,51 @@ import (
 //	X_new = (D_out · Y)(YᵀY)⁻¹
 //	Y_new = (D_in  · X)(XᵀX)⁻¹
 //
-// solved as SolveVectors does: exactly when the landmark vectors are well
-// conditioned, damped along directions they barely resolve.
+// solved as SolveVectors(m.X, m.Y, dout, din) does, bit for bit: exactly
+// when the landmark vectors are well conditioned, damped along directions
+// they barely resolve. The inverses depend on the model alone, so Y and X
+// are decomposed on the model's first placement and every later host only
+// applies the two factors.
 func (m *Model) SolveHost(dout, din []float64) (Vectors, error) {
 	if len(dout) != m.NumLandmarks() || len(din) != m.NumLandmarks() {
 		panic(fmt.Sprintf("core: distance vectors have %d/%d entries, want %d landmarks",
 			len(dout), len(din), m.NumLandmarks()))
 	}
-	return SolveVectors(m.X, m.Y, dout, din)
+	f := m.factors()
+	if f.err != nil {
+		return Vectors{}, f.err
+	}
+	return Vectors{Out: f.out.SolveVec(dout), In: f.in.SolveVec(din)}, nil
+}
+
+// placeFactors is the part of placing a host against a model that depends
+// on the model alone: the least-squares factors of Y (for the outgoing
+// vector) and X (for the incoming one) at placeRCond, or the error
+// SolveVectors would return for the model's references.
+type placeFactors struct {
+	out, in *mat.LeastSquaresFactor
+	err     error
+}
+
+// factors returns the model's placement factors, decomposing Y and X on
+// first use. Concurrent first callers may each decompose; the first to
+// publish wins and the rest adopt its factors, so every caller solves
+// against the same ones.
+func (m *Model) factors() *placeFactors {
+	if f := m.place.Load(); f != nil {
+		return f
+	}
+	f := new(placeFactors)
+	var err error
+	if f.out, err = mat.FactorLeastSquares(m.Y, placeRCond); err != nil {
+		f.err = fmt.Errorf("core: solving outgoing vector: %w", err)
+	} else if f.in, err = mat.FactorLeastSquares(m.X, placeRCond); err != nil {
+		f.err = fmt.Errorf("core: solving incoming vector: %w", err)
+	}
+	if !m.place.CompareAndSwap(nil, f) {
+		f = m.place.Load()
+	}
+	return f
 }
 
 // ErrTooFewObservations is returned by SolveHostSubset when fewer
@@ -50,11 +87,11 @@ func (m *Model) SolveHostSubset(idx []int, dout, din []float64, nnls bool) (Vect
 
 // placeRCond is τ, the cutoff on a reference matrix's spectrum below which
 // placement damps instead of inverting: a singular value s < τ·s_max is
-// weighted s/(τ·s_max)² rather than 1/s (mat.LeastSquares). References
-// with condition number below 1/τ are solved exactly. Exactly d references
-// in a d-dimensional model are the usual way to fall below it (Fig 7's
-// spike at k = d); the value is measured on Fig 7 and the k-nodes and
-// chaining ablations.
+// weighted s/(τ·s_max)² rather than 1/s (mat.LeastSquaresFactor).
+// References with condition number below 1/τ are solved exactly. Exactly
+// d references in a d-dimensional model are the usual way to fall below
+// it (Fig 7's spike at k = d); the value is measured on Fig 7 and the
+// k-nodes and chaining ablations.
 const placeRCond = 0.07
 
 // SolveVectors solves the general placement problem against any k reference
@@ -62,7 +99,7 @@ const placeRCond = 0.07
 // matrices of the references' outgoing and incoming vectors, and dout[i] /
 // din[i] are the measured distances to / from reference i. References may
 // be landmarks or previously placed ordinary hosts. Each side is one
-// mat.LeastSquares solve at the cutoff placeRCond: the exact least-squares
+// mat.SolveVec at the cutoff placeRCond: the exact least-squares
 // (minimum-norm if k < d) solution of Eqs. 15–16 when the references are
 // well conditioned, damped along the directions they barely resolve.
 func SolveVectors(refOut, refIn *mat.Dense, dout, din []float64) (Vectors, error) {
@@ -120,10 +157,11 @@ type Placement struct {
 
 // PlaceAll solves vectors for h hosts at once. dout and din are h x m:
 // dout[i][l] is the distance from host i to landmark l, din[i][l] the
-// distance from landmark l to host i. The batch formulation solves the
-// same least-squares problems as SolveHost but decomposes Y and X once for
-// all hosts — this is what makes IDES's model-building time in Table 1
-// sub-second even with a thousand hosts.
+// distance from landmark l to host i. Row i is SolveHost's answer for
+// host i, bit for bit, and both apply the factors of Y and X the model
+// keeps from its first placement: the decomposition is paid once per
+// model, not per host or per call — this is what makes IDES's
+// model-building time in Table 1 sub-second even with a thousand hosts.
 func (m *Model) PlaceAll(dout, din *mat.Dense) (*Placement, error) {
 	h, cols := dout.Dims()
 	if cols != m.NumLandmarks() {
@@ -132,16 +170,12 @@ func (m *Model) PlaceAll(dout, din *mat.Dense) (*Placement, error) {
 	if hi, ci := din.Dims(); hi != h || ci != cols {
 		panic(fmt.Sprintf("core: din is %dx%d, want %dx%d", hi, ci, h, cols))
 	}
-	// refIn · Xᵀ = doutᵀ, one RHS column per host.
-	xt, err := mat.LeastSquares(m.Y, dout.T(), placeRCond)
-	if err != nil {
-		return nil, fmt.Errorf("core: batch outgoing solve: %w", err)
+	f := m.factors()
+	if f.err != nil {
+		return nil, f.err
 	}
-	yt, err := mat.LeastSquares(m.X, din.T(), placeRCond)
-	if err != nil {
-		return nil, fmt.Errorf("core: batch incoming solve: %w", err)
-	}
-	return &Placement{X: xt.T(), Y: yt.T()}, nil
+	// refIn · Xᵀ = doutᵀ and refOut · Yᵀ = dinᵀ, one RHS column per host.
+	return &Placement{X: f.out.Solve(dout.T()).T(), Y: f.in.Solve(din.T()).T()}, nil
 }
 
 // NumHosts returns the number of placed hosts.

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"github.com/ides-go/ides/internal/factor"
 	"github.com/ides-go/ides/internal/mat"
@@ -86,9 +87,14 @@ func (o FitOptions) withDefaults() FitOptions {
 // Model is a fitted IDES landmark model.
 type Model struct {
 	// X and Y are m x d: landmark outgoing and incoming vectors as rows.
+	// Fill them before the first placement (SolveHost or PlaceAll) and
+	// treat them as read-only from then on: that placement decomposes
+	// them once for every later one.
 	X, Y *mat.Dense
 	// Algorithm records how the model was fitted.
 	Algorithm Algorithm
+
+	place atomic.Pointer[placeFactors] // set by the first placement
 }
 
 // ErrMaskRequiresNMF is returned when a masked fit is requested with SVD.

@@ -60,11 +60,34 @@ func agreesWithOracle(t *testing.T, a *mat.Dense, b, got []float64) bool {
 	return true
 }
 
+// sameVectors reports whether two placements returned the same bits and
+// the same error.
+func sameVectors(a Vectors, aErr error, b Vectors, bErr error) bool {
+	if (aErr == nil) != (bErr == nil) || aErr != nil && aErr.Error() != bErr.Error() {
+		return false
+	}
+	same := func(x, y []float64) bool {
+		if len(x) != len(y) {
+			return false
+		}
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	return same(a.Out, b.Out) && same(a.In, b.In)
+}
+
 // FuzzPlaceOracle builds k x d reference matrices from the input — small
 // integer entries, so duplicated rows and exact rank deficiency are
 // common, with one column optionally squashed toward singularity — and
-// checks that SolveVectors, SolveHost and PlaceAll all return the
-// oracle's placement.
+// checks that SolveVectors returns the oracle's placement; that a model
+// over the same references places a host through SolveHost bit for bit
+// as SolveVectors does, errors included, on the call that decomposes the
+// model and on one that reuses the decomposition; and that every row of
+// PlaceAll is that host's SolveHost, bit for bit.
 func FuzzPlaceOracle(f *testing.F) {
 	for seed := range int64(8) {
 		b := make([]byte, 64+32*seed)
@@ -98,31 +121,37 @@ func FuzzPlaceOracle(f *testing.F) {
 			return a
 		}
 		refOut, refIn := ref(), ref()
-		dout, din := make([]float64, k), make([]float64, k)
-		for i := range k {
-			dout[i] = float64(next())
-			din[i] = float64(next())
+		const hosts = 3
+		dout, din := mat.NewDense(hosts, k), mat.NewDense(hosts, k)
+		for h := range hosts {
+			for i := range k {
+				dout.Set(h, i, float64(next()))
+				din.Set(h, i, float64(next()))
+			}
 		}
 
-		v, err := SolveVectors(refOut, refIn, dout, din)
+		v, err := SolveVectors(refOut, refIn, dout.Row(0), din.Row(0))
+		m := &Model{X: refOut, Y: refIn}
+		for _, call := range []string{"first", "cached"} {
+			host, herr := m.SolveHost(dout.Row(0), din.Row(0))
+			if !sameVectors(host, herr, v, err) {
+				t.Fatalf("%s SolveHost = %v, %v; SolveVectors = %v, %v: %dx%d references", call, host, herr, v, err, k, d)
+			}
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !agreesWithOracle(t, refIn, dout, v.Out) || !agreesWithOracle(t, refOut, din, v.In) {
+		if !agreesWithOracle(t, refIn, dout.Row(0), v.Out) || !agreesWithOracle(t, refOut, din.Row(0), v.In) {
 			t.Fatalf("SolveVectors differs from the oracle: %dx%d references", k, d)
 		}
-		m := &Model{X: refOut, Y: refIn}
-		host, err := m.SolveHost(dout, din)
+		place, err := m.PlaceAll(dout, din)
 		if err != nil {
 			t.Fatal(err)
 		}
-		place, err := m.PlaceAll(mat.FromRows([][]float64{dout}), mat.FromRows([][]float64{din}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, got := range map[string]Vectors{"SolveHost": host, "PlaceAll": place.Vectors(0)} {
-			if !agreesWithOracle(t, refIn, dout, got.Out) || !agreesWithOracle(t, refOut, din, got.In) {
-				t.Fatalf("%s differs from the oracle: %dx%d references", name, k, d)
+		for h := range hosts {
+			host, err := m.SolveHost(dout.Row(h), din.Row(h))
+			if !sameVectors(place.Vectors(h), nil, host, err) {
+				t.Fatalf("PlaceAll row %d = %v; SolveHost = %v, %v: %dx%d references", h, place.Vectors(h), host, err, k, d)
 			}
 		}
 	})

@@ -68,7 +68,7 @@ func BenchmarkLeastSquares64x8(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := LeastSquares(a, rhs, ExactRCond(a)); err != nil {
+		if _, err := leastSquares(a, rhs, ExactRCond(a)); err != nil {
 			b.Fatal(err)
 		}
 	}

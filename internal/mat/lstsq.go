@@ -5,8 +5,10 @@ import (
 	"math"
 )
 
-// LeastSquares returns the X minimizing ||A*X - B||_F over the well-resolved
-// part of A's spectrum, for A of any shape. With A = U·diag(S)·Vᵀ it is
+// LeastSquaresFactor solves least-squares problems A·X ≈ B for one A and
+// any number of right-hand sides B. The solution is the X minimizing
+// ||A*X - B||_F over the well-resolved part of A's spectrum, for A of any
+// shape. With A = U·diag(S)·Vᵀ it is
 //
 //	X = V · φ(S) · Uᵀ · B,  φ(s) = 1/s for s ≥ c,  φ(s) = s/c² below,
 //
@@ -15,51 +17,89 @@ import (
 // minimum-norm solution when it is underdetermined). Below the cutoff φ
 // falls linearly to zero instead of growing as 1/s, so a direction that A
 // barely resolves cannot fling the solution off. At ExactRCond(A) only
-// singular values at rounding level are filtered. All columns of B share
-// one decomposition of A.
-func LeastSquares(a, b *Dense, rcond float64) (*Dense, error) {
-	if b.Rows() != a.Rows() {
-		panic(fmt.Sprintf("mat: LeastSquares B rows %d != A rows %d", b.Rows(), a.Rows()))
-	}
+// singular values at rounding level are filtered.
+//
+// The factor holds what depends on A alone, its SVD with φ applied to the
+// spectrum, so each solve is two small products. It is read-only once
+// built: any number of goroutines may solve against it.
+type LeastSquaresFactor struct {
+	ut  *Dense    // Uᵀ, r x m
+	v   *Dense    // V, n x r
+	phi []float64 // φ(S), r
+}
+
+// FactorLeastSquares decomposes the m x n matrix a for least-squares
+// solves at the cutoff rcond.
+func FactorLeastSquares(a *Dense, rcond float64) (*LeastSquaresFactor, error) {
 	dec, err := SVD(a)
 	if err != nil {
 		return nil, fmt.Errorf("least squares: %w", err)
 	}
-	utb := MulATB(dec.U, b)
 	var smax float64
 	for _, s := range dec.S {
 		smax = max(smax, s)
 	}
 	cut := rcond * smax
+	phi := make([]float64, len(dec.S))
 	for i, s := range dec.S {
-		var phi float64 // a zero singular value carries no direction
-		if s > 0 {
+		if s > 0 { // a zero singular value carries no direction
 			c := math.Max(s, cut)
-			phi = s / (c * c)
+			phi[i] = s / (c * c)
 		}
+	}
+	return &LeastSquaresFactor{ut: dec.U.T(), v: dec.V, phi: phi}, nil
+}
+
+// Solve returns the solution for every column of the m-row b.
+func (f *LeastSquaresFactor) Solve(b *Dense) *Dense {
+	if b.rows != f.ut.cols {
+		panic(fmt.Sprintf("mat: Solve B rows %d != A rows %d", b.rows, f.ut.cols))
+	}
+	utb := Mul(f.ut, b)
+	for i, phi := range f.phi {
 		row := utb.Row(i)
 		for j := range row {
 			row[j] *= phi
 		}
 	}
-	return Mul(dec.V, utb), nil
+	return Mul(f.v, utb)
 }
 
-// ExactRCond is the cutoff at which LeastSquares is the plain pseudo-inverse
-// of a: only singular values below 1e-13·max(rows, cols) of the largest, at
-// the level of rounding error, are filtered.
+// SolveVec is Solve for a single right-hand side, bit for bit: every sum
+// runs in ascending order into one accumulator, as Mul's kernel does, and
+// nothing is allocated but the result.
+func (f *LeastSquaresFactor) SolveVec(b []float64) []float64 {
+	m, r := f.ut.cols, f.v.cols
+	if len(b) != m {
+		panic(fmt.Sprintf("mat: SolveVec length %d != rows %d", len(b), m))
+	}
+	x := make([]float64, f.v.rows)
+	for i, phi := range f.phi {
+		var s float64
+		for k, u := range f.ut.data[i*m : (i+1)*m] {
+			s += u * b[k]
+		}
+		s *= phi
+		for p := range x {
+			x[p] += f.v.data[p*r+i] * s
+		}
+	}
+	return x
+}
+
+// ExactRCond is the cutoff at which a LeastSquaresFactor of a is the plain
+// pseudo-inverse: only singular values below 1e-13·max(rows, cols) of the
+// largest, at the level of rounding error, are filtered.
 func ExactRCond(a *Dense) float64 {
 	return 1e-13 * float64(maxInt(a.Rows(), a.Cols()))
 }
 
-// SolveVec is LeastSquares for a single right-hand side vector.
+// SolveVec is a one-off least-squares solve of a·x ≈ b at the cutoff
+// rcond.
 func SolveVec(a *Dense, b []float64, rcond float64) ([]float64, error) {
-	if len(b) != a.Rows() {
-		panic(fmt.Sprintf("mat: SolveVec length %d != rows %d", len(b), a.Rows()))
-	}
-	x, err := LeastSquares(a, &Dense{rows: len(b), cols: 1, data: b}, rcond)
+	f, err := FactorLeastSquares(a, rcond)
 	if err != nil {
 		return nil, err
 	}
-	return x.data, nil
+	return f.SolveVec(b), nil
 }

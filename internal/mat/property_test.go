@@ -111,7 +111,7 @@ func TestPropLeastSquaresOptimality(t *testing.T) {
 		m := n + 1 + rng.Intn(10)
 		a := boundedMatrix(rng, m, n)
 		b := boundedMatrix(rng, m, 1)
-		x, err := LeastSquares(a, b, ExactRCond(a))
+		x, err := leastSquares(a, b, ExactRCond(a))
 		if err != nil {
 			return false
 		}

@@ -2,6 +2,7 @@ package ides_test
 
 import (
 	"bufio"
+	"fmt"
 	"go/ast"
 	"go/build"
 	"go/importer"
@@ -15,6 +16,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -65,7 +67,8 @@ type reachPkg struct {
 
 // reachTree is the parsed tree. As a types.Importer it resolves the
 // module's own import paths to its packages and everything else through
-// the standard library's source importer.
+// the standard library's source importer. Once loadReachTree returns it
+// is read-only: the three gates share one.
 type reachTree struct {
 	fset *token.FileSet
 	pkgs map[string]*reachPkg
@@ -76,7 +79,7 @@ type reachTree struct {
 	// testSelected maps each name a _test.go file selects, collected
 	// syntactically, to the packages whose tests select it.
 	testSelected map[string]map[string]bool
-	err          error
+	err          error // the first type error while loading
 }
 
 func (tr *reachTree) Import(p string) (*types.Package, error) {
@@ -89,22 +92,39 @@ func (tr *reachTree) Import(p string) (*types.Package, error) {
 		return pkg, err
 	}
 	if rp.types == nil {
-		rp.types, rp.info = tr.check(p, rp.files, tr)
+		var err error
+		rp.types, rp.info, err = tr.check(p, rp.files, tr)
+		if tr.err == nil {
+			tr.err = err
+		}
 	}
 	return rp.types, nil
 }
 
-// check type-checks files as package p; the first type error lands in
-// tr.err.
-func (tr *reachTree) check(p string, files []*ast.File, imp types.Importer) (*types.Package, *types.Info) {
+// check type-checks files as package p and returns the first type error.
+func (tr *reachTree) check(p string, files []*ast.File, imp types.Importer) (*types.Package, *types.Info, error) {
 	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	var first error
 	conf := types.Config{Importer: imp, Error: func(err error) {
-		if tr.err == nil {
-			tr.err = err
+		if first == nil {
+			first = err
 		}
 	}}
 	pkg, _ := conf.Check(p, tr.fset, files, info)
-	return pkg, info
+	return pkg, info, first
+}
+
+// reachLoaded imports from a loaded tree without adding to it: every
+// module package is checked already, and a standard package that only
+// tests import stays out of stdIfaceMethods, whose names are roots of the
+// reachability gate.
+type reachLoaded struct{ tr *reachTree }
+
+func (l reachLoaded) Import(p string) (*types.Package, error) {
+	if rp := l.tr.pkgs[p]; rp != nil {
+		return rp.types, nil
+	}
+	return l.tr.std.Import(p)
 }
 
 func (tr *reachTree) noteInterfaces(pkg *types.Package) {
@@ -121,11 +141,30 @@ func (tr *reachTree) noteInterfaces(pkg *types.Package) {
 	}
 }
 
+// reachShared is the tree the three gates read, loaded once per test
+// binary: parsing and type-checking it, standard library from source, is
+// most of what each gate costs.
+var reachShared struct {
+	once sync.Once
+	tr   *reachTree
+	err  error
+}
+
+// sharedReachTree returns the tree under the module root, loading it on
+// first use.
+func sharedReachTree(t *testing.T) *reachTree {
+	t.Helper()
+	reachShared.once.Do(func() { reachShared.tr, reachShared.err = loadReachTree(".") })
+	if reachShared.err != nil {
+		t.Fatal(reachShared.err)
+	}
+	return reachShared.tr
+}
+
 // loadReachTree parses every Go file under root that the default build
 // would compile, bench/ (a module of its own, nested under the root
-// module's path) included.
-func loadReachTree(t *testing.T, root string) *reachTree {
-	t.Helper()
+// module's path) included, and type-checks the non-test files.
+func loadReachTree(root string) (*reachTree, error) {
 	fset := token.NewFileSet()
 	tr := &reachTree{
 		fset:            fset,
@@ -179,15 +218,15 @@ func loadReachTree(t *testing.T, root string) *reachTree {
 		return nil
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	for p := range tr.pkgs {
 		tr.Import(p) //nolint:errcheck // type errors land in tr.err
 	}
 	if tr.err != nil {
-		t.Fatalf("type-checking the tree: %v", tr.err)
+		return nil, fmt.Errorf("type-checking the tree: %w", tr.err)
 	}
-	return tr
+	return tr, nil
 }
 
 // testKept reports whether tests keep the name of a declaration in
@@ -392,7 +431,7 @@ func TestEveryDeclarationIsReachable(t *testing.T) {
 		t.Skip("type-checks the whole tree and the standard library it imports from source")
 	}
 	allow := readReachAllow(t)
-	tr := loadReachTree(t, ".")
+	tr := sharedReachTree(t)
 	decls := tr.decls()
 	excused := map[string]bool{}
 	for _, name := range tr.unreachable(decls, nil) {
@@ -458,9 +497,9 @@ func (tr *reachTree) options() map[token.Pos]reachOption {
 	return out
 }
 
-// unsetOptions returns the names of the options without a writer, and
-// the number of options.
-func (tr *reachTree) unsetOptions() (unset []string, total int) {
+// unsetOptions returns the names of the options without a writer, the
+// number of options, and the first type error in the tests.
+func (tr *reachTree) unsetOptions() (unset []string, total int, err error) {
 	options := tr.options()
 	written := map[token.Pos]bool{}
 	// note marks what files write; own is the package whose non-test
@@ -503,13 +542,18 @@ func (tr *reachTree) unsetOptions() (unset []string, total int) {
 				external = append(external, f)
 			}
 		}
+		check := func(p string, files []*ast.File) {
+			_, info, cerr := tr.check(p, files, reachLoaded{tr})
+			if err == nil {
+				err = cerr
+			}
+			note(files, info, nil)
+		}
 		if len(inPkg) > 0 {
-			_, info := tr.check(rp.path, append(rp.files[:len(rp.files):len(rp.files)], inPkg...), tr)
-			note(inPkg, info, nil)
+			check(rp.path, append(rp.files[:len(rp.files):len(rp.files)], inPkg...))
 		}
 		if len(external) > 0 {
-			_, info := tr.check(rp.path+"_test", external, tr)
-			note(external, info, nil)
+			check(rp.path+"_test", external)
 		}
 	}
 	for pos, o := range options {
@@ -518,7 +562,7 @@ func (tr *reachTree) unsetOptions() (unset []string, total int) {
 		}
 	}
 	sort.Strings(unset)
-	return unset, len(options)
+	return unset, len(options), err
 }
 
 // TestEveryOptionIsSet fails on an option no file of the tree sets.
@@ -526,10 +570,9 @@ func TestEveryOptionIsSet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole tree, tests included, and the standard library it imports from source")
 	}
-	tr := loadReachTree(t, ".")
-	unset, total := tr.unsetOptions()
-	if tr.err != nil {
-		t.Fatalf("type-checking the tests: %v", tr.err)
+	unset, total, err := sharedReachTree(t).unsetOptions()
+	if err != nil {
+		t.Fatalf("type-checking the tests: %v", err)
 	}
 	t.Logf("option fields: %d", total)
 	for _, name := range unset {
@@ -649,7 +692,7 @@ func TestEveryFlagIsPassed(t *testing.T) {
 			}
 		}
 	}
-	tr := loadReachTree(t, ".")
+	tr := sharedReachTree(t)
 	byBinary, total := tr.flags()
 	t.Logf("flags: %d", total)
 	var unpassed []string
