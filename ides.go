@@ -31,7 +31,9 @@ func NewMatrix(r, c int) *Matrix { return mat.NewDense(r, c) }
 func MatrixFromRows(rows [][]float64) *Matrix { return mat.FromRows(rows) }
 
 // Model is a fitted IDES landmark model: one outgoing and one incoming
-// vector per landmark.
+// vector per landmark. Its first placement decomposes X and Y for every
+// later one, so do not write into them after it; assigning new matrices
+// is seen and decomposed again.
 type Model = core.Model
 
 // Vectors is a host's outgoing/incoming vector pair.

@@ -19,7 +19,7 @@ import (
 // when the landmark vectors are well conditioned, damped along directions
 // they barely resolve. The inverses depend on the model alone, so Y and X
 // are decomposed on the model's first placement and every later host only
-// applies the two factors.
+// applies the two factors. Replacing X or Y decomposes again.
 func (m *Model) SolveHost(dout, din []float64) (Vectors, error) {
 	if len(dout) != m.NumLandmarks() || len(din) != m.NumLandmarks() {
 		panic(fmt.Sprintf("core: distance vectors have %d/%d entries, want %d landmarks",
@@ -35,29 +35,36 @@ func (m *Model) SolveHost(dout, din []float64) (Vectors, error) {
 // placeFactors is the part of placing a host against a model that depends
 // on the model alone: the least-squares factors of Y (for the outgoing
 // vector) and X (for the incoming one) at placeRCond, or the error
-// SolveVectors would return for the model's references.
+// SolveVectors would return for the model's references. x and y are the
+// matrices it was computed from.
 type placeFactors struct {
+	x, y    *mat.Dense
 	out, in *mat.LeastSquaresFactor
 	err     error
 }
 
 // factors returns the model's placement factors, decomposing Y and X on
-// first use. Concurrent first callers may each decompose; the first to
-// publish wins and the rest adopt its factors, so every caller solves
-// against the same ones.
+// first use and again whenever X or Y has been replaced by another matrix.
+// Concurrent first callers may each decompose; the first to publish wins
+// and the rest adopt its factors, so every caller solves against the same
+// ones.
 func (m *Model) factors() *placeFactors {
-	if f := m.place.Load(); f != nil {
-		return f
+	x, y := m.X, m.Y
+	old := m.place.Load()
+	if old != nil && old.x == x && old.y == y {
+		return old
 	}
-	f := new(placeFactors)
+	f := &placeFactors{x: x, y: y}
 	var err error
-	if f.out, err = mat.FactorLeastSquares(m.Y, placeRCond); err != nil {
-		f.err = fmt.Errorf("core: solving outgoing vector: %w", err)
-	} else if f.in, err = mat.FactorLeastSquares(m.X, placeRCond); err != nil {
-		f.err = fmt.Errorf("core: solving incoming vector: %w", err)
+	if f.out, err = mat.FactorLeastSquares(y, placeRCond); err != nil {
+		f.err = solveError("outgoing", "", err)
+	} else if f.in, err = mat.FactorLeastSquares(x, placeRCond); err != nil {
+		f.err = solveError("incoming", "", err)
 	}
-	if !m.place.CompareAndSwap(nil, f) {
-		f = m.place.Load()
+	if !m.place.CompareAndSwap(old, f) {
+		if cur := m.place.Load(); cur != nil && cur.x == x && cur.y == y {
+			return cur
+		}
 	}
 	return f
 }
@@ -139,14 +146,20 @@ func solveVectors(solve func(*mat.Dense, []float64) ([]float64, error), how stri
 	// X_new minimizes Σ_i (dout_i − U·Y_i)²  ⇒  refIn · U = dout.
 	out, err := solve(refIn, dout)
 	if err != nil {
-		return Vectors{}, fmt.Errorf("core: solving outgoing vector%s: %w", how, err)
+		return Vectors{}, solveError("outgoing", how, err)
 	}
 	// Y_new minimizes Σ_i (din_i − X_i·U)²  ⇒  refOut · U = din.
 	in, err := solve(refOut, din)
 	if err != nil {
-		return Vectors{}, fmt.Errorf("core: solving incoming vector%s: %w", how, err)
+		return Vectors{}, solveError("incoming", how, err)
 	}
 	return Vectors{Out: out, In: in}, nil
+}
+
+// solveError reports a failed placement solve: side is "outgoing" or
+// "incoming", how names the solver as in solveVectors.
+func solveError(side, how string, err error) error {
+	return fmt.Errorf("core: solving %s vector%s: %w", side, how, err)
 }
 
 // Placement holds solved vectors for a batch of ordinary hosts.
@@ -158,9 +171,9 @@ type Placement struct {
 // PlaceAll solves vectors for h hosts at once. dout and din are h x m:
 // dout[i][l] is the distance from host i to landmark l, din[i][l] the
 // distance from landmark l to host i. Row i is SolveHost's answer for
-// host i, bit for bit, and both apply the factors of Y and X the model
-// keeps from its first placement: the decomposition is paid once per
-// model, not per host or per call — this is what makes IDES's
+// host i: the same apply of the factors of Y and X the model keeps from
+// its first placement, so the decomposition is paid once per model, not
+// per host or per call — this is what makes IDES's
 // model-building time in Table 1 sub-second even with a thousand hosts.
 func (m *Model) PlaceAll(dout, din *mat.Dense) (*Placement, error) {
 	h, cols := dout.Dims()
@@ -174,8 +187,12 @@ func (m *Model) PlaceAll(dout, din *mat.Dense) (*Placement, error) {
 	if f.err != nil {
 		return nil, f.err
 	}
-	// refIn · Xᵀ = doutᵀ and refOut · Yᵀ = dinᵀ, one RHS column per host.
-	return &Placement{X: f.out.Solve(dout.T()).T(), Y: f.in.Solve(din.T()).T()}, nil
+	p := &Placement{X: mat.NewDense(h, m.Dim()), Y: mat.NewDense(h, m.Dim())}
+	for i := range h {
+		f.out.SolveVecInto(p.X.Row(i), dout.Row(i))
+		f.in.SolveVecInto(p.Y.Row(i), din.Row(i))
+	}
+	return p, nil
 }
 
 // NumHosts returns the number of placed hosts.

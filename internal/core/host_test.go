@@ -58,6 +58,30 @@ func TestSolveHostConcurrentFirstUse(t *testing.T) {
 	}
 }
 
+// TestSolveHostSeesReplacedMatrices places a host, assigns the model new
+// X and Y, and places it again: the second answer must be the new
+// model's, not one from the factors of the old.
+func TestSolveHostSeesReplacedMatrices(t *testing.T) {
+	x1, y1, dout, din := placementProblem(t, 1)
+	x2, y2, _, _ := placementProblem(t, 2)
+	m := &Model{X: x1, Y: y1}
+	if _, err := m.SolveHost(dout, din); err != nil {
+		t.Fatal(err)
+	}
+	m.X, m.Y = x2, y2
+	got, err := m.SolveHost(dout, din)
+	want, wantErr := SolveVectors(x2, y2, dout, din)
+	if !sameVectors(got, err, want, wantErr) {
+		t.Fatalf("after replacing X and Y: SolveHost = %v, %v; SolveVectors = %v, %v", got, err, want, wantErr)
+	}
+	m.Y = y1 // one side alone
+	got, err = m.SolveHost(dout, din)
+	want, wantErr = SolveVectors(x2, y1, dout, din)
+	if !sameVectors(got, err, want, wantErr) {
+		t.Fatalf("after replacing Y: SolveHost = %v, %v; SolveVectors = %v, %v", got, err, want, wantErr)
+	}
+}
+
 // maxSolveHostAllocs bounds a SolveHost call on a model that has already
 // placed a host. It reads 2, the two result vectors: the factors are
 // applied in place, with no temporaries.

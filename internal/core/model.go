@@ -88,8 +88,9 @@ func (o FitOptions) withDefaults() FitOptions {
 type Model struct {
 	// X and Y are m x d: landmark outgoing and incoming vectors as rows.
 	// Fill them before the first placement (SolveHost or PlaceAll) and
-	// treat them as read-only from then on: that placement decomposes
-	// them once for every later one.
+	// do not write into them from then on: that placement decomposes
+	// them once for every later one. Assigning a new matrix to X or Y
+	// is seen, and the next placement decomposes again.
 	X, Y *mat.Dense
 	// Algorithm records how the model was fitted.
 	Algorithm Algorithm

@@ -5,12 +5,12 @@ import (
 	"math"
 )
 
-// LeastSquaresFactor solves least-squares problems A·X ≈ B for one A and
-// any number of right-hand sides B. The solution is the X minimizing
-// ||A*X - B||_F over the well-resolved part of A's spectrum, for A of any
+// LeastSquaresFactor solves least-squares problems A·x ≈ b for one A and
+// any number of right-hand sides b. The solution is the x minimizing
+// ||A*x - b|| over the well-resolved part of A's spectrum, for A of any
 // shape. With A = U·diag(S)·Vᵀ it is
 //
-//	X = V · φ(S) · Uᵀ · B,  φ(s) = 1/s for s ≥ c,  φ(s) = s/c² below,
+//	x = V · φ(S) · Uᵀ · b,  φ(s) = 1/s for s ≥ c,  φ(s) = s/c² below,
 //
 // where c = rcond·max(S). Above the cutoff this is the pseudo-inverse, so a
 // system whose condition number is below 1/rcond is solved exactly (the
@@ -50,30 +50,21 @@ func FactorLeastSquares(a *Dense, rcond float64) (*LeastSquaresFactor, error) {
 	return &LeastSquaresFactor{ut: dec.U.T(), v: dec.V, phi: phi}, nil
 }
 
-// Solve returns the solution for every column of the m-row b.
-func (f *LeastSquaresFactor) Solve(b *Dense) *Dense {
-	if b.rows != f.ut.cols {
-		panic(fmt.Sprintf("mat: Solve B rows %d != A rows %d", b.rows, f.ut.cols))
-	}
-	utb := Mul(f.ut, b)
-	for i, phi := range f.phi {
-		row := utb.Row(i)
-		for j := range row {
-			row[j] *= phi
-		}
-	}
-	return Mul(f.v, utb)
+// SolveVec returns the solution for the right-hand side b, of length m.
+func (f *LeastSquaresFactor) SolveVec(b []float64) []float64 {
+	x := make([]float64, f.v.rows)
+	f.SolveVecInto(x, b)
+	return x
 }
 
-// SolveVec is Solve for a single right-hand side, bit for bit: every sum
-// runs in ascending order into one accumulator, as Mul's kernel does, and
-// nothing is allocated but the result.
-func (f *LeastSquaresFactor) SolveVec(b []float64) []float64 {
+// SolveVecInto writes SolveVec's solution into x, of length n. Every sum
+// runs in ascending order into one accumulator, and nothing is allocated.
+func (f *LeastSquaresFactor) SolveVecInto(x, b []float64) {
 	m, r := f.ut.cols, f.v.cols
-	if len(b) != m {
-		panic(fmt.Sprintf("mat: SolveVec length %d != rows %d", len(b), m))
+	if len(b) != m || len(x) != f.v.rows {
+		panic(fmt.Sprintf("mat: SolveVec lengths b=%d x=%d, want %d and %d", len(b), len(x), m, f.v.rows))
 	}
-	x := make([]float64, f.v.rows)
+	clear(x)
 	for i, phi := range f.phi {
 		var s float64
 		for k, u := range f.ut.data[i*m : (i+1)*m] {
@@ -84,7 +75,6 @@ func (f *LeastSquaresFactor) SolveVec(b []float64) []float64 {
 			x[p] += f.v.data[p*r+i] * s
 		}
 	}
-	return x
 }
 
 // ExactRCond is the cutoff at which a LeastSquaresFactor of a is the plain
