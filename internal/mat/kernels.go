@@ -4,30 +4,65 @@ import "fmt"
 
 // Hot-loop kernels for the query path. The estimate side of the system
 // (core.Estimate, the query engine's point/batch/k-NN scoring) reduces to
-// dot products over short dense rows; these kernels unroll that reduction
-// 4-wide so the compiler keeps four independent accumulator chains in
-// registers instead of serializing on one FP add per element.
+// dot products over short dense rows; one body, DotBlockInto, computes
+// every one of them. It unrolls the reduction 4-wide so the compiler
+// keeps four independent accumulator chains in registers instead of
+// serializing on one FP add per element.
 //
 // The reduction order is fixed — ((s0+s1)+(s2+s3)) plus a scalar tail —
-// so results are deterministic for a given input, and every caller
-// (exact k-NN scan, spatial index, batch estimation) scores through the
-// same kernel and therefore agrees bitwise.
+// so results are deterministic for a given input, and every caller (Dot
+// and so the point estimate and the engine's exact k-NN scan,
+// DotRowsInto behind EstimateBatch, MulVecInto, and the k-NN index's
+// leaves) scores through the same body and therefore agrees bitwise,
+// down to the payload of a NaN.
 
-// dot4 is the shared unrolled kernel: len(y) must be >= len(x).
-func dot4(x, y []float64) float64 {
-	var s0, s1, s2, s3 float64
-	i := 0
-	for ; i+4 <= len(x); i += 4 {
-		s0 += x[i] * y[i]
-		s1 += x[i+1] * y[i+1]
-		s2 += x[i+2] * y[i+2]
-		s3 += x[i+3] * y[i+3]
+// DotBlockInto scores a block of rows stored back to back against x:
+// dst[r] = x · block[r·len(x) : (r+1)·len(x)] for every r < len(dst).
+// block must hold exactly len(dst)·len(x) elements. A caller holding
+// many contiguous rows (a k-NN leaf) scores them in one call instead of
+// one Dot per row; each row is sliced to its exact length, so the loops
+// index it without bounds checks. Rows of 8, the service's default
+// dimension, take a fully unrolled path with the same reduction order.
+func DotBlockInto(dst, block, x []float64) {
+	n := len(x)
+	if len(block) != len(dst)*n {
+		panic(fmt.Sprintf("mat: DotBlockInto block %d want %d rows of %d", len(block), len(dst), n))
 	}
-	var s float64
-	for ; i < len(x); i++ {
-		s += x[i] * y[i]
+	if n == 8 {
+		x := x[:8:8]
+		for r := range dst {
+			y := block[r*8 : r*8+8 : r*8+8]
+			var s0, s1, s2, s3 float64
+			s0 += x[0] * y[0]
+			s1 += x[1] * y[1]
+			s2 += x[2] * y[2]
+			s3 += x[3] * y[3]
+			s0 += x[4] * y[4]
+			s1 += x[5] * y[5]
+			s2 += x[6] * y[6]
+			s3 += x[7] * y[7]
+			var s float64
+			dst[r] = (s0 + s1) + (s2 + s3) + s
+		}
+		return
 	}
-	return (s0 + s1) + (s2 + s3) + s
+	for r := range dst {
+		y := block[r*n : r*n+n]
+		var s0, s1, s2, s3 float64
+		i := 0
+		for ; i+4 <= n; i += 4 {
+			xs, ys := x[i:i+4:i+4], y[i:i+4:i+4]
+			s0 += xs[0] * ys[0]
+			s1 += xs[1] * ys[1]
+			s2 += xs[2] * ys[2]
+			s3 += xs[3] * ys[3]
+		}
+		var s float64
+		for ; i < n; i++ {
+			s += x[i] * y[i]
+		}
+		dst[r] = (s0 + s1) + (s2 + s3) + s
+	}
 }
 
 // MulVecInto computes dst = a*x without allocating. len(dst) must equal
@@ -39,9 +74,7 @@ func MulVecInto(dst []float64, a *Dense, x []float64) {
 	if len(dst) != a.rows {
 		panic(fmt.Sprintf("mat: MulVecInto dst %d want %d", len(dst), a.rows))
 	}
-	for i := 0; i < a.rows; i++ {
-		dst[i] = dot4(a.data[i*a.cols:(i+1)*a.cols], x)
-	}
+	DotBlockInto(dst, a.data, x)
 }
 
 // DotRowsInto is the fused estimate-row kernel behind EstimateBatch:
@@ -58,6 +91,6 @@ func DotRowsInto(dst []float64, rows [][]float64, x []float64) {
 		if len(row) != len(x) {
 			panic(fmt.Sprintf("mat: DotRowsInto row %d length %d want %d", i, len(row), len(x)))
 		}
-		dst[i] = dot4(row, x)
+		DotBlockInto(dst[i:i+1], row, x)
 	}
 }

@@ -33,11 +33,7 @@ func MulABT(a, b *Dense) *Dense {
 	}
 	out := NewDense(a.rows, b.rows)
 	for i := 0; i < a.rows; i++ {
-		arow := a.data[i*a.cols : (i+1)*a.cols]
-		drow := out.data[i*b.rows : (i+1)*b.rows]
-		for j := 0; j < b.rows; j++ {
-			drow[j] = dot4(arow, b.data[j*b.cols:(j+1)*b.cols])
-		}
+		DotBlockInto(out.data[i*b.rows:(i+1)*b.rows], b.data, a.data[i*a.cols:(i+1)*a.cols])
 	}
 	return out
 }
@@ -122,7 +118,9 @@ func Dot(x, y []float64) float64 {
 	if len(x) != len(y) {
 		panic(fmt.Sprintf("mat: Dot length mismatch %d vs %d", len(x), len(y)))
 	}
-	return dot4(x, y)
+	var s [1]float64
+	DotBlockInto(s[:], y, x)
+	return s[0]
 }
 
 // Norm2 returns the Euclidean norm of x, guarding against overflow.

@@ -16,12 +16,14 @@ import (
 	"hash/maphash"
 	"math"
 	"math/bits"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/ides-go/ides/internal/core"
+	"github.com/ides-go/ides/internal/wire"
 )
 
 // Config parameterizes a Directory.
@@ -338,7 +340,48 @@ func (d *Directory) Put(addr string, vec core.Vectors) { d.PutEpoch(addr, vec, 0
 // AdvanceEpoch moves past that epoch. The vectors are copied into a
 // fresh record, so the caller may reuse its buffers.
 func (d *Directory) PutEpoch(addr string, vec core.Vectors, epoch uint64) {
-	if len(addr) >= 1<<17 || len(vec.Out) >= 1<<23 || len(vec.In) >= 1<<23 {
+	putEpoch(d, addr, vec.Out, vec.In, epoch)
+}
+
+// PutEpochView is PutEpoch from a RegisterHost frame still in its
+// buffer: the leader's registration path. The address bytes and both
+// rows are copied from the view into the record, so nothing is
+// allocated for them.
+func (d *Directory) PutEpochView(addr []byte, out, in wire.Floats, epoch uint64) {
+	putEpoch(d, addr, out, in, epoch)
+}
+
+// row is a vector in either form a writer holds it: decoded, or the
+// wire bytes of one still in a request frame.
+type row interface{ []float64 | wire.Floats }
+
+func rowLen[R row](v R) int {
+	switch v := any(v).(type) {
+	case []float64:
+		return len(v)
+	case wire.Floats:
+		return v.Len()
+	}
+	panic("unreachable")
+}
+
+func appendRow[R row](slab []float64, v R) []float64 {
+	switch v := any(v).(type) {
+	case []float64:
+		return append(slab, v...)
+	case wire.Floats:
+		n := len(slab)
+		slab = slices.Grow(slab, v.Len())[:n+v.Len()]
+		v.CopyTo(slab[n:])
+		return slab
+	}
+	panic("unreachable")
+}
+
+// putEpoch is the one write behind PutEpoch and PutEpochView.
+func putEpoch[K addrKey, R row](d *Directory, addr K, out, in R, epoch uint64) {
+	nOut, nIn := rowLen(out), rowLen(in)
+	if len(addr) >= 1<<17 || nOut >= 1<<23 || nIn >= 1<<23 {
 		panic("query: address or vector longer than a wire frame carries")
 	}
 	h := hashOf(d, addr)
@@ -349,11 +392,11 @@ func (d *Directory) PutEpoch(addr string, vec core.Vectors, epoch uint64) {
 	p := find(sh, h, addr)
 	s := len(sh.slab)
 	sh.slab = append(sh.slab, u2w(h), u2w(epoch), u2w(uint64(now)),
-		u2w(uint64(len(addr))<<46|uint64(len(vec.Out))<<23|uint64(len(vec.In))))
+		u2w(uint64(len(addr))<<46|uint64(nOut)<<23|uint64(nIn)))
 	for i := 0; i < len(addr); i += 8 {
 		sh.slab = append(sh.slab, u2w(word(addr, i)))
 	}
-	sh.slab = append(append(sh.slab, vec.In...), vec.Out...)
+	sh.slab = appendRow(appendRow(sh.slab, in), out)
 	if p >= 0 {
 		sh.kill(p)
 	}

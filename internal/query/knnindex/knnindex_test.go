@@ -106,32 +106,57 @@ func clonePoints(pts []Point) []Point {
 	return out
 }
 
+// TestSearchMatchesExhaustive holds the search to a sort of every point,
+// result by result, at dimensions on each path of the leaf kernel: the
+// 8-wide one, whole 4-wide blocks, and scalar tails.
 func TestSearchMatchesExhaustive(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	const dim = 8
-	pts := clusteredPoints(rng, 5000, dim)
-	// Exact duplicates force score ties that only the address tie-break
-	// resolves — the case sloppy pruning would get wrong.
-	for i := 0; i < 50; i++ {
-		src := pts[rng.Intn(len(pts))]
-		pts = append(pts, Point{Addr: fmt.Sprintf("dup-%03d", i), Vec: src.Vec})
+	for _, dim := range []int{1, 3, 8, 10, 17} {
+		t.Run(fmt.Sprintf("d=%d", dim), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(7))
+			pts := clusteredPoints(rng, 5000, dim)
+			// Exact duplicates force score ties that only the address
+			// tie-break resolves — the case sloppy pruning would get wrong.
+			for i := 0; i < 50; i++ {
+				src := pts[rng.Intn(len(pts))]
+				pts = append(pts, Point{Addr: fmt.Sprintf("dup-%03d", i), Vec: src.Vec})
+			}
+			ref := clonePoints(pts)
+			ix := Build(pts, dim)
+			if ix == nil {
+				t.Fatal("Build returned nil")
+			}
+			for trial := 0; trial < 100; trial++ {
+				q := ref[rng.Intn(len(ref))].Vec
+				k := 1 + rng.Intn(64)
+				got := ix.Search(q, k, SearchOptions{})
+				if want := bruteForce(ref, q, k, "", nil); !slices.Equal(got, want) {
+					t.Fatalf("trial %d k=%d:\n got %+v\nwant %+v", trial, k, got, want)
+				}
+			}
+		})
 	}
-	ref := clonePoints(pts)
-	ix := Build(pts, dim)
-	if ix == nil {
-		t.Fatal("Build returned nil")
+}
+
+// TestSearchDegenerateLeaf: points that are all equal cannot be split,
+// so they stay one leaf however many there are, and the search scores it
+// in runs of leafSize. Every k, across and at the run boundaries, must
+// still return what the exhaustive sort does.
+func TestSearchDegenerateLeaf(t *testing.T) {
+	vec := []float64{1, -2, 3, 0.5, -1, 2, 4, -3}
+	var pts []Point
+	for i := 0; i < 3*leafSize+5; i++ {
+		pts = append(pts, Point{Addr: fmt.Sprintf("same-%03d", (i*37)%(3*leafSize+5)), Vec: vec})
 	}
-	for trial := 0; trial < 200; trial++ {
-		q := ref[rng.Intn(len(ref))].Vec
-		k := 1 + rng.Intn(64)
-		got := ix.Search(q, k, SearchOptions{})
-		want := bruteForce(ref, q, k, "", nil)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: got %d results, want %d", trial, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d k=%d: result %d: got %+v want %+v", trial, k, i, got[i], want[i])
+	ix := Build(pts, len(vec))
+	if ix.Nodes() != 1 {
+		t.Fatalf("%d equal points built %d nodes, want one leaf", len(pts), ix.Nodes())
+	}
+	q := []float64{0.5, 1, -1, 2, 0, 1, -0.5, 1}
+	for _, k := range []int{1, leafSize - 1, leafSize, leafSize + 1, 2*leafSize + 3, len(pts)} {
+		for _, exclude := range []string{"", "same-040"} {
+			got := ix.Search(q, k, SearchOptions{Exclude: exclude})
+			if want := bruteForce(pts, q, k, exclude, nil); !slices.Equal(got, want) {
+				t.Fatalf("k=%d exclude %q:\n got %+v\nwant %+v", k, exclude, got, want)
 			}
 		}
 	}

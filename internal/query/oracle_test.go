@@ -13,6 +13,7 @@ import (
 	"github.com/ides-go/ides/internal/core"
 	"github.com/ides-go/ides/internal/mat"
 	"github.com/ides-go/ides/internal/query/knnindex"
+	"github.com/ides-go/ides/internal/wire"
 )
 
 // oracleAddrs are the addresses the oracle sequence draws from. A record
@@ -57,7 +58,8 @@ func sameBits(a, b []float64) bool {
 }
 
 // FuzzDirectoryOracle drives one sequence of operations, decoded from
-// the input, through a Directory and through oracle, and compares every
+// the input, through a Directory (writing through PutEpoch and through
+// PutEpochView from a RegisterHost frame) and through oracle, and compares every
 // read: GetAt, GetAtBytes, EstimateBatchBytes, Len, RangeEpoch as a set,
 // and KNearest and KNearestExact against the oracle's sorted top k. Four
 // shards over three dozen addresses make re-registrations, sweeps and
@@ -101,8 +103,18 @@ func FuzzDirectoryOracle(f *testing.F) {
 			case 0, 1, 2:
 				a, v := addr(), core.Vectors{Out: vec(2 + next()%2), In: vec(2 + next()%2)}
 				epoch := max(int(o.epoch)+next()%3-1, 0)
-				d.PutEpoch(a, v, uint64(epoch))
 				o.hosts[a] = oracleEntry{core.Vectors{Out: slices.Clone(v.Out), In: slices.Clone(v.In)}, clock, uint64(epoch)}
+				if next()%2 == 0 {
+					d.PutEpoch(a, v, uint64(epoch))
+				} else { // the leader's path: a view of the RegisterHost frame
+					payload := (&wire.RegisterHost{Addr: a, Out: v.Out, In: v.In, Epoch: uint64(epoch)}).Encode(nil)
+					reg, err := wire.ParseRegisterHost(payload)
+					if err != nil {
+						t.Fatal(err)
+					}
+					d.PutEpochView(reg.Addr, reg.Out, reg.In, reg.Epoch)
+					clear(payload)
+				}
 				clear(v.Out) // the directory copied them
 				clear(v.In)
 			case 3:

@@ -36,6 +36,53 @@ func TestGetModelAllocs(t *testing.T) {
 	}
 }
 
+// TestRegisterAllocs is the allocation gate of registration: a leader
+// re-registering its 8,192 hosts in turn costs no heap allocation per
+// RegisterHost. handleRegister checks a view of the frame and the
+// directory copies the address and both rows from it into the shard's
+// slab; decoding the frame first cost four allocations (the message,
+// the address string and two rows). What remains is each shard's
+// compaction — a new slab and table once per L+1 re-registrations of
+// its L hosts — which AllocsPerRun's whole-allocation count per call
+// amortises to 0.
+func TestRegisterAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation accounting changes under -race")
+	}
+	const hosts, dim = 8192, 8
+	s, err := New(Config{Landmarks: []string{"lm-0", "lm-1"}, Dim: dim})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rng := rand.New(rand.NewSource(1))
+	payloads := make([][]byte, hosts)
+	for i := range payloads {
+		reg := &wire.RegisterHost{Addr: fmt.Sprintf("host-%05d", i), Out: make([]float64, dim), In: make([]float64, dim)}
+		for d := 0; d < dim; d++ {
+			reg.Out[d], reg.In[d] = rng.Float64()*10, rng.Float64()*10
+		}
+		payloads[i] = reg.Encode(nil)
+	}
+	var dst []byte
+	next := 0
+	op := func() {
+		var typ wire.MsgType
+		if typ, dst = s.dispatchTo(wire.TypeRegisterHost, payloads[next%hosts], dst[:0]); typ != wire.TypeAck {
+			t.Fatalf("RegisterHost answered %v", typ)
+		}
+		next++
+	}
+	for range 2 * hosts {
+		op() // register every host, then re-register each once: slabs at their steady size
+	}
+	allocs := testing.AllocsPerRun(1000, op)
+	t.Logf("RegisterHost: %.0f allocs per dispatchTo", allocs)
+	if allocs != 0 {
+		t.Errorf("RegisterHost allocates %.0f times per request, want 0", allocs)
+	}
+}
+
 // TestBulkQueryAllocs is the allocation gate of the bulk read path, the
 // companion of the root package's TestPointQueryZeroAlloc (it lives here
 // because it measures dispatchTo itself, with no client in the count):

@@ -187,11 +187,11 @@ func (q *QueryService) handleGetInfo(dst []byte) (wire.MsgType, []byte) {
 }
 
 func (q *QueryService) handleRegister(payload, dst []byte) (wire.MsgType, []byte) {
-	reg, err := wire.DecodeRegisterHost(payload)
+	reg, err := wire.ParseRegisterHost(payload)
 	if err != nil {
 		return wire.AppendError(dst, wire.CodeBadRequest, err.Error())
 	}
-	if reg.Addr == "" {
+	if len(reg.Addr) == 0 {
 		return wire.AppendError(dst, wire.CodeBadRequest, "empty host address")
 	}
 	var cur uint64
@@ -214,9 +214,9 @@ func (q *QueryService) handleRegister(payload, dst []byte) (wire.MsgType, []byte
 		return wire.AppendError(dst, wire.CodeStaleEpoch,
 			fmt.Sprintf("vectors solved against epoch %d, server at epoch %d: re-fetch the model and re-solve", reg.Epoch, cur))
 	}
-	if len(reg.Out) != want || len(reg.In) != want {
+	if reg.Out.Len() != want || reg.In.Len() != want {
 		return wire.AppendError(dst, wire.CodeBadRequest,
-			fmt.Sprintf("vector dimension %d/%d, want %d", len(reg.Out), len(reg.In), want))
+			fmt.Sprintf("vector dimension %d/%d, want %d", reg.Out.Len(), reg.In.Len(), want))
 	}
 	// A NaN or infinite coordinate would make this host every querier's
 	// nearest neighbour (or nobody's) and split the k-NN index from the
@@ -227,16 +227,16 @@ func (q *QueryService) handleRegister(payload, dst []byte) (wire.MsgType, []byte
 	}
 	// The directory shard-locks internally; expiry of stale entries is
 	// amortized into its per-shard sweeps, so registration is O(1).
-	q.dir.PutEpoch(reg.Addr, core.Vectors{Out: reg.Out, In: reg.In}, reg.Epoch)
+	q.dir.PutEpochView(reg.Addr, reg.Out, reg.In, reg.Epoch)
 	if q.onRegister != nil {
 		q.onRegister(payload)
 	}
 	return wire.TypeAck, dst
 }
 
-func finite(v []float64) bool {
-	for _, x := range v {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
+func finite(v wire.Floats) bool {
+	for i := range v.Len() {
+		if x := v.At(i); math.IsNaN(x) || math.IsInf(x, 0) {
 			return false
 		}
 	}

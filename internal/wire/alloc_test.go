@@ -31,6 +31,7 @@ var untrusted = func() []decoder {
 		{"DecodeModel", (&wire.Model{Dim: 2, Algorithm: "SVD", Landmarks: landmarks, Epoch: 3, Rev: 4}).Encode(nil), func(b []byte) { wire.DecodeModel(b) }},
 		{"DecodeReportRTT", (&wire.ReportRTT{From: "a", Entries: []wire.RTTEntry{{To: "b", RTTMillis: 3}, {To: "c", RTTMillis: 4}}}).Encode(nil), func(b []byte) { wire.DecodeReportRTT(b) }},
 		{"DecodeRegisterHost", (&wire.RegisterHost{Addr: "a", Out: vec, In: vec, Epoch: 3}).Encode(nil), func(b []byte) { wire.DecodeRegisterHost(b) }},
+		{"ParseRegisterHost", (&wire.RegisterHost{Addr: "a", Out: vec, In: vec, Epoch: 3}).Encode(nil), func(b []byte) { wire.ParseRegisterHost(b) }},
 		{"GetVectorsView", (&wire.GetVectors{Addr: "a"}).Encode(nil), func(b []byte) { wire.GetVectorsView(b) }},
 		{"DecodeVectors", (&wire.Vectors{Found: true, Out: vec, In: vec, Epoch: 3}).Encode(nil), func(b []byte) { wire.DecodeVectors(b) }},
 		{"QueryDistView", (&wire.QueryDist{From: "a", To: "b"}).Encode(nil), func(b []byte) { wire.QueryDistView(b) }},

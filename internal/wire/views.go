@@ -61,6 +61,25 @@ func GetVectorsView(b []byte) ([]byte, error) {
 	return r.View(), r.Err()
 }
 
+// RegisterHostView is a parsed RegisterHost whose address and rows alias
+// the payload; see RegisterHost for the fields.
+type RegisterHostView struct {
+	Addr    []byte
+	Out, In Floats
+	Epoch   uint64
+}
+
+// ParseRegisterHost parses a RegisterHost payload without allocating:
+// the leader checks the view and copies its rows straight into the
+// directory. It reads what DecodeRegisterHost reads and fails where it
+// fails.
+func ParseRegisterHost(b []byte) (RegisterHostView, error) {
+	r := NewReader(b)
+	v := RegisterHostView{Addr: r.View(), Out: r.FloatsView(), In: r.FloatsView()}
+	v.Epoch = r.OptUint64()
+	return v, r.Err()
+}
+
 // PingToken parses a Ping (or Pong) payload without allocating.
 func PingToken(b []byte) (uint64, error) {
 	r := NewReader(b)
