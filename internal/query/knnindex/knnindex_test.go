@@ -125,7 +125,7 @@ func TestSearchMatchesExhaustive(t *testing.T) {
 			if ix == nil {
 				t.Fatal("Build returned nil")
 			}
-			for trial := 0; trial < 100; trial++ {
+			for trial := 0; trial < 200; trial++ {
 				q := ref[rng.Intn(len(ref))].Vec
 				k := 1 + rng.Intn(64)
 				got := ix.Search(q, k, SearchOptions{})
