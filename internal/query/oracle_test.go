@@ -104,7 +104,10 @@ func FuzzDirectoryOracle(f *testing.F) {
 				a, v := addr(), core.Vectors{Out: vec(2 + next()%2), In: vec(2 + next()%2)}
 				epoch := max(int(o.epoch)+next()%3-1, 0)
 				o.hosts[a] = oracleEntry{core.Vectors{Out: slices.Clone(v.Out), In: slices.Clone(v.In)}, clock, uint64(epoch)}
-				if next()%2 == 0 {
+				// Both paths store the same record, so the path is chosen by
+				// step and consumes no input byte: a corpus input decodes
+				// to the same sequence whichever path each put takes.
+				if step%2 == 0 {
 					d.PutEpoch(a, v, uint64(epoch))
 				} else { // the leader's path: a view of the RegisterHost frame
 					payload := (&wire.RegisterHost{Addr: a, Out: v.Out, In: v.In, Epoch: uint64(epoch)}).Encode(nil)

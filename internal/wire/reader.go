@@ -14,9 +14,9 @@ import (
 // therefore its message's field list:
 //
 //	r := NewReader(b)
-//	m := &RegisterHost{Addr: r.String(), Out: r.Floats(), In: r.Floats()}
-//	m.Epoch = r.OptUint64()
-//	return decoded(m, &r)
+//	v := RegisterHostView{Addr: r.View(), Out: r.FloatsView(), In: r.FloatsView()}
+//	v.Epoch = r.OptUint64()
+//	return v, r.Err()
 //
 // which depends on Go evaluating the calls in a composite literal (and
 // in a return statement) in lexical order — the spec's "Order of

@@ -71,8 +71,7 @@ type RegisterHostView struct {
 
 // ParseRegisterHost parses a RegisterHost payload without allocating:
 // the leader checks the view and copies its rows straight into the
-// directory. It reads what DecodeRegisterHost reads and fails where it
-// fails.
+// directory. DecodeRegisterHost is this view copied out.
 func ParseRegisterHost(b []byte) (RegisterHostView, error) {
 	r := NewReader(b)
 	v := RegisterHostView{Addr: r.View(), Out: r.FloatsView(), In: r.FloatsView()}
