@@ -87,7 +87,9 @@
 //     converges by gossip — each round measures RTT to one random
 //     neighbor, exchanges coordinate rows over the wire protocol
 //     (GossipExchange/GossipReply), and applies the Kaczmarz-normalized
-//     SGD step symmetrically on both sides, O(d) per round with no
+//     SGD step symmetrically on both sides — the one row update the
+//     SGD solver also runs (solve.PeerStep), held to it bit for bit by
+//     TestSGDPairStepIsTwoPeerSteps — O(d) per round with no
 //     central fit and no landmarks; estimates are peer-to-peer from
 //     exchanged coordinates, the only central piece is an optional
 //     bootstrap directory (peer.Rendezvous, what ides-server -role

@@ -200,13 +200,35 @@ func TestFitUnknownAlgorithm(t *testing.T) {
 	}
 }
 
+// TestFitDimensionClamp: a fit's dimensionality is FitOptions.DimFor —
+// Dim, DefaultDim when unset, capped at the landmark count.
 func TestFitDimensionClamp(t *testing.T) {
-	m, err := FitSVD(ringMatrix(), 100, 1)
+	gnp, err := dataset.GenGNP(7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Dim() != 4 {
-		t.Fatalf("Dim = %d want clamp to 4", m.Dim())
+	lm := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14}
+	large := gnp.D.SelectRows(lm).SelectCols(lm)
+	for _, tc := range []struct {
+		name      string
+		landmarks *mat.Dense
+		dim, want int
+	}{
+		{"unset", large, 0, DefaultDim},
+		{"above m", ringMatrix(), 100, 4},
+		{"below m", large, 3, 3},
+	} {
+		m, _ := tc.landmarks.Dims()
+		if got := (FitOptions{Dim: tc.dim}).DimFor(m); got != tc.want {
+			t.Fatalf("%s: DimFor(%d) = %d, want %d", tc.name, m, got, tc.want)
+		}
+		model, err := FitSVD(tc.landmarks, tc.dim, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if model.Dim() != tc.want {
+			t.Fatalf("%s: fitted Dim = %d, want %d", tc.name, model.Dim(), tc.want)
+		}
 	}
 }
 

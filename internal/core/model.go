@@ -74,14 +74,17 @@ type FitOptions struct {
 
 // DefaultDim is the model dimensionality used when FitOptions.Dim is
 // unset — the paper's d ≈ 10 complexity/accuracy tradeoff (§4.3.2).
-// internal/solve validates measurement density against the same value.
 const DefaultDim = 10
 
-func (o FitOptions) withDefaults() FitOptions {
-	if o.Dim <= 0 {
-		o.Dim = DefaultDim
+// DimFor returns the dimensionality a fit of an m x m landmark matrix
+// uses: Dim, or DefaultDim when Dim is unset, capped at m. Fit goes by
+// it, and internal/solve validates measurement density against it.
+func (o FitOptions) DimFor(m int) int {
+	dim := o.Dim
+	if dim <= 0 {
+		dim = DefaultDim
 	}
-	return o
+	return min(dim, m)
 }
 
 // Model is a fitted IDES landmark model.
@@ -112,10 +115,7 @@ func Fit(landmarks *mat.Dense, opts FitOptions) (*Model, error) {
 	if m != n {
 		return nil, fmt.Errorf("%w, got %dx%d", ErrNonSquare, m, n)
 	}
-	opts = opts.withDefaults()
-	if opts.Dim > m {
-		opts.Dim = m
-	}
+	opts.Dim = opts.DimFor(m)
 	switch opts.Algorithm {
 	case SVD:
 		if opts.Mask != nil {

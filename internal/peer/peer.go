@@ -7,9 +7,12 @@
 // with mux framing when the peer speaks it), and both sides fold the
 // measurement into their own rows with solve.PeerStep — the
 // Kaczmarz-normalized step the centralized SGDSolver uses, split so
-// each side only writes its own state. Distance estimation then needs
-// no server round-trip: est(i,j) = (x_i·y_j + x_j·y_i)/2 from cached or
-// freshly fetched coordinates.
+// each side only writes its own state. There is one update: PeerStep
+// and SGDSolver run the same row update (solve's halfStep), and an
+// exchange's two PeerSteps equal the solver's step on the pair bit for
+// bit. Distance estimation then needs no server round-trip:
+// est(i,j) = (x_i·y_j + x_j·y_i)/2 from cached or freshly fetched
+// coordinates.
 //
 // The only central piece is an optional Rendezvous directory (what
 // ides-server -role rendezvous runs): peers announce themselves to it

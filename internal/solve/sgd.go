@@ -20,16 +20,6 @@ type SGDOptions struct {
 	Reg float64
 }
 
-func (o SGDOptions) withDefaults() SGDOptions {
-	if o.Rate <= 0 {
-		o.Rate = 0.3
-	}
-	if o.Reg == 0 {
-		o.Reg = 1e-4
-	}
-	return o
-}
-
 // Normalize validates the options and fills in defaults: Rate must lie
 // in [0, 1] (zero selects 0.3) and Reg must be nonnegative (zero
 // selects 1e-4). Both NewSGD and the decentralized peer loop go through
@@ -47,7 +37,13 @@ func (o SGDOptions) Normalize() (SGDOptions, error) {
 		// reading of a negative value.
 		return o, fmt.Errorf("solve: SGD regularization %v must be nonnegative", o.Reg)
 	}
-	return o.withDefaults(), nil
+	if o.Rate == 0 {
+		o.Rate = 0.3
+	}
+	if o.Reg == 0 {
+		o.Reg = 1e-4
+	}
+	return o, nil
 }
 
 // SGDSolver maintains the landmark factorization by DMFSGD-style
@@ -59,19 +55,21 @@ func (o SGDOptions) Normalize() (SGDOptions, error) {
 // by cloning the working factors (O(m·d) per batch, amortized over the
 // batch).
 type SGDSolver struct {
-	opts core.FitOptions
-	sgd  SGDOptions
-	ms   *measurements
+	// batch records the measurements, runs the seeding fits and holds
+	// the latest published model (seeded or revised). It is a field, not
+	// an embedding: BatchSolver.Apply records without stepping.
+	batch BatchSolver
+	sgd   SGDOptions
 
 	// x, y are the working factors the gradient steps mutate; they are
-	// cloned into every published model, never shared with one.
+	// cloned into every published model, never shared with one. prev
+	// holds X_i's pre-step values for Y_j's half of a step.
 	x, y *mat.Dense
+	prev []float64
 	// seedX, seedY freeze the factors of the last full fit, the baseline
 	// Drift measures displacement from.
 	seedX, seedY         *mat.Dense
 	seedXNorm, seedYNorm float64
-
-	model *core.Model
 }
 
 // NewSGD builds an SGDSolver for an m-landmark deployment. opts
@@ -79,29 +77,27 @@ type SGDSolver struct {
 // Algorithm core.NMF the gradient steps are projected to keep the
 // factors nonnegative); sgd tunes the incremental updates.
 func NewSGD(numLandmarks int, opts core.FitOptions, sgd SGDOptions) (*SGDSolver, error) {
-	if numLandmarks < 2 {
-		return nil, fmt.Errorf("solve: need at least 2 landmarks, got %d", numLandmarks)
-	}
-	if opts.Mask != nil {
-		return nil, fmt.Errorf("solve: FitOptions.Mask is managed by the solver, must be nil")
+	b, err := NewBatch(numLandmarks, opts)
+	if err != nil {
+		return nil, err
 	}
 	norm, err := sgd.Normalize()
 	if err != nil {
 		return nil, err
 	}
-	return &SGDSolver{opts: opts, sgd: norm, ms: newMeasurements(numLandmarks)}, nil
+	return &SGDSolver{batch: *b, sgd: norm}, nil
 }
 
 // Seed runs a full batch factorization, adopts its factors as the
 // working copies, and resets drift to 0.
 func (s *SGDSolver) Seed() (*core.Model, error) {
-	model, err := s.ms.fit(s.opts)
+	model, err := s.batch.Seed()
 	if err != nil {
 		return nil, err
 	}
-	s.model = model
 	s.x = model.X.Clone()
 	s.y = model.Y.Clone()
+	s.prev = make([]float64, model.Dim())
 	s.seedX = model.X.Clone()
 	s.seedY = model.Y.Clone()
 	s.seedXNorm = mat.FrobeniusNorm(s.seedX)
@@ -115,8 +111,8 @@ func (s *SGDSolver) Seed() (*core.Model, error) {
 func (s *SGDSolver) Apply(deltas []Delta) (*core.Model, error) {
 	stepped := false
 	for _, dl := range deltas {
-		accepted, mirrored := s.ms.record(dl)
-		if !accepted || s.model == nil {
+		accepted, mirrored := s.batch.ms.record(dl)
+		if !accepted || s.batch.model == nil {
 			// A delta the matrix refused must not touch the model either.
 			continue
 		}
@@ -131,8 +127,8 @@ func (s *SGDSolver) Apply(deltas []Delta) (*core.Model, error) {
 	if !stepped {
 		return nil, nil
 	}
-	model := &core.Model{X: s.x.Clone(), Y: s.y.Clone(), Algorithm: s.model.Algorithm}
-	s.model = model
+	model := &core.Model{X: s.x.Clone(), Y: s.y.Clone(), Algorithm: s.batch.model.Algorithm}
+	s.batch.model = model
 	return model, nil
 }
 
@@ -140,60 +136,72 @@ func (s *SGDSolver) Apply(deltas []Delta) (*core.Model, error) {
 // has collapsed to zero.
 const sgdEps = 1e-9
 
+// halfStep is the one row update of DMFSGD's Kaczmarz-normalized step:
+// for the residual e of a prediction own·partner (or partner·own),
+//
+//	own −= Rate·(e·partner/‖partner‖² + Reg·own)
+//
+// projected onto the nonnegative orthant when clamp is set. partner is
+// read only and must not share storage with own, and must be at least
+// as long. It returns disp plus own's squared displacement, so callers
+// chain the halves of a step through one running sum.
+//
+// Scaling by the partner row's squared norm makes Rate a unitless
+// fraction of the residual, stable across RTT magnitudes; the plain
+// DMFSGD step would need a learning rate tuned to the data scale.
+func halfStep(own, partner []float64, e float64, o SGDOptions, clamp bool, disp float64) float64 {
+	np := mat.Dot(partner, partner)
+	rate, reg := o.Rate, o.Reg
+	partner = partner[:len(own)]
+	for k, v := range own {
+		nv := v - rate*(e*partner[k]/(np+sgdEps)+reg*v)
+		if clamp && nv < 0 {
+			nv = 0
+		}
+		dk := nv - v
+		disp += dk * dk
+		own[k] = nv
+	}
+	return disp
+}
+
 // step is one regularized gradient update on rows X_i and Y_j for the
-// measurement d(i→j) = v:
-//
-//	e      = X_i·Y_j − v
-//	X_i   −= Rate·(e·Y_j/‖Y_j‖² + Reg·X_i)
-//	Y_j   −= Rate·(e·X_i/‖X_i‖² + Reg·Y_j)   (X_i before its update)
-//
-// Scaling each step by the partner row's squared norm (a Kaczmarz-style
-// normalized step) makes Rate a unitless fraction of the residual,
-// stable across RTT magnitudes; the plain DMFSGD step would need a
-// learning rate tuned to the data scale. Under core.NMF the updated
-// rows are projected onto the nonnegative orthant, preserving the
-// algorithm's nonnegative-prediction guarantee.
+// measurement d(i→j) = v: with e = X_i·Y_j − v, X_i takes a halfStep
+// against Y_j, then Y_j one against X_i's pre-step values. The row
+// update is halfStep, the same one PeerStep runs on each side of a
+// gossip exchange, so the central and the decentralized solver step
+// alike bit for bit. Under core.NMF the updated rows are projected onto
+// the nonnegative orthant, preserving the algorithm's
+// nonnegative-prediction guarantee.
 func (s *SGDSolver) step(i, j int, v float64) {
 	xi := s.x.Row(i)
 	yj := s.y.Row(j)
 	e := mat.Dot(xi, yj) - v
-	nx := mat.Dot(xi, xi)
-	ny := mat.Dot(yj, yj)
-	rate, reg := s.sgd.Rate, s.sgd.Reg
-	clamp := s.opts.Algorithm == core.NMF
-	for k := range xi {
-		xk := xi[k]
-		xi[k] -= rate * (e*yj[k]/(ny+sgdEps) + reg*xk)
-		yj[k] -= rate * (e*xk/(nx+sgdEps) + reg*yj[k])
-		if clamp {
-			if xi[k] < 0 {
-				xi[k] = 0
-			}
-			if yj[k] < 0 {
-				yj[k] = 0
-			}
-		}
-	}
+	clamp := s.batch.opts.Algorithm == core.NMF
+	copy(s.prev, xi)
+	halfStep(xi, yj, e, s.sgd, clamp, 0)
+	halfStep(yj, s.prev, e, s.sgd, clamp, 0)
 }
 
 // PeerStep is the decentralized half of the DMFSGD update: host i folds
 // one measured distance d = RTT(i, j) into its OWN coordinate rows
 // (xi, yi) using a gossip partner j's rows (xj, yj) as constants — the
 // partner applies the mirror-image update on its side with the roles
-// swapped, so together the two peers perform the same symmetric update
-// SGDSolver.step performs centrally, without either touching the
-// other's state. Two Kaczmarz-normalized gradient steps run, one per
-// directed prediction that involves host i's rows:
+// swapped, so together the two peers perform the update SGDSolver.step
+// performs centrally for (i→j) and (j→i), without either touching the
+// other's state. It is two halfSteps, one per directed prediction that
+// involves host i's rows:
 //
 //	e1  = xi·yj − d      xi −= Rate·(e1·yj/‖yj‖² + Reg·xi)
 //	e2  = xj·yi − d      yi −= Rate·(e2·xj/‖xj‖² + Reg·yi)
 //
 // The two sub-updates share no variables, so peers that exchange
 // pre-update rows converge on the same trajectory regardless of which
-// side steps first. All four rows must have equal length. clamp
-// projects the updated rows onto the nonnegative orthant (core.NMF's
-// invariant). o must come from SGDOptions.Normalize — PeerStep applies
-// no defaulting of its own.
+// side steps first. All four rows must have equal length, and the own
+// rows must not share storage with the partner rows (the partner rows
+// may alias each other). clamp projects the updated rows onto the
+// nonnegative orthant (core.NMF's invariant). o must come from
+// SGDOptions.Normalize — PeerStep applies no defaulting of its own.
 //
 // The return value is the L2 displacement of (xi, yi) relative to their
 // pre-step norm — the per-step drift signal the gossip telemetry
@@ -201,29 +209,9 @@ func (s *SGDSolver) step(i, j int, v float64) {
 func PeerStep(xi, yi, xj, yj []float64, d float64, o SGDOptions, clamp bool) float64 {
 	e1 := mat.Dot(xi, yj) - d
 	e2 := mat.Dot(xj, yi) - d
-	nyj := mat.Dot(yj, yj)
-	nxj := mat.Dot(xj, xj)
 	norm := mat.Dot(xi, xi) + mat.Dot(yi, yi)
-	rate, reg := o.Rate, o.Reg
-	var disp float64
-	for k := range xi {
-		nv := xi[k] - rate*(e1*yj[k]/(nyj+sgdEps)+reg*xi[k])
-		if clamp && nv < 0 {
-			nv = 0
-		}
-		dk := nv - xi[k]
-		disp += dk * dk
-		xi[k] = nv
-	}
-	for k := range yi {
-		nv := yi[k] - rate*(e2*xj[k]/(nxj+sgdEps)+reg*yi[k])
-		if clamp && nv < 0 {
-			nv = 0
-		}
-		dk := nv - yi[k]
-		disp += dk * dk
-		yi[k] = nv
-	}
+	disp := halfStep(xi, yj, e1, o, clamp, 0)
+	disp = halfStep(yi, xj, e2, o, clamp, disp)
 	return math.Sqrt(disp / (norm + sgdEps))
 }
 
@@ -240,7 +228,7 @@ func PeerEstimate(xi, yi, xj, yj []float64) float64 {
 // factors from the last full fit — how far incremental updates have
 // moved the model hosts' solved vectors no longer track. O(m·d).
 func (s *SGDSolver) Drift() float64 {
-	if s.model == nil || s.seedX == nil {
+	if s.seedX == nil {
 		return 0
 	}
 	dx := displacement(s.x, s.seedX) / (s.seedXNorm + sgdEps)
@@ -259,4 +247,4 @@ func displacement(a, b *mat.Dense) float64 {
 }
 
 // ModelErrors scores the latest published model (seeded or revised).
-func (s *SGDSolver) ModelErrors() []float64 { return s.ms.modelErrors(s.model) }
+func (s *SGDSolver) ModelErrors() []float64 { return s.batch.ModelErrors() }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/ides-go/ides/internal/core"
+	"github.com/ides-go/ides/internal/testutil"
 )
 
 func TestNewSGDRejectsNegativeReg(t *testing.T) {
@@ -80,7 +81,7 @@ func TestMirroredStepOverriddenByDirectMeasurement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sv.ms.d.At(1, 0); got != fwd {
+	if got := sv.batch.ms.d.At(1, 0); got != fwd {
 		t.Fatalf("matrix (1,0) = %v after mirror, want %v", got, fwd)
 	}
 	if m1.EstimateLandmarks(1, 0) == seeded.EstimateLandmarks(1, 0) {
@@ -92,10 +93,10 @@ func TestMirroredStepOverriddenByDirectMeasurement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sv.ms.d.At(1, 0); got != rev {
+	if got := sv.batch.ms.d.At(1, 0); got != rev {
 		t.Fatalf("matrix (1,0) = %v after direct measurement, want %v", got, rev)
 	}
-	if got := sv.ms.d.At(0, 1); got != fwd {
+	if got := sv.batch.ms.d.At(0, 1); got != fwd {
 		t.Fatalf("matrix (0,1) = %v, direct reverse must not clobber the forward value", got)
 	}
 
@@ -116,7 +117,7 @@ func TestMirroredStepOverriddenByDirectMeasurement(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	est := retained(sv).EstimateLandmarks(1, 0)
+	est := sv.batch.model.EstimateLandmarks(1, 0)
 	if math.Abs(est-rev) >= math.Abs(est-fwd) {
 		t.Fatalf("reverse estimate %v sits closer to the mirrored %v than the measured %v", est, fwd, rev)
 	}
@@ -201,5 +202,82 @@ func TestPeerStepOrderIndependent(t *testing.T) {
 		if axi[k] != bxi[k] || ayi[k] != byi[k] || axj[k] != bxj[k] || ayj[k] != byj[k] {
 			t.Fatalf("peer update depends on step order at k=%d", k)
 		}
+	}
+}
+
+// TestSGDPairStepIsTwoPeerSteps holds PeerStep's doc to its word: the
+// central solver's Apply of (i→j) and (j→i) at one distance, and a first
+// measurement of a pair that mirrors onto its reverse, publish exactly
+// host i's PeerStep plus host j's PeerStep on the pre-step rows, bit for
+// bit, and leave every other row as it was.
+func TestSGDPairStepIsTwoPeerSteps(t *testing.T) {
+	d := topoMatrix(t, 31)
+	const i, j, ms = 3, 11, 75.0
+	for _, alg := range []core.Algorithm{core.SVD, core.NMF} {
+		for _, mirrored := range []bool{false, true} {
+			sv, err := NewSGD(confLandmarks, core.FitOptions{Dim: confDim, Algorithm: alg, Seed: 7}, SGDOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sv.Apply(allDeltas(d)); err != nil {
+				t.Fatal(err)
+			}
+			pre, err := sv.Seed()
+			if err != nil {
+				t.Fatal(err)
+			}
+			deltas := []Delta{{From: i, To: j, Millis: ms}, {From: j, To: i, Millis: ms}}
+			if mirrored {
+				// Forget the pair, so its next report is a first
+				// measurement that the matrix mirrors.
+				sv.batch.ms.d.Set(i, j, math.NaN())
+				sv.batch.ms.d.Set(j, i, math.NaN())
+				sv.batch.ms.observed -= 2
+				deltas = deltas[:1]
+			}
+			got, err := sv.Apply(deltas)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			xi, yi, xj, yj := clone(pre.X.Row(i)), clone(pre.Y.Row(i)), clone(pre.X.Row(j)), clone(pre.Y.Row(j))
+			clamp := alg == core.NMF
+			PeerStep(xi, yi, pre.X.Row(j), pre.Y.Row(j), ms, sv.sgd, clamp)
+			PeerStep(xj, yj, pre.X.Row(i), pre.Y.Row(i), ms, sv.sgd, clamp)
+			want := map[int][2][]float64{i: {xi, yi}, j: {xj, yj}}
+			for h := range confLandmarks {
+				wx, wy := pre.X.Row(h), pre.Y.Row(h)
+				if rows, ok := want[h]; ok {
+					wx, wy = rows[0], rows[1]
+				}
+				if !sameBits(got.X.Row(h), wx) || !sameBits(got.Y.Row(h), wy) {
+					t.Fatalf("%v, mirrored %v: host %d rows (%v, %v), two PeerSteps give (%v, %v)",
+						alg, mirrored, h, got.X.Row(h), got.Y.Row(h), wx, wy)
+				}
+			}
+		}
+	}
+}
+
+// TestSGDStepAllocs: a seeded solver's gradient step works in its rows
+// and its prev scratch, and allocates nothing.
+func TestSGDStepAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation accounting changes under -race")
+	}
+	sv, err := NewSGD(confLandmarks, core.FitOptions{Dim: confDim, Algorithm: core.NMF, Seed: 7}, SGDOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sv.Apply(allDeltas(topoMatrix(t, 37))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sv.Seed(); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() { sv.step(2, 5, 60) })
+	t.Logf("allocations per step: %.0f", allocs)
+	if allocs != 0 {
+		t.Fatalf("a seeded step allocates %.0f times, want 0", allocs)
 	}
 }

@@ -13,10 +13,14 @@
 //     measurements; every model refresh is a full factorization (Seed)
 //     through core.Fit — the existing factor.SVDFactor / factor.NMF
 //     paths.
-//   - SGDSolver seeds from the same batch fit, then folds each new
+//   - SGDSolver seeds through a BatchSolver's fit, then folds each new
 //     measurement into the touched X/Y rows by regularized gradient
 //     steps, publishing fresh models between (now much rarer) full
 //     corrective fits.
+//
+// DMFSGD's update is written once: halfStep is the row update, and
+// SGDSolver's step and the gossip peers' PeerStep are each two of them,
+// so the central and the decentralized modes step alike bit for bit.
 //
 // A Solver owns the observed landmark matrix: callers feed it Delta
 // batches and ask it to Seed or Apply; internal/lifecycle.Refitter
@@ -231,24 +235,10 @@ func (ms *measurements) materialize(dim int, alg core.Algorithm) (d, mask *mat.D
 
 // fit runs the shared batch factorization both solver kinds seed from.
 func (ms *measurements) fit(opts core.FitOptions) (*core.Model, error) {
-	d, mask, err := ms.materialize(fitDim(opts, ms.m), opts.Algorithm)
+	d, mask, err := ms.materialize(opts.DimFor(ms.m), opts.Algorithm)
 	if err != nil {
 		return nil, err
 	}
 	opts.Mask = mask
 	return core.Fit(d, opts)
-}
-
-// fitDim resolves the dimensionality a fit will actually use —
-// defaulting and clamping exactly like core.Fit does — so density
-// validation matches the fit.
-func fitDim(opts core.FitOptions, m int) int {
-	dim := opts.Dim
-	if dim <= 0 {
-		dim = core.DefaultDim
-	}
-	if dim > m {
-		dim = m
-	}
-	return dim
 }

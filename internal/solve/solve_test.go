@@ -99,21 +99,14 @@ func conformanceCases(t *testing.T) map[string]Solver {
 	return cases
 }
 
-// retained returns the model a solver retains — the last one Seed or Apply
-// produced, nil before the first Seed.
-func retained(sv Solver) *core.Model {
-	if b, ok := sv.(*BatchSolver); ok {
-		return b.model
+// batchOf returns the BatchSolver that records a solver's measurements
+// and retains its latest model (nil before the first Seed): the solver
+// itself, or the one an SGDSolver seeds through.
+func batchOf(sv Solver) *BatchSolver {
+	if s, ok := sv.(*SGDSolver); ok {
+		return &s.batch
 	}
-	return sv.(*SGDSolver).model
-}
-
-// recorded returns the measurement matrix a solver fits.
-func recorded(sv Solver) *measurements {
-	if b, ok := sv.(*BatchSolver); ok {
-		return b.ms
-	}
-	return sv.(*SGDSolver).ms
+	return sv.(*BatchSolver)
 }
 
 // TestSolverConformance runs every implementation through the same
@@ -127,7 +120,7 @@ func TestSolverConformance(t *testing.T) {
 			if _, err := sv.Seed(); err == nil {
 				t.Fatal("Seed with no measurements must fail")
 			}
-			if retained(sv) != nil {
+			if batchOf(sv).model != nil {
 				t.Fatal("Model before first Seed must be nil")
 			}
 			// Pre-seed Apply records but cannot produce a model.
@@ -139,7 +132,7 @@ func TestSolverConformance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if seeded == nil || retained(sv) != seeded {
+			if seeded == nil || batchOf(sv).model != seeded {
 				t.Fatal("Seed must produce and retain the model")
 			}
 			if got := sv.Drift(); got != 0 {
@@ -149,12 +142,12 @@ func TestSolverConformance(t *testing.T) {
 
 			// An RTT no network produces is refused whole: no model, and
 			// nothing recorded for the next Seed to fit.
-			ms := recorded(sv)
+			ms := batchOf(sv).ms
 			was, observed := ms.d.At(0, 1), ms.observed
 			if model, err := sv.Apply([]Delta{{From: 0, To: 1, Millis: 1e200}}); err != nil || model != nil {
 				t.Fatalf("Apply of a 1e200 ms delta = %v, %v; want nil, nil", model, err)
 			}
-			if ms.d.At(0, 1) != was || ms.observed != observed || retained(sv) != seeded {
+			if ms.d.At(0, 1) != was || ms.observed != observed || batchOf(sv).model != seeded {
 				t.Fatalf("a 1e200 ms delta was recorded: (0,1) %v -> %v", was, ms.d.At(0, 1))
 			}
 
@@ -190,7 +183,7 @@ func TestSolverConformance(t *testing.T) {
 					}
 				}
 			}
-			checkBounds(t, "after jittered updates", retained(sv), d)
+			checkBounds(t, "after jittered updates", batchOf(sv).model, d)
 
 			// A corrective re-seed folds the recorded measurements and
 			// resets drift for every implementation.
