@@ -77,7 +77,7 @@ func RegisterPoolFlags(fs *flag.FlagSet, maxIdle, maxPerHost int, idleTimeout ti
 		MaxIdle:     fs.Int("pool-max-idle", maxIdle, "idle pooled connections kept per address"),
 		MaxPerHost:  fs.Int("pool-max-per-host", maxPerHost, "total pooled connections per address (negative = unlimited)"),
 		IdleTimeout: fs.Duration("pool-idle-timeout", idleTimeout, help),
-		MuxConns:    fs.Int("mux-conns", 0, "multiplexed connections per address (0 = default 2, negative = disable multiplexing and use lockstep framing only)"),
+		MuxConns:    fs.Int("mux-conns", 0, "framing per address: 0 or 1 = one multiplexed connection, negative = lockstep framing only (larger values are refused)"),
 	}
 }
 

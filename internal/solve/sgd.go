@@ -25,17 +25,19 @@ type SGDOptions struct {
 // selects 1e-4). Both NewSGD and the decentralized peer loop go through
 // this, so the two modes reject the same configurations.
 func (o SGDOptions) Normalize() (SGDOptions, error) {
-	if o.Rate < 0 || o.Rate > 1 {
+	if !(o.Rate >= 0 && o.Rate <= 1) {
 		// The normalized step absorbs Rate of the residual; above 1 every
 		// update overshoots the measurement and the factors oscillate, and
-		// a negative rate ascends the loss. Zero selects the default.
+		// a negative rate ascends the loss. Zero selects the default. The
+		// test is written so that NaN fails it too.
 		return o, fmt.Errorf("solve: SGD rate %v out of (0, 1]", o.Rate)
 	}
-	if o.Reg < 0 {
+	if !(o.Reg >= 0 && o.Reg <= math.MaxFloat64) {
 		// A negative weight decay amplifies the touched rows every step;
 		// zero selects the documented 1e-4 default, so there is no valid
-		// reading of a negative value.
-		return o, fmt.Errorf("solve: SGD regularization %v must be nonnegative", o.Reg)
+		// reading of a negative value. NaN and +Inf turn every stepped
+		// row into NaN.
+		return o, fmt.Errorf("solve: SGD regularization %v must be finite and nonnegative", o.Reg)
 	}
 	if o.Rate == 0 {
 		o.Rate = 0.3

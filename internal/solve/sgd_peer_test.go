@@ -36,7 +36,7 @@ func TestNormalizeDefaultsAndRejects(t *testing.T) {
 	if err != nil || norm.Rate != 0.7 || norm.Reg != 1e-3 {
 		t.Fatalf("Normalize must keep explicit values, got %+v, %v", norm, err)
 	}
-	for _, o := range []SGDOptions{{Rate: -0.1}, {Rate: 1.1}, {Reg: -1}} {
+	for _, o := range []SGDOptions{{Rate: -0.1}, {Rate: 1.1}, {Reg: -1}, {Rate: math.NaN()}, {Reg: math.NaN()}, {Reg: math.Inf(1)}} {
 		if _, err := o.Normalize(); err == nil {
 			t.Fatalf("Normalize(%+v) accepted, want error", o)
 		}

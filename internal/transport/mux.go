@@ -82,9 +82,8 @@ type MuxConn struct {
 	// flushes each batch with one Write.
 	out *frameBatch
 
-	inflight atomic.Int64
-	flushes  atomic.Int64
-	frames   atomic.Int64
+	flushes atomic.Int64
+	frames  atomic.Int64
 	// coalesced counts frames that shared a Write with at least one
 	// other frame — the syscalls saved by batching.
 	coalesced atomic.Int64
@@ -158,13 +157,6 @@ func NewMuxConn(ctx context.Context, conn net.Conn, maxInflight int) (*MuxConn, 
 	go c.writeLoop()
 	return c, nil
 }
-
-// Inflight reports the number of streams currently open — the pool's
-// least-loaded routing key.
-func (c *MuxConn) Inflight() int64 { return c.inflight.Load() }
-
-// Window returns the negotiated in-flight stream cap.
-func (c *MuxConn) Window() int { return len(c.slots) }
 
 // Dead reports whether the connection has failed; a dead MuxConn never
 // recovers and should be discarded.
@@ -244,7 +236,6 @@ func (c *MuxConn) release(e *muxSlot, idx uint32) {
 	c.tmu.Lock()
 	e.gen = (e.gen + 1) & (muxMaxSlots - 1)
 	c.tmu.Unlock()
-	c.inflight.Add(-1)
 	c.freeSlots <- idx
 }
 
@@ -273,7 +264,6 @@ func (c *MuxConn) CallInto(ctx context.Context, t wire.MsgType, payload, buf []b
 	e.scratch = buf
 	stream := e.gen<<16 | idx
 	c.tmu.Unlock()
-	c.inflight.Add(1)
 	if !c.out.add(t, stream, payload) {
 		// The writer is dead; the teardown sweep may or may not have
 		// seen this arming, so disarm defensively before releasing.

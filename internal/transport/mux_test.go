@@ -30,6 +30,9 @@ func dialMuxConn(t *testing.T, addr string, maxInflight int) *MuxConn {
 	return mc
 }
 
+// openStreams counts the streams c has handed out and not yet released.
+func openStreams(c *MuxConn) int { return len(c.slots) - len(c.freeSlots) }
+
 func muxPing(t *testing.T, mc *MuxConn, token uint64) error {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -56,7 +59,7 @@ func TestMuxConnConcurrentStreams(t *testing.T) {
 	ln := testutil.Loopback(t)
 	testutil.MuxEchoServer(t, ln, 16)
 	mc := dialMuxConn(t, ln.Addr().String(), 64)
-	if w := mc.Window(); w != 16 {
+	if w := len(mc.slots); w != 16 {
 		t.Fatalf("negotiated window %d, want the server cap 16", w)
 	}
 
@@ -84,8 +87,8 @@ func TestMuxConnConcurrentStreams(t *testing.T) {
 	if st.Frames != callers*calls {
 		t.Fatalf("wrote %d frames, want %d", st.Frames, callers*calls)
 	}
-	if mc.Inflight() != 0 {
-		t.Fatalf("inflight %d after all calls returned", mc.Inflight())
+	if n := openStreams(mc); n != 0 {
+		t.Fatalf("%d streams open after all calls returned", n)
 	}
 }
 
@@ -143,9 +146,9 @@ func TestMuxConnMidStreamReset(t *testing.T) {
 	}
 	started.Wait()
 	// Give the calls a moment to arm their streams, then cut the socket.
-	for mc.Inflight() < callers {
+	for openStreams(mc) < callers {
 		if ctx.Err() != nil {
-			t.Fatalf("only %d/%d streams armed before deadline", mc.Inflight(), callers)
+			t.Fatalf("only %d/%d streams open before deadline", openStreams(mc), callers)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -257,7 +260,7 @@ func TestMuxConnCancelOneStream(t *testing.T) {
 	}()
 	// Wait until the slow call is in flight, then cancel only it.
 	deadline := time.After(5 * time.Second)
-	for mc.Inflight() == 0 {
+	for openStreams(mc) == 0 {
 		select {
 		case <-deadline:
 			t.Fatal("slow call never armed")
@@ -328,13 +331,13 @@ func TestMuxConnCoalescesWrites(t *testing.T) {
 }
 
 // TestPoolMuxRouting checks the pool path end to end: calls on a
-// mux-capable server share a small set of multiplexed connections
-// instead of dialing per concurrent caller.
+// mux-capable server share one multiplexed connection instead of
+// dialing per concurrent caller.
 func TestPoolMuxRouting(t *testing.T) {
 	ln := &testutil.CountingListener{Listener: testutil.Loopback(t)}
 	testutil.MuxEchoServer(t, ln, 0)
 	addr := ln.Addr().String()
-	p := newTestPool(t, PoolConfig{MuxConns: 2})
+	p := newTestPool(t, PoolConfig{MuxConns: 1})
 
 	const callers, calls = 16, 10
 	var wg sync.WaitGroup
@@ -348,14 +351,13 @@ func TestPoolMuxRouting(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if got := ln.Accepts(); got > 2 {
-		t.Fatalf("%d concurrent callers opened %d connections, want at most 2 mux conns", callers, got)
+	if got := ln.Accepts(); got != 1 {
+		t.Fatalf("%d concurrent callers opened %d connections, want the one mux conn", callers, got)
 	}
-	// One caller dials the first connection inline while the rest wait
-	// for it; growth dials happen off the call path.
+	// One caller dials the connection inline while the rest wait for it.
 	st := p.Stats()
 	if st.Reuses != callers*calls-1 {
-		t.Fatalf("stats %+v: want all %d calls but the one that dialed counted as reuses of the mux conns", st, callers*calls)
+		t.Fatalf("stats %+v: want all %d calls but the one that dialed counted as reuses of the mux conn", st, callers*calls)
 	}
 }
 

@@ -33,14 +33,12 @@ type PoolConfig struct {
 	// CallTimeout bounds a Call whose context carries no deadline of its
 	// own. Default 15s. Negative disables the fallback.
 	CallTimeout time.Duration
-	// MuxConns is how many multiplexed (v2 framing) connections the pool
-	// maintains per address when the peer speaks them: calls fill the
-	// first connection under half its stream window (concentrating
-	// streams where write coalescing pays), spill to the least-loaded
-	// one past that, and the set grows lazily up to this cap as spill
-	// load appears. Mux connections are a separate fixed set outside the
-	// MaxPerHost accounting. Default 2. Negative disables multiplexing —
-	// every call then uses a v1 lockstep connection.
+	// MuxConns selects the framing. 0 or 1: the pool keeps one
+	// multiplexed (v2 framing) connection per address when the peer
+	// speaks it, outside the MaxPerHost accounting, and every call is a
+	// stream on it; a caller past its stream window waits for a stream
+	// to free up. Negative disables multiplexing — every call then uses
+	// a v1 lockstep connection. NewPool refuses anything larger than 1.
 	MuxConns int
 }
 
@@ -56,9 +54,6 @@ func (c PoolConfig) withDefaults() PoolConfig {
 	}
 	if c.CallTimeout == 0 {
 		c.CallTimeout = 15 * time.Second
-	}
-	if c.MuxConns == 0 {
-		c.MuxConns = 2
 	}
 	return c
 }
@@ -207,8 +202,8 @@ type slotWaiter struct {
 // hostPool tracks one address's connections under the pool mutex: the
 // LIFO idle list of lockstep connections, the count of those in
 // existence (checked out + idle), which MaxPerHost bounds, the FIFO
-// queue of callers waiting at that cap, and the separate fixed set of
-// multiplexed connections.
+// queue of callers waiting at that cap, and the one multiplexed
+// connection, which that cap does not count.
 type hostPool struct {
 	idle    []idleConn
 	active  int
@@ -217,13 +212,13 @@ type hostPool struct {
 	// host at a time.
 	reapScheduled bool
 
-	// mux is the set of live multiplexed connections (least-loaded pick;
-	// grown lazily up to PoolConfig.MuxConns). muxDialing dedups dials;
+	// mux is the multiplexed connection every call shares, nil before
+	// the first dial and once it is found dead. muxDialing dedups dials;
 	// muxWait, when non-nil, is closed as the in-progress dial resolves
 	// so callers with no live conn can park for it. muxUnsupported
 	// latches once the peer answers the Hello handshake with an error:
 	// from then on every call takes the v1 lockstep path directly.
-	mux            []*MuxConn
+	mux            *MuxConn
 	muxDialing     bool
 	muxWait        chan struct{}
 	muxUnsupported bool
@@ -286,6 +281,9 @@ type idleConn struct {
 func NewPool(cfg PoolConfig) (*Pool, error) {
 	if cfg.Dialer == nil {
 		return nil, errors.New("transport: pool needs a Dialer")
+	}
+	if cfg.MuxConns > 1 {
+		return nil, fmt.Errorf("transport: pool keeps one mux connection per address, MuxConns %d", cfg.MuxConns)
 	}
 	return &Pool{cfg: cfg.withDefaults(), hosts: make(map[string]*hostPool)}, nil
 }
@@ -385,9 +383,9 @@ func (p *Pool) call(ctx context.Context, addr string, t wire.MsgType, payload, b
 	return rt, rp, buf, err
 }
 
-// acquire leases a connection to addr: a stream when the peer speaks mux
-// framing, else a lockstep connection — the kind is decided by what the
-// peer answers to Hello, or by MuxConns < 0 without asking.
+// acquire leases a connection to addr: the mux connection when the peer
+// speaks mux framing, else a lockstep connection — the kind is decided
+// by what the peer answers to Hello, or by MuxConns < 0 without asking.
 func (p *Pool) acquire(ctx context.Context, addr string, replay bool) (lease, error) {
 	if p.cfg.MuxConns >= 0 {
 		if l, err := p.acquireMux(ctx, addr); err != nil || l.hp != nil {
@@ -424,13 +422,12 @@ func (p *Pool) release(addr string, l lease, ok bool) (replay bool) {
 	return false
 }
 
-// acquireMux leases a stream on a live mux connection to addr —
-// fill-first under half the stream window, least-loaded past it —
-// dialing the first one (or a replacement after a failure) inline and
-// growing the set in the background once every existing connection is
-// past the spill threshold. The zero lease with a nil error means this
-// call must take a lockstep connection from the idle list or a dial;
-// when the handshake just downgraded cleanly, the lease is the healthy,
+// acquireMux leases addr's one mux connection, dialing it — the first
+// time, or to replace one found dead — inline while other callers park
+// for that dial. The lease holds no stream: MuxConn.CallInto takes one,
+// and a caller past the stream window waits there for one to free up. The zero lease with a nil error means this call
+// must take a lockstep connection from the idle list or a dial; when the
+// handshake just downgraded cleanly, the lease is the healthy,
 // slot-accounted probe connection itself.
 func (p *Pool) acquireMux(ctx context.Context, addr string) (lease, error) {
 	p.mu.Lock()
@@ -446,44 +443,17 @@ func (p *Pool) acquireMux(ctx context.Context, addr string) (lease, error) {
 			p.mu.Unlock()
 			return lease{}, nil
 		}
-		live := hp.mux[:0]
-		for _, mc := range hp.mux {
-			if mc.Dead() {
-				p.count(hp, evDiscard)
-			} else {
-				live = append(live, mc)
+		if mc := hp.mux; mc != nil {
+			if !mc.Dead() {
+				p.mu.Unlock()
+				return lease{hp: hp, mc: mc, reused: true}, nil
 			}
-		}
-		hp.mux = live
-		// Fill-first routing: keep streams concentrated on the first
-		// connection still under half its window — write coalescing
-		// amortizes syscalls best on a busy conn — and spill to the
-		// least-loaded one only when every conn is past that threshold,
-		// growing the set toward the cap as spill load appears.
-		var best *MuxConn
-		var bestLoad int64
-		spill := true
-		for _, mc := range hp.mux {
-			load := mc.Inflight()
-			if load < int64(mc.Window()+1)/2 {
-				best, spill = mc, false
-				break
-			}
-			if best == nil || load < bestLoad {
-				best, bestLoad = mc, load
-			}
-		}
-		if best != nil {
-			if spill && len(hp.mux) < p.cfg.MuxConns && !hp.muxDialing {
-				hp.muxDialing = true
-				go p.addMuxConn(addr)
-			}
-			p.mu.Unlock()
-			return lease{hp: hp, mc: best, reused: true}, nil
+			hp.mux = nil
+			p.count(hp, evDiscard)
 		}
 		if hp.muxDialing {
-			// Someone (inline or background) is already dialing; park
-			// until that dial resolves rather than stampeding the server.
+			// Someone is already dialing; park until that dial resolves
+			// rather than stampeding the server.
 			if hp.muxWait == nil {
 				hp.muxWait = make(chan struct{})
 			}
@@ -513,7 +483,7 @@ func (p *Pool) acquireMux(ctx context.Context, addr string) (lease, error) {
 				mc.Close()
 				return lease{}, errors.New("transport: pool is closed")
 			}
-			hp.mux = append(hp.mux, mc)
+			hp.mux = mc
 			p.mu.Unlock()
 			return lease{hp: hp, mc: mc}, nil
 		case dc != nil:
@@ -577,79 +547,34 @@ func (p *Pool) dialMux(ctx context.Context, addr string, hp *hostPool) (*MuxConn
 	return mc, nil, nil
 }
 
-// addMuxConn grows addr's mux set by one connection in the background,
-// so the growth dial never sits on a caller's latency. The caller set
-// hp.muxDialing before spawning.
-func (p *Pool) addMuxConn(addr string) {
-	ctx := context.Background()
-	if p.cfg.CallTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, p.cfg.CallTimeout)
-		defer cancel()
-	}
-	p.mu.Lock()
-	hp := p.hosts[addr]
-	p.mu.Unlock()
-	if hp == nil {
-		return
-	}
-	mc, dc, _ := p.dialMux(ctx, addr, hp)
-	p.mu.Lock()
-	p.muxDialDoneLocked(hp)
-	switch {
-	case mc != nil:
-		if p.closed || len(hp.mux) >= p.cfg.MuxConns {
-			p.mu.Unlock()
-			mc.Close()
-			return
-		}
-		hp.mux = append(hp.mux, mc)
-		p.mu.Unlock()
-	case dc != nil:
-		// The server stopped speaking mux mid-life (restarted as an
-		// older build); latch the downgrade and let the live mux conns
-		// die of natural causes.
-		hp.muxUnsupported = true
-		p.mu.Unlock()
-		dc.retire()
-	default:
-		// The dial or the handshake failed, and the connections that
-		// prompted the growth may have died meanwhile.
-		p.pruneLocked(addr, hp)
-		p.mu.Unlock()
-	}
-}
-
-// dropMux removes a dead mux connection from hp's set — unless the
-// routing pass of another call already has.
+// dropMux closes a mux connection that died under a call and forgets
+// it — unless acquireMux already has, or has dialed its replacement.
 func (p *Pool) dropMux(addr string, hp *hostPool, mc *MuxConn) {
 	mc.Close()
 	p.mu.Lock()
-	for i, c := range hp.mux {
-		if c == mc {
-			hp.mux = append(hp.mux[:i], hp.mux[i+1:]...)
-			p.count(hp, evDiscard)
-			break
-		}
+	if hp.mux == mc {
+		hp.mux = nil
+		p.count(hp, evDiscard)
 	}
 	p.pruneLocked(addr, hp)
 	p.mu.Unlock()
 }
 
-// MuxStats aggregates traffic counters across every live mux connection
-// in the pool.
+// MuxStats aggregates traffic counters across the live mux connections
+// of every address.
 func (p *Pool) MuxStats() MuxStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var out MuxStats
 	for _, hp := range p.hosts {
-		for _, mc := range hp.mux {
-			s := mc.Stats()
-			out.Flushes += s.Flushes
-			out.Frames += s.Frames
-			out.Coalesced += s.Coalesced
-			out.Stale += s.Stale
+		if hp.mux == nil {
+			continue
 		}
+		s := hp.mux.Stats()
+		out.Flushes += s.Flushes
+		out.Frames += s.Frames
+		out.Coalesced += s.Coalesced
+		out.Stale += s.Stale
 	}
 	return out
 }
@@ -737,10 +662,10 @@ func (p *Pool) Close() error {
 			close(w.ch)
 		}
 		hp.waiters = nil
-		for _, mc := range hp.mux {
-			mc.Close()
+		if hp.mux != nil {
+			hp.mux.Close()
+			hp.mux = nil
 		}
-		hp.mux = nil
 		p.muxDialDoneLocked(hp)
 	}
 	return nil
@@ -769,7 +694,7 @@ func (p *Pool) host(addr string) *hostPool {
 // Every path that can leave an entry empty ends here. Caller holds p.mu.
 func (p *Pool) pruneLocked(addr string, hp *hostPool) {
 	if hp.active == 0 && len(hp.idle) == 0 && len(hp.waiters) == 0 &&
-		len(hp.mux) == 0 && !hp.muxDialing && hp.muxWait == nil && !hp.muxUnsupported &&
+		hp.mux == nil && !hp.muxDialing && hp.muxWait == nil && !hp.muxUnsupported &&
 		!hp.reapScheduled && hp.mets.Load() == nil && p.hosts[addr] == hp {
 		delete(p.hosts, addr)
 	}

@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"strconv"
 	"sync"
@@ -220,6 +221,76 @@ func TestPoolReapsIdleConnections(t *testing.T) {
 	}
 }
 
+// TestPoolMuxWindowQueuesCallers: more concurrent callers than the
+// negotiated stream window wait for a stream on the one mux connection
+// — no second dial, and no request past the window for the server to
+// refuse. Both peers cap the window at 8; transport.Serve also answers
+// a stream past it with CodeOverloaded, and its handler holds each call
+// long enough for the window to fill.
+func TestPoolMuxWindowQueuesCallers(t *testing.T) {
+	const window, callers = 8, 32
+	peers := []struct {
+		name  string
+		typ   wire.MsgType
+		serve func(t *testing.T, ln net.Listener)
+	}{
+		{"echo", wire.TypePing, func(t *testing.T, ln net.Listener) { testutil.MuxEchoServer(t, ln, window) }},
+		{"serve", heldType, func(t *testing.T, ln net.Listener) {
+			ctx, cancel := context.WithCancel(context.Background())
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				Serve(ctx, ln, ServeConfig{ //nolint:errcheck
+					Handler: func(typ wire.MsgType, payload, dst []byte) (wire.MsgType, []byte) {
+						time.Sleep(2 * time.Millisecond)
+						return echoHandler(typ, payload, dst)
+					},
+					Window: window, Workers: window, Logf: t.Logf,
+				})
+			}()
+			t.Cleanup(func() { cancel(); <-done })
+		}},
+	}
+	for _, peer := range peers {
+		t.Run(peer.name, func(t *testing.T) {
+			ln := &testutil.CountingListener{Listener: testutil.Loopback(t)}
+			peer.serve(t, ln)
+			addr := ln.Addr().String()
+			p := newTestPool(t, PoolConfig{})
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			errs := make(chan error, callers)
+			var wg sync.WaitGroup
+			for g := 0; g < callers; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					payload := (&wire.Ping{Token: uint64(g + 1)}).Encode(nil)
+					rt, rp, err := p.Call(ctx, addr, peer.typ, payload)
+					if err == nil && (rt != wire.TypePong || string(rp) != string(payload)) {
+						err = fmt.Errorf("caller %d: reply %v %x, want Pong %x", g, rt, rp, payload)
+					}
+					errs <- err
+				}(g)
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				var werr *wire.Error
+				if errors.As(err, &werr) && werr.Code == wire.CodeOverloaded {
+					t.Fatalf("a call went past the stream window: %v", err)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := ln.Accepts(); got != 1 {
+				t.Fatalf("%d callers over a window of %d opened %d connections, want 1", callers, window, got)
+			}
+		})
+	}
+}
+
 func TestPoolSurvivesServerRestart(t *testing.T) {
 	for _, peer := range poolPeers {
 		t.Run(peer.name, func(t *testing.T) {
@@ -269,7 +340,7 @@ func TestPoolSurvivesServerRestart(t *testing.T) {
 func waitMuxConnDead(t *testing.T, p *Pool, addr string) {
 	t.Helper()
 	p.mu.Lock()
-	mc := p.hosts[addr].mux[0]
+	mc := p.hosts[addr].mux
 	p.mu.Unlock()
 	select {
 	case <-mc.dead:
@@ -455,9 +526,23 @@ func TestPoolClosedRefusesCalls(t *testing.T) {
 	}
 }
 
+// TestNewPoolRequiresDialer: NewPool refuses a config without a Dialer,
+// and MuxConns past 1 — the pool keeps one mux connection per address —
+// rather than read it as 1.
 func TestNewPoolRequiresDialer(t *testing.T) {
-	if _, err := NewPool(PoolConfig{}); err == nil {
-		t.Fatal("NewPool without a Dialer must fail")
+	for _, tc := range []struct {
+		cfg     PoolConfig
+		wantErr bool
+	}{
+		{PoolConfig{}, true},
+		{PoolConfig{Dialer: &net.Dialer{}, MuxConns: -1}, false},
+		{PoolConfig{Dialer: &net.Dialer{}}, false},
+		{PoolConfig{Dialer: &net.Dialer{}, MuxConns: 1}, false},
+		{PoolConfig{Dialer: &net.Dialer{}, MuxConns: 2}, true},
+	} {
+		if _, err := NewPool(tc.cfg); (err != nil) != tc.wantErr {
+			t.Fatalf("NewPool(%+v): error %v, want error %v", tc.cfg, err, tc.wantErr)
+		}
 	}
 }
 
