@@ -58,7 +58,7 @@ func binaryCommands(addr func(string) string, dir string) map[string]binaryCmd {
 			"-timeout", "10s", "-metrics-addr", addr("host-a-metrics")}},
 		"host-b": {"ides-client", []string{
 			"-self", "hostB", "-servers", addr("leader") + "," + addr("follower"),
-			"-k", "2", "-samples", "2", "-nnls", "-seed", "3", "-timeout", "10s",
+			"-k", "2", "-samples", "2", "-seed", "3", "-timeout", "10s",
 			"-to", "hostA", "-from", "hostA", "-nearest", "hostA,ghost", "-knn", "2",
 			"-pool-max-idle", "2", "-pool-max-per-host", "4", "-pool-idle-timeout", "20s", "-mux-conns", "1"}},
 		"replay": {"ides-inspect", []string{

@@ -37,7 +37,6 @@ func main() {
 	serverFlags := cli.RegisterServersFlag(flag.CommandLine)
 	k := flag.Int("k", 0, "number of landmarks to measure (0 = all)")
 	samples := flag.Int("samples", 4, "echo probes per landmark")
-	nnls := flag.Bool("nnls", false, "solve vectors with nonnegativity constraints")
 	seed := flag.Int64("seed", 0, "landmark subset selection seed")
 	to := flag.String("to", "", "estimate distance to this host after registering")
 	from := flag.String("from", "", "estimate distance from this host after registering")
@@ -73,7 +72,6 @@ func main() {
 		Samples: *samples,
 		K:       *k,
 		Seed:    *seed,
-		NNLS:    *nnls,
 		Pool:    pool,
 	})
 	if err != nil {

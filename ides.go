@@ -46,8 +46,8 @@ type Algorithm = core.Algorithm
 const (
 	// SVD is truncated singular value decomposition (paper Eqs. 5-6).
 	SVD = core.SVD
-	// NMF is nonnegative matrix factorization (Lee-Seung updates), which
-	// guarantees nonnegative estimates and tolerates missing measurements.
+	// NMF is nonnegative matrix factorization (Lee-Seung updates): it
+	// tolerates missing measurements, and its NNLS-placed hosts estimate >= 0.
 	NMF = core.NMF
 )
 

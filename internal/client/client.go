@@ -64,8 +64,6 @@ type Config struct {
 	K int
 	// Seed drives the random landmark subset choice.
 	Seed int64
-	// NNLS solves host vectors under nonnegativity constraints (§5.1).
-	NNLS bool
 	// Timeout bounds each network exchange. Default 15s.
 	Timeout time.Duration
 	// Pool, when set, carries every server-directed exchange over pooled
@@ -264,13 +262,17 @@ func (c *Client) measure(ctx context.Context, model *wire.Model) (map[string]flo
 	return measured, nil
 }
 
-// solveAndRegister places this host against the given model from a set
-// of landmark RTT measurements, registers the solved vectors at the
-// model's epoch, and commits the new state. The measurement map is
-// stored as-is and treated as read-only afterwards.
+// solveAndRegister places this host against the given model, by the solve
+// its algorithm picks, from a set of landmark RTT measurements, registers
+// the solved vectors at the model's epoch, and commits the new state. The
+// measurement map is stored as-is and treated as read-only afterwards.
 func (c *Client) solveAndRegister(ctx context.Context, model *wire.Model, measured map[string]float64) error {
+	alg, err := core.ParseAlgorithm(model.Algorithm)
+	if err != nil {
+		return fmt.Errorf("client: served model: %w", err)
+	}
 	m, dim := len(model.Landmarks), int(model.Dim)
-	landmarks := core.Model{X: mat.NewDense(m, dim), Y: mat.NewDense(m, dim)}
+	landmarks := core.Model{X: mat.NewDense(m, dim), Y: mat.NewDense(m, dim), Algorithm: alg}
 	idx := make([]int, 0, len(measured))
 	rtt := make([]float64, 0, len(measured))
 	for i, lm := range model.Landmarks {
@@ -283,7 +285,7 @@ func (c *Client) solveAndRegister(ctx context.Context, model *wire.Model, measur
 	}
 	// Ping measures round-trip time, the metric the landmark matrix is
 	// built from; it serves as both the to- and from- distance.
-	vec, err := landmarks.SolveHostSubset(idx, rtt, rtt, c.cfg.NNLS)
+	vec, err := landmarks.SolveHostSubset(idx, rtt, rtt)
 	if err != nil {
 		return fmt.Errorf("client: solving vectors: %w", err)
 	}

@@ -51,11 +51,12 @@ func testSystem(t *testing.T, numHosts, numLM, dim int, alg core.Algorithm) (
 		Dim:       dim,
 		Algorithm: alg,
 		Seed:      1,
-		Logger:    log.New(testWriter{t}, "", 0),
+		Logger:    log.New(newTestWriter(t), "", 0),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(srv.Close)
 	srvHost, err := nw.Host(serverName)
 	if err != nil {
 		t.Fatal(err)
@@ -91,10 +92,31 @@ func testSystem(t *testing.T, numHosts, numLM, dim int, alg core.Algorithm) (
 	return nw, topo, serverName, ordinary, cancel
 }
 
-type testWriter struct{ t *testing.T }
+// testWriter logs through t until the test has ended. The server's
+// refitter logs from its own goroutine, which can outlive the test:
+// a line after the end is dropped rather than panicking in Logf.
+type testWriter struct {
+	t    *testing.T
+	mu   sync.Mutex
+	done bool
+}
 
-func (w testWriter) Write(p []byte) (int, error) {
-	w.t.Logf("%s", p)
+func newTestWriter(t *testing.T) *testWriter {
+	w := &testWriter{t: t}
+	t.Cleanup(func() {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		w.done = true
+	})
+	return w
+}
+
+func (w *testWriter) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if !w.done {
+		w.t.Logf("%s", p)
+	}
 	return len(p), nil
 }
 
@@ -445,6 +467,7 @@ func TestBatchQueryReRegistersAfterTTLExpiry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(srv.Close)
 	// Drive TTL expiry with an injected clock instead of sleeping the
 	// wall clock out: SetNow swaps the clock the directory sweeps and
 	// the refit debounce read.

@@ -51,7 +51,7 @@ func epochSystem(t *testing.T, numHosts, numLM, dim int) (
 		// bumps in this test happen only when it calls srv.Refit, so
 		// every observation is deterministic.
 		RefitMinInterval: time.Hour,
-		Logger:           log.New(testWriter{t}, "", 0),
+		Logger:           log.New(newTestWriter(t), "", 0),
 	})
 	if err != nil {
 		t.Fatal(err)

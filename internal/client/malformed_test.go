@@ -43,8 +43,9 @@ func serveStub(t *testing.T, model *wire.Model, vectors *wire.Vectors) string {
 }
 
 // TestClientRefusesMalformedReplies: a server reply whose vectors do not
-// match the dimension the client works in is an error from the call
-// that received it, not a panic in the matrix code behind it.
+// match the dimension the client works in, or whose model names an
+// algorithm the client cannot solve for, is an error from the call that
+// received it, not a panic in the matrix code behind it.
 func TestClientRefusesMalformedReplies(t *testing.T) {
 	good := &wire.Model{Dim: 2, Algorithm: "SVD", Epoch: 1, Landmarks: []wire.LandmarkVec{
 		{Addr: "a", Out: []float64{1, 0}, In: []float64{1, 0}},
@@ -64,6 +65,10 @@ func TestClientRefusesMalformedReplies(t *testing.T) {
 				{Addr: "a", Out: []float64{1}, In: []float64{1, 0}},
 				{Addr: "b", Out: []float64{0, 1}, In: []float64{0, 1}},
 			}},
+		},
+		{
+			name:  "unknown algorithm",
+			model: &wire.Model{Dim: 2, Algorithm: "PCA", Epoch: 1, Landmarks: good.Landmarks},
 		},
 		{
 			name:    "peer vectors of another dimension",

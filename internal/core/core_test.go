@@ -120,7 +120,7 @@ func TestSolveHostSubsetMatchesPaperExample(t *testing.T) {
 	// references via SolveHostSubset: H1 measures L1, L2, L3 only; §5.2
 	// reports the unmeasured H1→L4 is estimated as exactly 2.5.
 	m := fitRing(t)
-	h1, err := m.SolveHostSubset([]int{0, 1, 2}, []float64{0.5, 1.5, 1.5}, []float64{0.5, 1.5, 1.5}, false)
+	h1, err := m.SolveHostSubset([]int{0, 1, 2}, []float64{0.5, 1.5, 1.5}, []float64{0.5, 1.5, 1.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestSolveHostSubsetMatchesPaperExample(t *testing.T) {
 
 func TestSolveHostSubsetTooFewObservations(t *testing.T) {
 	m := fitRing(t)
-	_, err := m.SolveHostSubset([]int{0, 1}, []float64{1, 2}, []float64{1, 2}, false)
+	_, err := m.SolveHostSubset([]int{0, 1}, []float64{1, 2}, []float64{1, 2})
 	if err == nil {
 		t.Fatal("k < d must be rejected")
 	}

@@ -19,7 +19,8 @@ import (
 // when the landmark vectors are well conditioned, damped along directions
 // they barely resolve. The inverses depend on the model alone, so Y and X
 // are decomposed on the model's first placement and every later host only
-// applies the two factors. Replacing X or Y decomposes again.
+// applies the two factors. Replacing X or Y decomposes again. The solve is
+// unconstrained on NMF models too: NNLS would move Fig 6's NMF cells.
 func (m *Model) SolveHost(dout, din []float64) (Vectors, error) {
 	if len(dout) != m.NumLandmarks() || len(din) != m.NumLandmarks() {
 		panic(fmt.Sprintf("core: distance vectors have %d/%d entries, want %d landmarks",
@@ -73,12 +74,12 @@ func (m *Model) factors() *placeFactors {
 // landmarks were measured than the model has dimensions.
 var ErrTooFewObservations = errors.New("core: too few observations")
 
-// SolveHostSubset computes the host's vectors from measurements to only the
-// listed landmark indices (§5.2's relaxation, Eqs. 15–16). dout and din are
-// parallel to idx; nnls selects the nonnegative solve (SolveVectorsNNLS).
-// At least Dim() observations are needed for the problem to be well posed;
-// fewer return ErrTooFewObservations rather than a wild extrapolation.
-func (m *Model) SolveHostSubset(idx []int, dout, din []float64, nnls bool) (Vectors, error) {
+// SolveHostSubset computes a joining host's vectors from measurements to the
+// listed landmarks only (§5.2, Eqs. 15–16); dout and din are parallel to idx.
+// The model's Algorithm picks the solve: SolveVectorsNNLS on NMF, so the
+// host's estimates are nonnegative (§5.1), else SolveVectors. Fewer than
+// Dim() observations return ErrTooFewObservations, not an extrapolation.
+func (m *Model) SolveHostSubset(idx []int, dout, din []float64) (Vectors, error) {
 	if len(idx) != len(dout) || len(idx) != len(din) {
 		panic(fmt.Sprintf("core: subset lengths disagree: idx=%d dout=%d din=%d", len(idx), len(dout), len(din)))
 	}
@@ -86,7 +87,7 @@ func (m *Model) SolveHostSubset(idx []int, dout, din []float64, nnls bool) (Vect
 		return Vectors{}, fmt.Errorf("%w: %d for a %d-dimensional model (need k >= d)", ErrTooFewObservations, len(idx), m.Dim())
 	}
 	solve := SolveVectors
-	if nnls {
+	if m.Algorithm == NMF {
 		solve = SolveVectorsNNLS
 	}
 	return solve(m.X.SelectRows(idx), m.Y.SelectRows(idx), dout, din)

@@ -3,9 +3,9 @@
 // an outgoing vector X_i and an incoming vector Y_i for each landmark;
 // the distance from i to j is estimated as the dot product X_i·Y_j
 // (Eq. 4). Ordinary hosts obtain their own vectors from a handful of
-// measurements by closed-form least squares (Eqs. 13–14), optionally
-// against any subset of nodes with precomputed vectors (Eqs. 15–16), and
-// optionally under nonnegativity constraints (§5.1).
+// measurements by closed-form least squares (Eqs. 13–14), or against any
+// subset of nodes with precomputed vectors (Eqs. 15–16); a host joining an
+// NMF model through SolveHostSubset is solved nonnegatively (§5.1).
 package core
 
 import (
@@ -27,8 +27,8 @@ const (
 	// distances.
 	SVD Algorithm = iota
 	// NMF is nonnegative matrix factorization (Lee–Seung updates): local
-	// optimum, but guarantees nonnegative predictions and tolerates
-	// missing measurements.
+	// optimum, but tolerates missing measurements. Hosts joining it through
+	// SolveHostSubset estimate >= 0; SolveHost and PlaceAll are unconstrained.
 	NMF
 )
 
@@ -95,7 +95,7 @@ type Model struct {
 	// them once for every later one. Assigning a new matrix to X or Y
 	// is seen, and the next placement decomposes again.
 	X, Y *mat.Dense
-	// Algorithm records how the model was fitted.
+	// Algorithm records how the model was fitted and picks SolveHostSubset's solve.
 	Algorithm Algorithm
 
 	place atomic.Pointer[placeFactors] // set by the first placement

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -137,7 +138,8 @@ func condition(t *testing.T, a *mat.Dense) float64 {
 }
 
 // Property: NNLS host vectors are always elementwise nonnegative, whatever
-// the measurements.
+// the measurements: SolveVectorsNNLS against every landmark, and
+// SolveHostSubset on the NMF model over a random subset of k >= d.
 func TestPropNNLSVectorsNonnegative(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -158,12 +160,17 @@ func TestPropNNLSVectorsNonnegative(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for _, x := range v.Out {
-			if x < 0 {
-				return false
-			}
+		idx := rng.Perm(n)[:dim+rng.Intn(n-dim+1)]
+		sdout := make([]float64, len(idx))
+		sdin := make([]float64, len(idx))
+		for k, l := range idx {
+			sdout[k], sdin[k] = dout[l], din[l]
 		}
-		for _, x := range v.In {
+		sv, err := m.SolveHostSubset(idx, sdout, sdin)
+		if err != nil {
+			return false
+		}
+		for _, x := range slices.Concat(v.Out, v.In, sv.Out, sv.In) {
 			if x < 0 {
 				return false
 			}

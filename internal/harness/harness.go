@@ -322,7 +322,6 @@ func (c *Cluster) newClient(name string, seed int64) (*client.Client, error) {
 		Samples: c.cfg.Samples,
 		K:       c.cfg.K,
 		Seed:    seed,
-		NNLS:    c.cfg.Algorithm == core.NMF,
 		Timeout: exchangeTimeout,
 	}
 	if len(c.followerNames) > 0 {

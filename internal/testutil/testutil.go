@@ -7,6 +7,7 @@
 package testutil
 
 import (
+	"bufio"
 	"context"
 	"net"
 	"sync"
@@ -30,123 +31,122 @@ func Loopback(t testing.TB) net.Listener {
 }
 
 // EchoServer answers Ping with Pong and GetInfo with a fixed Info on
-// every connection accepted from ln; other types get a wire error. It
-// runs until the listener closes.
+// every connection accepted from ln; other types, Hello included, get a
+// wire error. It runs until the listener closes.
 func EchoServer(t testing.TB, ln net.Listener) {
 	t.Helper()
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(c net.Conn) {
-				defer c.Close()
-				for {
-					typ, payload, err := wire.ReadFrame(c)
-					if err != nil {
-						return
-					}
-					switch typ {
-					case wire.TypePing:
-						p, err := wire.DecodePing(payload)
-						if err != nil {
-							return
-						}
-						if err := wire.WriteFrame(c, wire.TypePong, (&wire.Pong{Token: p.Token}).Encode(nil)); err != nil {
-							return
-						}
-					case wire.TypeGetInfo:
-						info := &wire.Info{Dim: 10, NumLandmarks: 20, Algorithm: "SVD", ModelReady: true}
-						if err := wire.WriteFrame(c, wire.TypeInfo, info.Encode(nil)); err != nil {
-							return
-						}
-					default:
-						e := &wire.Error{Code: wire.CodeUnknownType, Text: "nope"}
-						if err := wire.WriteFrame(c, wire.TypeError, e.Encode(nil)); err != nil {
-							return
-						}
-					}
-				}
-			}(conn)
-		}
-	}()
+	go echo(ln, false, 0)
 }
 
 // MuxEchoServer answers like EchoServer but speaks the v2 multiplexed
-// framing: a Hello upgrades the connection (HelloAck echoes the
-// client's window, capped at maxInflight when positive), after which
-// every request is answered on its own stream. Requests arriving before
-// a Hello are answered in v1 lockstep, so the same helper exercises the
-// downgrade-free path too. It runs until the listener closes.
+// framing: a Hello upgrades the connection (HelloAck echoes the client's
+// window, capped at maxInflight when positive), after which each request
+// is answered on its own stream once every byte received so far is read,
+// and a stream past the window at once with CodeOverloaded, as
+// transport.Serve does. Requests before a Hello are answered in v1
+// lockstep. It runs until the listener closes.
 func MuxEchoServer(t testing.TB, ln net.Listener, maxInflight int) {
 	t.Helper()
-	answer := func(typ wire.MsgType, payload []byte) (wire.MsgType, []byte) {
-		switch typ {
-		case wire.TypePing:
-			p, err := wire.DecodePing(payload)
-			if err != nil {
-				return wire.TypeError, (&wire.Error{Code: wire.CodeBadRequest, Text: err.Error()}).Encode(nil)
-			}
-			return wire.TypePong, (&wire.Pong{Token: p.Token}).Encode(nil)
-		case wire.TypeGetInfo:
-			info := &wire.Info{Dim: 10, NumLandmarks: 20, Algorithm: "SVD", ModelReady: true}
-			return wire.TypeInfo, info.Encode(nil)
-		default:
-			return wire.TypeError, (&wire.Error{Code: wire.CodeUnknownType, Text: "nope"}).Encode(nil)
+	go echo(ln, true, maxInflight)
+}
+
+// echo serves each connection accepted from ln until the listener closes.
+func echo(ln net.Listener, mux bool, maxInflight int) {
+	for {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
 		}
+		go echoConn(conn, mux, maxInflight)
 	}
-	go func() {
-		for {
-			conn, err := ln.Accept()
+}
+
+// echoAnswer is the echo servers' reply to one request.
+func echoAnswer(typ wire.MsgType, payload []byte) (wire.MsgType, []byte) {
+	switch typ {
+	case wire.TypePing:
+		p, err := wire.DecodePing(payload)
+		if err != nil {
+			return wire.AppendError(nil, wire.CodeBadRequest, err.Error())
+		}
+		return wire.TypePong, (&wire.Pong{Token: p.Token}).Encode(nil)
+	case wire.TypeGetInfo:
+		return wire.TypeInfo, (&wire.Info{Dim: 10, NumLandmarks: 20, Algorithm: "SVD", ModelReady: true}).Encode(nil)
+	default:
+		return wire.AppendError(nil, wire.CodeUnknownType, "nope")
+	}
+}
+
+// echoConn answers c in lockstep until, when mux is set, a Hello
+// upgrades it.
+func echoConn(c net.Conn, mux bool, maxInflight int) {
+	defer c.Close()
+	br := bufio.NewReader(c)
+	for {
+		typ, payload, err := wire.ReadFrame(br)
+		if err != nil {
+			return
+		}
+		if mux && typ == wire.TypeHello {
+			hello, err := wire.DecodeHello(payload)
 			if err != nil {
 				return
 			}
-			go func(c net.Conn) {
-				defer c.Close()
-				var buf []byte
-				var wmu sync.Mutex
-				mux := false
-				for {
-					typ, stream, payload, scratch, err := wire.ReadMuxFrameInto(c, buf)
-					buf = scratch
-					if err != nil {
-						return
-					}
-					if typ == wire.TypeHello {
-						hello, err := wire.DecodeHello(payload)
-						if err != nil {
-							return
-						}
-						window := hello.MaxInflight
-						if maxInflight > 0 && uint32(maxInflight) < window {
-							window = uint32(maxInflight)
-						}
-						ack := wire.HelloAck{Version: wire.VersionMux, MaxInflight: window}
-						if err := wire.WriteFrame(c, wire.TypeHelloAck, ack.Encode(nil)); err != nil {
-							return
-						}
-						mux = true
-						continue
-					}
-					rt, rp := answer(typ, payload)
-					if !mux {
-						if err := wire.WriteFrame(c, rt, rp); err != nil {
-							return
-						}
-						continue
-					}
-					// Write concurrently after the handshake so replies
-					// interleave like the real server's completion order.
-					go func() {
-						wmu.Lock()
-						defer wmu.Unlock()
-						c.Write(wire.AppendMuxFrame(nil, rt, stream, rp)) //nolint:errcheck
-					}()
-				}
-			}(conn)
+			window := hello.MaxInflight
+			if maxInflight > 0 {
+				window = min(window, uint32(maxInflight))
+			}
+			ack := wire.HelloAck{Version: wire.VersionMux, MaxInflight: window}
+			if err := wire.WriteFrame(c, wire.TypeHelloAck, ack.Encode(nil)); err != nil {
+				return
+			}
+			echoMux(c, br, window)
+			return
 		}
-	}()
+		if rt, rp := echoAnswer(typ, payload); wire.WriteFrame(c, rt, rp) != nil {
+			return
+		}
+	}
+}
+
+// echoMux answers the streams of an upgraded connection.
+func echoMux(c net.Conn, br *bufio.Reader, window uint32) {
+	var buf []byte
+	var wmu sync.Mutex
+	var inflight atomic.Int64
+	// Replies wait on release, which is closed and replaced whenever the
+	// read loop has drained what arrived.
+	release := make(chan struct{})
+	defer func() { close(release) }()
+	for {
+		if br.Buffered() == 0 {
+			close(release)
+			release = make(chan struct{})
+		}
+		typ, stream, payload, scratch, err := wire.ReadMuxFrameInto(br, buf)
+		buf = scratch
+		if err != nil {
+			return
+		}
+		if inflight.Load() >= int64(window) {
+			_, p := wire.AppendError(nil, wire.CodeOverloaded, "too many in-flight streams on this connection")
+			wmu.Lock()
+			c.Write(wire.AppendMuxFrame(nil, wire.TypeError, stream, p)) //nolint:errcheck
+			wmu.Unlock()
+			continue
+		}
+		inflight.Add(1)
+		rt, rp := echoAnswer(typ, payload)
+		// Concurrent writes interleave replies like Serve's completion order.
+		go func(release <-chan struct{}) {
+			<-release
+			wmu.Lock()
+			defer wmu.Unlock()
+			// Freed before the client can see the reply, as in Serve.
+			inflight.Add(-1)
+			c.Write(wire.AppendMuxFrame(nil, rt, stream, rp)) //nolint:errcheck
+		}(release)
+	}
 }
 
 // CountingListener wraps a listener and counts accepted connections,

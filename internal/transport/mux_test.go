@@ -51,6 +51,40 @@ func muxPing(t *testing.T, mc *MuxConn, token uint64) error {
 	return nil
 }
 
+// TestMuxConnEchoRefusesPastWindow: the echo server the MuxConn and pool
+// tests run against holds the window it advertised as Serve does. One
+// write of window+1 streams gets window Pongs and exactly one
+// CodeOverloaded, so a client that overran the window would fail against
+// the echo as well as against Serve.
+func TestMuxConnEchoRefusesPastWindow(t *testing.T) {
+	const window = 4
+	ln := testutil.Loopback(t)
+	testutil.MuxEchoServer(t, ln, window)
+	conn := dialMux(t, ln.Addr().String(), 64)
+	var burst []byte
+	for s := uint32(1); s <= window+1; s++ {
+		burst = wire.AppendMuxFrame(burst, wire.TypePing, s, (&wire.Ping{Token: uint64(s)}).Encode(nil))
+	}
+	if _, err := conn.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	pongs, overloaded := 0, 0
+	for range window + 1 {
+		switch typ, stream, code := readMux(t, conn); {
+		case typ == wire.TypePong:
+			pongs++
+		case typ == wire.TypeError && code == wire.CodeOverloaded:
+			overloaded++
+		default:
+			t.Fatalf("stream %d answered %v (code %d)", stream, typ, code)
+		}
+	}
+	if pongs != window || overloaded != 1 {
+		t.Fatalf("%d Pongs and %d CodeOverloaded for %d streams over a window of %d, want %d and 1",
+			pongs, overloaded, window+1, window, window)
+	}
+}
+
 // TestMuxConnConcurrentStreams drives 64 goroutines through one MuxConn
 // — far more callers than the negotiated window when the server caps it
 // — and checks every reply routes back to its own stream. Run under
