@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -125,9 +126,9 @@ func TestDijkstraMatchesReference(t *testing.T) {
 			for a := 0; a < numStubs; a++ {
 				for b := a + 1; b < numStubs; b++ {
 					w := math.Float64bits(want[first+a][first+b])
-					if math.Float64bits(topo.stubDist.At(a, b)) != w || math.Float64bits(topo.stubDist.At(b, a)) != w {
+					if math.Float64bits(topo.stubDist(a, b)) != w || math.Float64bits(topo.stubDist(b, a)) != w {
 						t.Fatalf("%+v: routed stubs %d, %d read %v / %v, reference %v",
-							cfg, a, b, topo.stubDist.At(a, b), topo.stubDist.At(b, a), want[first+a][first+b])
+							cfg, a, b, topo.stubDist(a, b), topo.stubDist(b, a), want[first+a][first+b])
 					}
 				}
 			}
@@ -227,10 +228,11 @@ func TestGenerateGoldenAtFleetScale(t *testing.T) {
 }
 
 // TestGenerateAllocs bounds what one Generate allocates on a 500-stub
-// topology: the router graph's adjacency lists, the two matrices, the
-// host table and the routing pass's reused scratch. The container/heap
-// pass boxed every heap push and allocated a distance slice per source,
-// 549,270 allocations at this size, ~1,100 per stub router.
+// topology: the router graph's adjacency lists, the packed stub-pair
+// triangle, the transit stretch matrix, the host table and the routing
+// pass's reused scratch. The container/heap pass boxed every heap push
+// and allocated a distance slice per source, 549,270 allocations at this
+// size, ~1,100 per stub router.
 func TestGenerateAllocs(t *testing.T) {
 	cfg := Config{Seed: 20040101, NumHosts: 500, HostsPerStub: 1}
 	nodes := 4*transitPerContinent + 500
@@ -242,6 +244,26 @@ func TestGenerateAllocs(t *testing.T) {
 	t.Logf("Generate(%d hosts, 1 per stub): %.0f allocations, %d routers", cfg.NumHosts, allocs, nodes)
 	if allocs > float64(2*nodes) {
 		t.Fatalf("Generate allocated %.0f times, want ≤ %d (2 per router)", allocs, 2*nodes)
+	}
+}
+
+// TestGenerateBytes bounds the bytes one symmetric Generate allocates at
+// gossip-fleet's shape, 2,001 stubs: ~16 MB, nearly all of it the one
+// packed stub-pair triangle. The dense numStubs² matrix it replaced made
+// it 32 MB.
+func TestGenerateBytes(t *testing.T) {
+	cfg := Config{Seed: 20040101, NumHosts: 2001, HostsPerStub: 1}
+	const limit = 17e6
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Generate(cfg); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	bytes := after.TotalAlloc - before.TotalAlloc
+	t.Logf("Generate(%d hosts, 1 per stub): %.1f MB allocated", cfg.NumHosts, float64(bytes)/1e6)
+	if bytes > limit {
+		t.Fatalf("Generate allocated %d bytes, want ≤ 17 MB", bytes)
 	}
 }
 

@@ -27,10 +27,12 @@
 // (pathSearch): only transit routers wait in the heap, single-homed stubs
 // are leaves that are never expanded, dual-homed stubs are expanded when
 // they are relaxed, one distance buffer and one typed heap serve every
-// source, and the routed distances overwrite the one stub-pair matrix in
-// place, reading only its upper triangle. At 2,001 stubs a Generate takes
-// ~0.1 s, 32 MB and ~2.5k allocations on one core of a 2 vCPU Xeon; the
-// container/heap Dijkstra it replaced took ~1.3 s, 304 MB and 8.6M.
+// source, and the routed distances are written over the searched ones in
+// place, in a packed upper triangle that holds each stub pair once; a
+// symmetric topology serves both directions from it. At 2,001 stubs a
+// Generate takes ~0.07 s, 16 MB and ~2.5k allocations on one core of a
+// 2 vCPU Xeon; the container/heap Dijkstra it replaced took ~1.3 s,
+// 304 MB and 8.6M.
 //
 // Every distance is the same float as that Dijkstra's, bit for bit: both
 // end each router at the minimum over the same rounded sums d(u) + w(u, v)
@@ -159,9 +161,13 @@ type Host struct {
 // distances.
 type Topology struct {
 	Hosts []Host
-	// stubDist[a][b] is the routed (possibly inflated, possibly asymmetric)
-	// one-way latency from stub a's router to stub b's router.
-	stubDist *mat.Dense
+	// fwd and rev are the routed (possibly inflated, possibly asymmetric)
+	// one-way latencies between stub routers, packed upper triangles of
+	// numStubs·(numStubs−1)/2 entries: for a < b, fwd[tri(numStubs, a, b)]
+	// is a → b and rev[tri(numStubs, a, b)] is b → a. Unless
+	// AsymmetryProb > 0 the transit stretch is symmetric bit for bit, and
+	// rev is fwd, the same slice. stubDist reads them.
+	fwd, rev []float64
 	numStubs int
 	// stubHome[s] is the transit router stub s is (primarily) homed on —
 	// the attachment the level-1 inflation keys off.
@@ -268,13 +274,14 @@ func Generate(cfg Config) (*Topology, error) {
 	numTransit := len(g.adj) - numStubs
 
 	// Shortest paths between all stub routers, upper triangle only: row s
-	// holds the distances from stub s to every later stub, and the level-2
-	// pass below overwrites each pair with its routed distances in place.
-	stubDist := mat.NewDense(numStubs, numStubs)
+	// of the packed triangle holds the distances from stub s to every later
+	// stub, and the level-2 pass below overwrites each pair with its routed
+	// distances in place.
+	fwd := make([]float64, numStubs*(numStubs-1)/2)
 	sp := newPathSearch(g)
-	for s := 0; s < numStubs; s++ {
+	for s := 0; s < numStubs-1; s++ {
 		dist := sp.from(numTransit + s)
-		copy(stubDist.Row(s)[s+1:], dist[numTransit+s+1:])
+		copy(fwd[tri(numStubs, s, s+1):], dist[numTransit+s+1:])
 	}
 
 	// Policy inflation, level 1: transit-domain pairs. The same (possibly
@@ -309,8 +316,19 @@ func Generate(cfg Config) (*Topology, error) {
 		}
 	}
 	// Level 2: independent per-stub-pair stretch (full-rank residual).
-	// Intra-stub traffic is never inflated.
-	d, inf := stubDist.Data(), tInf.Data()
+	// Intra-stub traffic is never inflated. The undirected shortest path is
+	// symmetric by construction, but the searches from a and from b sum the
+	// same edges in different orders and can disagree in the last ulp; the
+	// one from a serves both directions so the only asymmetry is the
+	// intentional kind from tInf, and a fully disabled config is bitwise
+	// symmetric. Without asymmetric transit pairs tInf is symmetric, so both
+	// directions are the same product and rev shares fwd's storage.
+	rev := fwd
+	if cfg.AsymmetryProb > 0 {
+		rev = make([]float64, len(fwd))
+	}
+	inf := tInf.Data()
+	k := 0
 	for a := 0; a < numStubs; a++ {
 		ta := stubHome[a]
 		for b := a + 1; b < numStubs; b++ {
@@ -319,14 +337,10 @@ func Generate(cfg Config) (*Topology, error) {
 				local = 1 + rng.Float64()*cfg.StubInflationMax
 			}
 			tb := stubHome[b]
-			// The undirected shortest path is symmetric by construction, but
-			// the searches from a and from b sum the same edges in different
-			// orders and can disagree in the last ulp; the one from a serves
-			// both directions so the only asymmetry is the intentional kind
-			// from tInf, and a fully disabled config is bitwise symmetric.
-			base := d[a*numStubs+b]
-			d[a*numStubs+b] = base * inf[ta*numTransit+tb] * local
-			d[b*numStubs+a] = base * inf[tb*numTransit+ta] * local
+			base := fwd[k]
+			fwd[k] = base * inf[ta*numTransit+tb] * local
+			rev[k] = base * inf[tb*numTransit+ta] * local
+			k++
 		}
 	}
 
@@ -345,7 +359,25 @@ func Generate(cfg Config) (*Topology, error) {
 		hosts[h] = Host{Continent: stubContinent[s], Stub: s, Up: up, Down: down}
 	}
 
-	return &Topology{Hosts: hosts, stubDist: stubDist, numStubs: numStubs, stubHome: stubHome}, nil
+	return &Topology{Hosts: hosts, fwd: fwd, rev: rev, numStubs: numStubs, stubHome: stubHome}, nil
+}
+
+// tri is the index of stub pair (a, b), a < b, in an n-stub packed upper
+// triangle: the rows before a hold n−1, n−2, …, n−a entries.
+func tri(n, a, b int) int {
+	return a*(2*n-a-1)/2 + b - a - 1
+}
+
+// stubDist returns the routed one-way latency from stub a's router to stub
+// b's router; zero when a == b.
+func (t *Topology) stubDist(a, b int) float64 {
+	switch {
+	case a < b:
+		return t.fwd[tri(t.numStubs, a, b)]
+	case a > b:
+		return t.rev[tri(t.numStubs, b, a)]
+	}
+	return 0
 }
 
 // OneWay returns the routed one-way latency from host i to host j in ms.
@@ -362,7 +394,7 @@ func (t *Topology) OneWay(i, j int) float64 {
 	// but does not associate, so this order makes OneWay(i,j) and
 	// OneWay(j,i) bitwise equal whenever the underlying links are
 	// symmetric, instead of differing in the last ulp.
-	return hi.Up + hj.Down + t.stubDist.At(hi.Stub, hj.Stub)
+	return hi.Up + hj.Down + t.stubDist(hi.Stub, hj.Stub)
 }
 
 // RTT returns the round-trip time from host i to host j as measured from i:

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -63,8 +64,8 @@ func TestDistancesPositiveAndFinite(t *testing.T) {
 		for _, cfg := range generatorConfigs(seed) {
 			topo := mustGen(t, cfg)
 			for a := 0; a < topo.numStubs; a++ {
-				for b, d := range topo.stubDist.Row(a) {
-					if a != b && !(d > 0 && d <= math.MaxFloat64) {
+				for b := 0; b < topo.numStubs; b++ {
+					if d := topo.stubDist(a, b); a != b && !(d > 0 && d <= math.MaxFloat64) {
 						t.Fatalf("%+v: stubs %d → %d routed at %v", cfg, a, b, d)
 					}
 				}
@@ -409,7 +410,7 @@ func TestAsymmetryDirectionBalanced(t *testing.T) {
 				if ta == tb {
 					continue
 				}
-				fwd, rev := topo.stubDist.At(a, b), topo.stubDist.At(b, a)
+				fwd, rev := topo.stubDist(a, b), topo.stubDist(b, a)
 				if fwd == rev {
 					continue
 				}
@@ -461,5 +462,96 @@ func TestHostAsymmetryProducesUpDownGap(t *testing.T) {
 	}
 	if differ == 0 {
 		t.Fatal("HostAsymmetryMax should produce differing up/down latencies")
+	}
+}
+
+// referenceStubDist is Generate's stub-pair fill before the packed
+// triangles, kept as the oracle: the routing pass copies row s of a dense
+// numStubs² matrix and the level-2 pass writes both d[a,b] and d[b,a], with
+// the same random draws as Generate.
+func referenceStubDist(cfg Config) (*mat.Dense, error) {
+	cfg = cfg.withDefaults()
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	g, stubContinent, stubHome, err := routers(cfg, rng)
+	if err != nil {
+		return nil, err
+	}
+	numStubs := len(stubContinent)
+	numTransit := len(g.adj) - numStubs
+
+	stubDist := mat.NewDense(numStubs, numStubs)
+	sp := newPathSearch(g)
+	for s := 0; s < numStubs; s++ {
+		dist := sp.from(numTransit + s)
+		copy(stubDist.Row(s)[s+1:], dist[numTransit+s+1:])
+	}
+
+	tInf := mat.NewDense(numTransit, numTransit)
+	tInf.Fill(1)
+	for a := 0; a < numTransit; a++ {
+		for b := a + 1; b < numTransit; b++ {
+			if rng.Float64() < cfg.InflationProb {
+				f := 1 + rng.Float64()*cfg.InflationMax
+				fwd, rev := f, f
+				if cfg.AsymmetryProb > 0 && rng.Float64() < cfg.AsymmetryProb {
+					stretch := 1 + rng.Float64()*cfg.AsymmetryMax
+					if rng.Float64() < 0.5 {
+						fwd *= stretch
+					} else {
+						rev *= stretch
+					}
+				}
+				tInf.Set(a, b, fwd)
+				tInf.Set(b, a, rev)
+			}
+		}
+	}
+	d, inf := stubDist.Data(), tInf.Data()
+	for a := 0; a < numStubs; a++ {
+		ta := stubHome[a]
+		for b := a + 1; b < numStubs; b++ {
+			local := 1.0
+			if rng.Float64() < cfg.StubInflationProb {
+				local = 1 + rng.Float64()*cfg.StubInflationMax
+			}
+			tb := stubHome[b]
+			base := d[a*numStubs+b]
+			d[a*numStubs+b] = base * inf[ta*numTransit+tb] * local
+			d[b*numStubs+a] = base * inf[tb*numTransit+ta] * local
+		}
+	}
+	return stubDist, nil
+}
+
+// TestPackedStubDistMatchesDense holds the packed triangles to the dense
+// fill they replaced, every ordered stub pair bit for bit: the routing
+// shapes, a 1-stub topology (an empty triangle), a 2-stub one, and one
+// whose every inflated transit pair is asymmetric, so rev is its own slice.
+func TestPackedStubDistMatchesDense(t *testing.T) {
+	var cfgs []Config
+	for seed := int64(1); seed <= routingSeeds; seed++ {
+		cfgs = append(cfgs, generatorConfigs(seed)...)
+	}
+	cfgs = append(cfgs,
+		Config{Seed: 1, NumHosts: 5, HostsPerStub: 5},
+		Config{Seed: 2, NumHosts: 2, HostsPerStub: 1},
+		Config{Seed: 3, NumHosts: 80, HostsPerStub: 1, InflationProb: 1, AsymmetryProb: 1, AsymmetryMax: 0.5},
+	)
+	for _, cfg := range cfgs {
+		want, err := referenceStubDist(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		topo := mustGen(t, cfg)
+		if topo.numStubs != want.Rows() {
+			t.Fatalf("%+v: %d stubs, reference %d", cfg, topo.numStubs, want.Rows())
+		}
+		for a := 0; a < topo.numStubs; a++ {
+			for b := 0; b < topo.numStubs; b++ {
+				if got := topo.stubDist(a, b); math.Float64bits(got) != math.Float64bits(want.At(a, b)) {
+					t.Fatalf("%+v: stubs %d → %d read %v, reference %v", cfg, a, b, got, want.At(a, b))
+				}
+			}
+		}
 	}
 }
