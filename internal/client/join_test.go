@@ -66,7 +66,7 @@ func (s *scriptedServer) handle(typ wire.MsgType, payload, dst []byte) (wire.Msg
 		return wire.TypeModel, m.Encode(dst)
 	case wire.TypeRegisterHost:
 		s.registerHost++
-		reg, err := wire.DecodeRegisterHost(payload)
+		reg, err := wire.ParseRegisterHost(payload)
 		if err != nil {
 			break
 		}

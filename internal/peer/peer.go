@@ -422,7 +422,7 @@ func (p *Peer) Estimate(ctx context.Context, addr string) (float64, error) {
 // against or estimated from: this deployment's dimension, every element
 // finite.
 func (p *Peer) usable(out, in wire.Floats) bool {
-	return out.Len() == p.cfg.Dim && in.Len() == p.cfg.Dim && finite(out) && finite(in)
+	return out.Len() == p.cfg.Dim && in.Len() == p.cfg.Dim && out.Finite() && in.Finite()
 }
 
 // observeLocked is table.observe behind the peer's own two filters: its

@@ -2,7 +2,6 @@ package peer
 
 import (
 	"hash/maphash"
-	"math"
 	"math/rand"
 	"slices"
 
@@ -68,18 +67,6 @@ func newTable(capacity int, seed int64) *table {
 	}
 }
 
-// finite reports whether v holds no NaN and no infinity. One hostile
-// frame must not poison the rows a table hands on, or the rows of a peer
-// that steps against them.
-func finite(v wire.Floats) bool {
-	for i := 0; i < v.Len(); i++ {
-		if f := v.At(i); math.IsNaN(f) || math.IsInf(f, 0) {
-			return false
-		}
-	}
-	return true
-}
-
 // addrKey is an address as a caller holds it: the table's own string,
 // or bytes still in a frame buffer. maphash hashes both alike.
 type addrKey interface{ string | []byte }
@@ -133,7 +120,7 @@ func (t *table) place(s slot) {
 // observation with a non-finite row is ignored whole. It returns the
 // table's own copy of the address, "" when the observation was ignored.
 func (t *table) observe(addr []byte, out, in wire.Floats) string {
-	if len(addr) == 0 || !finite(out) || !finite(in) {
+	if len(addr) == 0 || !out.Finite() || !in.Finite() {
 		return ""
 	}
 	tag, p := find(t, addr)

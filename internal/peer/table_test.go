@@ -431,7 +431,7 @@ func newMapTable(capacity int, seed int64) *mapTable {
 }
 
 func (t *mapTable) observe(addr []byte, out, in wire.Floats) string {
-	if len(addr) == 0 || !finite(out) || !finite(in) {
+	if len(addr) == 0 || !out.Finite() || !in.Finite() {
 		return ""
 	}
 	n := t.entries[string(addr)]

@@ -83,6 +83,51 @@ func TestRegisterAllocs(t *testing.T) {
 	}
 }
 
+// TestReplicatedRegisterAllocs is TestRegisterAllocs on a follower:
+// applyReplicated re-registering 8,192 streamed hosts in turn costs no
+// heap allocation per frame. It parses the frame with the leader's
+// ParseRegisterHost and the directory copies from the view; decoding it
+// first cost four allocations (the message, the address string and two
+// rows).
+func TestReplicatedRegisterAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation accounting changes under -race")
+	}
+	const hosts, dim = 8192, 8
+	s, err := New(Config{Landmarks: []string{"lm-0", "lm-1"}, Dim: dim})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rng := rand.New(rand.NewSource(1))
+	payloads := make([][]byte, hosts)
+	for i := range payloads {
+		reg := &wire.RegisterHost{Addr: fmt.Sprintf("host-%05d", i), Out: make([]float64, dim), In: make([]float64, dim), Epoch: 3}
+		for d := 0; d < dim; d++ {
+			reg.Out[d], reg.In[d] = rng.Float64()*10, rng.Float64()*10
+		}
+		payloads[i] = reg.Encode(nil)
+	}
+	next := 0
+	op := func() {
+		if err := s.qs.applyReplicated(payloads[next%hosts]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	for range 2 * hosts {
+		op() // register every host, then re-register each once: slabs at their steady size
+	}
+	allocs := testing.AllocsPerRun(1000, op)
+	t.Logf("applyReplicated: %.0f allocs per RegisterHost frame", allocs)
+	if allocs != 0 {
+		t.Errorf("applyReplicated allocates %.0f times per frame, want 0", allocs)
+	}
+	if got := s.qs.dir.Len(); got != hosts {
+		t.Errorf("directory holds %d hosts, want %d", got, hosts)
+	}
+}
+
 // TestBulkQueryAllocs is the allocation gate of the bulk read path, the
 // companion of the root package's TestPointQueryZeroAlloc (it lives here
 // because it measures dispatchTo itself, with no client in the count):

@@ -74,7 +74,8 @@ func (f *follower) Close() {
 
 // run is the reconnect loop: each stream failure backs off (capped, reset
 // after a stream that lived long enough to be called healthy) and
-// resubscribes from the last applied position.
+// resubscribes, which resyncs the model and the whole directory; the
+// position the Subscribe reports only reaches the leader's log.
 func (f *follower) run(ctx context.Context) {
 	defer close(f.done)
 	const (
@@ -165,11 +166,9 @@ func (f *follower) stream(ctx context.Context) error {
 				return err
 			}
 		case wire.TypeRegisterHost:
-			reg, err := wire.DecodeRegisterHost(payload)
-			if err != nil {
+			if err := f.qs.applyReplicated(payload); err != nil {
 				return err
 			}
-			f.qs.applyReplicated(reg)
 		default:
 			// Forward compatibility: ignore unknown stream frames.
 		}
@@ -239,9 +238,7 @@ func (f *follower) forward(t wire.MsgType, payload, dst []byte) (wire.MsgType, [
 func (f *follower) forwardRegister(payload, dst []byte) (wire.MsgType, []byte) {
 	t, out := f.forward(wire.TypeRegisterHost, payload, dst)
 	if t == wire.TypeAck {
-		if reg, err := wire.DecodeRegisterHost(payload); err == nil {
-			f.qs.applyReplicated(reg)
-		}
+		f.qs.applyReplicated(payload)
 	}
 	return t, out
 }

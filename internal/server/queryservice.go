@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -222,7 +221,7 @@ func (q *QueryService) handleRegister(payload, dst []byte) (wire.MsgType, []byte
 	// nearest neighbour (or nobody's) and split the k-NN index from the
 	// exact scan. The leader is the directory's only writer, so refusing
 	// it here keeps it off every follower too.
-	if !finite(reg.Out) || !finite(reg.In) {
+	if !reg.Out.Finite() || !reg.In.Finite() {
 		return wire.AppendError(dst, wire.CodeBadRequest, "non-finite vector coordinate")
 	}
 	// The directory shard-locks internally; expiry of stale entries is
@@ -234,24 +233,22 @@ func (q *QueryService) handleRegister(payload, dst []byte) (wire.MsgType, []byte
 	return wire.TypeAck, dst
 }
 
-func finite(v wire.Floats) bool {
-	for i := range v.Len() {
-		if x := v.At(i); math.IsNaN(x) || math.IsInf(x, 0) {
-			return false
-		}
+// applyReplicated installs one registration the leader accepted, parsed
+// and copied into the directory as handleRegister does. It has no epoch
+// check: a registration solved against epoch e+1 can reach the stream
+// before that epoch's Model frame (Install stores the state before
+// publishModel broadcasts it), and the directory keeps an entry with a
+// newer epoch until that epoch arrives and reads one from an epoch it
+// has left behind as absent.
+func (q *QueryService) applyReplicated(payload []byte) error {
+	reg, err := wire.ParseRegisterHost(payload)
+	if err != nil {
+		return err
 	}
-	return true
-}
-
-// applyReplicated installs one registration the leader accepted. No
-// epoch-staleness validation: the leader already validated it, and the
-// directory's own epoch filtering makes an entry from a generation this
-// follower has left behind read as absent.
-func (q *QueryService) applyReplicated(reg *wire.RegisterHost) {
-	if reg.Addr == "" || len(reg.Out) != len(reg.In) {
-		return
+	if len(reg.Addr) != 0 && reg.Out.Len() == reg.In.Len() {
+		q.dir.PutEpochView(reg.Addr, reg.Out, reg.In, reg.Epoch)
 	}
-	q.dir.PutEpoch(reg.Addr, core.Vectors{Out: reg.Out, In: reg.In}, reg.Epoch)
+	return nil
 }
 
 func (q *QueryService) handleGetVectors(payload, dst []byte) (wire.MsgType, []byte) {

@@ -317,11 +317,11 @@ func TestSubscribeSyncBatchesRegistrations(t *testing.T) {
 		if err != nil || typ != wire.TypeRegisterHost {
 			t.Fatalf("sync frame %d: %v %v, want RegisterHost", i, typ, err)
 		}
-		reg, err := wire.DecodeRegisterHost(payload)
+		reg, err := wire.ParseRegisterHost(payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seen[reg.Addr] = true
+		seen[string(reg.Addr)] = true
 	}
 	if len(seen) != n {
 		t.Fatalf("sync carried %d distinct hosts, want %d", len(seen), n)

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"hash/crc32"
 	"testing"
 
 	"github.com/ides-go/ides/internal/wire"
@@ -56,34 +57,47 @@ func FuzzDecodeRecord(f *testing.F) {
 	})
 }
 
-// FuzzScanSegment feeds arbitrary bytes through the segment scanner:
-// framing recovery — nextRecord, and tornTail on whatever it refuses —
-// must never panic and never report an offset past the data it was
-// given.
+// FuzzScanSegment feeds arbitrary bytes to scanSegment, the one reader
+// OpenStore and Iterate share, as the newest segment and as an older
+// one: it must never panic, never report an offset past the data, and
+// on success have handed fn exactly the records in [header, end) — each
+// body re-framed is those bytes, in order, with none left over.
 func FuzzScanSegment(f *testing.F) {
 	good := append([]byte(segMagic), segVersion)
 	good = AppendRecord(good, report(1, "a", "b", 2))
+	good = AppendRecord(good, &EventRecord{Kind: EventFit, Epoch: 1})
 	f.Add(good)
 	f.Add(good[:len(good)-3])
 	f.Add([]byte("garbage"))
+	v2 := bytes.Clone(good)
+	v2[segHeaderSize-1] = 2
+	f.Add(v2)
+	f.Add(make([]byte, segHeaderSize))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		b := data
-		total := 0
-		for {
-			n, rest, ok := nextRecord(b)
-			if !ok {
-				tornTail(b)
-				break
+		for _, last := range []bool{true, false} {
+			var framed []byte
+			end, err := scanSegment("fuzz", data, last, func(body []byte) error {
+				framed = wire.AppendUint32(framed, uint32(len(body)))
+				framed = append(framed, body...)
+				framed = wire.AppendUint32(framed, crc32.ChecksumIEEE(body))
+				return nil
+			})
+			if err != nil {
+				continue
 			}
-			if n <= 0 || int(n) > len(b) {
-				t.Fatalf("nextRecord returned n=%d for %d bytes", n, len(b))
+			if end > int64(len(data)) {
+				t.Fatalf("last=%v: end %d past %d bytes", last, end, len(data))
 			}
-			total += int(n)
-			b = rest
-		}
-		if total > len(data) {
-			t.Fatalf("scanner consumed %d of %d bytes", total, len(data))
+			if end == 0 {
+				if !last || len(framed) > 0 {
+					t.Fatalf("last=%v: torn header handed fn %d bytes of records", last, len(framed))
+				}
+				continue
+			}
+			if end < segHeaderSize || !bytes.Equal(framed, data[segHeaderSize:end]) {
+				t.Fatalf("last=%v: fn saw %d framed bytes, [header, %d) holds %d", last, len(framed), end, end-segHeaderSize)
+			}
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -39,9 +40,10 @@ import (
 // fields go at the end, decoders treat absent trailing fields as zero,
 // and readers skip record types they do not recognize.
 // A record is only as durable as the OS page cache unless Sync is
-// called; a crash can tear the final record, which Open and Iterate
-// tolerate by truncating/stopping at the torn tail; tornTail says what
-// counts as one, and anything else is an error.
+// called; a crash can tear the final record, or the header of a segment
+// just created, which OpenStore and Iterate tolerate by truncating or
+// stopping there. Both read through scanSegment, so they agree on what
+// counts as torn (tornTail for records); anything else is an error.
 
 // Segment format constants.
 const (
@@ -290,13 +292,13 @@ func DecodeRecord(typ byte, payload []byte) (Record, error) {
 
 // AppendRecord appends rec's full on-disk framing (length, type,
 // payload, CRC) to dst — exposed for the fuzz harness and tests; Store
-// callers just Append.
+// callers just Append. The record is framed in place: the length is
+// patched in once the payload is appended, so nothing is copied.
 func AppendRecord(dst []byte, rec Record) []byte {
-	payload := rec.AppendPayload(nil)
-	dst = wire.AppendUint32(dst, uint32(len(payload)+1))
-	body := append([]byte{rec.Type()}, payload...)
-	dst = append(dst, body...)
-	return wire.AppendUint32(dst, crc32.ChecksumIEEE(body))
+	start := len(dst)
+	dst = rec.AppendPayload(append(dst, 0, 0, 0, 0, rec.Type()))
+	binary.BigEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
+	return wire.AppendUint32(dst, crc32.ChecksumIEEE(dst[start+4:]))
 }
 
 // StoreConfig parameterizes a Store.
@@ -346,7 +348,8 @@ type Store struct {
 // OpenStore opens (creating if needed) the history log in cfg.Dir and
 // positions for appending: the newest segment is scanned and any torn
 // final record left by a crash is truncated away before new records go
-// after it; other corruption is an error and leaves the file as it was.
+// after it, a torn header rewritten; other corruption, a header of
+// another version included, is an error and leaves the file as it was.
 func OpenStore(cfg StoreConfig) (*Store, error) {
 	if cfg.Dir == "" {
 		return nil, errors.New("telemetry: history store needs a directory")
@@ -370,13 +373,16 @@ func OpenStore(cfg StoreConfig) (*Store, error) {
 	// tail so appends resume from a clean one.
 	seq := segs[len(segs)-1]
 	path := segmentPath(cfg.Dir, seq)
-	end, err := scanTail(path)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("telemetry: reading history segment: %w", err)
+	}
+	end, err := scanSegment(path, data, true, nil)
 	if err != nil {
 		return nil, err
 	}
-	if end < segHeaderSize {
-		// The header itself is missing or mangled; rewrite the segment
-		// from scratch.
+	if end == 0 {
+		// The header itself is torn; rewrite the segment from scratch.
 		s.segs = s.segs[:len(s.segs)-1]
 		if err := s.openSegment(seq); err != nil {
 			return nil, err
@@ -399,31 +405,38 @@ func OpenStore(cfg StoreConfig) (*Store, error) {
 	return s, nil
 }
 
-// scanTail walks one segment's records and returns the byte offset just
-// past the last intact record — the truncation point for crash
-// recovery. A missing or mangled header yields offset 0 (rewrite the
-// whole file); a corrupt record that is not a torn tail is an error.
-func scanTail(path string) (int64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0, fmt.Errorf("telemetry: reading history segment: %w", err)
-	}
-	if len(data) < segHeaderSize || string(data[:len(segMagic)]) != segMagic || data[segHeaderSize-1] != segVersion {
+// scanSegment is the one reader of a segment, OpenStore's and Iterate's:
+// it checks the header, hands fn (if not nil) each intact record's body
+// (type byte and payload) in order, and returns the offset just past the
+// last one. Only the newest segment (last) can be mid-write: there a
+// torn header (shorter than one, or zero bytes only) returns 0 and a
+// torn tail ends the walk. A header of another magic or version, and
+// any other damage, is an error; so is fn's, returned as it is.
+func scanSegment(path string, data []byte, last bool, fn func(body []byte) error) (int64, error) {
+	if last && (len(data) < segHeaderSize || len(bytes.TrimLeft(data, "\x00")) == 0) {
 		return 0, nil
 	}
+	if len(data) < segHeaderSize || string(data[:len(segMagic)]) != segMagic || data[segHeaderSize-1] != segVersion {
+		return 0, fmt.Errorf("telemetry: %s: bad segment header", path)
+	}
 	off := int64(segHeaderSize)
-	b := data[segHeaderSize:]
-	for {
+	for b := data[segHeaderSize:]; len(b) > 0; {
 		n, rest, ok := nextRecord(b)
 		if !ok {
-			if !tornTail(b) {
-				return 0, fmt.Errorf("telemetry: %s: corrupt record mid-log", path)
+			if last && tornTail(b) {
+				break
 			}
-			return off, nil
+			return 0, fmt.Errorf("telemetry: %s: corrupt record mid-log", path)
+		}
+		if fn != nil {
+			if err := fn(b[4 : n-4]); err != nil {
+				return 0, err
+			}
 		}
 		off += n
 		b = rest
 	}
+	return off, nil
 }
 
 // nextRecord frames one record off b, returning its full framed length
@@ -559,9 +572,9 @@ func (s *Store) Close() error {
 
 // Iterate streams every decodable record in dir's segments in write
 // order, calling fn for each. Unknown record types are skipped
-// (forward compatibility). A torn tail (tornTail) on the newest segment
-// ends iteration cleanly; any other damaged record is reported as an
-// error, since only the newest segment's end can be mid-write.
+// (forward compatibility). A torn header or tail on the newest segment
+// ends iteration cleanly; any other damage is reported as an error,
+// since only the newest segment's end can be mid-write (scanSegment).
 // fn returning an error stops iteration and returns that error.
 func Iterate(dir string, fn func(Record) error) error {
 	segs, err := listSegments(dir)
@@ -577,35 +590,18 @@ func Iterate(dir string, fn func(Record) error) error {
 		if err != nil {
 			return fmt.Errorf("telemetry: reading history segment: %w", err)
 		}
-		last := i == len(segs)-1
-		if len(data) < segHeaderSize || string(data[:len(segMagic)]) != segMagic || data[segHeaderSize-1] != segVersion {
-			if last && len(data) < segHeaderSize {
+		_, err = scanSegment(path, data, i == len(segs)-1, func(body []byte) error {
+			rec, err := DecodeRecord(body[0], body[1:])
+			if errors.Is(err, ErrUnknownRecord) {
 				return nil
 			}
-			return fmt.Errorf("telemetry: %s: bad segment header", path)
-		}
-		b := data[segHeaderSize:]
-		for len(b) > 0 {
-			n, rest, ok := nextRecord(b)
-			if !ok {
-				if last && tornTail(b) {
-					return nil
-				}
-				return fmt.Errorf("telemetry: %s: corrupt record mid-log", path)
-			}
-			body := b[4 : n-4]
-			rec, err := DecodeRecord(body[0], body[1:])
 			if err != nil {
-				if errors.Is(err, ErrUnknownRecord) {
-					b = rest
-					continue
-				}
 				return fmt.Errorf("telemetry: %s: %w", path, err)
 			}
-			if err := fn(rec); err != nil {
-				return err
-			}
-			b = rest
+			return fn(rec)
+		})
+		if err != nil {
+			return err
 		}
 	}
 	return nil

@@ -3,12 +3,14 @@ package telemetry
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
 
+	"github.com/ides-go/ides/internal/testutil"
 	"github.com/ides-go/ides/internal/wire"
 )
 
@@ -394,26 +396,202 @@ func TestStoreClock(t *testing.T) {
 	}
 }
 
+// TestScanTailGarbageHeader holds the header rule: a newest segment
+// shorter than a header, or of zero bytes only, is one a crash tore
+// while creating it, so OpenStore rewrites it and ReadAll yields nothing
+// from it; a complete header of another magic or version is an error in
+// both, and OpenStore leaves the file byte for byte as it was — a
+// rollback past a format change must not wipe the newer log.
 func TestScanTailGarbageHeader(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "hist-00000001.seg")
-	if err := os.WriteFile(path, []byte("not a segment"), 0o644); err != nil {
-		t.Fatal(err)
+	v2 := append([]byte(segMagic), 2)
+	v2 = AppendRecord(v2, report(0, "lm-0", "lm-1", 3))
+	for _, tc := range []struct {
+		name    string
+		data    []byte
+		rewrite bool
+	}{
+		{"empty", nil, true},
+		{"magic cut at 3 bytes", []byte(segMagic[:3]), true},
+		{"8 zero bytes", make([]byte, segHeaderSize), true},
+		{"not a segment", []byte("not a segment"), false},
+		{"version 2", v2, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := segmentPath(dir, 1)
+			if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			got, readErr := ReadAll(dir)
+			st, openErr := OpenStore(StoreConfig{Dir: dir})
+			if !tc.rewrite {
+				if readErr == nil || openErr == nil {
+					t.Fatalf("ReadAll error %v, OpenStore error %v: want both to refuse the header", readErr, openErr)
+				}
+				if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, tc.data) {
+					t.Fatalf("OpenStore touched the segment: %d -> %d bytes (read error %v)", len(tc.data), len(after), err)
+				}
+				return
+			}
+			if readErr != nil || len(got) != 0 {
+				t.Fatalf("ReadAll over a torn header: %d records, error %v; want none and no error", len(got), readErr)
+			}
+			if openErr != nil {
+				t.Fatal(openErr)
+			}
+			if err := st.Append(report(0, "lm-0", "lm-1", 7)); err != nil {
+				t.Fatal(err)
+			}
+			st.Close()
+			if got, err := ReadAll(dir); err != nil || len(got) != 1 {
+				t.Fatalf("got %d records after header rewrite (error %v), want 1", len(got), err)
+			}
+		})
 	}
-	// OpenStore rewrites a garbage-headed newest segment from scratch.
-	st, err := OpenStore(StoreConfig{Dir: dir})
+}
+
+// TestStoreReopenMatchesReadAll: OpenStore's recovery and ReadAll read
+// the same bytes the same way. A real two-segment log has its newest
+// segment cut at every offset, its header zeroed or versioned 2, and one
+// byte flipped at the start, middle and end of each record; after every
+// mutation either both refuse it and the file is untouched, or OpenStore
+// keeps exactly the records ReadAll returned and an Append reads back
+// after them.
+func TestStoreReopenMatchesReadAll(t *testing.T) {
+	base := t.TempDir()
+	st, err := OpenStore(StoreConfig{Dir: base, SegmentBytes: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Append(report(0, "lm-0", "lm-1", 7)); err != nil {
+	// The report fills the first segment; the two bare reports share
+	// the second.
+	for _, rec := range []Record{report(1, "lm-0", "lm-1", 5), &ReportRecord{TimeUnixNanos: 2}, &ReportRecord{TimeUnixNanos: 3}} {
+		if err := st.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st.Close()
-	got, err := ReadAll(dir)
+	segs, err := listSegments(base)
+	if err != nil || len(segs) != 2 {
+		t.Fatalf("want 2 segments, got %v (%v)", segs, err)
+	}
+	older, err := os.ReadFile(segmentPath(base, segs[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 {
-		t.Fatalf("got %d records after header rewrite, want 1", len(got))
+	newest, err := os.ReadFile(segmentPath(base, segs[1]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recStarts []int
+	for off := segHeaderSize; off < len(newest); {
+		n, _, ok := nextRecord(newest[off:])
+		if !ok {
+			t.Fatalf("newest segment does not frame at byte %d", off)
+		}
+		recStarts = append(recStarts, off)
+		off += int(n)
+	}
+	if len(recStarts) != 2 {
+		t.Fatalf("newest segment holds %d records, want 2", len(recStarts))
+	}
+
+	type mutation struct {
+		name string
+		data []byte
+	}
+	var muts []mutation
+	for cut := 0; cut < len(newest); cut++ {
+		muts = append(muts, mutation{fmt.Sprintf("cut at %d", cut), bytes.Clone(newest[:cut])})
+	}
+	zeroed := bytes.Clone(newest)
+	copy(zeroed, make([]byte, segHeaderSize))
+	v2 := bytes.Clone(newest)
+	v2[segHeaderSize-1] = 2
+	muts = append(muts, mutation{"zeroed header", zeroed}, mutation{"version 2", v2})
+	for i, start := range recStarts {
+		end := len(newest)
+		if i+1 < len(recStarts) {
+			end = recStarts[i+1]
+		}
+		for _, at := range []int{start, (start + end) / 2, end - 1} {
+			flipped := bytes.Clone(newest)
+			flipped[at] ^= 0xff
+			muts = append(muts, mutation{fmt.Sprintf("record %d byte %d flipped", i, at), flipped})
+		}
+	}
+
+	extra := report(9, "lm-1", "lm-0", 8)
+	for _, m := range muts {
+		dir := t.TempDir()
+		path := segmentPath(dir, segs[1])
+		if err := os.WriteFile(segmentPath(dir, segs[0]), older, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, m.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want, readErr := ReadAll(dir)
+		st, openErr := OpenStore(StoreConfig{Dir: dir})
+		if readErr != nil || openErr != nil {
+			if readErr == nil || openErr == nil {
+				t.Fatalf("%s: ReadAll error %v, OpenStore error %v: want both or neither", m.name, readErr, openErr)
+			}
+			if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, m.data) {
+				t.Fatalf("%s: OpenStore refused the segment but changed it: %d -> %d bytes (read error %v)", m.name, len(m.data), len(after), err)
+			}
+			continue
+		}
+		if kept, err := ReadAll(dir); err != nil || !sameRecords(kept, want) {
+			t.Fatalf("%s: OpenStore kept %d records (error %v), ReadAll returned %d", m.name, len(kept), err, len(want))
+		}
+		if err := st.Append(extra); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := ReadAll(dir); err != nil || !sameRecords(got, append(want, Record(extra))) {
+			t.Fatalf("%s: after one Append, %d records (error %v), want the %d ReadAll returned plus it", m.name, len(got), err, len(want))
+		}
+	}
+}
+
+// sameRecords compares two record lists by their on-disk framing.
+func sameRecords(a, b []Record) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !bytes.Equal(AppendRecord(nil, a[i]), AppendRecord(nil, b[i])) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestStoreAppendAllocs: Append frames a record in place in the store's
+// reused buffer, so appending costs no heap allocation after the first
+// (copying the payload and the body out cost five).
+func TestStoreAppendAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation accounting changes under -race")
+	}
+	st, err := OpenStore(StoreConfig{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	rec := report(1, "lm-0", "lm-1", 12.5)
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := st.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("Store.Append: %.0f allocs per record", allocs)
+	if allocs != 0 {
+		t.Errorf("Store.Append allocates %.0f times per record, want 0", allocs)
 	}
 }

@@ -30,7 +30,6 @@ var untrusted = func() []decoder {
 		{"DecodeInfo", (&wire.Info{Dim: 1, NumLandmarks: 2, Algorithm: "SVD", ModelReady: true, Epoch: 3}).Encode(nil), func(b []byte) { wire.DecodeInfo(b) }},
 		{"DecodeModel", (&wire.Model{Dim: 2, Algorithm: "SVD", Landmarks: landmarks, Epoch: 3, Rev: 4}).Encode(nil), func(b []byte) { wire.DecodeModel(b) }},
 		{"DecodeReportRTT", (&wire.ReportRTT{From: "a", Entries: []wire.RTTEntry{{To: "b", RTTMillis: 3}, {To: "c", RTTMillis: 4}}}).Encode(nil), func(b []byte) { wire.DecodeReportRTT(b) }},
-		{"DecodeRegisterHost", (&wire.RegisterHost{Addr: "a", Out: vec, In: vec, Epoch: 3}).Encode(nil), func(b []byte) { wire.DecodeRegisterHost(b) }},
 		{"ParseRegisterHost", (&wire.RegisterHost{Addr: "a", Out: vec, In: vec, Epoch: 3}).Encode(nil), func(b []byte) { wire.ParseRegisterHost(b) }},
 		{"GetVectorsView", (&wire.GetVectors{Addr: "a"}).Encode(nil), func(b []byte) { wire.GetVectorsView(b) }},
 		{"DecodeVectors", (&wire.Vectors{Found: true, Out: vec, In: vec, Epoch: 3}).Encode(nil), func(b []byte) { wire.DecodeVectors(b) }},

@@ -193,10 +193,10 @@ func FuzzDecodeDistances(f *testing.F) {
 	})
 }
 
-// FuzzDecodeRegisterHost: a payload that decodes re-encodes to one that
-// decodes to the same address, the same bits in both rows and the same
-// epoch. The decoder is ParseRegisterHost copied out, so this holds the
-// leader's view too.
+// FuzzDecodeRegisterHost: a payload ParseRegisterHost accepts, copied
+// out of its view into a RegisterHost and re-encoded, parses to the same
+// address, the same bits in both rows and the same epoch — what the
+// leader and its followers store from it is what a client sent.
 func FuzzDecodeRegisterHost(f *testing.F) {
 	f.Add((&RegisterHost{Addr: "h1", Out: []float64{1, 2}, In: []float64{3, 4}, Epoch: 5}).Encode(nil))
 	f.Add((&RegisterHost{Addr: "h2", Out: []float64{math.NaN(), math.Inf(-1)}, In: []float64{}}).Encode(nil))
@@ -205,27 +205,18 @@ func FuzzDecodeRegisterHost(f *testing.F) {
 	f.Add([]byte{0, 1, 'a', 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := DecodeRegisterHost(data)
+		v, err := ParseRegisterHost(data)
 		if err != nil {
 			return
 		}
-		out, err := DecodeRegisterHost(m.Encode(nil))
+		m := RegisterHost{Addr: string(v.Addr), Out: v.Out.Slice(), In: v.In.Slice(), Epoch: v.Epoch}
+		out, err := ParseRegisterHost(m.Encode(nil))
 		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
+			t.Fatalf("re-parse failed: %v", err)
 		}
-		sameBits := func(a, b []float64) bool {
-			if len(a) != len(b) {
-				return false
-			}
-			for i := range a {
-				if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-					return false
-				}
-			}
-			return true
-		}
-		if out.Addr != m.Addr || !sameBits(out.Out, m.Out) || !sameBits(out.In, m.In) || out.Epoch != m.Epoch {
-			t.Fatalf("RegisterHost round-trip mismatch: %+v, then %+v", m, out)
+		// Floats are the rows' big-endian bytes: equal bytes, equal bits.
+		if !bytes.Equal(out.Addr, v.Addr) || !bytes.Equal(out.Out, v.Out) || !bytes.Equal(out.In, v.In) || out.Epoch != v.Epoch {
+			t.Fatalf("RegisterHost round-trip mismatch: %+v, then %+v", v, out)
 		}
 	})
 }

@@ -279,16 +279,6 @@ func (m *RegisterHost) Encode(dst []byte) []byte {
 	return binary.BigEndian.AppendUint64(dst, m.Epoch)
 }
 
-// DecodeRegisterHost parses a RegisterHost payload into a message that
-// owns its memory: ParseRegisterHost validates, this copies out.
-func DecodeRegisterHost(b []byte) (*RegisterHost, error) {
-	v, err := ParseRegisterHost(b)
-	if err != nil {
-		return nil, err
-	}
-	return &RegisterHost{Addr: string(v.Addr), Out: v.Out.Slice(), In: v.In.Slice(), Epoch: v.Epoch}, nil
-}
-
 // GetVectors asks the directory for a host's published vectors. The
 // server parses it with GetVectorsView.
 type GetVectors struct {

@@ -20,8 +20,9 @@ const TypeSubscribe MsgType = 0x12
 
 // Subscribe opens a replication stream. ID names the follower for the
 // leader's logs and lag metrics; Epoch/Rev report the follower's last
-// applied model position (both 0 on a cold start), letting the leader
-// gauge how far behind a resubscribing follower is.
+// applied model position (both 0 on a cold start). The leader only logs
+// them: every subscription is sent the served model and the whole
+// directory, and the lag metric counts from what the stream has sent.
 type Subscribe struct {
 	ID    string
 	Epoch uint64

@@ -70,8 +70,8 @@ type RegisterHostView struct {
 }
 
 // ParseRegisterHost parses a RegisterHost payload without allocating:
-// the leader checks the view and copies its rows straight into the
-// directory. DecodeRegisterHost is this view copied out.
+// the leader checks the view, and it and its followers copy the rows
+// straight into the directory.
 func ParseRegisterHost(b []byte) (RegisterHostView, error) {
 	r := NewReader(b)
 	v := RegisterHostView{Addr: r.View(), Out: r.FloatsView(), In: r.FloatsView()}
@@ -117,6 +117,17 @@ func (f Floats) CopyTo(dst []float64) {
 	for i := range dst[:f.Len()] {
 		dst[i] = f.At(i)
 	}
+}
+
+// Finite reports whether no element is NaN or infinite: the test a row
+// still in its frame passes before anything stores it or steps on it.
+func (f Floats) Finite() bool {
+	for i := range f.Len() {
+		if x := f.At(i); math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // Slice decodes the vector into a fresh slice (non-nil even when empty).

@@ -144,7 +144,7 @@ func TestEpochRoundTrip(t *testing.T) {
 	if m, err := DecodeModel((&Model{Dim: 2, Algorithm: "SVD", Epoch: e, Rev: rev}).Encode(nil)); err != nil || m.Epoch != e || m.Rev != rev {
 		t.Fatalf("Model epoch/rev: %+v %v", m, err)
 	}
-	if m, err := DecodeRegisterHost((&RegisterHost{Addr: "h", Out: []float64{1}, In: []float64{2}, Epoch: e}).Encode(nil)); err != nil || m.Epoch != e {
+	if m, err := ParseRegisterHost((&RegisterHost{Addr: "h", Out: []float64{1}, In: []float64{2}, Epoch: e}).Encode(nil)); err != nil || m.Epoch != e {
 		t.Fatalf("RegisterHost epoch: %+v %v", m, err)
 	}
 	if m, err := DecodeVectors((&Vectors{Found: true, Out: []float64{1}, In: []float64{2}, Epoch: e}).Encode(nil)); err != nil || m.Epoch != e {
@@ -183,8 +183,8 @@ func TestEpochBackwardCompat(t *testing.T) {
 	if err != nil || model.Epoch != 0 || model.Rev != 0 || len(model.Landmarks) != 1 || model.Landmarks[0].Out[0] != 1 {
 		t.Fatalf("Model compat: %+v %v", model, err)
 	}
-	reg, err := DecodeRegisterHost(strip((&RegisterHost{Addr: "h", Out: []float64{1}, In: []float64{2}, Epoch: 9}).Encode(nil)))
-	if err != nil || reg.Epoch != 0 || reg.Addr != "h" || reg.In[0] != 2 {
+	reg, err := ParseRegisterHost(strip((&RegisterHost{Addr: "h", Out: []float64{1}, In: []float64{2}, Epoch: 9}).Encode(nil)))
+	if err != nil || reg.Epoch != 0 || string(reg.Addr) != "h" || reg.In.Len() != 1 || reg.In.At(0) != 2 {
 		t.Fatalf("RegisterHost compat: %+v %v", reg, err)
 	}
 	vec, err := DecodeVectors(strip((&Vectors{Found: true, Out: []float64{1}, In: []float64{2}, Epoch: 9}).Encode(nil)))
@@ -250,8 +250,8 @@ func TestReportRTTRoundTrip(t *testing.T) {
 
 func TestRegisterHostVectorsDistanceRoundTrip(t *testing.T) {
 	rh := &RegisterHost{Addr: "host-9", Out: []float64{1.5}, In: []float64{-2.5}}
-	rh2, err := DecodeRegisterHost(rh.Encode(nil))
-	if err != nil || rh2.Addr != rh.Addr || rh2.Out[0] != 1.5 || rh2.In[0] != -2.5 {
+	rh2, err := ParseRegisterHost(rh.Encode(nil))
+	if err != nil || string(rh2.Addr) != rh.Addr || rh2.Out.Len() != 1 || rh2.Out.At(0) != 1.5 || rh2.In.Len() != 1 || rh2.In.At(0) != -2.5 {
 		t.Fatalf("RegisterHost round trip: %+v %v", rh2, err)
 	}
 	gv, err := GetVectorsView((&GetVectors{Addr: "host-9"}).Encode(nil))
@@ -418,7 +418,7 @@ func TestDecodersRejectTruncation(t *testing.T) {
 		"Info":         func(b []byte) error { _, err := DecodeInfo(b); return err },
 		"Model":        func(b []byte) error { _, err := DecodeModel(b); return err },
 		"ReportRTT":    func(b []byte) error { _, err := DecodeReportRTT(b); return err },
-		"RegisterHost": func(b []byte) error { _, err := DecodeRegisterHost(b); return err },
+		"RegisterHost": func(b []byte) error { _, err := ParseRegisterHost(b); return err },
 		"Vectors":      func(b []byte) error { _, err := DecodeVectors(b); return err },
 		"QueryDist":    func(b []byte) error { _, _, err := QueryDistView(b); return err },
 		"Distance":     func(b []byte) error { _, err := ParseDistance(b); return err },
