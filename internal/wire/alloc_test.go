@@ -142,6 +142,9 @@ func FuzzDecodersBoundAllocation(f *testing.F) {
 	model := (&wire.Model{Dim: 2, Algorithm: "SVD", Landmarks: []wire.LandmarkVec{{Addr: "q:2", Out: []float64{1, 2}, In: []float64{3, 4}}}, Epoch: 3, Rev: 4}).Encode(nil)
 	f.Add(model[:len(model)-8])
 	f.Add(model[:len(model)-16])
+	// RegisterHost as a pre-epoch client sends it: no trailing epoch.
+	reg := (&wire.RegisterHost{Addr: "h", Out: []float64{1, 2}, In: []float64{3, 4}, Epoch: 5}).Encode(nil)
+	f.Add(reg[:len(reg)-8])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, d := range untrusted {
 			if got := d.allocated(data); got > allocBound(data) {
